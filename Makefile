@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos soak fuzz modelcheck modelcheck-soak bench bench-smoke bench-codec bench-sim tables fmt apicheck apibase
+.PHONY: check vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-codec bench-sim tables fmt apicheck apibase
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
 # chaos adds the short fuzz smoke on top, modelcheck the exhaustive small-N
 # schedule enumeration, bench-smoke the seconds-long live benchmark
 # conformance check (T-vs-2T A/B on both fabrics); apicheck fails on any
-# drift of the root package's exported surface from api/dqmx.api.
-check: vet build apicheck race chaos modelcheck bench-smoke
+# drift of the root package's exported surface from api/dqmx.api; allocs
+# holds the hot paths to their allocation budgets.
+check: vet build apicheck race chaos modelcheck allocs bench-smoke
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a
@@ -60,6 +61,24 @@ modelcheck-soak:
 	$(GO) test -run TestExhaustive -count=1 -timeout 60m ./internal/modelcheck
 	$(GO) run ./cmd/dqmcheck -n 4 -quorum majority -requesters 0,1,2 -bound=false -max-states 5e6
 	$(GO) run ./cmd/dqmcheck -n 5 -quorum tree -requesters 0,4 -crashes 1 -bound=false -max-states 5e6
+
+# Allocation budgets of the hot paths (testing.AllocsPerRun, so without the
+# race detector, whose own allocations would count): one binary frame decode,
+# one saturated CS through the core state machines, one uncontended in-process
+# Acquire+Release, one mailbox put/drain cycle. Each is pinned at the figure
+# it reached when the buffers became reusable; a regression is a red test
+# here before it is a line in the benchmark's ledger.
+allocs:
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport
+
+# The repository benchmark (benchmark/README.md): six workloads, the judged
+# end-to-end metrics and the per-layer ledger, about 3 minutes on 2 cores.
+# The result lands in .bench_build/result.json and is then compared with the
+# committed baseline, row by row. A change that claims a gain runs ten
+# alternating parent/change pairs per workload instead (see the README).
+benchmark:
+	bash benchmark/run.sh
+	bash benchmark/run.sh -compare benchmark/baseline.json .bench_build/result.json
 
 # Long adversarial soak: 10x the sweep plus model-boundary probes.
 soak:

@@ -10,9 +10,11 @@ import (
 // model checker to branch executions; the clock is copied by value (it is a
 // small struct behind a pointer). memberStage copies with the struct;
 // memberAvoid is intentionally shared — it is an immutable closure over the
-// handover plan, not mutable state.
+// handover plan, not mutable state. The scratch buffers are not state and
+// must not be shared: the copy starts without them.
 func (s *Site) clone() *Site {
 	c := *s
+	c.sendBuf, c.served = nil, nil
 	clk := *s.clock
 	c.clock = &clk
 	c.quorum = s.quorum.Clone()

@@ -23,22 +23,26 @@ import (
 // quorum ad hoc would break the Intersection property and with it mutual
 // exclusion.
 func (s *Site) SiteFailed(f mutex.SiteID) mutex.Output {
-	var out mutex.Output
+	out := s.begin()
+	s.siteFailed(f, &out)
+	return s.end(out)
+}
+
+func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
 	if f == s.id || s.failedSites[f] {
-		return out
+		return
 	}
 	s.failedSites[f] = true
 
-	s.arbiterPurge(f, &out)
-	s.requesterPurge(f, &out)
+	s.arbiterPurge(f, out)
+	s.requesterPurge(f, out)
 
 	if s.quorum.Contains(f) {
-		s.rebuildQuorum(f, &out)
+		s.rebuildQuorum(f, out)
 	}
 	if s.state == stateWaiting {
-		s.refreshRequests(&out)
+		s.refreshRequests(out)
 	}
-	return out
 }
 
 // refreshRequests re-sends the pending request to every quorum arbiter that

@@ -23,7 +23,7 @@ var _ mutex.Reconfigurable = (*Site)(nil)
 // this membership is in force — during a joint handover phase the
 // replacement must stay joint, which the construction alone cannot know.
 func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool), stage uint64) mutex.Output {
-	var out mutex.Output
+	out := s.begin()
 	newQ := coterie.Quorum(quorum).Clone()
 	old := s.quorum
 	s.n = n
@@ -36,7 +36,7 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 		// effect at Exit, which releases the old members (same deferral as a
 		// §6 rebuild inside the CS).
 		s.nextQuorum = newQ
-		return out
+		return s.end(out)
 	case stateIdle:
 		s.quorum = newQ
 		// The planned quorum may name sites already known to have crashed
@@ -78,7 +78,7 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 		// Shrinking may leave every remaining member already granted.
 		s.checkEntry(&out)
 	}
-	return out
+	return s.end(out)
 }
 
 // firstFailedIn returns the lowest known-crashed site in q, if any.

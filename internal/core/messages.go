@@ -69,7 +69,9 @@ type replyMsg struct {
 	Arbiter mutex.SiteID
 	// ReqTS is the granted request, used to discard stale replies.
 	ReqTS timestamp.Timestamp
-	// Transfer optionally piggybacks a transfer instruction (A.4, §6).
+	// Transfer optionally piggybacks a transfer instruction (A.4, §6). It
+	// stays a pointer: gob omits a nil pointer but always sends a struct
+	// value, and the v0 frame is frozen (TestGobV0ReplyFrameFrozen).
 	Transfer *transferInfo
 }
 

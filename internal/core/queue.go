@@ -44,7 +44,9 @@ func (q *tsQueue) Push(ts timestamp.Timestamp) {
 // called on an empty queue.
 func (q *tsQueue) Pop() timestamp.Timestamp {
 	ts := q.items[0]
-	q.items = q.items[1:]
+	// Shift down instead of re-slicing, so the backing array keeps its
+	// capacity and Push does not grow a new one every few requests.
+	q.items = q.items[:copy(q.items, q.items[1:])]
 	return ts
 }
 

@@ -131,6 +131,14 @@ type Site struct {
 	// view can catch up — so the release is applied when the lock reaches
 	// the released request.
 	earlyReleases map[timestamp.Timestamp]releaseMsg
+
+	// sendBuf backs the Send of every Output this site returns: a step
+	// appends into it from the start, so steady state allocates no envelope
+	// slice. It is why an Output is valid only until the next call on the
+	// site (mutex.Output). served is Exit's tran_set, kept between exits.
+	// Both are scratch, not protocol state: clone leaves them behind.
+	sendBuf []mutex.Envelope
+	served  map[mutex.SiteID]timestamp.Timestamp
 }
 
 var (
@@ -171,36 +179,52 @@ func (s *Site) Pending() bool { return s.state == stateWaiting }
 // Quorum returns the site's current req_set.
 func (s *Site) Quorum() coterie.Quorum { return s.quorum.Clone() }
 
+// begin starts one step's Output on the site's send buffer; end keeps the
+// buffer, grown or not, for the next step.
+func (s *Site) begin() mutex.Output { return mutex.Output{Send: s.sendBuf[:0]} }
+
+func (s *Site) end(out mutex.Output) mutex.Output {
+	s.sendBuf = out.Send
+	return out
+}
+
 // Request implements mutex.Site (step A.1): timestamp the request, reset the
 // requester state, and ask every quorum member for permission.
 func (s *Site) Request() mutex.Output {
-	var out mutex.Output
+	out := s.begin()
 	if s.state != stateIdle {
 		return out
 	}
 	s.state = stateWaiting
 	s.reqTS = s.clock.Tick()
 	s.failed = false
-	s.replied = make(map[mutex.SiteID]bool, len(s.quorum))
-	s.inqDeferred = make(map[mutex.SiteID]bool)
-	s.tranStack = nil
-	s.pendTransfers = make(map[mutex.SiteID][]transferInfo)
-	for _, j := range s.quorum {
-		out.SendTo(s.id, j, requestMsg{TS: s.reqTS})
+	if s.replied == nil {
+		s.replied = make(map[mutex.SiteID]bool, len(s.quorum))
+		s.inqDeferred = make(map[mutex.SiteID]bool)
+		s.pendTransfers = make(map[mutex.SiteID][]transferInfo)
 	}
-	return out
+	// One boxed message serves the whole quorum: messages are immutable.
+	var req mutex.Message = requestMsg{TS: s.reqTS}
+	for _, j := range s.quorum {
+		out.SendTo(s.id, j, req)
+	}
+	return s.end(out)
 }
 
 // Exit implements mutex.Site (step C): forward each arbiter's permission to
 // the newest transfer target from that arbiter, then notify every quorum
 // member with a release carrying the forwarding decision.
 func (s *Site) Exit() mutex.Output {
-	var out mutex.Output
+	out := s.begin()
 	if s.state != stateInCS {
 		return out
 	}
 	myTS := s.reqTS
-	served := make(map[mutex.SiteID]timestamp.Timestamp, len(s.tranStack)) // tran_set
+	if s.served == nil {
+		s.served = make(map[mutex.SiteID]timestamp.Timestamp)
+	}
+	served := s.served // tran_set
+	clear(served)
 	for k := len(s.tranStack) - 1; k >= 0; k-- {
 		e := s.tranStack[k]
 		if _, done := served[e.Arbiter]; done {
@@ -209,16 +233,16 @@ func (s *Site) Exit() mutex.Output {
 		served[e.Arbiter] = e.TargetTS
 		out.SendTo(s.id, e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS})
 	}
+	var plain mutex.Message = releaseMsg{ReqTS: myTS, Fwd: timestamp.None}
 	for _, j := range s.quorum {
-		rel := releaseMsg{ReqTS: myTS, Fwd: timestamp.None}
 		if ts, ok := served[j]; ok {
-			rel.Fwd = ts.Site
-			rel.FwdTS = ts
+			out.SendTo(s.id, j, releaseMsg{ReqTS: myTS, Fwd: ts.Site, FwdTS: ts})
+		} else {
+			out.SendTo(s.id, j, plain)
 		}
-		out.SendTo(s.id, j, rel)
 	}
 	s.resetRequester()
-	return out
+	return s.end(out)
 }
 
 func (s *Site) resetRequester() {
@@ -228,16 +252,16 @@ func (s *Site) resetRequester() {
 	}
 	s.state = stateIdle
 	s.reqTS = timestamp.Max
-	s.replied = nil
+	clear(s.replied)
 	s.failed = false
-	s.inqDeferred = nil
-	s.tranStack = nil
-	s.pendTransfers = nil
+	clear(s.inqDeferred)
+	s.tranStack = s.tranStack[:0]
+	clear(s.pendTransfers)
 }
 
 // Deliver implements mutex.Site.
 func (s *Site) Deliver(env mutex.Envelope) mutex.Output {
-	var out mutex.Output
+	out := s.begin()
 	switch m := env.Msg.(type) {
 	case requestMsg:
 		s.onRequest(m, &out)
@@ -254,9 +278,9 @@ func (s *Site) Deliver(env mutex.Envelope) mutex.Output {
 	case transferMsg:
 		s.onTransfer(m, &out)
 	case mutex.FailureMsg:
-		out.Merge(s.SiteFailed(m.Failed))
+		s.siteFailed(m.Failed, &out)
 	}
-	return out
+	return s.end(out)
 }
 
 // --- Arbiter half -----------------------------------------------------------
@@ -659,6 +683,9 @@ func (s *Site) onFail(m failMsg, out *mutex.Output) {
 // deferredArbiters returns the parked-inquire arbiters in site order so
 // replays are deterministic (map iteration order is not).
 func (s *Site) deferredArbiters() []mutex.SiteID {
+	if len(s.inqDeferred) == 0 {
+		return nil
+	}
 	out := make([]mutex.SiteID, 0, len(s.inqDeferred))
 	for arb := range s.inqDeferred {
 		out = append(out, arb)
@@ -679,6 +706,6 @@ func (s *Site) checkEntry(out *mutex.Output) {
 		}
 	}
 	s.state = stateInCS
-	s.inqDeferred = make(map[mutex.SiteID]bool)
+	clear(s.inqDeferred)
 	out.Entered = true
 }

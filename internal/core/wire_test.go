@@ -48,6 +48,52 @@ func TestWireRoundTripCoreMessages(t *testing.T) {
 	}
 }
 
+// TestGobV0ReplyFrameFrozen pins the bytes of the v0 reply frame, the one
+// hot-path message with an optional part. A peer built before the codec
+// layer decodes this stream with its own replyMsg, so the layout is frozen:
+// in particular Transfer must stay a pointer. Gob omits a nil pointer but
+// always sends a nested struct, all-zero or not, and an old peer decodes
+// that to a non-nil zero instruction and acts on it. The frame checked is
+// the second on a stream, after gob's type descriptors have gone out; the
+// two type ids in it are numbered per process in first-use order, so they
+// are masked.
+func TestGobV0ReplyFrameFrozen(t *testing.T) {
+	// From 2, To 1, Msg of concrete type "dqmx/internal/core.replyMsg".
+	const head = "02 04 01 02 01 1b 64 71 6d 78 2f 69 6e 74 65 72 6e 61 6c 2f 63 6f 72 65 2e 72 65 70 6c 79 4d 73 67"
+	// Seq 9, Ack 8.
+	const tail = "01 09 01 08 00"
+	for _, tc := range []struct {
+		msg   mutex.Message
+		value string // length-prefixed replyMsg fields
+	}{
+		{wireMessages()[2], "09 01 04 01 01 03 01 02 00 00"},
+		{wireMessages()[3], "13 01 04 01 01 03 01 02 00 01 01 08 01 01 05 01 04 00 00 00"},
+	} {
+		var stream bytes.Buffer
+		enc := wire.Gob().NewEncoder(&stream)
+		env := mutex.Envelope{From: 2, To: 1, Msg: tc.msg, Seq: 9, Ack: 8}
+		if err := enc.Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		first := stream.Len()
+		if err := enc.Encode(env); err != nil {
+			t.Fatal(err)
+		}
+		got := stream.Bytes()[first:]
+		body := fmt.Sprintf("ff 00 %s ff 00 %s %s", head, tc.value, tail)
+		want := fmt.Sprintf("%02x %s", (len(body)+1)/3, body)
+		masked := append([]byte(nil), got...)
+		for _, id := range []int{1, 3 + (len(head)+1)/3} { // the envelope's type id, the message's
+			if id+1 < len(masked) && masked[id] == 0xff {
+				masked[id+1] = 0
+			}
+		}
+		if s := fmt.Sprintf("% x", masked); s != want {
+			t.Errorf("v0 frame of %+v changed:\n got  %s\n want %s", tc.msg, s, want)
+		}
+	}
+}
+
 // TestCodecAB is the bench-smoke ratio assertion: the binary codec must beat
 // gob by ≥3× ns/op on a representative hot-path message mix with near-zero
 // steady-state allocations. It measures via testing.Benchmark so the usual

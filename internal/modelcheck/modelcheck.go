@@ -439,7 +439,9 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 	if out.Entered {
 		st.noteEntered(origin)
 	}
-	pending := out.Send
+	// An Output is valid only until the next call on its site, and the
+	// self-delivery below re-enters that site: queue a copy.
+	pending := append([]mutex.Envelope(nil), out.Send...)
 	for len(pending) > 0 {
 		env := pending[0]
 		pending = pending[1:]

@@ -62,6 +62,13 @@ type Envelope struct {
 }
 
 // Output collects the externally visible effects of one state-machine step.
+//
+// Lifetime: Send is valid only until the next call on the Site that returned
+// it. A site may build every step's Send in one buffer it keeps, so a driver
+// that keeps envelopes across another call on that site — the self-delivery
+// loops of the live node and the model checker re-enter the site while
+// envelopes of the previous step are still queued — copies them into memory
+// it owns first. Entered and the Envelope values themselves are plain copies.
 type Output struct {
 	// Send lists messages to transmit, in order.
 	Send []Envelope
@@ -71,12 +78,6 @@ type Output struct {
 	Entered bool
 }
 
-// Merge appends the effects of o2 to o.
-func (o *Output) Merge(o2 Output) {
-	o.Send = append(o.Send, o2.Send...)
-	o.Entered = o.Entered || o2.Entered
-}
-
 // SendTo appends one message to the output.
 func (o *Output) SendTo(from, to SiteID, m Message) {
 	o.Send = append(o.Send, Envelope{From: from, To: to, Msg: m})
@@ -84,7 +85,8 @@ func (o *Output) SendTo(from, to SiteID, m Message) {
 
 // Site is the per-site protocol state machine. Implementations are not safe
 // for concurrent use: a single driver goroutine (or the single-threaded
-// simulator) must serialize all calls.
+// simulator) must serialize all calls. The Output a call returns is valid
+// until the next call on the same Site (see Output).
 type Site interface {
 	// ID returns the site's identifier.
 	ID() SiteID

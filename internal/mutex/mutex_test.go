@@ -21,25 +21,6 @@ func TestOutputSendTo(t *testing.T) {
 	}
 }
 
-func TestOutputMerge(t *testing.T) {
-	var a, b Output
-	a.SendTo(0, 1, fakeMsg{"x"})
-	b.SendTo(1, 0, fakeMsg{"y"})
-	b.Entered = true
-	a.Merge(b)
-	if len(a.Send) != 2 {
-		t.Fatalf("merged Send len = %d", len(a.Send))
-	}
-	if !a.Entered {
-		t.Error("Merge must propagate Entered")
-	}
-	// Entered must never be cleared by merging a non-entered output.
-	a.Merge(Output{})
-	if !a.Entered {
-		t.Error("Merge cleared Entered")
-	}
-}
-
 func TestFailureMsgKind(t *testing.T) {
 	if got := (FailureMsg{Failed: 3}).Kind(); got != KindFailure {
 		t.Errorf("Kind = %q", got)

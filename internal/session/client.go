@@ -81,7 +81,10 @@ type result struct {
 	retry        bool
 }
 
-// call is one in-flight request awaiting its reply.
+// call is one in-flight request awaiting its reply. Calls are recycled
+// through Client.freeCalls. That is safe because a result is only ever sent
+// under c.mu to a call found in c.pending: once a call is out of the map and
+// its channel drained, still under c.mu, nothing can reach it again.
 type call struct {
 	ch chan result
 }
@@ -130,6 +133,7 @@ type Client struct {
 	leaseTTL   time.Duration
 	lastIn     time.Time
 	pending    map[uint64]*call
+	freeCalls  []*call // idle calls; at most the high-water number in flight
 	nextReq    uint64
 	instances  map[string]*clientInstance
 	err        error // terminal: ErrSessionLost or ErrClientClosed
@@ -639,25 +643,33 @@ func (c *Client) issue(ctx context.Context, name string, op byte) (rep lockRepMs
 	sc := c.conn
 	c.nextReq++
 	reqID := c.nextReq
-	cl := &call{ch: make(chan result, 1)}
+	var cl *call
+	if n := len(c.freeCalls); n > 0 {
+		cl, c.freeCalls = c.freeCalls[n-1], c.freeCalls[:n-1]
+	} else {
+		cl = &call{ch: make(chan result, 1)}
+	}
 	c.pending[reqID] = cl
 	c.mu.Unlock()
 	if err := sc.send(envelope(name, lockReqMsg{ReqID: reqID, Op: op})); err != nil {
 		// The connection is dying; the pump will notice. Treat as retry.
 		c.mu.Lock()
-		delete(c.pending, reqID)
+		c.retireCallLocked(reqID, cl)
 		c.mu.Unlock()
 		return lockRepMsg{}, 0, true, nil
 	}
 	select {
 	case res := <-cl.ch:
+		c.mu.Lock()
+		c.retireCallLocked(reqID, cl) // the sender already took it off pending
+		c.mu.Unlock()
 		if res.retry {
 			return lockRepMsg{}, 0, true, nil
 		}
 		return res.rep, res.sessionEpoch, false, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, reqID)
+		c.retireCallLocked(reqID, cl)
 		conn := c.conn
 		c.mu.Unlock()
 		if op == opAcquire && conn != nil {
@@ -669,6 +681,18 @@ func (c *Client) issue(ctx context.Context, name string, op byte) (rep lockRepMs
 	case <-c.stopC:
 		return lockRepMsg{}, 0, false, ErrClientClosed
 	}
+}
+
+// retireCallLocked takes a call out of flight and makes it reusable: off the
+// pending map, any result that raced the caller's exit drained. The caller
+// holds c.mu.
+func (c *Client) retireCallLocked(reqID uint64, cl *call) {
+	delete(c.pending, reqID)
+	select {
+	case <-cl.ch:
+	default:
+	}
+	c.freeCalls = append(c.freeCalls, cl)
 }
 
 // clientInstance adapts one named lock to the resource.Instance interface:
@@ -739,7 +763,15 @@ func (ci *clientInstance) TryAcquire(ctx context.Context) (bool, error) {
 // Release forwards to the arbiter. A grant from an earlier session
 // incarnation is gone — the old arbiter reclaims it at lease expiry — and
 // reports resource.ErrLockLost; the handle stays usable.
+//
+// It waits for the arbiter's answer without a deadline of its own: a stream
+// that went silent is cut by the keepalive watchdog and a cut stream wakes
+// the call with a retry, so a timer here could only re-send a release the
+// arbiter already has. The release is sent again only after the connection
+// turned over, and that re-send is idempotent: "not held" then means an
+// earlier copy got through (or the lease reclaimed the lock), not an error.
 func (ci *clientInstance) Release() error {
+	resent := false
 	for {
 		ci.c.mu.Lock()
 		if !ci.held {
@@ -752,13 +784,8 @@ func (ci *clientInstance) Release() error {
 			return resource.ErrLockLost
 		}
 		ci.c.mu.Unlock()
-		ctx, cancel := context.WithTimeout(context.Background(), writeTimeout)
-		rep, _, retry, err := ci.c.issue(ctx, ci.name, opRelease)
-		cancel()
+		rep, _, retry, err := ci.c.issue(context.Background(), ci.name, opRelease)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				continue // still trying; the held flag keeps this safe
-			}
 			return err
 		}
 		if retry {
@@ -772,12 +799,16 @@ func (ci *clientInstance) Release() error {
 				return nil
 			}
 			ci.c.mu.Unlock()
+			resent = true
 			continue
 		}
 		ci.c.mu.Lock()
 		ci.held = false
 		ci.c.mu.Unlock()
 		if !rep.OK {
+			if resent && rep.Err == errNotHeldText {
+				return nil
+			}
 			return fmt.Errorf("session: release %q: %s", ci.name, rep.Err)
 		}
 		return nil

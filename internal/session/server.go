@@ -51,6 +51,11 @@ const (
 // instead of failed operations.
 const errOverloadedText = "arbiter overloaded"
 
+// errNotHeldText answers a release of a lock the session does not hold. The
+// client reads it on a release it had to send twice as "the first copy got
+// through" (see clientInstance.Release).
+const errNotHeldText = "lock not held by this session"
+
 // ServerConfig configures one arbiter's session server.
 type ServerConfig struct {
 	// Site identifies the arbiter in observability events.
@@ -127,7 +132,7 @@ type serverSession struct {
 
 	deadline time.Time
 	conn     *sessionConn
-	held     map[string]*resource.Lock
+	held     map[string]heldLock
 	pending  map[uint64]*pendingOp
 	gone     bool // expired or closed; terminal
 
@@ -137,9 +142,20 @@ type serverSession struct {
 	cancel context.CancelFunc
 }
 
+// heldLock is one lock the session holds, with the request that acquired it:
+// a cancel naming that request after the grant went out means the two
+// crossed on the wire (see opCancel).
+type heldLock struct {
+	h     *resource.Lock
+	reqID uint64
+}
+
 // pendingOp tracks one in-flight acquire so a cancel (or expiry, or conn
-// detach) can abort it even when the protocol grant races the abort.
+// detach) can abort it even when the protocol grant races the abort. ctx
+// derives from the session's context; runAcquire releases it — and the
+// session's pending entry — at its single exit, however the acquire ended.
 type pendingOp struct {
+	ctx       context.Context
 	cancel    context.CancelFunc
 	cancelled bool
 }
@@ -292,8 +308,8 @@ func (srv *Server) teardown(s *serverSession, expired bool, reason string) {
 	}
 	srv.mu.Unlock()
 	s.cancel()
-	for name, h := range held {
-		h.Release()
+	for name, hl := range held {
+		hl.h.Release()
 		if expired {
 			srv.emit(obs.EventLockReclaim, name)
 		}
@@ -413,7 +429,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 		epoch:    epoch,
 		deadline: time.Now().Add(ttl),
 		conn:     sc,
-		held:     make(map[string]*resource.Lock),
+		held:     make(map[string]heldLock),
 		pending:  make(map[uint64]*pendingOp),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -512,19 +528,19 @@ func (srv *Server) handleLockReq(s *serverSession, sc *sessionConn, name string,
 			srv.reply(s, lockRepMsg{ReqID: req.ReqID, Err: errOverloadedText})
 			return
 		}
-		ctx, cancel := context.WithCancel(s.ctx)
-		op := &pendingOp{cancel: cancel}
+		op := &pendingOp{}
+		op.ctx, op.cancel = context.WithCancel(s.ctx)
 		s.pending[req.ReqID] = op
 		srv.mu.Unlock()
 		srv.wg.Add(1)
-		go srv.runAcquire(s, name, req.ReqID, op, ctx)
+		go srv.runAcquire(s, name, req.ReqID, op)
 	case opRelease:
 		srv.mu.Lock()
-		h := s.held[name]
+		h := s.held[name].h
 		delete(s.held, name)
 		srv.mu.Unlock()
 		if h == nil {
-			srv.reply(s, lockRepMsg{ReqID: req.ReqID, Err: "lock not held by this session"})
+			srv.reply(s, lockRepMsg{ReqID: req.ReqID, Err: errNotHeldText})
 			return
 		}
 		if err := h.Release(); err != nil {
@@ -534,12 +550,23 @@ func (srv *Server) handleLockReq(s *serverSession, sc *sessionConn, name string,
 		srv.reply(s, lockRepMsg{ReqID: req.ReqID, OK: true})
 	case opCancel:
 		// The acquire goroutine owns the reply; cancelling twice is fine.
+		var crossed *resource.Lock
 		srv.mu.Lock()
 		if op := s.pending[req.ReqID]; op != nil {
 			op.cancelled = true
 			op.cancel()
+		} else if hl, ok := s.held[name]; ok && hl.reqID == req.ReqID {
+			// The grant and the cancel crossed on the wire: the client gave
+			// the request up before the reply reached it, dropped the reply,
+			// and will never release. Hand the lock back, or it stays with a
+			// session that does not know it holds it.
+			delete(s.held, name)
+			crossed = hl.h
 		}
 		srv.mu.Unlock()
+		if crossed != nil {
+			crossed.Release()
+		}
 	}
 }
 
@@ -547,50 +574,53 @@ func (srv *Server) handleLockReq(s *serverSession, sc *sessionConn, name string,
 // protocol. The grant can race cancellation and lease expiry; whoever wins,
 // a granted-but-unwanted lock is always handed straight back (the protocol
 // treats it as an ordinary release, preserving the transfer-path handoff).
-func (srv *Server) runAcquire(s *serverSession, name string, reqID uint64, op *pendingOp, ctx context.Context) {
+//
+// Every way an acquire ends — granted, refused, cancelled by the client,
+// swept by expiry or a detach — passes through the one release point below:
+// the pending entry goes and the derived context is cancelled, which unhooks
+// it from the session context. A successful acquire that skipped the cancel
+// left a cancelCtx, its done channel and a children entry on the session
+// context for as long as the session lived.
+func (srv *Server) runAcquire(s *serverSession, name string, reqID uint64, op *pendingOp) {
 	defer srv.wg.Done()
 	h, err := srv.cfg.Locks.Lock(name)
-	if err != nil {
-		srv.mu.Lock()
-		delete(s.pending, reqID)
-		srv.mu.Unlock()
-		srv.reply(s, lockRepMsg{ReqID: reqID, Err: err.Error()})
-		return
+	if err == nil {
+		err = h.Acquire(op.ctx)
 	}
-	err = h.Acquire(ctx)
 	srv.mu.Lock()
 	delete(s.pending, reqID)
-	if err != nil {
-		srv.mu.Unlock()
-		srv.reply(s, lockRepMsg{ReqID: reqID, Err: acquireErrString(err, op)})
-		return
+	gone, cancelled := s.gone, op.cancelled
+	if err == nil && !gone && !cancelled {
+		s.held[name] = heldLock{h: h, reqID: reqID}
 	}
-	if s.gone || op.cancelled {
-		// Granted, but the session expired or the client cancelled while
-		// the quorum was deciding: hand the lock straight back.
-		gone := s.gone
-		srv.mu.Unlock()
-		h.Release()
-		if gone {
-			srv.mu.Lock()
-			srv.stats.Reclaimed++
-			srv.mu.Unlock()
-			srv.emit(obs.EventLockReclaim, name)
-			return
-		}
-		srv.reply(s, lockRepMsg{ReqID: reqID, Err: "acquire cancelled"})
-		return
-	}
-	s.held[name] = h
 	srv.mu.Unlock()
-	srv.reply(s, lockRepMsg{ReqID: reqID, OK: true})
+	op.cancel()
+
+	switch {
+	case err != nil:
+		srv.reply(s, lockRepMsg{ReqID: reqID, Err: acquireErrString(err, cancelled)})
+	case gone:
+		// Granted, but the session expired while the quorum was deciding:
+		// hand the lock straight back.
+		h.Release()
+		srv.mu.Lock()
+		srv.stats.Reclaimed++
+		srv.mu.Unlock()
+		srv.emit(obs.EventLockReclaim, name)
+	case cancelled:
+		// Granted, but the client cancelled meanwhile: hand it back too.
+		h.Release()
+		srv.reply(s, lockRepMsg{ReqID: reqID, Err: "acquire cancelled"})
+	default:
+		srv.reply(s, lockRepMsg{ReqID: reqID, OK: true})
+	}
 }
 
 // acquireErrString folds context cancellation into a stable client-facing
 // reason.
-func acquireErrString(err error, op *pendingOp) string {
+func acquireErrString(err error, cancelled bool) string {
 	if errors.Is(err, context.Canceled) {
-		if op.cancelled {
+		if cancelled {
 			return "acquire cancelled"
 		}
 		return "session ended"

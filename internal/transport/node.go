@@ -46,7 +46,9 @@ type Sender interface {
 // state-machine step are handed over together, letting the transport
 // coalesce them — one mailbox lock in-process, one buffered write per
 // destination over TCP — instead of paying per-envelope overhead. Order
-// within the batch must be preserved per destination.
+// within the batch must be preserved per destination. The batch belongs to
+// the caller again once SendBatch returns: an implementation may rewrite it
+// in place (stamping, filtering) but must copy what it keeps.
 type BatchSender interface {
 	Sender
 	SendBatch(envs []mutex.Envelope) error
@@ -89,13 +91,23 @@ func (m *mailbox) putAll(envs []mutex.Envelope) {
 	}
 }
 
-func (m *mailbox) drain() []mutex.Envelope {
+// drain hands the queued envelopes to the caller and takes the caller's
+// previous batch back as the next queue's backing array, so the two slices
+// double-buffer and steady-state traffic grows neither.
+func (m *mailbox) drain(prev []mutex.Envelope) []mutex.Envelope {
+	clear(prev) // a recycled batch must not pin the messages it carried
 	m.mu.Lock()
 	items := m.items
-	m.items = nil
+	m.items = prev[:0]
 	m.mu.Unlock()
 	return items
 }
+
+// respPool recycles the one-shot reply channels of Acquire and Release. The
+// loop sends exactly one reply per channel it is handed, and a channel goes
+// back only after that reply was received (or before the loop ever saw it),
+// so a pooled channel is always empty and unreferenced.
+var respPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // Node hosts one site state machine on a dedicated goroutine and exposes a
 // blocking Acquire/Release interface to application code.
@@ -115,6 +127,11 @@ type Node struct {
 
 	waiter   chan error // pending Acquire responder, loop-owned
 	retiring bool       // loop-owned: departing the cluster, no new acquires
+
+	// Loop-owned buffers, reused from step to step: the inbox batch being
+	// processed and apply's work queue.
+	batch []mutex.Envelope
+	queue []mutex.Envelope
 }
 
 // NewNode starts the node's event loop with observability disabled. sender
@@ -158,16 +175,19 @@ func (n *Node) InjectBatch(envs []mutex.Envelope) { n.inbox.putAll(envs) }
 // request was issued, the eventually acquired critical section is released
 // automatically.
 func (n *Node) Acquire(ctx context.Context) error {
-	resp := make(chan error, 1)
+	resp := respPool.Get().(chan error)
 	select {
 	case n.acquireC <- resp:
 	case <-ctx.Done():
+		respPool.Put(resp)
 		return ctx.Err()
 	case <-n.doneC:
+		respPool.Put(resp)
 		return ErrClosed
 	}
 	select {
 	case err := <-resp:
+		respPool.Put(resp)
 		return err
 	case <-ctx.Done():
 		// The protocol has no cancel message: wait out the grant in the
@@ -177,6 +197,7 @@ func (n *Node) Acquire(ctx context.Context) error {
 		go func() {
 			select {
 			case err := <-resp:
+				respPool.Put(resp)
 				if err == nil {
 					_ = n.Release()
 				}
@@ -213,11 +234,14 @@ func (n *Node) TryAcquire(ctx context.Context) (bool, error) {
 // does not currently hold the CS (no matching successful Acquire), and
 // ErrClosed after shutdown.
 func (n *Node) Release() error {
-	resp := make(chan error, 1)
+	resp := respPool.Get().(chan error)
 	select {
 	case n.releaseC <- resp:
-		return <-resp
+		err := <-resp
+		respPool.Put(resp)
+		return err
 	case <-n.doneC:
+		respPool.Put(resp)
 		return ErrClosed
 	}
 }
@@ -252,7 +276,8 @@ func (n *Node) run() {
 	for {
 		select {
 		case <-n.inbox.notify:
-			for _, env := range n.inbox.drain() {
+			n.batch = n.inbox.drain(n.batch)
+			for _, env := range n.batch {
 				if n.sink != nil {
 					if f, ok := env.Msg.(mutex.FailureMsg); ok {
 						n.observe(obs.EventFailure, f.Failed, "")
@@ -397,23 +422,29 @@ func siteDebug(s mutex.Site) string {
 // go to the sender — batched when the transport supports it — and a CS entry
 // wakes the pending Acquire.
 func (n *Node) apply(out mutex.Output) {
-	pending := out.Send
 	entered := out.Entered
-	var remote []mutex.Envelope
-	for len(pending) > 0 {
-		env := pending[0]
-		pending = pending[1:]
+	// The Output is valid only until the next call on the site, and a
+	// self-addressed envelope re-enters it: work on a node-owned copy. The
+	// remote envelopes are compacted to the front of the same buffer (the
+	// write index never passes the read index).
+	q := append(n.queue[:0], out.Send...)
+	w := 0
+	for i := 0; i < len(q); i++ {
+		env := q[i]
 		if env.To == n.site.ID() {
 			next := n.site.Deliver(env)
-			pending = append(pending, next.Send...)
+			q = append(q, next.Send...)
 			entered = entered || next.Entered
 			continue
 		}
 		if n.sink != nil {
 			n.observe(obs.EventSend, env.To, env.Msg.Kind())
 		}
-		remote = append(remote, env)
+		q[w] = env
+		w++
 	}
+	n.queue = q
+	remote := q[:w]
 	// Reliable-channel model: transports retry internally; an error here
 	// means the peer is gone, which the failure protocol handles.
 	if len(remote) > 0 {
@@ -425,6 +456,7 @@ func (n *Node) apply(out mutex.Output) {
 			}
 		}
 	}
+	clear(q) // an idle node must not pin its last step's messages
 	if entered {
 		if n.sink != nil {
 			n.observe(obs.EventEnter, n.site.ID(), "")

@@ -329,27 +329,22 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 	// In order: deliver it and drain whatever the buffer now makes
 	// contiguous, all under the lock so a concurrent Receive on the same
 	// stream cannot interleave its suffix.
-	ready := append(make([]mutex.Envelope, 0, 1+len(rs.buffer)), env)
-	rs.delivered++
+	r.noteAckLocked(rs)
+	var firstErr error
 	for {
+		rs.delivered++
+		if err := r.deliver(env); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if r.hook != nil {
+			r.hook(env, false)
+		}
 		next, ok := rs.buffer[rs.delivered+1]
 		if !ok {
 			break
 		}
 		delete(rs.buffer, rs.delivered+1)
-		rs.delivered++
-		ready = append(ready, next)
-	}
-	r.noteAckLocked(rs)
-	hook := r.hook
-	var firstErr error
-	for _, e := range ready {
-		if err := r.deliver(e); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if hook != nil {
-			hook(e, false)
-		}
+		env = next
 	}
 	r.mu.Unlock()
 	return firstErr

@@ -310,6 +310,23 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 		return snap, cluster
 	}
 
+	// The rounds are sequential but not perfectly so: a node loop picks
+	// between its inbox and the next Acquire at random, so a request can
+	// overtake the previous holder's release at the requester's own arbiter
+	// half and draw a fail and a transfer. Such a run is legitimate but not
+	// comparable message for message; it is repeated.
+	uncontended := run
+	run = func(bypass bool) (obs.Snapshot, *Cluster) {
+		for attempt := 0; attempt < 20; attempt++ {
+			snap, c := uncontended(bypass)
+			if snap.ByKind[mutex.KindTransfer]+snap.ByKind[mutex.KindFail] == 0 {
+				return snap, c
+			}
+		}
+		t.Fatal("20 sequential runs in a row drew a fail or a transfer: the rounds contend every time")
+		panic("unreachable")
+	}
+
 	withRel, relCluster := run(false)
 	if relCluster.rel == nil {
 		t.Fatal("default cluster built without the reliability layer")

@@ -367,12 +367,15 @@ func (o *outbound) run() {
 		for {
 			o.mu.Lock()
 			batch := o.queue
+			if len(batch) == 0 {
+				// Nothing to swap out: keep both buffers. Swapping here
+				// would drop the empty one and cost a new queue per flush.
+				o.mu.Unlock()
+				break
+			}
 			o.queue = o.spare
 			o.spare = nil
 			o.mu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
 			o.write(batch)
 			// Drop the envelope contents (Msg holds pointers) before
 			// recycling, so the spare buffer never pins protocol messages.

@@ -152,6 +152,10 @@ type binaryDecoder struct {
 	r     *bufio.Reader
 	buf   *[]byte
 	names []string
+	// rd parses each frame in turn. It lives here because message decoders
+	// are called through the registry's function values, which would move a
+	// per-frame Reader to the heap.
+	rd Reader
 }
 
 // Decode implements Decoder.
@@ -179,7 +183,8 @@ func (d *binaryDecoder) Decode() (mutex.Envelope, error) {
 		}
 		return mutex.Envelope{}, err
 	}
-	r := NewReader(buf)
+	r := &d.rd
+	*r = Reader{data: buf}
 	var env mutex.Envelope
 	env.Resource = d.readResource(r)
 	env.From = r.Site()
