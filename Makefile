@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-codec bench-sim tables fmt apicheck apibase
+.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-codec bench-sim tables fmt apicheck apibase
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -8,8 +8,12 @@ GO ?= go
 # schedule enumeration, bench-smoke the seconds-long live benchmark
 # conformance check (T-vs-2T A/B on both fabrics); apicheck fails on any
 # drift of the root package's exported surface from api/dqmx.api; allocs
-# holds the hot paths to their allocation budgets.
-check: vet build apicheck race chaos modelcheck allocs bench-smoke
+# holds the hot paths to their allocation budgets; fmtcheck fails on any
+# file gofmt would rewrite.
+check: fmtcheck vet build apicheck race chaos modelcheck allocs bench-smoke
+
+fmtcheck:
+	test -z "$$(gofmt -l .)"
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a
@@ -63,11 +67,13 @@ modelcheck-soak:
 	$(GO) run ./cmd/dqmcheck -n 5 -quorum tree -requesters 0,4 -crashes 1 -bound=false -max-states 5e6
 
 # Allocation budgets of the hot paths (testing.AllocsPerRun, so without the
-# race detector, whose own allocations would count): one binary frame decode,
-# one saturated CS through the core state machines, one uncontended in-process
-# Acquire+Release, one mailbox put/drain cycle. Each is pinned at the figure
-# it reached when the buffers became reusable; a regression is a red test
-# here before it is a line in the benchmark's ledger.
+# race detector, whose own allocations would count): one binary frame decode
+# per inline message kind, one saturated CS through the core state machines,
+# one uncontended in-process Acquire+Release, one mailbox put/drain cycle, one
+# reliable-sublayer flush pass, and a protocol message's whole way from
+# encoder through a loopback socket into Deliver. Each is pinned at the figure
+# it reached; a regression is a red test here before it is a line in the
+# benchmark's ledger.
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport
 

@@ -92,20 +92,20 @@ func main() {
 			for _, n := range sizes {
 				for _, nClients := range counts {
 					cfg := loadgen.Config{
-						Driver:    driver,
-						Protocol:  *protocol,
-						Quorum:    quorum,
-						N:         n,
-						Clients:   nClients,
-						Resources: *resources,
-						Dist:      *dist,
-						ZipfS:     *zipfS,
-						Arrival:   *arrival,
-						Workers:   *workers,
-						Rate:      *rate,
-						Think:     *think,
-						Hold:      *hold,
-						HopDelay:  *hop,
+						Driver:      driver,
+						Protocol:    *protocol,
+						Quorum:      quorum,
+						N:           n,
+						Clients:     nClients,
+						Resources:   *resources,
+						Dist:        *dist,
+						ZipfS:       *zipfS,
+						Arrival:     *arrival,
+						Workers:     *workers,
+						Rate:        *rate,
+						Think:       *think,
+						Hold:        *hold,
+						HopDelay:    *hop,
 						Warmup:      *warmup,
 						Measure:     *measure,
 						Seed:        *seed,

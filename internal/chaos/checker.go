@@ -222,7 +222,7 @@ func (c *Checker) Observe(e obs.Event) {
 // wire copy settles later when its retransmission lands. Duplicate-flagged
 // calls (the raw fabric fallback) are still ignored defensively.
 func (c *Checker) Delivered(env mutex.Envelope, dup bool) {
-	if dup || env.Msg == nil || env.Msg.Kind() != mutex.KindRequest {
+	if dup || env.Kind() != mutex.KindRequest {
 		return
 	}
 	c.mu.Lock()

@@ -34,8 +34,8 @@ func BenchmarkArbiterRequestReleaseCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := timestamp.Timestamp{Seq: uint64(i + 1), Site: 5}
-		s.Deliver(mutex.Envelope{From: 5, To: 0, Msg: requestMsg{TS: ts}})
-		s.Deliver(mutex.Envelope{From: 5, To: 0, Msg: releaseMsg{ReqTS: ts, Fwd: timestamp.None}})
+		s.Deliver(carry(5, 0, requestMsg{TS: ts}))
+		s.Deliver(carry(5, 0, releaseMsg{ReqTS: ts, Fwd: timestamp.None}))
 	}
 }
 
@@ -52,7 +52,7 @@ func BenchmarkRequesterFullHandshake(b *testing.B) {
 		s.Request()
 		my := s.reqTS
 		for _, j := range quorum {
-			s.Deliver(mutex.Envelope{From: j, To: 0, Msg: replyMsg{Arbiter: j, ReqTS: my}})
+			s.Deliver(carry(j, 0, replyMsg{Arbiter: j, ReqTS: my}))
 		}
 		if !s.InCS() {
 			b.Fatal("handshake failed")

@@ -14,7 +14,7 @@ import (
 // must not be shared: the copy starts without them.
 func (s *Site) clone() *Site {
 	c := *s
-	c.sendBuf, c.served = nil, nil
+	c.sendBuf, c.served, c.parkFree = nil, nil, nil
 	clk := *s.clock
 	c.clock = &clk
 	c.quorum = s.quorum.Clone()

@@ -25,7 +25,7 @@ func TestEarlyReleaseRegression(t *testing.T) {
 	var trace []string
 	c.Net.Trace = func(at sim.Time, env mutex.Envelope) {
 		if env.From == 1 || env.To == 1 {
-			trace = append(trace, fmt.Sprintf("t=%-8d %d->%d %v", at, env.From, env.To, env.Msg))
+			trace = append(trace, fmt.Sprintf("t=%-8d %d->%d %s", at, env.From, env.To, env.PayloadString()))
 		}
 	}
 	workload.Saturated(c, 4)

@@ -105,9 +105,7 @@ func (s *Site) requesterPurge(f mutex.SiteID, _ *mutex.Output) {
 		}
 	}
 	s.tranStack = kept
-	if s.pendTransfers != nil {
-		delete(s.pendTransfers, f)
-	}
+	s.unpark(f)
 	if s.inqDeferred != nil {
 		delete(s.inqDeferred, f)
 	}
@@ -142,7 +140,7 @@ func (s *Site) rebuildQuorum(f mutex.SiteID, out *mutex.Output) {
 		}
 		// Leaving arbiter: withdraw our request (frees its lock or queue
 		// slot) and void its transfers.
-		out.SendTo(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true})
+		out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
 		delete(s.replied, a)
 		s.dropTransfersFrom(a)
 		delete(s.inqDeferred, a)

@@ -60,7 +60,7 @@ func TestRobustnessAgainstArbitraryMessages(t *testing.T) {
 					Inquire:  rng.Intn(2) == 0,
 				}
 			}
-			out := s.Deliver(mutex.Envelope{From: randSite(), To: 4, Msg: msg})
+			out := s.Deliver(carry(randSite(), 4, msg))
 			if out.Entered {
 				// A fabricated entry would be a safety bug.
 				for _, q := range s.quorum {

@@ -53,7 +53,7 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 			}
 			// Leaving arbiter: withdraw our request (frees its lock or queue
 			// slot) and void its transfers.
-			out.SendTo(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true})
+			out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
 			delete(s.replied, a)
 			s.dropTransfersFrom(a)
 			delete(s.inqDeferred, a)
@@ -72,7 +72,7 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 				}
 				// Joining arbiter: it has never seen this request; ask it
 				// with the original timestamp.
-				out.SendTo(s.id, a, requestMsg{TS: s.reqTS})
+				out.SendBody(s.id, a, requestMsg{TS: s.reqTS}.body())
 			}
 		}
 		// Shrinking may leave every remaining member already granted.

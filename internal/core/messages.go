@@ -11,6 +11,15 @@ import (
 // message carries the request timestamps needed to detect staleness: proxied
 // replies travel on different channels than the arbiter's own messages, so
 // FIFO alone cannot order them (see DESIGN.md).
+//
+// The structs below are what the protocol logic reads and writes. Between
+// sites a message travels as a mutex.Body inside its envelope: each struct's
+// body method packs it for sending, Deliver unpacks it on the stack with the
+// matching …Of function. The one exception is the §6 refresh request, whose
+// dead-set has no fixed size: it is sent as a requestMsg behind
+// mutex.Message. The structs themselves stay mutex.Messages because the v0
+// gob codec names them on the wire (internal/wire boxes and unboxes at that
+// boundary).
 
 // requestMsg asks an arbiter for its permission to enter the CS.
 type requestMsg struct {
@@ -43,9 +52,13 @@ func (m requestMsg) claimsDead(id mutex.SiteID) bool {
 	return false
 }
 
+func (m requestMsg) body() mutex.Body { return mutex.Body{Kind: mutex.BodyRequest, TS: m.TS} }
+
+func requestOf(b mutex.Body) requestMsg { return requestMsg{TS: b.TS} }
+
 func (m requestMsg) String() string {
 	if !m.Refresh {
-		return fmt.Sprintf("request%v", m.TS)
+		return m.body().String()
 	}
 	return fmt.Sprintf("request%v+refresh%v", m.TS, m.Dead)
 }
@@ -78,7 +91,23 @@ type replyMsg struct {
 // Kind implements mutex.Message.
 func (replyMsg) Kind() string { return mutex.KindReply }
 
-func (m replyMsg) String() string { return fmt.Sprintf("reply(arb=%d,%v)", m.Arbiter, m.ReqTS) }
+func (m replyMsg) body() mutex.Body {
+	b := mutex.Body{Kind: mutex.BodyReply, Site: m.Arbiter, TS: m.ReqTS}
+	if m.Transfer != nil {
+		b.Flag, b.Site2, b.TS2 = true, m.Transfer.Arbiter, m.Transfer.TargetTS
+	}
+	return b
+}
+
+func replyOf(b mutex.Body) replyMsg {
+	m := replyMsg{Arbiter: b.Site, ReqTS: b.TS}
+	if b.Flag {
+		m.Transfer = &transferInfo{Arbiter: b.Site2, TargetTS: b.TS2}
+	}
+	return m
+}
+
+func (m replyMsg) String() string { return m.body().String() }
 
 // releaseMsg tells an arbiter that the sender exited the CS. If Fwd is not
 // timestamp.None the sender forwarded the arbiter's permission to FwdTS's
@@ -107,12 +136,15 @@ type releaseMsg struct {
 // Kind implements mutex.Message.
 func (releaseMsg) Kind() string { return mutex.KindRelease }
 
-func (m releaseMsg) String() string {
-	if m.Fwd == timestamp.None {
-		return fmt.Sprintf("release(%v)", m.ReqTS)
-	}
-	return fmt.Sprintf("release(%v,fwd=%v)", m.ReqTS, m.FwdTS)
+func (m releaseMsg) body() mutex.Body {
+	return mutex.Body{Kind: mutex.BodyRelease, Flag: m.Withdraw, Site: m.Fwd, TS: m.ReqTS, TS2: m.FwdTS}
 }
+
+func releaseOf(b mutex.Body) releaseMsg {
+	return releaseMsg{ReqTS: b.TS, Fwd: b.Site, FwdTS: b.TS2, Withdraw: b.Flag}
+}
+
+func (m releaseMsg) String() string { return m.body().String() }
 
 // inquireMsg asks the current lock holder whether it has succeeded in
 // collecting all replies; an unsuccessful holder answers with a yield.
@@ -127,7 +159,13 @@ type inquireMsg struct {
 // Kind implements mutex.Message.
 func (inquireMsg) Kind() string { return mutex.KindInquire }
 
-func (m inquireMsg) String() string { return fmt.Sprintf("inquire(arb=%d)", m.Arbiter) }
+func (m inquireMsg) body() mutex.Body {
+	return mutex.Body{Kind: mutex.BodyInquire, Site: m.Arbiter, TS: m.HolderTS}
+}
+
+func inquireOf(b mutex.Body) inquireMsg { return inquireMsg{Arbiter: b.Site, HolderTS: b.TS} }
+
+func (m inquireMsg) String() string { return m.body().String() }
 
 // failMsg tells a requester that the arbiter has granted a higher-priority
 // request and the requester is not currently first in line.
@@ -141,7 +179,13 @@ type failMsg struct {
 // Kind implements mutex.Message.
 func (failMsg) Kind() string { return mutex.KindFail }
 
-func (m failMsg) String() string { return fmt.Sprintf("fail(arb=%d,%v)", m.Arbiter, m.ReqTS) }
+func (m failMsg) body() mutex.Body {
+	return mutex.Body{Kind: mutex.BodyFail, Site: m.Arbiter, TS: m.ReqTS}
+}
+
+func failOf(b mutex.Body) failMsg { return failMsg{Arbiter: b.Site, ReqTS: b.TS} }
+
+func (m failMsg) String() string { return m.body().String() }
 
 // yieldMsg returns a permission to the arbiter so it can re-grant to a
 // higher-priority request; the yielding site waits to be granted again.
@@ -153,7 +197,11 @@ type yieldMsg struct {
 // Kind implements mutex.Message.
 func (yieldMsg) Kind() string { return mutex.KindYield }
 
-func (m yieldMsg) String() string { return fmt.Sprintf("yield(%v)", m.ReqTS) }
+func (m yieldMsg) body() mutex.Body { return mutex.Body{Kind: mutex.BodyYield, TS: m.ReqTS} }
+
+func yieldOf(b mutex.Body) yieldMsg { return yieldMsg{ReqTS: b.TS} }
+
+func (m yieldMsg) String() string { return m.body().String() }
 
 // transferMsg carries a transferInfo to the current lock holder, optionally
 // piggybacking the arbiter's inquire (counted as a single message, per the
@@ -171,10 +219,63 @@ type transferMsg struct {
 // Kind implements mutex.Message.
 func (transferMsg) Kind() string { return mutex.KindTransfer }
 
-func (m transferMsg) String() string {
-	s := fmt.Sprintf("transfer(arb=%d,to=%v)", m.Transfer.Arbiter, m.Transfer.TargetTS)
-	if m.Inquire {
-		s += "+inquire"
+func (m transferMsg) body() mutex.Body {
+	return mutex.Body{
+		Kind: mutex.BodyTransfer, Flag: m.Inquire,
+		Site: m.Transfer.Arbiter, TS: m.HolderTS, TS2: m.Transfer.TargetTS,
 	}
-	return s
+}
+
+func transferOf(b mutex.Body) transferMsg {
+	return transferMsg{
+		Transfer: transferInfo{Arbiter: b.Site, TargetTS: b.TS2},
+		HolderTS: b.TS,
+		Inquire:  b.Flag,
+	}
+}
+
+func (m transferMsg) String() string { return m.body().String() }
+
+// box returns the struct form of an inline body, as the v0 gob stream and
+// tests that compare whole messages want it.
+func box(b mutex.Body) mutex.Message {
+	switch b.Kind {
+	case mutex.BodyRequest:
+		return requestOf(b)
+	case mutex.BodyReply:
+		return replyOf(b)
+	case mutex.BodyRelease:
+		return releaseOf(b)
+	case mutex.BodyInquire:
+		return inquireOf(b)
+	case mutex.BodyFail:
+		return failOf(b)
+	case mutex.BodyYield:
+		return yieldOf(b)
+	case mutex.BodyTransfer:
+		return transferOf(b)
+	}
+	return nil
+}
+
+// unbox is box's inverse. ok is false for a message the body cannot carry:
+// a refresh request, or a type that is not one of the seven.
+func unbox(m mutex.Message) (b mutex.Body, ok bool) {
+	switch v := m.(type) {
+	case requestMsg:
+		return v.body(), !v.Refresh && len(v.Dead) == 0
+	case replyMsg:
+		return v.body(), true
+	case releaseMsg:
+		return v.body(), true
+	case inquireMsg:
+		return v.body(), true
+	case failMsg:
+		return v.body(), true
+	case yieldMsg:
+		return v.body(), true
+	case transferMsg:
+		return v.body(), true
+	}
+	return mutex.Body{}, false
 }

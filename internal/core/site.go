@@ -135,10 +135,13 @@ type Site struct {
 	// sendBuf backs the Send of every Output this site returns: a step
 	// appends into it from the start, so steady state allocates no envelope
 	// slice. It is why an Output is valid only until the next call on the
-	// site (mutex.Output). served is Exit's tran_set, kept between exits.
-	// Both are scratch, not protocol state: clone leaves them behind.
-	sendBuf []mutex.Envelope
-	served  map[mutex.SiteID]timestamp.Timestamp
+	// site (mutex.Output). served is Exit's tran_set, kept between exits;
+	// parkFree holds the emptied slices of pendTransfers entries that were
+	// removed, for the next transfer that has to be parked. All three are
+	// scratch, not protocol state: clone leaves them behind.
+	sendBuf  []mutex.Envelope
+	served   map[mutex.SiteID]timestamp.Timestamp
+	parkFree [][]transferInfo
 }
 
 var (
@@ -203,10 +206,9 @@ func (s *Site) Request() mutex.Output {
 		s.inqDeferred = make(map[mutex.SiteID]bool)
 		s.pendTransfers = make(map[mutex.SiteID][]transferInfo)
 	}
-	// One boxed message serves the whole quorum: messages are immutable.
-	var req mutex.Message = requestMsg{TS: s.reqTS}
+	req := requestMsg{TS: s.reqTS}.body()
 	for _, j := range s.quorum {
-		out.SendTo(s.id, j, req)
+		out.SendBody(s.id, j, req)
 	}
 	return s.end(out)
 }
@@ -231,15 +233,14 @@ func (s *Site) Exit() mutex.Output {
 			continue // older transfer from the same arbiter is void
 		}
 		served[e.Arbiter] = e.TargetTS
-		out.SendTo(s.id, e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS})
+		out.SendBody(s.id, e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS}.body())
 	}
-	var plain mutex.Message = releaseMsg{ReqTS: myTS, Fwd: timestamp.None}
 	for _, j := range s.quorum {
+		rel := releaseMsg{ReqTS: myTS, Fwd: timestamp.None}
 		if ts, ok := served[j]; ok {
-			out.SendTo(s.id, j, releaseMsg{ReqTS: myTS, Fwd: ts.Site, FwdTS: ts})
-		} else {
-			out.SendTo(s.id, j, plain)
+			rel.Fwd, rel.FwdTS = ts.Site, ts
 		}
+		out.SendBody(s.id, j, rel.body())
 	}
 	s.resetRequester()
 	return s.end(out)
@@ -256,29 +257,48 @@ func (s *Site) resetRequester() {
 	s.failed = false
 	clear(s.inqDeferred)
 	s.tranStack = s.tranStack[:0]
-	clear(s.pendTransfers)
+	for arb := range s.pendTransfers {
+		s.unpark(arb)
+	}
+}
+
+// unpark removes and returns the transfers parked for arb. The slice's
+// memory is kept for the next park, so the caller is done with it before the
+// site parks again.
+func (s *Site) unpark(arb mutex.SiteID) []transferInfo {
+	pend, ok := s.pendTransfers[arb]
+	if ok {
+		delete(s.pendTransfers, arb)
+		s.parkFree = append(s.parkFree, pend[:0])
+	}
+	return pend
 }
 
 // Deliver implements mutex.Site.
 func (s *Site) Deliver(env mutex.Envelope) mutex.Output {
 	out := s.begin()
-	switch m := env.Msg.(type) {
-	case requestMsg:
-		s.onRequest(m, &out)
-	case replyMsg:
-		s.onReply(m, &out)
-	case releaseMsg:
-		s.onRelease(m, &out)
-	case inquireMsg:
-		s.onInquire(m, &out)
-	case failMsg:
-		s.onFail(m, &out)
-	case yieldMsg:
-		s.onYield(m, &out)
-	case transferMsg:
-		s.onTransfer(m, &out)
-	case mutex.FailureMsg:
-		s.siteFailed(m.Failed, &out)
+	switch b := env.Body; b.Kind {
+	case mutex.BodyRequest:
+		s.onRequest(requestOf(b), &out)
+	case mutex.BodyReply:
+		s.onReply(replyOf(b), &out)
+	case mutex.BodyRelease:
+		s.onRelease(releaseOf(b), &out)
+	case mutex.BodyInquire:
+		s.onInquire(inquireOf(b), &out)
+	case mutex.BodyFail:
+		s.onFail(failOf(b), &out)
+	case mutex.BodyYield:
+		s.onYield(yieldOf(b), &out)
+	case mutex.BodyTransfer:
+		s.onTransfer(transferOf(b), &out)
+	case mutex.BodyNone:
+		switch m := env.Msg.(type) {
+		case requestMsg: // the §6 refresh, the one shape the body cannot carry
+			s.onRequest(m, &out)
+		case mutex.FailureMsg:
+			s.siteFailed(m.Failed, &out)
+		}
 	}
 	return s.end(out)
 }
@@ -352,7 +372,7 @@ func (s *Site) onRequest(m requestMsg, out *mutex.Output) {
 		// double-grant the permission, so the refresh waits for either the
 		// proxied reply or the proxy's failure notification.
 		if s.lockVia == timestamp.None || s.lockVia == s.id || m.claimsDead(s.lockVia) {
-			out.SendTo(s.id, m.TS.Site, replyMsg{Arbiter: s.id, ReqTS: m.TS})
+			out.SendBody(s.id, m.TS.Site, replyMsg{Arbiter: s.id, ReqTS: m.TS}.body())
 		}
 		return
 	}
@@ -366,7 +386,7 @@ func (s *Site) onRequest(m requestMsg, out *mutex.Output) {
 	if s.lock.IsMax() {
 		s.lock = m.TS
 		s.resetLockGen()
-		out.SendTo(s.id, m.TS.Site, replyMsg{Arbiter: s.id, ReqTS: m.TS})
+		out.SendBody(s.id, m.TS.Site, replyMsg{Arbiter: s.id, ReqTS: m.TS}.body())
 		return
 	}
 	oldHead := timestamp.Max
@@ -382,11 +402,11 @@ func (s *Site) onRequest(m requestMsg, out *mutex.Output) {
 	// holder. This is what lets inquire chains terminate in a yield — the
 	// §5.2 Case 1 fail that the published pseudocode omits.
 	if head != m.TS || !m.TS.Less(s.lock) {
-		out.SendTo(s.id, m.TS.Site, failMsg{Arbiter: s.id, ReqTS: m.TS})
+		out.SendBody(s.id, m.TS.Site, failMsg{Arbiter: s.id, ReqTS: m.TS}.body())
 	}
 	// A displaced head that was winning has not seen a fail yet; tell it.
 	if head == m.TS && !oldHead.IsMax() && oldHead.Less(s.lock) {
-		out.SendTo(s.id, oldHead.Site, failMsg{Arbiter: s.id, ReqTS: oldHead})
+		out.SendBody(s.id, oldHead.Site, failMsg{Arbiter: s.id, ReqTS: oldHead}.body())
 	}
 	s.ensureHandoff(out)
 }
@@ -406,7 +426,7 @@ func (s *Site) ensureHandoff(out *mutex.Output) {
 		// permission via inquire/yield — but the holder is never told whom to
 		// forward to, so the handover itself waits for the release.
 		if needInquire {
-			out.SendTo(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock})
+			out.SendBody(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock}.body())
 			s.inquired = true
 		}
 		return
@@ -415,16 +435,16 @@ func (s *Site) ensureHandoff(out *mutex.Output) {
 	switch {
 	case needTransfer:
 		s.lastTransfer = head
-		out.SendTo(s.id, s.lock.Site, transferMsg{
+		out.SendBody(s.id, s.lock.Site, transferMsg{
 			Transfer: transferInfo{Arbiter: s.id, TargetTS: head},
 			HolderTS: s.lock,
 			Inquire:  needInquire && s.piggyback,
-		})
+		}.body())
 		if needInquire && !s.piggyback {
-			out.SendTo(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock})
+			out.SendBody(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock}.body())
 		}
 	case needInquire:
-		out.SendTo(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock})
+		out.SendBody(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock}.body())
 	default:
 		return
 	}
@@ -471,9 +491,9 @@ func (s *Site) grantNext(out *mutex.Output) {
 		}
 		s.lastTransfer = head
 	}
-	out.SendTo(s.id, grant.Site, reply)
+	out.SendBody(s.id, grant.Site, reply.body())
 	if follow != nil {
-		out.SendTo(s.id, grant.Site, *follow)
+		out.SendBody(s.id, grant.Site, follow.body())
 	}
 }
 
@@ -546,7 +566,7 @@ func (s *Site) setLock(ts timestamp.Timestamp, via mutex.SiteID, reissue bool, o
 		return
 	}
 	if reissue {
-		out.SendTo(s.id, ts.Site, replyMsg{Arbiter: s.id, ReqTS: ts})
+		out.SendBody(s.id, ts.Site, replyMsg{Arbiter: s.id, ReqTS: ts}.body())
 	}
 	s.ensureHandoff(out)
 }
@@ -572,11 +592,8 @@ func (s *Site) onReply(m replyMsg, out *mutex.Output) {
 	if m.Transfer != nil {
 		s.acceptTransfer(*m.Transfer, out)
 	}
-	if pend := s.pendTransfers[m.Arbiter]; len(pend) > 0 {
-		delete(s.pendTransfers, m.Arbiter)
-		for _, ti := range pend {
-			s.acceptTransfer(ti, out)
-		}
+	for _, ti := range s.unpark(m.Arbiter) {
+		s.acceptTransfer(ti, out)
 	}
 	if s.inqDeferred[m.Arbiter] && s.failed {
 		delete(s.inqDeferred, m.Arbiter)
@@ -588,7 +605,7 @@ func (s *Site) onReply(m replyMsg, out *mutex.Output) {
 // decline bounces an unclaimable grant back to the arbiter as a release so
 // the permission is not lost. Unreachable in failure-free runs.
 func (s *Site) decline(m replyMsg, out *mutex.Output) {
-	out.SendTo(s.id, m.Arbiter, releaseMsg{ReqTS: m.ReqTS, Fwd: timestamp.None})
+	out.SendBody(s.id, m.Arbiter, releaseMsg{ReqTS: m.ReqTS, Fwd: timestamp.None}.body())
 }
 
 // acceptTransfer implements step A.5 for a transfer whose arbiter has
@@ -612,7 +629,11 @@ func (s *Site) onTransfer(m transferMsg, out *mutex.Output) {
 	if s.replied[arb] {
 		s.acceptTransfer(m.Transfer, out)
 	} else if s.parkTransfers {
-		s.pendTransfers[arb] = append(s.pendTransfers[arb], m.Transfer)
+		pend, ok := s.pendTransfers[arb]
+		if n := len(s.parkFree); !ok && n > 0 {
+			pend, s.parkFree = s.parkFree[n-1], s.parkFree[:n-1]
+		}
+		s.pendTransfers[arb] = append(pend, m.Transfer)
 	}
 	if m.Inquire {
 		s.handleInquire(arb, out)
@@ -649,7 +670,7 @@ func (s *Site) yieldTo(arb mutex.SiteID, out *mutex.Output) {
 	s.failed = true
 	s.dropTransfersFrom(arb)
 	delete(s.inqDeferred, arb)
-	out.SendTo(s.id, arb, yieldMsg{ReqTS: s.reqTS})
+	out.SendBody(s.id, arb, yieldMsg{ReqTS: s.reqTS}.body())
 }
 
 func (s *Site) dropTransfersFrom(arb mutex.SiteID) {
@@ -660,9 +681,7 @@ func (s *Site) dropTransfersFrom(arb mutex.SiteID) {
 		}
 	}
 	s.tranStack = kept
-	if s.pendTransfers != nil {
-		delete(s.pendTransfers, arb)
-	}
+	s.unpark(arb)
 }
 
 // onFail handles step A.7: remember the refusal and re-evaluate every parked

@@ -18,16 +18,37 @@ func mkSite(id mutex.SiteID, quorum ...mutex.SiteID) *Site {
 	return newSite(id, 16, q, nil)
 }
 
+// carry returns the envelope a site would send for msg: the payload inline
+// when the body can hold it, behind Msg otherwise.
+func carry(from, to mutex.SiteID, msg mutex.Message) mutex.Envelope {
+	env := mutex.Envelope{From: from, To: to}
+	if b, ok := unbox(msg); ok {
+		env.Body = b
+	} else {
+		env.Msg = msg
+	}
+	return env
+}
+
+// payload returns the envelope's message in struct form, whichever way it
+// is carried.
+func payload(e mutex.Envelope) mutex.Message {
+	if e.Body.Kind != mutex.BodyNone {
+		return box(e.Body)
+	}
+	return e.Msg
+}
+
 // deliver pushes a message through Deliver.
 func deliver(s *Site, from mutex.SiteID, msg mutex.Message) mutex.Output {
-	return s.Deliver(mutex.Envelope{From: from, To: s.id, Msg: msg})
+	return s.Deliver(carry(from, s.id, msg))
 }
 
 // sent extracts the messages of a given kind from an output.
 func sent(out mutex.Output, kind string) []mutex.Envelope {
 	var got []mutex.Envelope
 	for _, e := range out.Send {
-		if e.Msg.Kind() == kind {
+		if e.Kind() == kind {
 			got = append(got, e)
 		}
 	}
@@ -44,9 +65,9 @@ func TestArbiterGrantsWhenUnlocked(t *testing.T) {
 	if s.lock != ts(5, 2) {
 		t.Errorf("lock = %v", s.lock)
 	}
-	r, ok := replies[0].Msg.(replyMsg)
+	r, ok := payload(replies[0]).(replyMsg)
 	if !ok || r.Arbiter != 1 || r.ReqTS != ts(5, 2) {
-		t.Errorf("reply payload = %+v", replies[0].Msg)
+		t.Errorf("reply payload = %+v", payload(replies[0]))
 	}
 }
 
@@ -63,7 +84,7 @@ func TestArbiterFailsNonWinner(t *testing.T) {
 	if len(tr) != 1 || tr[0].To != 2 {
 		t.Fatalf("transfer = %v", tr)
 	}
-	tm := tr[0].Msg.(transferMsg)
+	tm := payload(tr[0]).(transferMsg)
 	if tm.Inquire {
 		t.Error("inquire must not piggyback when the head loses to the lock")
 	}
@@ -81,7 +102,7 @@ func TestArbiterInquiresForHigherPriorityHead(t *testing.T) {
 		t.Fatalf("winner got fail: %v", f)
 	}
 	tr := sent(out, mutex.KindTransfer)
-	if len(tr) != 1 || !tr[0].Msg.(transferMsg).Inquire {
+	if len(tr) != 1 || !payload(tr[0]).(transferMsg).Inquire {
 		t.Fatalf("want inquire piggybacked on transfer, got %v", tr)
 	}
 	if !s.inquired {
@@ -102,7 +123,7 @@ func TestArbiterFailsDisplacedWinningHead(t *testing.T) {
 	// The new head gets a fresh transfer but no second inquire (deduped per
 	// lock generation).
 	tr := sent(out, mutex.KindTransfer)
-	if len(tr) != 1 || tr[0].Msg.(transferMsg).Inquire {
+	if len(tr) != 1 || payload(tr[0]).(transferMsg).Inquire {
 		t.Fatalf("transfer = %v (inquire must be deduped)", tr)
 	}
 }
@@ -247,7 +268,7 @@ func TestYieldRegrantsHighestAndPiggybacksTransfer(t *testing.T) {
 	if len(replies) != 1 || replies[0].To != 3 {
 		t.Fatalf("regrant = %v", replies)
 	}
-	r := replies[0].Msg.(replyMsg)
+	r := payload(replies[0]).(replyMsg)
 	if r.Transfer == nil || r.Transfer.TargetTS != ts(5, 2) {
 		t.Fatalf("reply should piggyback transfer for next head (the yielder), got %+v", r.Transfer)
 	}
@@ -286,7 +307,7 @@ func TestExitForwardsNewestTransferPerArbiter(t *testing.T) {
 		switch e.To {
 		case 6:
 			to6 = true
-			if r := e.Msg.(replyMsg); r.Arbiter != 2 || r.ReqTS != ts(8, 6) {
+			if r := payload(e).(replyMsg); r.Arbiter != 2 || r.ReqTS != ts(8, 6) {
 				t.Errorf("forward payload = %+v", r)
 			}
 		case 5:
@@ -301,7 +322,7 @@ func TestExitForwardsNewestTransferPerArbiter(t *testing.T) {
 		t.Fatalf("releases = %v", rels)
 	}
 	for _, e := range rels {
-		r := e.Msg.(releaseMsg)
+		r := payload(e).(releaseMsg)
 		switch e.To {
 		case 2:
 			if r.Fwd != 6 || r.FwdTS != ts(8, 6) {
@@ -341,7 +362,7 @@ func TestReleaseWithForwardReArmsHandoff(t *testing.T) {
 	if len(tr) != 1 || tr[0].To != 3 {
 		t.Fatalf("handoff transfer = %v", tr)
 	}
-	tm := tr[0].Msg.(transferMsg)
+	tm := payload(tr[0]).(transferMsg)
 	if !tm.Inquire || tm.Transfer.TargetTS != ts(4, 4) {
 		t.Fatalf("handoff = %+v, want inquire for (4,4)", tm)
 	}
@@ -474,7 +495,7 @@ func TestSiteFailedPurgesQueueHead(t *testing.T) {
 	}
 	// The holder must learn the new head.
 	tr := sent(out, mutex.KindTransfer)
-	if len(tr) != 1 || tr[0].Msg.(transferMsg).Transfer.TargetTS != ts(7, 4) {
+	if len(tr) != 1 || payload(tr[0]).(transferMsg).Transfer.TargetTS != ts(7, 4) {
 		t.Fatalf("handoff after purge = %v", tr)
 	}
 }

@@ -5,28 +5,33 @@ import (
 	"dqmx/internal/wire"
 )
 
-// Binary wire registration for the seven §3.1 control messages (tags 1–7 in
-// the range reserved for core by internal/wire). Field order in each encode
-// function is the normative v1 layout documented in PROTOCOL.md; changing it
-// is a wire-format break.
-
-const (
-	tagRequest byte = iota + 1
-	tagReply
-	tagRelease
-	tagInquire
-	tagFail
-	tagYield
-	tagTransfer
-)
+// Wire registration for the seven §3.1 control messages. Their binary tags
+// are the mutex.BodyKind values (1–7, the range internal/wire reserves for
+// core), and the v1 codec encodes from and decodes into the envelope's
+// inline body directly. Field order in each encode function is the normative
+// v1 layout documented in PROTOCOL.md; changing it is a wire-format break
+// (TestGoldenFrames pins the bytes).
+//
+// box and unbox (messages.go) serve the v0 gob stream, which names the
+// message structs on the wire: internal/wire converts at that boundary. The
+// refresh request is the one shape that travels boxed under v1 too.
 
 func init() {
-	wire.RegisterMessage(tagRequest, requestMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(requestMsg)
-			b = wire.AppendTimestamp(b, v.TS)
+	register := func(kind mutex.BodyKind, c wire.Inline) {
+		c.Box, c.Unbox = box, unbox
+		wire.RegisterInline(kind, c)
+	}
+
+	register(mutex.BodyRequest, wire.Inline{
+		Enc: func(b []byte, m mutex.Body) []byte {
+			b = wire.AppendTimestamp(b, m.TS)
 			// A flag byte separates the common first-send request from the
 			// §6 crash-refresh form carrying the requester's known-dead set.
+			return wire.AppendBool(b, false)
+		},
+		EncBoxed: func(b []byte, m mutex.Message) []byte {
+			v := m.(requestMsg)
+			b = wire.AppendTimestamp(b, v.TS)
 			if !v.Refresh {
 				return wire.AppendBool(b, false)
 			}
@@ -37,108 +42,92 @@ func init() {
 			}
 			return b
 		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			v := requestMsg{TS: r.Timestamp()}
-			if r.Bool() {
-				v.Refresh = true
-				if n := r.Len(); n > 0 {
-					v.Dead = make([]mutex.SiteID, 0, n)
-					for i := 0; i < n; i++ {
-						v.Dead = append(v.Dead, r.Site())
-					}
+		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
+			ts := r.Timestamp()
+			if !r.Bool() {
+				return mutex.Body{TS: ts}, nil
+			}
+			v := requestMsg{TS: ts, Refresh: true}
+			if n := r.Len(); n > 0 {
+				v.Dead = make([]mutex.SiteID, 0, n)
+				for i := 0; i < n; i++ {
+					v.Dead = append(v.Dead, r.Site())
 				}
 			}
-			return v, nil
-		})
+			return mutex.Body{}, v
+		},
+	})
 
-	wire.RegisterMessage(tagReply, replyMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(replyMsg)
-			b = wire.AppendSite(b, v.Arbiter)
-			b = wire.AppendTimestamp(b, v.ReqTS)
+	register(mutex.BodyReply, wire.Inline{
+		Enc: func(b []byte, m mutex.Body) []byte {
+			b = wire.AppendSite(b, m.Site)
+			b = wire.AppendTimestamp(b, m.TS)
 			// A flag byte separates the common no-transfer reply from the
 			// piggybacked A.4 form.
-			if v.Transfer == nil {
+			if !m.Flag {
 				return wire.AppendBool(b, false)
 			}
 			b = wire.AppendBool(b, true)
-			return appendTransferInfo(b, *v.Transfer)
+			b = wire.AppendSite(b, m.Site2)
+			return wire.AppendTimestamp(b, m.TS2)
 		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			v := replyMsg{Arbiter: r.Site(), ReqTS: r.Timestamp()}
+		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
+			m := mutex.Body{Site: r.Site(), TS: r.Timestamp()}
 			if r.Bool() {
-				ti := readTransferInfo(r)
-				v.Transfer = &ti
+				m.Flag, m.Site2, m.TS2 = true, r.Site(), r.Timestamp()
 			}
-			return v, nil
-		})
-
-	wire.RegisterMessage(tagRelease, releaseMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(releaseMsg)
-			b = wire.AppendTimestamp(b, v.ReqTS)
-			b = wire.AppendSite(b, v.Fwd) // timestamp.None (−1) zigzags to one byte
-			b = wire.AppendTimestamp(b, v.FwdTS)
-			return wire.AppendBool(b, v.Withdraw)
+			return m, nil
 		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			return releaseMsg{
-				ReqTS:    r.Timestamp(),
-				Fwd:      r.Site(),
-				FwdTS:    r.Timestamp(),
-				Withdraw: r.Bool(),
-			}, nil
-		})
+	})
 
-	wire.RegisterMessage(tagInquire, inquireMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(inquireMsg)
-			b = wire.AppendSite(b, v.Arbiter)
-			return wire.AppendTimestamp(b, v.HolderTS)
+	register(mutex.BodyRelease, wire.Inline{
+		Enc: func(b []byte, m mutex.Body) []byte {
+			b = wire.AppendTimestamp(b, m.TS)
+			b = wire.AppendSite(b, m.Site) // timestamp.None (−1) zigzags to one byte
+			b = wire.AppendTimestamp(b, m.TS2)
+			return wire.AppendBool(b, m.Flag)
 		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			return inquireMsg{Arbiter: r.Site(), HolderTS: r.Timestamp()}, nil
-		})
+		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
+			return mutex.Body{TS: r.Timestamp(), Site: r.Site(), TS2: r.Timestamp(), Flag: r.Bool()}, nil
+		},
+	})
 
-	wire.RegisterMessage(tagFail, failMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(failMsg)
-			b = wire.AppendSite(b, v.Arbiter)
-			return wire.AppendTimestamp(b, v.ReqTS)
-		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			return failMsg{Arbiter: r.Site(), ReqTS: r.Timestamp()}, nil
-		})
+	register(mutex.BodyInquire, wire.Inline{
+		Enc: appendSiteTS,
+		Dec: readSiteTS,
+	})
 
-	wire.RegisterMessage(tagYield, yieldMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			return wire.AppendTimestamp(b, m.(yieldMsg).ReqTS)
-		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			return yieldMsg{ReqTS: r.Timestamp()}, nil
-		})
+	register(mutex.BodyFail, wire.Inline{
+		Enc: appendSiteTS,
+		Dec: readSiteTS,
+	})
 
-	wire.RegisterMessage(tagTransfer, transferMsg{},
-		func(b []byte, m mutex.Message) []byte {
-			v := m.(transferMsg)
-			b = appendTransferInfo(b, v.Transfer)
-			b = wire.AppendTimestamp(b, v.HolderTS)
-			return wire.AppendBool(b, v.Inquire)
+	register(mutex.BodyYield, wire.Inline{
+		Enc: func(b []byte, m mutex.Body) []byte { return wire.AppendTimestamp(b, m.TS) },
+		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
+			return mutex.Body{TS: r.Timestamp()}, nil
 		},
-		func(r *wire.Reader) (mutex.Message, error) {
-			return transferMsg{
-				Transfer: readTransferInfo(r),
-				HolderTS: r.Timestamp(),
-				Inquire:  r.Bool(),
-			}, nil
-		})
+	})
+
+	register(mutex.BodyTransfer, wire.Inline{
+		Enc: func(b []byte, m mutex.Body) []byte {
+			b = wire.AppendSite(b, m.Site)
+			b = wire.AppendTimestamp(b, m.TS2)
+			b = wire.AppendTimestamp(b, m.TS)
+			return wire.AppendBool(b, m.Flag)
+		},
+		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
+			return mutex.Body{Site: r.Site(), TS2: r.Timestamp(), TS: r.Timestamp(), Flag: r.Bool()}, nil
+		},
+	})
 }
 
-func appendTransferInfo(b []byte, ti transferInfo) []byte {
-	b = wire.AppendSite(b, ti.Arbiter)
-	return wire.AppendTimestamp(b, ti.TargetTS)
+// inquire and fail share a layout: the arbiter, then the timestamp.
+func appendSiteTS(b []byte, m mutex.Body) []byte {
+	b = wire.AppendSite(b, m.Site)
+	return wire.AppendTimestamp(b, m.TS)
 }
 
-func readTransferInfo(r *wire.Reader) transferInfo {
-	return transferInfo{Arbiter: r.Site(), TargetTS: r.Timestamp()}
+func readSiteTS(r *wire.Reader) (mutex.Body, mutex.Message) {
+	return mutex.Body{Site: r.Site(), TS: r.Timestamp()}, nil
 }

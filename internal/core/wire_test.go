@@ -33,64 +33,158 @@ func wireMessages() []mutex.Message {
 	}
 }
 
+// wireEnvelopes returns wireMessages as the envelopes the protocol sends:
+// inline bodies, and the refresh request behind Msg.
+func wireEnvelopes() []mutex.Envelope {
+	msgs := wireMessages()
+	envs := make([]mutex.Envelope, len(msgs))
+	for i, m := range msgs {
+		envs[i] = carry(1, 2, m)
+	}
+	return envs
+}
+
 func TestWireRoundTripCoreMessages(t *testing.T) {
 	for _, c := range []wire.Codec{wire.Binary(), wire.Gob()} {
-		for _, msg := range wireMessages() {
-			env := mutex.Envelope{Resource: "r", From: 1, To: 2, Msg: msg, Seq: 3, Ack: 4}
+		for _, env := range wireEnvelopes() {
+			env.Resource, env.Seq, env.Ack = "r", 3, 4
 			got, err := wire.RoundTrip(c, env)
 			if err != nil {
-				t.Fatalf("%s: %T: %v", c.Name(), msg, err)
+				t.Fatalf("%s: %v: %v", c.Name(), env.PayloadString(), err)
 			}
 			if !reflect.DeepEqual(got, env) {
-				t.Errorf("%s: %T: round-trip = %+v, want %+v", c.Name(), msg, got, env)
+				t.Errorf("%s: round-trip = %+v, want %+v", c.Name(), got, env)
 			}
 		}
 	}
 }
 
-// TestGobV0ReplyFrameFrozen pins the bytes of the v0 reply frame, the one
-// hot-path message with an optional part. A peer built before the codec
-// layer decodes this stream with its own replyMsg, so the layout is frozen:
-// in particular Transfer must stay a pointer. Gob omits a nil pointer but
-// always sends a nested struct, all-zero or not, and an old peer decodes
-// that to a non-nil zero instruction and acts on it. The frame checked is
-// the second on a stream, after gob's type descriptors have gone out; the
-// two type ids in it are numbered per process in first-use order, so they
-// are masked.
-func TestGobV0ReplyFrameFrozen(t *testing.T) {
-	// From 2, To 1, Msg of concrete type "dqmx/internal/core.replyMsg".
-	const head = "02 04 01 02 01 1b 64 71 6d 78 2f 69 6e 74 65 72 6e 61 6c 2f 63 6f 72 65 2e 72 65 70 6c 79 4d 73 67"
-	// Seq 9, Ack 8.
-	const tail = "01 09 01 08 00"
+// TestGoldenFrames pins the bytes of every §3.1 message in every shape that
+// encodes differently, under both codecs. The hex was generated once from
+// the commit before the inline body existed, when every message travelled
+// boxed behind Envelope.Msg; moving a message into the body must not move a
+// byte. Each frame is the second on its stream (resource "r", From 2, To 1,
+// Seq 9, Ack 8): gob's type descriptors and the v1 interning literal have
+// gone out with the first. The two gob type ids in a v0 frame are numbered
+// per process in first-use order, so they are masked to 00.
+//
+// The v0 frames are frozen because a peer built before the codec layer
+// decodes them with its own structs. In particular replyMsg.Transfer must
+// stay a pointer: gob omits a nil pointer but always sends a nested struct,
+// all-zero or not, and an old peer would decode that to a non-nil zero
+// instruction and act on it.
+//
+// Every frame is produced twice, from the inline body and from the struct
+// form behind Msg (the old path, still reachable at the v0 boundary and for
+// any caller that hands the encoder a struct): the two must be the same
+// bytes and decode to the same envelope.
+func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
-		msg   mutex.Message
-		value string // length-prefixed replyMsg fields
+		name   string
+		msg    mutex.Message
+		v0, v1 string
 	}{
-		{wireMessages()[2], "09 01 04 01 01 03 01 02 00 00"},
-		{wireMessages()[3], "13 01 04 01 01 03 01 02 00 01 01 08 01 01 05 01 04 00 00 00"},
+		{"request", requestMsg{TS: ts(1, 0)},
+			"35ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e726571756573744d7367ff000501010100000109010800",
+			"0b0204020908000101010000"},
+		{"request refresh+dead", requestMsg{TS: ts(2, 1), Refresh: true, Dead: []mutex.SiteID{0, 3}},
+			"3dff0001017201040102011d64716d782f696e7465726e616c2f636f72652e726571756573744d7367ff000d010102010200010101020006000109010800",
+			"0e0204020908000101020201020006"},
+		{"reply", replyMsg{Arbiter: 2, ReqTS: ts(3, 1)},
+			"37ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7265706c794d7367ff00090104010103010200000109010800",
+			"0c020402090800020401030200"},
+		{"reply+transfer", replyMsg{Arbiter: 2, ReqTS: ts(3, 1), Transfer: &transferInfo{Arbiter: 2, TargetTS: ts(5, 4)}},
+			"41ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7265706c794d7367ff0013010401010301020001010401010501080000000109010800",
+			"1002040209080002040103020104010508"},
+		{"release", releaseMsg{ReqTS: ts(6, 0), Fwd: timestamp.None},
+			"39ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff00090101060001010100000109010800",
+			"0f020402090800030106000101000000"},
+		{"release forwarded", releaseMsg{ReqTS: ts(6, 0), Fwd: 3, FwdTS: ts(7, 3)},
+			"3dff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff000d010106000106010107010600000109010800",
+			"0f020402090800030106000601070600"},
+		{"release withdraw", releaseMsg{ReqTS: ts(6, 0), Fwd: timestamp.None, Withdraw: true},
+			"3bff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff000b01010600010101000101000109010800",
+			"0f020402090800030106000101000001"},
+		{"inquire", inquireMsg{Arbiter: 1, HolderTS: ts(8, 2)},
+			"39ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e696e71756972654d7367ff00090102010108010400000109010800",
+			"0b0204020908000402010804"},
+		{"fail", failMsg{Arbiter: 0, ReqTS: ts(9, 4)},
+			"34ff0001017201040102011a64716d782f696e7465726e616c2f636f72652e6661696c4d7367ff0007020109010800000109010800",
+			"0b0204020908000500010908"},
+		{"yield", yieldMsg{ReqTS: ts(10, 1)},
+			"35ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7969656c644d7367ff000701010a010200000109010800",
+			"0a02040209080006010a02"},
+		{"transfer", transferMsg{Transfer: transferInfo{Arbiter: 5, TargetTS: ts(12, 3)}, HolderTS: ts(11, 0)},
+			"40ff0001017201040102011e64716d782f696e7465726e616c2f636f72652e7472616e736665724d7367ff000f01010a01010c0106000001010b00000109010800",
+			"0f020402090800070a010c06010b0000"},
+		{"transfer+inquire", transferMsg{Transfer: transferInfo{Arbiter: 5, TargetTS: ts(12, 3)}, HolderTS: ts(11, 0), Inquire: true},
+			"42ff0001017201040102011e64716d782f696e7465726e616c2f636f72652e7472616e736665724d7367ff001101010a01010c0106000001010b000101000109010800",
+			"0f020402090800070a010c06010b0001"},
 	} {
-		var stream bytes.Buffer
-		enc := wire.Gob().NewEncoder(&stream)
-		env := mutex.Envelope{From: 2, To: 1, Msg: tc.msg, Seq: 9, Ack: 8}
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		first := stream.Len()
-		if err := enc.Encode(env); err != nil {
-			t.Fatal(err)
-		}
-		got := stream.Bytes()[first:]
-		body := fmt.Sprintf("ff 00 %s ff 00 %s %s", head, tc.value, tail)
-		want := fmt.Sprintf("%02x %s", (len(body)+1)/3, body)
-		masked := append([]byte(nil), got...)
-		for _, id := range []int{1, 3 + (len(head)+1)/3} { // the envelope's type id, the message's
-			if id+1 < len(masked) && masked[id] == 0xff {
-				masked[id+1] = 0
+		inline := carry(2, 1, tc.msg)
+		inline.Resource, inline.Seq, inline.Ack = "r", 9, 8
+		boxed := inline
+		boxed.Body, boxed.Msg = mutex.Body{}, tc.msg
+		for _, c := range []struct {
+			codec wire.Codec
+			want  string
+		}{{wire.Gob(), tc.v0}, {wire.Binary(), tc.v1}} {
+			for _, env := range []mutex.Envelope{inline, boxed} {
+				frame, decoded := secondFrame(t, c.codec, env)
+				if c.codec.Version() == wire.VersionGob {
+					maskGobTypeIDs(frame)
+				}
+				if got := fmt.Sprintf("%x", frame); got != c.want {
+					t.Errorf("%s, %s: frame changed:\n got  %s\n want %s", tc.name, c.codec.Name(), got, c.want)
+				}
+				// Whichever carrier went in, the decoder hands back the one
+				// the message's type fixes.
+				if !reflect.DeepEqual(decoded, inline) {
+					t.Errorf("%s, %s: decoded %+v, want %+v", tc.name, c.codec.Name(), decoded, inline)
+				}
 			}
 		}
-		if s := fmt.Sprintf("% x", masked); s != want {
-			t.Errorf("v0 frame of %+v changed:\n got  %s\n want %s", tc.msg, s, want)
+	}
+}
+
+// secondFrame encodes env twice on one stream and returns the second frame's
+// bytes and what a decoder of that stream makes of it.
+func secondFrame(t *testing.T, c wire.Codec, env mutex.Envelope) ([]byte, mutex.Envelope) {
+	t.Helper()
+	var stream bytes.Buffer
+	enc := c.NewEncoder(&stream)
+	if err := enc.Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	first := stream.Len()
+	if err := enc.Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), stream.Bytes()[first:]...)
+	dec := c.NewDecoder(&stream)
+	var out mutex.Envelope
+	for i := 0; i < 2; i++ {
+		var err error
+		if out, err = dec.Decode(); err != nil {
+			t.Fatal(err)
 		}
+	}
+	return frame, out
+}
+
+// maskGobTypeIDs zeroes the two per-process type ids of a v0 frame: the
+// envelope's, right after the length, and the message's, right after its
+// type name.
+func maskGobTypeIDs(frame []byte) {
+	if frame[1] == 0xff {
+		frame[2] = 0
+	}
+	i := bytes.Index(frame, []byte("dqmx/internal/core."))
+	if i < 1 {
+		return
+	}
+	if j := i + int(frame[i-1]); j+1 < len(frame) && frame[j] == 0xff {
+		frame[j+1] = 0
 	}
 }
 
@@ -103,17 +197,16 @@ func TestCodecAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed assertion; skipped in -short")
 	}
-	msgs := wireMessages()
+	envs := wireEnvelopes()
 	roundTrip := func(c wire.Codec) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			var buf bytes.Buffer
 			enc := c.NewEncoder(&buf)
 			dec := c.NewDecoder(&buf)
-			env := mutex.Envelope{Resource: "ab-resource", From: 1, To: 2}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				env.Msg = msgs[i%len(msgs)]
-				env.Seq++
+				env := envs[i%len(envs)]
+				env.Resource, env.Seq = "ab-resource", uint64(i+1)
 				if err := enc.Encode(env); err != nil {
 					b.Fatal(err)
 				}
@@ -133,15 +226,15 @@ func TestCodecAB(t *testing.T) {
 	}
 	// The writer hot path — encode alone — must be allocation-free in steady
 	// state (pooled scratch, interned names). The round-trip number above
-	// also carries the decode side's unavoidable interface boxing, so the
-	// zero-alloc assertion goes on an encode-only measurement.
+	// also decodes the mix's one boxed message (the refresh request and its
+	// dead-set), so the zero-alloc assertion goes on an encode-only
+	// measurement; TestAllocsBinaryDecode holds the inline kinds to zero.
 	encOnly := testing.Benchmark(func(b *testing.B) {
 		enc := wire.Binary().NewEncoder(io.Discard)
-		env := mutex.Envelope{Resource: "ab-resource", From: 1, To: 2}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			env.Msg = msgs[i%len(msgs)]
-			env.Seq++
+			env := envs[i%len(envs)]
+			env.Resource, env.Seq = "ab-resource", uint64(i+1)
 			if err := enc.Encode(env); err != nil {
 				b.Fatal(err)
 			}
@@ -157,16 +250,15 @@ func TestCodecAB(t *testing.T) {
 // §3.1 message mix — the protocol hot path as the TCP read/write loops see
 // it. `make bench-codec` runs it for both codecs.
 func benchmarkCodecRoundTrip(b *testing.B, c wire.Codec) {
-	msgs := wireMessages()
+	envs := wireEnvelopes()
 	var buf bytes.Buffer
 	enc := c.NewEncoder(&buf)
 	dec := c.NewDecoder(&buf)
-	env := mutex.Envelope{Resource: "bench-resource", From: 1, To: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Msg = msgs[i%len(msgs)]
-		env.Seq++
+		env := envs[i%len(envs)]
+		env.Resource, env.Seq = "bench-resource", uint64(i+1)
 		if err := enc.Encode(env); err != nil {
 			b.Fatal(err)
 		}
@@ -185,12 +277,10 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 // can build from a binary frame must round-trip byte-identically through gob
 // and through binary, and neither decoder may panic on the raw input.
 func FuzzCodecDifferential(f *testing.F) {
-	for i, msg := range wireMessages() {
-		env := mutex.Envelope{
-			Resource: fmt.Sprintf("r%d", i%3),
-			From:     mutex.SiteID(i), To: mutex.SiteID(i + 1),
-			Msg: msg, Seq: uint64(i * 7), Ack: uint64(i * 3),
-		}
+	for i, env := range wireEnvelopes() {
+		env.Resource = fmt.Sprintf("r%d", i%3)
+		env.From, env.To = mutex.SiteID(i), mutex.SiteID(i+1)
+		env.Seq, env.Ack = uint64(i*7), uint64(i*3)
 		var buf bytes.Buffer
 		enc := wire.Binary().NewEncoder(&buf)
 		if err := enc.Encode(env); err != nil {
@@ -208,10 +298,11 @@ func FuzzCodecDifferential(f *testing.F) {
 		// Stage 2: a successfully decoded envelope must survive both codecs
 		// unchanged — this is the gob↔binary differential check.
 		codecs := []wire.Codec{wire.Binary(), wire.Gob()}
-		if rm, ok := env.Msg.(replyMsg); ok && rm.Transfer != nil && *rm.Transfer == (transferInfo{}) {
-			// A pointer to an all-zero transferInfo is not a legal protocol
-			// value, and gob's zero-field elision collapses it to nil; only
-			// the binary codec is required to carry it exactly.
+		if b := env.Body; b.Kind == mutex.BodyReply && b.Flag && b.Site2 == 0 && b.TS2 == (timestamp.Timestamp{}) {
+			// An all-zero piggybacked transfer is not a legal protocol
+			// value; the v0 boundary boxes it as a pointer to a zero struct,
+			// which gob's zero-field elision collapses to nil. Only the
+			// binary codec is required to carry it exactly.
 			codecs = codecs[:1]
 		}
 		for _, c := range codecs {

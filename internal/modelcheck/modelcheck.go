@@ -445,12 +445,12 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 	for len(pending) > 0 {
 		env := pending[0]
 		pending = pending[1:]
-		if env.From >= 0 && env.Msg.Kind() == mutex.KindRequest {
+		if env.From >= 0 && env.Kind() == mutex.KindRequest {
 			// A (re)opened request wave: the sender's settled-before facts
 			// lapse, mirroring the chaos checker resetting its settle point.
 			st.clearSettledRow(env.From)
 		}
-		if st.withdrawn != nil && env.From >= 0 && env.Msg.Kind() == mutex.KindRelease && st.sites[env.From].Pending() {
+		if st.withdrawn != nil && env.From >= 0 && env.Kind() == mutex.KindRelease && st.sites[env.From].Pending() {
 			// A release sent while still waiting is a withdrawal: the freed
 			// arbiter may grant anyone, so the sender's order guarantee is
 			// void for this wave. Sticky (not just a row clear) because a swap
@@ -471,7 +471,7 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 			continue // the receiver is dead; the message is lost
 		}
 		st.chans[channel{env.From, env.To}] = append(st.chans[channel{env.From, env.To}], env)
-		if env.Msg.Kind() != mutex.KindFailure {
+		if env.Kind() != mutex.KindFailure {
 			st.sends++
 		}
 	}
@@ -517,7 +517,7 @@ func (st *State) waveSettled(j mutex.SiteID) bool {
 			continue
 		}
 		for _, env := range q {
-			if env.Msg.Kind() == mutex.KindRequest {
+			if env.Kind() == mutex.KindRequest {
 				return false
 			}
 		}
@@ -550,7 +550,7 @@ func (st *State) apply(a Action) (string, error) {
 			delete(st.chans, channel{fm.Failed, env.To})
 		}
 		st.route(env.To, st.sites[env.To].Deliver(env))
-		return fmt.Sprintf("%v", env.Msg), nil
+		return env.PayloadString(), nil
 	case ActDrop:
 		key := channel{a.From, a.To}
 		q := st.chans[key]
@@ -772,7 +772,11 @@ func (st *State) canonical(counters bool) string {
 		return keys[i].to < keys[j].to
 	})
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%d>%d:%v", k.from, k.to, st.chans[k])
+		fmt.Fprintf(&b, "|%d>%d:", k.from, k.to)
+		for _, env := range st.chans[k] {
+			b.WriteString(env.PayloadString())
+			b.WriteByte(';')
+		}
 	}
 	return b.String()
 }

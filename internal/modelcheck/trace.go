@@ -118,7 +118,7 @@ func dumpState(st *State) string {
 	})
 	for _, k := range keys {
 		for _, env := range st.chans[k] {
-			fmt.Fprintf(&b, "  wire %d>%d: %v\n", k.from, k.to, env.Msg)
+			fmt.Fprintf(&b, "  wire %d>%d: %s\n", k.from, k.to, env.PayloadString())
 		}
 	}
 	return b.String()

@@ -21,6 +21,13 @@ type SiteID = timestamp.SiteID
 // type); a payload with piggybacked content still counts as one message,
 // matching the paper's accounting ("a control message piggybacked with
 // another message is counted as one message").
+//
+// The interface is the carrier of the open set: variable-length payloads and
+// types registered from outside this package (the §6 refresh request,
+// FailureMsg, the transports' heartbeat and configuration frames, the
+// session frames, the baseline algorithms' messages). The paper's seven
+// §3.1 control messages travel by value instead, in Envelope.Body. Which
+// carrier a message uses is fixed by its type.
 type Message interface {
 	Kind() string
 }
@@ -51,11 +58,17 @@ type Message interface {
 // stage is answered with the current configuration) — and never touched by
 // the state machines. The zero value keeps gob streams from pre-epoch
 // peers decodable.
+//
+// The payload is either Body (a §3.1 control message, by value) or Msg (any
+// other Message), never both; a standalone ack frame has neither. Code that
+// only needs to account for or route an envelope asks Kind and HasPayload
+// rather than looking at either carrier.
 type Envelope struct {
 	Resource string
 	From     SiteID
 	To       SiteID
 	Msg      Message
+	Body     Body
 	Seq      uint64
 	Ack      uint64
 	Epoch    uint64
@@ -81,6 +94,11 @@ type Output struct {
 // SendTo appends one message to the output.
 func (o *Output) SendTo(from, to SiteID, m Message) {
 	o.Send = append(o.Send, Envelope{From: from, To: to, Msg: m})
+}
+
+// SendBody appends one inline §3.1 control message to the output.
+func (o *Output) SendBody(from, to SiteID, b Body) {
+	o.Send = append(o.Send, Envelope{From: from, To: to, Body: b})
 }
 
 // Site is the per-site protocol state machine. Implementations are not safe

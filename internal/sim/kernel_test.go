@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"dqmx/internal/mutex"
 )
 
 func TestKernelRunsInTimeOrder(t *testing.T) {
@@ -38,6 +40,36 @@ func TestKernelFIFOAmongSimultaneous(t *testing.T) {
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("simultaneous events out of insertion order: %v", got)
+		}
+	}
+}
+
+// TestKernelDeliveriesOrderWithCallbacks: an arrival scheduled with
+// DeliverAt takes its place among At's callbacks by (time, insertion), the
+// handler sees the envelope it was scheduled with, and slab slots are reused
+// once their arrival has fired.
+func TestKernelDeliveriesOrderWithCallbacks(t *testing.T) {
+	var k Kernel
+	var got []int
+	arrive := func(env mutex.Envelope) { got = append(got, int(env.Seq)) }
+	for round := 0; round < 3; round++ {
+		base := 10 * Time(round+1)
+		k.DeliverAt(base+5, mutex.Envelope{Seq: 2}, arrive)
+		k.At(base+5, func() { got = append(got, 3) })
+		k.DeliverAt(base+5, mutex.Envelope{Seq: 4}, arrive)
+		k.DeliverAt(base, mutex.Envelope{Seq: 1}, arrive)
+		k.Run(0)
+		if len(k.slab) != 3 || len(k.free) != 3 {
+			t.Fatalf("round %d: slab %d slots, %d free; want 3 and 3", round, len(k.slab), len(k.free))
+		}
+	}
+	want := []int{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ran %v, want %v", got, want)
 		}
 	}
 }

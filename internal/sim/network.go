@@ -74,6 +74,7 @@ type Network struct {
 	rng     *rand.Rand
 	delay   Delay
 	deliver func(mutex.Envelope)
+	arrive  func(mutex.Envelope) // n.dispatch, bound once for Kernel.DeliverAt
 
 	lastArrival map[channelKey]Time
 	down        map[mutex.SiteID]bool
@@ -94,7 +95,7 @@ type Network struct {
 // NewNetwork creates a network bound to the kernel. deliver is invoked (as a
 // kernel event) for every message that reaches its destination.
 func NewNetwork(k *Kernel, delay Delay, seed int64, deliver func(mutex.Envelope)) *Network {
-	return &Network{
+	n := &Network{
 		kernel:      k,
 		rng:         rand.New(rand.NewSource(seed)),
 		delay:       delay,
@@ -104,6 +105,8 @@ func NewNetwork(k *Kernel, delay Delay, seed int64, deliver func(mutex.Envelope)
 		cutLinks:    make(map[channelKey]bool),
 		counts:      make(map[string]uint64),
 	}
+	n.arrive = n.dispatch
+	return n
 }
 
 // Send transmits one envelope. FIFO ordering per (from, to) channel is
@@ -115,15 +118,16 @@ func (n *Network) Send(env mutex.Envelope) {
 	}
 	if env.From == env.To {
 		// Local delivery: immediate, not a network message.
-		n.kernel.After(0, func() { n.dispatch(env) })
+		n.kernel.DeliverAt(n.kernel.Now(), env, n.arrive)
 		return
 	}
-	n.counts[env.Msg.Kind()]++
+	kind := env.Kind()
+	n.counts[kind]++
 	n.total++
 	if n.Obs != nil {
 		n.Obs(obs.Event{
 			Type: obs.EventSend, Site: env.From, Peer: env.To,
-			Kind: env.Msg.Kind(), Time: int64(n.kernel.Now()),
+			Kind: kind, Time: int64(n.kernel.Now()),
 		})
 	}
 	at := n.kernel.Now() + n.delay.Sample(n.rng)
@@ -132,7 +136,7 @@ func (n *Network) Send(env mutex.Envelope) {
 		at = last
 	}
 	n.lastArrival[key] = at
-	n.kernel.At(at, func() { n.dispatch(env) })
+	n.kernel.DeliverAt(at, env, n.arrive)
 }
 
 func (n *Network) dispatch(env mutex.Envelope) {

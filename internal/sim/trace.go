@@ -53,8 +53,8 @@ func (r *Recorder) record(at Time, env mutex.Envelope) {
 		At:   at,
 		From: env.From,
 		To:   env.To,
-		Kind: env.Msg.Kind(),
-		Msg:  fmt.Sprintf("%v", env.Msg),
+		Kind: env.Kind(),
+		Msg:  env.PayloadString(),
 	})
 }
 

@@ -147,9 +147,9 @@ type Cluster struct {
 
 	mu       sync.Mutex
 	siteSets map[string][]mutex.Site // per-resource machines, built once per resource
-	cfg      membership.Config      // last stable configuration; zero Coterie = membership untracked
-	cons     coterie.Construction   // construction behind cfg (may be nil)
-	handover *membership.Handover   // non-nil while a handover is in progress
+	cfg      membership.Config       // last stable configuration; zero Coterie = membership untracked
+	cons     coterie.Construction    // construction behind cfg (may be nil)
+	handover *membership.Handover    // non-nil while a handover is in progress
 }
 
 // memberView is one immutable snapshot of the cluster roster.

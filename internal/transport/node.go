@@ -438,7 +438,7 @@ func (n *Node) apply(out mutex.Output) {
 			continue
 		}
 		if n.sink != nil {
-			n.observe(obs.EventSend, env.To, env.Msg.Kind())
+			n.observe(obs.EventSend, env.To, env.Kind())
 		}
 		q[w] = env
 		w++

@@ -16,7 +16,7 @@ package transport
 //
 // Acknowledgements are cumulative and piggybacked on every outgoing envelope
 // of the reverse direction; a receiver with nothing to say flushes a
-// standalone ack frame (Seq 0, nil Msg) after a short idle grace. Transport-
+// standalone ack frame (Seq 0, no payload) after a short idle grace. Transport-
 // level traffic — heartbeats and the ack frames themselves — travels
 // unsequenced (Seq 0): probing is time-sensitive and must never be
 // retransmitted at a peer that is already gone.
@@ -113,6 +113,13 @@ type reliable struct {
 	hook func(env mutex.Envelope, dup bool) // post-dedup delivery observer
 	rng  uint64                             // jitter state, guarded by mu
 
+	// Scratch of flush, which only the loop goroutine runs: what one pass
+	// collects under mu and sends after releasing it. Emptied after use, so
+	// a quiet layer pins no message.
+	resend []mutex.Envelope
+	acks   []mutex.Envelope
+	events []obs.Event
+
 	stopOnce sync.Once
 	stopC    chan struct{}
 	doneC    chan struct{}
@@ -205,12 +212,13 @@ func (r *reliable) ReviveSite(id mutex.SiteID) {
 	r.mu.Unlock()
 }
 
-// isTransportMsg reports whether the payload is transport-level (unsequenced).
-func isTransportMsg(m mutex.Message) bool {
-	if m == nil {
+// unsequenced reports whether the envelope is transport-level traffic: an
+// ack frame without a payload, or a payload the transport itself owns.
+func unsequenced(env *mutex.Envelope) bool {
+	if !env.HasPayload() {
 		return true
 	}
-	_, ok := m.(transportMessage)
+	_, ok := env.Msg.(transportMessage)
 	return ok
 }
 
@@ -263,7 +271,7 @@ func (r *reliable) prepare(env *mutex.Envelope) bool {
 		env.Ack = rs.delivered
 		rs.ackDue = false
 	}
-	if isTransportMsg(env.Msg) {
+	if unsequenced(env) {
 		return true
 	}
 	id := streamID{from: env.From, to: env.To}
@@ -296,7 +304,7 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 	}
 	if env.Seq == 0 {
 		r.mu.Unlock()
-		if env.Msg == nil {
+		if !env.HasPayload() {
 			return nil // standalone ack frame: fully consumed above
 		}
 		return r.deliver(env) // heartbeat and friends: best-effort, unordered
@@ -422,12 +430,12 @@ func (r *reliable) loop() {
 
 // flush collects due retransmissions and standalone acks under the lock,
 // then puts them on the wire outside it (the raw sender may deliver inline).
+// Events are built only for a sink that will receive them.
 func (r *reliable) flush() {
 	now := time.Now()
-	var resend []mutex.Envelope
-	var acks []mutex.Envelope
-	var events []obs.Event
+	resend, acks, events := r.resend[:0], r.acks[:0], r.events[:0]
 	r.mu.Lock()
+	sink := r.sink
 	for id, ss := range r.out {
 		for i := range ss.unacked {
 			p := &ss.unacked[i]
@@ -444,14 +452,12 @@ func (r *reliable) flush() {
 				rs.ackDue = false
 			}
 			resend = append(resend, e)
-			kind := ""
-			if e.Msg != nil {
-				kind = e.Msg.Kind()
+			if sink != nil {
+				events = append(events, obs.Event{
+					Type: obs.EventRetransmit, Site: e.From, Peer: e.To,
+					Kind: e.Kind(), Resource: e.Resource, Time: nanos(),
+				})
 			}
-			events = append(events, obs.Event{
-				Type: obs.EventRetransmit, Site: e.From, Peer: e.To,
-				Kind: kind, Resource: e.Resource, Time: nanos(),
-			})
 		}
 	}
 	for id, rs := range r.in {
@@ -460,16 +466,15 @@ func (r *reliable) flush() {
 		}
 		rs.ackDue = false
 		acks = append(acks, mutex.Envelope{From: id.to, To: id.from, Ack: rs.delivered})
-		events = append(events, obs.Event{
-			Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: nanos(),
-		})
-	}
-	sink := r.sink
-	r.mu.Unlock()
-	if sink != nil {
-		for _, e := range events {
-			sink(e)
+		if sink != nil {
+			events = append(events, obs.Event{
+				Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: nanos(),
+			})
 		}
+	}
+	r.mu.Unlock()
+	for _, e := range events {
+		sink(e)
 	}
 	for _, e := range resend {
 		_ = r.raw.Send(e)
@@ -477,4 +482,8 @@ func (r *reliable) flush() {
 	for _, e := range acks {
 		_ = r.raw.Send(e)
 	}
+	clear(resend)
+	clear(acks)
+	clear(events)
+	r.resend, r.acks, r.events = resend, acks, events
 }

@@ -18,6 +18,7 @@ import (
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
+	"dqmx/internal/timestamp"
 )
 
 // relTestMsg is a sequenced protocol payload for wire tests.
@@ -111,7 +112,9 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 
 // TestReliableHealsDrops drives 50 envelopes through a wire losing every
 // third frame: the protocol side must still see all 50, exactly once, in
-// order, and the sender's retransmission queue must drain.
+// order, and the sender's retransmission queue must drain. The payloads
+// alternate between the two carriers: an inline body is protocol traffic
+// exactly as a message behind Msg is, sequenced and retransmitted.
 func TestReliableHealsDrops(t *testing.T) {
 	r, w, col := startReliable(t, nil)
 	w.mu.Lock()
@@ -120,7 +123,11 @@ func TestReliableHealsDrops(t *testing.T) {
 
 	const total = 50
 	for i := 0; i < total; i++ {
-		if err := r.Send(mutex.Envelope{From: 0, To: 1, Msg: relTestMsg{N: i}}); err != nil {
+		env := mutex.Envelope{From: 0, To: 1, Msg: relTestMsg{N: i}}
+		if i%2 == 1 {
+			env.Msg, env.Body = nil, mutex.Body{Kind: mutex.BodyYield, TS: timestamp.Timestamp{Seq: uint64(i)}}
+		}
+		if err := r.Send(env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,8 +137,12 @@ func TestReliableHealsDrops(t *testing.T) {
 		t.Fatalf("delivered %d envelopes, want exactly %d", len(got), total)
 	}
 	for i, env := range got {
-		if msg := env.Msg.(relTestMsg); msg.N != i {
-			t.Fatalf("delivery %d carries payload %d: FIFO order broken", i, msg.N)
+		n := int(env.Body.TS.Seq)
+		if msg, ok := env.Msg.(relTestMsg); ok {
+			n = msg.N
+		}
+		if n != i {
+			t.Fatalf("delivery %d carries payload %d: FIFO order broken", i, n)
 		}
 	}
 	// The sender must settle: every retransmission eventually acked.

@@ -70,9 +70,9 @@ type TCPPeer struct {
 	stageHint atomic.Uint64
 	memberN   atomic.Int64
 
-	mu      sync.Mutex
-	outs    map[mutex.SiteID]*outbound
-	inbound map[net.Conn]bool
+	mu        sync.Mutex
+	outs      map[mutex.SiteID]*outbound
+	inbound   map[net.Conn]bool
 	hbSink    *Detector                     // set by StartDetector; receives heartbeat traffic
 	dropOut   func(env mutex.Envelope) bool // test hook: writer-side deterministic frame drops
 	staleTold map[mutex.SiteID]uint64       // highest stage each peer was told it lags behind
@@ -377,8 +377,8 @@ func (o *outbound) run() {
 			o.spare = nil
 			o.mu.Unlock()
 			o.write(batch)
-			// Drop the envelope contents (Msg holds pointers) before
-			// recycling, so the spare buffer never pins protocol messages.
+			// Drop the envelope contents (a payload behind Msg is a heap
+			// object) before recycling, so the spare buffer pins none.
 			for i := range batch {
 				batch[i] = mutex.Envelope{}
 			}
@@ -584,7 +584,7 @@ func (p *TCPPeer) dispatch(env mutex.Envelope) error {
 		p.noteRemoteStage(cm.Stage)
 		return nil
 	}
-	if env.Msg == nil {
+	if !env.HasPayload() {
 		return nil
 	}
 	if cur := p.stage.Load(); env.Epoch < cur {

@@ -22,8 +22,9 @@ import (
 //	  uvarint  Seq
 //	  uvarint  Ack
 //	  uvarint  Epoch (membership stage; 0 until a reconfiguration)
-//	  byte     message tag (0 = nil payload: a standalone ack frame)
-//	  ...      the registered message encoding for that tag
+//	  byte     message tag (0 = no payload: a standalone ack frame)
+//	  ...      the registered message encoding for that tag (the same bytes
+//	           whether the message sat in Envelope.Body or Envelope.Msg)
 //
 // All integers are little-endian base-128 varints (encoding/binary). The
 // interning table is per-connection state built identically on both sides
@@ -97,7 +98,7 @@ func (e *binaryEncoder) Encode(env mutex.Envelope) error {
 	b = AppendUint(b, env.Seq)
 	b = AppendUint(b, env.Ack)
 	b = AppendUint(b, env.Epoch)
-	b, err = appendMessage(b, env.Msg)
+	b, err = appendPayload(b, &env)
 	*e.buf = b // keep the grown backing array either way
 	if err != nil {
 		return err
@@ -192,11 +193,9 @@ func (d *binaryDecoder) Decode() (mutex.Envelope, error) {
 	env.Seq = r.Uint()
 	env.Ack = r.Uint()
 	env.Epoch = r.Uint()
-	msg, err := decodeMessage(r)
-	if err != nil {
+	if err := decodePayload(r, &env); err != nil {
 		return mutex.Envelope{}, err
 	}
-	env.Msg = msg
 	if err := r.Err(); err != nil {
 		return mutex.Envelope{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"reflect"
 
 	"dqmx/internal/mutex"
 )
@@ -54,13 +55,22 @@ type gobEncoder struct {
 	enc *gob.Encoder
 }
 
-// Encode implements Encoder.
+// Encode implements Encoder. The v0 frame predates the inline body and
+// names every message's struct type, so an inline payload is boxed here.
 func (e *gobEncoder) Encode(env mutex.Envelope) error {
+	msg := env.Msg
+	if kind := env.Body.Kind; kind != mutex.BodyNone {
+		in := inlineFor(kind)
+		if in == nil {
+			return fmt.Errorf("wire: body kind %d is not wire-registered", kind)
+		}
+		msg = in.Box(env.Body)
+	}
 	return e.enc.Encode(wireEnvelope{
 		Resource: env.Resource,
 		From:     env.From,
 		To:       env.To,
-		Msg:      env.Msg,
+		Msg:      msg,
 		Seq:      env.Seq,
 		Ack:      env.Ack,
 	})
@@ -84,12 +94,20 @@ func (d *gobDecoder) Decode() (env mutex.Envelope, err error) {
 	if err := d.dec.Decode(&we); err != nil {
 		return mutex.Envelope{}, err
 	}
-	return mutex.Envelope{
+	env = mutex.Envelope{
 		Resource: we.Resource,
 		From:     we.From,
 		To:       we.To,
 		Msg:      we.Msg,
 		Seq:      we.Seq,
 		Ack:      we.Ack,
-	}, nil
+	}
+	// The other half of the v0 boundary: a struct the body can hold moves
+	// into it, so everything above the codec sees one carrier per type.
+	if mc := regByType[reflect.TypeOf(we.Msg)]; mc != nil && mc.inline != nil {
+		if body, ok := mc.inline.Unbox(we.Msg); ok {
+			env.Body, env.Msg = body, nil
+		}
+	}
+	return env, nil
 }

@@ -21,8 +21,10 @@
 // Message types register themselves with RegisterMessage from their
 // package's init: the registration covers both codecs at once (the binary
 // tag plus encode/decode functions, and the encoding/gob registration that
-// used to be a separate public prerequisite). The registry is written only
-// during package initialization and read lock-free on the hot path.
+// used to be a separate public prerequisite). The seven §3.1 control
+// messages, which an envelope carries by value in its Body, register with
+// RegisterInline instead. The registry is written only during package
+// initialization and read lock-free on the hot path.
 package wire
 
 import (
@@ -102,11 +104,36 @@ func ForName(name string) (Codec, error) {
 	return nil, fmt.Errorf("wire: unknown codec %q (valid: %s, %s)", name, NameBinary, NameGob)
 }
 
-// msgCodec is one registered message type's binary wiring.
+// msgCodec is one registered message type's binary wiring. typ is the
+// prototype's type; inline is set for a tag whose message travels in the
+// envelope's Body (enc and dec are then unused).
 type msgCodec struct {
-	tag byte
-	enc func(b []byte, m mutex.Message) []byte
-	dec func(r *Reader) (mutex.Message, error)
+	tag    byte
+	typ    reflect.Type
+	enc    func(b []byte, m mutex.Message) []byte
+	dec    func(r *Reader) (mutex.Message, error)
+	inline *Inline
+}
+
+// Inline is the wiring of one mutex.BodyKind, the payload an envelope
+// carries by value. Bodies pass through these functions by value too: a
+// pointer handed to a function value would move the caller's envelope to the
+// heap, which is the allocation the inline body exists to avoid.
+type Inline struct {
+	// Enc appends the body's binary-v1 field encoding.
+	Enc func(b []byte, body mutex.Body) []byte
+	// Dec parses what Enc (or EncBoxed) wrote. It returns the body — the
+	// decoder stamps its Kind — or, for a shape only the boxed form can
+	// hold, a non-nil message.
+	Dec func(r *Reader) (mutex.Body, mutex.Message)
+	// Box and Unbox convert between the body and its struct form, the
+	// mutex.Message the v0 gob stream names on the wire. Unbox reports false
+	// for a value the body cannot hold.
+	Box   func(body mutex.Body) mutex.Message
+	Unbox func(m mutex.Message) (mutex.Body, bool)
+	// EncBoxed encodes such a value under the kind's tag; nil when Unbox
+	// never fails.
+	EncBoxed func(b []byte, m mutex.Message) []byte
 }
 
 // The registry. Written only from package init functions (which the runtime
@@ -127,21 +154,33 @@ var (
 func RegisterMessage(tag byte, prototype mutex.Message,
 	enc func(b []byte, m mutex.Message) []byte,
 	dec func(r *Reader) (mutex.Message, error)) {
-	if tag == 0 {
+	register(&msgCodec{tag: tag, enc: enc, dec: dec}, prototype)
+}
+
+// RegisterInline wires one inline body kind into both codecs; the kind's
+// value is its binary tag. The v1 codec then moves the kind's messages
+// between Envelope.Body and the wire without touching the heap, and the v0
+// codec boxes and unboxes them at its own boundary so its frames stay what
+// they were when the messages travelled behind Envelope.Msg.
+func RegisterInline(kind mutex.BodyKind, c Inline) {
+	register(&msgCodec{tag: byte(kind), inline: &c}, c.Box(mutex.Body{Kind: kind}))
+}
+
+func register(mc *msgCodec, prototype mutex.Message) {
+	if mc.tag == 0 {
 		panic("wire: tag 0 is reserved for the nil payload")
 	}
+	mc.typ = reflect.TypeOf(prototype)
 	regMu.Lock()
 	defer regMu.Unlock()
-	t := reflect.TypeOf(prototype)
-	if regByTag[tag] != nil {
-		panic(fmt.Sprintf("wire: tag %d registered twice (%v and %v)", tag, t, "existing"))
+	if prev := regByTag[mc.tag]; prev != nil {
+		panic(fmt.Sprintf("wire: tag %d registered twice (%v and %v)", mc.tag, prev.typ, mc.typ))
 	}
-	if _, dup := regByType[t]; dup {
-		panic(fmt.Sprintf("wire: message type %v registered twice", t))
+	if _, dup := regByType[mc.typ]; dup {
+		panic(fmt.Sprintf("wire: message type %v registered twice", mc.typ))
 	}
-	mc := &msgCodec{tag: tag, enc: enc, dec: dec}
-	regByTag[tag] = mc
-	regByType[t] = mc
+	regByTag[mc.tag] = mc
+	regByType[mc.typ] = mc
 	// gob registration rides along: the v0 codec needs every concrete type
 	// behind the Msg interface field registered by name. This used to be a
 	// public prerequisite (core.RegisterGobMessages); now it is an
@@ -149,9 +188,26 @@ func RegisterMessage(tag byte, prototype mutex.Message,
 	gob.Register(prototype)
 }
 
-// appendMessage appends the tag + field encoding of m. A nil message (the
-// reliability sublayer's standalone ack frames) is tag 0 with no fields.
-func appendMessage(b []byte, m mutex.Message) ([]byte, error) {
+// inlineFor returns the wiring of a body kind, or nil when none is registered.
+func inlineFor(kind mutex.BodyKind) *Inline {
+	if mc := regByTag[kind]; mc != nil {
+		return mc.inline
+	}
+	return nil
+}
+
+// appendPayload appends the tag + field encoding of the envelope's payload.
+// No payload at all (the reliability sublayer's standalone ack frames) is
+// tag 0 with no fields.
+func appendPayload(b []byte, env *mutex.Envelope) ([]byte, error) {
+	if kind := env.Body.Kind; kind != mutex.BodyNone {
+		in := inlineFor(kind)
+		if in == nil {
+			return b, fmt.Errorf("wire: body kind %d is not wire-registered", kind)
+		}
+		return in.Enc(append(b, byte(kind)), env.Body), nil
+	}
+	m := env.Msg
 	if m == nil {
 		return append(b, 0), nil
 	}
@@ -160,20 +216,37 @@ func appendMessage(b []byte, m mutex.Message) ([]byte, error) {
 		return b, fmt.Errorf("wire: message type %T is not wire-registered", m)
 	}
 	b = append(b, mc.tag)
+	if in := mc.inline; in != nil {
+		// The struct form of an inline kind: the same bytes as its body,
+		// unless the body cannot hold it.
+		if body, ok := in.Unbox(m); ok {
+			return in.Enc(b, body), nil
+		}
+		return in.EncBoxed(b, m), nil
+	}
 	return mc.enc(b, m), nil
 }
 
-// decodeMessage parses one tagged message.
-func decodeMessage(r *Reader) (mutex.Message, error) {
+// decodePayload parses one tagged payload into the envelope.
+func decodePayload(r *Reader, env *mutex.Envelope) error {
 	tag := r.Byte()
 	if tag == 0 {
-		return nil, r.Err()
+		return r.Err()
 	}
 	mc := regByTag[tag]
 	if mc == nil {
-		return nil, fmt.Errorf("wire: unknown message tag %d", tag)
+		return fmt.Errorf("wire: unknown message tag %d", tag)
 	}
-	return mc.dec(r)
+	if in := mc.inline; in != nil {
+		env.Body, env.Msg = in.Dec(r)
+		if env.Msg == nil {
+			env.Body.Kind = mutex.BodyKind(tag)
+		}
+		return nil
+	}
+	var err error
+	env.Msg, err = mc.dec(r)
+	return err
 }
 
 // Tags reserved for transport- and mutex-level payloads. Protocol packages

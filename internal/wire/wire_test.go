@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dqmx/internal/mutex"
@@ -226,6 +227,20 @@ func TestBinaryEncodeErrorKeepsTableConsistent(t *testing.T) {
 type unregisteredMsg struct{}
 
 func (unregisteredMsg) Kind() string { return "unregistered" }
+
+// TestRegisterDuplicateTagNamesBothTypes: the panic says which type holds
+// the tag, not just which one wanted it.
+func TestRegisterDuplicateTagNamesBothTypes(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"tag 9", "mutex.FailureMsg", "wire.unregisteredMsg"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not mention %q", msg, want)
+			}
+		}
+	}()
+	RegisterMessage(tagFailure, unregisteredMsg{}, nil, nil)
+}
 
 func TestBinaryDecodeHostileFrames(t *testing.T) {
 	valid := func() []byte {
