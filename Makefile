@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-codec bench-sim tables fmt apicheck apibase
+.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -43,7 +43,7 @@ race:
 # Seeded adversarial gate: the short conformance sweep, the lossy-liveness
 # sweep (drop-only schedules must complete every round — the reliable
 # delivery sublayer heals the loss), and fuzz smokes of the TCP frame
-# decoders plus the gob-vs-binary differential. Replay a failing schedule with
+# decoders plus the codec's struct-identity round trip. Replay a failing schedule with
 #   DQMX_CHAOS_SEED=<seed> $(GO) test -race -run TestChaosConformance ./internal/chaos/sweep
 chaos:
 	$(GO) test -race -short -run 'TestChaosConformance|TestLossyLiveness|TestSessionConformance' ./internal/chaos/sweep
@@ -90,7 +90,7 @@ benchmark:
 soak:
 	$(GO) test -race -tags soak -timeout 60m ./internal/chaos/sweep
 
-# Extended fuzzing of the wire decoders and the gob-vs-binary differential.
+# Extended fuzzing of the wire decoders and the codec round trip.
 fuzz:
 	$(GO) test -run FuzzEnvelopeDecode -fuzz FuzzEnvelopeDecode -fuzztime 5m ./internal/transport
 	$(GO) test -run FuzzAckFrameDecode -fuzz FuzzAckFrameDecode -fuzztime 5m ./internal/transport
@@ -106,23 +106,10 @@ bench:
 	$(GO) run ./cmd/dqmbench -ab -n 9 -quorum grid -driver inproc,tcp -measure 2s -name handoff-ab
 
 # Seconds-long deterministic live-benchmark smoke: the handoff A/B ratio
-# test on both fabrics, the artifact schema round-trip, the TCP
-# protocol/codec matrix, and the codec speedup assertion (binary must beat
-# gob by >= 3x in round-trip ns/op with a zero-allocation encode path).
-# Part of check.
+# test on both fabrics, the artifact schema round-trip, the every-protocol-
+# over-TCP matrix, and the mid-load reconfiguration. Part of check.
 bench-smoke:
-	$(GO) test -run 'TestLiveHandoffAB|TestBenchSmoke|TestTCPProtocolsAndCodecs|TestReconfigureMidLoad' -count=1 -timeout 120s ./internal/loadgen
-	$(GO) test -run TestCodecAB -count=1 -timeout 120s ./internal/core
-
-# Gob-vs-binary codec A/B: codec-level encode/decode microbenchmarks, the
-# TCP writer path under both codecs, and a dqmbench TCP cell per codec
-# (artifacts land in /tmp).
-bench-codec:
-	$(GO) test -bench 'BenchmarkEncode' -benchmem -run - -count=1 ./internal/wire
-	$(GO) test -bench 'BenchmarkCodec' -benchmem -run - -count=1 ./internal/core
-	$(GO) test -bench 'BenchmarkTCPWriter' -benchmem -run - -count=1 ./internal/transport
-	$(GO) run ./cmd/dqmbench -driver tcp -n 9 -quorum grid -hop 0 -measure 2s -name codec-binary -out /tmp
-	$(GO) run ./cmd/dqmbench -driver tcp -codec gob -n 9 -quorum grid -hop 0 -measure 2s -name codec-gob -out /tmp
+	$(GO) test -run 'TestLiveHandoffAB|TestBenchSmoke|TestTCPProtocols|TestReconfigureMidLoad' -count=1 -timeout 120s ./internal/loadgen
 
 # Regenerate the paper's simulated evaluation (slow).
 bench-sim:
@@ -133,3 +120,20 @@ tables:
 
 fmt:
 	gofmt -l -w .
+
+# Go line counts, non-test and test, per top-level directory. benchmark/ is
+# fenced (a PR that is measured by it may not edit it), so it is reported
+# apart and left out of the total: "the line count went down" is this
+# target's output at the parent commit against its output at the change.
+loc:
+	@printf '%-12s %9s %9s\n' directory non-test test
+	@git ls-files -z --cached --others --exclude-standard '*.go' | xargs -0 wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ dir = ($$2 ~ /\//) ? substr($$2, 1, index($$2, "/") - 1) : "(root)"; \
+		  kind = ($$2 ~ /_test\.go$$/) ? 2 : 1; \
+		  n[dir, kind] += $$1; dirs[dir] = 1; \
+		  if (dir != "benchmark") total[kind] += $$1 } \
+		END { for (d in dirs) if (d != "benchmark") printf "0 %-12s %9d %9d\n", d, n[d, 1], n[d, 2]; \
+		  printf "1 %-12s %9d %9d\n", "total", total[1], total[2]; \
+		  printf "2 %-12s %9d %9d\n", "benchmark", n["benchmark", 1], n["benchmark", 2] }' \
+		| sort | cut -c3-

@@ -12,15 +12,13 @@
 //	dqmbench -arrival open -rate 500 -resources 8 -dist zipf
 //	dqmbench -ab                               # transfer vs 2T-fallback A/B
 //	dqmbench -ab -driver tcp -n 7 -quorum tree # the paper's claim, on TCP
-//	dqmbench -driver tcp -codec gob            # pin the v0 gob wire codec
 //	dqmbench -n 5 -quorum majority -reconfigure 7  # acquire p99 across a live epoch switch
 //
 // Every run is seeded (-seed): rerunning with the same flags replays the
 // same key and arrival sequences. The -hop flag imposes a deterministic
 // per-hop message delay (chaos delay on inproc, the transport's
 // Wire.LinkDelay on TCP), which is what makes the T-versus-2T structure
-// visible above loopback noise. The -codec flag pins the TCP wire format
-// (binary wire-v1 by default, gob for v0 interop A/Bs).
+// visible above loopback noise.
 package main
 
 import (
@@ -42,7 +40,6 @@ func main() {
 		clients   = flag.String("clients", "16", "comma-separated leased-client counts (service driver)")
 		lease     = flag.Duration("lease", 0, "session lease TTL (service driver; 0 = default)")
 		protocol  = flag.String("protocol", "delay-optimal", "protocol under test")
-		codec     = flag.String("codec", "", "TCP wire codec (binary, gob; default binary)")
 		resources = flag.Int("resources", 1, "number of named locks")
 		dist      = flag.String("dist", "uniform", "key distribution (uniform, zipf)")
 		zipfS     = flag.Float64("zipf-s", 1.2, "zipf exponent (>1)")
@@ -111,11 +108,7 @@ func main() {
 						Seed:        *seed,
 						Reconfigure: *reconf,
 					}
-					switch driver {
-					case loadgen.DriverTCP:
-						cfg.Codec = *codec
-					case loadgen.DriverService:
-						cfg.Codec = *codec
+					if driver == loadgen.DriverService {
 						cfg.Lease = *lease
 					}
 					if *ab {
@@ -166,8 +159,8 @@ func newTable() *table { return &table{} }
 
 func (t *table) row(r *loadgen.Report) {
 	if !t.headerDone {
-		fmt.Printf("%-7s %-6s %-6s %3s %4s %-8s %-6s %9s %8s %11s %11s %11s %9s %7s\n",
-			"driver", "codec", "quorum", "n", "cli", "arrival", "xfer",
+		fmt.Printf("%-7s %-6s %3s %4s %-8s %-6s %9s %8s %11s %11s %11s %9s %7s\n",
+			"driver", "quorum", "n", "cli", "arrival", "xfer",
 			"ops", "thr/s", "acq-p50", "acq-p99", "handoff-p50", "msgs/cs", "retx")
 		t.headerDone = true
 	}
@@ -175,16 +168,12 @@ func (t *table) row(r *loadgen.Report) {
 	if !r.Transfer {
 		xfer = "off"
 	}
-	codec := r.Codec
-	if codec == "" {
-		codec = "-" // in-process runs have no wire
-	}
 	cli := "-" // site drivers have no client tier
 	if r.Clients > 0 {
 		cli = strconv.Itoa(r.Clients)
 	}
-	fmt.Printf("%-7s %-6s %-6s %3d %4s %-8s %-6s %9d %8.1f %11v %11v %11v %9.2f %7d\n",
-		r.Driver, codec, r.Quorum, r.N, cli, r.Arrival, xfer,
+	fmt.Printf("%-7s %-6s %3d %4s %-8s %-6s %9d %8.1f %11v %11v %11v %9.2f %7d\n",
+		r.Driver, r.Quorum, r.N, cli, r.Arrival, xfer,
 		r.Ops, r.Throughput,
 		time.Duration(r.Acquire.P50), time.Duration(r.Acquire.P99),
 		time.Duration(r.Handoff.P50), r.MessagesPerCS, r.Retransmits)

@@ -83,7 +83,7 @@ var (
 // ChaosPlan is a seeded fault-injection schedule for in-process clusters:
 // message drop, duplication, reordering, bounded delay, partitions, and
 // site crashes, all derived deterministically from the plan's single seed.
-// See Options.Chaos and the "Adversarial testing" section of the README.
+// See Options.Faults.Chaos and the "Adversarial testing" section of the README.
 type ChaosPlan = chaos.Plan
 
 // ChaosPartition isolates a group of sites during a time window.
@@ -202,38 +202,35 @@ type MetricsSnapshot = obs.Snapshot
 // log-bucket p50/p99).
 type DelayStats = obs.DelayStats
 
-// Codec names a wire codec for TCP deployments.
+// Codec names the wire format of TCP deployments. One format exists, so the
+// type selects nothing: it and the Codec fields of WireConfig and DialConfig
+// are what remains of a codec-selection seam, kept spelled for callers that
+// still assign BinaryCodec. Any other non-empty name is an error.
 type Codec string
 
-// Wire codecs for WireConfig.Codec.
-const (
-	// BinaryCodec is wire format v1: a hand-rolled zero-allocation binary
-	// framing with varint fields and per-connection resource-name interning.
-	// The default. See PROTOCOL.md, "Wire format v1".
-	BinaryCodec Codec = wire.NameBinary
-	// GobCodec is wire format v0: the legacy encoding/gob stream. Pin it to
-	// interoperate with peers that predate the wire-version handshake; new
-	// builds negotiate down to it automatically when such a peer dials in.
-	GobCodec Codec = wire.NameGob
-)
+// BinaryCodec is wire format v1, the one format: a hand-rolled
+// zero-allocation binary framing with varint fields and per-connection
+// resource-name interning. See PROTOCOL.md, "Wire format v1".
+const BinaryCodec Codec = "binary"
 
-// Codecs enumerates every valid wire codec name, the default first. Flag
-// parsing and validation should use this instead of keeping a private copy
-// of the list.
-func Codecs() []Codec {
-	return []Codec{BinaryCodec, GobCodec}
+// validate accepts the empty name and BinaryCodec.
+func (c Codec) validate() error {
+	switch c {
+	case "", BinaryCodec:
+		return nil
+	case "gob":
+		return fmt.Errorf("dqmx: codec %q: %w", c, wire.ErrV0Retired)
+	}
+	return fmt.Errorf("dqmx: unknown codec %q (valid: %s)", c, BinaryCodec)
 }
 
-// WireConfig consolidates the byte-layer knobs of a TCP deployment: codec
-// selection, synthetic link delay, and the reconnect policy. It applies to
-// NewTCPNode only — in-process clusters have no wire, and simulations model
-// delay through their own delay distribution. The zero value means "binary
-// codec, no link delay, default reconnect policy".
+// WireConfig consolidates the byte-layer knobs of a TCP deployment:
+// synthetic link delay and the reconnect policy. It applies to NewTCPNode
+// and Serve only — in-process clusters have no wire, and simulations model
+// delay through their own delay distribution. The zero value means "no link
+// delay, default reconnect policy".
 type WireConfig struct {
-	// Codec selects the wire format framing envelopes on TCP connections:
-	// BinaryCodec (the default) or GobCodec. Peers negotiate per connection
-	// at handshake, so mixed-codec clusters interoperate; the codec here is
-	// the newest format this peer offers and accepts.
+	// Codec selects nothing (see Codec): leave it empty or set BinaryCodec.
 	Codec Codec
 	// LinkDelay, when positive, holds every outbound batch for that long
 	// before it reaches the wire — a deterministic per-hop latency for
@@ -251,34 +248,15 @@ type WireConfig struct {
 	ReconnectMax  time.Duration
 }
 
-// validate checks the codec name; the duration and count knobs have no
-// invalid values (zero and below mean "use the default").
-func (w WireConfig) validate() error {
-	if _, err := wire.ForName(string(w.Codec)); err != nil {
-		return fmt.Errorf("dqmx: %w", err)
+// transportConfig lowers the public knobs onto the transport layer.
+func (w WireConfig) transportConfig() transport.WireConfig {
+	return transport.WireConfig{
+		LinkDelay:         w.LinkDelay,
+		DialTimeout:       w.DialTimeout,
+		ReconnectAttempts: w.ReconnectAttempts,
+		ReconnectBase:     w.ReconnectBase,
+		ReconnectMax:      w.ReconnectMax,
 	}
-	return nil
-}
-
-// transportConfig lowers the public knobs onto the transport layer,
-// folding in the deprecated Options.LinkDelay shim.
-func (o Options) transportConfig() (transport.WireConfig, error) {
-	codec, err := wire.ForName(string(o.Wire.Codec))
-	if err != nil {
-		return transport.WireConfig{}, fmt.Errorf("dqmx: %w", err)
-	}
-	w := transport.WireConfig{
-		Codec:             codec,
-		LinkDelay:         o.Wire.LinkDelay,
-		DialTimeout:       o.Wire.DialTimeout,
-		ReconnectAttempts: o.Wire.ReconnectAttempts,
-		ReconnectBase:     o.Wire.ReconnectBase,
-		ReconnectMax:      o.Wire.ReconnectMax,
-	}
-	if w.LinkDelay == 0 {
-		w.LinkDelay = o.LinkDelay
-	}
-	return w, nil
 }
 
 // ObserveConfig groups the observability knobs, following the WireConfig
@@ -316,13 +294,6 @@ type FaultConfig struct {
 }
 
 // Options configures a cluster or simulation.
-//
-// The observability and fault knobs live in the Observe and Faults
-// sub-configs; the flat fields of the same names predate the grouping and
-// remain as forwarding shims for one more release (see the deprecation
-// policy in the README). Boolean shims OR with their grouped counterparts;
-// for the pointer-valued Observer and Chaos the grouped field wins when both
-// are set (Validate rejects a contradictory Chaos pair).
 type Options struct {
 	// Protocol defaults to DelayOptimal.
 	Protocol Protocol
@@ -339,85 +310,20 @@ type Options struct {
 	// clusters. The zero value applies the defaults (non-empty names up to
 	// 128 bytes).
 	Resources ResourcePolicy
-	// Wire consolidates the byte-layer knobs of a TCP deployment: codec
-	// selection, synthetic link delay, and the reconnect policy (NewTCPNode
-	// and Serve only; in-process clusters model delay through Chaos,
-	// simulations through their delay distribution).
+	// Wire consolidates the byte-layer knobs of a TCP deployment: synthetic
+	// link delay and the reconnect policy (NewTCPNode and Serve only;
+	// in-process clusters model delay through Chaos, simulations through
+	// their delay distribution).
 	Wire WireConfig
-
-	// DisableRecovery is the pre-FaultConfig name for
-	// Faults.DisableRecovery; either field (or both) enables the toggle.
-	//
-	// Deprecated: set Faults.DisableRecovery instead.
-	DisableRecovery bool
-	// DisableTransfer is the pre-FaultConfig name for
-	// Faults.DisableTransfer; either field (or both) enables the toggle.
-	//
-	// Deprecated: set Faults.DisableTransfer instead.
-	DisableTransfer bool
-	// Observer is the pre-ObserveConfig name for Observe.Observer. When
-	// both are set, Observe.Observer wins.
-	//
-	// Deprecated: set Observe.Observer instead.
-	Observer TraceSink
-	// Metrics is the pre-ObserveConfig name for Observe.Metrics; either
-	// field (or both) enables the aggregator.
-	//
-	// Deprecated: set Observe.Metrics instead.
-	Metrics bool
-	// Chaos is the pre-FaultConfig name for Faults.Chaos. When both are
-	// set they must point at the same plan (Validate and every constructor
-	// reject a contradictory pair).
-	//
-	// Deprecated: set Faults.Chaos instead.
-	Chaos *ChaosPlan
-	// LinkDelay is the pre-WireConfig name for Wire.LinkDelay, kept as a
-	// forwarding shim. When both are set, Wire.LinkDelay wins.
-	//
-	// Deprecated: set Wire.LinkDelay instead.
-	LinkDelay time.Duration
 }
-
-// observer resolves the effective event sink across the deprecated shim.
-func (o Options) observer() TraceSink {
-	if o.Observe.Observer != nil {
-		return o.Observe.Observer
-	}
-	return o.Observer
-}
-
-// metricsEnabled resolves the effective metrics toggle across the
-// deprecated shim.
-func (o Options) metricsEnabled() bool { return o.Observe.Metrics || o.Metrics }
-
-// chaosPlan resolves the effective chaos plan across the deprecated shim;
-// a contradictory pair (both set, different plans) is an error.
-func (o Options) chaosPlan() (*ChaosPlan, error) {
-	if o.Faults.Chaos != nil && o.Chaos != nil && o.Faults.Chaos != o.Chaos {
-		return nil, errors.New("dqmx: Faults.Chaos and the deprecated Chaos field name different plans; set only Faults.Chaos")
-	}
-	if o.Faults.Chaos != nil {
-		return o.Faults.Chaos, nil
-	}
-	return o.Chaos, nil
-}
-
-// disableRecovery and disableTransfer resolve the §6 toggles across the
-// deprecated shims.
-func (o Options) disableRecovery() bool { return o.Faults.DisableRecovery || o.DisableRecovery }
-func (o Options) disableTransfer() bool { return o.Faults.DisableTransfer || o.DisableTransfer }
 
 // Validate checks that the options name a known protocol, quorum
-// construction, and wire codec, and that the deprecated flat fields do not
-// contradict their grouped counterparts; its errors list the valid choices.
+// construction, and wire codec; its errors list the valid choices.
 func (o Options) Validate() error {
 	if _, err := o.algorithm(); err != nil {
 		return err
 	}
-	if _, err := o.chaosPlan(); err != nil {
-		return err
-	}
-	return o.Wire.validate()
+	return o.Wire.Codec.validate()
 }
 
 // Construction returns the coterie construction named by q.
@@ -445,8 +351,8 @@ func (o Options) algorithmAndConstruction() (mutex.Algorithm, coterie.Constructi
 		return nil, nil, err
 	}
 	alg, err := harness.NewAlgorithmOpts(string(o.Protocol), cons, harness.AlgorithmOptions{
-		DisableRecovery: o.disableRecovery(),
-		DisableTransfer: o.disableTransfer(),
+		DisableRecovery: o.Faults.DisableRecovery,
+		DisableTransfer: o.Faults.DisableTransfer,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dqmx: %w", err)
@@ -469,15 +375,11 @@ func NewCluster(n int) (*Cluster, error) {
 
 // NewClusterWith starts an in-process cluster with explicit options.
 func NewClusterWith(n int, opts Options) (*Cluster, error) {
-	if opts.LinkDelay != 0 || opts.Wire.LinkDelay != 0 {
+	if opts.Wire.LinkDelay != 0 {
 		return nil, errors.New("dqmx: Wire.LinkDelay applies to TCP peers only; use Chaos delay on in-process clusters")
 	}
 	if opts.Wire != (WireConfig{}) {
 		return nil, errors.New("dqmx: Wire applies to TCP peers only; in-process clusters have no wire")
-	}
-	plan, err := opts.chaosPlan()
-	if err != nil {
-		return nil, err
 	}
 	alg, cons, err := opts.algorithmAndConstruction()
 	if err != nil {
@@ -487,9 +389,9 @@ func NewClusterWith(n int, opts Options) (*Cluster, error) {
 		Algorithm:    alg,
 		N:            n,
 		Metrics:      opts.collector(),
-		Observer:     opts.observer(),
+		Observer:     opts.Observe.Observer,
 		Policy:       opts.Resources,
-		Chaos:        plan,
+		Chaos:        opts.Faults.Chaos,
 		Construction: cons,
 	})
 	if err != nil {
@@ -500,7 +402,7 @@ func NewClusterWith(n int, opts Options) (*Cluster, error) {
 
 // collector builds the metrics aggregator when the options ask for one.
 func (o Options) collector() *obs.Metrics {
-	if !o.metricsEnabled() {
+	if !o.Observe.Metrics {
 		return nil
 	}
 	return obs.NewMetrics()
@@ -535,13 +437,13 @@ func (c *Cluster) LockOn(id SiteID, name string) (*Lock, error) {
 // Snapshot returns the cluster's aggregated live metrics — per-kind message
 // counters and delay distributions over all sites and all named locks, with
 // nanosecond timestamps. ok is false unless the cluster was built with
-// Options.Metrics.
+// Options.Observe.Metrics.
 func (c *Cluster) Snapshot() (snap MetricsSnapshot, ok bool) { return c.inner.Snapshot() }
 
 // SnapshotResource returns the live metrics of one named lock, so the
 // paper's 3(K−1)..6(K−1) message bound stays checkable per resource. ok is
-// false without Options.Metrics or when the resource has seen no events.
-// The default resource (the Node API) is the empty name.
+// false without Options.Observe.Metrics or when the resource has seen no
+// events. The default resource (the Node API) is the empty name.
 func (c *Cluster) SnapshotResource(name string) (snap MetricsSnapshot, ok bool) {
 	return c.inner.SnapshotResource(name)
 }
@@ -565,8 +467,8 @@ func fnv32a(s string) uint32 {
 
 // NewTCPNode starts site id of an n-site delay-optimal cluster whose sites
 // communicate over TCP. peers maps every other site to its listen address.
-// With Options.Metrics the peer's own protocol activity is aggregated and
-// exposed through TCPPeer.Snapshot and TCPPeer.SnapshotResource. Named
+// With Options.Observe.Metrics the peer's own protocol activity is aggregated
+// and exposed through TCPPeer.Snapshot and TCPPeer.SnapshotResource. Named
 // locks are reached through TCPPeer.Lock; the id range is validated before
 // any algorithm or site construction so misconfigured deployments fail
 // fast with a clear error.
@@ -581,17 +483,14 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 	if int(id) < 0 || int(id) >= n {
 		return nil, nil, fmt.Errorf("dqmx: site %d out of range 0..%d", id, n-1)
 	}
-	if plan, err := opts.chaosPlan(); err != nil {
-		return nil, nil, err
-	} else if plan != nil {
+	if opts.Faults.Chaos != nil {
 		return nil, nil, errors.New("dqmx: chaos injection is supported on in-process clusters only")
 	}
 	alg, err := opts.algorithm()
 	if err != nil {
 		return nil, nil, err
 	}
-	wcfg, err := opts.transportConfig()
-	if err != nil {
+	if err := opts.Wire.Codec.validate(); err != nil {
 		return nil, nil, err
 	}
 	col := opts.collector()
@@ -610,9 +509,9 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 		Peers:      peers,
 		N:          n,
 		Metrics:    col,
-		Observer:   opts.observer(),
+		Observer:   opts.Observe.Observer,
 		Policy:     opts.Resources,
-		Wire:       wcfg,
+		Wire:       opts.Wire.transportConfig(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -650,9 +549,7 @@ const (
 // executions per site and returns the measured metrics. It is the
 // programmatic face of the paper's evaluation harness.
 func Simulate(n int, opts Options, load LoadShape, perSite int, seed int64) (SimulationResult, error) {
-	if plan, err := opts.chaosPlan(); err != nil {
-		return SimulationResult{}, err
-	} else if plan != nil {
+	if opts.Faults.Chaos != nil {
 		return SimulationResult{}, errors.New("dqmx: chaos injection applies to live clusters; use SimulateWithCrashes for simulated faults")
 	}
 	alg, err := opts.algorithm()
@@ -665,7 +562,7 @@ func Simulate(n int, opts Options, load LoadShape, perSite int, seed int64) (Sim
 	}
 	res, err := harness.Run(harness.Spec{
 		N: n, Algorithm: alg, Load: kind, PerSite: perSite, Seed: seed,
-		Observer: opts.observer(),
+		Observer: opts.Observe.Observer,
 	})
 	if err != nil {
 		return SimulationResult{}, err
@@ -695,9 +592,7 @@ type CrashEvent struct {
 // after a failure-detection delay and the §6 recovery protocol rebuilds the
 // affected quorums. It returns the metrics of the surviving executions.
 func SimulateWithCrashes(n int, opts Options, perSite int, crashes []CrashEvent, seed int64) (SimulationResult, error) {
-	if plan, err := opts.chaosPlan(); err != nil {
-		return SimulationResult{}, err
-	} else if plan != nil {
+	if opts.Faults.Chaos != nil {
 		return SimulationResult{}, errors.New("dqmx: chaos injection applies to live clusters; use the crashes argument for simulated faults")
 	}
 	alg, err := opts.algorithm()
@@ -707,7 +602,7 @@ func SimulateWithCrashes(n int, opts Options, perSite int, crashes []CrashEvent,
 	const meanDelay = sim.Time(1000)
 	cluster, err := sim.NewCluster(sim.Config{
 		N: n, Algorithm: alg, Delay: sim.ConstantDelay{D: meanDelay}, Seed: seed, CSTime: 10,
-		Observer: opts.observer(),
+		Observer: opts.Observe.Observer,
 	})
 	if err != nil {
 		return SimulationResult{}, err

@@ -116,14 +116,14 @@ func TestAcquireCtxUnderPartition(t *testing.T) {
 	// arbiter site 0 needs.
 	const cut = dqmx.SiteID(4)
 	cluster, err := dqmx.NewClusterWith(9, dqmx.Options{
-		Chaos: &dqmx.ChaosPlan{
+		Faults: dqmx.FaultConfig{Chaos: &dqmx.ChaosPlan{
 			Seed: 1,
 			// A little latency keeps the request wave genuinely in flight
 			// when the cut swallows it.
 			MinDelay:   2 * time.Millisecond,
 			MaxDelay:   5 * time.Millisecond,
 			Partitions: []dqmx.ChaosPartition{{Start: 0, End: time.Hour, Group: []dqmx.SiteID{cut}}},
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

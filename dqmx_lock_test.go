@@ -23,7 +23,7 @@ func TestNamedLocksLightLoadCost(t *testing.T) {
 		perLock = 3
 		kMin    = 12 // 3(K−1), K=5 on the 3×3 grid
 	)
-	cluster, err := dqmx.NewClusterWith(n, dqmx.Options{Metrics: true})
+	cluster, err := dqmx.NewClusterWith(n, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func startTCPTrio(t *testing.T, opts dqmx.Options) []*dqmx.TCPPeer {
 // keeps the light-load message cost of 3 messages per remote quorum member.
 func TestTCPNamedLocks(t *testing.T) {
 	const rounds = 3
-	peers := startTCPTrio(t, dqmx.Options{Metrics: true})
+	peers := startTCPTrio(t, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 
 	resources := []struct {
 		name string

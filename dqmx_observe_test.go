@@ -31,7 +31,7 @@ func TestLiveMetricsMatchSimulation(t *testing.T) {
 		kMax  = 24 // 6(K−1)
 	)
 
-	cluster, err := dqmx.NewClusterWith(n, dqmx.Options{Metrics: true})
+	cluster, err := dqmx.NewClusterWith(n, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLiveMetricsMatchSimulation(t *testing.T) {
 	}
 	live, ok := cluster.Snapshot()
 	if !ok {
-		t.Fatal("Options.Metrics did not enable Snapshot")
+		t.Fatal("Observe.Metrics did not enable Snapshot")
 	}
 
 	sim, err := dqmx.Simulate(n, dqmx.Options{}, dqmx.LightLoad, total, 1)
@@ -167,11 +167,11 @@ func TestObserverStream(t *testing.T) {
 	var mu sync.Mutex
 	byType := map[dqmx.EventType]int{}
 	cluster, err := dqmx.NewClusterWith(4, dqmx.Options{
-		Observer: func(e dqmx.TraceEvent) {
+		Observe: dqmx.ObserveConfig{Observer: func(e dqmx.TraceEvent) {
 			mu.Lock()
 			byType[e.Type]++
 			mu.Unlock()
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package dqmx_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"dqmx"
@@ -28,55 +27,10 @@ func TestOptionsGroupedFields(t *testing.T) {
 	if _, ok := cluster.Snapshot(); !ok {
 		t.Error("Observe.Metrics did not enable the aggregator")
 	}
-}
-
-// TestOptionsDeprecatedShims exercises the flat pre-grouping fields: they
-// must keep working for one more release, with booleans ORing into their
-// grouped counterparts.
-func TestOptionsDeprecatedShims(t *testing.T) {
-	cluster, err := dqmx.NewClusterWith(4, dqmx.Options{Metrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, ok := cluster.Snapshot(); !ok {
-		t.Error("deprecated Metrics field did not enable the aggregator")
-	}
-
 	// DisableTransfer is rejected by non-delay-optimal protocols, so a
-	// Validate error proves the flat shim reached the algorithm factory —
-	// and the same through the grouped field.
-	flat := dqmx.Options{Protocol: dqmx.Maekawa, DisableTransfer: true}
-	if err := flat.Validate(); err == nil {
-		t.Error("deprecated DisableTransfer not folded into the algorithm options")
-	}
+	// Validate error proves the toggle reached the algorithm factory.
 	grouped := dqmx.Options{Protocol: dqmx.Maekawa, Faults: dqmx.FaultConfig{DisableTransfer: true}}
 	if err := grouped.Validate(); err == nil {
 		t.Error("Faults.DisableTransfer not folded into the algorithm options")
 	}
-}
-
-// TestOptionsChaosConflict: naming two different chaos plans across the
-// grouped and deprecated fields is a configuration contradiction, caught by
-// Validate and by every constructor.
-func TestOptionsChaosConflict(t *testing.T) {
-	a, b := &dqmx.ChaosPlan{Seed: 1}, &dqmx.ChaosPlan{Seed: 2}
-	opts := dqmx.Options{Chaos: a, Faults: dqmx.FaultConfig{Chaos: b}}
-	if err := opts.Validate(); err == nil || !strings.Contains(err.Error(), "Chaos") {
-		t.Errorf("Validate on contradictory chaos plans = %v, want error naming Chaos", err)
-	}
-	if _, err := dqmx.NewClusterWith(4, opts); err == nil {
-		t.Error("NewClusterWith accepted contradictory chaos plans")
-	}
-	// The same plan through both fields is fine (a caller migrating
-	// mechanically may set both).
-	same := dqmx.Options{Chaos: a, Faults: dqmx.FaultConfig{Chaos: a}}
-	if err := same.Validate(); err != nil {
-		t.Errorf("Validate with matching plans in both fields: %v", err)
-	}
-	cluster, err := dqmx.NewClusterWith(4, same)
-	if err != nil {
-		t.Fatalf("NewClusterWith with matching plans in both fields: %v", err)
-	}
-	cluster.Close()
 }

@@ -173,7 +173,7 @@ func TestSimulateWithCrashes(t *testing.T) {
 	}
 	// Recovery disabled: the run must report starvation.
 	if _, err := dqmx.SimulateWithCrashes(7, dqmx.Options{
-		Quorum: dqmx.TreeQuorums, DisableRecovery: true,
+		Quorum: dqmx.TreeQuorums, Faults: dqmx.FaultConfig{DisableRecovery: true},
 	}, 2, []dqmx.CrashEvent{{AtT: 0, Site: 0}}, 1); err == nil {
 		t.Error("expected the non-fault-tolerant run to stall")
 	}

@@ -1,43 +1,41 @@
 package dqmx_test
 
-// Public-surface tests for the WireConfig knobs: codec validation, the
-// in-process rejection of TCP-only options, the deprecated LinkDelay shim,
-// and a TCP cluster explicitly pinned to each codec.
+// Public-surface tests for the WireConfig knobs: what is left of codec
+// selection, the in-process rejection of TCP-only options, and the link delay
+// reaching the transport.
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"dqmx"
 )
 
-func TestCodecsEnumeration(t *testing.T) {
-	codecs := dqmx.Codecs()
-	if len(codecs) != 2 || codecs[0] != dqmx.BinaryCodec || codecs[1] != dqmx.GobCodec {
-		t.Fatalf("Codecs() = %v", codecs)
-	}
-}
-
 func TestValidateWireCodec(t *testing.T) {
-	for _, c := range dqmx.Codecs() {
+	for _, c := range []dqmx.Codec{"", dqmx.BinaryCodec} {
 		if err := (dqmx.Options{Wire: dqmx.WireConfig{Codec: c}}).Validate(); err != nil {
 			t.Errorf("codec %q rejected: %v", c, err)
 		}
 	}
-	if err := (dqmx.Options{}).Validate(); err != nil {
-		t.Errorf("empty codec rejected: %v", err)
-	}
 	if err := (dqmx.Options{Wire: dqmx.WireConfig{Codec: "msgpack"}}).Validate(); err == nil {
 		t.Error("unknown codec accepted")
+	}
+	// The retired codec is refused by name, not as a typo.
+	err := (dqmx.Options{Wire: dqmx.WireConfig{Codec: "gob"}}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Errorf("codec gob: %v, want the wire-v0-retired error", err)
+	}
+	if _, err := dqmx.Dial(context.Background(), []string{"127.0.0.1:1"}, dqmx.DialConfig{Codec: "gob"}); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Errorf("Dial with codec gob: %v, want the wire-v0-retired error", err)
 	}
 }
 
 func TestInprocRejectsWireOptions(t *testing.T) {
 	cases := map[string]dqmx.Options{
-		"deprecated LinkDelay": {LinkDelay: time.Millisecond},
-		"Wire.LinkDelay":       {Wire: dqmx.WireConfig{LinkDelay: time.Millisecond}},
-		"Wire.Codec":           {Wire: dqmx.WireConfig{Codec: dqmx.GobCodec}},
+		"Wire.LinkDelay": {Wire: dqmx.WireConfig{LinkDelay: time.Millisecond}},
+		"Wire.Codec":     {Wire: dqmx.WireConfig{Codec: dqmx.BinaryCodec}},
 	}
 	for name, opts := range cases {
 		if _, err := dqmx.NewClusterWith(3, opts); err == nil {
@@ -47,9 +45,12 @@ func TestInprocRejectsWireOptions(t *testing.T) {
 }
 
 func TestTCPNodeRejectsUnknownCodec(t *testing.T) {
-	opts := dqmx.Options{Wire: dqmx.WireConfig{Codec: "msgpack"}}
-	if _, err := dqmx.NewTCPNode(3, 0, "127.0.0.1:0", nil, opts); err == nil {
-		t.Error("unknown codec accepted")
+	for _, c := range []dqmx.Codec{"msgpack", "gob"} {
+		opts := dqmx.Options{Wire: dqmx.WireConfig{Codec: c}}
+		if p, err := dqmx.NewTCPNode(3, 0, "127.0.0.1:0", nil, opts); err == nil {
+			p.Close()
+			t.Errorf("codec %q accepted", c)
+		}
 	}
 }
 
@@ -108,10 +109,10 @@ func runTCPRounds(t *testing.T, peers []*dqmx.TCPPeer, rounds int) {
 	}
 }
 
+// TestTCPNodesPinnedCodec: spelling the codec out changes nothing.
 func TestTCPNodesPinnedCodec(t *testing.T) {
-	for _, c := range dqmx.Codecs() {
-		c := c
-		t.Run(string(c), func(t *testing.T) {
+	for name, c := range map[string]dqmx.Codec{"default": "", "binary": dqmx.BinaryCodec} {
+		t.Run(name, func(t *testing.T) {
 			opts := dqmx.Options{Wire: dqmx.WireConfig{Codec: c}}
 			peers := newTCPCluster(t, []dqmx.Options{opts, opts, opts})
 			runTCPRounds(t, peers, 2)
@@ -119,18 +120,14 @@ func TestTCPNodesPinnedCodec(t *testing.T) {
 	}
 }
 
-// TestTCPNodesDeprecatedLinkDelay pins the migration shim: the old
-// Options.LinkDelay still reaches the transport, and Wire.LinkDelay wins
-// when both are set. A 20ms hop delay on a 3-site majority cluster puts a
-// hard floor under the acquire latency that loopback cannot dodge.
+// TestTCPNodesDeprecatedLinkDelay: Wire.LinkDelay reaches the transport. (The
+// test keeps the name it had when it pinned the Options.LinkDelay shim, which
+// is gone; what it checks — the delay arrives — is not.) A 20ms hop delay on
+// a 3-site majority cluster puts a hard floor under the acquire latency that
+// loopback cannot dodge.
 func TestTCPNodesDeprecatedLinkDelay(t *testing.T) {
 	const hop = 20 * time.Millisecond
-	opts := dqmx.Options{
-		LinkDelay: hop,
-		// Wire.LinkDelay wins over the deprecated field; setting it to the
-		// same value here would make the test pass trivially, so leave it
-		// zero and let the shim forward.
-	}
+	opts := dqmx.Options{Wire: dqmx.WireConfig{LinkDelay: hop}}
 	peers := newTCPCluster(t, []dqmx.Options{opts, opts, opts})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -141,8 +138,8 @@ func TestTCPNodesDeprecatedLinkDelay(t *testing.T) {
 	elapsed := time.Since(start)
 	peers[0].Node().Release()
 	// One request/reply exchange with a quorum costs at least two delayed
-	// hops; anything faster means the shim dropped the delay.
+	// hops; anything faster means the delay was dropped on the way down.
 	if elapsed < 2*hop {
-		t.Errorf("acquire took %v, want >= %v (LinkDelay shim not applied)", elapsed, 2*hop)
+		t.Errorf("acquire took %v, want >= %v (Wire.LinkDelay not applied)", elapsed, 2*hop)
 	}
 }

@@ -35,7 +35,7 @@ func ExampleNewCluster() {
 // per-execution message cost of an uncontended round: exactly 3(K−1) = 12
 // messages on the 3×3 grid.
 func ExampleCluster_Snapshot() {
-	cluster, err := dqmx.NewClusterWith(9, dqmx.Options{Metrics: true})
+	cluster, err := dqmx.NewClusterWith(9, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func ExampleCluster_Snapshot() {
 // panic. Every name is its own distributed lock, multiplexed over the same
 // sites and connections; independent names never wait on each other.
 func ExampleLock_Do() {
-	cluster, err := dqmx.NewClusterWith(9, dqmx.Options{Metrics: true})
+	cluster, err := dqmx.NewClusterWith(9, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,8 +41,8 @@ func run() error {
 
 	fmt.Println("\nsame crashes with §6 recovery disabled:")
 	_, err = dqmx.SimulateWithCrashes(sites, dqmx.Options{
-		Quorum:          dqmx.TreeQuorums,
-		DisableRecovery: true,
+		Quorum: dqmx.TreeQuorums,
+		Faults: dqmx.FaultConfig{DisableRecovery: true},
 	}, perSite, crashes, 42)
 	if err == nil {
 		return fmt.Errorf("expected the non-fault-tolerant run to stall")

@@ -24,7 +24,7 @@ func run() error {
 		sites   = 9
 		perSite = 10
 	)
-	cluster, err := dqmx.NewClusterWith(sites, dqmx.Options{Metrics: true})
+	cluster, err := dqmx.NewClusterWith(sites, dqmx.Options{Observe: dqmx.ObserveConfig{Metrics: true}})
 	if err != nil {
 		return err
 	}

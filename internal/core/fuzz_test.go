@@ -33,7 +33,7 @@ func TestRobustnessAgainstArbitraryMessages(t *testing.T) {
 		}
 		randSite := func() mutex.SiteID { return mutex.SiteID(rng.Intn(9)) }
 		for i := 0; i < 400; i++ {
-			var msg mutex.Message
+			var msg any
 			switch rng.Intn(8) {
 			case 0:
 				msg = requestMsg{TS: randTS()}

@@ -17,9 +17,8 @@ import (
 // body method packs it for sending, Deliver unpacks it on the stack with the
 // matching …Of function. The one exception is the §6 refresh request, whose
 // dead-set has no fixed size: it is sent as a requestMsg behind
-// mutex.Message. The structs themselves stay mutex.Messages because the v0
-// gob codec names them on the wire (internal/wire boxes and unboxes at that
-// boundary).
+// mutex.Message, which makes requestMsg the only one of the seven to
+// implement that interface.
 
 // requestMsg asks an arbiter for its permission to enter the CS.
 type requestMsg struct {
@@ -82,14 +81,10 @@ type replyMsg struct {
 	Arbiter mutex.SiteID
 	// ReqTS is the granted request, used to discard stale replies.
 	ReqTS timestamp.Timestamp
-	// Transfer optionally piggybacks a transfer instruction (A.4, §6). It
-	// stays a pointer: gob omits a nil pointer but always sends a struct
-	// value, and the v0 frame is frozen (TestGobV0ReplyFrameFrozen).
+	// Transfer optionally piggybacks a transfer instruction (A.4, §6); nil
+	// means none.
 	Transfer *transferInfo
 }
-
-// Kind implements mutex.Message.
-func (replyMsg) Kind() string { return mutex.KindReply }
 
 func (m replyMsg) body() mutex.Body {
 	b := mutex.Body{Kind: mutex.BodyReply, Site: m.Arbiter, TS: m.ReqTS}
@@ -133,9 +128,6 @@ type releaseMsg struct {
 	Withdraw bool
 }
 
-// Kind implements mutex.Message.
-func (releaseMsg) Kind() string { return mutex.KindRelease }
-
 func (m releaseMsg) body() mutex.Body {
 	return mutex.Body{Kind: mutex.BodyRelease, Flag: m.Withdraw, Site: m.Fwd, TS: m.ReqTS, TS2: m.FwdTS}
 }
@@ -156,9 +148,6 @@ type inquireMsg struct {
 	HolderTS timestamp.Timestamp
 }
 
-// Kind implements mutex.Message.
-func (inquireMsg) Kind() string { return mutex.KindInquire }
-
 func (m inquireMsg) body() mutex.Body {
 	return mutex.Body{Kind: mutex.BodyInquire, Site: m.Arbiter, TS: m.HolderTS}
 }
@@ -176,9 +165,6 @@ type failMsg struct {
 	ReqTS timestamp.Timestamp
 }
 
-// Kind implements mutex.Message.
-func (failMsg) Kind() string { return mutex.KindFail }
-
 func (m failMsg) body() mutex.Body {
 	return mutex.Body{Kind: mutex.BodyFail, Site: m.Arbiter, TS: m.ReqTS}
 }
@@ -193,9 +179,6 @@ type yieldMsg struct {
 	// ReqTS is the yielding request (the arbiter's current lock value).
 	ReqTS timestamp.Timestamp
 }
-
-// Kind implements mutex.Message.
-func (yieldMsg) Kind() string { return mutex.KindYield }
 
 func (m yieldMsg) body() mutex.Body { return mutex.Body{Kind: mutex.BodyYield, TS: m.ReqTS} }
 
@@ -216,9 +199,6 @@ type transferMsg struct {
 	Inquire bool
 }
 
-// Kind implements mutex.Message.
-func (transferMsg) Kind() string { return mutex.KindTransfer }
-
 func (m transferMsg) body() mutex.Body {
 	return mutex.Body{
 		Kind: mutex.BodyTransfer, Flag: m.Inquire,
@@ -235,47 +215,3 @@ func transferOf(b mutex.Body) transferMsg {
 }
 
 func (m transferMsg) String() string { return m.body().String() }
-
-// box returns the struct form of an inline body, as the v0 gob stream and
-// tests that compare whole messages want it.
-func box(b mutex.Body) mutex.Message {
-	switch b.Kind {
-	case mutex.BodyRequest:
-		return requestOf(b)
-	case mutex.BodyReply:
-		return replyOf(b)
-	case mutex.BodyRelease:
-		return releaseOf(b)
-	case mutex.BodyInquire:
-		return inquireOf(b)
-	case mutex.BodyFail:
-		return failOf(b)
-	case mutex.BodyYield:
-		return yieldOf(b)
-	case mutex.BodyTransfer:
-		return transferOf(b)
-	}
-	return nil
-}
-
-// unbox is box's inverse. ok is false for a message the body cannot carry:
-// a refresh request, or a type that is not one of the seven.
-func unbox(m mutex.Message) (b mutex.Body, ok bool) {
-	switch v := m.(type) {
-	case requestMsg:
-		return v.body(), !v.Refresh && len(v.Dead) == 0
-	case replyMsg:
-		return v.body(), true
-	case releaseMsg:
-		return v.body(), true
-	case inquireMsg:
-		return v.body(), true
-	case failMsg:
-		return v.body(), true
-	case yieldMsg:
-		return v.body(), true
-	case transferMsg:
-		return v.body(), true
-	}
-	return mutex.Body{}, false
-}

@@ -20,27 +20,71 @@ func mkSite(id mutex.SiteID, quorum ...mutex.SiteID) *Site {
 
 // carry returns the envelope a site would send for msg: the payload inline
 // when the body can hold it, behind Msg otherwise.
-func carry(from, to mutex.SiteID, msg mutex.Message) mutex.Envelope {
+func carry(from, to mutex.SiteID, msg any) mutex.Envelope {
 	env := mutex.Envelope{From: from, To: to}
 	if b, ok := unbox(msg); ok {
 		env.Body = b
 	} else {
-		env.Msg = msg
+		env.Msg = msg.(mutex.Message) // the refresh request
 	}
 	return env
 }
 
 // payload returns the envelope's message in struct form, whichever way it
 // is carried.
-func payload(e mutex.Envelope) mutex.Message {
+func payload(e mutex.Envelope) any {
 	if e.Body.Kind != mutex.BodyNone {
 		return box(e.Body)
 	}
 	return e.Msg
 }
 
+// box returns the struct form of an inline body, as tests that compare whole
+// messages want it.
+func box(b mutex.Body) any {
+	switch b.Kind {
+	case mutex.BodyRequest:
+		return requestOf(b)
+	case mutex.BodyReply:
+		return replyOf(b)
+	case mutex.BodyRelease:
+		return releaseOf(b)
+	case mutex.BodyInquire:
+		return inquireOf(b)
+	case mutex.BodyFail:
+		return failOf(b)
+	case mutex.BodyYield:
+		return yieldOf(b)
+	case mutex.BodyTransfer:
+		return transferOf(b)
+	}
+	return nil
+}
+
+// unbox is box's inverse. ok is false for a message the body cannot carry:
+// a refresh request, or a type that is not one of the seven.
+func unbox(m any) (b mutex.Body, ok bool) {
+	switch v := m.(type) {
+	case requestMsg:
+		return v.body(), !v.Refresh && len(v.Dead) == 0
+	case replyMsg:
+		return v.body(), true
+	case releaseMsg:
+		return v.body(), true
+	case inquireMsg:
+		return v.body(), true
+	case failMsg:
+		return v.body(), true
+	case yieldMsg:
+		return v.body(), true
+	case transferMsg:
+		return v.body(), true
+	}
+	return mutex.Body{}, false
+}
+
 // deliver pushes a message through Deliver.
-func deliver(s *Site, from mutex.SiteID, msg mutex.Message) mutex.Output {
+func deliver(s *Site, from mutex.SiteID, msg any) mutex.Output {
 	return s.Deliver(carry(from, s.id, msg))
 }
 

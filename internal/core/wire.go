@@ -5,30 +5,25 @@ import (
 	"dqmx/internal/wire"
 )
 
-// Wire registration for the seven §3.1 control messages. Their binary tags
+// Wire registration for the seven §3.1 control messages. Their frame tags
 // are the mutex.BodyKind values (1–7, the range internal/wire reserves for
-// core), and the v1 codec encodes from and decodes into the envelope's
-// inline body directly. Field order in each encode function is the normative
-// v1 layout documented in PROTOCOL.md; changing it is a wire-format break
+// core), and the codec encodes from and decodes into the envelope's inline
+// body directly. Field order in each encode function is the normative v1
+// layout documented in PROTOCOL.md; changing it is a wire-format break
 // (TestGoldenFrames pins the bytes).
 //
-// box and unbox (messages.go) serve the v0 gob stream, which names the
-// message structs on the wire: internal/wire converts at that boundary. The
-// refresh request is the one shape that travels boxed under v1 too.
+// The §6 refresh request is the one shape that travels boxed, as a
+// requestMsg behind Envelope.Msg under the request's tag.
 
 func init() {
-	register := func(kind mutex.BodyKind, c wire.Inline) {
-		c.Box, c.Unbox = box, unbox
-		wire.RegisterInline(kind, c)
-	}
-
-	register(mutex.BodyRequest, wire.Inline{
+	wire.RegisterInline(mutex.BodyRequest, wire.Inline{
 		Enc: func(b []byte, m mutex.Body) []byte {
 			b = wire.AppendTimestamp(b, m.TS)
 			// A flag byte separates the common first-send request from the
 			// §6 crash-refresh form carrying the requester's known-dead set.
 			return wire.AppendBool(b, false)
 		},
+		Boxed: requestMsg{},
 		EncBoxed: func(b []byte, m mutex.Message) []byte {
 			v := m.(requestMsg)
 			b = wire.AppendTimestamp(b, v.TS)
@@ -58,7 +53,7 @@ func init() {
 		},
 	})
 
-	register(mutex.BodyReply, wire.Inline{
+	wire.RegisterInline(mutex.BodyReply, wire.Inline{
 		Enc: func(b []byte, m mutex.Body) []byte {
 			b = wire.AppendSite(b, m.Site)
 			b = wire.AppendTimestamp(b, m.TS)
@@ -80,7 +75,7 @@ func init() {
 		},
 	})
 
-	register(mutex.BodyRelease, wire.Inline{
+	wire.RegisterInline(mutex.BodyRelease, wire.Inline{
 		Enc: func(b []byte, m mutex.Body) []byte {
 			b = wire.AppendTimestamp(b, m.TS)
 			b = wire.AppendSite(b, m.Site) // timestamp.None (−1) zigzags to one byte
@@ -92,24 +87,24 @@ func init() {
 		},
 	})
 
-	register(mutex.BodyInquire, wire.Inline{
+	wire.RegisterInline(mutex.BodyInquire, wire.Inline{
 		Enc: appendSiteTS,
 		Dec: readSiteTS,
 	})
 
-	register(mutex.BodyFail, wire.Inline{
+	wire.RegisterInline(mutex.BodyFail, wire.Inline{
 		Enc: appendSiteTS,
 		Dec: readSiteTS,
 	})
 
-	register(mutex.BodyYield, wire.Inline{
+	wire.RegisterInline(mutex.BodyYield, wire.Inline{
 		Enc: func(b []byte, m mutex.Body) []byte { return wire.AppendTimestamp(b, m.TS) },
 		Dec: func(r *wire.Reader) (mutex.Body, mutex.Message) {
 			return mutex.Body{TS: r.Timestamp()}, nil
 		},
 	})
 
-	register(mutex.BodyTransfer, wire.Inline{
+	wire.RegisterInline(mutex.BodyTransfer, wire.Inline{
 		Enc: func(b []byte, m mutex.Body) []byte {
 			b = wire.AppendSite(b, m.Site)
 			b = wire.AppendTimestamp(b, m.TS2)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
@@ -15,11 +15,11 @@ import (
 // wireMessages returns one representative value per §3.1 message type,
 // exercising every optional branch (piggybacked transfer, None forwarding,
 // sentinel timestamps).
-func wireMessages() []mutex.Message {
+func wireMessages() []any {
 	ts := func(seq uint64, site mutex.SiteID) timestamp.Timestamp {
 		return timestamp.Timestamp{Seq: seq, Site: site}
 	}
-	return []mutex.Message{
+	return []any{
 		requestMsg{TS: ts(1, 0)},
 		requestMsg{TS: ts(2, 1), Refresh: true, Dead: []mutex.SiteID{0, 3}},
 		replyMsg{Arbiter: 2, ReqTS: ts(3, 1)},
@@ -45,103 +45,77 @@ func wireEnvelopes() []mutex.Envelope {
 }
 
 func TestWireRoundTripCoreMessages(t *testing.T) {
-	for _, c := range []wire.Codec{wire.Binary(), wire.Gob()} {
-		for _, env := range wireEnvelopes() {
-			env.Resource, env.Seq, env.Ack = "r", 3, 4
-			got, err := wire.RoundTrip(c, env)
-			if err != nil {
-				t.Fatalf("%s: %v: %v", c.Name(), env.PayloadString(), err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Errorf("%s: round-trip = %+v, want %+v", c.Name(), got, env)
-			}
+	for _, env := range wireEnvelopes() {
+		env.Resource, env.Seq, env.Ack, env.Epoch = "r", 3, 4, 5
+		got, err := wire.RoundTrip(env)
+		if err != nil {
+			t.Fatalf("%v: %v", env.PayloadString(), err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Errorf("round-trip = %+v, want %+v", got, env)
 		}
 	}
 }
 
 // TestGoldenFrames pins the bytes of every §3.1 message in every shape that
-// encodes differently, under both codecs. The hex was generated once from
-// the commit before the inline body existed, when every message travelled
-// boxed behind Envelope.Msg; moving a message into the body must not move a
-// byte. Each frame is the second on its stream (resource "r", From 2, To 1,
-// Seq 9, Ack 8): gob's type descriptors and the v1 interning literal have
-// gone out with the first. The two gob type ids in a v0 frame are numbered
-// per process in first-use order, so they are masked to 00.
+// encodes differently. The hex was generated once from the commit before the
+// inline body existed, when every message travelled boxed behind
+// Envelope.Msg; moving a message into the body must not move a byte. Each
+// frame is the second on its stream (resource "r", From 2, To 1, Seq 9,
+// Ack 8): the interning literal has gone out with the first.
 //
-// The v0 frames are frozen because a peer built before the codec layer
-// decodes them with its own structs. In particular replyMsg.Transfer must
-// stay a pointer: gob omits a nil pointer but always sends a nested struct,
-// all-zero or not, and an old peer would decode that to a non-nil zero
-// instruction and act on it.
-//
-// Every frame is produced twice, from the inline body and from the struct
-// form behind Msg (the old path, still reachable at the v0 boundary and for
-// any caller that hands the encoder a struct): the two must be the same
-// bytes and decode to the same envelope.
+// A request is produced twice, from the inline body and from the struct form
+// behind Msg (the carrier of the §6 refresh request, which shares the
+// request's tag): the two must be the same bytes and decode to the same
+// envelope.
 func TestGoldenFrames(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		msg    mutex.Message
-		v0, v1 string
+		name string
+		msg  any
+		want string
 	}{
 		{"request", requestMsg{TS: ts(1, 0)},
-			"35ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e726571756573744d7367ff000501010100000109010800",
 			"0b0204020908000101010000"},
 		{"request refresh+dead", requestMsg{TS: ts(2, 1), Refresh: true, Dead: []mutex.SiteID{0, 3}},
-			"3dff0001017201040102011d64716d782f696e7465726e616c2f636f72652e726571756573744d7367ff000d010102010200010101020006000109010800",
 			"0e0204020908000101020201020006"},
 		{"reply", replyMsg{Arbiter: 2, ReqTS: ts(3, 1)},
-			"37ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7265706c794d7367ff00090104010103010200000109010800",
 			"0c020402090800020401030200"},
 		{"reply+transfer", replyMsg{Arbiter: 2, ReqTS: ts(3, 1), Transfer: &transferInfo{Arbiter: 2, TargetTS: ts(5, 4)}},
-			"41ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7265706c794d7367ff0013010401010301020001010401010501080000000109010800",
 			"1002040209080002040103020104010508"},
 		{"release", releaseMsg{ReqTS: ts(6, 0), Fwd: timestamp.None},
-			"39ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff00090101060001010100000109010800",
 			"0f020402090800030106000101000000"},
 		{"release forwarded", releaseMsg{ReqTS: ts(6, 0), Fwd: 3, FwdTS: ts(7, 3)},
-			"3dff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff000d010106000106010107010600000109010800",
 			"0f020402090800030106000601070600"},
 		{"release withdraw", releaseMsg{ReqTS: ts(6, 0), Fwd: timestamp.None, Withdraw: true},
-			"3bff0001017201040102011d64716d782f696e7465726e616c2f636f72652e72656c656173654d7367ff000b01010600010101000101000109010800",
 			"0f020402090800030106000101000001"},
 		{"inquire", inquireMsg{Arbiter: 1, HolderTS: ts(8, 2)},
-			"39ff0001017201040102011d64716d782f696e7465726e616c2f636f72652e696e71756972654d7367ff00090102010108010400000109010800",
 			"0b0204020908000402010804"},
 		{"fail", failMsg{Arbiter: 0, ReqTS: ts(9, 4)},
-			"34ff0001017201040102011a64716d782f696e7465726e616c2f636f72652e6661696c4d7367ff0007020109010800000109010800",
 			"0b0204020908000500010908"},
 		{"yield", yieldMsg{ReqTS: ts(10, 1)},
-			"35ff0001017201040102011b64716d782f696e7465726e616c2f636f72652e7969656c644d7367ff000701010a010200000109010800",
 			"0a02040209080006010a02"},
 		{"transfer", transferMsg{Transfer: transferInfo{Arbiter: 5, TargetTS: ts(12, 3)}, HolderTS: ts(11, 0)},
-			"40ff0001017201040102011e64716d782f696e7465726e616c2f636f72652e7472616e736665724d7367ff000f01010a01010c0106000001010b00000109010800",
 			"0f020402090800070a010c06010b0000"},
 		{"transfer+inquire", transferMsg{Transfer: transferInfo{Arbiter: 5, TargetTS: ts(12, 3)}, HolderTS: ts(11, 0), Inquire: true},
-			"42ff0001017201040102011e64716d782f696e7465726e616c2f636f72652e7472616e736665724d7367ff001101010a01010c0106000001010b000101000109010800",
 			"0f020402090800070a010c06010b0001"},
 	} {
 		inline := carry(2, 1, tc.msg)
 		inline.Resource, inline.Seq, inline.Ack = "r", 9, 8
-		boxed := inline
-		boxed.Body, boxed.Msg = mutex.Body{}, tc.msg
-		for _, c := range []struct {
-			codec wire.Codec
-			want  string
-		}{{wire.Gob(), tc.v0}, {wire.Binary(), tc.v1}} {
-			for _, env := range []mutex.Envelope{inline, boxed} {
-				frame, decoded := secondFrame(t, c.codec, env)
-				if c.codec.Version() == wire.VersionGob {
-					maskGobTypeIDs(frame)
-				}
-				if got := fmt.Sprintf("%x", frame); got != c.want {
-					t.Errorf("%s, %s: frame changed:\n got  %s\n want %s", tc.name, c.codec.Name(), got, c.want)
-				}
-				// Whichever carrier went in, the decoder hands back the one
-				// the message's type fixes.
-				if !reflect.DeepEqual(decoded, inline) {
-					t.Errorf("%s, %s: decoded %+v, want %+v", tc.name, c.codec.Name(), decoded, inline)
-				}
+		envs := []mutex.Envelope{inline}
+		if req, ok := tc.msg.(requestMsg); ok {
+			boxed := inline
+			boxed.Body, boxed.Msg = mutex.Body{}, req
+			envs = append(envs, boxed)
+		}
+		for _, env := range envs {
+			frame, decoded := secondFrame(t, env)
+			if got := fmt.Sprintf("%x", frame); got != tc.want {
+				t.Errorf("%s: frame changed:\n got  %s\n want %s", tc.name, got, tc.want)
+			}
+			// Whichever carrier went in, the decoder hands back the one
+			// the message's shape fixes.
+			if !reflect.DeepEqual(decoded, inline) {
+				t.Errorf("%s: decoded %+v, want %+v", tc.name, decoded, inline)
 			}
 		}
 	}
@@ -149,10 +123,10 @@ func TestGoldenFrames(t *testing.T) {
 
 // secondFrame encodes env twice on one stream and returns the second frame's
 // bytes and what a decoder of that stream makes of it.
-func secondFrame(t *testing.T, c wire.Codec, env mutex.Envelope) ([]byte, mutex.Envelope) {
+func secondFrame(t *testing.T, env mutex.Envelope) ([]byte, mutex.Envelope) {
 	t.Helper()
 	var stream bytes.Buffer
-	enc := c.NewEncoder(&stream)
+	enc := wire.Binary().NewEncoder(&stream)
 	if err := enc.Encode(env); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +135,7 @@ func secondFrame(t *testing.T, c wire.Codec, env mutex.Envelope) ([]byte, mutex.
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), stream.Bytes()[first:]...)
-	dec := c.NewDecoder(&stream)
+	dec := wire.Binary().NewDecoder(&stream)
 	var out mutex.Envelope
 	for i := 0; i < 2; i++ {
 		var err error
@@ -172,88 +146,14 @@ func secondFrame(t *testing.T, c wire.Codec, env mutex.Envelope) ([]byte, mutex.
 	return frame, out
 }
 
-// maskGobTypeIDs zeroes the two per-process type ids of a v0 frame: the
-// envelope's, right after the length, and the message's, right after its
-// type name.
-func maskGobTypeIDs(frame []byte) {
-	if frame[1] == 0xff {
-		frame[2] = 0
-	}
-	i := bytes.Index(frame, []byte("dqmx/internal/core."))
-	if i < 1 {
-		return
-	}
-	if j := i + int(frame[i-1]); j+1 < len(frame) && frame[j] == 0xff {
-		frame[j+1] = 0
-	}
-}
-
-// TestCodecAB is the bench-smoke ratio assertion: the binary codec must beat
-// gob by ≥3× ns/op on a representative hot-path message mix with near-zero
-// steady-state allocations. It measures via testing.Benchmark so the usual
-// calibration machinery absorbs scheduler noise; the margin between the
-// observed ratio (~10×) and the 3× floor keeps it non-flaky.
-func TestCodecAB(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed assertion; skipped in -short")
-	}
-	envs := wireEnvelopes()
-	roundTrip := func(c wire.Codec) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			var buf bytes.Buffer
-			enc := c.NewEncoder(&buf)
-			dec := c.NewDecoder(&buf)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				env := envs[i%len(envs)]
-				env.Resource, env.Seq = "ab-resource", uint64(i+1)
-				if err := enc.Encode(env); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := dec.Decode(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	gob, bin := roundTrip(wire.Gob()), roundTrip(wire.Binary())
-	gobNs, binNs := float64(gob.NsPerOp()), float64(bin.NsPerOp())
-	ratio := gobNs / binNs
-	t.Logf("gob %.0f ns/op %d B/op; binary %.0f ns/op %d B/op; ratio %.1f×",
-		gobNs, gob.AllocedBytesPerOp(), binNs, bin.AllocedBytesPerOp(), ratio)
-	if ratio < 3 {
-		t.Errorf("binary codec only %.2f× faster than gob, want ≥3×", ratio)
-	}
-	// The writer hot path — encode alone — must be allocation-free in steady
-	// state (pooled scratch, interned names). The round-trip number above
-	// also decodes the mix's one boxed message (the refresh request and its
-	// dead-set), so the zero-alloc assertion goes on an encode-only
-	// measurement; TestAllocsBinaryDecode holds the inline kinds to zero.
-	encOnly := testing.Benchmark(func(b *testing.B) {
-		enc := wire.Binary().NewEncoder(io.Discard)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			env := envs[i%len(envs)]
-			env.Resource, env.Seq = "ab-resource", uint64(i+1)
-			if err := enc.Encode(env); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	t.Logf("binary encode-only %d ns/op %d B/op", encOnly.NsPerOp(), encOnly.AllocedBytesPerOp())
-	if got := encOnly.AllocedBytesPerOp(); got > 0 {
-		t.Errorf("binary encode allocates %d B/op in steady state, want 0", got)
-	}
-}
-
-// benchmarkCodecRoundTrip measures encode+decode over the representative
+// BenchmarkCodecRoundTrip measures encode+decode over the representative
 // §3.1 message mix — the protocol hot path as the TCP read/write loops see
-// it. `make bench-codec` runs it for both codecs.
-func benchmarkCodecRoundTrip(b *testing.B, c wire.Codec) {
+// it.
+func BenchmarkCodecRoundTrip(b *testing.B) {
 	envs := wireEnvelopes()
 	var buf bytes.Buffer
-	enc := c.NewEncoder(&buf)
-	dec := c.NewDecoder(&buf)
+	enc := wire.Binary().NewEncoder(&buf)
+	dec := wire.Binary().NewDecoder(&buf)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,58 +168,55 @@ func benchmarkCodecRoundTrip(b *testing.B, c wire.Codec) {
 	}
 }
 
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	b.Run("gob", func(b *testing.B) { benchmarkCodecRoundTrip(b, wire.Gob()) })
-	b.Run("binary", func(b *testing.B) { benchmarkCodecRoundTrip(b, wire.Binary()) })
-}
-
-// FuzzCodecDifferential cross-checks the two codecs: any envelope the fuzzer
-// can build from a binary frame must round-trip byte-identically through gob
-// and through binary, and neither decoder may panic on the raw input.
+// FuzzCodecDifferential checks the codec against struct identity, the
+// difference being between what went into the encoder and what comes out of
+// the decoder: there is to be none. The decoder must not panic on raw input,
+// and any frame it accepts yields an envelope that survives
+// decode(encode(env)) == env field for field — all seven inline kinds, the
+// boxed refresh request and the payload-free ack are among the seeds. On the
+// byte side, re-encoding an accepted frame gives its canonical form: never
+// longer than the frame (the decoder tolerates encoding/binary's padded
+// varints and a spelled-out Max timestamp, the encoder emits neither), the
+// same bytes when equally long, and a fixed point from then on.
 func FuzzCodecDifferential(f *testing.F) {
+	encode := func(t testing.TB, env mutex.Envelope) []byte {
+		var buf bytes.Buffer
+		enc := wire.Binary().NewEncoder(&buf)
+		defer enc.Close()
+		if err := enc.Encode(env); err != nil {
+			t.Fatalf("encode %+v: %v", env, err)
+		}
+		return buf.Bytes()
+	}
 	for i, env := range wireEnvelopes() {
 		env.Resource = fmt.Sprintf("r%d", i%3)
 		env.From, env.To = mutex.SiteID(i), mutex.SiteID(i+1)
 		env.Seq, env.Ack = uint64(i*7), uint64(i*3)
-		var buf bytes.Buffer
-		enc := wire.Binary().NewEncoder(&buf)
-		if err := enc.Encode(env); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(encode(f, env))
 	}
+	f.Add(encode(f, mutex.Envelope{From: 4, To: 2, Ack: 9, Epoch: 3})) // standalone ack
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Stage 1: the binary decoder must never panic on raw fuzz input.
 		dec := wire.Binary().NewDecoder(bytes.NewReader(data))
 		env, err := dec.Decode()
+		dec.Close()
 		if err != nil {
 			return // malformed input is fine; panicking is not
 		}
-		// Stage 2: a successfully decoded envelope must survive both codecs
-		// unchanged — this is the gob↔binary differential check.
-		codecs := []wire.Codec{wire.Binary(), wire.Gob()}
-		if b := env.Body; b.Kind == mutex.BodyReply && b.Flag && b.Site2 == 0 && b.TS2 == (timestamp.Timestamp{}) {
-			// An all-zero piggybacked transfer is not a legal protocol
-			// value; the v0 boundary boxes it as a pointer to a zero struct,
-			// which gob's zero-field elision collapses to nil. Only the
-			// binary codec is required to carry it exactly.
-			codecs = codecs[:1]
+		canon := encode(t, env)
+		got, err := wire.Binary().NewDecoder(bytes.NewReader(canon)).Decode()
+		if err != nil {
+			t.Fatalf("re-encoded frame % x of %+v does not decode: %v", canon, env, err)
 		}
-		for _, c := range codecs {
-			want := env
-			if c.Name() == wire.Gob().Name() {
-				// The v0 gob frame is frozen for pre-handshake compatibility
-				// and predates membership stages, so it drops Epoch; only the
-				// v1 binary frame carries it.
-				want.Epoch = 0
-			}
-			got, err := wire.RoundTrip(c, env)
-			if err != nil {
-				t.Fatalf("%s: re-encode of decoded envelope failed: %v", c.Name(), err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: round-trip = %+v, want %+v", c.Name(), got, want)
-			}
+		if !reflect.DeepEqual(got, env) {
+			t.Errorf("round-trip = %+v, want %+v", got, env)
+		}
+		if again := encode(t, got); !bytes.Equal(again, canon) {
+			t.Errorf("canonical frame % x re-encodes as % x", canon, again)
+		}
+		n, k := binary.Uvarint(data) // the accepted frame: prefix + payload
+		accepted := data[:k+int(n)]
+		if len(canon) > len(accepted) || (len(canon) == len(accepted) && !bytes.Equal(canon, accepted)) {
+			t.Errorf("accepted frame % x re-encodes as % x", accepted, canon)
 		}
 	})
 }

@@ -16,9 +16,8 @@ const (
 	// fabric, optionally under a chaos plan.
 	DriverInproc = "inproc"
 	// DriverTCP runs all N sites in this process as real TCP peers over
-	// loopback — the negotiated wire codec (Config.Codec), per-destination
-	// writers, the reliability sublayer — with Config.HopDelay as the
-	// transport's link delay.
+	// loopback — the wire format, per-destination writers, the reliability
+	// sublayer — with Config.HopDelay as the transport's link delay.
 	DriverTCP = "tcp"
 	// DriverService runs the lock-service tier: N arbiters (dqmx.Serve)
 	// over loopback TCP plus Config.Clients leased sessions (dqmx.Dial)
@@ -27,19 +26,6 @@ const (
 	// quorum traffic per CS must stay flat as Clients grows.
 	DriverService = "service"
 )
-
-// wireCodecName canonicalizes a Config.Codec value, resolving the empty
-// default to the codec the transport would actually pick.
-func wireCodecName(name string) (string, error) {
-	c := dqmx.Codec(name)
-	if name == "" {
-		c = dqmx.BinaryCodec
-	}
-	if err := (dqmx.Options{Wire: dqmx.WireConfig{Codec: c}}).Validate(); err != nil {
-		return "", fmt.Errorf("loadgen: %w", err)
-	}
-	return string(c), nil
-}
 
 // driver abstracts the two fabrics behind the one operation the workers
 // need: a site's handle for a named lock. Handles are canonical per
@@ -80,7 +66,7 @@ func newDriver(cfg Config, sink obs.Sink) (driver, error) {
 				plan.MinDelay = cfg.HopDelay
 				plan.MaxDelay = cfg.HopDelay
 			}
-			opts.Chaos = &plan
+			opts.Faults.Chaos = &plan
 		}
 		c, err := dqmx.NewClusterWith(cfg.N, opts)
 		if err != nil {
@@ -88,16 +74,10 @@ func newDriver(cfg Config, sink obs.Sink) (driver, error) {
 		}
 		return &inprocDriver{cluster: c}, nil
 	case DriverTCP:
-		opts.Wire = dqmx.WireConfig{
-			Codec:     dqmx.Codec(cfg.Codec),
-			LinkDelay: cfg.HopDelay,
-		}
+		opts.Wire.LinkDelay = cfg.HopDelay
 		return newTCPDriver(cfg.N, opts)
 	case DriverService:
-		opts.Wire = dqmx.WireConfig{
-			Codec:     dqmx.Codec(cfg.Codec),
-			LinkDelay: cfg.HopDelay,
-		}
+		opts.Wire.LinkDelay = cfg.HopDelay
 		return newServiceDriver(cfg, opts)
 	}
 	return nil, fmt.Errorf("loadgen: unknown driver %q", cfg.Driver)

@@ -101,12 +101,9 @@ type Config struct {
 	Driver string
 	// Protocol and Quorum select the algorithm; both default to the paper's
 	// (delay-optimal over grid). Every protocol runs on both fabrics — each
-	// registers its wire messages with the codec layer.
+	// registers its messages with internal/wire.
 	Protocol string
 	Quorum   string
-	// Codec selects the TCP driver's wire codec ("binary" or "gob"; empty
-	// means binary). The in-process driver has no wire and rejects it.
-	Codec string
 	// N is the cluster size: sites for the site drivers, arbiters for the
 	// service driver.
 	N int
@@ -233,22 +230,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Drain == 0 {
 		c.Drain = 5 * time.Second
 	}
-	switch c.Driver {
-	case DriverTCP, DriverService:
-		if c.Chaos != nil {
-			return c, fmt.Errorf("loadgen: chaos plans apply to the in-process driver only")
-		}
-		// Resolve the codec name now so artifacts record the actual wire
-		// format, never an ambiguous empty string.
-		codec, err := wireCodecName(c.Codec)
-		if err != nil {
-			return c, err
-		}
-		c.Codec = codec
-	case DriverInproc:
-		if c.Codec != "" {
-			return c, fmt.Errorf("loadgen: wire codecs apply to the TCP driver only, got %q", c.Codec)
-		}
+	if c.Driver != DriverInproc && c.Chaos != nil {
+		return c, fmt.Errorf("loadgen: chaos plans apply to the in-process driver only")
 	}
 	if c.Reconfigure != 0 {
 		if c.Driver != DriverInproc {

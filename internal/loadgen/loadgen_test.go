@@ -3,6 +3,8 @@ package loadgen
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -147,22 +149,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{N: 9, Measure: time.Second, Driver: DriverTCP, Chaos: &ChaosPlanConfig{Drop: 0.1}}).withDefaults(); err == nil {
 		t.Error("TCP driver accepted a chaos plan")
 	}
-	if _, err := (Config{N: 9, Measure: time.Second, Driver: DriverTCP, Codec: "msgpack"}).withDefaults(); err == nil {
-		t.Error("TCP driver accepted an unknown codec")
-	}
-	if _, err := (Config{N: 9, Measure: time.Second, Codec: "binary"}).withDefaults(); err == nil {
-		t.Error("in-process driver accepted a wire codec")
-	}
-	tcp, err := (Config{N: 9, Measure: time.Second, Driver: DriverTCP}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tcp.Codec != "binary" {
-		t.Errorf("TCP default codec = %q, want binary", tcp.Codec)
-	}
-	if tcp, err := (Config{N: 9, Measure: time.Second, Driver: DriverTCP, Codec: "gob"}).withDefaults(); err != nil || tcp.Codec != "gob" {
-		t.Errorf("TCP gob codec: %v (codec %q)", err, tcp.Codec)
-	}
 	cfg, err := (Config{N: 9, Measure: time.Second}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -173,5 +159,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := (Config{N: 9, Measure: time.Second, Dist: DistZipf}).withDefaults(); err != nil {
 		t.Errorf("zipf default exponent rejected: %v", err)
+	}
+}
+
+// TestReadArtifactOldCodecField: artifacts written while a run could pick
+// its wire codec carry a "codec" key per run; they must still load.
+func TestReadArtifactOldCodecField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_live_old.json")
+	old := `{"schema": "` + SchemaVersion + `", "name": "old", "runs": [
+		{"driver": "tcp", "protocol": "delay-optimal", "quorum": "grid", "codec": "gob", "n": 9, "ops": 120}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Runs) != 1 || a.Runs[0].Driver != DriverTCP || a.Runs[0].N != 9 || a.Runs[0].Ops != 120 {
+		t.Errorf("old artifact read back as %+v", a.Runs)
 	}
 }

@@ -19,10 +19,7 @@ type Report struct {
 	Driver   string `json:"driver"`
 	Protocol string `json:"protocol"`
 	Quorum   string `json:"quorum"`
-	// Codec is the wire codec of a TCP run; empty for in-process runs,
-	// which have no wire.
-	Codec string `json:"codec,omitempty"`
-	N     int    `json:"n"`
+	N        int    `json:"n"`
 	// Clients is the leased-session count of a service run; zero for site
 	// drivers, whose population is the N sites themselves.
 	Clients   int     `json:"clients,omitempty"`
@@ -291,7 +288,6 @@ func Run(cfg Config) (*Report, error) {
 		Driver:     cfg.Driver,
 		Protocol:   protocolName(cfg.Protocol),
 		Quorum:     quorumName(cfg.Quorum),
-		Codec:      cfg.Codec,
 		N:          cfg.N,
 		Clients:    cfg.Clients,
 		Resources:  cfg.Resources,

@@ -20,14 +20,12 @@ func TestWireRoundTrip(t *testing.T) {
 		yieldMsg{ReqTS: ts},
 	} {
 		env := mutex.Envelope{From: 1, To: 2, Msg: msg}
-		for _, c := range []wire.Codec{wire.Binary(), wire.Gob()} {
-			got, err := wire.RoundTrip(c, env)
-			if err != nil {
-				t.Fatalf("%s: %T: %v", c.Name(), msg, err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Errorf("%s: %T: got %+v, want %+v", c.Name(), msg, got, env)
-			}
+		got, err := wire.RoundTrip(env)
+		if err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Errorf("%T: got %+v, want %+v", msg, got, env)
 		}
 	}
 }

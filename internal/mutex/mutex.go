@@ -47,8 +47,7 @@ type Message interface {
 // sublayer (internal/transport): Seq is the envelope's position in its
 // (From, To) stream (0 means unsequenced transport-level traffic), Ack is
 // the cumulative acknowledgement piggybacked for the reverse stream. State
-// machines never read or set either field; the zero values keep the gob
-// wire format byte-compatible with pre-reliability peers.
+// machines never read or set either field.
 //
 // Epoch is the sender's membership stage (internal/membership.Stage): 0
 // until a cluster has ever reconfigured, then the totally ordered stamp of
@@ -56,8 +55,7 @@ type Message interface {
 // transport metadata — stamped by the per-resource sender, read by
 // transports to detect laggards (a frame stamped below the receiver's
 // stage is answered with the current configuration) — and never touched by
-// the state machines. The zero value keeps gob streams from pre-epoch
-// peers decodable.
+// the state machines.
 //
 // The payload is either Body (a §3.1 control message, by value) or Msg (any
 // other Message), never both; a standalone ack frame has neither. Code that

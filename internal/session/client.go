@@ -11,7 +11,6 @@ import (
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 	"dqmx/internal/transport"
-	"dqmx/internal/wire"
 )
 
 // Terminal client errors.
@@ -44,8 +43,6 @@ type ClientConfig struct {
 	// Addrs lists the arbiters' client-facing addresses; the client
 	// attaches to the first reachable one and fails over along the list.
 	Addrs []string
-	// Codec names the wire codec to propose ("" = binary).
-	Codec string
 	// Lease is the requested lease TTL (DefaultClientLease when zero). The
 	// server may cap it; the granted TTL governs.
 	Lease time.Duration
@@ -102,9 +99,8 @@ type call struct {
 // reclaims them at lease expiry, and Release on a lost handle returns
 // resource.ErrLockLost (the handle itself stays usable for re-acquisition).
 type Client struct {
-	cfg   ClientConfig
-	codec wire.Codec
-	mgr   *resource.Manager
+	cfg ClientConfig
+	mgr *resource.Manager
 
 	mu sync.Mutex
 	// conn is the attached stream (nil while reconnecting); attachC is
@@ -150,10 +146,6 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("session: no arbiter addresses")
 	}
-	codec, err := wire.ForName(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultClientLease
 	}
@@ -162,7 +154,6 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		cfg:         cfg,
-		codec:       codec,
 		attachC:     make(chan struct{}),
 		attachArmed: true,
 		serverHeld:  make(map[string]bool),
@@ -381,7 +372,7 @@ func (c *Client) dialOne(addr string) (sc *sessionConn, grant grantMsg, helloSen
 	if err != nil {
 		return nil, grantMsg{}, time.Time{}, err
 	}
-	sc, err = clientHandshake(nc, c.codec, c.cfg.DialTimeout)
+	sc, err = clientHandshake(nc, c.cfg.DialTimeout)
 	if err != nil {
 		nc.Close()
 		return nil, grantMsg{}, time.Time{}, err

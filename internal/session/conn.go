@@ -2,8 +2,6 @@ package session
 
 import (
 	"bufio"
-	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -12,22 +10,12 @@ import (
 	"dqmx/internal/wire"
 )
 
-// The session handshake mirrors the transport's peer preamble but uses its
-// own magic so a client that dials a peer port (or vice versa) fails loudly
-// instead of desynchronizing two different stream grammars. Unlike peer
-// links — which are unidirectional, one encoder per outbound connection —
-// a session connection is duplex: the client opens with
-//
-//	0x00 'D' 'Q' 'S' <max version>
-//
-// and the server answers one byte, min(client max, server max); both sides
-// then stack an encoder *and* a decoder of the negotiated codec on the same
-// connection. There is no version-0 sniffing fallback: sessions postdate
-// the binary codec, so every client speaks the preamble.
-const (
-	preambleByte  = 0x00
-	preambleMagic = "DQS"
-)
+// The session handshake is the transport's (wire.Offer / wire.Accept) under
+// its own magic, wire.MagicSession, so a client that dials a peer port (or
+// vice versa) fails loudly instead of desynchronizing two different stream
+// grammars. Unlike peer links — which are unidirectional, one encoder per
+// outbound connection — a session connection is duplex: once the handshake
+// is through, both sides stack an encoder *and* a decoder on it.
 
 // writeTimeout bounds any single frame write so a dead client cannot wedge
 // an arbiter goroutine beyond it; the lease machinery handles the rest.
@@ -44,78 +32,36 @@ const writeTimeout = 10 * time.Second
 type sessionConn struct {
 	c   net.Conn
 	bw  *bufio.Writer
-	enc wire.Encoder
-	dec wire.Decoder
+	enc *wire.Encoder
+	dec *wire.Decoder
 
 	wmu    sync.Mutex
 	closed bool // guarded by wmu; fences sends against encoder teardown
 }
 
-// clientHandshake negotiates the stream from the dialing side.
-func clientHandshake(c net.Conn, codec wire.Codec, timeout time.Duration) (*sessionConn, error) {
-	deadline := time.Now().Add(timeout)
-	if err := c.SetDeadline(deadline); err != nil {
+// clientHandshake opens the stream from the dialing side.
+func clientHandshake(c net.Conn, timeout time.Duration) (*sessionConn, error) {
+	if err := wire.Offer(c, wire.MagicSession, timeout); err != nil {
 		return nil, err
 	}
-	pre := []byte{preambleByte, preambleMagic[0], preambleMagic[1], preambleMagic[2], codec.Version()}
-	if _, err := c.Write(pre); err != nil {
-		return nil, fmt.Errorf("session: handshake write: %w", err)
-	}
-	var v [1]byte
-	if _, err := io.ReadFull(c, v[:]); err != nil {
-		return nil, fmt.Errorf("session: handshake read: %w", err)
-	}
-	if v[0] > codec.Version() {
-		return nil, fmt.Errorf("session: server answered version %d above our %d", v[0], codec.Version())
-	}
-	negotiated, err := wire.ForVersion(v[0])
-	if err != nil {
-		return nil, err
-	}
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return nil, err
-	}
-	return newSessionConn(c, negotiated), nil
+	return newSessionConn(c), nil
 }
 
-// serverHandshake negotiates the stream from the accepting side. maxCodec
-// caps the version the server will speak.
-func serverHandshake(c net.Conn, maxCodec wire.Codec, timeout time.Duration) (*sessionConn, error) {
-	deadline := time.Now().Add(timeout)
-	if err := c.SetDeadline(deadline); err != nil {
+// serverHandshake opens the stream from the accepting side.
+func serverHandshake(c net.Conn, timeout time.Duration) (*sessionConn, error) {
+	if err := wire.Accept(c, wire.MagicSession, timeout); err != nil {
 		return nil, err
 	}
-	var pre [5]byte
-	if _, err := io.ReadFull(c, pre[:]); err != nil {
-		return nil, fmt.Errorf("session: preamble read: %w", err)
-	}
-	if pre[0] != preambleByte || string(pre[1:4]) != preambleMagic {
-		return nil, fmt.Errorf("session: bad preamble % x (not a session client)", pre[:4])
-	}
-	v := pre[4]
-	if v > maxCodec.Version() {
-		v = maxCodec.Version()
-	}
-	negotiated, err := wire.ForVersion(v)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Write([]byte{v}); err != nil {
-		return nil, fmt.Errorf("session: handshake write: %w", err)
-	}
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return nil, err
-	}
-	return newSessionConn(c, negotiated), nil
+	return newSessionConn(c), nil
 }
 
-func newSessionConn(c net.Conn, codec wire.Codec) *sessionConn {
+func newSessionConn(c net.Conn) *sessionConn {
 	bw := bufio.NewWriter(c)
 	return &sessionConn{
 		c:   c,
 		bw:  bw,
-		enc: codec.NewEncoder(bw),
-		dec: codec.NewDecoder(bufio.NewReader(c)),
+		enc: wire.Binary().NewEncoder(bw),
+		dec: wire.Binary().NewDecoder(c),
 	}
 }
 
@@ -149,13 +95,9 @@ func (sc *sessionConn) close() {
 	sc.wmu.Lock()
 	if !sc.closed {
 		sc.closed = true
-		if cl, ok := sc.enc.(io.Closer); ok {
-			cl.Close()
-		}
+		sc.enc.Close()
 	}
 	sc.wmu.Unlock()
-	if cl, ok := sc.dec.(io.Closer); ok {
-		cl.Close()
-	}
+	sc.dec.Close()
 	sc.c.Close()
 }

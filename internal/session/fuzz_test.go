@@ -48,19 +48,16 @@ func sessionSeedFrames() [][]mutex.Envelope {
 
 func sessionSeeds(t testing.TB) [][]byte {
 	t.Helper()
-	codec := wire.Binary()
 	var seeds [][]byte
 	for _, envs := range sessionSeedFrames() {
 		var buf bytes.Buffer
-		enc := codec.NewEncoder(&buf)
+		enc := wire.Binary().NewEncoder(&buf)
 		for _, env := range envs {
 			if err := enc.Encode(env); err != nil {
 				t.Fatalf("encode seed: %v", err)
 			}
 		}
-		if cl, ok := enc.(io.Closer); ok {
-			cl.Close()
-		}
+		enc.Close()
 		seeds = append(seeds, buf.Bytes())
 	}
 	return seeds
@@ -96,19 +93,16 @@ func FuzzSessionFrame(f *testing.F) {
 	}
 	f.Cleanup(srv.Close)
 	addr := ln.Addr().String()
-	codec := wire.Binary()
 
 	// A pre-encoded valid hello binds each fuzz connection to a session, so
 	// the fuzz bytes land on the attached read loop — the full dispatch
 	// surface — not just the handshake rejector.
 	var helloBuf bytes.Buffer
-	enc := codec.NewEncoder(&helloBuf)
+	enc := wire.Binary().NewEncoder(&helloBuf)
 	if err := enc.Encode(envelope("", helloMsg{TTLMillis: 100})); err != nil {
 		f.Fatal(err)
 	}
-	if cl, ok := enc.(io.Closer); ok {
-		cl.Close()
-	}
+	enc.Close()
 	helloBytes := helloBuf.Bytes()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -118,7 +112,7 @@ func FuzzSessionFrame(f *testing.F) {
 		}
 		defer nc.Close()
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := nc.Write([]byte{preambleByte, preambleMagic[0], preambleMagic[1], preambleMagic[2], codec.Version()}); err != nil {
+		if _, err := nc.Write([]byte{0x00, 'D', 'Q', wire.MagicSession, wire.Version}); err != nil {
 			t.Fatalf("preamble: %v", err)
 		}
 		var v [1]byte

@@ -17,7 +17,7 @@
 // therefore the bounded window of the tentpole guarantee: a crashed
 // client's lock is re-granted within lease + protocol-handoff time.
 //
-// The wire format reuses the transport's envelope codecs: session frames
+// The wire format is the transport's (internal/wire): session frames
 // are mutex.Envelopes whose Msg is one of the session message types below,
 // registered with internal/wire in the session tag range (48–55). The
 // Resource field names the lock a frame is about; session identity rides in

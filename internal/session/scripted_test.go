@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dqmx/internal/wire"
 )
 
 // rawSession dials an arbiter and completes the handshake and hello by hand,
@@ -20,7 +18,7 @@ func rawSession(t *testing.T, addr string) *sessionConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := clientHandshake(nc, wire.Binary(), 5*time.Second)
+	sc, err := clientHandshake(nc, 5*time.Second)
 	if err != nil {
 		nc.Close()
 		t.Fatal(err)
@@ -120,7 +118,7 @@ func fakeArbiter(t *testing.T, serve func(n int, sc *sessionConn, hello helloMsg
 			wg.Add(1)
 			go func(n int) {
 				defer wg.Done()
-				sc, err := serverHandshake(nc, wire.Binary(), 5*time.Second)
+				sc, err := serverHandshake(nc, 5*time.Second)
 				if err != nil {
 					nc.Close()
 					return

@@ -12,7 +12,6 @@ import (
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 	"dqmx/internal/resource"
-	"dqmx/internal/wire"
 )
 
 // Locker is the arbiter-side lock surface the session server drives: any
@@ -65,9 +64,6 @@ type ServerConfig struct {
 	// Listener accepts client connections (required). The server owns it
 	// and closes it on Close.
 	Listener net.Listener
-	// Codec caps the wire version spoken to clients; nil means the default
-	// (binary). Accepted by name to mirror the transport's WireConfig.
-	Codec string
 	// Lease is the default lease TTL (DefaultLease when zero); MaxLease
 	// caps client-requested TTLs (DefaultMaxLease when zero).
 	Lease    time.Duration
@@ -105,7 +101,6 @@ type Stats struct {
 // Server serves leased lock sessions for one arbiter site.
 type Server struct {
 	cfg   ServerConfig
-	codec wire.Codec
 	epoch time.Time
 
 	mu       sync.Mutex
@@ -168,10 +163,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Listener == nil {
 		return nil, errors.New("session: ServerConfig.Listener is required")
 	}
-	codec, err := wire.ForName(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultLease
 	}
@@ -192,7 +183,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv := &Server{
 		cfg:      cfg,
-		codec:    codec,
 		epoch:    time.Now(),
 		sessions: make(map[uint64]*serverSession),
 		// Session IDs start at a time-derived offset so IDs from a previous
@@ -332,7 +322,7 @@ func (srv *Server) teardown(s *serverSession, expired bool, reason string) {
 // or reattached), and runs its read loop.
 func (srv *Server) handleConn(c net.Conn) {
 	defer srv.wg.Done()
-	sc, err := serverHandshake(c, srv.codec, srv.cfg.HandshakeTimeout)
+	sc, err := serverHandshake(c, srv.cfg.HandshakeTimeout)
 	if err != nil {
 		c.Close()
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"dqmx/internal/obs"
 	"dqmx/internal/resource"
 	"dqmx/internal/transport"
+	"dqmx/internal/wire"
 )
 
 // startArbiters builds an n-site in-process cluster (optionally under a
@@ -215,7 +217,11 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	if st.Expired == 0 || st.Reclaimed == 0 {
 		t.Fatalf("arbiter stats = %+v, want expiry + reclaim recorded", st)
 	}
+	// The arbiter emits the events after the release that woke the waiter.
 	snap := metrics.Snapshot()
+	for deadline := time.Now().Add(2 * time.Second); snap.Sessions.Expired == 0 && time.Now().Before(deadline); snap = metrics.Snapshot() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if snap.Sessions.Expired == 0 || snap.Sessions.LocksReclaimed == 0 {
 		t.Fatalf("metrics sessions = %+v, want expiry + reclaim events", snap.Sessions)
 	}
@@ -348,20 +354,58 @@ func TestTryAcquireContention(t *testing.T) {
 
 func TestBadPreambleRejected(t *testing.T) {
 	addrs, srvs := startArbiters(t, 3, []int{0}, time.Second, nil, nil)
-	nc, err := net.Dial("tcp", addrs[0])
+	before := runtime.NumGoroutine()
+	for _, opening := range [][]byte{
+		[]byte("GET / HTTP/1.0\r\n\r\n"),
+		{0x35, 0xff, 0x00, 0x01},               // a wire-v0 gob stream
+		{0x00, 'D', 'Q', wire.MagicSession, 0}, // version 0 in a preamble
+		{0x00, 'D', 'Q', wire.MagicPeer, 1},    // a peer site on the client port
+	} {
+		nc, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := nc.Read(make([]byte, 64)); n != 0 || err == nil {
+			// Any bytes back would mean the server spoke to a non-client.
+			t.Errorf("opening % x: server answered %d bytes (err %v)", opening, n, err)
+		}
+		nc.Close()
+	}
+	// Nothing of the refused connections stays behind.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the refusals, %d before", n, before)
+	}
+
+	// The reverse mistake, a session client on a peer port, fails at the
+	// handshake instead of feeding session frames to a site.
+	sites, err := core.Algorithm{}.NewSites(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := transport.NewTCPPeer(sites[0], "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	nc, err := net.Dial("tcp", peer.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	if _, err := clientHandshake(nc, 5*time.Second); err == nil {
+		t.Error("session handshake succeeded against a peer port")
+	} else if d := time.Since(start); d > time.Second {
+		t.Errorf("refusal by the peer port took %v", d)
 	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	if _, err := nc.Read(buf); err == nil {
-		// Any bytes back would mean the server spoke to a non-client.
-		t.Fatal("server answered a bad preamble")
-	}
+
 	// The server survives hostile connections.
 	c := dialClient(t, addrs, time.Second)
 	if c.ID() == 0 {

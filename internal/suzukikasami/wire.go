@@ -36,8 +36,9 @@ func init() {
 			return b
 		},
 		func(r *wire.Reader) (mutex.Message, error) {
-			// Empty slices decode to nil, matching what a gob round-trip
-			// produces, so the differential fuzzer sees identical envelopes.
+			// Empty slices decode to nil: the wire cannot tell an empty
+			// slice from none, and the zero-valued token is what a fresh
+			// site holds, so a round trip hands back an equal envelope.
 			var v tokenMsg
 			if n := r.Len(); n > 0 {
 				v.LN = make([]uint64, n)

@@ -2,17 +2,15 @@ package transport
 
 // White-box benchmark of the per-destination TCP writer: a flood of
 // transport-level envelopes from one peer to a sink peer over real loopback,
-// measuring the allocation cost of the enqueue → encode → flush path under
-// each wire codec. The queue double-buffering, bufio.Writer recycling, and
-// the binary codec's pooled scratch exist for this number; run with
-// -benchmem to see it, or `make bench-codec` for the gob-vs-binary A/B.
+// measuring the allocation cost of the enqueue → encode → flush path. The
+// queue double-buffering, bufio.Writer recycling, and the encoder's pooled
+// scratch exist for this number; run with -benchmem to see it.
 
 import (
 	"testing"
 	"time"
 
 	"dqmx/internal/mutex"
-	"dqmx/internal/wire"
 )
 
 // benchSite is an inert protocol site: the benchmark traffic is transport
@@ -26,12 +24,11 @@ func (benchSite) Deliver(mutex.Envelope) mutex.Output { return mutex.Output{} }
 func (benchSite) InCS() bool                          { return false }
 func (benchSite) Pending() bool                       { return false }
 
-func benchmarkTCPWriter(b *testing.B, codec wire.Codec) {
+func BenchmarkTCPWriter(b *testing.B) {
 	sinkCfg := TCPConfig{
 		Self:       1,
 		Factory:    func(string) (mutex.Site, error) { return benchSite{id: 1}, nil },
 		ListenAddr: "127.0.0.1:0",
-		Wire:       WireConfig{Codec: codec},
 	}
 	sink, err := NewTCPPeerConfig(sinkCfg)
 	if err != nil {
@@ -43,7 +40,6 @@ func benchmarkTCPWriter(b *testing.B, codec wire.Codec) {
 		Factory:    func(string) (mutex.Site, error) { return benchSite{id: 0}, nil },
 		ListenAddr: "127.0.0.1:0",
 		Peers:      map[mutex.SiteID]string{1: sink.Addr()},
-		Wire:       WireConfig{Codec: codec},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -75,9 +71,4 @@ func benchmarkTCPWriter(b *testing.B, codec wire.Codec) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-}
-
-func BenchmarkTCPWriter(b *testing.B) {
-	b.Run("gob", func(b *testing.B) { benchmarkTCPWriter(b, wire.Gob()) })
-	b.Run("binary", func(b *testing.B) { benchmarkTCPWriter(b, wire.Binary()) })
 }

@@ -1,14 +1,6 @@
 package transport
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
-	"time"
-
-	"dqmx/internal/wire"
-)
+import "time"
 
 // Defaults for the reconnect policy of broken outbound connections: a bounded
 // exponential-backoff dial loop, so a transient peer restart is absorbed by
@@ -22,15 +14,10 @@ const (
 	reconnectMax      = 500 * time.Millisecond
 )
 
-// WireConfig gathers every knob of the byte layer under one roof: which
-// codec frames envelopes, the synthetic per-hop latency, and the reconnect
-// policy. The zero value means "binary codec, no delay, default reconnect
-// policy"; withDefaults resolves it.
+// WireConfig gathers the knobs of the byte layer under one roof: the
+// synthetic per-hop latency and the reconnect policy. The zero value means
+// "no delay, default reconnect policy"; withDefaults resolves it.
 type WireConfig struct {
-	// Codec frames envelopes on TCP connections. Nil selects the binary
-	// wire-v1 codec; pin wire.Gob() to interoperate with peers that predate
-	// the handshake (they speak raw gob and nothing else).
-	Codec wire.Codec
 	// LinkDelay, when positive, holds every outbound batch for that long
 	// before it reaches the wire — a deterministic per-hop latency for
 	// benchmarking on loopback, where the real network delay is too small
@@ -50,9 +37,6 @@ type WireConfig struct {
 
 // withDefaults resolves the zero values.
 func (c WireConfig) withDefaults() WireConfig {
-	if c.Codec == nil {
-		c.Codec = wire.Binary()
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = dialTimeout
 	}
@@ -66,108 +50,4 @@ func (c WireConfig) withDefaults() WireConfig {
 		c.ReconnectMax = reconnectMax
 	}
 	return c
-}
-
-// Connection handshake. A sender offering wire version ≥1 opens with a
-// 5-byte preamble — 0x00, "DQX", offered version — and waits for the
-// receiver's 1-byte answer: min(offered, receiver's own version). Both sides
-// then speak the answered version. A v0 (gob) sender writes no preamble at
-// all: its stream is byte-identical to the pre-handshake wire format, which
-// is what lets it talk to peers that predate the handshake entirely. The
-// receiver tells the two cases apart by the first byte — a gob stream opens
-// with a non-zero message length, so 0x00 can only be a preamble.
-const (
-	preambleByte = 0x00
-	preambleLen  = 5
-)
-
-var preambleMagic = [3]byte{'D', 'Q', 'X'}
-
-// negotiateOutbound runs the dialer's half of the handshake on a fresh
-// connection and returns the encoder for the negotiated version. bw must be
-// a fresh bufio.Writer onto conn. On error the connection is unusable.
-func negotiateOutbound(conn net.Conn, bw *bufio.Writer, local wire.Codec, timeout time.Duration) (wire.Encoder, error) {
-	if local.Version() == wire.VersionGob {
-		return local.NewEncoder(bw), nil
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	pre := [preambleLen]byte{preambleByte, preambleMagic[0], preambleMagic[1], preambleMagic[2], local.Version()}
-	if _, err := bw.Write(pre[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	var reply [1]byte
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		return nil, fmt.Errorf("transport: handshake reply: %w", err)
-	}
-	if reply[0] > local.Version() {
-		return nil, fmt.Errorf("transport: peer answered wire version %d above offered %d", reply[0], local.Version())
-	}
-	codec, err := wire.ForVersion(reply[0])
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return nil, err
-	}
-	return codec.NewEncoder(bw), nil
-}
-
-// negotiateInbound runs the listener's half: it sniffs the first byte to
-// tell a preamble from a bare gob stream, answers the version pick, and
-// returns the decoder for whatever the connection will carry. br must be a
-// fresh bufio.Reader over conn.
-func negotiateInbound(conn net.Conn, br *bufio.Reader, local wire.Codec, timeout time.Duration) (wire.Decoder, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if first[0] != preambleByte {
-		// A peer that sent no preamble speaks raw gob, old build or pinned.
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
-		return wire.Gob().NewDecoder(br), nil
-	}
-	var pre [preambleLen]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return nil, err
-	}
-	if [3]byte{pre[1], pre[2], pre[3]} != preambleMagic {
-		return nil, fmt.Errorf("transport: bad handshake magic %q", pre[1:4])
-	}
-	offered := pre[4]
-	if offered == wire.VersionGob {
-		return nil, fmt.Errorf("transport: preamble offered wire version 0 (v0 senders send no preamble)")
-	}
-	answer := offered
-	if v := local.Version(); v < answer {
-		answer = v
-	}
-	if _, err := conn.Write([]byte{answer}); err != nil {
-		return nil, err
-	}
-	codec, err := wire.ForVersion(answer)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return nil, err
-	}
-	return codec.NewDecoder(br), nil
-}
-
-// closeCodec returns an encoder's or decoder's pooled scratch, if it holds
-// any, when its connection dies.
-func closeCodec(v any) {
-	if c, ok := v.(io.Closer); ok {
-		_ = c.Close()
-	}
 }

@@ -1,198 +1,245 @@
 package transport
 
-// Handshake negotiation unit tests over net.Pipe, plus a mixed-version
-// cluster interop test: a peer pinned to the v0 gob codec and peers on the
-// default v1 binary codec must agree pairwise on every connection and still
-// run the protocol correctly in both directions.
+// Handshake unit tests over net.Pipe — the golden bytes under both magics,
+// and every stranger the handshake turns away — plus one against a live
+// peer's listener: a refused connection is closed and leaves nothing behind.
 
 import (
-	"bufio"
-	"context"
+	"bytes"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"dqmx/internal/core"
-	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/wire"
 )
 
-// handshakeResult is one side's outcome, delivered on a channel because the
-// two halves must run concurrently: a v0 dialer sends no preamble, so the
-// listener's sniff only returns once the first real frame is flushed.
-type handshakeResult[T any] struct {
-	v   T
-	err error
+// rawDialer plays a dialer that writes opening and, when answer is not nil,
+// expects exactly those bytes back; it returns the pipe's listening end.
+func rawDialer(t *testing.T, opening, answer []byte) net.Conn {
+	t.Helper()
+	cs, ls := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cs.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := cs.Write(opening); err != nil {
+			return // the listener hung up mid-opening, as a refusal may
+		}
+		if answer == nil {
+			if n, _ := cs.Read(make([]byte, 1)); n != 0 {
+				t.Errorf("opening % x was answered", opening)
+			}
+			return
+		}
+		got := make([]byte, len(answer))
+		if _, err := io.ReadFull(cs, got); err != nil || !bytes.Equal(got, answer) {
+			t.Errorf("opening % x: answer % x (%v), want % x", opening, got, err, answer)
+		}
+	}()
+	// Both ends stay open until the test is over: a pipe refuses even
+	// SetDeadline once its far end has closed.
+	t.Cleanup(func() {
+		ls.Close()
+		<-done // no goroutine outlives a refused handshake
+		cs.Close()
+	})
+	return ls
+}
+
+// rawListener plays a listener that expects exactly the given preamble and
+// answers with answer; it returns the pipe's dialing end.
+func rawListener(t *testing.T, preamble, answer []byte) net.Conn {
+	t.Helper()
+	cs, ls := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ls.SetDeadline(time.Now().Add(5 * time.Second))
+		got := make([]byte, len(preamble))
+		if _, err := io.ReadFull(ls, got); err != nil || !bytes.Equal(got, preamble) {
+			t.Errorf("preamble % x (%v), want % x", got, err, preamble)
+			return
+		}
+		ls.Write(answer)
+	}()
+	t.Cleanup(func() {
+		cs.Close()
+		<-done
+		ls.Close()
+	})
+	return cs
 }
 
 func TestHandshakeNegotiation(t *testing.T) {
-	cases := []struct {
-		name             string
-		dialer, listener wire.Codec
-		wantEnc, wantDec string
-	}{
-		{"binary-binary", wire.Binary(), wire.Binary(), "*wire.binaryEncoder", "*wire.binaryDecoder"},
-		{"binary-gob", wire.Binary(), wire.Gob(), "*wire.gobEncoder", "*wire.gobDecoder"},
-		{"gob-binary", wire.Gob(), wire.Binary(), "*wire.gobEncoder", "*wire.gobDecoder"},
-		{"gob-gob", wire.Gob(), wire.Gob(), "*wire.gobEncoder", "*wire.gobDecoder"},
+	magics := []struct {
+		name  string
+		magic byte
+	}{{"peer", wire.MagicPeer}, {"session", wire.MagicSession}}
+
+	// The handshake's bytes, pinned: 00 'D' 'Q' <magic> 01, answered 01.
+	golden := map[byte][]byte{
+		wire.MagicPeer:    {0x00, 0x44, 0x51, 0x58, 0x01},
+		wire.MagicSession: {0x00, 0x44, 0x51, 0x53, 0x01},
 	}
-	env := mutex.Envelope{Resource: "hs", From: 1, To: 2, Msg: mutex.FailureMsg{Failed: 3}, Seq: 4, Ack: 5}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+
+	t.Run("binary-binary", func(t *testing.T) {
+		env := mutex.Envelope{Resource: "hs", From: 1, To: 2, Msg: mutex.FailureMsg{Failed: 3}, Seq: 4, Ack: 5, Epoch: 6}
+		for _, m := range magics {
+			if err := wire.Accept(rawDialer(t, golden[m.magic], []byte{1}), m.magic, time.Second); err != nil {
+				t.Errorf("%s: Accept of the golden preamble: %v", m.name, err)
+			}
+			if err := wire.Offer(rawListener(t, golden[m.magic], []byte{1}), m.magic, time.Second); err != nil {
+				t.Errorf("%s: Offer against the golden answer: %v", m.name, err)
+			}
+			// Both real halves, then a frame across the negotiated stream.
 			cs, ls := net.Pipe()
 			defer cs.Close()
 			defer ls.Close()
-			// The dialer side: handshake, then immediately encode + flush the
-			// first frame — the flush is what lets a v0 listener sniff.
-			bw := bufio.NewWriter(cs)
-			sendC := make(chan handshakeResult[wire.Encoder], 1)
+			sent := make(chan error, 1)
 			go func() {
-				enc, err := negotiateOutbound(cs, bw, tc.dialer, time.Second)
+				err := wire.Offer(cs, m.magic, time.Second)
 				if err == nil {
-					if err = enc.Encode(env); err == nil {
-						err = bw.Flush()
-					}
+					enc := wire.Binary().NewEncoder(cs)
+					defer enc.Close()
+					err = enc.Encode(env)
 				}
-				sendC <- handshakeResult[wire.Encoder]{enc, err}
+				sent <- err
 			}()
-			dec, err := negotiateInbound(ls, bufio.NewReader(ls), tc.listener, time.Second)
-			if err != nil {
-				t.Fatalf("inbound handshake: %v", err)
+			if err := wire.Accept(ls, m.magic, time.Second); err != nil {
+				t.Fatalf("%s: inbound handshake: %v", m.name, err)
 			}
-			defer closeCodec(dec)
+			dec := wire.Binary().NewDecoder(ls)
+			defer dec.Close()
 			got, err := dec.Decode()
 			if err != nil {
-				t.Fatalf("decode: %v", err)
+				t.Fatalf("%s: decode: %v", m.name, err)
 			}
-			sent := <-sendC
-			if sent.err != nil {
-				t.Fatalf("outbound handshake/encode: %v", sent.err)
-			}
-			defer closeCodec(sent.v)
-			if gotT := reflect.TypeOf(sent.v).String(); gotT != tc.wantEnc {
-				t.Errorf("encoder = %s, want %s", gotT, tc.wantEnc)
-			}
-			if gotT := reflect.TypeOf(dec).String(); gotT != tc.wantDec {
-				t.Errorf("decoder = %s, want %s", gotT, tc.wantDec)
+			if err := <-sent; err != nil {
+				t.Fatalf("%s: outbound handshake/encode: %v", m.name, err)
 			}
 			if !reflect.DeepEqual(got, env) {
-				t.Errorf("round-trip = %+v, want %+v", got, env)
+				t.Errorf("%s: round-trip = %+v, want %+v", m.name, got, env)
 			}
-		})
-	}
+		}
+	})
+
+	t.Run("offered-2-answers-1", func(t *testing.T) {
+		for _, m := range magics {
+			opening := append(append([]byte(nil), golden[m.magic][:4]...), 2)
+			if err := wire.Accept(rawDialer(t, opening, []byte{1}), m.magic, time.Second); err != nil {
+				t.Errorf("%s: a newer dialer was refused: %v", m.name, err)
+			}
+		}
+	})
+
+	t.Run("offered-0", func(t *testing.T) {
+		for _, m := range magics {
+			opening := append(append([]byte(nil), golden[m.magic][:4]...), 0)
+			err := wire.Accept(rawDialer(t, opening, nil), m.magic, time.Second)
+			if !errors.Is(err, wire.ErrV0Retired) {
+				t.Errorf("%s: offered version 0: %v, want ErrV0Retired", m.name, err)
+			}
+		}
+	})
+
+	t.Run("answered-0", func(t *testing.T) {
+		for _, m := range magics {
+			err := wire.Offer(rawListener(t, golden[m.magic], []byte{0}), m.magic, time.Second)
+			if !errors.Is(err, wire.ErrV0Retired) {
+				t.Errorf("%s: answered version 0: %v, want ErrV0Retired", m.name, err)
+			}
+		}
+	})
+
+	t.Run("answered-above-offer", func(t *testing.T) {
+		err := wire.Offer(rawListener(t, golden[wire.MagicPeer], []byte{2}), wire.MagicPeer, time.Second)
+		if err == nil || errors.Is(err, wire.ErrV0Retired) {
+			t.Errorf("answered version 2 to an offer of 1: %v", err)
+		}
+	})
+
+	// A v0 peer sent no preamble: its stream opened with a gob message
+	// length, never 0x00. One such byte is enough to be refused — the
+	// listener does not wait out its timeout for four more.
+	t.Run("gob-opening-byte", func(t *testing.T) {
+		for _, m := range magics {
+			start := time.Now()
+			err := wire.Accept(rawDialer(t, []byte{0x35}, nil), m.magic, 5*time.Second)
+			if !errors.Is(err, wire.ErrV0Retired) {
+				t.Errorf("%s: gob opening byte: %v, want ErrV0Retired", m.name, err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("%s: refusal took %v", m.name, d)
+			}
+		}
+	})
+
+	// A session client on a peer port, and a peer on a session port.
+	t.Run("wrong-magic", func(t *testing.T) {
+		for _, tc := range []struct{ dialer, listener byte }{
+			{wire.MagicSession, wire.MagicPeer},
+			{wire.MagicPeer, wire.MagicSession},
+		} {
+			err := wire.Accept(rawDialer(t, golden[tc.dialer], nil), tc.listener, time.Second)
+			if err == nil || errors.Is(err, wire.ErrV0Retired) || !strings.Contains(err.Error(), "magic") {
+				t.Errorf("dialer %q on a %q port: %v, want a magic mismatch", tc.dialer, tc.listener, err)
+			}
+		}
+	})
 }
 
 func TestHandshakeRejectsGarbage(t *testing.T) {
 	// A preamble with bad magic must fail the inbound side.
-	cs, ls := net.Pipe()
-	defer cs.Close()
-	defer ls.Close()
-	go func() {
-		_, _ = cs.Write([]byte{0x00, 'X', 'X', 'X', 1})
-	}()
-	if _, err := negotiateInbound(ls, bufio.NewReader(ls), wire.Binary(), time.Second); err == nil {
+	if err := wire.Accept(rawDialer(t, []byte{0x00, 'X', 'X', 'X', 1}, nil), wire.MagicPeer, time.Second); err == nil {
 		t.Error("bad magic accepted")
 	}
 
-	// A preamble offering version 0 is a protocol violation (v0 senders send
-	// no preamble at all).
-	cs2, ls2 := net.Pipe()
-	defer cs2.Close()
-	defer ls2.Close()
-	go func() {
-		_, _ = cs2.Write([]byte{0x00, 'D', 'Q', 'X', 0})
-	}()
-	if _, err := negotiateInbound(ls2, bufio.NewReader(ls2), wire.Binary(), time.Second); err == nil {
-		t.Error("version-0 preamble accepted")
-	}
-
 	// Silence must time out, not hang the read loop forever.
-	cs3, ls3 := net.Pipe()
-	defer cs3.Close()
-	defer ls3.Close()
+	cs, ls := net.Pipe()
+	defer cs.Close()
+	defer ls.Close()
 	start := time.Now()
-	if _, err := negotiateInbound(ls3, bufio.NewReader(ls3), wire.Binary(), 50*time.Millisecond); err == nil {
+	if err := wire.Accept(ls, wire.MagicPeer, 50*time.Millisecond); err == nil {
 		t.Error("silent connection accepted")
 	} else if time.Since(start) > 2*time.Second {
 		t.Error("handshake timeout did not bound the wait")
 	}
-}
 
-// newTCPClusterWithCodecs builds an n-peer TCP cluster where peer i uses
-// codecs[i], using the two-pass ephemeral-port wiring from TestTCPCluster.
-func newTCPClusterWithCodecs(t *testing.T, codecs []wire.Codec) []*TCPPeer {
-	t.Helper()
-	n := len(codecs)
-	alg := core.Algorithm{Construction: coterie.Majority{}}
-	sites, err := alg.NewSites(n)
+	// A live peer's listener: every stranger is hung up on without a byte in
+	// answer, and its read loop ends with the connection.
+	peer, err := NewTCPPeer(benchSite{id: 0}, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := make(map[mutex.SiteID]string, n)
-	peers := make([]*TCPPeer, n)
-	for i := 0; i < n; i++ {
-		p, err := NewTCPPeer(sites[i], "127.0.0.1:0", nil)
+	defer peer.Close()
+	before := runtime.NumGoroutine()
+	for _, opening := range [][]byte{
+		{0x35, 0xff, 0x00, 0x01}, // a wire-v0 gob stream
+		{0x00, 'D', 'Q', 'X', 0}, // version 0 in a preamble
+		{0x00, 'D', 'Q', 'S', 1}, // a session client
+		[]byte("GET / HTTP/1.0\r\n\r\n"),
+	} {
+		conn, err := net.Dial("tcp", peer.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = p
-		addrs[mutex.SiteID(i)] = p.Addr()
-	}
-	for _, p := range peers {
-		p.Close()
-	}
-	sites, err = alg.NewSites(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		book := make(map[mutex.SiteID]string, n-1)
-		for j, a := range addrs {
-			if int(j) != i {
-				book[j] = a
-			}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(opening)
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+			t.Errorf("opening % x: read %d bytes, err %v; want a hang-up", opening, n, err)
 		}
-		site := sites[i]
-		p, err := NewTCPPeerConfig(TCPConfig{
-			Self:       site.ID(),
-			Factory:    func(string) (mutex.Site, error) { return site, nil },
-			ListenAddr: addrs[mutex.SiteID(i)],
-			Peers:      book,
-			Wire:       WireConfig{Codec: codecs[i]},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		peers[i] = p
+		conn.Close()
 	}
-	t.Cleanup(func() {
-		for _, p := range peers {
-			p.Close()
-		}
-	})
-	return peers
-}
-
-// TestMixedVersionInterop runs the delay-optimal protocol across a cluster
-// where site 0 is pinned to the v0 gob codec and sites 1-2 run the default
-// v1 binary codec: every pairwise connection handshakes down to a common
-// version and every site still acquires and releases the lock.
-func TestMixedVersionInterop(t *testing.T) {
-	peers := newTCPClusterWithCodecs(t, []wire.Codec{wire.Gob(), wire.Binary(), wire.Binary()})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	// Several rounds so traffic crosses every mixed-version pair repeatedly
-	// in both directions (gob→binary and binary→gob).
-	for round := 0; round < 3; round++ {
-		for i, p := range peers {
-			if err := p.Node().Acquire(ctx); err != nil {
-				t.Fatalf("round %d: site %d acquire: %v", round, i, err)
-			}
-			if err := p.Node().Release(); err != nil {
-				t.Fatalf("round %d: site %d release: %v", round, i, err)
-			}
-		}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the refusals, %d before", n, before)
 	}
 }

@@ -1,10 +1,8 @@
 package transport
 
 // White-box fuzzing of the TCP read path's frame decoding: whatever bytes a
-// peer (or an attacker holding the port) sends, the wire decoders must
-// return an error — never panic the reader goroutine. Every input runs
-// through both codecs, since an attacker controls which decoder a
-// connection gets (the handshake trusts the first byte).
+// peer (or an attacker holding the port) sends, the wire decoder must
+// return an error — never panic the reader goroutine.
 
 import (
 	"bytes"
@@ -12,12 +10,22 @@ import (
 
 	_ "dqmx/internal/core" // registers the protocol's wire messages
 	"dqmx/internal/mutex"
+	"dqmx/internal/timestamp"
 	"dqmx/internal/wire"
 )
 
 // fuzzEnvelopes is realistic wire traffic for seeding: transport-level
-// messages, sequenced reliability frames, and a standalone cumulative ack.
+// messages, sequenced reliability frames, a standalone cumulative ack, and —
+// the second half — what a contended lock puts on a link: §3.1 messages by
+// value in the envelope's body, stamped with a membership stage, alternating
+// between two interned resource names.
 func fuzzEnvelopes() [][]mutex.Envelope {
+	ts := func(seq uint64, site mutex.SiteID) timestamp.Timestamp {
+		return timestamp.Timestamp{Seq: seq, Site: site}
+	}
+	body := func(res string, seq uint64, b mutex.Body) mutex.Envelope {
+		return mutex.Envelope{Resource: res, From: 1, To: 2, Seq: seq, Ack: seq - 1, Epoch: 2, Body: b}
+	}
 	return [][]mutex.Envelope{
 		{{From: 1, To: 2, Msg: heartbeatMsg{From: 1}}},
 		{{Resource: "orders", From: 3, To: 0, Msg: mutex.FailureMsg{Failed: 5}}},
@@ -32,26 +40,37 @@ func fuzzEnvelopes() [][]mutex.Envelope {
 			{From: 1, To: 0, Ack: 1},
 			{From: 0, To: 1, Msg: mutex.FailureMsg{Failed: 3}, Seq: 2, Ack: 5},
 		},
+		{body("orders", 1, mutex.Body{Kind: mutex.BodyRequest, TS: ts(7, 1)})},
+		{body("orders", 1, mutex.Body{Kind: mutex.BodyReply, Site: 2, TS: ts(7, 1), Flag: true, Site2: 2, TS2: ts(8, 3)})},
+		{
+			body("orders", 1, mutex.Body{Kind: mutex.BodyRelease, TS: ts(7, 1), Site: timestamp.None}),
+			body("stock", 2, mutex.Body{Kind: mutex.BodyRelease, TS: ts(7, 1), Site: 3, TS2: ts(8, 3), Flag: true}),
+		},
+		{
+			body("orders", 1, mutex.Body{Kind: mutex.BodyInquire, Site: 2, TS: ts(7, 1)}),
+			body("orders", 2, mutex.Body{Kind: mutex.BodyYield, TS: ts(7, 1)}),
+			body("stock", 3, mutex.Body{Kind: mutex.BodyFail, Site: 2, TS: ts(9, 1)}),
+		},
+		{body("", 1, mutex.Body{Kind: mutex.BodyTransfer, Site: 2, TS: ts(7, 1), TS2: timestamp.Max, Flag: true})},
+		{{From: 3, To: 0, Epoch: 4, Msg: configMsg{From: 3, Stage: 4, N: 5}}},
 	}
 }
 
-// fuzzSeeds encodes the seed traffic through both codecs, so the fuzzer
-// mutates realistic gob and binary streams rather than noise.
+// fuzzSeeds encodes the seed traffic, so the fuzzer mutates realistic
+// streams rather than noise.
 func fuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
-	for _, c := range []wire.Codec{wire.Gob(), wire.Binary()} {
-		for _, envs := range fuzzEnvelopes() {
-			var buf bytes.Buffer
-			enc := c.NewEncoder(&buf)
-			for _, env := range envs {
-				if err := enc.Encode(env); err != nil {
-					t.Fatalf("%s: encode seed: %v", c.Name(), err)
-				}
+	for _, envs := range fuzzEnvelopes() {
+		var buf bytes.Buffer
+		enc := wire.Binary().NewEncoder(&buf)
+		for _, env := range envs {
+			if err := enc.Encode(env); err != nil {
+				t.Fatalf("encode seed: %v", err)
 			}
-			closeCodec(enc)
-			seeds = append(seeds, buf.Bytes())
 		}
+		enc.Close()
+		seeds = append(seeds, buf.Bytes())
 	}
 	return seeds
 }
@@ -68,17 +87,15 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []wire.Codec{wire.Gob(), wire.Binary()} {
-			dec := c.NewDecoder(bytes.NewReader(data))
-			// Decode a few frames like the read loop would; any error ends
-			// the connection, and a panic escaping Decode fails the fuzz run
-			// by crashing the process.
-			for i := 0; i < 4; i++ {
-				if _, err := dec.Decode(); err != nil {
-					break
-				}
+		dec := wire.Binary().NewDecoder(bytes.NewReader(data))
+		defer dec.Close()
+		// Decode a few frames like the read loop would; any error ends the
+		// connection, and a panic escaping Decode fails the fuzz run by
+		// crashing the process.
+		for i := 0; i < 4; i++ {
+			if _, err := dec.Decode(); err != nil {
+				break
 			}
-			closeCodec(dec)
 		}
 	})
 }
@@ -94,50 +111,48 @@ func FuzzAckFrameDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []wire.Codec{wire.Gob(), wire.Binary()} {
-			rel := newReliable(func(env mutex.Envelope) error { return nil }, nil)
-			rel.start(senderFunc(func(env mutex.Envelope) error { return nil }))
-			dec := c.NewDecoder(bytes.NewReader(data))
-			for i := 0; i < 8; i++ {
-				env, err := dec.Decode()
-				if err != nil {
-					break
-				}
-				if err := rel.Receive(env); err != nil {
-					break
-				}
+		rel := newReliable(func(env mutex.Envelope) error { return nil }, nil)
+		rel.start(senderFunc(func(env mutex.Envelope) error { return nil }))
+		defer rel.Close()
+		dec := wire.Binary().NewDecoder(bytes.NewReader(data))
+		defer dec.Close()
+		for i := 0; i < 8; i++ {
+			env, err := dec.Decode()
+			if err != nil {
+				break
 			}
-			closeCodec(dec)
-			// The endpoint must remain usable after hostile input.
-			if err := rel.Send(mutex.Envelope{From: 100, To: 101, Msg: mutex.FailureMsg{Failed: 1}}); err != nil {
-				t.Fatalf("%s: endpoint wedged after fuzzed input: %v", c.Name(), err)
+			if err := rel.Receive(env); err != nil {
+				break
 			}
-			rel.Close()
+		}
+		// The endpoint must remain usable after hostile input.
+		if err := rel.Send(mutex.Envelope{From: 100, To: 101, Msg: mutex.FailureMsg{Failed: 1}}); err != nil {
+			t.Fatalf("endpoint wedged after fuzzed input: %v", err)
 		}
 	})
 }
 
 // TestDecodeTruncated pins the non-fuzz guarantee: truncated and garbage
-// frames error out of both decoders without panicking.
+// frames error out of the decoder without panicking.
 func TestDecodeTruncated(t *testing.T) {
+	decodeAll := func(data []byte) error {
+		dec := wire.Binary().NewDecoder(bytes.NewReader(data))
+		defer dec.Close()
+		for i := 0; i < 16; i++ {
+			if _, err := dec.Decode(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for _, seed := range fuzzSeeds(t) {
 		for cut := 0; cut < len(seed); cut += 1 + len(seed)/16 {
-			for _, c := range []wire.Codec{wire.Gob(), wire.Binary()} {
-				dec := c.NewDecoder(bytes.NewReader(seed[:cut]))
-				for i := 0; i < 16; i++ {
-					if _, err := dec.Decode(); err != nil {
-						break
-					}
-				}
-				closeCodec(dec)
+			if decodeAll(seed[:cut]) == nil {
+				t.Errorf("stream cut at %d of %d decoded 16 frames", cut, len(seed))
 			}
 		}
 	}
-	dec := wire.Gob().NewDecoder(bytes.NewReader([]byte{0x07, 0xff, 0x81, 0x03, 0x01, 0x01}))
-	for i := 0; i < 4; i++ {
-		if _, err := dec.Decode(); err != nil {
-			return
-		}
+	if decodeAll([]byte{0x07, 0xff, 0x81, 0x03, 0x01, 0x01}) == nil {
+		t.Fatal("garbage stream decoded without error")
 	}
-	t.Fatal("garbage stream decoded without error")
 }

@@ -1,6 +1,6 @@
 // Package transport runs the mutual exclusion state machines outside the
 // simulator: one goroutine per site, with in-process channel wiring for
-// single-binary deployments and a gob-over-TCP transport for real clusters.
+// single-binary deployments and a framed TCP transport for real clusters.
 // The protocol code is identical to what the simulator drives — only the
 // message plumbing differs.
 package transport

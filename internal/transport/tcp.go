@@ -37,14 +37,14 @@ type TCPConfig struct {
 	Observer obs.Sink
 	// Policy bounds named-lock resource names.
 	Policy resource.Policy
-	// Wire configures the byte layer: codec, link delay, reconnect policy.
+	// Wire configures the byte layer: link delay, reconnect policy.
 	Wire WireConfig
 }
 
 // TCPPeer hosts one site of a cluster spread across processes or machines
 // and multiplexes any number of named locks over it. Envelopes travel as
-// framed codec streams (wire v1 binary by default, negotiated per connection
-// at handshake) over one outbound TCP connection per destination; a
+// wire-v1 frames (internal/wire), behind a per-connection handshake, over one
+// outbound TCP connection per destination; a
 // dedicated writer goroutine per destination preserves the protocol's
 // per-channel FIFO requirement and coalesces envelopes queued by different
 // resources and different destinations' interleavings into one buffered
@@ -320,7 +320,7 @@ type outbound struct {
 	// the writer goroutine; bw and enc are owned by the writer alone.
 	conn net.Conn
 	bw   *bufio.Writer
-	enc  wire.Encoder
+	enc  *wire.Encoder
 }
 
 func (o *outbound) enqueue(envs []mutex.Envelope) {
@@ -426,7 +426,7 @@ func (o *outbound) write(batch []mutex.Envelope) {
 }
 
 // ensureConn dials the destination with bounded exponential backoff and runs
-// the codec handshake on the fresh connection. It reports false when the
+// the wire handshake on the fresh connection. It reports false when the
 // budget is exhausted or the peer is shutting down.
 func (o *outbound) ensureConn() bool {
 	select {
@@ -450,15 +450,13 @@ func (o *outbound) ensureConn() bool {
 			} else {
 				o.bw.Reset(conn) // recycle the write buffer across reconnects
 			}
-			// Encoders carry per-stream state (gob's type descriptors, the
-			// binary codec's interning table), so each connection gets a
-			// fresh one for the version the handshake lands on.
-			enc, herr := negotiateOutbound(conn, o.bw, wcfg.Codec, wcfg.DialTimeout)
-			if herr == nil {
+			// Encoders carry per-stream state (the interning table), so
+			// each connection gets a fresh one.
+			if wire.Offer(conn, wire.MagicPeer, wcfg.DialTimeout) == nil {
 				o.mu.Lock()
 				o.conn = conn
 				o.mu.Unlock()
-				o.enc = enc
+				o.enc = wire.Binary().NewEncoder(o.bw)
 				return true
 			}
 			_ = conn.Close()
@@ -490,8 +488,10 @@ func (o *outbound) closeConn() {
 	}
 	// The encoder dies with its stream (its pooled scratch goes back); the
 	// bufio.Writer survives and is Reset onto the next connection.
-	closeCodec(o.enc)
-	o.enc = nil
+	if o.enc != nil {
+		_ = o.enc.Close()
+		o.enc = nil
+	}
 	if o.bw != nil {
 		o.bw.Reset(nil)
 	}
@@ -529,10 +529,8 @@ func (p *TCPPeer) acceptLoop() {
 	}
 }
 
-// readLoop negotiates the connection's wire version, then decodes frames
-// until the stream dies. It is codec-agnostic: everything
-// version-dependent — sniffing legacy gob streams, hardening against
-// hostile bytes — lives behind the wire.Decoder returned by the handshake.
+// readLoop answers the connection's handshake, then decodes frames until
+// the stream dies. Hardening against hostile bytes lives in the wire package.
 func (p *TCPPeer) readLoop(conn net.Conn) {
 	defer p.wg.Done()
 	defer func() {
@@ -541,11 +539,11 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 		delete(p.inbound, conn)
 		p.mu.Unlock()
 	}()
-	dec, err := negotiateInbound(conn, bufio.NewReader(conn), p.wire.Codec, p.wire.DialTimeout)
-	if err != nil {
+	if wire.Accept(conn, wire.MagicPeer, p.wire.DialTimeout) != nil {
 		return
 	}
-	defer closeCodec(dec)
+	dec := wire.Binary().NewDecoder(conn)
+	defer dec.Close()
 	for {
 		env, err := dec.Decode()
 		if err != nil {

@@ -2,29 +2,23 @@ package wire
 
 import (
 	"bytes"
-	"io"
 
 	"dqmx/internal/mutex"
 )
 
-// RoundTrip encodes env through one fresh encoder/decoder pair of the codec
-// and returns the decoded result. It exists for tests — per-protocol
-// round-trip checks and the gob↔binary differential fuzzer — so they need
-// not plumb buffers and stream state themselves.
-func RoundTrip(c Codec, env mutex.Envelope) (mutex.Envelope, error) {
+// RoundTrip encodes env through one fresh encoder/decoder pair and returns
+// the decoded result. It exists for tests — the per-protocol round-trip
+// checks and the codec fuzzer — so they need not plumb buffers and stream
+// state themselves.
+func RoundTrip(env mutex.Envelope) (mutex.Envelope, error) {
 	var buf bytes.Buffer
-	enc := c.NewEncoder(&buf)
+	enc := Binary().NewEncoder(&buf)
 	err := enc.Encode(env)
-	if cl, ok := enc.(io.Closer); ok {
-		cl.Close()
-	}
+	enc.Close()
 	if err != nil {
 		return mutex.Envelope{}, err
 	}
-	dec := c.NewDecoder(&buf)
-	out, err := dec.Decode()
-	if cl, ok := dec.(io.Closer); ok {
-		cl.Close()
-	}
-	return out, err
+	dec := Binary().NewDecoder(&buf)
+	defer dec.Close()
+	return dec.Decode()
 }

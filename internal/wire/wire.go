@@ -1,112 +1,42 @@
-// Package wire defines the versioned envelope codecs that carry
-// mutex.Envelope values over a byte stream, and the registry that maps
-// protocol message types onto them.
+// Package wire defines the one format that carries mutex.Envelope values over
+// a byte stream — the connection handshake, the frame codec, and the registry
+// that maps protocol message types onto frame tags.
 //
-// Two codecs exist. Wire version 0 is the original encoding/gob stream:
-// self-describing, allocation-heavy, and kept only so mixed-version clusters
-// interoperate during a rolling upgrade. Wire version 1 is a hand-rolled
-// binary format — fixed frame layout, varint-encoded integers, a
-// per-connection interning table for resource names, and pooled scratch
-// buffers — built for the transport's hot path, where gob's per-frame
-// reflection and buffering dominated the per-message cost (see PROTOCOL.md
-// "Wire format v1" for the exact byte layout).
+// The format is wire version 1: a hand-rolled binary framing with a fixed
+// frame layout, varint-encoded integers, a per-connection interning table for
+// resource names, and pooled scratch buffers (PROTOCOL.md "Wire format v1"
+// gives the exact byte layout). Wire version 0, a gob stream, was
+// retired: a peer that still opens with it is refused at the handshake with
+// ErrV0Retired.
 //
-// A codec instance is stateless; encoders and decoders are not. Both carry
-// per-stream state (gob's type-descriptor tracking, v1's interning tables),
-// so a new connection needs a new encoder/decoder pair — reusing one across
-// connections desynchronizes the stream. Encoders and decoders that hold
-// pooled buffers implement io.Closer; transports should Close them when the
-// connection dies so the scratch returns to the pool.
+// Encoders and decoders carry per-stream state (the interning tables), so a
+// new connection needs a new pair — reusing one across connections
+// desynchronizes the stream. Both hold pooled scratch; Close them when the
+// connection dies so it returns to the pool.
 //
 // Message types register themselves with RegisterMessage from their
-// package's init: the registration covers both codecs at once (the binary
-// tag plus encode/decode functions, and the encoding/gob registration that
-// used to be a separate public prerequisite). The seven §3.1 control
-// messages, which an envelope carries by value in its Body, register with
-// RegisterInline instead. The registry is written only during package
+// package's init: a frame tag plus encode/decode functions. The seven §3.1
+// control messages, which an envelope carries by value in its Body, register
+// with RegisterInline instead. The registry is written only during package
 // initialization and read lock-free on the hot path.
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"reflect"
 	"sync"
 
 	"dqmx/internal/mutex"
 )
 
-// Wire protocol versions, as carried in the connection handshake.
-const (
-	// VersionGob is wire version 0: the legacy encoding/gob stream.
-	VersionGob byte = 0
-	// VersionBinary is wire version 1: the hand-rolled binary format.
-	VersionBinary byte = 1
-	// MaxVersion is the newest version this build speaks.
-	MaxVersion = VersionBinary
-)
+// Version is the wire version this build speaks, as carried in the
+// connection handshake.
+const Version byte = 1
 
-// Canonical codec names, as accepted by ForName (and the public
-// dqmx.WireConfig.Codec knob).
-const (
-	NameGob    = "gob"
-	NameBinary = "binary"
-)
-
-// Encoder writes envelopes as frames onto an underlying writer. Encoders
-// carry per-stream state and must not be shared across connections or
-// goroutines.
-type Encoder interface {
-	Encode(env mutex.Envelope) error
-}
-
-// Decoder reads envelope frames from an underlying reader. Malformed,
-// truncated, or hostile input must surface as an error — never a panic —
-// because the bytes come straight off a network socket.
-type Decoder interface {
-	Decode() (mutex.Envelope, error)
-}
-
-// Codec builds the encoder/decoder pair for one wire version. Codec values
-// are stateless and safe to share.
-type Codec interface {
-	// Name is the codec's canonical name ("gob", "binary").
-	Name() string
-	// Version is the wire version byte carried in the handshake.
-	Version() byte
-	// NewEncoder builds a fresh per-connection encoder onto w.
-	NewEncoder(w io.Writer) Encoder
-	// NewDecoder builds a fresh per-connection decoder over r.
-	NewDecoder(r io.Reader) Decoder
-}
-
-// ForVersion returns the codec speaking the given wire version.
-func ForVersion(v byte) (Codec, error) {
-	switch v {
-	case VersionGob:
-		return Gob(), nil
-	case VersionBinary:
-		return Binary(), nil
-	}
-	return nil, fmt.Errorf("wire: unknown wire version %d (max supported %d)", v, MaxVersion)
-}
-
-// ForName returns the codec with the given canonical name; the empty name
-// selects the default (binary).
-func ForName(name string) (Codec, error) {
-	switch name {
-	case "", NameBinary:
-		return Binary(), nil
-	case NameGob:
-		return Gob(), nil
-	}
-	return nil, fmt.Errorf("wire: unknown codec %q (valid: %s, %s)", name, NameBinary, NameGob)
-}
-
-// msgCodec is one registered message type's binary wiring. typ is the
-// prototype's type; inline is set for a tag whose message travels in the
-// envelope's Body (enc and dec are then unused).
+// msgCodec is one registered tag's wiring. typ is the type that travels
+// behind Envelope.Msg under the tag (nil for an inline kind with no such
+// shape) and enc its encoder; a message tag decodes with dec, an inline kind's
+// tag with inline.Dec.
 type msgCodec struct {
 	tag    byte
 	typ    reflect.Type
@@ -120,19 +50,16 @@ type msgCodec struct {
 // pointer handed to a function value would move the caller's envelope to the
 // heap, which is the allocation the inline body exists to avoid.
 type Inline struct {
-	// Enc appends the body's binary-v1 field encoding.
+	// Enc appends the body's field encoding.
 	Enc func(b []byte, body mutex.Body) []byte
 	// Dec parses what Enc (or EncBoxed) wrote. It returns the body — the
 	// decoder stamps its Kind — or, for a shape only the boxed form can
 	// hold, a non-nil message.
 	Dec func(r *Reader) (mutex.Body, mutex.Message)
-	// Box and Unbox convert between the body and its struct form, the
-	// mutex.Message the v0 gob stream names on the wire. Unbox reports false
-	// for a value the body cannot hold.
-	Box   func(body mutex.Body) mutex.Message
-	Unbox func(m mutex.Message) (mutex.Body, bool)
-	// EncBoxed encodes such a value under the kind's tag; nil when Unbox
-	// never fails.
+	// Boxed, when non-nil, is the prototype of the one struct type that
+	// travels behind Envelope.Msg under the kind's tag — a shape of the kind
+	// its body cannot hold — and EncBoxed that type's encoder.
+	Boxed    mutex.Message
 	EncBoxed func(b []byte, m mutex.Message) []byte
 }
 
@@ -145,55 +72,44 @@ var (
 	regByTag  [256]*msgCodec
 )
 
-// RegisterMessage wires one concrete message type into both codecs: enc
-// appends the message's binary-v1 field encoding to b, dec parses it back,
-// and the prototype is also registered with encoding/gob so the v0 stream
-// can carry it as an interface value. tag must be unique and non-zero (tag 0
-// is the nil payload of standalone ack frames). Call it from the message
-// package's init; duplicate registrations panic.
+// RegisterMessage wires one concrete message type into the codec: enc
+// appends the message's field encoding to b, dec parses it back. tag must be
+// unique and non-zero (tag 0 is the nil payload of standalone ack frames).
+// Call it from the message package's init; duplicate registrations panic.
 func RegisterMessage(tag byte, prototype mutex.Message,
 	enc func(b []byte, m mutex.Message) []byte,
 	dec func(r *Reader) (mutex.Message, error)) {
-	register(&msgCodec{tag: tag, enc: enc, dec: dec}, prototype)
+	register(&msgCodec{tag: tag, typ: reflect.TypeOf(prototype), enc: enc, dec: dec})
 }
 
-// RegisterInline wires one inline body kind into both codecs; the kind's
-// value is its binary tag. The v1 codec then moves the kind's messages
-// between Envelope.Body and the wire without touching the heap, and the v0
-// codec boxes and unboxes them at its own boundary so its frames stay what
-// they were when the messages travelled behind Envelope.Msg.
+// RegisterInline wires one inline body kind into the codec; the kind's value
+// is its tag. The codec then moves the kind's messages between Envelope.Body
+// and the wire without touching the heap.
 func RegisterInline(kind mutex.BodyKind, c Inline) {
-	register(&msgCodec{tag: byte(kind), inline: &c}, c.Box(mutex.Body{Kind: kind}))
+	mc := &msgCodec{tag: byte(kind), enc: c.EncBoxed, inline: &c}
+	if c.Boxed != nil {
+		mc.typ = reflect.TypeOf(c.Boxed)
+	}
+	register(mc)
 }
 
-func register(mc *msgCodec, prototype mutex.Message) {
+func register(mc *msgCodec) {
 	if mc.tag == 0 {
 		panic("wire: tag 0 is reserved for the nil payload")
 	}
-	mc.typ = reflect.TypeOf(prototype)
 	regMu.Lock()
 	defer regMu.Unlock()
 	if prev := regByTag[mc.tag]; prev != nil {
 		panic(fmt.Sprintf("wire: tag %d registered twice (%v and %v)", mc.tag, prev.typ, mc.typ))
 	}
+	regByTag[mc.tag] = mc
+	if mc.typ == nil {
+		return
+	}
 	if _, dup := regByType[mc.typ]; dup {
 		panic(fmt.Sprintf("wire: message type %v registered twice", mc.typ))
 	}
-	regByTag[mc.tag] = mc
 	regByType[mc.typ] = mc
-	// gob registration rides along: the v0 codec needs every concrete type
-	// behind the Msg interface field registered by name. This used to be a
-	// public prerequisite (core.RegisterGobMessages); now it is an
-	// implementation detail of registering for the wire at all.
-	gob.Register(prototype)
-}
-
-// inlineFor returns the wiring of a body kind, or nil when none is registered.
-func inlineFor(kind mutex.BodyKind) *Inline {
-	if mc := regByTag[kind]; mc != nil {
-		return mc.inline
-	}
-	return nil
 }
 
 // appendPayload appends the tag + field encoding of the envelope's payload.
@@ -201,11 +117,11 @@ func inlineFor(kind mutex.BodyKind) *Inline {
 // tag 0 with no fields.
 func appendPayload(b []byte, env *mutex.Envelope) ([]byte, error) {
 	if kind := env.Body.Kind; kind != mutex.BodyNone {
-		in := inlineFor(kind)
-		if in == nil {
+		mc := regByTag[kind]
+		if mc == nil || mc.inline == nil {
 			return b, fmt.Errorf("wire: body kind %d is not wire-registered", kind)
 		}
-		return in.Enc(append(b, byte(kind)), env.Body), nil
+		return mc.inline.Enc(append(b, byte(kind)), env.Body), nil
 	}
 	m := env.Msg
 	if m == nil {
@@ -215,16 +131,7 @@ func appendPayload(b []byte, env *mutex.Envelope) ([]byte, error) {
 	if mc == nil {
 		return b, fmt.Errorf("wire: message type %T is not wire-registered", m)
 	}
-	b = append(b, mc.tag)
-	if in := mc.inline; in != nil {
-		// The struct form of an inline kind: the same bytes as its body,
-		// unless the body cannot hold it.
-		if body, ok := in.Unbox(m); ok {
-			return in.Enc(b, body), nil
-		}
-		return in.EncBoxed(b, m), nil
-	}
-	return mc.enc(b, m), nil
+	return mc.enc(append(b, mc.tag), m), nil
 }
 
 // decodePayload parses one tagged payload into the envelope.

@@ -129,21 +129,19 @@ func testEnvelope(res string) mutex.Envelope {
 	}
 }
 
-func TestRoundTripBothCodecs(t *testing.T) {
-	envs := []mutex.Envelope{
+func TestRoundTrip(t *testing.T) {
+	for _, env := range []mutex.Envelope{
 		testEnvelope(""),
 		testEnvelope("named-lock"),
-		{From: 1, To: 2, Seq: 100, Ack: 99}, // nil Msg: standalone ack frame
-	}
-	for _, c := range []Codec{Binary(), Gob()} {
-		for _, env := range envs {
-			got, err := RoundTrip(c, env)
-			if err != nil {
-				t.Fatalf("%s: RoundTrip(%+v): %v", c.Name(), env, err)
-			}
-			if !reflect.DeepEqual(got, env) {
-				t.Errorf("%s: round-trip = %+v, want %+v", c.Name(), got, env)
-			}
+		{From: 1, To: 2, Seq: 100, Ack: 99},            // nil Msg: standalone ack frame
+		{From: 1, To: 2, Seq: 100, Ack: 99, Epoch: 12}, // stamped with a membership stage
+	} {
+		got, err := RoundTrip(env)
+		if err != nil {
+			t.Fatalf("RoundTrip(%+v): %v", env, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Errorf("round-trip = %+v, want %+v", got, env)
 		}
 	}
 }
@@ -179,7 +177,7 @@ func TestBinaryInterning(t *testing.T) {
 }
 
 func TestBinaryInterningTableFull(t *testing.T) {
-	enc := Binary().NewEncoder(io.Discard).(*binaryEncoder)
+	enc := Binary().NewEncoder(io.Discard)
 	for i := 0; i < maxInternedNames; i++ {
 		if err := enc.Encode(testEnvelope(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatalf("name %d: %v", i, err)
@@ -287,47 +285,8 @@ func frameWith(t *testing.T, f func([]byte) []byte) []byte {
 	return frame(t, f(b))
 }
 
-func TestGobDecodeHostileNoPanic(t *testing.T) {
-	inputs := [][]byte{
-		{0xFF, 0xFF, 0xFF, 0xFF},
-		bytes.Repeat([]byte{0x7F}, 64),
-		{},
-	}
-	for _, in := range inputs {
-		dec := Gob().NewDecoder(bytes.NewReader(in))
-		if _, err := dec.Decode(); err == nil {
-			t.Errorf("input %x: expected error", in)
-		}
-	}
-}
-
-func TestForVersionForName(t *testing.T) {
-	for _, tc := range []struct {
-		v    byte
-		name string
-	}{{VersionGob, NameGob}, {VersionBinary, NameBinary}} {
-		c, err := ForVersion(tc.v)
-		if err != nil || c.Name() != tc.name {
-			t.Errorf("ForVersion(%d) = %v, %v", tc.v, c, err)
-		}
-		c, err = ForName(tc.name)
-		if err != nil || c.Version() != tc.v {
-			t.Errorf("ForName(%q) = %v, %v", tc.name, c, err)
-		}
-	}
-	if c, err := ForName(""); err != nil || c.Name() != NameBinary {
-		t.Errorf("ForName(\"\") = %v, %v; want binary", c, err)
-	}
-	if _, err := ForVersion(200); err == nil {
-		t.Error("ForVersion(200): expected error")
-	}
-	if _, err := ForName("json"); err == nil {
-		t.Error("ForName(json): expected error")
-	}
-}
-
-func benchmarkEncode(b *testing.B, c Codec) {
-	enc := c.NewEncoder(io.Discard)
+func BenchmarkEncode(b *testing.B) {
+	enc := Binary().NewEncoder(io.Discard)
 	env := testEnvelope("bench-resource")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -337,6 +296,3 @@ func benchmarkEncode(b *testing.B, c Codec) {
 		}
 	}
 }
-
-func BenchmarkEncodeGob(b *testing.B)    { benchmarkEncode(b, Gob()) }
-func BenchmarkEncodeBinary(b *testing.B) { benchmarkEncode(b, Binary()) }

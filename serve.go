@@ -139,12 +139,11 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		Site:        cfg.ID,
 		Locks:       peer,
 		Listener:    ln,
-		Codec:       string(cfg.Options.Wire.Codec),
 		Lease:       cfg.Lease,
 		MaxLease:    cfg.MaxLease,
 		MaxSessions: cfg.MaxSessions,
 		MaxPending:  cfg.MaxPending,
-		Sink:        sessionSink(col, cfg.Options.observer()),
+		Sink:        sessionSink(col, cfg.Options.Observe.Observer),
 	})
 	if err != nil {
 		ln.Close()
@@ -152,7 +151,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		return nil, err
 	}
 	srv := &Server{peer: peer, sess: sess}
-	if cfg.Detect >= 0 && !cfg.Options.disableRecovery() {
+	if cfg.Detect >= 0 && !cfg.Options.Faults.DisableRecovery {
 		interval := cfg.Detect
 		if interval == 0 {
 			interval = DefaultDetect
@@ -228,8 +227,7 @@ type Session = session.Client
 
 // DialConfig tunes a client session; the zero value is ready to use.
 type DialConfig struct {
-	// Codec names the wire codec to propose (default BinaryCodec); arbiters
-	// negotiate down per connection.
+	// Codec selects nothing (see Codec): leave it empty or set BinaryCodec.
 	Codec Codec
 	// Lease is the requested lease TTL (session tier default 2s when
 	// zero). The arbiter may cap it; the granted TTL governs and bounds the
@@ -264,9 +262,11 @@ type DialConfig struct {
 // preserved, held handles return ErrLockLost on Release and stay usable for
 // re-acquisition. The context bounds only the initial attach.
 func Dial(ctx context.Context, addrs []string, cfg DialConfig) (*Session, error) {
+	if err := cfg.Codec.validate(); err != nil {
+		return nil, err
+	}
 	return session.Dial(ctx, session.ClientConfig{
 		Addrs:          addrs,
-		Codec:          string(cfg.Codec),
 		Lease:          cfg.Lease,
 		Keepalive:      cfg.Keepalive,
 		DialTimeout:    cfg.DialTimeout,
