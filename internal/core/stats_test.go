@@ -1,9 +1,14 @@
 package core_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"dqmx/internal/core"
+	"dqmx/internal/harness"
+	"dqmx/internal/maekawa"
+	"dqmx/internal/mutex"
 	"dqmx/internal/sim"
 	"dqmx/internal/workload"
 )
@@ -180,6 +185,56 @@ func TestDisableTransfer(t *testing.T) {
 	if without.SyncDelay < 1.5*with.SyncDelay {
 		t.Errorf("fallback-only sync delay (%v T) should be ~2x the transfer path's (%v T)",
 			without.SyncDelay, with.SyncDelay)
+	}
+
+	// Exact figures of the transfer-off machine, produced identically by
+	// internal/maekawa: the pins that let the duplicate go.
+	for _, alg := range []mutex.Algorithm{core.Algorithm{DisableTransfer: true}, maekawa.Algorithm{}} {
+		pinViaArbiter(t, alg)
+	}
+}
+
+// pinViaArbiter holds alg to the constants of Maekawa's 2T machine on three
+// deterministic runs: per-kind counts, messages per CS and delay in T.
+func pinViaArbiter(t *testing.T, alg mutex.Algorithm) {
+	t.Helper()
+	for _, pin := range []struct {
+		spec   harness.Spec
+		byKind map[string]uint64
+		msgs   string // MessagesPerCS to three decimals
+		delay  string // SyncDelay in T to three decimals; "" = not pinned
+	}{
+		{
+			spec:   harness.Spec{N: 25, Load: harness.Heavy, PerSite: 10, Seed: 1},
+			byKind: map[string]uint64{"request": 2000, "reply": 2000, "release": 2000, "fail": 1976},
+			msgs:   "31.904", delay: "2.000",
+		},
+		{
+			spec: harness.Spec{N: 9, Load: harness.Heavy, PerSite: 40, Seed: 1,
+				Delay: sim.ExponentialDelay{MeanD: 1000}, CSTime: 50},
+			byKind: map[string]uint64{"request": 1440, "reply": 1441, "release": 1440, "fail": 1431, "inquire": 1, "yield": 1},
+			msgs:   "15.983",
+		},
+		{
+			spec:   harness.Spec{N: 25, Load: harness.Light, PerSite: 50, Seed: 1},
+			byKind: map[string]uint64{"request": 400, "reply": 400, "release": 400},
+			msgs:   "24.000",
+		},
+	} {
+		pin.spec.Algorithm = alg
+		res, err := harness.Run(pin.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.ByKind, pin.byKind) {
+			t.Errorf("%s %+v: by kind %v, want %v", alg.Name(), pin.spec, res.ByKind, pin.byKind)
+		}
+		if got := fmt.Sprintf("%.3f", res.MessagesPerCS); got != pin.msgs {
+			t.Errorf("%s %+v: %s msgs/CS, want %s", alg.Name(), pin.spec, got, pin.msgs)
+		}
+		if got := fmt.Sprintf("%.3f", res.SyncDelay); pin.delay != "" && got != pin.delay {
+			t.Errorf("%s %+v: sync delay %s T, want %s", alg.Name(), pin.spec, got, pin.delay)
+		}
 	}
 }
 
