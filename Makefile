@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables fmt apicheck apibase loc
+.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -8,9 +8,10 @@ GO ?= go
 # schedule enumeration, bench-smoke the seconds-long live benchmark
 # conformance check (T-vs-2T A/B on both fabrics); apicheck fails on any
 # drift of the root package's exported surface from api/dqmx.api; allocs
-# holds the hot paths to their allocation budgets; fmtcheck fails on any
-# file gofmt would rewrite.
-check: fmtcheck vet build apicheck race chaos modelcheck allocs bench-smoke
+# holds the hot paths to their allocation budgets; tablescheck fails when a
+# reproduced number moved without evaluation.txt; fmtcheck fails on any file
+# gofmt would rewrite.
+check: fmtcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -117,6 +118,12 @@ bench-sim:
 
 tables:
 	$(GO) run ./cmd/benchtab
+
+# The simulator is deterministic, so every cell of the evaluation is a
+# constant: a protocol change that moves one regenerates evaluation.txt
+# (`go run ./cmd/benchtab > evaluation.txt`) in the same commit.
+tablescheck:
+	$(GO) run ./cmd/benchtab | diff - evaluation.txt
 
 fmt:
 	gofmt -l -w .
