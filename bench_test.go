@@ -11,7 +11,6 @@ import (
 
 	"dqmx/internal/core"
 	"dqmx/internal/harness"
-	"dqmx/internal/maekawa"
 	"dqmx/internal/sim"
 )
 
@@ -84,7 +83,7 @@ func BenchmarkHeavyLoadMessages(b *testing.B) {
 func BenchmarkSyncDelay(b *testing.B) {
 	algs := map[string]harness.Spec{
 		"delay-optimal": {N: 25, Algorithm: core.Algorithm{}, Load: harness.Heavy, PerSite: 10},
-		"maekawa":       {N: 25, Algorithm: maekawa.Algorithm{}, Load: harness.Heavy, PerSite: 10},
+		"maekawa":       {N: 25, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: harness.Heavy, PerSite: 10},
 	}
 	for name, spec := range algs {
 		spec := spec
@@ -251,7 +250,7 @@ func BenchmarkLinkFailures(b *testing.B) {
 func BenchmarkAblationTransferParking(b *testing.B) {
 	variants := map[string]core.Algorithm{
 		"parked":  {},
-		"literal": {LiteralTransferHandling: true},
+		"literal": {Handoff: core.LiteralTransfer},
 	}
 	for name, alg := range variants {
 		alg := alg
@@ -279,7 +278,7 @@ func BenchmarkAblationTransferParking(b *testing.B) {
 func BenchmarkAblationPiggyback(b *testing.B) {
 	variants := map[string]core.Algorithm{
 		"piggybacked": {},
-		"standalone":  {DisablePiggyback: true},
+		"standalone":  {Handoff: core.StandaloneTransfer},
 	}
 	for name, alg := range variants {
 		alg := alg

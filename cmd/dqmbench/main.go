@@ -10,7 +10,7 @@
 //	dqmbench                                   # default sweep, table + JSON
 //	dqmbench -n 9,25 -quorum grid,tree -driver inproc,tcp
 //	dqmbench -arrival open -rate 500 -resources 8 -dist zipf
-//	dqmbench -ab                               # transfer vs 2T-fallback A/B
+//	dqmbench -ab                               # delay-optimal vs maekawa (T vs 2T) A/B
 //	dqmbench -ab -driver tcp -n 7 -quorum tree # the paper's claim, on TCP
 //	dqmbench -n 5 -quorum majority -reconfigure 7  # acquire p99 across a live epoch switch
 //
@@ -52,7 +52,7 @@ func main() {
 		warmup    = flag.Duration("warmup", 500*time.Millisecond, "warmup before the measure window")
 		measure   = flag.Duration("measure", 2*time.Second, "measure window")
 		seed      = flag.Int64("seed", 42, "generator seed (same seed, same sequences)")
-		ab        = flag.Bool("ab", false, "run each cell twice: transfer path vs forced 2T release fallback")
+		ab        = flag.Bool("ab", false, "run each cell twice: delay-optimal (transfer, T) vs maekawa (release via the arbiter, 2T)")
 		reconf    = flag.Int("reconfigure", 0, "grow the cluster to this size mid-measure (inproc driver; joint-quorum handover)")
 		outDir    = flag.String("out", ".", "directory for the BENCH_live_<name>.json artifact")
 		name      = flag.String("name", "", "artifact name (default: sweep or handoff-ab)")

@@ -143,7 +143,9 @@ type Protocol string
 const (
 	// DelayOptimal is the paper's contribution (delay T).
 	DelayOptimal Protocol = "delay-optimal"
-	// Maekawa is the classic quorum algorithm (delay 2T).
+	// Maekawa is the classic quorum algorithm (delay 2T): the DelayOptimal
+	// machine with the exiting site's forwarding off, so every hand-off goes
+	// through the arbiter. It shares §6 recovery and Reconfigure with it.
 	Maekawa Protocol = "maekawa"
 	// Lamport is the timestamp-broadcast algorithm: 3(N−1) messages.
 	Lamport Protocol = "lamport"
@@ -283,14 +285,8 @@ type FaultConfig struct {
 	// simulations reject it; the simulator has its own fault machinery).
 	Chaos *ChaosPlan
 	// DisableRecovery turns off the §6 failure recovery of the
-	// delay-optimal protocol.
+	// delay-optimal protocol (and of Maekawa, which is the same machine).
 	DisableRecovery bool
-	// DisableTransfer forces the delay-optimal protocol onto the release
-	// fallback handover path (synchronization delay 2T instead of T) by
-	// suppressing the transfer mechanism. It exists for the live
-	// benchmarking lab's A/B of the paper's delay-optimality claim; other
-	// protocols reject it.
-	DisableTransfer bool
 }
 
 // Options configures a cluster or simulation.
@@ -350,10 +346,7 @@ func (o Options) algorithmAndConstruction() (mutex.Algorithm, coterie.Constructi
 	if err != nil {
 		return nil, nil, err
 	}
-	alg, err := harness.NewAlgorithmOpts(string(o.Protocol), cons, harness.AlgorithmOptions{
-		DisableRecovery: o.Faults.DisableRecovery,
-		DisableTransfer: o.Faults.DisableTransfer,
-	})
+	alg, err := harness.NewAlgorithm(string(o.Protocol), cons, o.Faults.DisableRecovery)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dqmx: %w", err)
 	}

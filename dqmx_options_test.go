@@ -27,10 +27,10 @@ func TestOptionsGroupedFields(t *testing.T) {
 	if _, ok := cluster.Snapshot(); !ok {
 		t.Error("Observe.Metrics did not enable the aggregator")
 	}
-	// DisableTransfer is rejected by non-delay-optimal protocols, so a
-	// Validate error proves the toggle reached the algorithm factory.
-	grouped := dqmx.Options{Protocol: dqmx.Maekawa, Faults: dqmx.FaultConfig{DisableTransfer: true}}
-	if err := grouped.Validate(); err == nil {
-		t.Error("Faults.DisableTransfer not folded into the algorithm options")
+	// Maekawa is the delay-optimal machine with another hand-off, so the §6
+	// toggle applies to it too.
+	grouped := dqmx.Options{Protocol: dqmx.Maekawa, Faults: dqmx.FaultConfig{DisableRecovery: true}}
+	if err := grouped.Validate(); err != nil {
+		t.Errorf("Maekawa with Faults.DisableRecovery: %v", err)
 	}
 }

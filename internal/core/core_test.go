@@ -212,10 +212,88 @@ func TestPoissonSweep(t *testing.T) {
 	}
 }
 
+// --- Maekawa: the same machine with the hand-off via the arbiter ------------
+
+var viaArbiter = core.Algorithm{Handoff: core.ViaArbiter}
+
+func TestViaArbiterSafetyAndLiveness(t *testing.T) {
+	for _, n := range []int{2, 4, 9, 16, 25} {
+		for seed := int64(1); seed <= 5; seed++ {
+			runSaturated(t, viaArbiter, n, 4, seed, nil)
+			runSaturated(t, viaArbiter, n, 4, seed, sim.ExponentialDelay{MeanD: meanDelay})
+		}
+	}
+}
+
+// TestViaArbiterLightLoadMessages: Maekawa needs 3(K−1) messages per
+// uncontended CS, like the paper's protocol.
+func TestViaArbiterLightLoadMessages(t *testing.T) {
+	n := 25
+	c, err := sim.NewCluster(sim.Config{N: n, Algorithm: viaArbiter, Delay: sim.ConstantDelay{D: meanDelay}, CSTime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 30
+	workload.Sequential(c, total, 100*meanDelay)
+	c.Run(0)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	assign, _ := (coterie.Grid{}).Assign(n)
+	want := uint64(total * 3 * (assign.MaxQuorumSize() - 1))
+	if got := c.Net.Total(); got != want {
+		t.Errorf("light-load messages = %d, want %d", got, want)
+	}
+}
+
+// TestViaArbiterHeavyLoadSyncDelayIs2T: the arbiter round trip (release then
+// reply) costs two message delays per handover.
+func TestViaArbiterHeavyLoadSyncDelayIs2T(t *testing.T) {
+	res := runSaturated(t, viaArbiter, 25, 10, 7, nil)
+	if res.SyncDelaySamples == 0 {
+		t.Fatal("no handover samples")
+	}
+	if res.SyncDelay < 1.8 || res.SyncDelay > 2.4 {
+		t.Errorf("sync delay = %.3f T, want ≈ 2 T", res.SyncDelay)
+	}
+}
+
+// TestViaArbiterHeavyLoadMessageBound: Maekawa stays within roughly 5(K−1)
+// under heavy load.
+func TestViaArbiterHeavyLoadMessageBound(t *testing.T) {
+	n := 25
+	res := runSaturated(t, viaArbiter, n, 10, 42, nil)
+	assign, _ := (coterie.Grid{}).Assign(n)
+	k := float64(assign.MaxQuorumSize())
+	if res.MessagesPerCS < 3*(k-1)-0.5 || res.MessagesPerCS > 6*(k-1)+0.5 {
+		t.Errorf("%.2f messages/CS outside [3(K−1), 6(K−1)]", res.MessagesPerCS)
+	}
+}
+
+// TestViaArbiterNoTransferMessages: classic Maekawa never uses the transfer
+// kind.
+func TestViaArbiterNoTransferMessages(t *testing.T) {
+	res := runSaturated(t, viaArbiter, 9, 5, 1, nil)
+	if n := res.ByKind[mutex.KindTransfer]; n != 0 {
+		t.Errorf("maekawa sent %d transfer messages", n)
+	}
+}
+
+// TestViaArbiterOtherCoteries: Maekawa's protocol also works over tree and
+// majority coteries.
+func TestViaArbiterOtherCoteries(t *testing.T) {
+	for _, cons := range []coterie.Construction{coterie.Tree{}, coterie.Majority{}} {
+		alg := core.Algorithm{Construction: cons, Handoff: core.ViaArbiter}
+		runSaturated(t, alg, 15, 4, 3, sim.ExponentialDelay{MeanD: meanDelay})
+	}
+}
+
 func ExampleAlgorithm_name() {
 	fmt.Println(core.Algorithm{}.Name())
 	fmt.Println(core.Algorithm{Construction: coterie.Tree{}}.Name())
+	fmt.Println(core.Algorithm{Handoff: core.ViaArbiter}.Name())
 	// Output:
 	// delay-optimal(maekawa-grid)
 	// delay-optimal(ae-tree)
+	// maekawa(maekawa-grid)
 }

@@ -20,6 +20,10 @@
 // decisions where the published pseudocode is ambiguous, and for the
 // staleness tagging that replaces pure channel-FIFO reasoning once replies
 // can arrive via proxies.
+//
+// Maekawa's algorithm is this machine with the arbiter's transfer and the
+// holder's forwarding switched off (Handoff ViaArbiter): the request, reply,
+// release, inquire, fail and yield rules are written once, here.
 package core
 
 import (
@@ -106,23 +110,13 @@ type Site struct {
 	// cases counts the §5.2 heavy-load case classification of arrivals.
 	cases CaseStats
 
-	// parkTransfers controls whether a transfer that outruns its proxied
-	// reply is parked for replay (default) or dropped as the paper's literal
-	// A.5 prescribes. Dropping is safe but costs extra 2T fallback
-	// handovers; the ablation benchmark quantifies the difference.
-	parkTransfers bool
-
-	// piggyback controls whether inquire rides on transfer and transfer on
-	// reply (default, matching the paper's §5 accounting) or every control
-	// message travels alone — an ablation that quantifies the messages
-	// piggybacking saves.
-	piggyback bool
-
-	// disableTransfer suppresses the transfer mechanism: ensureHandoff and
-	// grantNext never announce the next waiter to the holder, so the holder's
-	// tran_stack stays empty and every handover takes the release → grant
-	// 2T fallback. The control arm of the synchronization-delay A/B.
-	disableTransfer bool
+	// handoff is the Algorithm's hand-off path; Transfer, the zero value, is
+	// the paper's. The other three are read where they differ: onTransfer
+	// (LiteralTransfer drops where the default parks), ensureHandoff and
+	// grantNext (StandaloneTransfer splits what the default piggybacks;
+	// ViaArbiter never announces the next waiter to the holder, so its
+	// tran_stack stays empty and every handover waits for the release).
+	handoff Handoff
 
 	// earlyReleases buffers releases that arrive before this arbiter has
 	// learned (via the previous holder's forwarding release) that the sender
@@ -164,8 +158,6 @@ func newSite(id mutex.SiteID, n int, quorum coterie.Quorum, cons coterie.Constru
 		lock:          timestamp.Max,
 		lastTransfer:  timestamp.Max,
 		lockVia:       timestamp.None,
-		parkTransfers: true,
-		piggyback:     true,
 		earlyReleases: make(map[timestamp.Timestamp]releaseMsg),
 	}
 }
@@ -421,7 +413,7 @@ func (s *Site) ensureHandoff(out *mutex.Output) {
 	}
 	head := s.queue.Head()
 	needInquire := head.Less(s.lock) && !s.inquired
-	if s.disableTransfer {
+	if s.handoff == ViaArbiter {
 		// Preemption must still work — a higher-priority waiter recalls the
 		// permission via inquire/yield — but the holder is never told whom to
 		// forward to, so the handover itself waits for the release.
@@ -432,15 +424,16 @@ func (s *Site) ensureHandoff(out *mutex.Output) {
 		return
 	}
 	needTransfer := head != s.lastTransfer
+	standalone := s.handoff == StandaloneTransfer
 	switch {
 	case needTransfer:
 		s.lastTransfer = head
 		out.SendBody(s.id, s.lock.Site, transferMsg{
 			Transfer: transferInfo{Arbiter: s.id, TargetTS: head},
 			HolderTS: s.lock,
-			Inquire:  needInquire && s.piggyback,
+			Inquire:  needInquire && !standalone,
 		}.body())
-		if needInquire && !s.piggyback {
+		if needInquire && standalone {
 			out.SendBody(s.id, s.lock.Site, inquireMsg{Arbiter: s.id, HolderTS: s.lock}.body())
 		}
 	case needInquire:
@@ -481,10 +474,10 @@ func (s *Site) grantNext(out *mutex.Output) {
 	}
 	reply := replyMsg{Arbiter: s.id, ReqTS: grant}
 	var follow *transferMsg
-	if !s.queue.Empty() && !s.disableTransfer {
+	if !s.queue.Empty() && s.handoff != ViaArbiter {
 		head := s.queue.Head()
 		ti := transferInfo{Arbiter: s.id, TargetTS: head}
-		if s.piggyback {
+		if s.handoff != StandaloneTransfer {
 			reply.Transfer = &ti
 		} else {
 			follow = &transferMsg{Transfer: ti, HolderTS: grant}
@@ -628,7 +621,7 @@ func (s *Site) onTransfer(m transferMsg, out *mutex.Output) {
 	arb := m.Transfer.Arbiter
 	if s.replied[arb] {
 		s.acceptTransfer(m.Transfer, out)
-	} else if s.parkTransfers {
+	} else if s.handoff != LiteralTransfer {
 		pend, ok := s.pendTransfers[arb]
 		if n := len(s.parkFree); !ok && n > 0 {
 			pend, s.parkFree = s.parkFree[n-1], s.parkFree[:n-1]

@@ -566,3 +566,110 @@ func TestRequestWhileBusyIsNoOp(t *testing.T) {
 		t.Fatal("Exit while not in CS sent messages")
 	}
 }
+
+// --- Maekawa: the arbiter with the hand-off via itself ----------------------
+//
+// The handlers above, on a site whose hand-off is ViaArbiter: the arbiter
+// never names a successor to the holder, and the requester half is unchanged.
+
+func mkViaArbiter(id mutex.SiteID, quorum ...mutex.SiteID) *Site {
+	s := mkSite(id, quorum...)
+	s.handoff = ViaArbiter
+	return s
+}
+
+func TestViaArbiterUnlockedArbiterGrants(t *testing.T) {
+	s := mkViaArbiter(1)
+	out := deliver(s, 2, requestMsg{TS: ts(5, 2)})
+	if len(sent(out, mutex.KindReply)) != 1 || s.lock != ts(5, 2) {
+		t.Fatalf("grant failed: %v, lock=%v", out.Send, s.lock)
+	}
+}
+
+func TestViaArbiterLockedArbiterNeverSendsTransfer(t *testing.T) {
+	s := mkViaArbiter(1)
+	deliver(s, 2, requestMsg{TS: ts(5, 2)})
+	out := deliver(s, 3, requestMsg{TS: ts(4, 3)})
+	if len(sent(out, mutex.KindTransfer)) != 0 {
+		t.Fatal("maekawa sent a transfer")
+	}
+	if len(sent(out, mutex.KindInquire)) != 1 {
+		t.Fatalf("higher-priority arrival should inquire the holder: %v", out.Send)
+	}
+}
+
+func TestViaArbiterReleaseGrantsViaArbiter(t *testing.T) {
+	s := mkViaArbiter(1)
+	deliver(s, 2, requestMsg{TS: ts(5, 2)})
+	deliver(s, 3, requestMsg{TS: ts(6, 3)})
+	deliver(s, 4, requestMsg{TS: ts(7, 4)})
+	out := deliver(s, 2, releaseMsg{ReqTS: ts(5, 2), Fwd: timestamp.None})
+	// The 2T path: the arbiter replies to the next waiter itself, and names
+	// no successor even though one is queued.
+	replies := sent(out, mutex.KindReply)
+	if len(out.Send) != 1 || len(replies) != 1 || replies[0].To != 3 {
+		t.Fatalf("release regrant = %v", out.Send)
+	}
+	if r := payload(replies[0]).(replyMsg); r.Transfer != nil {
+		t.Errorf("regrant carries a transfer: %+v", r.Transfer)
+	}
+	if s.lock != ts(6, 3) {
+		t.Errorf("lock = %v", s.lock)
+	}
+}
+
+func TestViaArbiterStaleReleaseIgnored(t *testing.T) {
+	s := mkViaArbiter(1)
+	deliver(s, 2, requestMsg{TS: ts(5, 2)})
+	out := deliver(s, 3, releaseMsg{ReqTS: ts(9, 3), Fwd: timestamp.None})
+	if len(out.Send) != 0 || s.lock != ts(5, 2) {
+		t.Fatal("stale release disturbed the lock")
+	}
+}
+
+func TestViaArbiterYieldRequeuesAndRegrants(t *testing.T) {
+	s := mkViaArbiter(1)
+	deliver(s, 2, requestMsg{TS: ts(5, 2)})
+	deliver(s, 3, requestMsg{TS: ts(4, 3)})
+	out := deliver(s, 2, yieldMsg{ReqTS: ts(5, 2)})
+	replies := sent(out, mutex.KindReply)
+	if len(out.Send) != 1 || len(replies) != 1 || replies[0].To != 3 {
+		t.Fatalf("yield regrant = %v", out.Send)
+	}
+	if s.queue.Empty() || s.queue.Head() != ts(5, 2) {
+		t.Errorf("yielder not requeued: %v", s.queue.items)
+	}
+}
+
+func TestViaArbiterInquireDeferredUntilFail(t *testing.T) {
+	s := mkViaArbiter(1, 2, 3)
+	s.Request()
+	my := s.reqTS
+	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: my})
+	out := deliver(s, 2, inquireMsg{Arbiter: 2, HolderTS: my})
+	if len(out.Send) != 0 {
+		t.Fatalf("yielded before failing: %v", out.Send)
+	}
+	out = deliver(s, 3, failMsg{Arbiter: 3, ReqTS: my})
+	if len(sent(out, mutex.KindYield)) != 1 {
+		t.Fatalf("fail did not trigger the parked yield: %v", out.Send)
+	}
+	if s.replied[2] {
+		t.Error("replied[2] survived the yield")
+	}
+}
+
+func TestViaArbiterEntryAfterAllReplies(t *testing.T) {
+	s := mkViaArbiter(1, 2, 3)
+	s.Request()
+	my := s.reqTS
+	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: my})
+	out := deliver(s, 3, replyMsg{Arbiter: 3, ReqTS: my})
+	if !out.Entered || !s.InCS() {
+		t.Fatal("no entry with full quorum")
+	}
+	out = s.Exit()
+	if len(out.Send) != 2 || len(sent(out, mutex.KindRelease)) != 2 {
+		t.Fatalf("exit releases = %v", out.Send)
+	}
+}

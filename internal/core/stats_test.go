@@ -7,8 +7,6 @@ import (
 
 	"dqmx/internal/core"
 	"dqmx/internal/harness"
-	"dqmx/internal/maekawa"
-	"dqmx/internal/mutex"
 	"dqmx/internal/sim"
 	"dqmx/internal/workload"
 )
@@ -87,7 +85,7 @@ func TestPreemptionPathsExercised(t *testing.T) {
 
 	// With piggybacking disabled they must appear as their own envelopes.
 	c, err := sim.NewCluster(sim.Config{
-		N: 13, Algorithm: core.Algorithm{DisablePiggyback: true},
+		N: 13, Algorithm: core.Algorithm{Handoff: core.StandaloneTransfer},
 		Delay: sim.ExponentialDelay{MeanD: 1000}, Seed: 3, CSTime: 10,
 	})
 	if err != nil {
@@ -123,81 +121,63 @@ func TestLightLoadHasNoCases(t *testing.T) {
 	}
 }
 
-// TestLiteralTransferHandling: the paper-literal A.5 (drop racing
-// transfers) must stay safe and live; it just pays more 2T fallbacks, so its
-// sync delay is no better than the parking variant's.
-func TestLiteralTransferHandling(t *testing.T) {
-	run := func(literal bool) sim.Result {
-		c, err := sim.NewCluster(sim.Config{
-			N:         25,
-			Algorithm: core.Algorithm{LiteralTransferHandling: literal},
-			Delay:     sim.ExponentialDelay{MeanD: 1000},
-			Seed:      5,
-			CSTime:    10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workload.Saturated(c, 8)
-		c.Run(0)
-		if err := c.Err(); err != nil {
-			t.Fatalf("literal=%v: %v", literal, err)
-		}
-		return c.Summarize()
+// runHandoff saturates 25 sites for 8 CS each (seed 5) over the given
+// hand-off case and delay model, failing on any safety or liveness error.
+func runHandoff(t *testing.T, h core.Handoff, delay sim.Delay) sim.Result {
+	t.Helper()
+	c, err := sim.NewCluster(sim.Config{
+		N: 25, Algorithm: core.Algorithm{Handoff: h}, Delay: delay, Seed: 5, CSTime: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	parked := run(false)
-	literal := run(true)
+	workload.Saturated(c, 8)
+	c.Run(0)
+	if err := c.Err(); err != nil {
+		t.Fatalf("handoff=%d: %v", h, err)
+	}
+	return c.Summarize()
+}
+
+// TestLiteralTransfer: the paper-literal A.5 (drop racing transfers) must
+// stay safe and live; it just pays more 2T fallbacks, so its sync delay is no
+// better than the parking variant's.
+func TestLiteralTransfer(t *testing.T) {
+	delay := sim.ExponentialDelay{MeanD: 1000}
+	parked := runHandoff(t, core.Transfer, delay)
+	literal := runHandoff(t, core.LiteralTransfer, delay)
 	if literal.SyncDelay+0.05 < parked.SyncDelay {
 		t.Errorf("literal handling (%v T) should not beat parking (%v T)",
 			literal.SyncDelay, parked.SyncDelay)
 	}
 }
 
-// TestDisableTransfer: with the transfer mechanism suppressed the protocol
-// stays safe and live, sends no transfer messages at all, and pays the 2T
-// release-fallback on every handover — so its synchronization delay must be
-// clearly worse than the delay-optimal configuration's. This is the
-// simulated sanity check behind the live A/B in internal/loadgen.
-func TestDisableTransfer(t *testing.T) {
-	run := func(disable bool) (sim.Result, map[string]uint64) {
-		c, err := sim.NewCluster(sim.Config{
-			N:         25,
-			Algorithm: core.Algorithm{DisableTransfer: disable},
-			Delay:     sim.ConstantDelay{D: 1000},
-			Seed:      5,
-			CSTime:    10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workload.Saturated(c, 8)
-		c.Run(0)
-		if err := c.Err(); err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		return c.Summarize(), c.Net.CountByKind()
-	}
-	with, _ := run(false)
-	without, kinds := run(true)
-	if kinds["transfer"] != 0 {
-		t.Errorf("%d transfer messages sent with the mechanism disabled", kinds["transfer"])
+// TestViaArbiter: with step C's forwarding off — Maekawa's algorithm — the
+// machine stays safe and live, sends no transfer messages at all, and pays
+// the release → reply round trip on every handover, so its synchronization
+// delay must be clearly worse than the delay-optimal configuration's. This
+// is the simulated sanity check behind the live A/B in internal/loadgen.
+func TestViaArbiter(t *testing.T) {
+	delay := sim.ConstantDelay{D: 1000}
+	with := runHandoff(t, core.Transfer, delay)
+	without := runHandoff(t, core.ViaArbiter, delay)
+	if n := without.ByKind["transfer"]; n != 0 {
+		t.Errorf("%d transfer messages sent with the hand-off via the arbiter", n)
 	}
 	if without.SyncDelay < 1.5*with.SyncDelay {
-		t.Errorf("fallback-only sync delay (%v T) should be ~2x the transfer path's (%v T)",
+		t.Errorf("via-arbiter sync delay (%v T) should be ~2x the transfer path's (%v T)",
 			without.SyncDelay, with.SyncDelay)
 	}
-
-	// Exact figures of the transfer-off machine, produced identically by
-	// internal/maekawa: the pins that let the duplicate go.
-	for _, alg := range []mutex.Algorithm{core.Algorithm{DisableTransfer: true}, maekawa.Algorithm{}} {
-		pinViaArbiter(t, alg)
-	}
+	pinViaArbiter(t)
 }
 
-// pinViaArbiter holds alg to the constants of Maekawa's 2T machine on three
-// deterministic runs: per-kind counts, messages per CS and delay in T.
-func pinViaArbiter(t *testing.T, alg mutex.Algorithm) {
+// pinViaArbiter holds Maekawa's 2T machine to its constants on three
+// deterministic runs — per-kind counts, messages per CS, delay in T. The
+// separate internal/maekawa implementation produced the same figures to the
+// digit before it was deleted in favour of this hand-off case.
+func pinViaArbiter(t *testing.T) {
 	t.Helper()
+	alg := viaArbiter
 	for _, pin := range []struct {
 		spec   harness.Spec
 		byKind map[string]uint64
@@ -238,29 +218,12 @@ func pinViaArbiter(t *testing.T, alg mutex.Algorithm) {
 	}
 }
 
-// TestDisablePiggyback: without piggybacking the protocol stays safe and
+// TestStandaloneTransfer: without piggybacking the protocol stays safe and
 // live but spends strictly more messages per CS execution.
-func TestDisablePiggyback(t *testing.T) {
-	run := func(disable bool) sim.Result {
-		c, err := sim.NewCluster(sim.Config{
-			N:         25,
-			Algorithm: core.Algorithm{DisablePiggyback: disable},
-			Delay:     sim.ExponentialDelay{MeanD: 1000},
-			Seed:      5,
-			CSTime:    10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workload.Saturated(c, 8)
-		c.Run(0)
-		if err := c.Err(); err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		return c.Summarize()
-	}
-	with := run(false)
-	without := run(true)
+func TestStandaloneTransfer(t *testing.T) {
+	delay := sim.ExponentialDelay{MeanD: 1000}
+	with := runHandoff(t, core.Transfer, delay)
+	without := runHandoff(t, core.StandaloneTransfer, delay)
 	if without.MessagesPerCS <= with.MessagesPerCS {
 		t.Errorf("no-piggyback msgs/CS (%v) should exceed piggybacked (%v)",
 			without.MessagesPerCS, with.MessagesPerCS)

@@ -7,7 +7,6 @@ import (
 
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
-	"dqmx/internal/maekawa"
 	"dqmx/internal/metrics"
 	"dqmx/internal/mutex"
 	"dqmx/internal/sim"
@@ -243,7 +242,7 @@ func SyncDelay(ns []int, seed int64) ([]SyncDelayRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: maekawa.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed})
+		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +290,7 @@ func Throughput(n int, csTimes []sim.Time, seed int64) ([]ThroughputRow, error) 
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: maekawa.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed, CSTime: e})
+		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed, CSTime: e})
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +557,7 @@ func DelaySensitivity(n int, seed int64) ([]DelaySensitivityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: maekawa.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed, Delay: d.delay})
+		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed, Delay: d.delay})
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ import (
 
 	"dqmx/internal/core"
 	"dqmx/internal/lamport"
-	"dqmx/internal/maekawa"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 	"dqmx/internal/raymond"
@@ -111,7 +110,7 @@ func Algorithms() []AlgorithmEntry {
 		{lamport.Algorithm{}, "3(N-1)", "T"},
 		{ricartagrawala.Algorithm{}, "2(N-1)", "T"},
 		{singhal.Algorithm{}, "N-1 .. 2(N-1)", "T"},
-		{maekawa.Algorithm{}, "3..5(K-1), K=sqrt(N)", "2T"},
+		{core.Algorithm{Handoff: core.ViaArbiter}, "3..5(K-1), K=sqrt(N)", "2T"},
 		{suzukikasami.Algorithm{}, "0..N", "T"},
 		{raymond.Algorithm{}, "O(log N)", "O(log N)"},
 		{core.Algorithm{}, "3..6(K-1), K=sqrt(N)", "T"},

@@ -7,7 +7,6 @@ import (
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
 	"dqmx/internal/lamport"
-	"dqmx/internal/maekawa"
 	"dqmx/internal/mutex"
 	"dqmx/internal/raymond"
 	"dqmx/internal/ricartagrawala"
@@ -67,43 +66,18 @@ func NewConstruction(name string) (coterie.Construction, error) {
 		name, strings.Join(QuorumNames(), ", "))
 }
 
-// AlgorithmOptions carries the protocol knobs NewAlgorithmOpts applies.
-type AlgorithmOptions struct {
-	// DisableRecovery turns off the delay-optimal protocol's §6 fault
-	// tolerance.
-	DisableRecovery bool
-	// DisableTransfer forces the delay-optimal protocol onto the release
-	// fallback (2T) handover path — the live A/B control arm. Setting it
-	// for any other protocol is an error.
-	DisableTransfer bool
-}
-
 // NewAlgorithm resolves a protocol by name over the given coterie (ignored
 // by the non-quorum baselines). The empty string defaults to the paper's
-// delay-optimal protocol; disableRecovery turns off its §6 fault tolerance.
-// Unknown names error with the full list of valid choices.
+// delay-optimal protocol. "maekawa" is the same machine with the hand-off
+// routed through the arbiter, so disableRecovery turns off §6 fault
+// tolerance for both. Unknown names error with the full list of valid
+// choices.
 func NewAlgorithm(protocol string, cons coterie.Construction, disableRecovery bool) (mutex.Algorithm, error) {
-	return NewAlgorithmOpts(protocol, cons, AlgorithmOptions{DisableRecovery: disableRecovery})
-}
-
-// NewAlgorithmOpts is NewAlgorithm with the full option set.
-func NewAlgorithmOpts(protocol string, cons coterie.Construction, opts AlgorithmOptions) (mutex.Algorithm, error) {
-	if opts.DisableTransfer {
-		switch protocol {
-		case "", "delay-optimal":
-		default:
-			return nil, fmt.Errorf("protocol %q has no transfer mechanism to disable", protocol)
-		}
-	}
 	switch protocol {
 	case "", "delay-optimal":
-		return core.Algorithm{
-			Construction:    cons,
-			DisableRecovery: opts.DisableRecovery,
-			DisableTransfer: opts.DisableTransfer,
-		}, nil
+		return core.Algorithm{Construction: cons, DisableRecovery: disableRecovery}, nil
 	case "maekawa":
-		return maekawa.Algorithm{Construction: cons}, nil
+		return core.Algorithm{Construction: cons, DisableRecovery: disableRecovery, Handoff: core.ViaArbiter}, nil
 	case "lamport":
 		return lamport.Algorithm{}, nil
 	case "ricart-agrawala":

@@ -49,7 +49,6 @@ func newDriver(cfg Config, sink obs.Sink) (driver, error) {
 		Protocol: dqmx.Protocol(cfg.Protocol),
 		Quorum:   dqmx.Quorum(cfg.Quorum),
 		Observe:  dqmx.ObserveConfig{Observer: sink},
-		Faults:   dqmx.FaultConfig{DisableTransfer: cfg.DisableTransfer},
 	}
 	switch cfg.Driver {
 	case DriverInproc:

@@ -7,8 +7,8 @@
 // artifacts. Where the sim package answers "what does the protocol cost in
 // units of T", loadgen answers "what does this implementation cost in
 // nanoseconds on a real fabric" — including the flagship A/B of the paper's
-// claim: release→next-entry handoff with the transfer path enabled versus
-// forced onto the 2T release fallback.
+// claim: release→next-entry handoff under delay-optimal (transfer, T) versus
+// maekawa, the same machine on the 2T release path through the arbiter.
 package loadgen
 
 import (
@@ -142,9 +142,6 @@ type Config struct {
 	// delivery is so fast that scheduling noise swamps the protocol's T
 	// versus 2T structure.
 	HopDelay time.Duration
-	// DisableTransfer forces the delay-optimal protocol onto the 2T release
-	// fallback — the A/B control arm.
-	DisableTransfer bool
 	// Chaos, when non-nil, runs the in-process cluster under this fault
 	// plan (the TCP driver rejects it). HopDelay, when also set, overrides
 	// the plan's delay bounds.

@@ -33,7 +33,8 @@ type Report struct {
 	ThinkMS    float64 `json:"think_ms,omitempty"`
 	HoldMS     float64 `json:"hold_ms,omitempty"`
 	HopDelayMS float64 `json:"hop_delay_ms,omitempty"`
-	// Transfer is false when the run forced the 2T release fallback.
+	// Transfer is false when the protocol was maekawa: every handover on
+	// the 2T release path. Derived from Protocol; kept for old artifacts.
 	Transfer bool             `json:"transfer"`
 	Chaos    *ChaosPlanConfig `json:"chaos,omitempty"`
 	Seed     int64            `json:"seed"`
@@ -299,7 +300,7 @@ func Run(cfg Config) (*Report, error) {
 		ThinkMS:    ms(cfg.Think),
 		HoldMS:     ms(cfg.Hold),
 		HopDelayMS: ms(cfg.HopDelay),
-		Transfer:   !cfg.DisableTransfer,
+		Transfer:   cfg.Protocol != "maekawa",
 		Chaos:      cfg.Chaos,
 		Seed:       cfg.Seed,
 		WarmupMS:   ms(cfg.Warmup),
@@ -358,10 +359,10 @@ func quorumName(q string) string {
 // ABResult pairs the two arms of the transfer-versus-fallback experiment on
 // otherwise identical configurations.
 type ABResult struct {
-	// Transfer is the delay-optimal arm (transfer mechanism on).
+	// Transfer is the delay-optimal arm (the exiting site forwards).
 	Transfer *Report `json:"transfer"`
-	// Fallback is the control arm (transfers suppressed; every handover
-	// pays the 2T release path).
+	// Fallback is the control arm: Maekawa, the same machine with every
+	// handover on the 2T release path through the arbiter.
 	Fallback *Report `json:"fallback"`
 }
 
@@ -376,15 +377,21 @@ func (r *ABResult) HandoffRatio() float64 {
 	return float64(r.Fallback.Handoff.P50) / float64(r.Transfer.Handoff.P50)
 }
 
-// RunAB runs cfg twice — transfer path enabled, then forced onto the
-// release fallback — and pairs the reports.
+// RunAB runs cfg twice — under delay-optimal, then under maekawa — and pairs
+// the reports. cfg.Protocol may name either arm or neither; any other
+// protocol has no T-versus-2T pair to compare.
 func RunAB(cfg Config) (*ABResult, error) {
-	cfg.DisableTransfer = false
+	switch cfg.Protocol {
+	case "", "delay-optimal", "maekawa":
+	default:
+		return nil, fmt.Errorf("loadgen: the A/B compares delay-optimal with maekawa; protocol %q is neither", cfg.Protocol)
+	}
+	cfg.Protocol = "delay-optimal"
 	transfer, err := Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: transfer arm: %w", err)
 	}
-	cfg.DisableTransfer = true
+	cfg.Protocol = "maekawa"
 	fallback, err := Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: fallback arm: %w", err)

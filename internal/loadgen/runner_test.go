@@ -58,8 +58,8 @@ func checkAB(t *testing.T, ab *ABResult) {
 
 // TestLiveHandoffAB measures the paper's T-versus-2T claim on a live
 // deployment of both fabrics: with a deterministic per-hop delay, the p50
-// release→next-entry handoff must be clearly lower with the transfer path
-// enabled than with handovers forced onto the release fallback.
+// release→next-entry handoff must be clearly lower under delay-optimal (the
+// exiting site forwards) than under maekawa (release via the arbiter).
 func TestLiveHandoffAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark smoke; skipped in -short")
@@ -80,14 +80,14 @@ func TestLiveHandoffAB(t *testing.T) {
 	})
 }
 
-// TestTCPProtocols pins the freedom the TCP driver gained with the wire
-// registry: any protocol runs over TCP, because every algorithm registers
-// its messages — the paper's and two baselines here.
+// TestTCPProtocols pins that any protocol runs over TCP: the paper's and
+// maekawa — one machine, two hand-off paths — as inline §3.1 bodies through
+// the v1 codec, two baselines through the messages they register.
 func TestTCPProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark smoke; skipped in -short")
 	}
-	for _, protocol := range []string{"delay-optimal", "ricart-agrawala", "suzuki-kasami"} {
+	for _, protocol := range []string{"delay-optimal", "maekawa", "ricart-agrawala", "suzuki-kasami"} {
 		t.Run(protocol, func(t *testing.T) {
 			rep, err := Run(Config{
 				Driver:   DriverTCP,

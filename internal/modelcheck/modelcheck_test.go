@@ -14,8 +14,10 @@ import (
 )
 
 // run executes one exhaustive configuration and fails the test on any
-// violation, rendering the replayable counterexample.
-func run(t *testing.T, name string, cfg modelcheck.Config) modelcheck.Result {
+// violation, rendering the replayable counterexample. want is the size of
+// the space: a refactor leaves it identical to the digit, and a protocol
+// change that moves it says so by changing the number here.
+func run(t *testing.T, name string, cfg modelcheck.Config, want int) modelcheck.Result {
 	t.Helper()
 	res, err := modelcheck.Run(cfg)
 	if err != nil {
@@ -29,6 +31,9 @@ func run(t *testing.T, name string, cfg modelcheck.Config) modelcheck.Result {
 	}
 	if res.Terminals == 0 {
 		t.Fatalf("%s: no terminal states reached", name)
+	}
+	if res.States != want {
+		t.Errorf("%s: %d distinct states, want %d", name, res.States, want)
 	}
 	t.Logf("%s: %d distinct states, %d terminals, depth %d — all invariants hold",
 		name, res.States, res.Terminals, res.Depth)
@@ -51,18 +56,30 @@ func checked(t *testing.T, cons coterie.Construction, n int) modelcheck.Config {
 	}
 }
 
+// viaArbiter is cfg over Maekawa's machine: the same sites with step C's
+// forwarding off (core.ViaArbiter).
+func viaArbiter(cfg modelcheck.Config) modelcheck.Config {
+	alg := cfg.Algorithm.(core.Algorithm)
+	alg.Handoff = core.ViaArbiter
+	cfg.Algorithm = alg
+	return cfg
+}
+
 // TestExhaustiveSmall covers every delivery/request/exit interleaving of the
 // fault-free N=3 configurations on both coterie shapes. The grid run
 // exercises the transfer/inquire/yield machinery (site 0's quorum spans all
-// three sites).
+// three sites). The via-arbiter rows are the same two spaces without the
+// transfer machinery: smaller, and held to the same invariants and bound.
 func TestExhaustiveSmall(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.MaxStates = 500_000
-	run(t, "majority-3", cfg)
+	run(t, "majority-3", cfg, 2929)
+	run(t, "majority-3 via-arbiter", viaArbiter(cfg), 752)
 
 	cfg = checked(t, coterie.Grid{}, 3)
 	cfg.MaxStates = 2_000_000
-	run(t, "grid-3", cfg)
+	run(t, "grid-3", cfg, 7826)
+	run(t, "grid-3 via-arbiter", viaArbiter(cfg), 1995)
 }
 
 // TestExhaustiveCrashRecovery enumerates every schedule of the N=3 majority
@@ -70,12 +87,14 @@ func TestExhaustiveSmall(t *testing.T) {
 // failure notifications interleaved with protocol traffic, quorum
 // reconstruction, dead-holder regrants, and lost in-flight messages from the
 // victim — must keep every invariant, including terminal deadlock freedom
-// (a single crash leaves a live majority quorum).
+// (a single crash leaves a live majority quorum). Maekawa's machine takes
+// the same §6 path, so it is explored under the same crash choices.
 func TestExhaustiveCrashRecovery(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.Crashes = 1
 	cfg.MaxStates = 5_000_000
-	run(t, "majority-3+crash", cfg)
+	run(t, "majority-3+crash", cfg, 72110)
+	run(t, "majority-3+crash via-arbiter", viaArbiter(cfg), 26639)
 }
 
 // TestExhaustiveFour covers the fault-free N=4 majority configuration
@@ -88,7 +107,7 @@ func TestExhaustiveFour(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 4)
 	cfg.Requesters = []mutex.SiteID{0, 1}
 	cfg.MaxStates = 500_000
-	run(t, "majority-4(2 requesters)", cfg)
+	run(t, "majority-4(2 requesters)", cfg, 1336)
 
 	if testing.Short() {
 		return
@@ -97,7 +116,7 @@ func TestExhaustiveFour(t *testing.T) {
 	cfg.Requesters = []mutex.SiteID{0, 1, 2}
 	cfg.Bound = nil
 	cfg.MaxStates = 1_000_000
-	run(t, "majority-4(3 requesters)", cfg)
+	run(t, "majority-4(3 requesters)", cfg, 159399)
 }
 
 // TestExhaustiveFive covers N=5 fault-free on the tree coterie (the paper's
@@ -107,12 +126,12 @@ func TestExhaustiveFive(t *testing.T) {
 	cfg := checked(t, coterie.Tree{}, 5)
 	cfg.Requesters = []mutex.SiteID{0, 2, 4}
 	cfg.MaxStates = 500_000
-	run(t, "tree-5(3 requesters)", cfg)
+	run(t, "tree-5(3 requesters)", cfg, 33967)
 
 	cfg = checked(t, coterie.Majority{}, 5)
 	cfg.Requesters = []mutex.SiteID{0, 3}
 	cfg.MaxStates = 500_000
-	run(t, "majority-5(2 requesters)", cfg)
+	run(t, "majority-5(2 requesters)", cfg, 540)
 }
 
 // TestExhaustiveTwoRounds lets sites run two CS executions issued at
@@ -126,13 +145,13 @@ func TestExhaustiveTwoRounds(t *testing.T) {
 	cfg.PerSite = 2
 	cfg.Bound = nil // counters inflate the two-round space ~4x
 	cfg.MaxStates = 1_000_000
-	run(t, "majority-3×2", cfg)
+	run(t, "majority-3×2", cfg, 264819)
 
 	cfg = checked(t, coterie.Grid{}, 3)
 	cfg.PerSite = 2
 	cfg.Requesters = []mutex.SiteID{0, 2}
 	cfg.MaxStates = 1_000_000
-	run(t, "grid-3×2(2 requesters)", cfg)
+	run(t, "grid-3×2(2 requesters)", cfg, 8061)
 }
 
 // handoverConfig builds the exhaustive membership-switch configuration: a
@@ -181,7 +200,7 @@ func TestExhaustiveHandover(t *testing.T) {
 	// The joiner plus one original member contend across the switch.
 	cfg := handoverConfig(t, 3, 4, []mutex.SiteID{0, 3})
 	cfg.MaxStates = 2_000_000
-	run(t, "handover-3to4(2 requesters)", cfg)
+	run(t, "handover-3to4(2 requesters)", cfg, 29646)
 }
 
 // TestExhaustiveHandoverShrink covers the other direction: majority-4 down
@@ -193,7 +212,7 @@ func TestExhaustiveHandoverShrink(t *testing.T) {
 	// The departing site and one survivor contend across the switch.
 	cfg := handoverConfig(t, 4, 3, []mutex.SiteID{0, 3})
 	cfg.MaxStates = 2_000_000
-	run(t, "handover-4to3(2 requesters)", cfg)
+	run(t, "handover-4to3(2 requesters)", cfg, 47368)
 }
 
 // TestBoundsMatchChaos pins BoundsFor to the chaos checker's MessageBounds:
@@ -294,9 +313,9 @@ func TestStateBudget(t *testing.T) {
 func TestDFSMatchesBFS(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.MaxStates = 500_000
-	bfs := run(t, "bfs", cfg)
+	bfs := run(t, "bfs", cfg, 2929)
 	cfg.DFS = true
-	dfs := run(t, "dfs", cfg)
+	dfs := run(t, "dfs", cfg, 2929)
 	if bfs.States != dfs.States || bfs.Terminals != dfs.Terminals {
 		t.Fatalf("bfs explored %d/%d, dfs %d/%d", bfs.States, bfs.Terminals, dfs.States, dfs.Terminals)
 	}

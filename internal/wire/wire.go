@@ -158,8 +158,10 @@ func decodePayload(r *Reader, env *mutex.Envelope) error {
 
 // Tags reserved for transport- and mutex-level payloads. Protocol packages
 // own their own disjoint ranges (core: 1–7, lamport: 16–18,
-// ricart-agrawala: 20–21, maekawa: 24–29, singhal: 32–33,
-// suzuki-kasami: 36–37, raymond: 40–41, session: 48–55).
+// ricart-agrawala: 20–21, singhal: 32–33, suzuki-kasami: 36–37,
+// raymond: 40–41, session: 48–55). 24–29 were internal/maekawa's until
+// Maekawa became a hand-off path of core; they stay reserved and are never
+// reused, so an old peer's frame is refused as an unknown tag.
 const (
 	// TagHeartbeat is claimed by internal/transport for its liveness probe.
 	TagHeartbeat byte = 8

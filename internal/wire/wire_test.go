@@ -265,6 +265,16 @@ func TestBinaryDecodeHostileFrames(t *testing.T) {
 			t.Errorf("%s: expected decode error", name)
 		}
 	}
+	// Tags 24–29 carried internal/maekawa's messages and are never reused: a
+	// peer that still sends one (here its request, tag 24) is refused by tag,
+	// not decoded as something else.
+	retired := frameWith(t, func(b []byte) []byte {
+		return AppendTimestamp(append(b, 24), timestamp.Timestamp{Seq: 5, Site: 2})
+	})
+	_, err := Binary().NewDecoder(bytes.NewReader(retired)).Decode()
+	if err == nil || !strings.Contains(err.Error(), "unknown message tag 24") {
+		t.Errorf("retired tag 24: got %v, want the unknown-tag error", err)
+	}
 }
 
 // frame wraps a payload in a length prefix.
@@ -274,7 +284,7 @@ func frame(t *testing.T, payload []byte) []byte {
 }
 
 // frameWith builds a payload with a valid envelope prefix (default resource,
-// From, To, Seq, Ack) and lets the caller corrupt the message section.
+// From, To, Seq, Ack, Epoch) and lets the caller corrupt the message section.
 func frameWith(t *testing.T, f func([]byte) []byte) []byte {
 	t.Helper()
 	b := []byte{0} // default resource
@@ -282,6 +292,7 @@ func frameWith(t *testing.T, f func([]byte) []byte) []byte {
 	b = AppendSite(b, 2)
 	b = AppendUint(b, 3)
 	b = AppendUint(b, 4)
+	b = AppendUint(b, 0)
 	return frame(t, f(b))
 }
 
