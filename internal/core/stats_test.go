@@ -177,7 +177,6 @@ func TestViaArbiter(t *testing.T) {
 // digit before it was deleted in favour of this hand-off case.
 func pinViaArbiter(t *testing.T) {
 	t.Helper()
-	alg := viaArbiter
 	for _, pin := range []struct {
 		spec   harness.Spec
 		byKind map[string]uint64
@@ -201,19 +200,19 @@ func pinViaArbiter(t *testing.T) {
 			msgs:   "24.000",
 		},
 	} {
-		pin.spec.Algorithm = alg
+		pin.spec.Algorithm = viaArbiter
 		res, err := harness.Run(pin.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res.ByKind, pin.byKind) {
-			t.Errorf("%s %+v: by kind %v, want %v", alg.Name(), pin.spec, res.ByKind, pin.byKind)
+			t.Errorf("%+v: by kind %v, want %v", pin.spec, res.ByKind, pin.byKind)
 		}
 		if got := fmt.Sprintf("%.3f", res.MessagesPerCS); got != pin.msgs {
-			t.Errorf("%s %+v: %s msgs/CS, want %s", alg.Name(), pin.spec, got, pin.msgs)
+			t.Errorf("%+v: %s msgs/CS, want %s", pin.spec, got, pin.msgs)
 		}
 		if got := fmt.Sprintf("%.3f", res.SyncDelay); pin.delay != "" && got != pin.delay {
-			t.Errorf("%s %+v: sync delay %s T, want %s", alg.Name(), pin.spec, got, pin.delay)
+			t.Errorf("%+v: sync delay %s T, want %s", pin.spec, got, pin.delay)
 		}
 	}
 }
