@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -10,11 +10,20 @@ GO ?= go
 # drift of the root package's exported surface from api/dqmx.api; allocs
 # holds the hot paths to their allocation budgets; tablescheck fails when a
 # reproduced number moved without evaluation.txt; fmtcheck fails on any file
-# gofmt would rewrite.
-check: fmtcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
+# gofmt would rewrite; wirecheck on a wire codec outside the live stack.
+check: fmtcheck wirecheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
+
+# Only the live stack has wire codecs: core's §3.1 messages, the transport's
+# own frames, the session tier and the benchmark's probe. The baselines are
+# sim-only and in-process-only, and this keeps them that way: it fails, naming
+# the lines, on a wire.RegisterMessage or wire.RegisterInline in non-test Go
+# anywhere else.
+wirecheck:
+	@! git grep -n --untracked -E 'wire\.Register(Message|Inline)\(' -- '*.go' ':!*_test.go' \
+		':!internal/core/' ':!internal/session/' ':!internal/transport/' ':!internal/wire/' ':!benchmark/'
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a
@@ -107,10 +116,11 @@ bench:
 	$(GO) run ./cmd/dqmbench -ab -n 9 -quorum grid -driver inproc,tcp -measure 2s -name handoff-ab
 
 # Seconds-long deterministic live-benchmark smoke: the handoff A/B ratio
-# test on both fabrics, the artifact schema round-trip, the every-protocol-
-# over-TCP matrix, and the mid-load reconfiguration. Part of check.
+# test on both fabrics (its TCP arm runs delay-optimal and maekawa, the only
+# protocols on the wire), the artifact schema round-trip, and the mid-load
+# reconfiguration. Part of check.
 bench-smoke:
-	$(GO) test -run 'TestLiveHandoffAB|TestBenchSmoke|TestTCPProtocols|TestReconfigureMidLoad' -count=1 -timeout 120s ./internal/loadgen
+	$(GO) test -run 'TestLiveHandoffAB|TestBenchSmoke|TestReconfigureMidLoad' -count=1 -timeout 120s ./internal/loadgen
 
 # Regenerate the paper's simulated evaluation (slow).
 bench-sim:

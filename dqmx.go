@@ -25,9 +25,11 @@
 //
 // Use Options to pick a quorum construction (grid, tree, HQC, grid-set,
 // RST, majority) or one of the six baseline algorithms, and NewTCPNode to
-// spread sites across processes or machines. The Simulate function runs the
-// deterministic discrete-event simulator used to reproduce the paper's
-// evaluation; the cmd/benchtab tool regenerates every table.
+// spread sites across processes or machines (the paper's protocol and
+// Maekawa only: the other baselines run in-process and simulated, not over
+// a wire). The Simulate function runs the deterministic discrete-event
+// simulator used to reproduce the paper's evaluation; the cmd/benchtab tool
+// regenerates every table.
 package dqmx
 
 import (
@@ -36,6 +38,7 @@ import (
 	"time"
 
 	"dqmx/internal/chaos"
+	"dqmx/internal/core"
 	"dqmx/internal/coterie"
 	"dqmx/internal/harness"
 	"dqmx/internal/mutex"
@@ -139,7 +142,9 @@ func Quorums() []Quorum {
 type Protocol string
 
 // Available protocols: the paper's contribution plus the six baselines it
-// compares against.
+// compares against. All seven run under Simulate and NewClusterWith;
+// NewTCPNode and Serve run DelayOptimal and Maekawa, the one machine with a
+// wire codec, and refuse the other five.
 const (
 	// DelayOptimal is the paper's contribution (delay T).
 	DelayOptimal Protocol = "delay-optimal"
@@ -173,8 +178,9 @@ func Protocols() []Protocol {
 
 // TraceEvent is one structured protocol event: a request issued, a message
 // sent (with its kind), a critical-section entry or exit, or failure
-// handling. Timestamps are simulated ticks under Simulate and monotonic
-// nanoseconds on live clusters.
+// handling. Timestamps are simulated ticks under Simulate and, on live
+// clusters, TCP peers and Serve alike, monotonic nanoseconds since process
+// start.
 type TraceEvent = obs.Event
 
 // EventType enumerates the protocol lifecycle events.
@@ -226,11 +232,12 @@ func (c Codec) validate() error {
 	return fmt.Errorf("dqmx: unknown codec %q (valid: %s)", c, BinaryCodec)
 }
 
-// WireConfig consolidates the byte-layer knobs of a TCP deployment:
-// synthetic link delay and the reconnect policy. It applies to NewTCPNode
-// and Serve only — in-process clusters have no wire, and simulations model
-// delay through their own delay distribution. The zero value means "no link
-// delay, default reconnect policy".
+// WireConfig consolidates the byte-layer knobs of a TCP deployment. It
+// applies to NewTCPNode and Serve only — in-process clusters have no wire,
+// and simulations model delay through their own delay distribution. The
+// zero value means "no link delay". Dialing and reconnecting follow a fixed
+// policy: 5s per attempt, six attempts per batch, backoff 25ms doubling to
+// 500ms.
 type WireConfig struct {
 	// Codec selects nothing (see Codec): leave it empty or set BinaryCodec.
 	Codec Codec
@@ -239,26 +246,6 @@ type WireConfig struct {
 	// benchmarking on loopback, where real network delay is too small to
 	// separate a T handover from a 2T one.
 	LinkDelay time.Duration
-	// DialTimeout bounds one connection attempt, handshake included
-	// (default 5s).
-	DialTimeout time.Duration
-	// ReconnectAttempts is the dial budget per batch delivery (default 6).
-	ReconnectAttempts int
-	// ReconnectBase and ReconnectMax bound the exponential backoff between
-	// dial attempts (defaults 25ms and 500ms).
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
-}
-
-// transportConfig lowers the public knobs onto the transport layer.
-func (w WireConfig) transportConfig() transport.WireConfig {
-	return transport.WireConfig{
-		LinkDelay:         w.LinkDelay,
-		DialTimeout:       w.DialTimeout,
-		ReconnectAttempts: w.ReconnectAttempts,
-		ReconnectBase:     w.ReconnectBase,
-		ReconnectMax:      w.ReconnectMax,
-	}
 }
 
 // ObserveConfig groups the observability knobs, following the WireConfig
@@ -307,9 +294,8 @@ type Options struct {
 	// 128 bytes).
 	Resources ResourcePolicy
 	// Wire consolidates the byte-layer knobs of a TCP deployment: synthetic
-	// link delay and the reconnect policy (NewTCPNode and Serve only;
-	// in-process clusters model delay through Chaos, simulations through
-	// their delay distribution).
+	// link delay (NewTCPNode and Serve only; in-process clusters model delay
+	// through Chaos, simulations through their delay distribution).
 	Wire WireConfig
 }
 
@@ -458,13 +444,14 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// NewTCPNode starts site id of an n-site delay-optimal cluster whose sites
-// communicate over TCP. peers maps every other site to its listen address.
+// NewTCPNode starts site id of an n-site cluster whose sites communicate over
+// TCP, running DelayOptimal or Maekawa; the other protocols have no wire
+// codec and are refused. peers maps every other site to its listen address.
 // With Options.Observe.Metrics the peer's own protocol activity is aggregated
 // and exposed through TCPPeer.Snapshot and TCPPeer.SnapshotResource. Named
-// locks are reached through TCPPeer.Lock; the id range is validated before
-// any algorithm or site construction so misconfigured deployments fail
-// fast with a clear error.
+// locks are reached through TCPPeer.Lock; the id range and the protocol are
+// validated before anything listens so misconfigured deployments fail fast
+// with a clear error.
 func NewTCPNode(n int, id SiteID, listenAddr string, peers map[SiteID]string, opts Options) (*TCPPeer, error) {
 	peer, _, err := newTCPPeer(n, id, listenAddr, peers, opts)
 	return peer, err
@@ -482,6 +469,12 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 	alg, err := opts.algorithm()
 	if err != nil {
 		return nil, nil, err
+	}
+	// Only the §3 machine's messages have a wire codec. A peer running any
+	// other protocol could encode none of its frames, and the reliable
+	// sublayer would retransmit them forever.
+	if _, ok := alg.(core.Algorithm); !ok {
+		return nil, nil, fmt.Errorf("dqmx: protocol %q is sim-only: it has no wire codec and runs under Simulate and NewClusterWith, not over TCP", opts.Protocol)
 	}
 	if err := opts.Wire.Codec.validate(); err != nil {
 		return nil, nil, err
@@ -504,7 +497,7 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 		Metrics:    col,
 		Observer:   opts.Observe.Observer,
 		Policy:     opts.Resources,
-		Wire:       opts.Wire.transportConfig(),
+		Wire:       transport.WireConfig{LinkDelay: opts.Wire.LinkDelay},
 	})
 	if err != nil {
 		return nil, nil, err

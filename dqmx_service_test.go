@@ -287,3 +287,76 @@ func TestServiceCrashReclaim(t *testing.T) {
 		t.Error("arbiter 0 reclaimed no locks")
 	}
 }
+
+// TestServeObserverOneClock: Serve feeds protocol and session events into
+// one Observer, so they must share a clock. Events emitted in causal order —
+// the arbiter's own acquire and release, then a client's session open, then
+// the client's acquire — carry non-decreasing Time. (A session clock counting
+// from server creation lags the protocol's process clock by the process's
+// age at Serve, which the sleep makes measurable: the session open then read
+// earlier than the release before it.)
+func TestServeObserverOneClock(t *testing.T) {
+	time.Sleep(20 * time.Millisecond)
+	var mu sync.Mutex
+	var events []dqmx.TraceEvent
+	srv, err := dqmx.Serve(dqmx.ServeConfig{
+		N: 1, PeerListen: "127.0.0.1:0", ClientListen: "127.0.0.1:0", Detect: -1,
+		Options: dqmx.Options{Observe: dqmx.ObserveConfig{Observer: func(e dqmx.TraceEvent) {
+			mu.Lock()
+			events = append(events, e)
+			mu.Unlock()
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	own, err := srv.Lock("clock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := own.Release(); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := dqmx.Dial(ctx, []string{srv.ClientAddr()}, dqmx.DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	lock, err := sess.Lock("clock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lock.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	got := append([]dqmx.TraceEvent(nil), events...)
+	mu.Unlock()
+	var types []dqmx.EventType
+	for _, e := range got {
+		types = append(types, e.Type)
+	}
+	if fmt.Sprint(types) != fmt.Sprint([]dqmx.EventType{
+		dqmx.EventRequest, dqmx.EventEnter, dqmx.EventExit,
+		dqmx.EventSessionOpen, dqmx.EventRequest, dqmx.EventEnter,
+	}) {
+		t.Fatalf("event sequence %v, want the arbiter's acquire/release, the session open, the client's acquire", types)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Time < got[i-1].Time {
+			t.Errorf("%v at %d precedes %v at %d: two clocks on one Observer",
+				got[i].Type, got[i].Time, got[i-1].Type, got[i-1].Time)
+		}
+	}
+	if err := lock.Release(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,11 +1,12 @@
 package dqmx_test
 
-// Public-surface tests for the WireConfig knobs: what is left of codec
-// selection, the in-process rejection of TCP-only options, and the link delay
-// reaching the transport.
+// Public-surface tests for the wire: which protocols may use it, the
+// WireConfig knobs — what is left of codec selection, the in-process
+// rejection of TCP-only options — and the link delay reaching the transport.
 
 import (
 	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,66 @@ func TestValidateWireCodec(t *testing.T) {
 	if _, err := dqmx.Dial(context.Background(), []string{"127.0.0.1:1"}, dqmx.DialConfig{Codec: "gob"}); err == nil || !strings.Contains(err.Error(), "retired") {
 		t.Errorf("Dial with codec gob: %v, want the wire-v0-retired error", err)
 	}
+}
+
+// TestTCPRefusesSimOnlyProtocols: only the §3 machine has a wire codec, so
+// NewTCPNode and Serve build peers for delay-optimal and maekawa and refuse
+// every other protocol, naming where it does run, before anything listens:
+// the addresses they were given stay free.
+func TestTCPRefusesSimOnlyProtocols(t *testing.T) {
+	for _, p := range dqmx.Protocols() {
+		t.Run(string(p), func(t *testing.T) {
+			onWire := p == dqmx.DelayOptimal || p == dqmx.Maekawa
+			opts := dqmx.Options{Protocol: p}
+			check := func(call string, err error, addrs ...string) {
+				t.Helper()
+				if onWire {
+					if err != nil {
+						t.Errorf("%s: %v", call, err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), "Simulate") || !strings.Contains(err.Error(), "NewClusterWith") {
+					t.Errorf("%s: %v, want the sim-only error naming Simulate and NewClusterWith", call, err)
+				}
+				for _, addr := range addrs {
+					ln, err := net.Listen("tcp", addr)
+					if err != nil {
+						t.Errorf("%s left %s bound: %v", call, addr, err)
+						continue
+					}
+					ln.Close()
+				}
+			}
+
+			peerAddr := freeAddr(t)
+			peer, err := dqmx.NewTCPNode(3, 0, peerAddr, nil, opts)
+			check("NewTCPNode", err, peerAddr)
+			if err == nil {
+				peer.Close()
+			}
+
+			clientAddr := freeAddr(t)
+			srv, err := dqmx.Serve(dqmx.ServeConfig{
+				N: 3, PeerListen: peerAddr, ClientListen: clientAddr, Detect: -1, Options: opts,
+			})
+			check("Serve", err, peerAddr, clientAddr)
+			if err == nil {
+				srv.Close()
+			}
+		})
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 func TestInprocRejectsWireOptions(t *testing.T) {

@@ -42,8 +42,8 @@ type driver interface {
 
 // newDriver boots the fabric for a validated config, wiring the given sink
 // into every site's event stream. The sink receives one coherent stream in
-// both cases: the TCP peers share this process's monotonic epoch, so their
-// event timestamps are comparable.
+// both cases: the TCP peers stamp their events with this process's one live
+// clock (obs.Now), so their timestamps are comparable.
 func newDriver(cfg Config, sink obs.Sink) (driver, error) {
 	opts := dqmx.Options{
 		Protocol: dqmx.Protocol(cfg.Protocol),

@@ -100,8 +100,9 @@ type Config struct {
 	// Driver selects the fabric: DriverInproc or DriverTCP.
 	Driver string
 	// Protocol and Quorum select the algorithm; both default to the paper's
-	// (delay-optimal over grid). Every protocol runs on both fabrics — each
-	// registers its messages with internal/wire.
+	// (delay-optimal over grid). Every protocol runs in-process; the tcp and
+	// service drivers run delay-optimal and maekawa, the protocols with a
+	// wire codec, and dqmx refuses the rest when the peers are built.
 	Protocol string
 	Quorum   string
 	// N is the cluster size: sites for the site drivers, arbiters for the

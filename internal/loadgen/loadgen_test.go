@@ -144,7 +144,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zipf with s <= 1 accepted")
 	}
 	if _, err := (Config{N: 9, Measure: time.Second, Driver: DriverTCP, Protocol: "maekawa"}).withDefaults(); err != nil {
-		t.Errorf("TCP driver rejected maekawa: %v (it rides the §3.1 inline bodies; the baselines register wire messages)", err)
+		t.Errorf("TCP driver rejected maekawa: %v (it rides the §3.1 inline bodies)", err)
 	}
 	if _, err := RunAB(Config{N: 9, Measure: time.Second, Protocol: "lamport"}); err == nil {
 		t.Error("A/B accepted a protocol that is neither delay-optimal nor maekawa")

@@ -80,34 +80,6 @@ func TestLiveHandoffAB(t *testing.T) {
 	})
 }
 
-// TestTCPProtocols pins that any protocol runs over TCP: the paper's and
-// maekawa — one machine, two hand-off paths — as inline §3.1 bodies through
-// the v1 codec, two baselines through the messages they register.
-func TestTCPProtocols(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live benchmark smoke; skipped in -short")
-	}
-	for _, protocol := range []string{"delay-optimal", "maekawa", "ricart-agrawala", "suzuki-kasami"} {
-		t.Run(protocol, func(t *testing.T) {
-			rep, err := Run(Config{
-				Driver:   DriverTCP,
-				Protocol: protocol,
-				N:        3,
-				Hold:     100 * time.Microsecond,
-				Warmup:   50 * time.Millisecond,
-				Measure:  300 * time.Millisecond,
-				Seed:     11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Ops == 0 || rep.Throughput <= 0 {
-				t.Fatalf("run did no work: %+v", rep)
-			}
-		})
-	}
-}
-
 // TestServiceScaling is the lock-service-tier smoke: a fixed 3-arbiter
 // coterie serves a growing leased-client population over loopback TCP. The
 // tentpole claim under test is that the per-CS protocol traffic — the

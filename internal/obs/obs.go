@@ -9,18 +9,28 @@
 // allocates nor synchronizes unless an observer is installed. Events are
 // plain value structs; emitting one is a function call with no heap traffic.
 //
-// Timestamps are driver-relative int64s in whatever unit the driver counts
-// time: simulated ticks for internal/sim, monotonic nanoseconds for the live
-// transports. The aggregator only ever subtracts timestamps, so the unit
-// cancels out of every ratio-of-T metric and only scales the delay stats.
+// Timestamps are int64s in whatever unit the driver counts time: simulated
+// ticks for internal/sim, Now for everything live. The aggregator only ever
+// subtracts timestamps, so the unit cancels out of every ratio-of-T metric
+// and only scales the delay stats.
 package obs
 
 import (
 	"fmt"
+	"time"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
 )
+
+// start anchors Now.
+var start = time.Now()
+
+// Now is the live clock: monotonic nanoseconds since process start. Every
+// live emitter — node loops, the reliable sublayer, session servers — stamps
+// its events with it, so one Observer fed by several of them sees one time
+// line.
+func Now() int64 { return int64(time.Since(start)) }
 
 // EventType enumerates the protocol lifecycle events drivers emit.
 type EventType uint8
@@ -123,8 +133,10 @@ type Event struct {
 	Peer mutex.SiteID
 	// Kind is the message kind for EventSend events.
 	Kind string
-	// Time is the driver timestamp: simulated ticks under internal/sim,
-	// monotonic nanoseconds under the live transports.
+	// Time is the driver timestamp: simulated ticks under internal/sim;
+	// on live clusters, peers and session servers, Now — monotonic
+	// nanoseconds since process start, one clock for every live emitter in
+	// the process.
 	Time int64
 	// Resource names the lock the event belongs to when many named locks
 	// are multiplexed over one site set. The empty string is the default

@@ -100,8 +100,7 @@ type Stats struct {
 
 // Server serves leased lock sessions for one arbiter site.
 type Server struct {
-	cfg   ServerConfig
-	epoch time.Time
+	cfg ServerConfig
 
 	mu       sync.Mutex
 	sessions map[uint64]*serverSession
@@ -183,7 +182,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv := &Server{
 		cfg:      cfg,
-		epoch:    time.Now(),
 		sessions: make(map[uint64]*serverSession),
 		// Session IDs start at a time-derived offset so IDs from a previous
 		// incarnation of this arbiter are unlikely to alias into the new
@@ -209,13 +207,10 @@ func (srv *Server) Stats() Stats {
 	return s
 }
 
-// now returns the server-relative event timestamp.
-func (srv *Server) now() int64 { return int64(time.Since(srv.epoch)) }
-
 // emit reports one session lifecycle event.
 func (srv *Server) emit(t obs.EventType, resource string) {
 	if srv.cfg.Sink != nil {
-		srv.cfg.Sink(obs.Event{Type: t, Site: srv.cfg.Site, Time: srv.now(), Resource: resource})
+		srv.cfg.Sink(obs.Event{Type: t, Site: srv.cfg.Site, Time: obs.Now(), Resource: resource})
 	}
 }
 
@@ -434,7 +429,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 // emitLocked emits with srv.mu held (the sink must not call back).
 func (srv *Server) emitLocked(t obs.EventType) {
 	if srv.cfg.Sink != nil {
-		srv.cfg.Sink(obs.Event{Type: t, Site: srv.cfg.Site, Time: srv.now()})
+		srv.cfg.Sink(obs.Event{Type: t, Site: srv.cfg.Site, Time: obs.Now()})
 	}
 }
 

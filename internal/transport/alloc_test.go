@@ -86,6 +86,8 @@ type discardSender struct{ sent int }
 
 func (d *discardSender) Send(mutex.Envelope) error { d.sent++; return nil }
 
+func (d *discardSender) SendBatch(envs []mutex.Envelope) error { d.sent += len(envs); return nil }
+
 // TestAllocsReliableFlush: a flush pass with retransmissions and standalone
 // acks due, and no sink to tell about them, reuses the layer's own buffers.
 func TestAllocsReliableFlush(t *testing.T) {

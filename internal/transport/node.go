@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
@@ -30,19 +29,13 @@ var (
 	ErrNotReconfigurable = errors.New("transport: algorithm does not support membership reconfiguration")
 )
 
-// epoch anchors the live drivers' event timestamps: monotonic nanoseconds
-// since process start, comparable across every node in the process.
-var epoch = time.Now()
-
-func nanos() int64 { return int64(time.Since(epoch)) }
-
 // Sender transmits an envelope toward a remote site. Implementations must
 // preserve per-destination FIFO ordering (the protocol's channel model).
 type Sender interface {
 	Send(env mutex.Envelope) error
 }
 
-// BatchSender is an optional Sender extension: all envelopes produced by one
+// BatchSender is what every fabric implements: all envelopes produced by one
 // state-machine step are handed over together, letting the transport
 // coalesce them — one mailbox lock in-process, one buffered write per
 // destination over TCP — instead of paying per-envelope overhead. Order
@@ -113,7 +106,7 @@ var respPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 // blocking Acquire/Release interface to application code.
 type Node struct {
 	site   mutex.Site
-	sender Sender
+	sender BatchSender
 	inbox  *mailbox
 	sink   obs.Sink // nil when observability is disabled
 
@@ -134,16 +127,11 @@ type Node struct {
 	queue []mutex.Envelope
 }
 
-// NewNode starts the node's event loop with observability disabled. sender
-// carries envelopes addressed to other sites; envelopes addressed to this
-// site short-circuit internally.
-func NewNode(site mutex.Site, sender Sender) *Node {
-	return NewNodeObserved(site, sender, nil)
-}
-
 // NewNodeObserved starts the node's event loop with the given event sink.
-// A nil sink costs exactly one nil check per potential event.
-func NewNodeObserved(site mutex.Site, sender Sender, sink obs.Sink) *Node {
+// sender carries envelopes addressed to other sites, each step's together;
+// envelopes addressed to this site short-circuit internally. A nil sink
+// costs exactly one nil check per potential event.
+func NewNodeObserved(site mutex.Site, sender BatchSender, sink obs.Sink) *Node {
 	n := &Node{
 		site:     site,
 		sender:   sender,
@@ -268,7 +256,7 @@ func (n *Node) Close() {
 
 // observe emits one lifecycle event; callers must have checked n.sink.
 func (n *Node) observe(t obs.EventType, peer mutex.SiteID, kind string) {
-	n.sink(obs.Event{Type: t, Site: n.site.ID(), Peer: peer, Kind: kind, Time: nanos()})
+	n.sink(obs.Event{Type: t, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
 }
 
 func (n *Node) run() {
@@ -303,7 +291,7 @@ func (n *Node) run() {
 			// precedes every EventSend of the request wave.
 			out := n.site.Request()
 			if n.sink != nil {
-				e := obs.Event{Type: obs.EventRequest, Site: n.site.ID(), Peer: n.site.ID(), Time: nanos()}
+				e := obs.Event{Type: obs.EventRequest, Site: n.site.ID(), Peer: n.site.ID(), Time: obs.Now()}
 				if ts, ok := n.site.(mutex.TimestampedSite); ok {
 					if reqTS, pending := ts.RequestTimestamp(); pending {
 						e.ReqTS = reqTS
@@ -419,8 +407,7 @@ func siteDebug(s mutex.Site) string {
 
 // apply executes one state-machine step's effects: self-addressed envelopes
 // run inline (they are local bookkeeping, not network messages), remote ones
-// go to the sender — batched when the transport supports it — and a CS entry
-// wakes the pending Acquire.
+// go to the sender as one batch, and a CS entry wakes the pending Acquire.
 func (n *Node) apply(out mutex.Output) {
 	entered := out.Entered
 	// The Output is valid only until the next call on the site, and a
@@ -448,13 +435,7 @@ func (n *Node) apply(out mutex.Output) {
 	// Reliable-channel model: transports retry internally; an error here
 	// means the peer is gone, which the failure protocol handles.
 	if len(remote) > 0 {
-		if bs, ok := n.sender.(BatchSender); ok {
-			_ = bs.SendBatch(remote)
-		} else {
-			for _, env := range remote {
-				_ = n.sender.Send(env)
-			}
-		}
+		_ = n.sender.SendBatch(remote)
 	}
 	clear(q) // an idle node must not pin its last step's messages
 	if entered {

@@ -104,7 +104,7 @@ type reliable struct {
 	deliver func(env mutex.Envelope) error // upward exactly-once path
 	sink    obs.Sink                       // transport-level events; may be nil
 
-	raw Sender // downward wire; set by start before any traffic
+	raw BatchSender // downward wire; set by start before any traffic
 
 	mu   sync.Mutex
 	out  map[streamID]*sendStream
@@ -143,7 +143,7 @@ func newReliable(deliver func(env mutex.Envelope) error, sink obs.Sink) *reliabl
 }
 
 // start wires the downward sender and spawns the retransmit/ack-flush loop.
-func (r *reliable) start(raw Sender) {
+func (r *reliable) start(raw BatchSender) {
 	r.raw = raw
 	go r.loop()
 }
@@ -244,16 +244,7 @@ func (r *reliable) SendBatch(envs []mutex.Envelope) error {
 	if len(kept) == 0 {
 		return nil
 	}
-	if bs, ok := r.raw.(BatchSender); ok {
-		return bs.SendBatch(kept)
-	}
-	var firstErr error
-	for _, env := range kept {
-		if err := r.raw.Send(env); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return r.raw.SendBatch(kept)
 }
 
 // prepare stamps one outgoing envelope under the lock — piggybacked ack,
@@ -319,14 +310,14 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 		// Already delivered: a retransmission that crossed our ack, or a wire
 		// duplicate. Suppress it and re-arm the ack so the sender settles.
 		r.noteAckLocked(rs)
-		r.emitLocked(obs.Event{Type: obs.EventDupDrop, Site: env.To, Peer: env.From, Time: nanos()})
+		r.emitLocked(obs.Event{Type: obs.EventDupDrop, Site: env.To, Peer: env.From, Time: obs.Now()})
 		r.mu.Unlock()
 		return nil
 	}
 	if env.Seq != rs.delivered+1 {
 		// A gap: park the envelope until retransmission fills it.
 		if _, dup := rs.buffer[env.Seq]; dup {
-			r.emitLocked(obs.Event{Type: obs.EventDupDrop, Site: env.To, Peer: env.From, Time: nanos()})
+			r.emitLocked(obs.Event{Type: obs.EventDupDrop, Site: env.To, Peer: env.From, Time: obs.Now()})
 		} else {
 			rs.buffer[env.Seq] = env
 		}
@@ -455,7 +446,7 @@ func (r *reliable) flush() {
 			if sink != nil {
 				events = append(events, obs.Event{
 					Type: obs.EventRetransmit, Site: e.From, Peer: e.To,
-					Kind: e.Kind(), Resource: e.Resource, Time: nanos(),
+					Kind: e.Kind(), Resource: e.Resource, Time: obs.Now(),
 				})
 			}
 		}
@@ -468,7 +459,7 @@ func (r *reliable) flush() {
 		acks = append(acks, mutex.Envelope{From: id.to, To: id.from, Ack: rs.delivered})
 		if sink != nil {
 			events = append(events, obs.Event{
-				Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: nanos(),
+				Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: obs.Now(),
 			})
 		}
 	}

@@ -61,6 +61,8 @@ func (w *scriptedWire) Send(env mutex.Envelope) error {
 	return nil
 }
 
+func (w *scriptedWire) SendBatch(envs []mutex.Envelope) error { return sendEach(w.Send, envs) }
+
 func (w *scriptedWire) sentCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -232,10 +234,22 @@ func TestReliableReorder(t *testing.T) {
 	}
 }
 
-// senderFunc adapts a function to the Sender interface.
+// senderFunc adapts a function to the BatchSender interface.
 type senderFunc func(env mutex.Envelope) error
 
 func (f senderFunc) Send(env mutex.Envelope) error { return f(env) }
+
+func (f senderFunc) SendBatch(envs []mutex.Envelope) error { return sendEach(f, envs) }
+
+// sendEach sends a batch one envelope at a time, for the test wires.
+func sendEach(send func(mutex.Envelope) error, envs []mutex.Envelope) error {
+	for _, env := range envs {
+		if err := send(env); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // TestReliablePeerFailedStopsRetransmission cuts the wire to a peer, lets
 // the retransmission loop run, then declares the peer dead: the babbling

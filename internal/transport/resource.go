@@ -15,7 +15,7 @@ import (
 // configuration epoch.
 type resourceSender struct {
 	name  string
-	under Sender
+	under BatchSender
 	stage *atomic.Uint64 // nil when the transport has no membership state
 }
 
@@ -32,22 +32,12 @@ func (s resourceSender) Send(env mutex.Envelope) error {
 	return s.under.Send(env)
 }
 
-// SendBatch implements BatchSender, falling back to per-envelope sends when
-// the underlying transport does not batch.
+// SendBatch implements BatchSender.
 func (s resourceSender) SendBatch(envs []mutex.Envelope) error {
 	for i := range envs {
 		s.stamp(&envs[i])
 	}
-	if bs, ok := s.under.(BatchSender); ok {
-		return bs.SendBatch(envs)
-	}
-	var firstErr error
-	for _, env := range envs {
-		if err := s.under.Send(env); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.under.SendBatch(envs)
 }
 
 // resourceSink stamps the resource name onto observed events so the metrics
@@ -67,6 +57,6 @@ func resourceSink(name string, sink obs.Sink) obs.Sink {
 // wrapped with a resource- and stage-stamping sender and a resource-stamping
 // sink. It is the Config.New used by both the in-process cluster and the
 // TCP peer. stage may be nil (no membership tracking).
-func newResourceNode(name string, site mutex.Site, under Sender, sink obs.Sink, stage *atomic.Uint64) *Node {
+func newResourceNode(name string, site mutex.Site, under BatchSender, sink obs.Sink, stage *atomic.Uint64) *Node {
 	return NewNodeObserved(site, resourceSender{name: name, under: under, stage: stage}, resourceSink(name, sink))
 }

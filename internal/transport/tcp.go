@@ -37,7 +37,7 @@ type TCPConfig struct {
 	Observer obs.Sink
 	// Policy bounds named-lock resource names.
 	Policy resource.Policy
-	// Wire configures the byte layer: link delay, reconnect policy.
+	// Wire configures the byte layer: link delay.
 	Wire WireConfig
 }
 
@@ -59,7 +59,7 @@ type TCPPeer struct {
 	listener net.Listener
 	peers    map[mutex.SiteID]string
 	metrics  *obs.Metrics // nil unless metrics collection was requested
-	wire     WireConfig   // resolved byte-layer configuration
+	wire     WireConfig   // byte-layer configuration
 
 	// stage is the membership stage stamped onto every outbound envelope
 	// (see internal/membership). It starts at the epoch-0 stable stage and
@@ -127,7 +127,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		listener: ln,
 		peers:    make(map[mutex.SiteID]string, len(cfg.Peers)),
 		metrics:  cfg.Metrics,
-		wire:     cfg.Wire.withDefaults(),
+		wire:     cfg.Wire,
 		outs:     make(map[mutex.SiteID]*outbound),
 		inbound:  make(map[net.Conn]bool),
 		stopC:    make(chan struct{}),
@@ -440,10 +440,9 @@ func (o *outbound) ensureConn() bool {
 	if connected {
 		return true
 	}
-	wcfg := o.peer.wire
-	delay := wcfg.ReconnectBase
-	for attempt := 0; attempt < wcfg.ReconnectAttempts; attempt++ {
-		conn, err := net.DialTimeout("tcp", o.addr, wcfg.DialTimeout)
+	delay := reconnectBase
+	for attempt := 0; attempt < reconnectAttempts; attempt++ {
+		conn, err := net.DialTimeout("tcp", o.addr, dialTimeout)
 		if err == nil {
 			if o.bw == nil {
 				o.bw = bufio.NewWriter(conn)
@@ -452,7 +451,7 @@ func (o *outbound) ensureConn() bool {
 			}
 			// Encoders carry per-stream state (the interning table), so
 			// each connection gets a fresh one.
-			if wire.Offer(conn, wire.MagicPeer, wcfg.DialTimeout) == nil {
+			if wire.Offer(conn, wire.MagicPeer, dialTimeout) == nil {
 				o.mu.Lock()
 				o.conn = conn
 				o.mu.Unlock()
@@ -462,7 +461,7 @@ func (o *outbound) ensureConn() bool {
 			_ = conn.Close()
 			o.bw.Reset(nil)
 		}
-		if attempt == wcfg.ReconnectAttempts-1 {
+		if attempt == reconnectAttempts-1 {
 			break
 		}
 		select {
@@ -471,8 +470,8 @@ func (o *outbound) ensureConn() bool {
 			return false
 		}
 		delay *= 2
-		if delay > wcfg.ReconnectMax {
-			delay = wcfg.ReconnectMax
+		if delay > reconnectMax {
+			delay = reconnectMax
 		}
 	}
 	return false
@@ -539,7 +538,7 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 		delete(p.inbound, conn)
 		p.mu.Unlock()
 	}()
-	if wire.Accept(conn, wire.MagicPeer, p.wire.DialTimeout) != nil {
+	if wire.Accept(conn, wire.MagicPeer, dialTimeout) != nil {
 		return
 	}
 	dec := wire.Binary().NewDecoder(conn)

@@ -35,7 +35,9 @@ import (
 const (
 	// maxFrame bounds one frame's payload so a hostile length prefix cannot
 	// force a giant allocation. Generous against real traffic: the largest
-	// legitimate payload (a suzuki-kasami token at N=4096) stays far under it.
+	// legitimate payloads — core's §6 refresh request naming every other site
+	// dead at N=4096 (~8 KB), a session grant listing a thousand held locks
+	// of maximal name length (~130 KB) — stay under it.
 	maxFrame = 1 << 20
 	// maxInternedNames bounds the per-connection interning table; a sender
 	// that overflows it (thousands of distinct resource names on one

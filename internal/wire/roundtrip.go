@@ -7,9 +7,8 @@ import (
 )
 
 // RoundTrip encodes env through one fresh encoder/decoder pair and returns
-// the decoded result. It exists for tests — the per-protocol round-trip
-// checks and the codec fuzzer — so they need not plumb buffers and stream
-// state themselves.
+// the decoded result. It exists for tests — the round-trip checks and the
+// codec fuzzer — so they need not plumb buffers and stream state themselves.
 func RoundTrip(env mutex.Envelope) (mutex.Envelope, error) {
 	var buf bytes.Buffer
 	enc := Binary().NewEncoder(&buf)

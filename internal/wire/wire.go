@@ -156,12 +156,13 @@ func decodePayload(r *Reader, env *mutex.Envelope) error {
 	return err
 }
 
-// Tags reserved for transport- and mutex-level payloads. Protocol packages
-// own their own disjoint ranges (core: 1–7, lamport: 16–18,
-// ricart-agrawala: 20–21, singhal: 32–33, suzuki-kasami: 36–37,
-// raymond: 40–41, session: 48–55). 24–29 were internal/maekawa's until
-// Maekawa became a hand-off path of core; they stay reserved and are never
-// reused, so an old peer's frame is refused as an unknown tag.
+// Tags reserved for transport- and mutex-level payloads. The live stack's
+// other owners hold disjoint ranges (core: 1–7, session: 48–55). Retired
+// ranges stay reserved and are never reused, so an old peer's frame is
+// refused as an unknown tag: 24–29 were internal/maekawa's until Maekawa
+// became a hand-off path of core; 16–18, 20–21, 32–33, 36–37 and 40–41 were
+// the lamport, ricart-agrawala, singhal, suzuki-kasami and raymond codecs,
+// retired when those baselines became simulator- and in-process-only.
 const (
 	// TagHeartbeat is claimed by internal/transport for its liveness probe.
 	TagHeartbeat byte = 8

@@ -265,15 +265,19 @@ func TestBinaryDecodeHostileFrames(t *testing.T) {
 			t.Errorf("%s: expected decode error", name)
 		}
 	}
-	// Tags 24–29 carried internal/maekawa's messages and are never reused: a
-	// peer that still sends one (here its request, tag 24) is refused by tag,
-	// not decoded as something else.
-	retired := frameWith(t, func(b []byte) []byte {
-		return AppendTimestamp(append(b, 24), timestamp.Timestamp{Seq: 5, Site: 2})
-	})
-	_, err := Binary().NewDecoder(bytes.NewReader(retired)).Decode()
-	if err == nil || !strings.Contains(err.Error(), "unknown message tag 24") {
-		t.Errorf("retired tag 24: got %v, want the unknown-tag error", err)
+	// Retired tags are never reused: a peer that still sends one is refused
+	// by tag, not decoded as something else. 24 was internal/maekawa's
+	// request; the rest were the five baselines' codecs (lamport 16–18,
+	// ricart-agrawala 20–21, singhal 32–33, suzuki-kasami 36–37, raymond
+	// 40–41).
+	for _, tag := range []byte{24, 16, 17, 18, 20, 21, 32, 33, 36, 37, 40, 41} {
+		retired := frameWith(t, func(b []byte) []byte {
+			return AppendTimestamp(append(b, tag), timestamp.Timestamp{Seq: 5, Site: 2})
+		})
+		_, err := Binary().NewDecoder(bytes.NewReader(retired)).Decode()
+		if want := fmt.Sprintf("unknown message tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("retired tag %d: got %v, want the unknown-tag error", tag, err)
+		}
 	}
 }
 
