@@ -65,14 +65,13 @@ chaos:
 # Exhaustive small-N model checking: every schedule of delivery, request,
 # exit, crash, and crash-loss over the protocol state machine, with the
 # conformance invariants asserted on every transition (internal/modelcheck).
-# The short run is the CI budget; modelcheck-soak widens to the crash spaces
-# and two-round runs, and cmd/dqmcheck explores single configurations with
-# custom budgets.
+# It runs every pinned space; modelcheck-soak adds two larger configurations
+# through cmd/dqmcheck, which explores single configurations with custom
+# budgets.
 modelcheck:
-	$(GO) test -short -run TestExhaustive -count=1 -timeout 10m ./internal/modelcheck
+	$(GO) test -run TestExhaustive -count=1 -timeout 10m ./internal/modelcheck
 
-modelcheck-soak:
-	$(GO) test -run TestExhaustive -count=1 -timeout 60m ./internal/modelcheck
+modelcheck-soak: modelcheck
 	$(GO) run ./cmd/dqmcheck -n 4 -quorum majority -requesters 0,1,2 -bound=false -max-states 5e6
 	$(GO) run ./cmd/dqmcheck -n 5 -quorum tree -requesters 0,4 -crashes 1 -bound=false -max-states 5e6
 

@@ -1,97 +1,91 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"dqmx/internal/mutex"
-	"dqmx/internal/timestamp"
+	"dqmx/internal/wire"
 )
 
 // Model-checking seams. internal/modelcheck branches protocol executions by
-// deep-copying sites and prunes the search by memoizing canonical state
-// strings; both hooks live here, next to the state they must cover, so a new
-// Site field fails loudly in review rather than silently weakening the
-// checker.
+// copying sites and prunes the search by memoizing a byte key of each state;
+// both hooks live here, next to the state they must cover.
+// TestCanonicalCoversEveryField fails when a Site field is neither encoded by
+// AppendCanonical nor excluded with a reason, and on any map-typed field.
 
-// CloneForCheck deep-copies the site's protocol state so an explorer can
-// branch the execution. The copy shares nothing mutable with the original.
-func (s *Site) CloneForCheck() mutex.Site { return s.clone() }
-
-// CanonicalState serializes every behaviour-relevant field of the site
-// deterministically. Two sites with equal CanonicalState are guaranteed to
-// react identically to identical future inputs: the serialization covers the
-// whole requester half (including parked transfers and inquires), the whole
-// arbiter half (including buffered early releases), the §6 recovery state
-// (known-failed sites, the deferred replacement quorum), and the Lamport
-// clock — omitting the clock would merge states that issue differently
-// prioritized future requests. The online membership (system size and stage
-// tag) is covered too, since SetMembership changes it mid-run. Statistics
-// counters and construction-time configuration are excluded.
-func (s *Site) CanonicalState() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "S%d{%v %v c=%d f=%v r=%s q=%v nq=%v n=%d ms=%d fs=%s d=%s t=%v p=%s|L=%v Q=%v i=%v lt=%v v=%v er=%s rd=%s}",
-		s.id, s.state, s.reqTS, s.clock.Now(), s.failed, canonSet(s.replied),
-		s.quorum, s.nextQuorum, s.n, s.memberStage, canonSet(s.failedSites), canonSet(s.inqDeferred),
-		s.tranStack, canonPend(s.pendTransfers),
-		s.lock, s.queue.items, s.inquired, s.lastTransfer, s.lockVia,
-		canonEarly(s.earlyReleases), canonRefresh(s.refreshDead))
-	return b.String()
+// CloneForCheck copies the site so an explorer can branch the execution. The
+// copy shares nothing mutable with the original: every field is a value or
+// never edited (the construction, the membership closure, the quorums, which
+// the machine replaces whole) except the slices below, which it edits in
+// place. The send buffer is scratch, not state; the copy starts without it.
+func (s *Site) CloneForCheck() mutex.Site {
+	c := *s
+	c.failedSites = s.failedSites.clone()
+	c.replied = s.replied.clone()
+	c.inqDeferred = s.inqDeferred.clone()
+	c.tranStack = slices.Clone(s.tranStack)
+	c.pendTransfers = slices.Clone(s.pendTransfers)
+	c.queue.items = slices.Clone(s.queue.items)
+	c.refreshDead = slices.Clone(s.refreshDead)
+	c.earlyReleases = slices.Clone(s.earlyReleases)
+	c.sendBuf = nil
+	return &c
 }
 
-func canonSet(m map[mutex.SiteID]bool) string {
-	ids := make([]int, 0, len(m))
-	for k, v := range m {
-		if v {
-			ids = append(ids, int(k))
-		}
-	}
-	sort.Ints(ids)
-	return fmt.Sprint(ids)
+// AppendCanonical appends a fixed binary encoding of every behaviour-relevant
+// field of the site to b. Two sites with equal encodings react identically to
+// identical future inputs: the encoding covers the whole requester half
+// (including parked transfers and inquires), the whole arbiter half
+// (including buffered early releases), the §6 recovery state (known-failed
+// sites, refresh claims, the deferred replacement quorum), the online
+// membership (system size and stage tag), and the Lamport clock — omitting
+// the clock would merge states that issue differently prioritized future
+// requests. Statistics, construction-time configuration and scratch are
+// excluded. Every variable-length part is counted, so the encoding of one
+// site never runs into the next.
+func (s *Site) AppendCanonical(b []byte) []byte {
+	b = wire.AppendSite(b, s.id)
+	b = wire.AppendUint(b, uint64(s.n))
+	b = wire.AppendUint(b, s.clock.Now())
+	b = appendAll(b, s.quorum, wire.AppendSite)
+	b = wire.AppendBool(b, s.nextQuorum != nil)
+	b = appendAll(b, s.nextQuorum, wire.AppendSite)
+	b = s.failedSites.appendCanonical(b)
+	b = wire.AppendUint(b, s.memberStage)
+
+	b = append(b, byte(s.state))
+	b = wire.AppendTimestamp(b, s.reqTS)
+	b = s.replied.appendCanonical(b)
+	b = wire.AppendBool(b, s.failed)
+	b = s.inqDeferred.appendCanonical(b)
+	b = appendAll(b, s.tranStack, appendTransfer)
+	b = appendAll(b, s.pendTransfers, appendTransfer)
+
+	b = wire.AppendTimestamp(b, s.lock)
+	b = appendAll(b, s.queue.items, wire.AppendTimestamp)
+	b = wire.AppendBool(b, s.inquired)
+	b = wire.AppendTimestamp(b, s.lastTransfer)
+	b = wire.AppendSite(b, s.lockVia)
+	b = appendAll(b, s.refreshDead, func(b []byte, c refreshClaim) []byte {
+		return wire.AppendSite(wire.AppendTimestamp(b, c.TS), c.Dead)
+	})
+	return appendAll(b, s.earlyReleases, func(b []byte, r releaseMsg) []byte {
+		b = wire.AppendTimestamp(b, r.ReqTS)
+		b = wire.AppendSite(b, r.Fwd)
+		b = wire.AppendTimestamp(b, r.FwdTS)
+		return wire.AppendBool(b, r.Withdraw)
+	})
 }
 
-func canonPend(m map[mutex.SiteID][]transferInfo) string {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, int(k))
+// appendAll appends a counted list, each element by enc.
+func appendAll[E any](b []byte, xs []E, enc func([]byte, E) []byte) []byte {
+	b = wire.AppendUint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = enc(b, x)
 	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%d:%v;", k, m[mutex.SiteID(k)])
-	}
-	return b.String()
+	return b
 }
 
-func canonRefresh(m map[timestamp.Timestamp]map[mutex.SiteID]bool) string {
-	keys := make([]timestamp.Timestamp, 0, len(m))
-	for k := range m {
-		if len(m[k]) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%v=%s;", k, canonSet(m[k]))
-	}
-	return b.String()
-}
-
-func canonEarly(m map[timestamp.Timestamp]releaseMsg) string {
-	type kv struct {
-		k timestamp.Timestamp
-		v releaseMsg
-	}
-	items := make([]kv, 0, len(m))
-	for k, v := range m {
-		items = append(items, kv{k, v})
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].k.Less(items[j].k) })
-	var b strings.Builder
-	for _, it := range items {
-		fmt.Fprintf(&b, "%v=%v;", it.k, it.v)
-	}
-	return b.String()
+func appendTransfer(b []byte, t transferInfo) []byte {
+	return wire.AppendTimestamp(wire.AppendSite(b, t.Arbiter), t.TargetTS)
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -12,7 +12,7 @@ import (
 // permission toward its entry condition (replied[arb] = 1). Used by the
 // permission-exclusivity invariant checker in tests.
 func (s *Site) HoldsPermissionOf(arb mutex.SiteID) bool {
-	return s.replied[arb]
+	return s.replied.has(arb)
 }
 
 // RequestTimestamp implements mutex.TimestampedSite: the timestamp of the
@@ -35,24 +35,13 @@ func DebugState(ms mutex.Site) string {
 	if !ok {
 		return fmt.Sprintf("site %d: (not a core site)", ms.ID())
 	}
-	repliedOf := make([]mutex.SiteID, 0, len(s.replied))
-	for a, ok := range s.replied {
-		if ok {
-			repliedOf = append(repliedOf, a)
-		}
-	}
-	sort.Slice(repliedOf, func(i, j int) bool { return repliedOf[i] < repliedOf[j] })
-	deferred := make([]mutex.SiteID, 0, len(s.inqDeferred))
-	for a := range s.inqDeferred {
-		deferred = append(deferred, a)
-	}
-	sort.Slice(deferred, func(i, j int) bool { return deferred[i] < deferred[j] })
 	via := ""
 	if s.lockVia != timestamp.None {
 		via = fmt.Sprintf(" via=%d", s.lockVia)
 	}
 	return fmt.Sprintf(
 		"%v req=%v failed=%v replied=%v quorum=%v inqDef=%v stack=%v | lock=%v%s queue=%v inquired=%v lastTr=%v",
-		s.state, s.reqTS, s.failed, repliedOf, s.quorum, deferred, s.tranStack,
+		s.state, s.reqTS, s.failed, slices.Collect(s.replied.all()), s.quorum,
+		slices.Collect(s.inqDeferred.all()), s.tranStack,
 		s.lock, via, s.queue.items, s.inquired, s.lastTransfer)
 }

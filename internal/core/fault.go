@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
@@ -29,10 +29,10 @@ func (s *Site) SiteFailed(f mutex.SiteID) mutex.Output {
 }
 
 func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
-	if f == s.id || s.failedSites[f] {
+	if f == s.id || s.failedSites.has(f) {
 		return
 	}
-	s.failedSites[f] = true
+	s.failedSites.add(f)
 
 	s.arbiterPurge(f, out)
 	s.requesterPurge(f, out)
@@ -60,13 +60,9 @@ func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
 // re-issuing could double-grant across a yield. If that proxy later crashes,
 // the next refresh claims it and heals the gap.
 func (s *Site) refreshRequests(out *mutex.Output) {
-	dead := make([]mutex.SiteID, 0, len(s.failedSites))
-	for f := range s.failedSites {
-		dead = append(dead, f)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	dead := slices.Collect(s.failedSites.all())
 	for _, a := range s.quorum {
-		if s.replied[a] || s.failedSites[a] {
+		if s.replied.has(a) || s.failedSites.has(a) {
 			continue
 		}
 		out.SendTo(s.id, a, requestMsg{TS: s.reqTS, Refresh: true, Dead: dead})
@@ -98,17 +94,11 @@ func (s *Site) requesterPurge(f mutex.SiteID, _ *mutex.Output) {
 	if s.state == stateIdle {
 		return
 	}
-	kept := s.tranStack[:0]
-	for _, e := range s.tranStack {
-		if e.Arbiter != f && e.TargetTS.Site != f {
-			kept = append(kept, e)
-		}
-	}
-	s.tranStack = kept
+	s.tranStack = slices.DeleteFunc(s.tranStack, func(e transferInfo) bool {
+		return e.Arbiter == f || e.TargetTS.Site == f
+	})
 	s.unpark(f)
-	if s.inqDeferred != nil {
-		delete(s.inqDeferred, f)
-	}
+	s.inqDeferred.remove(f)
 }
 
 // rebuildQuorum swaps the site onto a quorum that avoids all known-failed
@@ -135,15 +125,15 @@ func (s *Site) rebuildQuorum(f mutex.SiteID, out *mutex.Output) {
 	}
 	// Waiting: reconcile memberships.
 	for _, a := range old {
-		if a == f || newQ.Contains(a) || s.failedSites[a] {
+		if a == f || newQ.Contains(a) || s.failedSites.has(a) {
 			continue
 		}
 		// Leaving arbiter: withdraw our request (frees its lock or queue
 		// slot) and void its transfers.
 		out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
-		delete(s.replied, a)
+		s.replied.remove(a)
 		s.dropTransfersFrom(a)
-		delete(s.inqDeferred, a)
+		s.inqDeferred.remove(a)
 	}
 	// Joining arbiters receive the original request (same timestamp) through
 	// the refresh that SiteFailed runs after the rebuild: they are exactly the
@@ -154,10 +144,15 @@ func (s *Site) rebuildQuorum(f mutex.SiteID, out *mutex.Output) {
 // replacementQuorum picks the substitute req_set for a §6 rebuild: the
 // active membership's avoiding rule when one is installed (it keeps a joint
 // handover quorum joint), otherwise the construction's QuorumAvoiding.
-// ok is false when no live quorum exists.
+// ok is false when no live quorum exists. Both rules take the known-failed
+// sites as a map, the one the rebuild builds here.
 func (s *Site) replacementQuorum() (coterie.Quorum, bool) {
+	down := make(map[mutex.SiteID]bool)
+	for f := range s.failedSites.all() {
+		down[f] = true
+	}
 	if s.memberAvoid != nil {
-		ids, ok := s.memberAvoid(s.failedSites)
+		ids, ok := s.memberAvoid(down)
 		if !ok {
 			return nil, false
 		}
@@ -166,7 +161,7 @@ func (s *Site) replacementQuorum() (coterie.Quorum, bool) {
 	if s.cons == nil {
 		return nil, false
 	}
-	q, err := s.cons.QuorumAvoiding(s.n, s.id, s.failedSites)
+	q, err := s.cons.QuorumAvoiding(s.n, s.id, down)
 	if err != nil {
 		return nil, false
 	}

@@ -64,7 +64,7 @@ func TestRobustnessAgainstArbitraryMessages(t *testing.T) {
 			if out.Entered {
 				// A fabricated entry would be a safety bug.
 				for _, q := range s.quorum {
-					if !s.replied[q] {
+					if !s.replied.has(q) {
 						return false
 					}
 				}

@@ -48,15 +48,15 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 	case stateWaiting:
 		s.quorum = newQ
 		for _, a := range old {
-			if newQ.Contains(a) || s.failedSites[a] {
+			if newQ.Contains(a) || s.failedSites.has(a) {
 				continue
 			}
 			// Leaving arbiter: withdraw our request (frees its lock or queue
 			// slot) and void its transfers.
 			out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
-			delete(s.replied, a)
+			s.replied.remove(a)
 			s.dropTransfersFrom(a)
-			delete(s.inqDeferred, a)
+			s.inqDeferred.remove(a)
 		}
 		if f, dead := s.firstFailedIn(newQ); dead {
 			// A planned member already crashed: swap onto the membership's
@@ -84,7 +84,7 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 // firstFailedIn returns the lowest known-crashed site in q, if any.
 func (s *Site) firstFailedIn(q coterie.Quorum) (mutex.SiteID, bool) {
 	for _, a := range q {
-		if s.failedSites[a] {
+		if s.failedSites.has(a) {
 			return a, true
 		}
 	}

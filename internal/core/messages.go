@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -42,14 +43,7 @@ type requestMsg struct {
 func (requestMsg) Kind() string { return mutex.KindRequest }
 
 // claimsDead reports whether the refresh declares the given site crashed.
-func (m requestMsg) claimsDead(id mutex.SiteID) bool {
-	for _, f := range m.Dead {
-		if f == id {
-			return true
-		}
-	}
-	return false
-}
+func (m requestMsg) claimsDead(id mutex.SiteID) bool { return slices.Contains(m.Dead, id) }
 
 func (m requestMsg) body() mutex.Body { return mutex.Body{Kind: mutex.BodyRequest, TS: m.TS} }
 

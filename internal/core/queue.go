@@ -1,6 +1,10 @@
 package core
 
-import "dqmx/internal/timestamp"
+import (
+	"slices"
+
+	"dqmx/internal/timestamp"
+)
 
 // tsQueue is a priority queue of request timestamps: the highest-priority
 // (smallest) timestamp is at index 0. Quorum sizes are small (O(√N) or
@@ -23,21 +27,7 @@ func (q *tsQueue) Head() timestamp.Timestamp { return q.items[0] }
 // Push inserts ts keeping the queue ordered. Duplicate timestamps are
 // ignored (a request is enqueued at most once).
 func (q *tsQueue) Push(ts timestamp.Timestamp) {
-	lo, hi := 0, len(q.items)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if q.items[mid].Less(ts) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(q.items) && q.items[lo] == ts {
-		return
-	}
-	q.items = append(q.items, timestamp.Timestamp{})
-	copy(q.items[lo+1:], q.items[lo:])
-	q.items[lo] = ts
+	q.items = upsert(q.items, ts, timestamp.Timestamp.Compare)
 }
 
 // Pop removes and returns the highest-priority request. It must not be
@@ -52,37 +42,31 @@ func (q *tsQueue) Pop() timestamp.Timestamp {
 
 // Remove deletes ts from the queue, reporting whether it was present.
 func (q *tsQueue) Remove(ts timestamp.Timestamp) bool {
-	for i, t := range q.items {
-		if t == ts {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			return true
-		}
+	i := slices.Index(q.items, ts)
+	if i >= 0 {
+		q.items = slices.Delete(q.items, i, i+1)
 	}
-	return false
+	return i >= 0
 }
 
 // RemoveSite deletes every request issued by the given site, reporting how
 // many entries were removed (used by the §6 failure recovery).
 func (q *tsQueue) RemoveSite(s timestamp.SiteID) int {
-	out := q.items[:0]
-	removed := 0
-	for _, t := range q.items {
-		if t.Site == s {
-			removed++
-		} else {
-			out = append(out, t)
-		}
-	}
-	q.items = out
-	return removed
+	n := len(q.items)
+	q.items = slices.DeleteFunc(q.items, func(t timestamp.Timestamp) bool { return t.Site == s })
+	return n - len(q.items)
 }
 
 // Contains reports whether ts is queued.
-func (q *tsQueue) Contains(ts timestamp.Timestamp) bool {
-	for _, t := range q.items {
-		if t == ts {
-			return true
-		}
+func (q *tsQueue) Contains(ts timestamp.Timestamp) bool { return slices.Contains(q.items, ts) }
+
+// upsert puts v into the sorted slice xs, replacing an element that compares
+// equal.
+func upsert[E any](xs []E, v E, cmp func(E, E) int) []E {
+	i, found := slices.BinarySearchFunc(xs, v, cmp)
+	if found {
+		xs[i] = v
+		return xs
 	}
-	return false
+	return slices.Insert(xs, i, v)
 }

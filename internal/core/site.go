@@ -27,8 +27,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
@@ -62,12 +63,12 @@ func (s siteState) String() string {
 type Site struct {
 	id    mutex.SiteID
 	n     int
-	clock *timestamp.Clock
+	clock timestamp.Clock
 	cons  coterie.Construction // nil disables §6 quorum reconstruction
 
 	quorum      coterie.Quorum
 	nextQuorum  coterie.Quorum // replacement quorum deferred until Exit (§6)
-	failedSites map[mutex.SiteID]bool
+	failedSites siteSet
 
 	// Online membership (mutex.Reconfigurable). memberStage tags the most
 	// recent SetMembership (0 = construction default); memberAvoid, when
@@ -78,13 +79,17 @@ type Site struct {
 	memberAvoid func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool)
 
 	// Requester half.
-	state         siteState
-	reqTS         timestamp.Timestamp
-	replied       map[mutex.SiteID]bool
-	failed        bool
-	inqDeferred   map[mutex.SiteID]bool // arbiters with a parked inquire (inq_queue)
-	tranStack     []transferInfo        // tran_stack: newest last
-	pendTransfers map[mutex.SiteID][]transferInfo
+	state       siteState
+	reqTS       timestamp.Timestamp
+	replied     siteSet
+	failed      bool
+	inqDeferred siteSet        // arbiters with a parked inquire (inq_queue)
+	tranStack   []transferInfo // tran_stack: newest last
+
+	// pendTransfers holds the transfers that outran their proxied reply,
+	// grouped by arbiter in ascending order and in arrival order within one
+	// arbiter, until that arbiter's reply lands.
+	pendTransfers []transferInfo
 
 	// Arbiter half.
 	lock         timestamp.Timestamp // (max,max) when unlocked
@@ -101,11 +106,12 @@ type Site struct {
 	lockVia mutex.SiteID
 
 	// refreshDead records, per queued request, the sites its requester has
-	// declared crashed via §6 refresh resends. When a forwarding release
-	// re-points the lock at such a request and the forwarding proxy is in
-	// the set, the proxied reply died with the proxy — the arbiter re-issues
-	// the grant directly instead of trusting it.
-	refreshDead map[timestamp.Timestamp]map[mutex.SiteID]bool
+	// declared crashed via §6 refresh resends, sorted by request and then by
+	// site. When a forwarding release re-points the lock at such a request
+	// and the forwarding proxy is among its claims, the proxied reply died
+	// with the proxy — the arbiter re-issues the grant directly instead of
+	// trusting it.
+	refreshDead []refreshClaim
 
 	// cases counts the §5.2 heavy-load case classification of arrivals.
 	cases CaseStats
@@ -123,20 +129,30 @@ type Site struct {
 	// holds the lock. A proxied reply lets the next site acquire, execute,
 	// and release within one message delay — faster than the arbiter's own
 	// view can catch up — so the release is applied when the lock reaches
-	// the released request.
-	earlyReleases map[timestamp.Timestamp]releaseMsg
+	// the released request. Sorted by ReqTS.
+	earlyReleases []releaseMsg
 
 	// sendBuf backs the Send of every Output this site returns: a step
 	// appends into it from the start, so steady state allocates no envelope
 	// slice. It is why an Output is valid only until the next call on the
-	// site (mutex.Output). served is Exit's tran_set, kept between exits;
-	// parkFree holds the emptied slices of pendTransfers entries that were
-	// removed, for the next transfer that has to be parked. All three are
-	// scratch, not protocol state: clone leaves them behind.
-	sendBuf  []mutex.Envelope
-	served   map[mutex.SiteID]timestamp.Timestamp
-	parkFree [][]transferInfo
+	// site (mutex.Output). It is scratch, not protocol state: a clone leaves
+	// it behind.
+	sendBuf []mutex.Envelope
 }
+
+// refreshClaim is one entry of refreshDead: a §6 refresh of the queued
+// request TS declared site Dead crashed.
+type refreshClaim struct {
+	TS   timestamp.Timestamp
+	Dead mutex.SiteID
+}
+
+func (c refreshClaim) compare(d refreshClaim) int {
+	return cmp.Or(c.TS.Compare(d.TS), cmp.Compare(c.Dead, d.Dead))
+}
+
+// byReqTS orders earlyReleases.
+func byReqTS(a, b releaseMsg) int { return a.ReqTS.Compare(b.ReqTS) }
 
 var (
 	_ mutex.Site            = (*Site)(nil)
@@ -147,18 +163,16 @@ var (
 // enables quorum reconstruction after failures.
 func newSite(id mutex.SiteID, n int, quorum coterie.Quorum, cons coterie.Construction) *Site {
 	return &Site{
-		id:            id,
-		n:             n,
-		clock:         timestamp.NewClock(id),
-		cons:          cons,
-		quorum:        quorum.Clone(),
-		failedSites:   make(map[mutex.SiteID]bool),
-		state:         stateIdle,
-		reqTS:         timestamp.Max,
-		lock:          timestamp.Max,
-		lastTransfer:  timestamp.Max,
-		lockVia:       timestamp.None,
-		earlyReleases: make(map[timestamp.Timestamp]releaseMsg),
+		id:           id,
+		n:            n,
+		clock:        *timestamp.NewClock(id),
+		cons:         cons,
+		quorum:       quorum.Clone(),
+		state:        stateIdle,
+		reqTS:        timestamp.Max,
+		lock:         timestamp.Max,
+		lastTransfer: timestamp.Max,
+		lockVia:      timestamp.None,
 	}
 }
 
@@ -193,11 +207,6 @@ func (s *Site) Request() mutex.Output {
 	s.state = stateWaiting
 	s.reqTS = s.clock.Tick()
 	s.failed = false
-	if s.replied == nil {
-		s.replied = make(map[mutex.SiteID]bool, len(s.quorum))
-		s.inqDeferred = make(map[mutex.SiteID]bool)
-		s.pendTransfers = make(map[mutex.SiteID][]transferInfo)
-	}
 	req := requestMsg{TS: s.reqTS}.body()
 	for _, j := range s.quorum {
 		out.SendBody(s.id, j, req)
@@ -214,23 +223,22 @@ func (s *Site) Exit() mutex.Output {
 		return out
 	}
 	myTS := s.reqTS
-	if s.served == nil {
-		s.served = make(map[mutex.SiteID]timestamp.Timestamp)
-	}
-	served := s.served // tran_set
-	clear(served)
+	var served siteSet // tran_set
 	for k := len(s.tranStack) - 1; k >= 0; k-- {
 		e := s.tranStack[k]
-		if _, done := served[e.Arbiter]; done {
+		if served.has(e.Arbiter) {
 			continue // older transfer from the same arbiter is void
 		}
-		served[e.Arbiter] = e.TargetTS
+		served.add(e.Arbiter)
 		out.SendBody(s.id, e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS}.body())
 	}
 	for _, j := range s.quorum {
 		rel := releaseMsg{ReqTS: myTS, Fwd: timestamp.None}
-		if ts, ok := served[j]; ok {
-			rel.Fwd, rel.FwdTS = ts.Site, ts
+		for k := len(s.tranStack) - 1; k >= 0; k-- {
+			if ts := s.tranStack[k].TargetTS; s.tranStack[k].Arbiter == j {
+				rel.Fwd, rel.FwdTS = ts.Site, ts // the newest transfer from j
+				break
+			}
 		}
 		out.SendBody(s.id, j, rel.body())
 	}
@@ -245,25 +253,30 @@ func (s *Site) resetRequester() {
 	}
 	s.state = stateIdle
 	s.reqTS = timestamp.Max
-	clear(s.replied)
+	s.replied.clear()
 	s.failed = false
-	clear(s.inqDeferred)
+	s.inqDeferred.clear()
 	s.tranStack = s.tranStack[:0]
-	for arb := range s.pendTransfers {
-		s.unpark(arb)
-	}
+	s.pendTransfers = s.pendTransfers[:0]
 }
 
-// unpark removes and returns the transfers parked for arb. The slice's
-// memory is kept for the next park, so the caller is done with it before the
-// site parks again.
-func (s *Site) unpark(arb mutex.SiteID) []transferInfo {
-	pend, ok := s.pendTransfers[arb]
-	if ok {
-		delete(s.pendTransfers, arb)
-		s.parkFree = append(s.parkFree, pend[:0])
+// parked returns the bounds [i, j) of arb's transfers in pendTransfers.
+func (s *Site) parked(arb mutex.SiteID) (int, int) {
+	i := 0
+	for i < len(s.pendTransfers) && s.pendTransfers[i].Arbiter < arb {
+		i++
 	}
-	return pend
+	j := i
+	for j < len(s.pendTransfers) && s.pendTransfers[j].Arbiter == arb {
+		j++
+	}
+	return i, j
+}
+
+// unpark discards the transfers parked for arb.
+func (s *Site) unpark(arb mutex.SiteID) {
+	i, j := s.parked(arb)
+	s.pendTransfers = slices.Delete(s.pendTransfers, i, j)
 }
 
 // Deliver implements mutex.Site.
@@ -307,38 +320,35 @@ func (s *Site) resetLockGen() {
 // queued request, consulted when a forwarding release later re-points the
 // lock at it.
 func (s *Site) markRefresh(m requestMsg) {
-	if len(m.Dead) == 0 {
-		return
-	}
-	if s.refreshDead == nil {
-		s.refreshDead = make(map[timestamp.Timestamp]map[mutex.SiteID]bool)
-	}
-	set := s.refreshDead[m.TS]
-	if set == nil {
-		set = make(map[mutex.SiteID]bool, len(m.Dead))
-		s.refreshDead[m.TS] = set
-	}
 	for _, f := range m.Dead {
-		set[f] = true
+		s.refreshDead = upsert(s.refreshDead, refreshClaim{TS: m.TS, Dead: f}, refreshClaim.compare)
 	}
 }
 
 // refreshClaims reports whether a refresh of the queued request ts declared
 // site f crashed.
 func (s *Site) refreshClaims(ts timestamp.Timestamp, f mutex.SiteID) bool {
-	return s.refreshDead[ts][f]
+	_, found := slices.BinarySearchFunc(s.refreshDead, refreshClaim{TS: ts, Dead: f}, refreshClaim.compare)
+	return found
 }
 
 func (s *Site) clearRefresh(ts timestamp.Timestamp) {
-	delete(s.refreshDead, ts)
+	s.refreshDead = slices.DeleteFunc(s.refreshDead, func(c refreshClaim) bool { return c.TS == ts })
 }
 
 func (s *Site) clearRefreshSite(f mutex.SiteID) {
-	for ts := range s.refreshDead {
-		if ts.Site == f {
-			delete(s.refreshDead, ts)
-		}
+	s.refreshDead = slices.DeleteFunc(s.refreshDead, func(c refreshClaim) bool { return c.TS.Site == f })
+}
+
+// takeEarly removes and returns the buffered early release of ts, if any.
+func (s *Site) takeEarly(ts timestamp.Timestamp) (releaseMsg, bool) {
+	i, ok := slices.BinarySearchFunc(s.earlyReleases, releaseMsg{ReqTS: ts}, byReqTS)
+	if !ok {
+		return releaseMsg{}, false
 	}
+	rel := s.earlyReleases[i]
+	s.earlyReleases = slices.Delete(s.earlyReleases, i, i+1)
+	return rel, true
 }
 
 // onRequest handles step A.2. The published case analysis collapses to three
@@ -350,7 +360,7 @@ func (s *Site) clearRefreshSite(f mutex.SiteID) {
 //     lock holder, piggybacking inquire when the waiter outranks the holder.
 func (s *Site) onRequest(m requestMsg, out *mutex.Output) {
 	s.clock.Witness(m.TS)
-	if s.failedSites[m.TS.Site] {
+	if s.failedSites.has(m.TS.Site) {
 		return // request from a site already announced as crashed
 	}
 	if s.lock == m.TS {
@@ -467,8 +477,7 @@ func (s *Site) grantNext(out *mutex.Output) {
 	s.clearRefresh(grant) // the direct reply below supersedes any refresh claim
 	s.lock = grant
 	s.resetLockGen()
-	if rel, ok := s.earlyReleases[grant]; ok {
-		delete(s.earlyReleases, grant)
+	if rel, ok := s.takeEarly(grant); ok {
 		s.applyRelease(rel, out)
 		return
 	}
@@ -509,14 +518,14 @@ func (s *Site) onRelease(m releaseMsg, out *mutex.Output) {
 		return
 	}
 	// Early release: the holder-to-holder chain outran this arbiter's view.
-	s.earlyReleases[m.ReqTS] = m
+	s.earlyReleases = upsert(s.earlyReleases, m, byReqTS)
 }
 
 // applyRelease performs the release of the current lock holder's request.
 func (s *Site) applyRelease(m releaseMsg, out *mutex.Output) {
-	if m.Fwd != timestamp.None && !s.failedSites[m.Fwd] {
+	if m.Fwd != timestamp.None && !s.failedSites.has(m.Fwd) {
 		removed := s.queue.Remove(m.FwdTS)
-		_, early := s.earlyReleases[m.FwdTS]
+		_, early := slices.BinarySearchFunc(s.earlyReleases, releaseMsg{ReqTS: m.FwdTS}, byReqTS)
 		if removed || early {
 			// The forwarding proxy is the releasing holder itself. If a §6
 			// refresh from the target declared that proxy dead, the proxied
@@ -553,8 +562,7 @@ func (s *Site) setLock(ts timestamp.Timestamp, via mutex.SiteID, reissue bool, o
 	s.lock = ts
 	s.resetLockGen()
 	s.lockVia = via
-	if rel, ok := s.earlyReleases[ts]; ok {
-		delete(s.earlyReleases, ts)
+	if rel, ok := s.takeEarly(ts); ok {
 		s.applyRelease(rel, out)
 		return
 	}
@@ -581,15 +589,16 @@ func (s *Site) onReply(m replyMsg, out *mutex.Output) {
 		s.decline(m, out)
 		return
 	}
-	s.replied[m.Arbiter] = true
+	s.replied.add(m.Arbiter)
 	if m.Transfer != nil {
 		s.acceptTransfer(*m.Transfer, out)
 	}
-	for _, ti := range s.unpark(m.Arbiter) {
+	i, j := s.parked(m.Arbiter)
+	for _, ti := range s.pendTransfers[i:j] {
 		s.acceptTransfer(ti, out)
 	}
-	if s.inqDeferred[m.Arbiter] && s.failed {
-		delete(s.inqDeferred, m.Arbiter)
+	s.pendTransfers = slices.Delete(s.pendTransfers, i, j)
+	if s.inqDeferred.has(m.Arbiter) && s.failed {
 		s.yieldTo(m.Arbiter, out)
 	}
 	s.checkEntry(out)
@@ -604,7 +613,7 @@ func (s *Site) decline(m replyMsg, out *mutex.Output) {
 // acceptTransfer implements step A.5 for a transfer whose arbiter has
 // already granted us (replied = 1).
 func (s *Site) acceptTransfer(ti transferInfo, _ *mutex.Output) {
-	if s.failedSites[ti.TargetTS.Site] {
+	if s.failedSites.has(ti.TargetTS.Site) {
 		return // never forward a permission to a crashed site
 	}
 	s.tranStack = append(s.tranStack, ti)
@@ -619,14 +628,11 @@ func (s *Site) onTransfer(m transferMsg, out *mutex.Output) {
 		return
 	}
 	arb := m.Transfer.Arbiter
-	if s.replied[arb] {
+	if s.replied.has(arb) {
 		s.acceptTransfer(m.Transfer, out)
 	} else if s.handoff != LiteralTransfer {
-		pend, ok := s.pendTransfers[arb]
-		if n := len(s.parkFree); !ok && n > 0 {
-			pend, s.parkFree = s.parkFree[n-1], s.parkFree[:n-1]
-		}
-		s.pendTransfers[arb] = append(pend, m.Transfer)
+		_, j := s.parked(arb)
+		s.pendTransfers = slices.Insert(s.pendTransfers, j, m.Transfer)
 	}
 	if m.Inquire {
 		s.handleInquire(arb, out)
@@ -649,31 +655,25 @@ func (s *Site) handleInquire(arb mutex.SiteID, out *mutex.Output) {
 	if s.state == stateInCS {
 		return
 	}
-	if s.replied[arb] && s.failed {
+	if s.replied.has(arb) && s.failed {
 		s.yieldTo(arb, out)
 		return
 	}
-	s.inqDeferred[arb] = true
+	s.inqDeferred.add(arb)
 }
 
 // yieldTo relinquishes arb's permission: transfers from arb become void and
 // the permission is returned for re-granting.
 func (s *Site) yieldTo(arb mutex.SiteID, out *mutex.Output) {
-	s.replied[arb] = false
+	s.replied.remove(arb)
 	s.failed = true
 	s.dropTransfersFrom(arb)
-	delete(s.inqDeferred, arb)
+	s.inqDeferred.remove(arb)
 	out.SendBody(s.id, arb, yieldMsg{ReqTS: s.reqTS}.body())
 }
 
 func (s *Site) dropTransfersFrom(arb mutex.SiteID) {
-	kept := s.tranStack[:0]
-	for _, e := range s.tranStack {
-		if e.Arbiter != arb {
-			kept = append(kept, e)
-		}
-	}
-	s.tranStack = kept
+	s.tranStack = slices.DeleteFunc(s.tranStack, func(e transferInfo) bool { return e.Arbiter == arb })
 	s.unpark(arb)
 }
 
@@ -684,26 +684,11 @@ func (s *Site) onFail(m failMsg, out *mutex.Output) {
 		return
 	}
 	s.failed = true
-	for _, arb := range s.deferredArbiters() {
-		if s.replied[arb] {
-			delete(s.inqDeferred, arb)
+	for arb := range s.inqDeferred.all() {
+		if s.replied.has(arb) {
 			s.yieldTo(arb, out)
 		}
 	}
-}
-
-// deferredArbiters returns the parked-inquire arbiters in site order so
-// replays are deterministic (map iteration order is not).
-func (s *Site) deferredArbiters() []mutex.SiteID {
-	if len(s.inqDeferred) == 0 {
-		return nil
-	}
-	out := make([]mutex.SiteID, 0, len(s.inqDeferred))
-	for arb := range s.inqDeferred {
-		out = append(out, arb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // checkEntry performs step B: enter the CS once every quorum member has
@@ -713,11 +698,11 @@ func (s *Site) checkEntry(out *mutex.Output) {
 		return
 	}
 	for _, j := range s.quorum {
-		if !s.replied[j] {
+		if !s.replied.has(j) {
 			return
 		}
 	}
 	s.state = stateInCS
-	clear(s.inqDeferred)
+	s.inqDeferred.clear()
 	out.Entered = true
 }

@@ -229,7 +229,7 @@ func TestInquireBeforeReplyIsParked(t *testing.T) {
 	if len(out.Send) != 0 {
 		t.Fatalf("inquire before reply answered immediately: %v", out.Send)
 	}
-	if !s.inqDeferred[2] {
+	if !s.inqDeferred.has(2) {
 		t.Fatal("inquire not parked")
 	}
 	// A fail arrives, then the reply: A.6 must re-evaluate and yield.
@@ -239,7 +239,7 @@ func TestInquireBeforeReplyIsParked(t *testing.T) {
 	if len(y) != 1 || y[0].To != 2 {
 		t.Fatalf("parked inquire did not yield after fail+reply: %v", out.Send)
 	}
-	if s.replied[2] {
+	if s.replied.has(2) {
 		t.Error("replied[2] still set after yield")
 	}
 }
@@ -280,7 +280,7 @@ func TestTransferParkedUntilProxiedReplyArrives(t *testing.T) {
 	if len(s.tranStack) != 0 {
 		t.Fatal("transfer accepted before reply")
 	}
-	if len(s.pendTransfers[2]) != 1 {
+	if len(s.pendTransfers) != 1 || s.pendTransfers[0].Arbiter != 2 {
 		t.Fatal("transfer not parked")
 	}
 	// The proxied reply lands (From is the proxy, Arbiter is 2).
@@ -288,7 +288,7 @@ func TestTransferParkedUntilProxiedReplyArrives(t *testing.T) {
 	if len(s.tranStack) != 1 || s.tranStack[0].TargetTS != ts(9, 5) {
 		t.Fatalf("parked transfer not replayed: %v", s.tranStack)
 	}
-	if len(s.pendTransfers[2]) != 0 {
+	if len(s.pendTransfers) != 0 {
 		t.Fatal("parking buffer not drained")
 	}
 }
@@ -654,7 +654,7 @@ func TestViaArbiterInquireDeferredUntilFail(t *testing.T) {
 	if len(sent(out, mutex.KindYield)) != 1 {
 		t.Fatalf("fail did not trigger the parked yield: %v", out.Send)
 	}
-	if s.replied[2] {
+	if s.replied.has(2) {
 		t.Error("replied[2] survived the yield")
 	}
 }

@@ -20,12 +20,13 @@
 //     the settle barrier holds — so the safety invariant is proven across
 //     every interleaving of the epoch switch with protocol traffic.
 //
-// States are deduplicated by a canonical serialization (Site.CanonicalState
-// plus the explorer's own bookkeeping), so the search covers the full state
-// space up to that equivalence rather than a tree of runs. Invariants are
-// pluggable (see Invariant) and mirror the chaos checker's conformance rules;
-// a violation carries the exact choice sequence that reached it, replayable
-// with Replay, plus a per-site state dump.
+// States are deduplicated by a byte key: each site's Site.AppendCanonical, the
+// explorer's own bookkeeping in a fixed binary layout, and every in-flight
+// message as the v1 codec's payload bytes (wire.AppendPayload). The search
+// covers the full state space up to that equivalence rather than a tree of
+// runs. Invariants are pluggable (see Invariant) and mirror the chaos
+// checker's conformance rules; a violation carries the exact choice sequence
+// that reached it, replayable with Replay, plus a per-site state dump.
 //
 // This is the repository's second verification pillar next to the chaos
 // sweep: chaos samples deep schedules on big topologies under a lossy
@@ -36,12 +37,13 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"dqmx/internal/coterie"
 	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
+	"dqmx/internal/timestamp"
+	"dqmx/internal/wire"
 )
 
 // Site is the contract a protocol state machine must satisfy to be model
@@ -50,11 +52,13 @@ import (
 type Site interface {
 	mutex.Site
 	mutex.TimestampedSite
-	// CloneForCheck deep-copies the machine so the explorer can branch.
+	// CloneForCheck copies the machine, sharing nothing mutable, so the
+	// explorer can branch.
 	CloneForCheck() mutex.Site
-	// CanonicalState serializes every behaviour-relevant field; states with
-	// equal strings must react identically to identical future inputs.
-	CanonicalState() string
+	// AppendCanonical appends an encoding of every behaviour-relevant field;
+	// states with equal bytes must react identically to identical future
+	// inputs.
+	AppendCanonical(b []byte) []byte
 	// DebugString renders the state for counterexample dumps.
 	DebugString() string
 }
@@ -158,10 +162,32 @@ type Result struct {
 	Violation *Violation
 }
 
-// channel identifies one directed FIFO message queue. Detector channels use
-// a negative from (see detectorFrom) so each survivor's failure notification
-// travels alone and interleaves freely.
-type channel struct{ from, to mutex.SiteID }
+// slot is the index of the directed from→to FIFO queue in State.chans, −1
+// when there is no such channel. Detector channels have a negative from (see
+// detectorFrom), so each survivor's failure notification travels alone and
+// interleaves freely. The 2N·N slots run in the order of (from, to): the
+// detector channels first, then the sites' own.
+func (st *State) slot(from, to mutex.SiteID) int {
+	n := mutex.SiteID(len(st.sites))
+	f := from + n
+	if from < 0 {
+		f++
+	}
+	if from == -1 || f < 0 || f >= 2*n || to < 0 || to >= n {
+		return -1
+	}
+	return int(f*n + to)
+}
+
+// chanAt is the channel whose queue is State.chans[k].
+func (st *State) chanAt(k int) (from, to mutex.SiteID) {
+	n := len(st.sites)
+	f := k/n - n
+	if f < 0 {
+		f--
+	}
+	return mutex.SiteID(f), mutex.SiteID(k % n)
+}
 
 // detectorFrom is the synthetic origin of the failure notification delivered
 // to survivors after victim crashes: one distinct channel per (victim,
@@ -172,9 +198,9 @@ func detectorFrom(victim mutex.SiteID) mutex.SiteID { return -2 - victim }
 // the accessor methods; all mutation happens inside the explorer.
 type State struct {
 	sites       []Site
-	chans       map[channel][]mutex.Envelope
-	inCS        mutex.SiteID // -1 when the CS is free
-	reqs        []int        // CS executions each site still has to issue
+	chans       [][]mutex.Envelope // indexed by slot
+	inCS        mutex.SiteID       // -1 when the CS is free
+	reqs        []int              // CS executions each site still has to issue
 	crashed     []bool
 	crashesLeft int
 	sends       uint64 // network protocol messages sent (excludes failure notifications)
@@ -323,7 +349,7 @@ func (ex *explorer) initial() (*State, error) {
 	}
 	st := &State{
 		sites:   make([]Site, len(raw)),
-		chans:   make(map[channel][]mutex.Envelope),
+		chans:   make([][]mutex.Envelope, 2*len(raw)*len(raw)),
 		inCS:    -1,
 		reqs:    make([]int, len(raw)),
 		crashed: make([]bool, len(raw)),
@@ -401,35 +427,31 @@ func jointAvoid(h *membership.Handover, id mutex.SiteID) func(map[mutex.SiteID]b
 	}
 }
 
-// clone deep-copies a state. Crashed sites' machines are shared: they never
-// step again, so their memory is immutable.
+// clone copies a state. Crashed sites' machines are shared: they never step
+// again, so their memory is immutable. Channel queues share their backing
+// arrays: a queue is only ever appended to and resliced past its head, never
+// written in place, and capping the copy's capacity at its length makes the
+// copy's first append reallocate instead of writing where the original may
+// append.
 func (st *State) clone() *State {
-	c := &State{
-		sites:       make([]Site, len(st.sites)),
-		chans:       make(map[channel][]mutex.Envelope, len(st.chans)),
-		inCS:        st.inCS,
-		reqs:        append([]int(nil), st.reqs...),
-		crashed:     append([]bool(nil), st.crashed...),
-		crashesLeft: st.crashesLeft,
-		sends:       st.sends,
-		exits:       st.exits,
-		settled:     append([]bool(nil), st.settled...),
-		h:           st.h,
-		member:      append([]uint8(nil), st.member...),
-		withdrawn:   append([]bool(nil), st.withdrawn...),
-		entered:     -1,
-	}
+	c := *st
+	c.sites = slices.Clone(st.sites)
+	c.chans = slices.Clone(st.chans)
+	c.reqs = slices.Clone(st.reqs)
+	c.crashed = slices.Clone(st.crashed)
+	c.settled = slices.Clone(st.settled)
+	c.member = slices.Clone(st.member)
+	c.withdrawn = slices.Clone(st.withdrawn)
+	c.entered, c.dup = -1, nil
 	for i, s := range st.sites {
-		if st.crashed[i] {
-			c.sites[i] = s
-			continue
+		if !st.crashed[i] {
+			c.sites[i] = s.CloneForCheck().(Site)
 		}
-		c.sites[i] = s.CloneForCheck().(Site)
 	}
-	for k, v := range st.chans {
-		c.chans[k] = append([]mutex.Envelope(nil), v...)
+	for k, q := range st.chans {
+		c.chans[k] = q[:len(q):len(q)]
 	}
-	return c
+	return &c
 }
 
 // route applies a state-machine output: self-addressed envelopes are
@@ -470,7 +492,8 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 		if st.crashed[env.To] {
 			continue // the receiver is dead; the message is lost
 		}
-		st.chans[channel{env.From, env.To}] = append(st.chans[channel{env.From, env.To}], env)
+		k := st.slot(env.From, env.To)
+		st.chans[k] = append(st.chans[k], env)
 		if env.Kind() != mutex.KindFailure {
 			st.sends++
 		}
@@ -512,10 +535,8 @@ func (st *State) waveSettled(j mutex.SiteID) bool {
 	if st.withdrawn != nil && st.withdrawn[j] {
 		return false
 	}
-	for k, q := range st.chans {
-		if k.from != j {
-			continue
-		}
+	from := st.slot(j, 0)
+	for _, q := range st.chans[from : from+len(st.sites)] {
 		for _, env := range q {
 			if env.Kind() == mutex.KindRequest {
 				return false
@@ -532,37 +553,32 @@ func (st *State) apply(a Action) (string, error) {
 	st.dup = nil
 	switch a.Kind {
 	case ActDeliver:
-		key := channel{a.From, a.To}
-		q := st.chans[key]
-		if len(q) == 0 {
+		k := st.slot(a.From, a.To)
+		if k < 0 || len(st.chans[k]) == 0 {
 			return "", fmt.Errorf("modelcheck: %v: channel empty", a)
 		}
-		env := q[0]
-		if len(q) == 1 {
-			delete(st.chans, key)
-		} else {
-			st.chans[key] = q[1:]
-		}
+		env := st.chans[k][0]
+		st.chans[k] = st.chans[k][1:]
 		if fm, ok := env.Msg.(mutex.FailureMsg); ok {
 			// The transport severs the dead peer's streams (PeerFailed) before
 			// the notification reaches the protocol, so nothing from the victim
 			// can be delivered to this site after it learns of the crash.
-			delete(st.chans, channel{fm.Failed, env.To})
+			st.chans[st.slot(fm.Failed, env.To)] = nil
 		}
 		st.route(env.To, st.sites[env.To].Deliver(env))
 		return env.PayloadString(), nil
 	case ActDrop:
-		key := channel{a.From, a.To}
-		q := st.chans[key]
-		if len(q) == 0 || a.From < 0 || !st.crashed[a.From] {
+		k := st.slot(a.From, a.To)
+		if k < 0 || len(st.chans[k]) == 0 || a.From < 0 || !st.crashed[a.From] {
 			return "", fmt.Errorf("modelcheck: %v: nothing droppable", a)
 		}
 		// The dead sender's stream tears down here: the whole remaining queue
 		// is lost, never a gap in the middle — the reliable sublayer delivers
 		// each (from, to) stream in sequence order, so a receiver can only ever
 		// observe a prefix of a dead sender's messages.
-		delete(st.chans, key)
-		return fmt.Sprintf("%d messages", len(q)), nil
+		n := len(st.chans[k])
+		st.chans[k] = nil
+		return fmt.Sprintf("%d messages", n), nil
 	case ActRequest:
 		i := a.Site
 		if st.reqs[i] <= 0 || st.crashed[i] {
@@ -608,10 +624,8 @@ func (st *State) apply(a Action) (string, error) {
 		}
 		st.clearSettledRow(v)
 		st.clearSettledCol(v)
-		for k := range st.chans {
-			if k.to == v {
-				delete(st.chans, k) // in-flight messages to the victim are lost
-			}
+		for k := int(v); k < len(st.chans); k += len(st.sites) {
+			st.chans[k] = nil // in-flight messages to the victim are lost
 		}
 		// Each survivor's local detector announces the crash independently:
 		// one notification per survivor on its own channel.
@@ -619,8 +633,8 @@ func (st *State) apply(a Action) (string, error) {
 			if mutex.SiteID(w) == v || st.crashed[w] {
 				continue
 			}
-			key := channel{detectorFrom(v), mutex.SiteID(w)}
-			st.chans[key] = append(st.chans[key], mutex.Envelope{
+			k := st.slot(detectorFrom(v), mutex.SiteID(w))
+			st.chans[k] = append(st.chans[k], mutex.Envelope{
 				From: detectorFrom(v), To: mutex.SiteID(w), Msg: mutex.FailureMsg{Failed: v},
 			})
 		}
@@ -665,24 +679,16 @@ func (ex *explorer) enabled(st *State) (core, crash []Action) {
 			core = append(core, Action{Kind: ActRequest, Site: mutex.SiteID(i)})
 		}
 	}
-	keys := make([]channel, 0, len(st.chans))
 	for k, q := range st.chans {
-		if len(q) > 0 {
-			keys = append(keys, k)
+		if len(q) == 0 {
+			continue
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		core = append(core, Action{Kind: ActDeliver, From: k.from, To: k.to})
-		if k.from >= 0 && st.crashed[k.from] {
+		from, to := st.chanAt(k)
+		core = append(core, Action{Kind: ActDeliver, From: from, To: to})
+		if from >= 0 && st.crashed[from] {
 			// The dead sender's retransmission half is gone: its stream can
 			// tear down at any point, losing the rest of the channel.
-			core = append(core, Action{Kind: ActDrop, From: k.from, To: k.to})
+			core = append(core, Action{Kind: ActDrop, From: from, To: to})
 		}
 	}
 	if st.member != nil {
@@ -737,48 +743,70 @@ func (st *State) workRemains() bool {
 	return false
 }
 
-// canonical serializes the state deterministically for deduplication.
-func (st *State) canonical(counters bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cs=%d reqs=%v left=%d|", st.inCS, st.reqs, st.crashesLeft)
+// appendKey appends the state's deduplication key to b: a fixed binary
+// layout of the explorer's bookkeeping, each live site's AppendCanonical,
+// and every non-empty channel as its slot and its messages' v1 payload
+// bytes. All states of one run share N and the configuration, so the
+// per-site lists need no length.
+func (st *State) appendKey(b []byte, counters bool) []byte {
+	b = wire.AppendSite(b, st.inCS)
+	for _, r := range st.reqs {
+		b = wire.AppendUint(b, uint64(r))
+	}
+	b = wire.AppendUint(b, uint64(st.crashesLeft))
 	if counters {
-		fmt.Fprintf(&b, "m=%d/%d|", st.sends, st.exits)
+		b = wire.AppendUint(b, st.sends)
+		b = wire.AppendUint(b, st.exits)
 	}
-	if st.member != nil {
-		fmt.Fprintf(&b, "hs=%v wd=%v|", st.member, st.withdrawn)
+	for i := range st.member {
+		b = append(b, st.member[i])
+		b = wire.AppendBool(b, st.withdrawn[i])
 	}
-	var bits uint64
-	for i, s := range st.settled {
-		if s {
-			bits |= 1 << uint(i)
-		}
+	for _, s := range st.settled {
+		b = wire.AppendBool(b, s)
 	}
-	fmt.Fprintf(&b, "sb=%x|", bits)
 	for i, s := range st.sites {
 		if st.crashed[i] {
-			fmt.Fprintf(&b, "S%d†", i)
+			b = append(b, 0)
 			continue
 		}
-		b.WriteString(s.CanonicalState())
+		b = append(b, 1)
+		b = s.AppendCanonical(b)
 	}
-	keys := make([]channel, 0, len(st.chans))
-	for k := range st.chans {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
+	for k, q := range st.chans {
+		if len(q) == 0 {
+			continue
 		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "|%d>%d:", k.from, k.to)
-		for _, env := range st.chans[k] {
-			b.WriteString(env.PayloadString())
-			b.WriteByte(';')
+		b = wire.AppendUint(b, uint64(k))
+		b = wire.AppendUint(b, uint64(len(q)))
+		for _, env := range q {
+			keyBody(&env.Body)
+			var err error
+			if b, err = wire.AppendPayload(b, &env); err != nil {
+				// Every message a model-checked site sends has a v1 codec.
+				panic(err)
+			}
 		}
 	}
-	return b.String()
+	return b
+}
+
+// keyBody clears the fields of an in-flight message that the explorer's
+// state identity has always left out, as mutex.Body.String does: a reply's
+// piggybacked transfer, a release's withdraw mark, and the holder stamp of an
+// inquire or a transfer. Keying them too would add 792 states to
+// handover-4to3 (withdraw marks) and 6 to majority-3+crash (transfer
+// stamps), each of which differs from a state this key visits only in such
+// a field.
+func keyBody(b *mutex.Body) {
+	switch b.Kind {
+	case mutex.BodyReply:
+		b.Flag, b.Site2, b.TS2 = false, 0, timestamp.Timestamp{}
+	case mutex.BodyRelease:
+		b.Flag = false
+	case mutex.BodyInquire, mutex.BodyTransfer:
+		b.TS = timestamp.Timestamp{}
+	}
 }
 
 // node is one frontier entry. After expansion the state is released; the
@@ -814,7 +842,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{Complete: true}
-	visited := map[string]struct{}{init.canonical(ex.counters): {}}
+	key := init.appendKey(nil, ex.counters)
+	visited := map[string]struct{}{string(key): {}}
 	frontier := []*node{{st: init, depth: 0}}
 	for len(frontier) > 0 {
 		var cur *node
@@ -857,11 +886,11 @@ func Run(cfg Config) (Result, error) {
 					return res, nil
 				}
 			}
-			key := next.canonical(ex.counters)
-			if _, seen := visited[key]; seen {
+			key = next.appendKey(key[:0], ex.counters)
+			if _, seen := visited[string(key)]; seen {
 				continue
 			}
-			visited[key] = struct{}{}
+			visited[string(key)] = struct{}{}
 			if cfg.MaxStates > 0 && len(visited) > cfg.MaxStates {
 				res.States = len(visited)
 				return res, fmt.Errorf("%w: more than %d states", ErrStateBudget, cfg.MaxStates)

@@ -42,7 +42,7 @@ func run(t *testing.T, name string, cfg modelcheck.Config, want int) modelcheck.
 
 // checked builds a config over the given coterie with the full default
 // invariant set plus the paper's message bound derived from the assignment.
-func checked(t *testing.T, cons coterie.Construction, n int) modelcheck.Config {
+func checked(t testing.TB, cons coterie.Construction, n int) modelcheck.Config {
 	t.Helper()
 	assign, err := cons.Assign(n)
 	if err != nil {
@@ -109,9 +109,6 @@ func TestExhaustiveFour(t *testing.T) {
 	cfg.MaxStates = 500_000
 	run(t, "majority-4(2 requesters)", cfg, 1336)
 
-	if testing.Short() {
-		return
-	}
 	cfg = checked(t, coterie.Majority{}, 4)
 	cfg.Requesters = []mutex.SiteID{0, 1, 2}
 	cfg.Bound = nil
@@ -136,11 +133,8 @@ func TestExhaustiveFive(t *testing.T) {
 
 // TestExhaustiveTwoRounds lets sites run two CS executions issued at
 // nondeterministic times — the space where the early-release and transfer
-// races appear. Skipped in -short; `make modelcheck` runs it.
+// races appear.
 func TestExhaustiveTwoRounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two-round model checking skipped in -short mode")
-	}
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.PerSite = 2
 	cfg.Bound = nil // counters inflate the two-round space ~4x

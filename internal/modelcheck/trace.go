@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dqmx/internal/mutex"
@@ -106,19 +105,10 @@ func dumpState(st *State) string {
 		}
 		fmt.Fprintf(&b, "  %s[reqs=%d] %s\n", mark, st.reqs[i], s.DebugString())
 	}
-	keys := make([]channel, 0, len(st.chans))
-	for k := range st.chans {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		for _, env := range st.chans[k] {
-			fmt.Fprintf(&b, "  wire %d>%d: %s\n", k.from, k.to, env.PayloadString())
+	for k, q := range st.chans {
+		from, to := st.chanAt(k)
+		for _, env := range q {
+			fmt.Fprintf(&b, "  wire %d>%d: %s\n", from, to, env.PayloadString())
 		}
 	}
 	return b.String()

@@ -64,10 +64,9 @@ type Body struct {
 	TS2   timestamp.Timestamp
 }
 
-// String renders the message the way traces and the model checker's
-// canonical states print it. The piggybacked part of a reply and the
-// withdraw mark of a release are deliberately not shown: the format predates
-// the inline body and the model checker's state identity rests on it.
+// String renders the message the way traces print it. The piggybacked part
+// of a reply and the withdraw mark of a release are deliberately not shown:
+// the format predates the inline body and recorded traces rest on it.
 func (b Body) String() string {
 	switch b.Kind {
 	case BodyRequest:

@@ -98,7 +98,7 @@ func (e *Encoder) Encode(env mutex.Envelope) error {
 	b = AppendUint(b, env.Seq)
 	b = AppendUint(b, env.Ack)
 	b = AppendUint(b, env.Epoch)
-	b, err = appendPayload(b, &env)
+	b, err = AppendPayload(b, &env)
 	*e.buf = b // keep the grown backing array either way
 	if err != nil {
 		return err

@@ -112,10 +112,11 @@ func register(mc *msgCodec) {
 	regByType[mc.typ] = mc
 }
 
-// appendPayload appends the tag + field encoding of the envelope's payload.
-// No payload at all (the reliability sublayer's standalone ack frames) is
-// tag 0 with no fields.
-func appendPayload(b []byte, env *mutex.Envelope) ([]byte, error) {
+// AppendPayload appends the tag + field encoding of the envelope's payload,
+// the bytes a v1 frame carries after its header. No payload at all (the
+// reliability sublayer's standalone ack frames) is tag 0 with no fields. The
+// encoding is self-delimiting: the decoder reads exactly these bytes back.
+func AppendPayload(b []byte, env *mutex.Envelope) ([]byte, error) {
 	if kind := env.Body.Kind; kind != mutex.BodyNone {
 		mc := regByTag[kind]
 		if mc == nil || mc.inline == nil {
