@@ -34,13 +34,16 @@ func sessionSeedFrames() [][]mutex.Envelope {
 		{envelope("", grantMsg{SessionID: 9, TTLMillis: 500, Epoch: 41, Held: []string{"orders"}})},
 		{envelope("", keepaliveMsg{SessionID: 3})},
 		{envelope("", expireMsg{SessionID: 3, Reason: "lease expired"})},
-		{envelope("orders", lockReqMsg{ReqID: 1, Op: opAcquire})},
-		{envelope("orders", lockReqMsg{ReqID: 2, Op: opRelease})},
+		{lockReqEnvelope("orders", 1, opAcquire)},
+		{lockReqEnvelope("orders", 2, opRelease)},
+		{lockRepEnvelope(lockRepMsg{ReqID: 1, OK: true})},
+		{lockRepEnvelope(lockRepMsg{ReqID: 2, Err: errNotHeldText})},
+		{lockRepEnvelope(lockRepMsg{ReqID: 3, OK: true, Err: "x"})},
 		{envelope("", byeMsg{SessionID: 3})},
 		{
 			envelope("", keepaliveMsg{SessionID: 1}),
-			envelope("a", lockReqMsg{ReqID: 1, Op: opAcquire}),
-			envelope("a", lockReqMsg{ReqID: 1, Op: opCancel}),
+			lockReqEnvelope("a", 1, opAcquire),
+			lockReqEnvelope("a", 1, opCancel),
 			envelope("", byeMsg{SessionID: 1}),
 		},
 	}
