@@ -79,12 +79,12 @@ modelcheck-soak: modelcheck
 # race detector, whose own allocations would count): one binary frame decode
 # per inline message kind, one saturated CS through the core state machines,
 # one uncontended in-process Acquire+Release, one mailbox put/drain cycle, one
-# reliable-sublayer flush pass, and a protocol message's whole way from
-# encoder through a loopback socket into Deliver. Each is pinned at the figure
-# it reached; a regression is a red test here before it is a line in the
-# benchmark's ledger.
+# reliable-sublayer flush pass, a protocol message's whole way from encoder
+# through a loopback socket into Deliver, and one session critical section,
+# client and arbiter together. Each is pinned at the figure it reached; a
+# regression is a red test here before it is a line in the benchmark's ledger.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session
 
 # The repository benchmark (benchmark/README.md): six workloads, the judged
 # end-to-end metrics and the per-layer ledger, about 3 minutes on 2 cores.

@@ -7,8 +7,9 @@ import (
 )
 
 // BodyKind tags an Envelope's inline payload: one of the paper's seven §3.1
-// control messages, or BodyNone when the payload (if any) is in Envelope.Msg.
-// The values double as the messages' wire-v1 tags, so they are frozen.
+// control messages, one of the session tier's two lock frames, or BodyNone
+// when the payload (if any) is in Envelope.Msg. The values double as the
+// messages' wire-v1 tags, so they are frozen.
 type BodyKind uint8
 
 const (
@@ -22,15 +23,24 @@ const (
 	BodyTransfer
 )
 
+// The lock request and reply of internal/session, the two frames of a
+// client's critical section, in the session tag range.
+const (
+	BodySessLockReq BodyKind = 51
+	BodySessLockRep BodyKind = 52
+)
+
 // bodyKindNames maps a BodyKind to its accounting name.
 var bodyKindNames = [...]string{
-	BodyRequest:  KindRequest,
-	BodyReply:    KindReply,
-	BodyRelease:  KindRelease,
-	BodyInquire:  KindInquire,
-	BodyFail:     KindFail,
-	BodyYield:    KindYield,
-	BodyTransfer: KindTransfer,
+	BodyRequest:     KindRequest,
+	BodyReply:       KindReply,
+	BodyRelease:     KindRelease,
+	BodyInquire:     KindInquire,
+	BodyFail:        KindFail,
+	BodyYield:       KindYield,
+	BodyTransfer:    KindTransfer,
+	BodySessLockReq: "sess-lock-req",
+	BodySessLockRep: "sess-lock-rep",
 }
 
 // Body is a §3.1 control message carried by value inside its Envelope. The
@@ -42,19 +52,22 @@ var bodyKindNames = [...]string{
 //
 // One flag, two site ids and two timestamps cover every shape of the seven
 // messages except the §6 refresh request, whose variable-length dead-set
-// travels in Envelope.Msg:
+// travels in Envelope.Msg. The session tier's lock frames borrow the same
+// slots; a reply with an error text travels in Envelope.Msg:
 //
-//	kind      Flag        Site            Site2           TS        TS2
-//	request   —           —               —               TS        —
-//	reply     +transfer   arbiter         transfer's arb  ReqTS     transfer's TargetTS
-//	release   withdraw    Fwd (or None)   —               ReqTS     FwdTS
-//	inquire   —           arbiter         —               HolderTS  —
-//	fail      —           arbiter         —               ReqTS     —
-//	yield     —           —               —               ReqTS     —
-//	transfer  +inquire    arbiter         —               HolderTS  TargetTS
+//	kind           Flag        Site            Site2           TS        TS2
+//	request        —           —               —               TS        —
+//	reply          +transfer   arbiter         transfer's arb  ReqTS     transfer's TargetTS
+//	release        withdraw    Fwd (or None)   —               ReqTS     FwdTS
+//	inquire        —           arbiter         —               HolderTS  —
+//	fail           —           arbiter         —               ReqTS     —
+//	yield          —           —               —               ReqTS     —
+//	transfer       +inquire    arbiter         —               HolderTS  TargetTS
+//	sess-lock-req  —           op              —               TS.Seq = request ID
+//	sess-lock-rep  OK          —               —               TS.Seq = request ID
 //
-// internal/core owns the conversion to and from its message structs and the
-// wire layout; this package only names the slots.
+// internal/core and internal/session own the conversion to and from their
+// message structs and the wire layout; this package only names the slots.
 type Body struct {
 	Kind  BodyKind
 	Flag  bool
@@ -90,6 +103,10 @@ func (b Body) String() string {
 			s += "+inquire"
 		}
 		return s
+	case BodySessLockReq:
+		return fmt.Sprintf("sess-lock-req(req=%d,op=%d)", b.TS.Seq, b.Site)
+	case BodySessLockRep:
+		return fmt.Sprintf("sess-lock-rep(req=%d,ok=%v)", b.TS.Seq, b.Flag)
 	}
 	return fmt.Sprintf("body(%d)", b.Kind)
 }

@@ -25,9 +25,10 @@ type SiteID = timestamp.SiteID
 // The interface is the carrier of the open set: variable-length payloads and
 // types registered from outside this package (the §6 refresh request,
 // FailureMsg, the transports' heartbeat and configuration frames, the
-// session frames, the baseline algorithms' messages). The paper's seven
-// §3.1 control messages travel by value instead, in Envelope.Body. Which
-// carrier a message uses is fixed by its type.
+// session frames other than a lock request or reply without an error text,
+// the baseline algorithms' messages). The paper's seven §3.1 control
+// messages and those two session frames travel by value instead, in
+// Envelope.Body. Which carrier a message uses is fixed by its shape.
 type Message interface {
 	Kind() string
 }

@@ -392,7 +392,7 @@ func (c *Client) dialOne(addr string) (sc *sessionConn, grant grantMsg, helloSen
 	grant, ok := env.Msg.(grantMsg)
 	if !ok {
 		sc.close()
-		return nil, grantMsg{}, time.Time{}, fmt.Errorf("session: expected grant, got %T", env.Msg)
+		return nil, grantMsg{}, time.Time{}, fmt.Errorf("session: expected grant, got %q", env.Kind())
 	}
 	if grant.Err != "" {
 		sc.close()
@@ -452,7 +452,7 @@ func (c *Client) attach(sc *sessionConn, grant grantMsg, helloSent time.Time) bo
 	c.mu.Unlock()
 	for _, name := range orphans {
 		reqID := c.reserveReq()
-		sc.send(envelope(name, lockReqMsg{ReqID: reqID, Op: opRelease}))
+		sc.send(lockReqEnvelope(name, reqID, opRelease))
 	}
 	return true
 }
@@ -495,7 +495,18 @@ func (c *Client) pump(sc *sessionConn) {
 		}
 		c.mu.Lock()
 		c.lastIn = time.Now()
-		switch msg := env.Msg.(type) {
+		if rep, ok := lockRepOf(env); ok {
+			if cl := c.pending[rep.ReqID]; cl != nil {
+				delete(c.pending, rep.ReqID)
+				select {
+				case cl.ch <- result{rep: rep, sessionEpoch: c.sessionEpoch}:
+				default:
+				}
+			}
+			c.mu.Unlock()
+			continue
+		}
+		switch env.Msg.(type) {
 		case keepaliveMsg:
 			// The echo confirms the oldest unacknowledged keepalive reached
 			// the arbiter and renewed the lease at (no earlier than) its
@@ -505,15 +516,6 @@ func (c *Client) pump(sc *sessionConn) {
 					c.leaseBase = t
 				}
 				c.kaSent = c.kaSent[1:]
-			}
-			c.mu.Unlock()
-		case lockRepMsg:
-			if cl := c.pending[msg.ReqID]; cl != nil {
-				delete(c.pending, msg.ReqID)
-				select {
-				case cl.ch <- result{rep: msg, sessionEpoch: c.sessionEpoch}:
-				default:
-				}
 			}
 			c.mu.Unlock()
 		case expireMsg:
@@ -642,7 +644,7 @@ func (c *Client) issue(ctx context.Context, name string, op byte) (rep lockRepMs
 	}
 	c.pending[reqID] = cl
 	c.mu.Unlock()
-	if err := sc.send(envelope(name, lockReqMsg{ReqID: reqID, Op: op})); err != nil {
+	if err := sc.send(lockReqEnvelope(name, reqID, op)); err != nil {
 		// The connection is dying; the pump will notice. Treat as retry.
 		c.mu.Lock()
 		c.retireCallLocked(reqID, cl)
@@ -666,7 +668,7 @@ func (c *Client) issue(ctx context.Context, name string, op byte) (rep lockRepMs
 		if op == opAcquire && conn != nil {
 			// Best-effort cancel: if the grant raced our cancellation the
 			// arbiter hands the lock straight back.
-			conn.send(envelope(name, lockReqMsg{ReqID: reqID, Op: opCancel}))
+			conn.send(lockReqEnvelope(name, reqID, opCancel))
 		}
 		return lockRepMsg{}, 0, false, ctx.Err()
 	case <-c.stopC:

@@ -20,9 +20,9 @@ func liveHeap() uint64 {
 // TestNoRetentionPerAcquire drives a long run of critical sections through
 // one session and requires that the arbiter and the client keep nothing per
 // acquire once it is over: completing, cancelling or expiring a request is a
-// bounded transition that leaves nothing behind. Before ISSUE 14 every
-// successful acquire left its derived context hanging off the session
-// context — about half a kilobyte per CS for as long as the session lived.
+// bounded transition that leaves nothing behind. The arbiter's acquire slots
+// are reused, so they must not pile up either: a slot spent by a cancel is
+// dropped, and the parked workers of a session that ended exit.
 //
 // The load is 20 000 acquire/release cycles, a batch of acquires cancelled
 // while queued behind another session, and a third session that dies holding

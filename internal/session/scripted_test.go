@@ -45,18 +45,18 @@ func rawSession(t *testing.T, addr string) *sessionConn {
 func TestCancelCrossingGrant(t *testing.T) {
 	addrs, _ := startArbiters(t, 3, []int{0}, 2*time.Second, nil, nil)
 	sc := rawSession(t, addrs[0])
-	if err := sc.send(envelope("orders", lockReqMsg{ReqID: 1, Op: opAcquire})); err != nil {
+	if err := sc.send(lockReqEnvelope("orders", 1, opAcquire)); err != nil {
 		t.Fatal(err)
 	}
 	env, err := sc.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, ok := env.Msg.(lockRepMsg); !ok || !rep.OK || rep.ReqID != 1 {
-		t.Fatalf("acquire answered with %+v", env.Msg)
+	if rep, ok := lockRepOf(env); !ok || !rep.OK || rep.ReqID != 1 {
+		t.Fatalf("acquire answered with %v", env.PayloadString())
 	}
 	// The grant is out; now the cancel the client sent before it saw it.
-	if err := sc.send(envelope("orders", lockReqMsg{ReqID: 1, Op: opCancel})); err != nil {
+	if err := sc.send(lockReqEnvelope("orders", 1, opCancel)); err != nil {
 		t.Fatal(err)
 	}
 	// Another session must get the lock while the first is still alive.
@@ -74,15 +74,15 @@ func TestCancelCrossingGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A cancel that names some other request must not release a held lock.
-	if err := sc.send(envelope("orders", lockReqMsg{ReqID: 2, Op: opAcquire})); err != nil {
+	if err := sc.send(lockReqEnvelope("orders", 2, opAcquire)); err != nil {
 		t.Fatal(err)
 	}
 	if env, err = sc.recv(); err != nil {
 		t.Fatal(err)
-	} else if rep, ok := env.Msg.(lockRepMsg); !ok || !rep.OK {
-		t.Fatalf("second acquire answered with %+v", env.Msg)
+	} else if rep, ok := lockRepOf(env); !ok || !rep.OK {
+		t.Fatalf("second acquire answered with %v", env.PayloadString())
 	}
-	if err := sc.send(envelope("orders", lockReqMsg{ReqID: 1, Op: opCancel})); err != nil {
+	if err := sc.send(lockReqEnvelope("orders", 1, opCancel)); err != nil {
 		t.Fatal(err)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -139,19 +139,18 @@ func fakeArbiter(t *testing.T, serve func(n int, sc *sessionConn, hello helloMsg
 
 // serveFrames answers keepalives and passes every lock request to onReq
 // until the stream dies or onReq returns false.
-func serveFrames(sc *sessionConn, id uint64, onReq func(name string, req lockReqMsg) bool) {
+func serveFrames(sc *sessionConn, id uint64, onReq func(reqID uint64, op byte) bool) {
 	for {
 		env, err := sc.recv()
 		if err != nil {
 			return
 		}
-		switch m := env.Msg.(type) {
-		case keepaliveMsg:
-			sc.send(envelope("", keepaliveMsg{SessionID: id}))
-		case lockReqMsg:
-			if !onReq(env.Resource, m) {
+		if reqID, op, ok := lockReqOf(env); ok {
+			if !onReq(reqID, op) {
 				return
 			}
+		} else if _, ok := env.Msg.(keepaliveMsg); ok {
+			sc.send(envelope("", keepaliveMsg{SessionID: id}))
 		}
 	}
 }
@@ -170,19 +169,19 @@ func TestReleaseSlowArbiter(t *testing.T) {
 	var releases atomic.Int32
 	addr := fakeArbiter(t, func(_ int, sc *sessionConn, _ helloMsg) {
 		sc.send(envelope("", grantMsg{SessionID: 7, TTLMillis: 60000, Epoch: 1}))
-		serveFrames(sc, 7, func(_ string, req lockReqMsg) bool {
-			switch req.Op {
+		serveFrames(sc, 7, func(reqID uint64, op byte) bool {
+			switch op {
 			case opAcquire:
-				sc.send(envelope("", lockRepMsg{ReqID: req.ReqID, OK: true}))
+				sc.send(lockRepEnvelope(lockRepMsg{ReqID: reqID, OK: true}))
 			case opRelease:
 				if releases.Add(1) > 1 {
 					// What the real arbiter says to a second copy.
-					sc.send(envelope("", lockRepMsg{ReqID: req.ReqID, Err: errNotHeldText}))
+					sc.send(lockRepEnvelope(lockRepMsg{ReqID: reqID, Err: errNotHeldText}))
 					return true
 				}
 				go func() {
 					time.Sleep(writeTimeout + 500*time.Millisecond)
-					sc.send(envelope("", lockRepMsg{ReqID: req.ReqID, OK: true}))
+					sc.send(lockRepEnvelope(lockRepMsg{ReqID: reqID, OK: true}))
 				}()
 			}
 			return true
@@ -225,17 +224,17 @@ func TestReleaseResentAfterTurnover(t *testing.T) {
 			grant.Held = []string{"orders"}
 		}
 		sc.send(envelope("", grant))
-		serveFrames(sc, 7, func(_ string, req lockReqMsg) bool {
-			switch req.Op {
+		serveFrames(sc, 7, func(reqID uint64, op byte) bool {
+			switch op {
 			case opAcquire:
-				sc.send(envelope("", lockRepMsg{ReqID: req.ReqID, OK: true}))
+				sc.send(lockRepEnvelope(lockRepMsg{ReqID: reqID, OK: true}))
 				return n > 0 // the first connection dies once the lock is held
 			case opRelease:
 				releases.Add(1)
 				if n == 1 {
 					return false // processed; the answer dies with the connection
 				}
-				sc.send(envelope("", lockRepMsg{ReqID: req.ReqID, Err: errNotHeldText}))
+				sc.send(lockRepEnvelope(lockRepMsg{ReqID: reqID, Err: errNotHeldText}))
 			}
 			return true
 		})

@@ -16,9 +16,10 @@
 //
 // Message types register themselves with RegisterMessage from their
 // package's init: a frame tag plus encode/decode functions. The seven §3.1
-// control messages, which an envelope carries by value in its Body, register
-// with RegisterInline instead. The registry is written only during package
-// initialization and read lock-free on the hot path.
+// control messages and the session tier's lock request and reply, which an
+// envelope carries by value in its Body, register with RegisterInline
+// instead. The registry is written only during package initialization and
+// read lock-free on the hot path.
 package wire
 
 import (

@@ -82,7 +82,8 @@ type ServeConfig struct {
 	// Lease is the default session lease TTL (session tier default 2s when
 	// zero); MaxLease caps client-requested TTLs (default 30s). The lease
 	// is the bounded reclaim window: a crashed client's locks re-enter the
-	// protocol within Lease plus one release handoff.
+	// protocol within its session's lease — Lease, or the TTL the client
+	// asked for — plus a quarter of it and one release handoff.
 	Lease    time.Duration
 	MaxLease time.Duration
 	// MaxSessions caps concurrent client sessions at this arbiter (default
@@ -231,7 +232,10 @@ type DialConfig struct {
 	Codec Codec
 	// Lease is the requested lease TTL (session tier default 2s when
 	// zero). The arbiter may cap it; the granted TTL governs and bounds the
-	// reclaim window should this client crash.
+	// reclaim window should this client crash: its locks re-enter the
+	// protocol within the granted TTL plus a quarter of it and one release
+	// handoff, whether the TTL is longer or shorter than the arbiter's
+	// default.
 	Lease time.Duration
 	// Keepalive is the lease renewal period (granted TTL / 3 when zero).
 	Keepalive time.Duration
