@@ -178,7 +178,6 @@ type delayedEnv struct {
 	at  time.Time
 	seq uint64 // FIFO tiebreak for equal deadlines
 	env mutex.Envelope
-	dup bool // true for the extra copy of a duplicated message
 }
 
 type delayHeap []delayedEnv
@@ -207,7 +206,6 @@ type Fabric struct {
 	pq      delayHeap
 	seq     uint64
 	wake    chan struct{}
-	hook    func(env mutex.Envelope, dup bool)
 
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -232,15 +230,6 @@ func NewFabric(plan Plan, deliver DeliverFunc) *Fabric {
 
 // Plan returns the fabric's schedule.
 func (f *Fabric) Plan() Plan { return f.plan }
-
-// SetDeliveryHook installs a callback invoked after each successful
-// delivery (the conformance checker's view of the wire). dup marks the
-// extra copy of a duplicated message. Install it before traffic starts.
-func (f *Fabric) SetDeliveryHook(hook func(env mutex.Envelope, dup bool)) {
-	f.mu.Lock()
-	f.hook = hook
-	f.mu.Unlock()
-}
 
 // MarkCrashed silences a site: subsequent messages from or to it are
 // dropped. The transport's crash scheduler calls it alongside KillSite.
@@ -362,15 +351,15 @@ func (f *Fabric) Send(env mutex.Envelope) error {
 		// Fast path: nothing queued and no delay due — deliver inline on the
 		// sender's goroutine, exactly like the raw transport.
 		f.mu.Unlock()
-		f.deliverNow(env, false)
+		f.deliverNow(env)
 		if dup {
-			f.deliverNow(env, true)
+			f.deliverNow(env)
 		}
 		return nil
 	}
 	f.push(delayedEnv{at: at, env: env})
 	if dup {
-		f.push(delayedEnv{at: at, env: env, dup: true})
+		f.push(delayedEnv{at: at, env: env})
 	}
 	f.mu.Unlock()
 	select {
@@ -399,24 +388,18 @@ func (f *Fabric) push(d delayedEnv) {
 }
 
 // deliverNow applies the delivery-time checks (partitions, crashes) and
-// hands the envelope to the transport, then notifies the hook.
-func (f *Fabric) deliverNow(env mutex.Envelope, dup bool) {
+// hands the envelope to the transport.
+func (f *Fabric) deliverNow(env mutex.Envelope) {
 	f.mu.Lock()
 	dead := f.crashed[env.From] || f.crashed[env.To]
 	cut := f.plan.partitioned(env.From, env.To, time.Since(f.start))
-	hook := f.hook
 	f.mu.Unlock()
 	if dead || cut {
 		return
 	}
 	// Reliable-channel model: a delivery error means the destination is
 	// gone, which the failure protocol handles.
-	if err := f.deliver(env); err != nil {
-		return
-	}
-	if hook != nil {
-		hook(env, dup)
-	}
+	_ = f.deliver(env)
 }
 
 // pump drains the delay queue in deadline order on a dedicated goroutine.
@@ -440,7 +423,7 @@ func (f *Fabric) pump() {
 		}
 		f.mu.Unlock()
 		if have {
-			f.deliverNow(next.env, next.dup)
+			f.deliverNow(next.env)
 			continue
 		}
 		if wait < 0 {

@@ -214,7 +214,7 @@ func requestWave(c *Checker, site mutex.SiteID, reqTS timestamp.Timestamp, arbit
 		c.Observe(obs.Event{Type: obs.EventSend, Site: site, Peer: a, Kind: mutex.KindRequest, Resource: "r"})
 	}
 	for _, a := range arbiters {
-		c.Delivered(mutex.Envelope{Resource: "r", From: site, To: a, Msg: fakeMsg{mutex.KindRequest}}, false)
+		c.Delivered(mutex.Envelope{Resource: "r", From: site, To: a, Msg: fakeMsg{mutex.KindRequest}})
 	}
 }
 
@@ -240,7 +240,7 @@ func TestCheckerOrdering(t *testing.T) {
 	for _, a := range arbs {
 		c.Observe(obs.Event{Type: obs.EventSend, Site: 0, Peer: a, Kind: mutex.KindRequest, Resource: "r"})
 	}
-	c.Delivered(mutex.Envelope{Resource: "r", From: 0, To: 3, Msg: fakeMsg{mutex.KindRequest}}, false)
+	c.Delivered(mutex.Envelope{Resource: "r", From: 0, To: 3, Msg: fakeMsg{mutex.KindRequest}})
 	requestWave(c, 1, ts(5, 1), arbs)
 	c.Observe(obs.Event{Type: obs.EventEnter, Site: 1, Resource: "r"})
 	if vs := c.Violations(); len(vs) != 0 {

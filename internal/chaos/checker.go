@@ -216,13 +216,17 @@ func (c *Checker) Observe(e obs.Event) {
 }
 
 // Delivered is the transport's delivery hook: it settles request waves.
-// Wire it to Cluster.SetDeliveryHook, whose exactly-once view means each
-// request message settles the wave precisely once — retransmitted and
-// duplicated copies are already suppressed below the hook, and a dropped
-// wire copy settles later when its retransmission lands. Duplicate-flagged
-// calls (the raw fabric fallback) are still ignored defensively.
-func (c *Checker) Delivered(env mutex.Envelope, dup bool) {
-	if dup || env.Kind() != mutex.KindRequest {
+// Wire it to Cluster.SetDeliveryHook, which fires once the arbiter has
+// processed the request message, on the arbiter's own loop: a request the
+// arbiter has queued is settled there, one still in its inbox is not. That
+// is what makes a later request's issue instant comparable with the
+// settlement — an arbiter that also requests either processed the earlier
+// request before issuing its own (and so stamps it with a larger clock and
+// queues it second) or after. Retransmitted and duplicated copies are
+// suppressed below the hook, so each request message settles the wave
+// precisely once; a dropped wire copy settles when its retransmission lands.
+func (c *Checker) Delivered(env mutex.Envelope) {
+	if env.Kind() != mutex.KindRequest {
 		return
 	}
 	c.mu.Lock()

@@ -156,7 +156,7 @@ func runReconfigureSchedule(t *testing.T, seed int64, from, to int, crashMid boo
 		ok, err := lock.TryAcquire(joinCtx)
 		joinCancel()
 		if err != nil || !ok {
-			t.Fatalf("seed %d: acquire at joined site %d: ok=%v err=%v", seed, to-1, ok, err)
+			t.Fatalf("seed %d: acquire at joined site %d: ok=%v err=%v\n%s", seed, to-1, ok, err, cluster.DumpState())
 		}
 		if err := lock.Release(); err != nil {
 			t.Fatal(err)

@@ -37,7 +37,10 @@ func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
 	s.arbiterPurge(f, out)
 	s.requesterPurge(f, out)
 
-	if s.quorum.Contains(f) {
+	// Inside the CS the quorum the next request will use may be a deferred
+	// one (a rebuild or membership swap waiting for Exit); it must avoid f
+	// too.
+	if s.quorum.Contains(f) || s.nextQuorum.Contains(f) {
 		s.rebuildQuorum(f, out)
 	}
 	if s.state == stateWaiting {

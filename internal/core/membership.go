@@ -34,8 +34,12 @@ func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down ma
 	case stateInCS:
 		// Keep the held quorum for the current CS; the new req_set takes
 		// effect at Exit, which releases the old members (same deferral as a
-		// §6 rebuild inside the CS).
+		// §6 rebuild inside the CS). It must avoid known crashes as an idle
+		// site's does, or the next request waits on a dead arbiter.
 		s.nextQuorum = newQ
+		if f, dead := s.firstFailedIn(newQ); dead {
+			s.rebuildQuorum(f, &out)
+		}
 		return s.end(out)
 	case stateIdle:
 		s.quorum = newQ

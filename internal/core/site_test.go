@@ -673,3 +673,59 @@ func TestViaArbiterEntryAfterAllReplies(t *testing.T) {
 		t.Fatalf("exit releases = %v", out.Send)
 	}
 }
+
+// TestInCSSwapAvoidsKnownCrash: a req_set swap that reaches a site inside
+// the critical section waits for Exit. When the planned quorum names a site
+// the holder already knows to have crashed — the crash announced before the
+// swap or after it — the quorum it moves to at Exit must avoid that site,
+// as an idle or waiting site's does; otherwise its next request waits on a
+// dead arbiter for good.
+func TestInCSSwapAvoidsKnownCrash(t *testing.T) {
+	for _, crashFirst := range []bool{true, false} {
+		sites, err := Algorithm{Construction: coterie.Majority{}}.NewSites(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &walk{chans: map[[2]mutex.SiteID][]mutex.Envelope{}, crashed: make([]bool, 5)}
+		for _, s := range sites {
+			w.sites = append(w.sites, s.(*Site))
+		}
+		settle := func() {
+			for ks := w.keys(); len(ks) > 0; ks = w.keys() {
+				for _, k := range ks {
+					env := w.chans[k][0]
+					w.chans[k] = w.chans[k][1:]
+					w.route(w.sites[env.To].Deliver(env))
+				}
+			}
+		}
+		s0 := w.sites[0]
+		w.route(s0.Request())
+		settle()
+		if !s0.InCS() {
+			t.Fatalf("crashFirst=%v: site 0 did not enter: %s", crashFirst, s0.DebugString())
+		}
+		if s0.quorum.Contains(4) {
+			t.Fatalf("site 0 starts on %v; the test needs a held quorum without site 4", s0.quorum)
+		}
+		w.crashed[4] = true
+		swap := []mutex.SiteID{0, 3, 4}
+		if crashFirst {
+			w.route(s0.SiteFailed(4))
+			w.route(s0.SetMembership(5, swap, nil, 1))
+		} else {
+			w.route(s0.SetMembership(5, swap, nil, 1))
+			w.route(s0.SiteFailed(4))
+		}
+		w.route(s0.Exit())
+		settle()
+		if s0.quorum.Contains(4) {
+			t.Fatalf("crashFirst=%v: after Exit site 0's quorum %v names crashed site 4", crashFirst, s0.quorum)
+		}
+		w.route(s0.Request())
+		settle()
+		if !s0.InCS() {
+			t.Fatalf("crashFirst=%v: next request did not enter: %s", crashFirst, s0.DebugString())
+		}
+	}
+}

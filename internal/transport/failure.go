@@ -71,15 +71,26 @@ func (c *Cluster) killSite(id mutex.SiteID, detectAfter time.Duration, stopC <-c
 			return
 		}
 	}
+	// Recorded before the sweep: an instance created while it runs either
+	// reads the record at birth or is already in its manager's table.
+	c.mu.Lock()
+	c.dead[id] = true
+	c.mu.Unlock()
 	for j, mgr := range c.members.Load().managers {
 		if mutex.SiteID(j) == id {
 			continue
 		}
 		self := mutex.SiteID(j)
 		mgr.Each(func(name string, inst resource.Instance) {
-			inst.Inject(mutex.Envelope{Resource: name, From: self, To: self, Msg: mutex.FailureMsg{Failed: id}})
+			inst.Inject(failureEnvelope(name, self, id))
 		})
 	}
+}
+
+// failureEnvelope is the failure(f) notification a site's instance of a
+// resource receives from its own failure detector.
+func failureEnvelope(name string, self, failed mutex.SiteID) mutex.Envelope {
+	return mutex.Envelope{Resource: name, From: self, To: self, Msg: mutex.FailureMsg{Failed: failed}}
 }
 
 // Detector runs heartbeat-based failure detection for one TCP peer: it

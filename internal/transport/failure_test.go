@@ -71,6 +71,35 @@ func TestKillSiteWithoutRecoveryBlocks(t *testing.T) {
 	}
 }
 
+// TestKillSiteThenNewLock: a named lock first used after a crash was
+// announced must also route around the dead site. Its instances are built
+// after the notifications went out, so they learn of the crash at birth.
+func TestKillSiteThenNewLock(t *testing.T) {
+	const n = 7
+	cluster, err := transport.NewCluster(core.Algorithm{Construction: coterie.Tree{}}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	cluster.KillSite(0, time.Millisecond) // the root: in every default quorum
+	for _, id := range []mutex.SiteID{3, 5} {
+		lock, err := cluster.Lock(id, "late")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = lock.Acquire(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("site %d: acquire of a lock first used after the crash: %v\n%s", id, err, cluster.DumpState())
+		}
+		if err := lock.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTCPDetector: heartbeat detection over real TCP — when one peer dies,
 // the others declare it and the recovery protocol keeps the mutex usable.
 func TestTCPDetector(t *testing.T) {

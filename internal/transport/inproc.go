@@ -137,8 +137,9 @@ type Cluster struct {
 	// stamped onto every outgoing envelope by the per-resource senders.
 	stage atomic.Uint64
 
-	rel       *reliable     // the reliable-delivery sublayer; nil only in test bypass mode
-	fabric    *chaos.Fabric // nil unless chaos injection was requested
+	rel       *reliable                                // the reliable-delivery sublayer; nil only in test bypass mode
+	fabric    *chaos.Fabric                            // nil unless chaos injection was requested
+	hook      atomic.Pointer[func(env mutex.Envelope)] // SetDeliveryHook's observer
 	chaosStop chan struct{}
 	chaosWG   sync.WaitGroup
 
@@ -150,6 +151,7 @@ type Cluster struct {
 	cfg      membership.Config       // last stable configuration; zero Coterie = membership untracked
 	cons     coterie.Construction    // construction behind cfg (may be nil)
 	handover *membership.Handover    // non-nil while a handover is in progress
+	dead     map[mutex.SiteID]bool   // sites announced crashed (killSite)
 }
 
 // memberView is one immutable snapshot of the cluster roster.
@@ -180,6 +182,7 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 		metrics:  cfg.Metrics,
 		sink:     cfg.Observer,
 		siteSets: make(map[string][]mutex.Site),
+		dead:     make(map[mutex.SiteID]bool),
 	}
 	if cfg.Metrics != nil {
 		c.sink = obs.Tee(cfg.Metrics.Observe, cfg.Observer)
@@ -277,9 +280,28 @@ func (c *Cluster) newManager(id mutex.SiteID, policy resource.Policy) *resource.
 			if err != nil {
 				return nil, err
 			}
-			return newResourceNode(name, site, c.sender, c.sink, &c.stage), nil
+			node := newResourceNode(name, site, c.sender, c.sink, &c.stage, c.delivered)
+			// An instance born after a crash announcement learns of it the
+			// way the instances alive at the time did; otherwise its quorum
+			// may wait on the dead site for good. The manager calls New under
+			// the lock killSite's sweep takes, so no instance misses both.
+			for _, f := range c.deadSites() {
+				node.Inject(failureEnvelope(name, id, f))
+			}
+			return node, nil
 		},
 	})
+}
+
+// deadSites lists the sites announced crashed.
+func (c *Cluster) deadSites() []mutex.SiteID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]mutex.SiteID, 0, len(c.dead))
+	for f := range c.dead {
+		out = append(out, f)
+	}
+	return out
 }
 
 // assignmentOf reads the coterie assignment off a freshly built site set,
@@ -496,19 +518,21 @@ func (c *Cluster) Stage() membership.Stage { return membership.Stage(c.stage.Loa
 // cluster was built without a chaos plan.
 func (c *Cluster) Chaos() *chaos.Fabric { return c.fabric }
 
-// SetDeliveryHook installs an observer of exactly-once envelope deliveries —
-// the conformance checker's view of the wire. The hook fires once per
-// sequenced envelope after the reliability layer's dedup and reordering, so
-// retransmitted and duplicated copies never double-count; on a cluster built
-// without the layer (test bypass) it falls back to the chaos fabric's raw
-// deliveries. Install it before traffic starts.
-func (c *Cluster) SetDeliveryHook(hook func(env mutex.Envelope, dup bool)) {
-	if c.rel != nil {
-		c.rel.setDeliveryHook(hook)
-		return
-	}
-	if c.fabric != nil {
-		c.fabric.SetDeliveryHook(hook)
+// SetDeliveryHook installs an observer of envelope deliveries — the
+// conformance checker's view of the wire. The hook fires on the receiving
+// node's loop goroutine once the site has processed the envelope, so an
+// envelope counts as delivered only after it has changed the site's state;
+// an envelope still queued in the node's inbox has not been delivered. Above
+// the reliability layer each envelope is seen once: retransmitted and
+// duplicated copies never reach a node.
+func (c *Cluster) SetDeliveryHook(hook func(env mutex.Envelope)) {
+	c.hook.Store(&hook)
+}
+
+// delivered is every in-process node's delivery callback.
+func (c *Cluster) delivered(env mutex.Envelope) {
+	if hook := c.hook.Load(); hook != nil {
+		(*hook)(env)
 	}
 }
 

@@ -109,6 +109,9 @@ type Node struct {
 	sender BatchSender
 	inbox  *mailbox
 	sink   obs.Sink // nil when observability is disabled
+	// delivered, when non-nil, is called on the loop goroutine after the
+	// site has stepped through each inbound envelope.
+	delivered func(env mutex.Envelope)
 
 	acquireC chan chan error
 	releaseC chan chan error
@@ -130,19 +133,21 @@ type Node struct {
 // NewNodeObserved starts the node's event loop with the given event sink.
 // sender carries envelopes addressed to other sites, each step's together;
 // envelopes addressed to this site short-circuit internally. A nil sink
-// costs exactly one nil check per potential event.
-func NewNodeObserved(site mutex.Site, sender BatchSender, sink obs.Sink) *Node {
+// costs exactly one nil check per potential event. delivered, which may be
+// nil, observes each inbound envelope once the site has processed it.
+func NewNodeObserved(site mutex.Site, sender BatchSender, sink obs.Sink, delivered func(env mutex.Envelope)) *Node {
 	n := &Node{
-		site:     site,
-		sender:   sender,
-		inbox:    newMailbox(),
-		sink:     sink,
-		acquireC: make(chan chan error),
-		releaseC: make(chan chan error),
-		dumpC:    make(chan chan string),
-		ctrlC:    make(chan func()),
-		stopC:    make(chan struct{}),
-		doneC:    make(chan struct{}),
+		site:      site,
+		sender:    sender,
+		inbox:     newMailbox(),
+		sink:      sink,
+		delivered: delivered,
+		acquireC:  make(chan chan error),
+		releaseC:  make(chan chan error),
+		dumpC:     make(chan chan string),
+		ctrlC:     make(chan func()),
+		stopC:     make(chan struct{}),
+		doneC:     make(chan struct{}),
 	}
 	go n.run()
 	return n
@@ -266,15 +271,10 @@ func (n *Node) run() {
 		case <-n.inbox.notify:
 			n.batch = n.inbox.drain(n.batch)
 			for _, env := range n.batch {
-				if n.sink != nil {
-					if f, ok := env.Msg.(mutex.FailureMsg); ok {
-						n.observe(obs.EventFailure, f.Failed, "")
-						n.apply(n.site.Deliver(env))
-						n.observe(obs.EventRecovery, f.Failed, "")
-						continue
-					}
+				n.deliver(env)
+				if n.delivered != nil {
+					n.delivered(env)
 				}
-				n.apply(n.site.Deliver(env))
 			}
 		case resp := <-n.acquireC:
 			if n.retiring {
@@ -318,6 +318,19 @@ func (n *Node) run() {
 			return
 		}
 	}
+}
+
+// deliver steps the site through one inbound envelope.
+func (n *Node) deliver(env mutex.Envelope) {
+	if n.sink != nil {
+		if f, ok := env.Msg.(mutex.FailureMsg); ok {
+			n.observe(obs.EventFailure, f.Failed, "")
+			n.apply(n.site.Deliver(env))
+			n.observe(obs.EventRecovery, f.Failed, "")
+			return
+		}
+	}
+	n.apply(n.site.Deliver(env))
 }
 
 // onLoop runs fn on the node's loop goroutine and waits for it to finish.

@@ -134,11 +134,15 @@ func (c *Cluster) grow(to int) error {
 	}
 	for i := len(view.managers); i < to; i++ {
 		id := mutex.SiteID(i)
+		// The ID may have belonged to a site retired (or crashed) under an
+		// earlier configuration; the joining site starts fresh streams and is
+		// no longer announced dead to instances created from here on.
 		if c.rel != nil {
-			// The ID may have belonged to a site retired (or crashed) under
-			// an earlier configuration; the joining site starts fresh streams.
 			c.rel.ReviveSite(id)
 		}
+		c.mu.Lock()
+		delete(c.dead, id)
+		c.mu.Unlock()
 		mgr := c.newManager(id, c.policy)
 		inst, err := mgr.Instance(resource.Default)
 		if err != nil {

@@ -110,8 +110,7 @@ type reliable struct {
 	out  map[streamID]*sendStream
 	in   map[streamID]*recvStream
 	dead map[mutex.SiteID]bool
-	hook func(env mutex.Envelope, dup bool) // post-dedup delivery observer
-	rng  uint64                             // jitter state, guarded by mu
+	rng  uint64 // jitter state, guarded by mu
 
 	// Scratch of flush, which only the loop goroutine runs: what one pass
 	// collects under mu and sends after releasing it. Emptied after use, so
@@ -152,15 +151,6 @@ func (r *reliable) start(raw BatchSender) {
 func (r *reliable) Close() {
 	r.stopOnce.Do(func() { close(r.stopC) })
 	<-r.doneC
-}
-
-// setDeliveryHook installs an observer invoked once per exactly-once upward
-// delivery of a sequenced envelope (the conformance checker's post-dedup
-// view of the wire). Install it before traffic starts.
-func (r *reliable) setDeliveryHook(hook func(env mutex.Envelope, dup bool)) {
-	r.mu.Lock()
-	r.hook = hook
-	r.mu.Unlock()
 }
 
 // PeerFailed composes the layer with the §6 failure path: every stream
@@ -334,9 +324,6 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 		rs.delivered++
 		if err := r.deliver(env); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		if r.hook != nil {
-			r.hook(env, false)
 		}
 		next, ok := rs.buffer[rs.delivered+1]
 		if !ok {

@@ -56,7 +56,8 @@ func resourceSink(name string, sink obs.Sink) obs.Sink {
 // newResourceNode builds the per-resource protocol node: the site machine
 // wrapped with a resource- and stage-stamping sender and a resource-stamping
 // sink. It is the Config.New used by both the in-process cluster and the
-// TCP peer. stage may be nil (no membership tracking).
-func newResourceNode(name string, site mutex.Site, under BatchSender, sink obs.Sink, stage *atomic.Uint64) *Node {
-	return NewNodeObserved(site, resourceSender{name: name, under: under, stage: stage}, resourceSink(name, sink))
+// TCP peer. stage may be nil (no membership tracking), and so may delivered
+// (see NewNodeObserved).
+func newResourceNode(name string, site mutex.Site, under BatchSender, sink obs.Sink, stage *atomic.Uint64, delivered func(env mutex.Envelope)) *Node {
+	return NewNodeObserved(site, resourceSender{name: name, under: under, stage: stage}, resourceSink(name, sink), delivered)
 }

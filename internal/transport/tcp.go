@@ -155,7 +155,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newResourceNode(name, site, p, combined, &p.stage), nil
+			return newResourceNode(name, site, p, combined, &p.stage, nil), nil
 		},
 	})
 	inst, err := p.manager.Instance(resource.Default)
@@ -608,7 +608,7 @@ func (p *TCPPeer) setDropHook(drop func(env mutex.Envelope) bool) {
 func (p *TCPPeer) injectFailure(failed mutex.SiteID) {
 	p.rel.PeerFailed(failed)
 	p.manager.Each(func(name string, inst resource.Instance) {
-		inst.Inject(mutex.Envelope{Resource: name, From: p.self, To: p.self, Msg: mutex.FailureMsg{Failed: failed}})
+		inst.Inject(failureEnvelope(name, p.self, failed))
 	})
 }
 
