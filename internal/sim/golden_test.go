@@ -1,0 +1,151 @@
+package sim_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dqmx/internal/core"
+	"dqmx/internal/coterie"
+	"dqmx/internal/sim"
+	"dqmx/internal/workload"
+)
+
+// goldenRuns are four simulations whose results are pinned by
+// TestGoldenResults: a fault-free saturated grid, the section-6 recovery path
+// twice over (the first crash lands inside a CS, whose record is left
+// incomplete and skipped), link failures, and random delays under think-time
+// load. The first two runs record more than 1 024 critical sections each.
+var goldenRuns = []struct {
+	name  string
+	build func() (*sim.Cluster, error)
+	want  string
+}{
+	{
+		name: "grid9-saturated",
+		build: func() (*sim.Cluster, error) {
+			c, err := sim.NewCluster(sim.Config{
+				N: 9, Algorithm: core.Algorithm{Construction: coterie.Grid{}},
+				Delay: sim.ConstantDelay{D: 1000}, Seed: 1, CSTime: 10,
+			})
+			if err == nil {
+				workload.Saturated(c, 300)
+			}
+			return c, err
+		},
+		want: "delay-optimal(maekawa-grid) n=9 completed=2700 total=53087 fail=10792 release=10800 reply=11703 request=10800 transfer=8992 msgs/cs=19.661851851851853 sync=1.3330863282697296 resp=12.074292592592592 resp99=12.09 wait=12.064292592592592 wait99=12.08 tput=0.7442116868798235 samples=2699 records=2700/32d4c50427990cf6",
+	},
+	{
+		name: "tree15-two-crashes",
+		build: func() (*sim.Cluster, error) {
+			c, err := sim.NewCluster(sim.Config{
+				N: 15, Algorithm: core.Algorithm{Construction: coterie.Tree{}},
+				Delay: sim.ConstantDelay{D: 1000}, Seed: 2, CSTime: 10,
+			})
+			if err == nil {
+				workload.Saturated(c, 100)
+				c.CrashAt(213_435, 0) // inside site 0's CS (213 430–213 440)
+				c.CrashAt(400_000, 3)
+			}
+			return c, err
+		},
+		want: "delay-optimal(ae-tree) n=15 completed=1312 total=32273 fail=6927 failure=25 release=6908 reply=7281 request=7016 transfer=4111 yield=5 msgs/cs=24.598323170731707 sync=1.5083066361556063 resp=16.194912347560976 resp99=72.48 wait=16.184912347560974 wait99=72.47 tput=0.6581356501848499 samples=1311 records=1312/bb9f6e6b68c7c094",
+	},
+	{
+		name: "tree15-cut-links",
+		build: func() (*sim.Cluster, error) {
+			c, err := sim.NewCluster(sim.Config{
+				N: 15, Algorithm: core.Algorithm{Construction: coterie.Tree{}},
+				Delay: sim.ConstantDelay{D: 1000}, Seed: 4, CSTime: 10,
+			})
+			if err == nil {
+				workload.Saturated(c, 20)
+				c.CutLinkAt(1500, 7, 1)
+				c.CutLinkAt(60_000, 9, 4)
+			}
+			return c, err
+		},
+		want: "delay-optimal(ae-tree) n=15 completed=300 total=4676 fail=903 release=956 reply=1141 request=967 transfer=690 yield=19 msgs/cs=15.586666666666666 sync=1.4768227424749163 resp=17.952466666666666 resp99=49.42 wait=17.942466666666668 wait99=49.41 tput=0.6702862122126148 samples=299 records=300/585322c8bf4a6545",
+	},
+	{
+		name: "grid9-uniform-poisson",
+		build: func() (*sim.Cluster, error) {
+			c, err := sim.NewCluster(sim.Config{
+				N: 9, Algorithm: core.Algorithm{Construction: coterie.Grid{}},
+				Delay: sim.UniformDelay{Lo: 500, Hi: 1500}, Seed: 7, CSTime: 10,
+			})
+			if err == nil {
+				workload.ClosedPoisson(c, 2000, 30, 8)
+			}
+			return c, err
+		},
+		want: "delay-optimal(maekawa-grid) n=9 completed=270 total=5339 fail=1057 release=1081 reply=1266 request=1080 transfer=848 yield=7 msgs/cs=19.774074074074075 sync=1.5694535315985132 resp=11.800985185185185 resp99=17.175 wait=11.790985185185185 wait99=17.165 tput=0.6287301746239844 samples=269 records=270/78429426328a0470",
+	},
+}
+
+// TestGoldenResults pins every field of Summarize's Result and a hash of
+// Records() for each golden run. Floats are printed in their shortest
+// round-trip form, so two renderings are equal exactly when the bits are. A
+// change to how the simulator stores or summarizes its records must leave
+// every line unchanged.
+func TestGoldenResults(t *testing.T) {
+	for _, run := range goldenRuns {
+		c, err := run.build()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		c.Run(0)
+		if err := c.Err(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if got := fingerprint(c); got != run.want {
+			t.Errorf("%s:\n got  %s\n want %s", run.name, got, run.want)
+		}
+	}
+}
+
+// fingerprint renders a finished run's Result and records as one line.
+func fingerprint(c *sim.Cluster) string {
+	r := c.Summarize()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s n=%d completed=%d total=%d", r.Algorithm, r.N, r.Completed, r.TotalMessages)
+	kinds := make([]string, 0, len(r.ByKind))
+	for k := range r.ByKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, " %s=%d", k, r.ByKind[k])
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"msgs/cs", r.MessagesPerCS},
+		{"sync", r.SyncDelay},
+		{"resp", r.ResponseTime},
+		{"resp99", r.ResponseP99},
+		{"wait", r.WaitingTime},
+		{"wait99", r.WaitingP99},
+		{"tput", r.Throughput},
+	} {
+		fmt.Fprintf(&b, " %s=%s", f.name, strconv.FormatFloat(f.v, 'g', -1, 64))
+	}
+	fmt.Fprintf(&b, " samples=%d", r.SyncDelaySamples)
+	recs := c.Records()
+	h := fnv.New64a()
+	var buf []byte
+	for _, rec := range recs {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(rec.Site))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Requested))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Entered))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Exited))
+		h.Write(buf)
+	}
+	fmt.Fprintf(&b, " records=%d/%016x", len(recs), h.Sum64())
+	return b.String()
+}
