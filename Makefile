@@ -80,11 +80,12 @@ modelcheck-soak: modelcheck
 # per inline message kind, one saturated CS through the core state machines,
 # one uncontended in-process Acquire+Release, one mailbox put/drain cycle, one
 # reliable-sublayer flush pass, a protocol message's whole way from encoder
-# through a loopback socket into Deliver, and one session critical section,
-# client and arbiter together. Each is pinned at the figure it reached; a
+# through a loopback socket into Deliver, one session critical section,
+# client and arbiter together, and one simulated critical section (allocations
+# and bytes, over 10 000 CS). Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session ./internal/sim
 
 # The repository benchmark (benchmark/README.md): six workloads, the judged
 # end-to-end metrics and the per-layer ledger, about 3 minutes on 2 cores.

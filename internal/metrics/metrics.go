@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -59,14 +58,12 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest observation (0 for an empty summary).
 func (s *Summary) Max() float64 { return s.max }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the sample using
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+// SortedPercentile returns the p-th percentile (0 ≤ p ≤ 100) of a sample
+// sorted in ascending order, by nearest rank.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}

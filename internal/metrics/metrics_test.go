@@ -68,18 +68,17 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {10, 1}, {50, 5}, {90, 9}, {100, 10},
 	}
 	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
+		if got := SortedPercentile(xs, tt.p); got != tt.want {
+			t.Errorf("SortedPercentile(%v) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
+	if got := SortedPercentile(nil, 50); got != 0 {
+		t.Errorf("SortedPercentile(nil) = %v", got)
 	}
-	// The input must not be mutated.
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 {
-		t.Error("Percentile mutated its input")
+	// Nearest rank: the smallest value with at least p% of the sample at or
+	// below it.
+	if got := SortedPercentile([]float64{1, 2, 3}, 34); got != 2 {
+		t.Errorf("SortedPercentile(34) of three = %v, want 2", got)
 	}
 }
 

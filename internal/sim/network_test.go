@@ -19,7 +19,7 @@ func TestNetworkFIFOPerChannel(t *testing.T) {
 	check := func(seed int64) bool {
 		var k Kernel
 		var got []int
-		net := NewNetwork(&k, ExponentialDelay{MeanD: 100}, seed, func(e mutex.Envelope) {
+		net := NewNetwork(&k, 4, ExponentialDelay{MeanD: 100}, seed, func(e mutex.Envelope) {
 			got = append(got, e.Msg.(fakeMsg).n)
 		})
 		for i := 0; i < 20; i++ {
@@ -44,7 +44,7 @@ func TestNetworkFIFOPerChannel(t *testing.T) {
 func TestNetworkSelfDeliveryUncounted(t *testing.T) {
 	var k Kernel
 	delivered := 0
-	net := NewNetwork(&k, ConstantDelay{D: 500}, 1, func(e mutex.Envelope) { delivered++ })
+	net := NewNetwork(&k, 4, ConstantDelay{D: 500}, 1, func(e mutex.Envelope) { delivered++ })
 	net.Send(mutex.Envelope{From: 3, To: 3, Msg: fakeMsg{"request", 0}})
 	k.Run(0)
 	if delivered != 1 {
@@ -60,7 +60,7 @@ func TestNetworkSelfDeliveryUncounted(t *testing.T) {
 
 func TestNetworkCountsByKind(t *testing.T) {
 	var k Kernel
-	net := NewNetwork(&k, ConstantDelay{D: 10}, 1, func(mutex.Envelope) {})
+	net := NewNetwork(&k, 4, ConstantDelay{D: 10}, 1, func(mutex.Envelope) {})
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"request", 0}})
 	net.Send(mutex.Envelope{From: 1, To: 0, Msg: fakeMsg{"reply", 0}})
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"reply", 1}})
@@ -77,7 +77,7 @@ func TestNetworkCountsByKind(t *testing.T) {
 func TestNetworkCrashDropsMessages(t *testing.T) {
 	var k Kernel
 	delivered := 0
-	net := NewNetwork(&k, ConstantDelay{D: 10}, 1, func(mutex.Envelope) { delivered++ })
+	net := NewNetwork(&k, 4, ConstantDelay{D: 10}, 1, func(mutex.Envelope) { delivered++ })
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"request", 0}}) // in flight
 	net.Crash(1)
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"request", 1}}) // dropped at send
@@ -94,7 +94,7 @@ func TestNetworkCrashDropsMessages(t *testing.T) {
 func TestNetworkConstantDelayTiming(t *testing.T) {
 	var k Kernel
 	var at Time
-	net := NewNetwork(&k, ConstantDelay{D: 777}, 1, func(mutex.Envelope) { at = k.Now() })
+	net := NewNetwork(&k, 4, ConstantDelay{D: 777}, 1, func(mutex.Envelope) { at = k.Now() })
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"request", 0}})
 	k.Run(0)
 	if at != 777 {

@@ -10,7 +10,7 @@ import (
 func runTraced(t *testing.T, rec *Recorder) {
 	t.Helper()
 	var k Kernel
-	net := NewNetwork(&k, ConstantDelay{D: 10}, 1, func(mutex.Envelope) {})
+	net := NewNetwork(&k, 4, ConstantDelay{D: 10}, 1, func(mutex.Envelope) {})
 	rec.Attach(net)
 	net.Send(mutex.Envelope{From: 0, To: 1, Msg: fakeMsg{"request", 1}})
 	net.Send(mutex.Envelope{From: 1, To: 0, Msg: fakeMsg{"reply", 2}})
@@ -80,7 +80,7 @@ func TestRecorderRenderAndSummary(t *testing.T) {
 func TestRecorderChainsExistingTraceHook(t *testing.T) {
 	var k Kernel
 	prevCalls := 0
-	net := NewNetwork(&k, ConstantDelay{D: 1}, 1, func(mutex.Envelope) {})
+	net := NewNetwork(&k, 4, ConstantDelay{D: 1}, 1, func(mutex.Envelope) {})
 	net.Trace = func(Time, mutex.Envelope) { prevCalls++ }
 	var rec Recorder
 	rec.Attach(net)

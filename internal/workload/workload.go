@@ -27,11 +27,10 @@ func Sequential(c *sim.Cluster, total int, gap sim.Time) {
 // the one held by the site in the CS, which is exactly the regime where the
 // synchronization delay dominates.
 func Saturated(c *sim.Cluster, perSite int) {
-	remaining := make(map[mutex.SiteID]int, c.N())
-	for i := 0; i < c.N(); i++ {
-		s := mutex.SiteID(i)
-		remaining[s] = perSite - 1
-		c.RequestAt(0, s)
+	remaining := make([]int, c.N())
+	for i := range remaining {
+		remaining[i] = perSite - 1
+		c.RequestAt(0, mutex.SiteID(i))
 	}
 	prev := c.OnExit
 	c.OnExit = func(c *sim.Cluster, s mutex.SiteID) {
@@ -49,7 +48,8 @@ func Saturated(c *sim.Cluster, perSite int) {
 // site waits an exponentially distributed think time with the given mean
 // before its next request. Small means approach saturation; large means
 // approach the uncontended light-load regime. Each site performs perSite
-// executions.
+// executions. Each site's request callback is bound once, so a think time
+// schedules no new closure.
 func ClosedPoisson(c *sim.Cluster, meanThink sim.Time, perSite int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	think := func() sim.Time {
@@ -59,10 +59,12 @@ func ClosedPoisson(c *sim.Cluster, meanThink sim.Time, perSite int, seed int64) 
 		}
 		return d
 	}
-	remaining := make(map[mutex.SiteID]int, c.N())
-	for i := 0; i < c.N(); i++ {
+	remaining := make([]int, c.N())
+	request := make([]func(), c.N())
+	for i := range remaining {
 		s := mutex.SiteID(i)
-		remaining[s] = perSite - 1
+		remaining[i] = perSite - 1
+		request[i] = func() { c.RequestNow(s) }
 		c.RequestAt(think(), s)
 	}
 	prev := c.OnExit
@@ -72,7 +74,7 @@ func ClosedPoisson(c *sim.Cluster, meanThink sim.Time, perSite int, seed int64) 
 		}
 		if remaining[s] > 0 {
 			remaining[s]--
-			c.Kernel.After(think(), func() { c.RequestNow(s) })
+			c.Kernel.After(think(), request[s])
 		}
 	}
 }
