@@ -15,6 +15,7 @@ import (
 	"dqmx/internal/chaos"
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
+	"dqmx/internal/resource"
 	"dqmx/internal/transport"
 )
 
@@ -104,6 +105,14 @@ func Run(cfg Config) (Result, error) {
 	for id := 0; id < cfg.N; id++ {
 		for _, name := range cfg.Resources {
 			lock, err := cluster.Lock(mutex.SiteID(id), name)
+			if errors.Is(err, resource.ErrClosed) {
+				// The plan crashed the site before its handle was taken: its
+				// rounds are missed, as a worker's are when its site crashes.
+				resMu.Lock()
+				res.Missed += cfg.PerSite
+				resMu.Unlock()
+				continue
+			}
 			if err != nil {
 				return Result{}, fmt.Errorf("sweep: lock %q at site %d: %w", name, id, err)
 			}
