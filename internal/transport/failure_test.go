@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -97,6 +98,105 @@ func TestKillSiteThenNewLock(t *testing.T) {
 		if err := lock.Release(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTCPDeclaredDeadThenNewLock: the TCP twin of TestKillSiteThenNewLock. A
+// lock first used after the detector declared a peer dead must route around
+// it too: its instances are built after the declaration, so they learn of
+// it at birth.
+func TestTCPDeclaredDeadThenNewLock(t *testing.T) {
+	const n = 3
+	cons := coterie.Majority{}
+	alg := core.Algorithm{Construction: cons}
+	assign, err := cons.Assign(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Site 0 survives; the victim is another member of its default quorum.
+	const survivor = mutex.SiteID(0)
+	victim := survivor
+	for _, id := range assign.Quorum(survivor) {
+		if id != survivor {
+			victim = id
+			break
+		}
+	}
+	if victim == survivor {
+		t.Fatalf("site %d's quorum %v names no other site", survivor, assign.Quorum(survivor))
+	}
+
+	addrs := make(map[mutex.SiteID]string, n)
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[mutex.SiteID(i)] = ln.Addr().String()
+		ln.Close()
+	}
+	peers := make([]*transport.TCPPeer, n)
+	detectors := make([]*transport.Detector, n)
+	for i := 0; i < n; i++ {
+		id := mutex.SiteID(i)
+		book := make(map[mutex.SiteID]string)
+		for j, a := range addrs {
+			if j != id {
+				book[j] = a
+			}
+		}
+		p, err := transport.NewTCPPeerConfig(transport.TCPConfig{
+			Self: id,
+			Factory: func(string) (mutex.Site, error) {
+				sites, err := alg.NewSites(n)
+				if err != nil {
+					return nil, err
+				}
+				return sites[id], nil
+			},
+			ListenAddr: addrs[id],
+			Peers:      book,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = p
+		detectors[i] = p.StartDetector(20*time.Millisecond, 150*time.Millisecond)
+	}
+	defer func() {
+		for i, p := range peers {
+			if mutex.SiteID(i) != victim {
+				detectors[i].Stop()
+				p.Close()
+			}
+		}
+	}()
+
+	detectors[victim].Stop()
+	peers[victim].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		dead := detectors[survivor].Dead()
+		if len(dead) == 1 && dead[0] == victim {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("site %d never declared site %d dead (declared: %v)", survivor, victim, dead)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	lock, err := peers[survivor].Lock("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := lock.Acquire(ctx); err != nil {
+		t.Fatalf("site %d: acquire of a lock first used after site %d was declared dead: %v", survivor, victim, err)
+	}
+	if err := lock.Release(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -76,6 +76,7 @@ type TCPPeer struct {
 	hbSink    *Detector                     // set by StartDetector; receives heartbeat traffic
 	dropOut   func(env mutex.Envelope) bool // test hook: writer-side deterministic frame drops
 	staleTold map[mutex.SiteID]uint64       // highest stage each peer was told it lags behind
+	dead      map[mutex.SiteID]bool         // peers declared dead (injectFailure), until AddPeer revives one
 
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -130,6 +131,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		wire:     cfg.Wire,
 		outs:     make(map[mutex.SiteID]*outbound),
 		inbound:  make(map[net.Conn]bool),
+		dead:     make(map[mutex.SiteID]bool),
 		stopC:    make(chan struct{}),
 	}
 	for id, addr := range cfg.Peers {
@@ -155,7 +157,15 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newResourceNode(name, site, p, combined, &p.stage, nil), nil
+			node := newResourceNode(name, site, p, combined, &p.stage, nil)
+			// An instance born after a peer was declared dead learns of it as
+			// the instances alive at the time did; otherwise its quorum may
+			// wait on the dead peer for good. The manager calls New under the
+			// lock injectFailure's sweep takes, so no instance misses both.
+			for _, f := range p.deadPeers() {
+				node.Inject(failureEnvelope(name, p.self, f))
+			}
+			return node, nil
 		},
 	})
 	inst, err := p.manager.Instance(resource.Default)
@@ -603,13 +613,30 @@ func (p *TCPPeer) setDropHook(drop func(env mutex.Envelope) bool) {
 }
 
 // injectFailure announces a crashed site to every instantiated resource, so
-// each lock's §6 recovery rebuilds its quorums. The reliability sublayer
-// resets its streams first: retransmission at the dead peer stops.
+// each lock's §6 recovery rebuilds its quorums, and records it for instances
+// created later. The reliability sublayer resets its streams first:
+// retransmission at the dead peer stops.
 func (p *TCPPeer) injectFailure(failed mutex.SiteID) {
 	p.rel.PeerFailed(failed)
+	// Recorded before the sweep: an instance created while it runs either
+	// reads the record at birth or is already in the manager's table.
+	p.mu.Lock()
+	p.dead[failed] = true
+	p.mu.Unlock()
 	p.manager.Each(func(name string, inst resource.Instance) {
 		inst.Inject(failureEnvelope(name, p.self, failed))
 	})
+}
+
+// deadPeers lists the peers declared dead.
+func (p *TCPPeer) deadPeers() []mutex.SiteID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]mutex.SiteID, 0, len(p.dead))
+	for f := range p.dead {
+		out = append(out, f)
+	}
+	return out
 }
 
 // setHeartbeatSink routes incoming heartbeats to the detector.

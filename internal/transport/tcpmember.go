@@ -97,10 +97,12 @@ func (p *TCPPeer) MembershipHint() (stage uint64, behind bool) {
 // AddPeer adds (or re-addresses) a site in this peer's address book, so a
 // joining arbiter is dialable before the joint stage that includes it is
 // applied. A running failure detector starts probing it; a site previously
-// declared dead is given a fresh grace period (rolling restart).
+// declared dead is given a fresh grace period (rolling restart), and
+// instances created from here on are no longer told it is dead.
 func (p *TCPPeer) AddPeer(id mutex.SiteID, addr string) {
 	p.mu.Lock()
 	p.peers[id] = addr
+	delete(p.dead, id)
 	sink := p.hbSink
 	p.mu.Unlock()
 	if sink != nil {
