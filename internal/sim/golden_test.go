@@ -15,11 +15,12 @@ import (
 	"dqmx/internal/workload"
 )
 
-// goldenRuns are four simulations whose results are pinned by
+// goldenRuns are five simulations whose results are pinned by
 // TestGoldenResults: a fault-free saturated grid, the section-6 recovery path
 // twice over (the first crash lands inside a CS, whose record is left
-// incomplete and skipped), link failures, and random delays under think-time
-// load. The first two runs record more than 1 024 critical sections each.
+// incomplete and skipped), link failures, random delays under think-time
+// load, and a crash run whose times, delays and CS length all lie past 32
+// bits. The first two runs record more than 1 024 critical sections each.
 var goldenRuns = []struct {
 	name  string
 	build func() (*sim.Cluster, error)
@@ -84,6 +85,21 @@ var goldenRuns = []struct {
 			return c, err
 		},
 		want: "delay-optimal(maekawa-grid) n=9 completed=270 total=5339 fail=1057 release=1081 reply=1266 request=1080 transfer=848 yield=7 msgs/cs=19.774074074074075 sync=1.5694535315985132 resp=11.800985185185185 resp99=17.175 wait=11.790985185185185 wait99=17.165 tput=0.6287301746239844 samples=269 records=270/78429426328a0470",
+	},
+	{
+		name: "tree15-past-32-bits",
+		build: func() (*sim.Cluster, error) {
+			c, err := sim.NewCluster(sim.Config{
+				N: 15, Algorithm: core.Algorithm{Construction: coterie.Tree{}},
+				Delay: sim.UniformDelay{Lo: 1 << 33, Hi: 1 << 34}, Seed: 11, CSTime: 1 << 32,
+			})
+			if err == nil {
+				workload.Saturated(c, 20)
+				c.CrashAt(1_228_000_000_000, 6) // inside site 6's CS (1 226 138 411 018–1 230 433 378 314)
+			}
+			return c, err
+		},
+		want: "delay-optimal(ae-tree) n=15 completed=283 total=4437 fail=880 failure=13 release=884 reply=1032 request=921 transfer=705 yield=2 msgs/cs=15.678445229681978 sync=1.54422166730067 resp=21.617086825936482 resp99=63.4615337557625 wait=21.28375349260315 wait99=63.12820042242917 tput=0.5309365790209002 samples=282 records=283/02b3a55796b626a8",
 	},
 }
 
