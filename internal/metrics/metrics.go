@@ -58,25 +58,6 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest observation (0 for an empty summary).
 func (s *Summary) Max() float64 { return s.max }
 
-// SortedPercentile returns the p-th percentile (0 ≤ p ≤ 100) of a sample
-// sorted in ascending order, by nearest rank.
-func SortedPercentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
 // Mean returns the arithmetic mean of xs (0 when empty).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

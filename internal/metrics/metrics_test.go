@@ -59,29 +59,6 @@ func TestSummaryMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {10, 1}, {50, 5}, {90, 9}, {100, 10},
-	}
-	for _, tt := range tests {
-		if got := SortedPercentile(xs, tt.p); got != tt.want {
-			t.Errorf("SortedPercentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := SortedPercentile(nil, 50); got != 0 {
-		t.Errorf("SortedPercentile(nil) = %v", got)
-	}
-	// Nearest rank: the smallest value with at least p% of the sample at or
-	// below it.
-	if got := SortedPercentile([]float64{1, 2, 3}, 34); got != 2 {
-		t.Errorf("SortedPercentile(34) of three = %v, want 2", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dqmx/internal/mutex"
@@ -125,6 +128,33 @@ func TestClusterIssueIgnoredWhileBusy(t *testing.T) {
 	c.Run(0)
 	if c.Completed() != 1 {
 		t.Fatalf("Completed = %d, want 1", c.Completed())
+	}
+}
+
+// TestP99IsNearestRank checks the top-k selection against its definition:
+// sort the sample, then take index ⌈0.99·n⌉ − 1. It covers every n up to
+// 600 (k runs from 1 to 7) on random values with heavy ties, and on sorted
+// and reverse-sorted input.
+func TestP99IsNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 600; n++ {
+		random := make([]Time, n)
+		for i := range random {
+			random[i] = Time(rng.Intn(n/4 + 1)) // each value about four times
+		}
+		ascending := make([]Time, n)
+		for i := range ascending {
+			ascending[i] = Time(i / 3)
+		}
+		descending := slices.Clone(ascending)
+		slices.Reverse(descending)
+		for name, xs := range map[string][]Time{"random": random, "sorted": ascending, "reverse-sorted": descending} {
+			sorted := slices.Sorted(slices.Values(xs))
+			want := sorted[int(math.Ceil(0.99*float64(n)))-1]
+			if got := p99(slices.Values(xs), n); got != want {
+				t.Fatalf("n=%d %s: p99 = %d, want %d", n, name, got, want)
+			}
+		}
 	}
 }
 
