@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -293,15 +295,12 @@ func (c *Cluster) newManager(id mutex.SiteID, policy resource.Policy) *resource.
 	})
 }
 
-// deadSites lists the sites announced crashed.
+// deadSites lists the sites announced crashed, ascending, so a lock
+// instance born later learns of them in the same order on every run.
 func (c *Cluster) deadSites() []mutex.SiteID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]mutex.SiteID, 0, len(c.dead))
-	for f := range c.dead {
-		out = append(out, f)
-	}
-	return out
+	return slices.Sorted(maps.Keys(c.dead))
 }
 
 // assignmentOf reads the coterie assignment off a freshly built site set,

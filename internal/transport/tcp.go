@@ -3,7 +3,9 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -628,15 +630,12 @@ func (p *TCPPeer) injectFailure(failed mutex.SiteID) {
 	})
 }
 
-// deadPeers lists the peers declared dead.
+// deadPeers lists the peers declared dead, ascending, so a lock instance
+// born later learns of them in the same order on every run.
 func (p *TCPPeer) deadPeers() []mutex.SiteID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]mutex.SiteID, 0, len(p.dead))
-	for f := range p.dead {
-		out = append(out, f)
-	}
-	return out
+	return slices.Sorted(maps.Keys(p.dead))
 }
 
 // setHeartbeatSink routes incoming heartbeats to the detector.
