@@ -82,7 +82,7 @@ modelcheck-soak: modelcheck
 # reliable-sublayer flush pass, a protocol message's whole way from encoder
 # through a loopback socket into Deliver, one session critical section,
 # client and arbiter together, and one simulated critical section (allocations
-# and bytes, over 10 000 CS). Each is pinned at the figure it reached; a
+# and bytes, over 10 000 CS) and the summary of that run. Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session ./internal/sim
