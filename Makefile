@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck wirecheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck clockcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -10,8 +10,9 @@ GO ?= go
 # drift of the root package's exported surface from api/dqmx.api; allocs
 # holds the hot paths to their allocation budgets; tablescheck fails when a
 # reproduced number moved without evaluation.txt; fmtcheck fails on any file
-# gofmt would rewrite; wirecheck on a wire codec outside the live stack.
-check: fmtcheck wirecheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
+# gofmt would rewrite; wirecheck on a wire codec outside the live stack;
+# clockcheck on a live-runtime timer or time reading outside internal/clock.
+check: fmtcheck wirecheck clockcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -24,6 +25,16 @@ fmtcheck:
 wirecheck:
 	@! git grep -n --untracked -E 'wire\.Register(Message|Inline)\(' -- '*.go' ':!*_test.go' \
 		':!internal/core/' ':!internal/session/' ':!internal/transport/' ':!internal/wire/' ':!benchmark/'
+
+# One clock for the live runtime: every reading of time and every wait in
+# transport, session, chaos and obs goes through internal/clock, so a test or
+# a virtual clock owns the whole schedule. It fails, naming the lines, on a
+# direct host-clock call in non-test Go there. Socket deadlines stay on the
+# host clock: the kernel enforces them.
+clockcheck:
+	@! git grep -n --untracked -E 'time\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\(' -- \
+		'internal/transport/*.go' 'internal/session/*.go' 'internal/chaos/*.go' 'internal/obs/*.go' ':!*_test.go' \
+		| grep -v -E 'Set(Read|Write)?Deadline\(time\.Now\(\)'
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a

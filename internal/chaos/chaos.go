@@ -49,6 +49,7 @@ import (
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 )
 
@@ -198,6 +199,7 @@ func (h *delayHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h
 type Fabric struct {
 	plan    Plan
 	deliver DeliverFunc
+	clock   clock.Clock // the owning cluster's: delays, partition windows
 	start   time.Time
 
 	mu      sync.Mutex
@@ -212,12 +214,13 @@ type Fabric struct {
 	doneC    chan struct{}
 }
 
-// NewFabric starts a fabric applying plan on top of deliver.
-func NewFabric(plan Plan, deliver DeliverFunc) *Fabric {
+// NewFabric starts a fabric applying plan on top of deliver, timed by clk.
+func NewFabric(plan Plan, deliver DeliverFunc, clk clock.Clock) *Fabric {
 	f := &Fabric{
 		plan:    plan,
 		deliver: deliver,
-		start:   time.Now(),
+		clock:   clk,
+		start:   clk.Now(),
 		streams: make(map[streamKey]*streamState),
 		crashed: make(map[mutex.SiteID]bool),
 		wake:    make(chan struct{}, 1),
@@ -327,7 +330,7 @@ func (f *Fabric) Send(env mutex.Envelope) error {
 		return nil
 	}
 	dup := f.plan.Duplicate > 0 && f.draw(key, k, purposeDup) < f.plan.Duplicate
-	now := time.Now()
+	now := f.clock.Now()
 	delay := f.plan.MinDelay
 	if span := f.plan.MaxDelay - f.plan.MinDelay; span > 0 {
 		delay += time.Duration(f.draw(key, k, purposeDelay) * float64(span))
@@ -392,7 +395,7 @@ func (f *Fabric) push(d delayedEnv) {
 func (f *Fabric) deliverNow(env mutex.Envelope) {
 	f.mu.Lock()
 	dead := f.crashed[env.From] || f.crashed[env.To]
-	cut := f.plan.partitioned(env.From, env.To, time.Since(f.start))
+	cut := f.plan.partitioned(env.From, env.To, f.clock.Now().Sub(f.start))
 	f.mu.Unlock()
 	if dead || cut {
 		return
@@ -405,39 +408,25 @@ func (f *Fabric) deliverNow(env mutex.Envelope) {
 // pump drains the delay queue in deadline order on a dedicated goroutine.
 func (f *Fabric) pump() {
 	defer close(f.doneC)
-	timer := time.NewTimer(time.Hour)
+	timer := f.clock.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
 		f.mu.Lock()
-		var wait time.Duration = -1
-		var next delayedEnv
-		var have bool
+		wait := time.Hour
 		if len(f.pq) > 0 {
-			now := time.Now()
+			now := f.clock.Now()
 			if !f.pq[0].at.After(now) {
-				next = heap.Pop(&f.pq).(delayedEnv)
-				have = true
-			} else {
-				wait = f.pq[0].at.Sub(now)
+				next := heap.Pop(&f.pq).(delayedEnv)
+				f.mu.Unlock()
+				f.deliverNow(next.env)
+				continue
 			}
+			wait = f.pq[0].at.Sub(now)
 		}
 		f.mu.Unlock()
-		if have {
-			f.deliverNow(next.env)
-			continue
-		}
-		if wait < 0 {
-			wait = time.Hour
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
 		timer.Reset(wait)
 		select {
-		case <-timer.C:
+		case <-timer.C():
 		case <-f.wake:
 		case <-f.stopC:
 			return

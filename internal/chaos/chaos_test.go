@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
@@ -27,7 +29,7 @@ func collect(t *testing.T, plan Plan, perStream int) map[streamKey][]mutex.Envel
 		got[key] = append(got[key], env)
 		mu.Unlock()
 		return nil
-	})
+	}, clock.Real)
 	for i := 0; i < perStream; i++ {
 		for from := mutex.SiteID(0); from < 3; from++ {
 			for to := mutex.SiteID(0); to < 3; to++ {
@@ -99,7 +101,7 @@ func TestFabricFIFOWithoutReorder(t *testing.T) {
 			got = append(got, int(env.Msg.(seqMsg)))
 			mu.Unlock()
 			return nil
-		})
+		}, clock.Real)
 	const n = 40
 	for i := 0; i < n; i++ {
 		if err := f.Send(mutex.Envelope{From: 0, To: 1, Msg: seqMsg(i)}); err != nil {
@@ -138,7 +140,7 @@ func TestFabricPartitionWindow(t *testing.T) {
 		got = append(got, env)
 		mu.Unlock()
 		return nil
-	})
+	}, clock.Real)
 	defer f.Close()
 	// Crossing the cut: dropped. Inside the group (1->1 is filtered by the
 	// protocol anyway) and outside (0->2): delivered.
@@ -167,7 +169,7 @@ func TestFabricCrashSilences(t *testing.T) {
 		count++
 		mu.Unlock()
 		return nil
-	})
+	}, clock.Real)
 	defer f.Close()
 	f.MarkCrashed(2)
 	_ = f.Send(mutex.Envelope{From: 2, To: 0, Msg: fakeMsg{"x"}})
@@ -291,6 +293,48 @@ func TestCheckerBounds(t *testing.T) {
 	vs := c.Violations()
 	if len(vs) != 1 || vs[0].Kind != "bound" {
 		t.Fatalf("expected one bound violation, got %v", vs)
+	}
+}
+
+// TestCheckerReportsInOrder: the stall list and the bound violations come out
+// by (resource, site), whatever order the checker's maps iterate in, so one
+// seed reports the same result on every run.
+func TestCheckerReportsInOrder(t *testing.T) {
+	c := NewChecker()
+	for _, r := range []struct {
+		site     mutex.SiteID
+		resource string
+	}{{7, "b"}, {2, "b"}, {5, "a"}, {3, "a"}} {
+		c.Observe(obs.Event{Type: obs.EventRequest, Site: r.site, Resource: r.resource, ReqTS: ts(1, r.site)})
+		c.Observe(obs.Event{Type: obs.EventSend, Site: r.site, Peer: 0, Kind: mutex.KindRequest, Resource: r.resource})
+	}
+	want := []Stall{{Resource: "a", Site: 3}, {Resource: "a", Site: 5}, {Resource: "b", Site: 2}, {Resource: "b", Site: 7}}
+	for call := 0; call < 20; call++ {
+		got := c.Stalled(0)
+		for i := range got {
+			got[i].Age = 0
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: stalls %v, want %v", call, got, want)
+		}
+	}
+
+	for _, name := range []string{"d", "c", "f", "e"} {
+		c.Observe(obs.Event{Type: obs.EventSend, Site: 0, Peer: 1, Kind: mutex.KindReply, Resource: name})
+		c.Observe(obs.Event{Type: obs.EventEnter, Site: 0, Resource: name})
+		c.Observe(obs.Event{Type: obs.EventExit, Site: 0, Resource: name})
+	}
+	for call := 0; call < 20; call++ {
+		c.CheckBounds(6, 12)
+	}
+	vs := c.Violations()
+	if len(vs) != 80 {
+		t.Fatalf("%d bound violations, want 4 per call", len(vs))
+	}
+	for i, v := range vs {
+		if want := []string{"c", "d", "e", "f"}[i%4]; v.Resource != want {
+			t.Fatalf("violation %d names resource %q, want %q: %v", i, v.Resource, want, vs[:4])
+		}
 	}
 }
 

@@ -25,9 +25,12 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
@@ -91,6 +94,7 @@ type resState struct {
 // concurrent use; a single mutex linearizes event observation against
 // delivery notifications, which is what makes invariant 2 sound.
 type Checker struct {
+	clock     clock.Clock // request ages, the watchdog's polls
 	mu        sync.Mutex
 	seq       uint64
 	resources map[string]*resState
@@ -108,6 +112,7 @@ type Checker struct {
 // NewChecker returns an empty conformance checker.
 func NewChecker() *Checker {
 	return &Checker{
+		clock:     clock.Real,
 		resources: make(map[string]*resState),
 		failed:    make(map[mutex.SiteID]bool),
 	}
@@ -150,7 +155,7 @@ func (c *Checker) Observe(e obs.Event) {
 	switch e.Type {
 	case obs.EventRequest:
 		c.seq++
-		req := &reqState{reqSeq: c.seq, since: time.Now()}
+		req := &reqState{reqSeq: c.seq, since: c.clock.Now()}
 		if e.ReqTS != (timestamp.Timestamp{}) && !e.ReqTS.IsMax() {
 			req.ts, req.hasTS = e.ReqTS, true
 		}
@@ -266,18 +271,19 @@ func (c *Checker) Violations() []Violation {
 }
 
 // Stalled lists requests from live sites that have been pending longer than
-// patience — the liveness watchdog's raw signal.
+// patience — the liveness watchdog's raw signal — by resource, then site.
 func (c *Checker) Stalled(patience time.Duration) []Stall {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
+	now := c.clock.Now()
 	var out []Stall
-	for name, rs := range c.resources {
-		for site, req := range rs.pending {
+	for _, name := range slices.Sorted(maps.Keys(c.resources)) {
+		pending := c.resources[name].pending
+		for _, site := range slices.Sorted(maps.Keys(pending)) {
 			if c.failed[site] {
 				continue
 			}
-			if age := now.Sub(req.since); age >= patience {
+			if age := now.Sub(pending[site].since); age >= patience {
 				out = append(out, Stall{Resource: name, Site: site, Age: age})
 			}
 		}
@@ -289,11 +295,13 @@ func (c *Checker) Stalled(patience time.Duration) []Stall {
 // least one critical section and saw no failure notifications: the average
 // messages per CS entry must land in [lo, hi] (the paper's 3(K-1)..6(K-1)
 // for the coterie in use). Call it only after the workload has quiesced on
-// a fault-free schedule; any breach is recorded as a "bound" violation.
+// a fault-free schedule; any breach is recorded as a "bound" violation, in
+// resource order.
 func (c *Checker) CheckBounds(lo, hi float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name, rs := range c.resources {
+	for _, name := range slices.Sorted(maps.Keys(c.resources)) {
+		rs := c.resources[name]
 		if rs.exits == 0 || rs.faults > 0 {
 			continue
 		}
@@ -343,14 +351,7 @@ func NewWatchdog(c *Checker, interval, patience time.Duration, dump func() strin
 	go func() {
 		defer close(w.doneC)
 		seen := make(map[string]bool)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-w.stopC:
-				return
-			case <-ticker.C:
-			}
+		for clock.Sleep(c.clock, interval, w.stopC) {
 			for _, s := range c.Stalled(patience) {
 				key := fmt.Sprintf("%s/%d", s.Resource, s.Site)
 				if seen[key] {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dqmx/internal/chaos"
+	"dqmx/internal/clock"
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
@@ -139,7 +140,7 @@ func Run(cfg Config) (Result, error) {
 							resMu.Lock()
 							res.Missed++
 							resMu.Unlock()
-							time.Sleep(time.Millisecond)
+							clock.Sleep(clock.Real, time.Millisecond, nil)
 							continue
 						}
 						errC <- err
@@ -156,7 +157,7 @@ func Run(cfg Config) (Result, error) {
 						continue
 					}
 					if cfg.Hold > 0 {
-						time.Sleep(cfg.Hold)
+						clock.Sleep(clock.Real, cfg.Hold, nil)
 					}
 					if err := lock.Release(); err != nil && !errors.Is(err, transport.ErrClosed) {
 						errC <- fmt.Errorf("release: %w", err)

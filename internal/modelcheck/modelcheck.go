@@ -695,7 +695,7 @@ func (ex *explorer) enabled(st *State) (core, crash []Action) {
 		// The handover's sweep steps. Joint applies interleave freely; final
 		// applies wait for the settle barrier — every live site joint, no
 		// swap still deferred behind a held CS — exactly the live
-		// awaitSettled gate. They are core choices: a run is not terminal
+		// Reconfigure's settle barrier. They are core choices: a run is not terminal
 		// until the switch has completed on every live site.
 		barrier := true
 		for i := range st.sites {

@@ -17,20 +17,16 @@ package obs
 
 import (
 	"fmt"
-	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
 )
 
-// start anchors Now.
-var start = time.Now()
-
-// Now is the live clock: monotonic nanoseconds since process start. Every
-// live emitter — node loops, the reliable sublayer, session servers — stamps
-// its events with it, so one Observer fed by several of them sees one time
-// line.
-func Now() int64 { return int64(time.Since(start)) }
+// Now is the live event stamp: monotonic nanoseconds since process start on
+// clock.Real, the clock of every live timer. Every live emitter stamps its
+// events with it, so one Observer fed by several of them sees one time line.
+func Now() int64 { return int64(clock.Real.Elapsed()) }
 
 // EventType enumerates the protocol lifecycle events drivers emit.
 type EventType uint8

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 	"dqmx/internal/transport"
@@ -99,8 +100,9 @@ type call struct {
 // reclaims them at lease expiry, and Release on a lost handle returns
 // resource.ErrLockLost (the handle itself stays usable for re-acquisition).
 type Client struct {
-	cfg ClientConfig
-	mgr *resource.Manager
+	cfg   ClientConfig
+	mgr   *resource.Manager
+	clock clock.Clock // lease bounds, keepalives, fail-over and backoff waits
 
 	mu sync.Mutex
 	// conn is the attached stream (nil while reconnecting); attachC is
@@ -154,6 +156,7 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		cfg:         cfg,
+		clock:       clock.Real,
 		attachC:     make(chan struct{}),
 		attachArmed: true,
 		serverHeld:  make(map[string]bool),
@@ -326,7 +329,7 @@ func (c *Client) run() {
 		if err != nil {
 			addrIdx++
 			if disconnectedAt.IsZero() {
-				disconnectedAt = time.Now()
+				disconnectedAt = c.clock.Now()
 			}
 			window := c.cfg.FailoverWindow
 			if window <= 0 {
@@ -338,14 +341,12 @@ func (c *Client) run() {
 				}
 				window = 3 * ttl
 			}
-			if time.Since(disconnectedAt) > window {
+			if c.clock.Now().Sub(disconnectedAt) > window {
 				c.fail(ErrSessionLost)
 				return
 			}
-			select {
-			case <-c.stopC:
+			if !clock.Sleep(c.clock, 50*time.Millisecond, c.stopC) {
 				return
-			case <-time.After(50 * time.Millisecond):
 			}
 			continue
 		}
@@ -357,7 +358,7 @@ func (c *Client) run() {
 		c.pump(sc)
 		c.detach(sc)
 		sc.close()
-		disconnectedAt = time.Now()
+		disconnectedAt = c.clock.Now()
 	}
 }
 
@@ -378,7 +379,7 @@ func (c *Client) dialOne(addr string) (sc *sessionConn, grant grantMsg, helloSen
 		return nil, grantMsg{}, time.Time{}, err
 	}
 	hello := helloMsg{SessionID: id, TTLMillis: uint64(c.cfg.Lease / time.Millisecond)}
-	helloSent = time.Now()
+	helloSent = c.clock.Now()
 	if err := sc.send(envelope("", hello)); err != nil {
 		sc.close()
 		return nil, grantMsg{}, time.Time{}, err
@@ -443,7 +444,7 @@ func (c *Client) attach(sc *sessionConn, grant grantMsg, helloSent time.Time) bo
 			orphans = append(orphans, name)
 		}
 	}
-	c.lastIn = time.Now()
+	c.lastIn = c.clock.Now()
 	c.abortPendingLocked()
 	if c.attachArmed {
 		close(c.attachC)
@@ -494,7 +495,7 @@ func (c *Client) pump(sc *sessionConn) {
 			return
 		}
 		c.mu.Lock()
-		c.lastIn = time.Now()
+		c.lastIn = c.clock.Now()
 		if rep, ok := lockRepOf(env); ok {
 			if cl := c.pending[rep.ReqID]; cl != nil {
 				delete(c.pending, rep.ReqID)
@@ -547,7 +548,7 @@ func (c *Client) keepaliveLoop(sc *sessionConn, stop chan struct{}) {
 	if interval <= 0 {
 		interval = DefaultClientLease / 3
 	}
-	t := time.NewTicker(interval)
+	t := c.clock.NewTimer(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -555,10 +556,11 @@ func (c *Client) keepaliveLoop(sc *sessionConn, stop chan struct{}) {
 			return
 		case <-c.stopC:
 			return
-		case <-t.C:
+		case <-t.C():
+			t.Reset(interval)
 		}
 		c.mu.Lock()
-		stale := ttl > 0 && time.Since(c.lastIn) > ttl
+		stale := ttl > 0 && c.clock.Now().Sub(c.lastIn) > ttl
 		c.mu.Unlock()
 		if stale {
 			sc.kill()
@@ -566,7 +568,7 @@ func (c *Client) keepaliveLoop(sc *sessionConn, stop chan struct{}) {
 		}
 		c.checkLeaseMargin()
 		c.mu.Lock()
-		c.kaSent = append(c.kaSent, time.Now())
+		c.kaSent = append(c.kaSent, c.clock.Now())
 		c.mu.Unlock()
 		if err := sc.send(envelope("", keepaliveMsg{SessionID: id})); err != nil {
 			// The queued entry is never echoed; attach resets the queue
@@ -603,7 +605,7 @@ func (c *Client) checkLeaseMargin() {
 	if !held || deadline.IsZero() {
 		return
 	}
-	if remaining := time.Until(deadline); remaining < margin {
+	if remaining := deadline.Sub(c.clock.Now()); remaining < margin {
 		warn(deadline, remaining)
 	}
 }
@@ -717,12 +719,13 @@ func (ci *clientInstance) Acquire(ctx context.Context) error {
 		}
 		if !rep.OK {
 			if rep.Err == errOverloadedText {
+				t := ci.c.clock.NewTimer(backoff)
 				select {
 				case <-ctx.Done():
 					return fmt.Errorf("session: acquire %q: %w: %w", ci.name, ErrOverloaded, ctx.Err())
 				case <-ci.c.stopC:
 					return ErrClientClosed
-				case <-time.After(backoff):
+				case <-t.C():
 				}
 				if backoff *= 2; backoff > 500*time.Millisecond {
 					backoff = 500 * time.Millisecond

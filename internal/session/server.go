@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 	"dqmx/internal/resource"
@@ -103,7 +104,8 @@ type Stats struct {
 
 // Server serves leased lock sessions for one arbiter site.
 type Server struct {
-	cfg ServerConfig
+	cfg   ServerConfig
+	clock clock.Clock // leases, the expiry scanner, ID and token seeds
 
 	mu       sync.Mutex
 	sessions map[uint64]*serverSession
@@ -237,15 +239,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	srv := &Server{
 		cfg:      cfg,
+		clock:    clock.Real,
 		sessions: make(map[uint64]*serverSession),
-		// Session IDs start at a time-derived offset so IDs from a previous
-		// incarnation of this arbiter are unlikely to alias into the new
-		// table when a client reattaches across a restart.
-		nextID:   uint64(time.Now().UnixNano()),
 		scanTTL:  cfg.Lease,
 		shorterC: make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 	}
+	// Session IDs start at a time-derived offset so IDs from a previous
+	// incarnation of this arbiter are unlikely to alias into the new table
+	// when a client reattaches across a restart.
+	srv.nextID = uint64(srv.clock.Now().UnixNano())
 	srv.wg.Add(2)
 	go srv.acceptLoop()
 	go srv.leaseLoop()
@@ -298,16 +301,16 @@ func (srv *Server) acceptLoop() {
 // own lease.
 func (srv *Server) leaseLoop() {
 	defer srv.wg.Done()
-	t := time.NewTimer(scanTick(srv.cfg.Lease))
+	t := srv.clock.NewTimer(scanTick(srv.cfg.Lease))
 	defer t.Stop()
 	for {
 		select {
 		case <-srv.stopC:
 			return
 		case <-srv.shorterC:
-		case <-t.C:
+		case <-t.C():
 		}
-		now := time.Now()
+		now := srv.clock.Now()
 		var expired []*serverSession
 		srv.mu.Lock()
 		srv.scanTTL = srv.cfg.Lease
@@ -445,7 +448,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 		}
 		s.conn = sc
 		s.cancelPending()
-		s.deadline = time.Now().Add(s.ttl)
+		s.deadline = srv.clock.Now().Add(s.ttl)
 		srv.stats.Attaches++
 		held := make([]string, 0, len(s.held))
 		for name := range s.held {
@@ -465,7 +468,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 		id = srv.nextID
 		srv.nextID++
 	}
-	epoch := uint64(time.Now().UnixNano())
+	epoch := uint64(srv.clock.Now().UnixNano())
 	if epoch <= srv.lastEpoch {
 		epoch = srv.lastEpoch + 1
 	}
@@ -474,7 +477,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 		id:       id,
 		ttl:      ttl,
 		epoch:    epoch,
-		deadline: time.Now().Add(ttl),
+		deadline: srv.clock.Now().Add(ttl),
 		conn:     sc,
 		held:     make(map[string]heldLock),
 		pending:  make(map[uint64]*pendingOp),
@@ -530,7 +533,7 @@ func (srv *Server) readLoop(s *serverSession, sc *sessionConn) {
 			return
 		}
 		// Any frame from the client renews the lease.
-		s.deadline = time.Now().Add(s.ttl)
+		s.deadline = srv.clock.Now().Add(s.ttl)
 		srv.mu.Unlock()
 		if reqID, op, ok := lockReqOf(env); ok {
 			srv.handleLockReq(s, env.Resource, reqID, op)

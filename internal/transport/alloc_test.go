@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/core"
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -91,7 +92,7 @@ func (d *discardSender) SendBatch(envs []mutex.Envelope) error { d.sent += len(e
 // TestAllocsReliableFlush: a flush pass with retransmissions and standalone
 // acks due, and no sink to tell about them, reuses the layer's own buffers.
 func TestAllocsReliableFlush(t *testing.T) {
-	r := newReliable(func(mutex.Envelope) error { return nil }, nil)
+	r := newReliable(func(mutex.Envelope) error { return nil }, nil, clock.Real)
 	wire := &discardSender{}
 	r.raw = wire // no loop goroutine: the test calls flush itself
 	for to := mutex.SiteID(1); to <= 4; to++ {

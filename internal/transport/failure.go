@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 	"dqmx/internal/wire"
@@ -62,14 +65,8 @@ func (c *Cluster) killSite(id mutex.SiteID, detectAfter time.Duration, stopC <-c
 		r.PeerFailed(id)
 	}
 	victim.Close()
-	if detectAfter > 0 {
-		timer := time.NewTimer(detectAfter)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-stopC:
-			return
-		}
+	if detectAfter > 0 && !clock.Sleep(c.clock, detectAfter, stopC) {
+		return
 	}
 	// Recorded before the sweep: an instance created while it runs either
 	// reads the record at birth or is already in its manager's table.
@@ -125,7 +122,7 @@ func (p *TCPPeer) StartDetector(interval, timeout time.Duration) *Detector {
 		stopC:    make(chan struct{}),
 		doneC:    make(chan struct{}),
 	}
-	now := time.Now()
+	now := p.clock.Now()
 	for _, id := range p.peerList() {
 		d.lastSeen[id] = now
 	}
@@ -143,7 +140,7 @@ func (d *Detector) Stop() {
 // observe records a heartbeat (called from the peer's read loops).
 func (d *Detector) observe(from mutex.SiteID) {
 	d.mu.Lock()
-	d.lastSeen[from] = time.Now()
+	d.lastSeen[from] = d.peer.clock.Now()
 	d.mu.Unlock()
 }
 
@@ -152,7 +149,7 @@ func (d *Detector) observe(from mutex.SiteID) {
 // restart can rejoin without waiting out the old silence.
 func (d *Detector) track(id mutex.SiteID) {
 	d.mu.Lock()
-	d.lastSeen[id] = time.Now()
+	d.lastSeen[id] = d.peer.clock.Now()
 	delete(d.declared, id)
 	d.mu.Unlock()
 }
@@ -166,27 +163,23 @@ func (d *Detector) forget(id mutex.SiteID) {
 	d.mu.Unlock()
 }
 
-// Dead returns the peers this detector has declared failed.
+// Dead returns the peers this detector has declared failed, ascending.
 func (d *Detector) Dead() []mutex.SiteID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]mutex.SiteID, 0, len(d.declared))
-	for id := range d.declared {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(d.declared))
 }
 
 func (d *Detector) run() {
 	defer close(d.doneC)
 	// A jittered timer instead of a fixed ticker: N peers sharing an
 	// interval would otherwise probe (and time each other out) in lockstep.
-	timer := time.NewTimer(d.jittered())
+	timer := d.peer.clock.NewTimer(d.jittered())
 	defer timer.Stop()
 	self := d.peer.node.ID()
 	for {
 		select {
-		case <-timer.C:
+		case <-timer.C():
 			timer.Reset(d.jittered())
 			// Probe only peers not yet declared dead: heartbeating a corpse
 			// just churns the outbound reconnect backoff forever. The
@@ -194,18 +187,13 @@ func (d *Detector) run() {
 			// changes (AddPeer/RemovePeer) race with this loop.
 			known := d.peer.peerList()
 			d.mu.Lock()
-			targets := make([]mutex.SiteID, 0, len(known))
-			for _, id := range known {
-				if !d.declared[id] {
-					targets = append(targets, id)
-				}
-			}
+			targets := slices.DeleteFunc(known, func(id mutex.SiteID) bool { return d.declared[id] })
 			d.mu.Unlock()
 			for _, id := range targets {
 				// Best effort: an unreachable peer shows up as silence.
 				_ = d.peer.Send(mutex.Envelope{From: self, To: id, Msg: heartbeatMsg{From: self}})
 			}
-			now := time.Now()
+			now := d.peer.clock.Now()
 			var dead []mutex.SiteID
 			d.mu.Lock()
 			for id, seen := range d.lastSeen {
@@ -215,8 +203,10 @@ func (d *Detector) run() {
 				}
 			}
 			d.mu.Unlock()
-			// Announce outside the detector lock: every instantiated
-			// resource at this peer rebuilds its quorums around the crash.
+			// Announce outside the detector lock, ascending so that peers
+			// timing out together reach SiteFailed in one order on every run:
+			// each instantiated resource here rebuilds its quorums around them.
+			slices.Sort(dead)
 			for _, id := range dead {
 				d.peer.injectFailure(id)
 			}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"testing"
 
+	"dqmx/internal/clock"
 	_ "dqmx/internal/core" // registers the protocol's wire messages
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -111,7 +112,7 @@ func FuzzAckFrameDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rel := newReliable(func(env mutex.Envelope) error { return nil }, nil)
+		rel := newReliable(func(env mutex.Envelope) error { return nil }, nil, clock.Real)
 		rel.start(senderFunc(func(env mutex.Envelope) error { return nil }))
 		defer rel.Close()
 		dec := wire.Binary().NewDecoder(bytes.NewReader(data))

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dqmx/internal/chaos"
+	"dqmx/internal/clock"
 	"dqmx/internal/coterie"
 	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
@@ -115,6 +115,8 @@ type ClusterConfig struct {
 	// Test-only: it lets the obs-accounting equivalence test compare message
 	// tallies with the layer on and off.
 	unreliable bool
+	// clock times the cluster and its parts (nil: clock.Real). Test-only.
+	clock clock.Clock
 }
 
 // Cluster hosts every site of an algorithm in one process and multiplexes
@@ -127,6 +129,7 @@ type Cluster struct {
 	alg     mutex.Algorithm
 	metrics *obs.Metrics // nil unless metrics collection was requested
 	sink    obs.Sink     // combined metrics+observer sink
+	clock   clock.Clock  // the reliable layer's, the fabric's, crashes' and handovers'
 
 	// members is the live site roster: sender goroutines read it lock-free
 	// on every envelope, Reconfigure swaps it copy-on-write when sites join
@@ -183,8 +186,12 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 		alg:      cfg.Algorithm,
 		metrics:  cfg.Metrics,
 		sink:     cfg.Observer,
+		clock:    cfg.clock,
 		siteSets: make(map[string][]mutex.Site),
 		dead:     make(map[mutex.SiteID]bool),
+	}
+	if c.clock == nil {
+		c.clock = clock.Real
 	}
 	if cfg.Metrics != nil {
 		c.sink = obs.Tee(cfg.Metrics.Observe, cfg.Observer)
@@ -209,15 +216,14 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 	// sublayer is either the chaos fabric or a perfect inline loopback.
 	var sender BatchSender = inprocSender{cluster: c}
 	if !cfg.unreliable {
-		c.rel = newReliable(sender.Send, c.sink)
+		c.rel = newReliable(sender.Send, c.sink, c.clock)
 	}
 	if cfg.Chaos != nil {
+		deliver := sender.Send
 		if c.rel != nil {
-			c.fabric = chaos.NewFabric(*cfg.Chaos, c.rel.Receive)
-		} else {
-			direct := sender
-			c.fabric = chaos.NewFabric(*cfg.Chaos, direct.Send)
+			deliver = c.rel.Receive
 		}
+		c.fabric = chaos.NewFabric(*cfg.Chaos, deliver, c.clock)
 		c.chaosStop = make(chan struct{})
 	}
 	switch {
@@ -255,16 +261,11 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 	// lookup against the construction loop above.
 	if cfg.Chaos != nil {
 		for _, cr := range cfg.Chaos.Crashes {
-			cr := cr
 			c.chaosWG.Add(1)
 			go func() {
 				defer c.chaosWG.Done()
-				timer := time.NewTimer(cr.After)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
+				if clock.Sleep(c.clock, cr.After, c.chaosStop) {
 					c.killSite(cr.Site, cr.DetectAfter, c.chaosStop)
-				case <-c.chaosStop:
 				}
 			}()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/coterie"
 	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
@@ -96,8 +97,13 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 		return err
 	}
 
-	// Phase 2: settle barrier.
-	if err := c.awaitSettled(ctx, h.JointN()); err != nil {
+	// Phase 2: settle barrier: every instance runs on its most recently
+	// installed req_set, so no critical section is still held under a
+	// pre-handover quorum.
+	settled := func() bool {
+		return c.everyNode(0, h.JointN(), func(_ string, n *Node) bool { return n.MembershipSettled() })
+	}
+	if err := c.await(ctx, settled); err != nil {
 		return err
 	}
 
@@ -162,60 +168,44 @@ func (c *Cluster) grow(to int) error {
 // quorum. Instances created concurrently adopt the membership at birth via
 // siteFor, so the sweep and the lazy path cannot miss between them.
 func (c *Cluster) sweepMembership(ctx context.Context, count int, live liveMembership) error {
-	for i := 0; i < count; i++ {
-		id := mutex.SiteID(i)
-		mgr := c.manager(id)
-		if mgr == nil {
-			continue
+	var err error
+	c.everyNode(0, count, func(name string, node *Node) bool {
+		id := node.ID()
+		if e := node.Reconfigure(live.n, live.quorum(id), live.avoid(id), live.stage); e != nil && !errors.Is(e, ErrClosed) {
+			err = fmt.Errorf("transport: reconfigure site %d resource %q: %w", id, name, e)
+		} else {
+			err = ctx.Err()
 		}
-		var firstErr error
-		mgr.Each(func(name string, inst resource.Instance) {
-			node, ok := inst.(*Node)
-			if !ok {
-				return
-			}
-			err := node.Reconfigure(live.n, live.quorum(id), live.avoid(id), live.stage)
-			if err != nil && !errors.Is(err, ErrClosed) && firstErr == nil {
-				firstErr = fmt.Errorf("transport: reconfigure site %d resource %q: %w", id, name, err)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-		if err := ctx.Err(); err != nil {
-			return err
+		return err == nil
+	})
+	return err
+}
+
+// await polls cond every millisecond on the cluster's clock until it holds
+// or ctx is done.
+func (c *Cluster) await(ctx context.Context, cond func() bool) error {
+	for !cond() {
+		if !clock.Sleep(c.clock, time.Millisecond, ctx.Done()) {
+			return ctx.Err()
 		}
 	}
 	return nil
 }
 
-// awaitSettled polls until every instance of sites 0..count-1 runs on its
-// most recently installed req_set — i.e. no critical section is still held
-// under a pre-handover quorum — or ctx is done.
-func (c *Cluster) awaitSettled(ctx context.Context, count int) error {
-	for {
-		settled := true
-		for i := 0; i < count && settled; i++ {
-			mgr := c.manager(mutex.SiteID(i))
-			if mgr == nil {
-				continue
-			}
+// everyNode walks the instantiated nodes of sites from..to-1 and reports
+// whether ok held for each; it stops at the first node failing it.
+func (c *Cluster) everyNode(from, to int, ok func(name string, n *Node) bool) bool {
+	all := true
+	for i := from; i < to && all; i++ {
+		if mgr := c.manager(mutex.SiteID(i)); mgr != nil {
 			mgr.Each(func(name string, inst resource.Instance) {
-				node, ok := inst.(*Node)
-				if ok && !node.MembershipSettled() {
-					settled = false
+				if node, isNode := inst.(*Node); isNode && all {
+					all = ok(name, node)
 				}
 			})
 		}
-		if settled {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
 	}
+	return all
 }
 
 // retire drains and shuts down sites from..to-1: new acquires at them fail
@@ -224,57 +214,25 @@ func (c *Cluster) awaitSettled(ctx context.Context, count int) error {
 // streams are severed, and the roster shrinks. Survivors already excluded
 // them from every req_set during the final sweep.
 func (c *Cluster) retire(ctx context.Context, from, to int) error {
-	for i := from; i < to; i++ {
-		if mgr := c.manager(mutex.SiteID(i)); mgr != nil {
-			mgr.Each(func(name string, inst resource.Instance) {
-				if node, ok := inst.(*Node); ok {
-					node.BeginRetire()
-				}
-			})
+	c.everyNode(from, to, func(_ string, n *Node) bool { n.BeginRetire(); return true })
+	err := c.await(ctx, func() bool {
+		if !c.everyNode(from, to, func(_ string, n *Node) bool { return n.Quiesced() }) {
+			return false
 		}
-	}
-	for {
-		quiet := true
-		for i := from; i < to && quiet; i++ {
-			mgr := c.manager(mutex.SiteID(i))
-			if mgr == nil {
-				continue
-			}
-			mgr.Each(func(name string, inst resource.Instance) {
-				if node, ok := inst.(*Node); ok && !node.Quiesced() {
-					quiet = false
-				}
-			})
-		}
-		if quiet {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	// Quiesced covers the protocol machines, not the wire: a departing
-	// site's final release or transfer may still be unacknowledged in the
-	// reliability sublayer. Severing its streams now would drop that message
-	// and strand the lock it hands over, so wait until every departing
-	// site's outbound streams drain.
-	if c.rel != nil {
-		for {
-			drained := true
-			for i := from; i < to && drained; i++ {
-				drained = c.rel.Drained(mutex.SiteID(i))
-			}
-			if drained {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(time.Millisecond):
+		// Quiesced covers the protocol machines, not the wire: a departing
+		// site's final release or transfer may still be unacknowledged in the
+		// reliability sublayer. Severing its streams now would drop that
+		// message and strand the lock it hands over, so wait until every
+		// departing site's outbound streams drain too.
+		for i := from; i < to && c.rel != nil; i++ {
+			if !c.rel.Drained(mutex.SiteID(i)) {
+				return false
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	view := c.members.Load()
 	next := &memberView{

@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 )
@@ -103,6 +104,7 @@ type recvStream struct {
 type reliable struct {
 	deliver func(env mutex.Envelope) error // upward exactly-once path
 	sink    obs.Sink                       // transport-level events; may be nil
+	clock   clock.Clock                    // the owner's: backoff deadlines, ack grace, the flush loop
 
 	raw BatchSender // downward wire; set by start before any traffic
 
@@ -128,14 +130,15 @@ type reliable struct {
 // must start it (wiring the downward sender) before any traffic flows; the
 // two-step construction breaks the cycle with fabrics that deliver into
 // Receive.
-func newReliable(deliver func(env mutex.Envelope) error, sink obs.Sink) *reliable {
+func newReliable(deliver func(env mutex.Envelope) error, sink obs.Sink, clk clock.Clock) *reliable {
 	return &reliable{
 		deliver: deliver,
 		sink:    sink,
+		clock:   clk,
 		out:     make(map[streamID]*sendStream),
 		in:      make(map[streamID]*recvStream),
 		dead:    make(map[mutex.SiteID]bool),
-		rng:     uint64(time.Now().UnixNano()) | 1,
+		rng:     uint64(clk.Now().UnixNano()) | 1,
 		stopC:   make(chan struct{}),
 		doneC:   make(chan struct{}),
 	}
@@ -265,7 +268,7 @@ func (r *reliable) prepare(env *mutex.Envelope) bool {
 	env.Seq = ss.nextSeq
 	ss.unacked = append(ss.unacked, relPending{
 		env: *env,
-		due: time.Now().Add(r.backoffLocked(0)),
+		due: r.clock.Now().Add(r.backoffLocked(0)),
 	})
 	return true
 }
@@ -355,7 +358,7 @@ func (r *reliable) ackLocked(id streamID, ack uint64) {
 func (r *reliable) noteAckLocked(rs *recvStream) {
 	if !rs.ackDue {
 		rs.ackDue = true
-		rs.ackAt = time.Now().Add(ackGrace)
+		rs.ackAt = r.clock.Now().Add(ackGrace)
 	}
 }
 
@@ -391,14 +394,16 @@ func (r *reliable) backoffLocked(attempt uint) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*r.randLocked()))
 }
 
-// loop periodically retransmits overdue envelopes and flushes idle acks.
+// loop retransmits overdue envelopes and flushes idle acks every relTick,
+// re-arming before each pass as a ticker would.
 func (r *reliable) loop() {
 	defer close(r.doneC)
-	ticker := time.NewTicker(relTick)
-	defer ticker.Stop()
+	t := r.clock.NewTimer(relTick)
+	defer t.Stop()
 	for {
 		select {
-		case <-ticker.C:
+		case <-t.C():
+			t.Reset(relTick)
 			r.flush()
 		case <-r.stopC:
 			return
@@ -410,7 +415,7 @@ func (r *reliable) loop() {
 // then puts them on the wire outside it (the raw sender may deliver inline).
 // Events are built only for a sink that will receive them.
 func (r *reliable) flush() {
-	now := time.Now()
+	now := r.clock.Now()
 	resend, acks, events := r.resend[:0], r.acks[:0], r.events[:0]
 	r.mu.Lock()
 	sink := r.sink

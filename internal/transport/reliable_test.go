@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
@@ -88,11 +89,26 @@ func (c *collector) snapshot() []mutex.Envelope {
 	return append([]mutex.Envelope(nil), c.got...)
 }
 
-// startReliable wires a reliable layer to a scripted wire and returns both.
+// startReliable wires a reliable layer on the host clock to a scripted wire
+// and returns both.
 func startReliable(t *testing.T, sink obs.Sink) (*reliable, *scriptedWire, *collector) {
 	t.Helper()
+	return startReliableOn(t, clock.Real, sink)
+}
+
+// startReliableManual is startReliable on a manual clock, returned once the
+// layer's flush loop waits on it.
+func startReliableManual(t *testing.T, sink obs.Sink) (*reliable, *scriptedWire, *collector, *manualClock) {
+	t.Helper()
+	clk := newManualClock()
+	r, w, col := startReliableOn(t, clk, sink)
+	clk.awaitReaders(1)
+	return r, w, col, clk
+}
+
+func startReliableOn(t *testing.T, clk clock.Clock, sink obs.Sink) (*reliable, *scriptedWire, *collector) {
 	col := &collector{}
-	r := newReliable(col.deliver, sink)
+	r := newReliable(col.deliver, sink, clk)
 	w := &scriptedWire{rel: r}
 	r.start(w)
 	t.Cleanup(r.Close)
@@ -194,7 +210,7 @@ func TestReliableDedup(t *testing.T) {
 // restore per-stream FIFO before delivery.
 func TestReliableReorder(t *testing.T) {
 	col := &collector{}
-	r := newReliable(col.deliver, nil)
+	r := newReliable(col.deliver, nil, clock.Real)
 	// A reordering wire: hold every even-indexed protocol frame and release
 	// it after the following frame, swapping pairs on the wire.
 	var held *mutex.Envelope
@@ -255,7 +271,7 @@ func sendEach(send func(mutex.Envelope) error, envs []mutex.Envelope) error {
 // the retransmission loop run, then declares the peer dead: the babbling
 // must stop and the stream state must be gone.
 func TestReliablePeerFailedStopsRetransmission(t *testing.T) {
-	r, w, _ := startReliable(t, nil)
+	r, w, _, clk := startReliableManual(t, nil)
 	w.mu.Lock()
 	w.drop = func(n int, env mutex.Envelope) bool { return env.To == 9 }
 	w.mu.Unlock()
@@ -265,9 +281,13 @@ func TestReliablePeerFailedStopsRetransmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wait for at least one retransmission wave at the dead peer.
+	// The first retransmission wave at the dead peer is due within the
+	// jitter band of rtxBase and leaves on the next flush pass.
 	base := w.sentCount()
-	waitFor(t, 10*time.Second, func() bool { return w.sentCount() > base }, "a retransmission")
+	clk.Advance(rtxBase*5/4 + relTick)
+	if w.sentCount() == base {
+		t.Fatal("no retransmission by 1.25·rtxBase + relTick")
+	}
 
 	r.PeerFailed(9)
 	r.mu.Lock()
@@ -276,9 +296,9 @@ func TestReliablePeerFailedStopsRetransmission(t *testing.T) {
 	if haveOut {
 		t.Fatal("send stream to the dead peer survived PeerFailed")
 	}
-	// No further wire traffic: sample well past several backoff windows.
+	// No further wire traffic, across ten capped backoff windows.
 	after := w.sentCount()
-	time.Sleep(3 * rtxBase)
+	clk.Advance(10 * rtxMax)
 	if got := w.sentCount(); got != after {
 		t.Fatalf("wire saw %d new frames after PeerFailed", got-after)
 	}
@@ -288,6 +308,84 @@ func TestReliablePeerFailedStopsRetransmission(t *testing.T) {
 	}
 	if got := w.sentCount(); got != after {
 		t.Fatal("a send to a declared-dead peer reached the wire")
+	}
+}
+
+// TestReliableBackoffExact pins the retransmission schedule on the manual
+// clock. An envelope whose acks never come back is first re-sent no sooner
+// than 0.75·rtxBase and no later than the flush pass after 1.25·rtxBase;
+// each later gap is the previous backoff doubled, capped at rtxMax, inside
+// the same ±25% band.
+func TestReliableBackoffExact(t *testing.T) {
+	r, w, _, clk := startReliableManual(t, nil)
+	start := clk.Now()
+	var at []time.Duration // wire times of the envelope's copies
+	w.mu.Lock()
+	w.drop = func(n int, env mutex.Envelope) bool {
+		if env.Seq != 0 {
+			at = append(at, clk.Since(start))
+		}
+		return true
+	}
+	w.mu.Unlock()
+	if err := r.Send(mutex.Envelope{From: 0, To: 9, Msg: relTestMsg{N: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * rtxMax)
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(at) < 8 {
+		t.Fatalf("%d copies in 10·rtxMax, want the first send and at least 7 retransmissions: %v", len(at), at)
+	}
+	backoff := rtxBase
+	for k := 1; k < len(at); k++ {
+		gap := at[k] - at[k-1]
+		if lo, hi := backoff*3/4, backoff*5/4+relTick; gap < lo || gap > hi {
+			t.Fatalf("retransmission %d came %v after the copy before it, want [%v, %v] (backoff %v): %v", k, gap, lo, hi, backoff, at)
+		}
+		backoff = min(2*backoff, rtxMax)
+	}
+}
+
+// TestReliableAckGraceExact: a receiver with nothing to send back flushes a
+// standalone ack on the first flush pass at least ackGrace after the
+// delivery it acknowledges, and never before, wherever the delivery falls
+// between two passes.
+func TestReliableAckGraceExact(t *testing.T) {
+	r, w, _, clk := startReliableManual(t, nil)
+	var received time.Time
+	var acks []time.Duration // ack delays after their delivery
+	w.mu.Lock()
+	w.drop = func(n int, env mutex.Envelope) bool {
+		if !env.HasPayload() {
+			acks = append(acks, clk.Since(received))
+		}
+		return true
+	}
+	w.mu.Unlock()
+	ackCount := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(acks)
+	}
+	for i, offset := range []time.Duration{0, relTick / 4, relTick / 2, relTick * 3 / 4} {
+		clk.Advance(offset)
+		received = clk.Now()
+		if err := r.Receive(mutex.Envelope{From: 9, To: 0, Seq: uint64(i + 1), Msg: relTestMsg{N: i}}); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(ackGrace - time.Nanosecond)
+		if got := ackCount(); got != i {
+			t.Fatalf("delivery %d: an ack left before ackGrace (%d acks)", i, got-i)
+		}
+		clk.Advance(relTick + time.Nanosecond)
+		if got := ackCount(); got != i+1 {
+			t.Fatalf("delivery %d: %d acks by ackGrace + relTick, want 1", i, got-i)
+		}
+		if d := acks[i]; d < ackGrace || d > ackGrace+relTick {
+			t.Fatalf("delivery %d: ack left %v after it, want [%v, %v]", i, d, ackGrace, ackGrace+relTick)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 	"dqmx/internal/resource"
@@ -41,6 +41,8 @@ type TCPConfig struct {
 	Policy resource.Policy
 	// Wire configures the byte layer: link delay.
 	Wire WireConfig
+	// clock times the peer and its parts (nil: clock.Real). Test-only.
+	clock clock.Clock
 }
 
 // TCPPeer hosts one site of a cluster spread across processes or machines
@@ -62,6 +64,7 @@ type TCPPeer struct {
 	peers    map[mutex.SiteID]string
 	metrics  *obs.Metrics // nil unless metrics collection was requested
 	wire     WireConfig   // byte-layer configuration
+	clock    clock.Clock  // the reliable layer's, the writers' and the detector's
 
 	// stage is the membership stage stamped onto every outbound envelope
 	// (see internal/membership). It starts at the epoch-0 stable stage and
@@ -131,10 +134,14 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		peers:    make(map[mutex.SiteID]string, len(cfg.Peers)),
 		metrics:  cfg.Metrics,
 		wire:     cfg.Wire,
+		clock:    cfg.clock,
 		outs:     make(map[mutex.SiteID]*outbound),
 		inbound:  make(map[net.Conn]bool),
 		dead:     make(map[mutex.SiteID]bool),
 		stopC:    make(chan struct{}),
+	}
+	if p.clock == nil {
+		p.clock = clock.Real
 	}
 	for id, addr := range cfg.Peers {
 		p.peers[id] = addr
@@ -151,7 +158,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 	// The reliability sublayer sits between the node loops and the raw
 	// per-destination writers: its receive side is fed by the read loops and
 	// hands exactly-once, per-stream-FIFO envelopes to dispatch.
-	p.rel = newReliable(p.dispatch, combined)
+	p.rel = newReliable(p.dispatch, combined, p.clock)
 	p.manager = resource.NewManager(resource.Config{
 		Policy: cfg.Policy,
 		New: func(name string) (resource.Instance, error) {
@@ -409,12 +416,8 @@ func (o *outbound) write(batch []mutex.Envelope) {
 	o.peer.mu.Lock()
 	drop := o.peer.dropOut
 	o.peer.mu.Unlock()
-	if d := o.peer.wire.LinkDelay; d > 0 {
-		select {
-		case <-time.After(d):
-		case <-o.peer.stopC:
-			return
-		}
+	if d := o.peer.wire.LinkDelay; d > 0 && !clock.Sleep(o.peer.clock, d, o.peer.stopC) {
+		return
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if !o.ensureConn() {
@@ -453,7 +456,7 @@ func (o *outbound) ensureConn() bool {
 		return true
 	}
 	delay := reconnectBase
-	for attempt := 0; attempt < reconnectAttempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", o.addr, dialTimeout)
 		if err == nil {
 			if o.bw == nil {
@@ -473,20 +476,11 @@ func (o *outbound) ensureConn() bool {
 			_ = conn.Close()
 			o.bw.Reset(nil)
 		}
-		if attempt == reconnectAttempts-1 {
-			break
-		}
-		select {
-		case <-time.After(delay):
-		case <-o.peer.stopC:
+		if attempt == reconnectAttempts || !clock.Sleep(o.peer.clock, delay, o.peer.stopC) {
 			return false
 		}
-		delay *= 2
-		if delay > reconnectMax {
-			delay = reconnectMax
-		}
+		delay = min(2*delay, reconnectMax)
 	}
-	return false
 }
 
 func (o *outbound) closeConn() {
@@ -525,12 +519,7 @@ func (p *TCPPeer) acceptLoop() {
 	for {
 		conn, err := p.listener.Accept()
 		if err != nil {
-			select {
-			case <-p.stopC:
-				return
-			default:
-				return // listener broke; the peer is effectively down
-			}
+			return // closed, or broken: either way the peer is down
 		}
 		p.mu.Lock()
 		p.inbound[conn] = true

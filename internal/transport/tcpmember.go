@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
@@ -130,16 +132,12 @@ func (p *TCPPeer) RemovePeer(id mutex.SiteID) {
 	}
 }
 
-// peerList snapshots the known peer IDs under the address-book lock (the
-// detector iterates peers concurrently with AddPeer/RemovePeer).
+// peerList snapshots the known peer IDs, ascending, under the address-book
+// lock (the detector iterates peers concurrently with AddPeer/RemovePeer).
 func (p *TCPPeer) peerList() []mutex.SiteID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]mutex.SiteID, 0, len(p.peers))
-	for id := range p.peers {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(p.peers))
 }
 
 // noteRemoteStage folds an observed remote stage into the hint maximum.
