@@ -63,11 +63,12 @@ race:
 
 # Seeded adversarial gate: the short conformance sweep, the lossy-liveness
 # sweep (drop-only schedules must complete every round — the reliable
-# delivery sublayer heals the loss), and fuzz smokes of the TCP frame
+# delivery sublayer heals the loss), the checker on a plain cluster (no
+# chaos plan, so no sublayer), and fuzz smokes of the TCP frame
 # decoders plus the codec's struct-identity round trip. Replay a failing schedule with
 #   DQMX_CHAOS_SEED=<seed> $(GO) test -race -run TestChaosConformance ./internal/chaos/sweep
 chaos:
-	$(GO) test -race -short -run 'TestChaosConformance|TestLossyLiveness|TestSessionConformance' ./internal/chaos/sweep
+	$(GO) test -race -short -run 'TestChaosConformance|TestLossyLiveness|TestSessionConformance|TestPlainConformance' ./internal/chaos/sweep
 	$(GO) test -run FuzzEnvelopeDecode -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run FuzzAckFrameDecode -fuzz FuzzAckFrameDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run FuzzCodecDifferential -fuzz FuzzCodecDifferential -fuzztime 10s ./internal/core

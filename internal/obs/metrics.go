@@ -84,7 +84,8 @@ type Snapshot struct {
 	Response DelayStats
 	Waiting  DelayStats
 	// Transport reports the reliability sublayer's health. Like Events it is
-	// collector-global, so SnapshotResource repeats the same totals.
+	// collector-global, so SnapshotResource repeats the same totals. It stays
+	// zero on a plain in-process cluster, which runs no sublayer.
 	Transport TransportStats
 	// Sessions reports lock-service session lifecycle totals. Collector-
 	// global, like Transport.

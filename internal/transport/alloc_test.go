@@ -49,9 +49,9 @@ func TestAllocsMailboxCycle(t *testing.T) {
 
 // TestAllocsUncontendedAcquireRelease: one uncontended Acquire+Release of a
 // named lock on the 9-site in-process grid — 12 protocol messages through
-// the reliable sublayer and five node loops, with the sublayer's flush loop
-// ticking in the background. The messages travel inside their envelopes;
-// the reply channels, envelope queues and per-request maps are all reused.
+// five node loops and their mailboxes. The messages travel inside their
+// envelopes; the reply channels, envelope queues, per-request maps and the
+// sender's per-destination regrouping all reuse their memory.
 func TestAllocsUncontendedAcquireRelease(t *testing.T) {
 	c, err := NewCluster(core.Algorithm{}, 9)
 	if err != nil {

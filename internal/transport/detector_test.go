@@ -137,13 +137,12 @@ func TestKillSiteDetectAfterExact(t *testing.T) {
 		defer mu.Unlock()
 		return notices
 	}
-	clk.awaitReaders(1) // the reliable layer's flush loop
 	killed := make(chan struct{})
 	go func() {
 		c.KillSite(2, detectAfter)
 		close(killed)
 	}()
-	clk.awaitReaders(2) // and the detection delay
+	clk.awaitReaders(1) // the detection delay: a plain cluster runs no other timer
 	clk.Advance(detectAfter - time.Nanosecond)
 	select {
 	case <-killed:

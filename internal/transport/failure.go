@@ -64,6 +64,7 @@ func (c *Cluster) killSite(id mutex.SiteID, detectAfter time.Duration, stopC <-c
 		// retransmissions at the corpse stop immediately.
 		r.PeerFailed(id)
 	}
+	// Its closed mailboxes drop what survivors send during the detection window.
 	victim.Close()
 	if detectAfter > 0 && !clock.Sleep(c.clock, detectAfter, stopC) {
 		return

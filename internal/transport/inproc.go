@@ -19,7 +19,7 @@ import (
 )
 
 // inprocSender routes envelopes between the managers of the same process,
-// delivering consecutive same-destination runs under one mailbox lock.
+// delivering each destination's share of a batch under one mailbox lock.
 type inprocSender struct {
 	cluster *Cluster
 }
@@ -33,53 +33,34 @@ func (s inprocSender) Send(env mutex.Envelope) error {
 	return mgr.Inject(env)
 }
 
-// SendBatch implements BatchSender with cross-destination coalescing: ALL of
-// a destination's envelopes in the batch — not just consecutive runs — are
-// injected as one batch under one mailbox lock, preserving per-destination
-// order. Interleaved destinations (a multi-resource step fanning out to the
-// same quorum) therefore cost one injection per destination.
+// SendBatch implements BatchSender with cross-destination coalescing: the
+// batch is regrouped in place, stably, so that ALL of a destination's
+// envelopes — not just consecutive runs — are injected as one batch under
+// one mailbox lock, in their order.
 func (s inprocSender) SendBatch(envs []mutex.Envelope) error {
 	var firstErr error
-	var group []mutex.Envelope
-	forEachDestination(envs, func(dest mutex.SiteID) {
-		mgr := s.cluster.manager(dest)
-		if mgr == nil {
+	for start := 0; start < len(envs); {
+		dest := envs[start].To
+		end := start + 1
+		for k := end; k < len(envs); k++ {
+			if envs[k].To != dest {
+				continue
+			}
+			if k != end {
+				env := envs[k]
+				copy(envs[end+1:k+1], envs[end:k])
+				envs[end] = env
+			}
+			end++
+		}
+		if mgr := s.cluster.manager(dest); mgr == nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("transport: no node for site %d", dest)
 			}
-			return
-		}
-		group = group[:0]
-		for _, env := range envs {
-			if env.To == dest {
-				group = append(group, env)
-			}
-		}
-		if err := mgr.InjectBatch(group); err != nil && firstErr == nil {
+		} else if err := mgr.InjectBatch(envs[start:end]); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	})
-	return firstErr
-}
-
-// relWire is the perfect in-process wire under the reliability layer: the
-// sender's goroutine hands each envelope straight to the layer's receive
-// side, which routes it into the destination mailbox. The layer's lock is
-// never held across this hop, so the inline re-entry cannot deadlock.
-type relWire struct {
-	rel *reliable
-}
-
-// Send implements Sender.
-func (w relWire) Send(env mutex.Envelope) error { return w.rel.Receive(env) }
-
-// SendBatch implements BatchSender.
-func (w relWire) SendBatch(envs []mutex.Envelope) error {
-	var firstErr error
-	for _, env := range envs {
-		if err := w.rel.Receive(env); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		start = end
 	}
 	return firstErr
 }
@@ -102,19 +83,15 @@ type ClusterConfig struct {
 	// duplication, reordering, bounded delay, and partitions per the plan,
 	// plus scheduled site crashes executed through the §6 failure path.
 	// The reliable-delivery sublayer sits above the fabric, so drop-only
-	// plans merely delay the protocol instead of stalling it.
-	// In-process clusters only.
+	// plans merely delay the protocol instead of stalling it. Without a
+	// plan there is no sublayer: the mailboxes are reliable FIFO channels
+	// by construction. In-process clusters only.
 	Chaos *chaos.Plan
 	// Construction, when non-nil, names the coterie construction behind
 	// Algorithm and enables online reconfiguration (Cluster.Reconfigure):
 	// it provides the §6 avoiding rule for the old side of a handover. It
 	// must be the same construction the algorithm assigns quorums with.
 	Construction coterie.Construction
-	// unreliable bypasses the reliable-delivery sublayer, wiring nodes
-	// straight to the mailboxes (or the chaos fabric) as before it existed.
-	// Test-only: it lets the obs-accounting equivalence test compare message
-	// tallies with the layer on and off.
-	unreliable bool
 	// clock times the cluster and its parts (nil: clock.Real). Test-only.
 	clock clock.Clock
 }
@@ -142,7 +119,7 @@ type Cluster struct {
 	// stamped onto every outgoing envelope by the per-resource senders.
 	stage atomic.Uint64
 
-	rel       *reliable                                // the reliable-delivery sublayer; nil only in test bypass mode
+	rel       *reliable                                // the reliable-delivery sublayer over the fabric; nil without one
 	fabric    *chaos.Fabric                            // nil unless chaos injection was requested
 	hook      atomic.Pointer[func(env mutex.Envelope)] // SetDeliveryHook's observer
 	chaosStop chan struct{}
@@ -211,30 +188,17 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 		c.cfg = membership.Config{Epoch: 0, Sites: siteIDRange(cfg.N), Coterie: assign}
 		c.cons = cfg.Construction
 	}
-	// The delivery stack, bottom-up: inprocSender injects into mailboxes;
-	// the reliable sublayer's receive side feeds it; the wire under the
-	// sublayer is either the chaos fabric or a perfect inline loopback.
+	// The delivery stack: inprocSender injects into the mailboxes, reliable
+	// FIFO channels by construction (unbounded, filled on the sender's
+	// goroutine). A chaos plan's fabric can lose, so the reliable sublayer
+	// goes above it: node → sublayer → fabric → sublayer.Receive → mailbox.
 	var sender BatchSender = inprocSender{cluster: c}
-	if !cfg.unreliable {
-		c.rel = newReliable(sender.Send, c.sink, c.clock)
-	}
 	if cfg.Chaos != nil {
-		deliver := sender.Send
-		if c.rel != nil {
-			deliver = c.rel.Receive
-		}
-		c.fabric = chaos.NewFabric(*cfg.Chaos, deliver, c.clock)
+		c.rel = newReliable(sender.Send, c.sink, c.clock)
+		c.fabric = chaos.NewFabric(*cfg.Chaos, c.rel.Receive, c.clock)
 		c.chaosStop = make(chan struct{})
-	}
-	switch {
-	case c.rel != nil && c.fabric != nil:
 		c.rel.start(c.fabric)
 		sender = c.rel
-	case c.rel != nil:
-		c.rel.start(relWire{rel: c.rel})
-		sender = c.rel
-	case c.fabric != nil:
-		sender = c.fabric
 	}
 	c.sender = sender
 	view := &memberView{
@@ -522,9 +486,10 @@ func (c *Cluster) Chaos() *chaos.Fabric { return c.fabric }
 // conformance checker's view of the wire. The hook fires on the receiving
 // node's loop goroutine once the site has processed the envelope, so an
 // envelope counts as delivered only after it has changed the site's state;
-// an envelope still queued in the node's inbox has not been delivered. Above
-// the reliability layer each envelope is seen once: retransmitted and
-// duplicated copies never reach a node.
+// an envelope still queued in the node's inbox has not been delivered. Each
+// envelope is seen once: a mailbox delivers what it is handed exactly once,
+// and over the chaos fabric the reliability layer keeps retransmitted and
+// duplicated copies from reaching a node.
 func (c *Cluster) SetDeliveryHook(hook func(env mutex.Envelope)) {
 	c.hook.Store(&hook)
 }

@@ -41,7 +41,7 @@ type Sender interface {
 // destination over TCP — instead of paying per-envelope overhead. Order
 // within the batch must be preserved per destination. The batch belongs to
 // the caller again once SendBatch returns: an implementation may rewrite it
-// in place (stamping, filtering) but must copy what it keeps.
+// in place (stamping, filtering, regrouping) but must copy what it keeps.
 type BatchSender interface {
 	Sender
 	SendBatch(envs []mutex.Envelope) error
@@ -50,10 +50,12 @@ type BatchSender interface {
 // mailbox is an unbounded FIFO of envelopes: the reliable, order-preserving
 // "network buffer" in front of each node. Unboundedness mirrors the system
 // model (reliable channels, no backpressure) and prevents distributed
-// deadlock between node loops sending to each other.
+// deadlock between node loops sending to each other. A stopped node's
+// mailbox is closed: it drops what it is handed instead of keeping it.
 type mailbox struct {
 	mu     sync.Mutex
 	items  []mutex.Envelope
+	closed bool
 	notify chan struct{}
 }
 
@@ -61,21 +63,14 @@ func newMailbox() *mailbox {
 	return &mailbox{notify: make(chan struct{}, 1)}
 }
 
-func (m *mailbox) put(env mutex.Envelope) {
-	m.mu.Lock()
-	m.items = append(m.items, env)
-	m.mu.Unlock()
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
+func (m *mailbox) put(env mutex.Envelope) { m.putAll([]mutex.Envelope{env}) }
 
 func (m *mailbox) putAll(envs []mutex.Envelope) {
-	if len(envs) == 0 {
+	m.mu.Lock()
+	if m.closed || len(envs) == 0 {
+		m.mu.Unlock()
 		return
 	}
-	m.mu.Lock()
 	m.items = append(m.items, envs...)
 	m.mu.Unlock()
 	select {
@@ -94,6 +89,13 @@ func (m *mailbox) drain(prev []mutex.Envelope) []mutex.Envelope {
 	m.items = prev[:0]
 	m.mu.Unlock()
 	return items
+}
+
+// close discards the queue and makes every later put a no-op.
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed, m.items = true, nil
+	m.mu.Unlock()
 }
 
 // respPool recycles the one-shot reply channels of Acquire and Release. The
@@ -253,9 +255,13 @@ func (n *Node) Dump() string {
 	}
 }
 
-// Close stops the node's event loop and waits for it to exit.
+// Close stops the node's event loop and waits for it to exit. Envelopes
+// still queued, and any that arrive later, are dropped.
 func (n *Node) Close() {
-	n.stopOnce.Do(func() { close(n.stopC) })
+	n.stopOnce.Do(func() {
+		n.inbox.close()
+		close(n.stopC)
+	})
 	<-n.doneC
 }
 

@@ -210,8 +210,8 @@ func (c *Cluster) everyNode(from, to int, ok func(name string, n *Node) bool) bo
 
 // retire drains and shuts down sites from..to-1: new acquires at them fail
 // immediately, in-flight work completes (the §3.1 release path hands their
-// locks to the next waiters), then their managers close, their reliability
-// streams are severed, and the roster shrinks. Survivors already excluded
+// locks to the next waiters), then the roster shrinks, their managers close,
+// and any reliability streams they had are severed. Survivors already excluded
 // them from every req_set during the final sweep.
 func (c *Cluster) retire(ctx context.Context, from, to int) error {
 	c.everyNode(from, to, func(_ string, n *Node) bool { n.BeginRetire(); return true })
@@ -219,11 +219,11 @@ func (c *Cluster) retire(ctx context.Context, from, to int) error {
 		if !c.everyNode(from, to, func(_ string, n *Node) bool { return n.Quiesced() }) {
 			return false
 		}
-		// Quiesced covers the protocol machines, not the wire: a departing
-		// site's final release or transfer may still be unacknowledged in the
-		// reliability sublayer. Severing its streams now would drop that
-		// message and strand the lock it hands over, so wait until every
-		// departing site's outbound streams drain too.
+		// Quiesced covers the protocol machines, not the wire. A mailbox is
+		// filled on the sender's goroutine, so on a plain cluster that is
+		// enough; over the chaos fabric a departing site's final release or
+		// transfer may still be unacknowledged in the sublayer, and severing
+		// its streams would strand the lock it hands over. Wait for a drain.
 		for i := from; i < to && c.rel != nil; i++ {
 			if !c.rel.Drained(mutex.SiteID(i)) {
 				return false

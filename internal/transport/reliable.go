@@ -2,8 +2,9 @@ package transport
 
 // The reliable-delivery sublayer: the piece of the stack that discharges the
 // paper's reliable-FIFO-channel assumption on a lossy wire. It sits between
-// the node loops and the raw fabric (the in-process mailboxes, the chaos
-// fabric, or the TCP writers) and is shared by both live transports.
+// the node loops and a wire that can lose — the TCP writers, or the chaos
+// fabric of an in-process cluster built with a plan. A plain in-process
+// cluster has none: its mailboxes are reliable FIFO by construction.
 //
 // Every (source, destination) site pair is one bidirectional pair of
 // streams. The send side stamps protocol envelopes with monotone sequence
@@ -92,8 +93,8 @@ type recvStream struct {
 	ackAt     time.Time
 }
 
-// reliable is the delivery layer for one endpoint (an in-process cluster
-// shares a single instance across all its sites; a TCP peer owns one).
+// reliable is the delivery layer for one endpoint (a chaos cluster shares a
+// single instance across all its sites; a TCP peer owns one).
 //
 // Lock discipline: r.mu is never held across a downward send — the chaos
 // fabric's fast path delivers inline on the sender's goroutine, which

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dqmx/internal/chaos"
 	"dqmx/internal/clock"
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
@@ -391,20 +392,19 @@ func TestReliableAckGraceExact(t *testing.T) {
 
 // TestTransportTrafficExcludedFromCounts is the obs-accounting contract: a
 // quiet lossless run reports byte-identical protocol message tallies whether
-// the reliability layer is on (default) or bypassed, because sequencing,
-// acks, and (absent faults, zero) retransmissions are all below the
-// EventSend emission point. The per-event totals differ only in the
-// transport-level extras.
+// the reliability layer is on (a cluster over a fault-free chaos plan) or
+// absent (a plain cluster), because sequencing, acks, and (absent faults,
+// zero) retransmissions are all below the EventSend emission point. The
+// per-event totals differ only in the transport-level extras.
 func TestTransportTrafficExcludedFromCounts(t *testing.T) {
-	run := func(bypass bool) (obs.Snapshot, *Cluster) {
+	run := func(layered bool) (obs.Snapshot, *Cluster) {
 		t.Helper()
 		m := obs.NewMetrics()
-		cluster, err := NewClusterConfig(ClusterConfig{
-			Algorithm:  core.Algorithm{},
-			N:          5,
-			Metrics:    m,
-			unreliable: bypass,
-		})
+		cfg := ClusterConfig{Algorithm: core.Algorithm{}, N: 5, Metrics: m}
+		if layered {
+			cfg.Chaos = &chaos.Plan{}
+		}
+		cluster, err := NewClusterConfig(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,9 +439,9 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 	// half and draw a fail and a transfer. Such a run is legitimate but not
 	// comparable message for message; it is repeated.
 	uncontended := run
-	run = func(bypass bool) (obs.Snapshot, *Cluster) {
+	run = func(layered bool) (obs.Snapshot, *Cluster) {
 		for attempt := 0; attempt < 20; attempt++ {
-			snap, c := uncontended(bypass)
+			snap, c := uncontended(layered)
 			if snap.ByKind[mutex.KindTransfer]+snap.ByKind[mutex.KindFail] == 0 {
 				return snap, c
 			}
@@ -450,13 +450,13 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 		panic("unreachable")
 	}
 
-	withRel, relCluster := run(false)
+	withRel, relCluster := run(true)
 	if relCluster.rel == nil {
-		t.Fatal("default cluster built without the reliability layer")
+		t.Fatal("chaos cluster built without the reliability layer")
 	}
-	without, rawCluster := run(true)
+	without, rawCluster := run(false)
 	if rawCluster.rel != nil {
-		t.Fatal("bypass cluster built the reliability layer anyway")
+		t.Fatal("plain cluster built the reliability layer anyway")
 	}
 
 	if withRel.Messages != without.Messages {
@@ -484,9 +484,9 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 	if withRel.Transport.DupSuppressed != 0 {
 		t.Errorf("%d duplicates suppressed on a quiet lossless run", withRel.Transport.DupSuppressed)
 	}
-	// The bypassed cluster must report no transport activity at all.
+	// The plain cluster must report no transport activity at all.
 	if without.Transport != (obs.TransportStats{}) {
-		t.Errorf("bypass run reported transport stats %+v", without.Transport)
+		t.Errorf("plain run reported transport stats %+v", without.Transport)
 	}
 }
 
