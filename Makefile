@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck wirecheck clockcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck clockcheck avoidcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -11,8 +11,9 @@ GO ?= go
 # holds the hot paths to their allocation budgets; tablescheck fails when a
 # reproduced number moved without evaluation.txt; fmtcheck fails on any file
 # gofmt would rewrite; wirecheck on a wire codec outside the live stack;
-# clockcheck on a live-runtime timer or time reading outside internal/clock.
-check: fmtcheck wirecheck clockcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
+# clockcheck on a live-runtime timer or time reading outside internal/clock;
+# avoidcheck on a §6 avoiding rule applied outside the membership plan.
+check: fmtcheck wirecheck clockcheck avoidcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -35,6 +36,16 @@ clockcheck:
 	@! git grep -n --untracked -E 'time\.(Now|Since|Until|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\(' -- \
 		'internal/transport/*.go' 'internal/session/*.go' 'internal/chaos/*.go' 'internal/obs/*.go' ':!*_test.go' \
 		| grep -v -E 'Set(Read|Write)?Deadline\(time\.Now\(\)'
+
+# One §6 rule: which quorum a site rebuilds around a crash is stated by the
+# membership plan (internal/membership hands it to a site in its
+# mutex.Membership) over the constructions' own rules (internal/coterie), and
+# run by the site (internal/core). It fails, naming the lines, on a
+# QuorumAvoiding( or JointAvoiding( call in non-test Go anywhere else;
+# cmd/quorumgen is exempt, as an inspection CLI that prints avoiding quorums.
+avoidcheck:
+	@! git grep -n --untracked -E '(QuorumAvoiding|JointAvoiding)\(' -- '*.go' ':!*_test.go' \
+		':!internal/coterie/' ':!internal/membership/' ':!internal/core/' ':!cmd/quorumgen/'
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"dqmx/internal/chaos"
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
 	"dqmx/internal/modelcheck"
@@ -79,8 +80,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dqmcheck: %v\n", err)
 			os.Exit(2)
 		}
-		b := modelcheck.BoundsFor(assign)
-		cfg.Bound = &b
+		lo, hi := chaos.MessageBounds(assign)
+		cfg.Bound = &modelcheck.Bound{Lo: lo, Hi: hi}
 	}
 
 	requesters := "all"

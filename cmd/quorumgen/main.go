@@ -138,7 +138,6 @@ func planPair(cons coterie.Construction, n int, toQ string, toN int, epoch uint6
 	if err != nil {
 		return err
 	}
-	h.OldCons, h.NewCons = cons, newCons
 	if err := h.Validate(); err != nil {
 		return fmt.Errorf("handover invalid: %w", err)
 	}

@@ -217,6 +217,41 @@ func TestReconfigureQuorumChange(t *testing.T) {
 	}
 }
 
+// TestReconfigureLateLock is the in-process twin of TestTCPHandoverLateLock:
+// a named lock first used after a grid-5 to majority-6 switch runs the new
+// coterie at an original site and at the joiner alike, so it excludes.
+func TestReconfigureLateLock(t *testing.T) {
+	c, err := dqmx.NewClusterWith(5, dqmx.Options{Quorum: dqmx.GridQuorums})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Reconfigure(ctx, dqmx.Membership{N: 6, Quorum: dqmx.MajorityQuorums}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.LockOn(2, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.LockOn(5, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Acquire(ctx); err != nil {
+		t.Fatalf("site 2 acquire: %v", err)
+	}
+	short, cancelShort := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancelShort()
+	if ok, err := second.TryAcquire(short); err != nil || ok {
+		t.Fatalf("site 5 took lock \"late\" while site 2 held it (ok=%v, err=%v)", ok, err)
+	}
+	if err := first.Release(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // ExampleCluster_Reconfigure grows a live cluster from five to seven sites.
 func ExampleCluster_Reconfigure() {
 	cluster, err := dqmx.NewCluster(5)

@@ -8,25 +8,20 @@ import (
 	"dqmx"
 )
 
-// TestTCPHandover drives the operator-facing reconfiguration surface end to
-// end over real TCP: a 3-site cluster whose address book already lists two
-// future joiners grows to 5 via PlanHandover + ApplyJoint/ApplyFinal — the
-// same sequence dqmd's /reconfigure endpoint performs, one phase per site.
-func TestTCPHandover(t *testing.T) {
-	const oldN, newN = 3, 5
-	opts := dqmx.Options{Quorum: dqmx.MajorityQuorums}
-
-	// Reserve addresses for the full future roster with throwaway peers.
-	addrs := make(map[dqmx.SiteID]string, newN)
-	for i := 0; i < newN; i++ {
-		p, err := dqmx.NewTCPNode(newN, dqmx.SiteID(i), "127.0.0.1:0", nil, opts)
+// reserveBook reserves loopback addresses for an n-site roster with
+// throwaway peers. book(self) is site self's address book: every other site.
+func reserveBook(t *testing.T, n int, opts dqmx.Options) (addrs map[dqmx.SiteID]string, book func(self int) map[dqmx.SiteID]string) {
+	t.Helper()
+	addrs = make(map[dqmx.SiteID]string, n)
+	for i := 0; i < n; i++ {
+		p, err := dqmx.NewTCPNode(n, dqmx.SiteID(i), "127.0.0.1:0", nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[dqmx.SiteID(i)] = p.Addr()
 		p.Close()
 	}
-	book := func(self int) map[dqmx.SiteID]string {
+	return addrs, func(self int) map[dqmx.SiteID]string {
 		m := make(map[dqmx.SiteID]string)
 		for j, a := range addrs {
 			if int(j) != self {
@@ -35,17 +30,29 @@ func TestTCPHandover(t *testing.T) {
 		}
 		return m
 	}
+}
+
+func closePeers(peers []*dqmx.TCPPeer) {
+	for _, p := range peers {
+		if p != nil {
+			p.Close()
+		}
+	}
+}
+
+// TestTCPHandover drives the operator-facing reconfiguration surface end to
+// end over real TCP: a 3-site cluster whose address book already lists two
+// future joiners grows to 5 via PlanHandover + ApplyJoint/ApplyFinal — the
+// same sequence dqmd's /reconfigure endpoint performs, one phase per site.
+func TestTCPHandover(t *testing.T) {
+	const oldN, newN = 3, 5
+	opts := dqmx.Options{Quorum: dqmx.MajorityQuorums}
+	addrs, book := reserveBook(t, newN, opts)
 
 	// The old sites run a 3-site cluster but are deployed with the 5-site
 	// address book, as the dqmd docs prescribe for a planned grow.
 	peers := make([]*dqmx.TCPPeer, newN)
-	defer func() {
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
+	defer closePeers(peers)
 	for i := 0; i < oldN; i++ {
 		p, err := dqmx.NewTCPNode(oldN, dqmx.SiteID(i), addrs[dqmx.SiteID(i)], book(i), opts)
 		if err != nil {
@@ -128,5 +135,65 @@ func TestTCPHandover(t *testing.T) {
 	}
 	if err := plan.ApplyFinal(peers[0], dqmx.SiteID(newN)); err == nil {
 		t.Fatal("ApplyFinal accepted a site outside the final configuration")
+	}
+}
+
+// TestTCPHandoverLateLock: a lock first used after the handover runs the
+// final req_set at every site, including a site built at the old size. Such
+// a site once built the lock's machine on its construction-time majority-3
+// quorum, which misses a joiner's majority-5 quorum, so both held it.
+func TestTCPHandoverLateLock(t *testing.T) {
+	const oldN, newN = 3, 5
+	opts := dqmx.Options{Quorum: dqmx.MajorityQuorums}
+	addrs, book := reserveBook(t, newN, opts)
+	peers := make([]*dqmx.TCPPeer, newN)
+	defer closePeers(peers)
+	for i := 0; i < newN; i++ {
+		n := oldN
+		if i >= oldN {
+			n = newN // the joiners
+		}
+		p, err := dqmx.NewTCPNode(n, dqmx.SiteID(i), addrs[dqmx.SiteID(i)], book(i), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[i] = p
+	}
+	plan, err := dqmx.PlanHandover(0, oldN, dqmx.MajorityQuorums, newN, dqmx.MajorityQuorums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < newN; i++ {
+		if err := plan.ApplyJoint(peers[i], dqmx.SiteID(i)); err != nil {
+			t.Fatalf("apply joint at site %d: %v", i, err)
+		}
+	}
+	for i := 0; i < newN; i++ {
+		if err := plan.ApplyFinal(peers[i], dqmx.SiteID(i)); err != nil {
+			t.Fatalf("apply final at site %d: %v", i, err)
+		}
+	}
+
+	lock := func(site int) *dqmx.Lock {
+		t.Helper()
+		l, err := peers[site].Lock("late")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	first, second := lock(1), lock(3)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Acquire(ctx); err != nil {
+		t.Fatalf("site 1 acquire: %v", err)
+	}
+	short, cancelShort := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancelShort()
+	if ok, err := second.TryAcquire(short); err != nil || ok {
+		t.Fatalf("site 3 took lock \"late\" while site 1 held it (ok=%v, err=%v)", ok, err)
+	}
+	if err := first.Release(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -75,6 +75,17 @@ func TestClusterWithEveryProtocol(t *testing.T) {
 					t.Errorf("%d sites in the CS simultaneously", b)
 				}
 			}
+
+			// A named lock is a fresh run of the same protocol over all sites.
+			named, err := cluster.Lock("named")
+			if err != nil {
+				t.Fatalf("named lock: %v", err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := named.Do(ctx, func(context.Context) error { return nil }); err != nil {
+				t.Fatalf("named lock: %v", err)
+			}
 		})
 	}
 }

@@ -100,7 +100,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			w := &walk{chans: map[[2]mutex.SiteID][]mutex.Envelope{}, crashed: make([]bool, 3), budget: []int{4, 4, 4}}
 			for _, s := range sites {
 				w.sites = append(w.sites, s.(*Site))
-				w.route(s.(*Site).SiteFailed(99))
+				w.route(announce(s.(*Site), 99))
 			}
 			rng := rand.New(rand.NewSource(seed))
 			crashAt, memberAt := rng.Intn(40), rng.Intn(40)
@@ -180,7 +180,7 @@ func (w *walk) step(rng *rand.Rand, crash, member bool) bool {
 		}
 		return true
 	case member:
-		w.route(w.sites[0].SetMembership(3, []mutex.SiteID{0, 2}, nil, 1))
+		w.route(w.sites[0].SetMembership(mutex.Membership{N: 3, Quorum: []mutex.SiteID{0, 2}, Stage: 1}))
 		return true
 	}
 	var acts []func()
@@ -224,7 +224,7 @@ func (w *walk) checkClone(t *testing.T, h Handoff, seed int64, step int, s *Site
 			}
 		}
 	}
-	c.SiteFailed(70)
+	announce(c, 70)
 	if c.InCS() {
 		c.Exit()
 	}

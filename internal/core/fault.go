@@ -8,8 +8,8 @@ import (
 	"dqmx/internal/timestamp"
 )
 
-// SiteFailed implements the §6 recovery protocol. On a failure(f)
-// notification the site:
+// siteFailed implements the §6 recovery protocol, run when a failure(f)
+// notification (mutex.FailureMsg) is delivered. The site:
 //
 //  1. (arbiter half) purges f's request from its queue — regranting or
 //     re-arming the handoff when f was the head or the lock holder;
@@ -22,12 +22,6 @@ import (
 // Without a construction the request simply keeps waiting — shrinking a
 // quorum ad hoc would break the Intersection property and with it mutual
 // exclusion.
-func (s *Site) SiteFailed(f mutex.SiteID) mutex.Output {
-	out := s.begin()
-	s.siteFailed(f, &out)
-	return s.end(out)
-}
-
 func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
 	if f == s.id || s.failedSites.has(f) {
 		return
@@ -41,7 +35,7 @@ func (s *Site) siteFailed(f mutex.SiteID, out *mutex.Output) {
 	// one (a rebuild or membership swap waiting for Exit); it must avoid f
 	// too.
 	if s.quorum.Contains(f) || s.nextQuorum.Contains(f) {
-		s.rebuildQuorum(f, out)
+		s.rebuildQuorum(out)
 	}
 	if s.state == stateWaiting {
 		s.refreshRequests(out)
@@ -104,43 +98,17 @@ func (s *Site) requesterPurge(f mutex.SiteID, _ *mutex.Output) {
 	s.inqDeferred.remove(f)
 }
 
-// rebuildQuorum swaps the site onto a quorum that avoids all known-failed
-// sites, withdrawing from arbiters that leave the quorum and requesting from
-// the ones that join. When no live quorum exists the old quorum is kept and
-// the request blocks — safety over progress.
-func (s *Site) rebuildQuorum(f mutex.SiteID, out *mutex.Output) {
-	newQ, ok := s.replacementQuorum()
+// rebuildQuorum moves the site onto a quorum that avoids all known-failed
+// sites (moveQuorum). When no live quorum exists the old quorum is kept and
+// the request blocks — safety over progress. Joining arbiters receive the
+// original request (same timestamp) through the §6 refresh the caller runs
+// after the rebuild: they are exactly the quorum members without a reply.
+func (s *Site) rebuildQuorum(out *mutex.Output) {
+	q, ok := s.replacementQuorum()
 	if !ok {
 		return // no live quorum; keep waiting
 	}
-	old := s.quorum
-	s.quorum = newQ
-
-	if s.state == stateIdle {
-		return
-	}
-	if s.state == stateInCS {
-		// Keep the held quorum for the current CS; the new quorum takes
-		// effect for the next request (Exit releases the old members).
-		s.quorum = old
-		s.nextQuorum = newQ
-		return
-	}
-	// Waiting: reconcile memberships.
-	for _, a := range old {
-		if a == f || newQ.Contains(a) || s.failedSites.has(a) {
-			continue
-		}
-		// Leaving arbiter: withdraw our request (frees its lock or queue
-		// slot) and void its transfers.
-		out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
-		s.replied.remove(a)
-		s.dropTransfersFrom(a)
-		s.inqDeferred.remove(a)
-	}
-	// Joining arbiters receive the original request (same timestamp) through
-	// the refresh that SiteFailed runs after the rebuild: they are exactly the
-	// quorum members without a reply.
+	s.moveQuorum(q, out)
 	s.checkEntry(out)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -17,82 +19,78 @@ import (
 
 var _ mutex.Reconfigurable = (*Site)(nil)
 
-// SetMembership implements mutex.Reconfigurable. quorum must be sorted and
-// duplicate-free (membership hands out normalized quorums). avoiding, when
-// non-nil, replaces the construction's QuorumAvoiding for §6 rebuilds while
-// this membership is in force — during a joint handover phase the
+// SetMembership implements mutex.Reconfigurable. m.Quorum must be sorted
+// and duplicate-free (membership hands out normalized quorums). m.Avoid,
+// when non-nil, replaces the construction's QuorumAvoiding for §6 rebuilds
+// while this membership is in force — during a joint handover phase the
 // replacement must stay joint, which the construction alone cannot know.
-func (s *Site) SetMembership(n int, quorum []mutex.SiteID, avoiding func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool), stage uint64) mutex.Output {
+func (s *Site) SetMembership(m mutex.Membership) mutex.Output {
 	out := s.begin()
-	newQ := coterie.Quorum(quorum).Clone()
-	old := s.quorum
-	s.n = n
-	s.memberStage = stage
-	s.memberAvoid = avoiding
-
-	switch s.state {
-	case stateInCS:
-		// Keep the held quorum for the current CS; the new req_set takes
-		// effect at Exit, which releases the old members (same deferral as a
-		// §6 rebuild inside the CS). It must avoid known crashes as an idle
-		// site's does, or the next request waits on a dead arbiter.
-		s.nextQuorum = newQ
-		if f, dead := s.firstFailedIn(newQ); dead {
-			s.rebuildQuorum(f, &out)
-		}
+	if m.Stage != 0 && m.Stage == s.memberStage {
 		return s.end(out)
-	case stateIdle:
-		s.quorum = newQ
-		// The planned quorum may name sites already known to have crashed
-		// (the crash raced the reconfiguration): rebuild around them now, as
-		// SiteFailed would have.
-		if f, dead := s.firstFailedIn(newQ); dead {
-			s.rebuildQuorum(f, &out)
-		}
-	case stateWaiting:
-		s.quorum = newQ
-		for _, a := range old {
-			if newQ.Contains(a) || s.failedSites.has(a) {
-				continue
-			}
-			// Leaving arbiter: withdraw our request (frees its lock or queue
-			// slot) and void its transfers.
-			out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
-			s.replied.remove(a)
-			s.dropTransfersFrom(a)
-			s.inqDeferred.remove(a)
-		}
-		if f, dead := s.firstFailedIn(newQ); dead {
-			// A planned member already crashed: swap onto the membership's
-			// avoiding quorum and contact its unreplied members through the
-			// §6 refresh, exactly as SiteFailed does (the refresh is first
-			// contact for joiners and idempotent for old members).
-			s.rebuildQuorum(f, &out)
+	}
+	s.n, s.memberStage, s.memberAvoid = m.N, m.Stage, m.Avoid
+	waiting := s.state == stateWaiting
+	q := coterie.Quorum(m.Quorum).Clone()
+	old := s.moveQuorum(q, &out)
+	if s.namesFailed(q) {
+		// The planned quorum names a site already known to have crashed (the
+		// crash raced the reconfiguration): rebuild around it now, as the
+		// failure notice would have. A waiting site contacts its unreplied
+		// members through the §6 refresh (first contact for joiners,
+		// idempotent for old members).
+		s.rebuildQuorum(&out)
+		if waiting {
 			s.refreshRequests(&out)
-		} else {
-			for _, a := range newQ {
-				if old.Contains(a) {
-					continue
-				}
+		}
+	} else if waiting {
+		for _, a := range q {
+			if !old.Contains(a) {
 				// Joining arbiter: it has never seen this request; ask it
 				// with the original timestamp.
 				out.SendBody(s.id, a, requestMsg{TS: s.reqTS}.body())
 			}
 		}
-		// Shrinking may leave every remaining member already granted.
-		s.checkEntry(&out)
 	}
+	// Shrinking may leave every remaining member already granted.
+	s.checkEntry(&out)
 	return s.end(out)
 }
 
-// firstFailedIn returns the lowest known-crashed site in q, if any.
-func (s *Site) firstFailedIn(q coterie.Quorum) (mutex.SiteID, bool) {
-	for _, a := range q {
-		if s.failedSites.has(a) {
-			return a, true
-		}
+// moveQuorum is the one req_set move that §6 rebuilds and membership swaps
+// share. Inside the CS the held quorum stays until Exit, which releases
+// exactly the arbiters that granted it, and q waits in nextQuorum; an idle
+// site swaps; a waiting site swaps and withdraws its request from the
+// arbiters that left (freeing their lock or queue slot and voiding their
+// transfers). It returns the req_set the site ran before. Contacting the
+// arbiters that joined is the caller's: a plain request after a membership
+// swap, the §6 refresh after a rebuild.
+func (s *Site) moveQuorum(q coterie.Quorum, out *mutex.Output) (old coterie.Quorum) {
+	old = s.quorum
+	switch s.state {
+	case stateInCS:
+		s.nextQuorum = q
+		return old
+	case stateIdle:
+		s.quorum = q
+		return old
 	}
-	return 0, false
+	s.quorum = q
+	for _, a := range old {
+		if q.Contains(a) || s.failedSites.has(a) {
+			continue
+		}
+		out.SendBody(s.id, a, releaseMsg{ReqTS: s.reqTS, Fwd: timestamp.None, Withdraw: true}.body())
+		s.replied.remove(a)
+		s.dropTransfersFrom(a)
+		s.inqDeferred.remove(a)
+	}
+	return old
+}
+
+// namesFailed reports whether q contains a known-crashed site.
+func (s *Site) namesFailed(q coterie.Quorum) bool {
+	return slices.ContainsFunc(q, s.failedSites.has)
 }
 
 // MembershipSettled implements mutex.Reconfigurable: false while a req_set
@@ -100,7 +98,3 @@ func (s *Site) firstFailedIn(q coterie.Quorum) (mutex.SiteID, bool) {
 // quorum. The reconfiguration barrier polls every site before advancing a
 // handover phase.
 func (s *Site) MembershipSettled() bool { return s.nextQuorum == nil }
-
-// MembershipStage returns the stage tag of the most recent SetMembership
-// (0 until one happens).
-func (s *Site) MembershipStage() uint64 { return s.memberStage }

@@ -58,7 +58,8 @@ func (s siteState) String() string {
 }
 
 // Site is one participant of the delay-optimal protocol. It implements
-// mutex.Site and mutex.FailureObserver and must be driven from a single
+// mutex.Site and mutex.Reconfigurable, reacts to a delivered
+// mutex.FailureMsg with the §6 recovery, and must be driven from a single
 // goroutine.
 type Site struct {
 	id    mutex.SiteID
@@ -154,10 +155,7 @@ func (c refreshClaim) compare(d refreshClaim) int {
 // byReqTS orders earlyReleases.
 func byReqTS(a, b releaseMsg) int { return a.ReqTS.Compare(b.ReqTS) }
 
-var (
-	_ mutex.Site            = (*Site)(nil)
-	_ mutex.FailureObserver = (*Site)(nil)
-)
+var _ mutex.Site = (*Site)(nil)
 
 // newSite builds one site. quorum is the site's req_set; cons, when non-nil,
 // enables quorum reconstruction after failures.

@@ -88,6 +88,11 @@ func deliver(s *Site, from mutex.SiteID, msg any) mutex.Output {
 	return s.Deliver(carry(from, s.id, msg))
 }
 
+// announce delivers the §6 notice that site f crashed.
+func announce(s *Site, f mutex.SiteID) mutex.Output {
+	return deliver(s, s.id, mutex.FailureMsg{Failed: f})
+}
+
 // sent extracts the messages of a given kind from an output.
 func sent(out mutex.Output, kind string) []mutex.Envelope {
 	var got []mutex.Envelope
@@ -507,7 +512,7 @@ func TestForwardingReleaseAfterWithdrawalReturnsPermission(t *testing.T) {
 
 func TestRequestFromAnnouncedFailedSiteDropped(t *testing.T) {
 	s := mkSite(1, 2)
-	s.SiteFailed(5)
+	announce(s, 5)
 	out := deliver(s, 5, requestMsg{TS: ts(3, 5)})
 	if len(out.Send) != 0 || !s.lock.IsMax() {
 		t.Fatal("request from failed site processed")
@@ -518,7 +523,7 @@ func TestSiteFailedRegrantsHeldLock(t *testing.T) {
 	s := mkSite(1)
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	deliver(s, 3, requestMsg{TS: ts(6, 3)})
-	out := s.SiteFailed(2) // the holder dies
+	out := announce(s, 2) // the holder dies
 	replies := sent(out, mutex.KindReply)
 	if len(replies) != 1 || replies[0].To != 3 {
 		t.Fatalf("regrant after holder crash = %v", replies)
@@ -533,7 +538,7 @@ func TestSiteFailedPurgesQueueHead(t *testing.T) {
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	deliver(s, 3, requestMsg{TS: ts(6, 3)})
 	deliver(s, 4, requestMsg{TS: ts(7, 4)})
-	out := s.SiteFailed(3) // queued head dies
+	out := announce(s, 3) // queued head dies
 	if s.queue.Contains(ts(6, 3)) {
 		t.Fatal("failed site's request still queued")
 	}
@@ -547,8 +552,8 @@ func TestSiteFailedPurgesQueueHead(t *testing.T) {
 func TestDuplicateFailureAnnouncementIdempotent(t *testing.T) {
 	s := mkSite(1)
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
-	out1 := s.SiteFailed(2)
-	out2 := s.SiteFailed(2)
+	out1 := announce(s, 2)
+	out2 := announce(s, 2)
 	if len(out2.Send) != 0 {
 		t.Fatalf("second announcement acted again: %v", out2.Send)
 	}
@@ -711,11 +716,11 @@ func TestInCSSwapAvoidsKnownCrash(t *testing.T) {
 		w.crashed[4] = true
 		swap := []mutex.SiteID{0, 3, 4}
 		if crashFirst {
-			w.route(s0.SiteFailed(4))
-			w.route(s0.SetMembership(5, swap, nil, 1))
+			w.route(announce(s0, 4))
+			w.route(s0.SetMembership(mutex.Membership{N: 5, Quorum: swap, Stage: 1}))
 		} else {
-			w.route(s0.SetMembership(5, swap, nil, 1))
-			w.route(s0.SiteFailed(4))
+			w.route(s0.SetMembership(mutex.Membership{N: 5, Quorum: swap, Stage: 1}))
+			w.route(announce(s0, 4))
 		}
 		w.route(s0.Exit())
 		settle()

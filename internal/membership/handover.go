@@ -19,13 +19,11 @@ import (
 // embeds one full quorum of each coterie, which is exactly what the safety
 // argument needs — see the package comment.
 type Handover struct {
+	// Old and New are the two configurations; their constructions power
+	// JointAvoiding (crash recovery during the handover). When either has
+	// none, a crash mid-handover leaves the affected quorums unchanged
+	// (safety over progress, as in §6 without a construction).
 	Old, New Config
-	// OldCons/NewCons are the constructions behind the two coteries; they
-	// power JointAvoiding (crash recovery during the handover). Either may
-	// be nil, in which case a crash mid-handover leaves the affected
-	// quorums unchanged (safety over progress, as in §6 without a
-	// construction).
-	OldCons, NewCons coterie.Construction
 	// Joint is the handover coterie over max(oldN, newN) sites.
 	Joint *coterie.Assignment
 }
@@ -68,6 +66,21 @@ func (h *Handover) JointQuorum(id mutex.SiteID) coterie.Quorum {
 	return h.Joint.Quorum(id)
 }
 
+// JointMember is what site id runs during the handover: the joint system
+// size, its joint req_set, the joint §6 avoiding rule (JointAvoiding, so a
+// rebuilt quorum stays joint), and the joint stage.
+func (h *Handover) JointMember(id mutex.SiteID) mutex.Membership {
+	return mutex.Membership{
+		N:      h.JointN(),
+		Quorum: h.JointQuorum(id),
+		Avoid: func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
+			q, err := h.JointAvoiding(id, down)
+			return q, err == nil
+		},
+		Stage: uint64(JointStage(h.Old.Epoch)),
+	}
+}
+
 // Validate checks the three intersection properties the handover's safety
 // rests on: every joint quorum intersects every old quorum, every new
 // quorum, and every other joint quorum. All three hold by construction
@@ -100,14 +113,15 @@ func (h *Handover) Validate() error {
 // quorum still intersects both coteries. Returns coterie.ErrNoLiveQuorum
 // when either side cannot form a live quorum.
 func (h *Handover) JointAvoiding(id mutex.SiteID, down map[mutex.SiteID]bool) (coterie.Quorum, error) {
-	if h.OldCons == nil || h.NewCons == nil {
+	oldCons, newCons := h.Old.Construction, h.New.Construction
+	if oldCons == nil || newCons == nil {
 		return nil, coterie.ErrNoLiveQuorum
 	}
-	oldQ, err := h.OldCons.QuorumAvoiding(h.Old.N(), foldSite(id, h.Old.N()), down)
+	oldQ, err := oldCons.QuorumAvoiding(h.Old.N(), foldSite(id, h.Old.N()), down)
 	if err != nil {
 		return nil, err
 	}
-	newQ, err := h.NewCons.QuorumAvoiding(h.New.N(), foldSite(id, h.New.N()), down)
+	newQ, err := newCons.QuorumAvoiding(h.New.N(), foldSite(id, h.New.N()), down)
 	if err != nil {
 		return nil, err
 	}

@@ -65,15 +65,18 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stable(%d)", s.Epoch())
 }
 
-// Config is one epoch-stamped cluster configuration: the participating
-// sites and the coterie that arbitrates among them. Sites are always the
-// contiguous range 0..Coterie.N-1 — the protocols index state by SiteID —
-// so growing adds high IDs and shrinking retires them; replacing a
+// Config is one epoch-stamped cluster configuration: the coterie that
+// arbitrates among its sites and the construction that built it. Sites are
+// always the contiguous range 0..Coterie.N-1 — the protocols index state by
+// SiteID — so growing adds high IDs and shrinking retires them; replacing a
 // physical machine reuses its site ID across a restart.
 type Config struct {
-	Epoch   Epoch
-	Sites   []mutex.SiteID
-	Coterie *coterie.Assignment
+	Epoch Epoch
+	// Construction supplies the configuration's §6 avoiding rule. nil
+	// disables rebuilds: a site keeps its quorum around a crash (safety
+	// over progress, as in §6 without a construction).
+	Construction coterie.Construction
+	Coterie      *coterie.Assignment
 }
 
 // NewConfig builds the configuration for n sites at the given epoch using
@@ -86,15 +89,15 @@ func NewConfig(epoch Epoch, cons coterie.Construction, n int) (Config, error) {
 	if err := assign.Validate(); err != nil {
 		return Config{}, fmt.Errorf("membership: %s(%d): %w", cons.Name(), n, err)
 	}
-	return Config{Epoch: epoch, Sites: siteRange(n), Coterie: assign}, nil
+	return Config{Epoch: epoch, Construction: cons, Coterie: assign}, nil
 }
 
 // N returns the configuration's site count.
 func (c Config) N() int {
-	if c.Coterie != nil {
-		return c.Coterie.N
+	if c.Coterie == nil {
+		return 0
 	}
-	return len(c.Sites)
+	return c.Coterie.N
 }
 
 // Validate checks the configuration's internal consistency.
@@ -102,22 +105,28 @@ func (c Config) Validate() error {
 	if c.Coterie == nil {
 		return fmt.Errorf("membership: config at epoch %d has no coterie", c.Epoch)
 	}
-	if len(c.Sites) != c.Coterie.N {
-		return fmt.Errorf("membership: config at epoch %d lists %d sites for a coterie over %d",
-			c.Epoch, len(c.Sites), c.Coterie.N)
-	}
-	for i, s := range c.Sites {
-		if int(s) != i {
-			return fmt.Errorf("membership: config at epoch %d: site %d at index %d (sites must be 0..N-1)", c.Epoch, s, i)
-		}
-	}
 	return c.Coterie.Validate()
 }
 
-func siteRange(n int) []mutex.SiteID {
-	sites := make([]mutex.SiteID, n)
-	for i := range sites {
-		sites[i] = mutex.SiteID(i)
+// Member is what site id runs in this configuration: its quorum, the
+// construction's §6 avoiding rule at this size, and the stable stage.
+func (c Config) Member(id mutex.SiteID) mutex.Membership {
+	return mutex.Membership{
+		N:      c.N(),
+		Quorum: c.Coterie.Quorum(id),
+		Avoid:  avoidRule(c.Construction, c.N(), id),
+		Stage:  uint64(StableStage(c.Epoch)),
 	}
-	return sites
+}
+
+// avoidRule adapts cons's §6 QuorumAvoiding for site id of an n-site
+// coterie to the mutex.Membership shape; nil without a construction.
+func avoidRule(cons coterie.Construction, n int, id mutex.SiteID) func(map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
+	if cons == nil {
+		return nil
+	}
+	return func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
+		q, err := cons.QuorumAvoiding(n, id, down)
+		return q, err == nil
+	}
 }

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dqmx/internal/coterie"
@@ -40,7 +41,7 @@ func TestNewConfigAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Epoch != 2 || cfg.N() != 5 || len(cfg.Sites) != 5 {
+	if cfg.Epoch != 2 || cfg.N() != 5 || cfg.Construction != (coterie.Majority{}) {
 		t.Fatalf("config = %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -52,14 +53,9 @@ func TestNewConfigAndValidate(t *testing.T) {
 		t.Fatal("config without coterie validated")
 	}
 	bad := cfg
-	bad.Sites = bad.Sites[:4]
+	bad.Coterie = &coterie.Assignment{N: 5, Quorums: cfg.Coterie.Quorums[:4]}
 	if err := bad.Validate(); err == nil {
-		t.Fatal("config with short site list validated")
-	}
-	gapped := cfg
-	gapped.Sites = []mutex.SiteID{0, 1, 2, 3, 5}
-	if err := gapped.Validate(); err == nil {
-		t.Fatal("config with non-contiguous sites validated")
+		t.Fatal("config whose coterie misses a site validated")
 	}
 }
 
@@ -157,12 +153,13 @@ func TestJointAvoiding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No constructions recorded: recovery must refuse rather than guess.
-	if _, err := h.JointAvoiding(0, map[mutex.SiteID]bool{1: true}); err == nil {
+	// A side without a construction: recovery must refuse rather than guess.
+	bare := *h
+	bare.Old.Construction = nil
+	if _, err := bare.JointAvoiding(0, map[mutex.SiteID]bool{1: true}); err == nil {
 		t.Fatal("JointAvoiding without constructions succeeded")
 	}
 
-	h.OldCons, h.NewCons = coterie.Majority{}, coterie.Majority{}
 	down := map[mutex.SiteID]bool{2: true}
 	for i := 0; i < h.JointN(); i++ {
 		q, err := h.JointAvoiding(mutex.SiteID(i), down)
@@ -198,4 +195,107 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestMemberValues pins what the plan hands each site: Config.Member for
+// the two stable phases and Handover.JointMember for the joint one — the
+// size, req_set, stage, and the §6 avoiding rule's answer with one site
+// down — for every site of three handovers.
+func TestMemberValues(t *testing.T) {
+	type ids = []mutex.SiteID
+	type phase struct {
+		n             int
+		stage         uint64
+		quorum, avoid []ids // per site; avoid is the rebuild around down
+	}
+	for _, tc := range []struct {
+		name             string
+		oldC, newC       coterie.Construction
+		oldN, newN       int
+		down             mutex.SiteID
+		old, joint, next phase
+	}{
+		{
+			name: "majority-3→4", oldC: coterie.Majority{}, newC: coterie.Majority{}, oldN: 3, newN: 4, down: 1,
+			old: phase{n: 3, stage: 0,
+				quorum: []ids{{0, 1}, {1, 2}, {0, 2}},
+				avoid:  []ids{{0, 2}, {0, 2}, {0, 2}}},
+			joint: phase{n: 4, stage: 1,
+				quorum: []ids{{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}},
+				avoid:  []ids{{0, 2, 3}, {0, 2, 3}, {0, 2, 3}, {0, 2, 3}}},
+			next: phase{n: 4, stage: 2,
+				quorum: []ids{{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}},
+				avoid:  []ids{{0, 2, 3}, {0, 2, 3}, {0, 2, 3}, {0, 2, 3}}},
+		},
+		{
+			name: "majority-4→3", oldC: coterie.Majority{}, newC: coterie.Majority{}, oldN: 4, newN: 3, down: 1,
+			old: phase{n: 4, stage: 0,
+				quorum: []ids{{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}},
+				avoid:  []ids{{0, 2, 3}, {0, 2, 3}, {0, 2, 3}, {0, 2, 3}}},
+			joint: phase{n: 4, stage: 1,
+				quorum: []ids{{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}},
+				avoid:  []ids{{0, 2, 3}, {0, 2, 3}, {0, 2, 3}, {0, 2, 3}}},
+			next: phase{n: 3, stage: 2,
+				quorum: []ids{{0, 1}, {1, 2}, {0, 2}},
+				avoid:  []ids{{0, 2}, {0, 2}, {0, 2}}},
+		},
+		{
+			name: "grid-5→majority-6", oldC: coterie.Grid{}, newC: coterie.Majority{}, oldN: 5, newN: 6, down: 2,
+			old: phase{n: 5, stage: 0,
+				quorum: []ids{{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 2}, {0, 3, 4}, {1, 3, 4}},
+				avoid:  []ids{{0, 3, 4}, {1, 3, 4}, {0, 3, 4}, {0, 3, 4}, {1, 3, 4}}},
+			joint: phase{n: 6, stage: 1,
+				quorum: []ids{{0, 1, 2, 3}, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 5}, {0, 3, 4, 5}, {0, 1, 3, 4, 5}, {0, 1, 2, 3, 5}},
+				avoid:  []ids{{0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4, 5}}},
+			next: phase{n: 6, stage: 2,
+				quorum: []ids{{0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5}, {0, 3, 4, 5}, {0, 1, 4, 5}, {0, 1, 2, 5}},
+				avoid:  []ids{{0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 4}, {0, 1, 3, 5}}},
+		},
+	} {
+		old, err := NewConfig(0, tc.oldC, tc.oldN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := NewConfig(1, tc.newC, tc.newN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := PlanHandover(old, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := map[mutex.SiteID]bool{tc.down: true}
+		for _, p := range []struct {
+			name   string
+			want   phase
+			member func(mutex.SiteID) mutex.Membership
+		}{{"old", tc.old, old.Member}, {"joint", tc.joint, h.JointMember}, {"new", tc.next, next.Member}} {
+			for i := range p.want.quorum {
+				id := mutex.SiteID(i)
+				m := p.member(id)
+				if m.N != p.want.n || m.Stage != p.want.stage || !slices.Equal(m.Quorum, p.want.quorum[i]) {
+					t.Errorf("%s %s site %d: N=%d stage=%d quorum %v, want N=%d stage=%d quorum %v",
+						tc.name, p.name, i, m.N, m.Stage, m.Quorum, p.want.n, p.want.stage, p.want.quorum[i])
+				}
+				if m.Avoid == nil {
+					t.Errorf("%s %s site %d: no avoiding rule", tc.name, p.name, i)
+					continue
+				}
+				if q, ok := m.Avoid(down); !ok || !slices.Equal(q, p.want.avoid[i]) {
+					t.Errorf("%s %s site %d: avoiding %d gave %v (ok=%v), want %v",
+						tc.name, p.name, i, tc.down, q, ok, p.want.avoid[i])
+				}
+			}
+		}
+	}
+
+	// Without a construction a configuration has no §6 rule: its sites keep
+	// their quorums around a crash instead of guessing one.
+	assign, err := coterie.Majority{}.Assign(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := (Config{Coterie: assign}).Member(0); m.Avoid != nil {
+		t.Fatal("a config without a construction handed out an avoiding rule")
+	}
 }

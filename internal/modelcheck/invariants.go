@@ -127,7 +127,7 @@ func DeadlockInvariant() Invariant {
 // BoundInvariant asserts the paper's per-CS message envelope on fault-free
 // terminal states: total network protocol messages divided by completed CS
 // executions must land in [Lo, Hi] — 3(K−1)..6(K−1) for the coterie in use
-// (BoundsFor). Crashed runs are exempt, as in the chaos checker.
+// (chaos.MessageBounds). Crashed runs are exempt, as in the chaos checker.
 func BoundInvariant(b Bound) Invariant {
 	return NewInvariant("bound", nil, func(st *State) error {
 		if st.Faulty() || st.Exits() == 0 {

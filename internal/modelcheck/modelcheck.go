@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dqmx/internal/coterie"
 	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
@@ -64,28 +63,10 @@ type Site interface {
 }
 
 // Bound is the per-CS average message envelope asserted on fault-free
-// terminal states, the paper's 3(K−1)..6(K−1).
+// terminal states, the paper's 3(K−1)..6(K−1) (chaos.MessageBounds derives
+// it from a coterie assignment).
 type Bound struct {
 	Lo, Hi float64
-}
-
-// BoundsFor derives the envelope from a coterie assignment, mirroring
-// chaos.MessageBounds (a test pins the two functions together): Kmin and
-// Kmax are the smallest and largest quorum sizes.
-func BoundsFor(a *coterie.Assignment) Bound {
-	minK, maxK := 0, 0
-	for _, q := range a.Quorums {
-		if k := len(q); minK == 0 || k < minK {
-			minK = k
-		}
-		if k := len(q); k > maxK {
-			maxK = k
-		}
-	}
-	if minK < 1 {
-		return Bound{}
-	}
-	return Bound{Lo: 3 * float64(minK-1), Hi: 6 * float64(maxK-1)}
 }
 
 // Config describes one exhaustive run.
@@ -371,60 +352,28 @@ func (ex *explorer) initial() (*State, error) {
 		st.h = h
 		st.member = make([]uint8, len(raw))
 		st.withdrawn = make([]bool, len(raw))
-		oldN := h.Old.N()
 		for i := range st.sites {
 			id := mutex.SiteID(i)
 			rec, ok := st.sites[i].(mutex.Reconfigurable)
 			if !ok {
 				return nil, fmt.Errorf("modelcheck: site %d (%T) is not reconfigurable", i, st.sites[i])
 			}
-			if i < oldN {
-				// An original member starts on its pure old-epoch req_set.
-				st.route(id, rec.SetMembership(h.JointN(),
-					[]mutex.SiteID(h.Old.Coterie.Quorum(id)),
-					stableAvoid(h.OldCons, oldN, id),
-					uint64(membership.StableStage(h.Old.Epoch))))
+			if i < h.Old.N() {
+				// An original member starts on its pure old-epoch req_set, at
+				// the joint size its machine was built with (the size is part
+				// of the canonical state).
+				m := h.Old.Member(id)
+				m.N = h.JointN()
+				st.route(id, rec.SetMembership(m))
 			} else {
 				// A joiner is born joint: the live grow() wires it before the
 				// joint sweep, so it never runs a pure old- or new-epoch quorum.
-				st.route(id, rec.SetMembership(h.JointN(),
-					[]mutex.SiteID(h.JointQuorum(id)),
-					jointAvoid(h, id),
-					uint64(membership.JointStage(h.Old.Epoch))))
+				st.route(id, rec.SetMembership(h.JointMember(id)))
 				st.member[i] = 1
 			}
 		}
 	}
 	return st, nil
-}
-
-// stableAvoid adapts a construction's §6 QuorumAvoiding for a stable phase
-// of a handover run to the Reconfigurable hook shape; nil cons means no
-// recovery (the site keeps its quorum on a crash — safety over progress).
-func stableAvoid(cons coterie.Construction, n int, id mutex.SiteID) func(map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-	if cons == nil {
-		return nil
-	}
-	return func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		q, err := cons.QuorumAvoiding(n, id, down)
-		if err != nil {
-			return nil, false
-		}
-		return q, true
-	}
-}
-
-// jointAvoid adapts Handover.JointAvoiding the same way: a crash during the
-// joint phase must rebuild onto a req_set that still embeds a quorum of each
-// coterie.
-func jointAvoid(h *membership.Handover, id mutex.SiteID) func(map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-	return func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		q, err := h.JointAvoiding(id, down)
-		if err != nil {
-			return nil, false
-		}
-		return q, true
-	}
 }
 
 // clone copies a state. Crashed sites' machines are shared: they never step
@@ -645,10 +594,7 @@ func (st *State) apply(a Action) (string, error) {
 			return "", fmt.Errorf("modelcheck: %v: not applicable", a)
 		}
 		st.member[i] = 1
-		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.JointN(),
-			[]mutex.SiteID(st.h.JointQuorum(i)),
-			jointAvoid(st.h, i),
-			uint64(membership.JointStage(st.h.Old.Epoch))))
+		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.JointMember(i)))
 		return "", nil
 	case ActApplyFinal:
 		i := a.Site
@@ -656,10 +602,7 @@ func (st *State) apply(a Action) (string, error) {
 			return "", fmt.Errorf("modelcheck: %v: not applicable", a)
 		}
 		st.member[i] = 2
-		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.New.N(),
-			[]mutex.SiteID(st.h.New.Coterie.Quorum(i)),
-			stableAvoid(st.h.NewCons, st.h.New.N(), i),
-			uint64(membership.StableStage(st.h.New.Epoch))))
+		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.New.Member(i)))
 		return "", nil
 	default:
 		return "", fmt.Errorf("modelcheck: unknown action %v", a)

@@ -48,11 +48,11 @@ func checked(t testing.TB, cons coterie.Construction, n int) modelcheck.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := modelcheck.BoundsFor(assign)
+	lo, hi := chaos.MessageBounds(assign)
 	return modelcheck.Config{
 		Algorithm: core.Algorithm{Construction: cons},
 		N:         n,
-		Bound:     &b,
+		Bound:     &modelcheck.Bound{Lo: lo, Hi: hi},
 	}
 }
 
@@ -165,7 +165,6 @@ func handoverConfig(t *testing.T, from, to int, requesters []mutex.SiteID) model
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.OldCons, h.NewCons = coterie.Majority{}, coterie.Majority{}
 	return modelcheck.Config{
 		Algorithm:  core.Algorithm{Construction: coterie.Majority{}},
 		N:          h.JointN(),
@@ -207,31 +206,6 @@ func TestExhaustiveHandoverShrink(t *testing.T) {
 	cfg := handoverConfig(t, 4, 3, []mutex.SiteID{0, 3})
 	cfg.MaxStates = 2_000_000
 	run(t, "handover-4to3(2 requesters)", cfg, 47368)
-}
-
-// TestBoundsMatchChaos pins BoundsFor to the chaos checker's MessageBounds:
-// the two verification pillars must assert the same envelope.
-func TestBoundsMatchChaos(t *testing.T) {
-	for _, tc := range []struct {
-		cons coterie.Construction
-		n    int
-	}{
-		{coterie.Majority{}, 3},
-		{coterie.Majority{}, 5},
-		{coterie.Grid{}, 9},
-		{coterie.Tree{}, 7},
-	} {
-		assign, err := tc.cons.Assign(tc.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := chaos.MessageBounds(assign)
-		b := modelcheck.BoundsFor(assign)
-		if b.Lo != lo || b.Hi != hi {
-			t.Errorf("%s-%d: BoundsFor=[%v,%v], chaos.MessageBounds=[%v,%v]",
-				tc.cons.Name(), tc.n, b.Lo, b.Hi, lo, hi)
-		}
-	}
 }
 
 // TestCounterexampleReplay verifies the counterexample machinery end to end

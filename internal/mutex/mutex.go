@@ -133,14 +133,6 @@ type TimestampedSite interface {
 	RequestTimestamp() (timestamp.Timestamp, bool)
 }
 
-// FailureObserver is implemented by algorithms that support the paper's §6
-// fault-tolerance extension. Drivers call SiteFailed on every surviving site
-// when a failure(f) notification is delivered.
-type FailureObserver interface {
-	// SiteFailed reacts to the announced crash of site f.
-	SiteFailed(f SiteID) Output
-}
-
 // Reconfigurable is implemented by sites that support online membership
 // change (internal/membership). Drivers move a site between configurations
 // by replacing its req_set in place; the site reconciles any in-flight
@@ -148,19 +140,32 @@ type FailureObserver interface {
 // a crash — withdrawing from arbiters that left, requesting from arbiters
 // that joined, and deferring the swap until Exit while inside the CS.
 type Reconfigurable interface {
-	// SetMembership installs a new system size and req_set. quorum must be
-	// sorted and duplicate-free. avoiding, when non-nil, replaces the
-	// construction's §6 QuorumAvoiding for as long as this membership is in
-	// force: it returns a substitute req_set avoiding the given crashed
-	// sites, or false when none exists (the site then keeps its quorum and
-	// blocks — safety over progress). stage tags the membership for state
-	// canonicalization; drivers pass the membership.Stage being applied.
-	SetMembership(n int, quorum []SiteID, avoiding func(down map[SiteID]bool) ([]SiteID, bool), stage uint64) Output
+	// SetMembership installs what the site runs from now on. Installing
+	// the membership already in force (the same nonzero Stage) is a no-op.
+	SetMembership(m Membership) Output
 	// MembershipSettled reports whether the site's effective req_set is the
 	// one most recently installed — false while a swap is deferred behind a
 	// critical section still held under the previous quorum. The settle
 	// barrier between handover phases polls it.
 	MembershipSettled() bool
+}
+
+// Membership is what one site runs at one membership stage. Only
+// internal/membership builds it (Config.Member, Handover.JointMember);
+// hosts hand it to Reconfigurable.SetMembership unchanged.
+type Membership struct {
+	// N is the system size.
+	N int
+	// Quorum is the site's req_set, sorted and duplicate-free.
+	Quorum []SiteID
+	// Avoid, when non-nil, replaces the construction's §6 QuorumAvoiding
+	// while this membership is in force: it returns a substitute req_set
+	// avoiding the given crashed sites, or false when none exists (the
+	// site then keeps its quorum and blocks — safety over progress).
+	Avoid func(down map[SiteID]bool) ([]SiteID, bool)
+	// Stage is the membership.Stage being installed; it tags the site's
+	// state for canonicalization.
+	Stage uint64
 }
 
 // Algorithm constructs the complete set of site state machines for a run.
@@ -196,8 +201,9 @@ func Kinds() []string {
 	}
 }
 
-// FailureMsg announces that site Failed has crashed (§6). Drivers inject it;
-// algorithms implementing FailureObserver react to it.
+// FailureMsg announces that site Failed has crashed (§6). Drivers hand it to
+// every surviving site through Deliver; algorithms without §6 recovery
+// ignore it.
 type FailureMsg struct {
 	Failed SiteID
 }

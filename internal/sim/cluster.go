@@ -231,17 +231,13 @@ func (c *Cluster) deliver(env mutex.Envelope) {
 		return
 	}
 	site := c.Sites[env.To]
-	if f, ok := env.Msg.(mutex.FailureMsg); ok {
-		if fo, ok := site.(mutex.FailureObserver); ok {
-			if c.cfg.Observer != nil {
-				c.observe(obs.EventFailure, env.To, f.Failed)
-			}
-			c.handle(env.To, fo.SiteFailed(f.Failed))
-			if c.cfg.Observer != nil {
-				c.observe(obs.EventRecovery, env.To, f.Failed)
-			}
+	if c.cfg.Observer != nil {
+		if f, ok := env.Msg.(mutex.FailureMsg); ok {
+			c.observe(obs.EventFailure, env.To, f.Failed)
+			c.handle(env.To, site.Deliver(env))
+			c.observe(obs.EventRecovery, env.To, f.Failed)
+			return
 		}
-		return
 	}
 	c.handle(env.To, site.Deliver(env))
 }

@@ -12,7 +12,7 @@ import (
 	"dqmx/internal/mutex"
 )
 
-// The dead-site lists feed a newborn lock instance its SiteFailed calls, so
+// The dead-site lists feed a newborn lock instance its failure notices, so
 // their order must not depend on map iteration: ascending, on every call.
 
 func TestDeadSitesAscending(t *testing.T) {

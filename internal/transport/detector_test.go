@@ -90,7 +90,7 @@ func TestDetectorTimeoutExact(t *testing.T) {
 }
 
 // TestDetectorAnnouncesAscending: peers that time out in the same probe are
-// announced in ascending order, so every instance's SiteFailed sees them in
+// announced in ascending order, so every instance's §6 recovery sees them in
 // the same order on every run, whatever order the detector's maps iterate in.
 func TestDetectorAnnouncesAscending(t *testing.T) {
 	const interval, timeout = 10 * time.Millisecond, 50 * time.Millisecond

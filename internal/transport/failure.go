@@ -205,7 +205,7 @@ func (d *Detector) run() {
 			}
 			d.mu.Unlock()
 			// Announce outside the detector lock, ascending so that peers
-			// timing out together reach SiteFailed in one order on every run:
+			// timing out together reach the §6 recovery in one order on every run:
 			// each instantiated resource here rebuilds its quorums around them.
 			slices.Sort(dead)
 			for _, id := range dead {

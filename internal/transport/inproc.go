@@ -131,7 +131,6 @@ type Cluster struct {
 	mu       sync.Mutex
 	siteSets map[string][]mutex.Site // per-resource machines, built once per resource
 	cfg      membership.Config       // last stable configuration; zero Coterie = membership untracked
-	cons     coterie.Construction    // construction behind cfg (may be nil)
 	handover *membership.Handover    // non-nil while a handover is in progress
 	dead     map[mutex.SiteID]bool   // sites announced crashed (killSite)
 }
@@ -185,8 +184,7 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 	// the handover's old side must intersect — so membership tracking works
 	// for any algorithm whose sites expose their req_set.
 	if assign := assignmentOf(defaultSites); assign != nil {
-		c.cfg = membership.Config{Epoch: 0, Sites: siteIDRange(cfg.N), Coterie: assign}
-		c.cons = cfg.Construction
+		c.cfg = membership.Config{Epoch: 0, Construction: cfg.Construction, Coterie: assign}
 	}
 	// The delivery stack: inprocSender injects into the mailboxes, reliable
 	// FIFO channels by construction (unbounded, filled on the sender's
@@ -282,43 +280,24 @@ func assignmentOf(sites []mutex.Site) *coterie.Assignment {
 	return assign
 }
 
-func siteIDRange(n int) []mutex.SiteID {
-	ids := make([]mutex.SiteID, n)
-	for i := range ids {
-		ids[i] = mutex.SiteID(i)
-	}
-	return ids
-}
-
-// stagedSite is the probe for a machine's current membership stage tag.
-type stagedSite interface{ MembershipStage() uint64 }
-
 // siteFor hands out site id's machine for a resource, building the
 // resource's full site set on first use so all managers share one coherent
-// coterie assignment per resource. Sets are built for the membership in
-// force at build time, extended when the cluster has grown past them, and
-// each handed-out machine is normalized to the current membership stage —
-// a machine that sat unwired in a set while a reconfiguration advanced is
-// still idle, so the swap is a plain req_set replacement.
+// coterie assignment per resource. Sets are built at the live site count,
+// extended when the cluster has grown past them, and each handed-out
+// machine is moved onto the membership in force — a machine that sat
+// unwired in a set while a reconfiguration advanced is still idle, so the
+// swap is a plain req_set replacement, and one already there is left as it
+// is (mutex.Reconfigurable).
 func (c *Cluster) siteFor(name string, id mutex.SiteID) (mutex.Site, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	live := c.liveMembershipLocked()
 	set, ok := c.siteSets[name]
-	if !ok {
-		var err error
-		set, err = c.buildSitesLocked(live)
+	if !ok || int(id) >= len(set) {
+		// First use, or the cluster grew past this resource's set: build the
+		// machines at the live size and graft the missing tail on.
+		fresh, err := c.alg.NewSites(c.liveNLocked())
 		if err != nil {
-			return nil, err
-		}
-		c.siteSets[name] = set
-	}
-	if int(id) >= len(set) {
-		// The cluster grew past this resource's set: build the tail
-		// machines at the current membership and graft them on.
-		fresh, err := c.buildSitesLocked(live)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("transport: build sites: %w", err)
 		}
 		if int(id) >= len(fresh) {
 			return nil, fmt.Errorf("transport: site %d out of range for resource %q", id, name)
@@ -327,88 +306,36 @@ func (c *Cluster) siteFor(name string, id mutex.SiteID) (mutex.Site, error) {
 		c.siteSets[name] = set
 	}
 	site := set[id]
-	if live.stage != 0 {
-		if st, ok := site.(stagedSite); !ok || st.MembershipStage() != live.stage {
-			rc, ok := site.(mutex.Reconfigurable)
-			if !ok {
-				return nil, fmt.Errorf("transport: site %d of resource %q cannot adopt membership stage %d", id, name, live.stage)
-			}
-			rc.SetMembership(live.n, live.quorum(id), live.avoid(id), live.stage)
+	if stage := c.stage.Load(); stage != 0 {
+		rc, ok := site.(mutex.Reconfigurable)
+		if !ok {
+			return nil, fmt.Errorf("transport: site %d of resource %q cannot adopt membership stage %d", id, name, stage)
 		}
+		rc.SetMembership(c.memberLocked(id))
 	}
 	return site, nil
 }
 
-// liveMembership describes the membership new or unwired machines must
-// adopt: the live system size, per-site req_sets, and §6 avoiding rules,
-// tagged with the current stage. stage 0 means the cluster has never
-// reconfigured and machines are used as the algorithm built them.
-type liveMembership struct {
-	n      int
-	stage  uint64
-	quorum func(id mutex.SiteID) []mutex.SiteID
-	avoid  func(id mutex.SiteID) func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool)
+// liveNLocked is the site count of the membership in force: the joint
+// roster during a handover, the configuration's otherwise, and the roster
+// when the algorithm's coterie is not tracked (it never reconfigures).
+func (c *Cluster) liveNLocked() int {
+	switch {
+	case c.handover != nil:
+		return c.handover.JointN()
+	case c.cfg.Coterie != nil:
+		return c.cfg.N()
+	}
+	return c.N()
 }
 
-func (c *Cluster) liveMembershipLocked() liveMembership {
-	if h := c.handover; h != nil {
-		return liveMembership{
-			n:      h.JointN(),
-			stage:  c.stage.Load(),
-			quorum: func(id mutex.SiteID) []mutex.SiteID { return []mutex.SiteID(h.JointQuorum(id)) },
-			avoid: func(id mutex.SiteID) func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-				return jointAvoidFunc(h, id)
-			},
-		}
+// memberLocked is what site id runs at the cluster's current stage, as the
+// membership plan states it.
+func (c *Cluster) memberLocked(id mutex.SiteID) mutex.Membership {
+	if c.handover != nil {
+		return c.handover.JointMember(id)
 	}
-	cfg, cons := c.cfg, c.cons
-	return liveMembership{
-		n:      cfg.N(),
-		stage:  c.stage.Load(),
-		quorum: func(id mutex.SiteID) []mutex.SiteID { return []mutex.SiteID(cfg.Coterie.Quorum(id)) },
-		avoid: func(id mutex.SiteID) func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-			return stableAvoidFunc(cons, cfg.N(), id)
-		},
-	}
-}
-
-// buildSitesLocked builds a fresh full site set for the current membership:
-// the algorithm's machines at the live site count. Req_set normalization to
-// the live membership happens in siteFor when a machine is handed out.
-func (c *Cluster) buildSitesLocked(live liveMembership) ([]mutex.Site, error) {
-	set, err := c.alg.NewSites(live.n)
-	if err != nil {
-		return nil, fmt.Errorf("transport: build sites: %w", err)
-	}
-	return set, nil
-}
-
-// jointAvoidFunc is the §6 avoiding rule during a handover: rebuild as the
-// union of an old- and a new-coterie quorum so the replacement stays joint.
-func jointAvoidFunc(h *membership.Handover, id mutex.SiteID) func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-	return func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		q, err := h.JointAvoiding(id, down)
-		if err != nil {
-			return nil, false
-		}
-		return []mutex.SiteID(q), true
-	}
-}
-
-// stableAvoidFunc is the §6 avoiding rule of a stable configuration: the
-// construction's QuorumAvoiding at the configuration's size. A nil
-// construction disables rebuilds (safety over progress).
-func stableAvoidFunc(cons coterie.Construction, n int, id mutex.SiteID) func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-	if cons == nil {
-		return nil
-	}
-	return func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		q, err := cons.QuorumAvoiding(n, id, down)
-		if err != nil {
-			return nil, false
-		}
-		return []mutex.SiteID(q), true
-	}
+	return c.cfg.Member(id)
 }
 
 // Snapshot returns the aggregated live metrics over every resource. ok is

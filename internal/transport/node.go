@@ -362,19 +362,17 @@ func (n *Node) onLoop(fn func()) error {
 }
 
 // Reconfigure installs a new membership on the hosted site (see
-// mutex.Reconfigurable): system size nn, req_set quorum, the §6 avoiding
-// rule for the membership, and the membership stage tag. The reconcile —
-// withdrawals to departing arbiters, requests to joining ones — runs as an
-// ordinary state-machine step on the node's loop; a pending Acquire that
-// completes because the new quorum is already fully granted is woken
-// exactly as any other entry.
-func (n *Node) Reconfigure(nn int, quorum []mutex.SiteID, avoiding func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool), stage uint64) error {
+// mutex.Reconfigurable). The reconcile — withdrawals to departing arbiters,
+// requests to joining ones — runs as an ordinary state-machine step on the
+// node's loop; a pending Acquire that completes because the new quorum is
+// already fully granted is woken exactly as any other entry.
+func (n *Node) Reconfigure(m mutex.Membership) error {
 	rc, ok := n.site.(mutex.Reconfigurable)
 	if !ok {
 		return ErrNotReconfigurable
 	}
 	return n.onLoop(func() {
-		n.apply(rc.SetMembership(nn, quorum, avoiding, stage))
+		n.apply(rc.SetMembership(m))
 	})
 }
 

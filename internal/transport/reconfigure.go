@@ -56,7 +56,6 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 
 	c.mu.Lock()
 	old := c.cfg
-	oldCons := c.cons
 	var probe mutex.Site
 	if set := c.siteSets[resource.Default]; len(set) > 0 {
 		probe = set[0]
@@ -77,7 +76,6 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 	if err != nil {
 		return err
 	}
-	h.OldCons, h.NewCons = oldCons, cons
 	if err := h.Validate(); err != nil {
 		return err
 	}
@@ -86,14 +84,13 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 	c.mu.Lock()
 	c.handover = h
 	c.stage.Store(uint64(membership.JointStage(old.Epoch)))
-	joint := c.liveMembershipLocked()
 	c.mu.Unlock()
 	if h.JointN() > c.N() {
 		if err := c.grow(h.JointN()); err != nil {
 			return err
 		}
 	}
-	if err := c.sweepMembership(ctx, h.JointN(), joint); err != nil {
+	if err := c.sweepMembership(ctx, h.JointN(), h.JointMember); err != nil {
 		return err
 	}
 
@@ -110,12 +107,10 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 	// Phase 3: final.
 	c.mu.Lock()
 	c.cfg = target
-	c.cons = cons
 	c.handover = nil
 	c.stage.Store(uint64(membership.StableStage(target.Epoch)))
-	final := c.liveMembershipLocked()
 	c.mu.Unlock()
-	if err := c.sweepMembership(ctx, target.N(), final); err != nil {
+	if err := c.sweepMembership(ctx, target.N(), target.Member); err != nil {
 		return err
 	}
 
@@ -162,16 +157,16 @@ func (c *Cluster) grow(to int) error {
 	return nil
 }
 
-// sweepMembership installs the live membership on every instantiated
-// protocol instance of sites 0..count-1. Instances that closed mid-sweep
-// (a crash, a racing shutdown) are skipped: a stopped machine holds no
-// quorum. Instances created concurrently adopt the membership at birth via
-// siteFor, so the sweep and the lazy path cannot miss between them.
-func (c *Cluster) sweepMembership(ctx context.Context, count int, live liveMembership) error {
+// sweepMembership installs each site's membership on every instantiated
+// protocol instance of sites 0..count-1. Instances that closed mid-sweep (a
+// crash, a racing shutdown) are skipped: a stopped machine holds no quorum.
+// Instances created concurrently adopt the membership at birth via siteFor,
+// so the sweep and the lazy path cannot miss between them.
+func (c *Cluster) sweepMembership(ctx context.Context, count int, member func(mutex.SiteID) mutex.Membership) error {
 	var err error
 	c.everyNode(0, count, func(name string, node *Node) bool {
 		id := node.ID()
-		if e := node.Reconfigure(live.n, live.quorum(id), live.avoid(id), live.stage); e != nil && !errors.Is(e, ErrClosed) {
+		if e := node.Reconfigure(member(id)); e != nil && !errors.Is(e, ErrClosed) {
 			err = fmt.Errorf("transport: reconfigure site %d resource %q: %w", id, name, e)
 		} else {
 			err = ctx.Err()

@@ -70,10 +70,13 @@ type TCPPeer struct {
 	// (see internal/membership). It starts at the epoch-0 stable stage and
 	// advances via ApplyMembership when an operator drives a handover.
 	// stageHint tracks the newest stage heard from other peers; memberN the
-	// cluster size the current stage was applied with.
+	// cluster size the current stage was applied with; member the applied
+	// membership itself (nil until the first ApplyMembership), which every
+	// protocol instance born later adopts.
 	stage     atomic.Uint64
 	stageHint atomic.Uint64
 	memberN   atomic.Int64
+	member    atomic.Pointer[mutex.Membership]
 
 	mu        sync.Mutex
 	outs      map[mutex.SiteID]*outbound
@@ -165,6 +168,20 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 			site, err := cfg.Factory(name)
 			if err != nil {
 				return nil, err
+			}
+			// An instance born after a handover phase runs that phase's
+			// membership, as the instances swept at the time do; otherwise it
+			// would run the construction-time quorum, which need not
+			// intersect the live ones. ApplyMembership records the membership
+			// before its sweep and the manager calls New under the lock the
+			// sweep takes, so no instance misses both. The machine is fresh,
+			// so the swap sends nothing.
+			if m := p.member.Load(); m != nil {
+				rc, ok := site.(mutex.Reconfigurable)
+				if !ok {
+					return nil, ErrNotReconfigurable
+				}
+				rc.SetMembership(*m)
 			}
 			node := newResourceNode(name, site, p, combined, &p.stage, nil)
 			// An instance born after a peer was declared dead learns of it as

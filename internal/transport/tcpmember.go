@@ -46,38 +46,35 @@ func init() {
 }
 
 // ApplyMembership installs a membership stage on every protocol instance
-// hosted at this peer: each instance's req_set becomes the given quorum, and
-// all subsequent outbound frames carry the stage. The operator plane drives
-// a TCP cluster's handover by calling this on every process — joint stage
+// hosted at this peer — those that exist now and those born later — and all
+// subsequent outbound frames carry the stage. The operator plane drives a
+// TCP cluster's handover by calling this on every process — joint stage
 // first (everywhere), then the final stable stage — mirroring what
 // Cluster.Reconfigure does in one process for the in-process transport.
 // Stages are monotone: applying a stage older than the current one fails.
-//
-// avoiding replaces the construction-supplied replacement-quorum search for
-// §6 recovery while this stage is live; it may be nil when the machines were
-// built with a Construction of their own and the stage is stable.
-func (p *TCPPeer) ApplyMembership(n int, quorum []mutex.SiteID, avoiding func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool), stage uint64) error {
-	if n < 1 {
-		return fmt.Errorf("transport: membership with %d sites", n)
+func (p *TCPPeer) ApplyMembership(m mutex.Membership) error {
+	if m.N < 1 {
+		return fmt.Errorf("transport: membership with %d sites", m.N)
 	}
-	if cur := p.stage.Load(); stage < cur {
-		return fmt.Errorf("transport: stale membership stage %d (current %d)", stage, cur)
+	if cur := p.stage.Load(); m.Stage < cur {
+		return fmt.Errorf("transport: stale membership stage %d (current %d)", m.Stage, cur)
 	}
+	p.member.Store(&m)
 	var firstErr error
 	p.manager.Each(func(name string, inst resource.Instance) {
 		node, ok := inst.(*Node)
 		if !ok {
 			return
 		}
-		if err := node.Reconfigure(n, quorum, avoiding, stage); err != nil && !errors.Is(err, ErrClosed) && firstErr == nil {
+		if err := node.Reconfigure(m); err != nil && !errors.Is(err, ErrClosed) && firstErr == nil {
 			firstErr = fmt.Errorf("transport: apply membership to resource %q: %w", name, err)
 		}
 	})
 	if firstErr != nil {
 		return firstErr
 	}
-	p.stage.Store(stage)
-	p.memberN.Store(int64(n))
+	p.stage.Store(m.Stage)
+	p.memberN.Store(int64(m.N))
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"dqmx/internal/membership"
-	"dqmx/internal/mutex"
 )
 
 // Membership describes the target of a live reconfiguration: the cluster
@@ -107,7 +106,6 @@ func PlanHandover(epoch uint64, oldN int, oldQ Quorum, newN int, newQ Quorum) (*
 	if err != nil {
 		return nil, fmt.Errorf("dqmx: plan handover: %w", err)
 	}
-	h.OldCons, h.NewCons = oldCons, newCons
 	if err := h.Validate(); err != nil {
 		return nil, fmt.Errorf("dqmx: plan handover: %w", err)
 	}
@@ -140,16 +138,7 @@ func (h *Handover) ApplyJoint(p *TCPPeer, id SiteID) error {
 	if int(id) >= h.JointN() {
 		return fmt.Errorf("dqmx: apply joint: site %d is not in the joint roster (n=%d)", id, h.JointN())
 	}
-	q := h.inner.JointQuorum(id)
-	hh := h.inner
-	avoid := func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		alt, err := hh.JointAvoiding(id, down)
-		if err != nil {
-			return nil, false
-		}
-		return alt, true
-	}
-	return p.ApplyMembership(h.JointN(), q, avoid, h.JointStage())
+	return p.ApplyMembership(h.inner.JointMember(id))
 }
 
 // ApplyFinal installs the final configuration on the peer hosting site id.
@@ -159,15 +148,5 @@ func (h *Handover) ApplyFinal(p *TCPPeer, id SiteID) error {
 	if int(id) >= h.FinalN() {
 		return fmt.Errorf("dqmx: apply final: site %d is not in the final configuration (n=%d)", id, h.FinalN())
 	}
-	q := h.inner.New.Coterie.Quorum(id)
-	n := h.FinalN()
-	cons := h.inner.NewCons
-	avoid := func(down map[mutex.SiteID]bool) ([]mutex.SiteID, bool) {
-		alt, err := cons.QuorumAvoiding(n, id, down)
-		if err != nil {
-			return nil, false
-		}
-		return []mutex.SiteID(alt), true
-	}
-	return p.ApplyMembership(n, q, avoid, h.FinalStage())
+	return p.ApplyMembership(h.inner.New.Member(id))
 }
