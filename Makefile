@@ -103,8 +103,9 @@ modelcheck-soak: modelcheck
 # per inline message kind, one saturated CS through the core state machines,
 # one uncontended in-process Acquire+Release, one mailbox put/drain cycle, one
 # reliable-sublayer flush pass, a protocol message's whole way from encoder
-# through a loopback socket into Deliver, one session critical section,
-# client and arbiter together, and one simulated critical section (allocations
+# through a loopback socket into Deliver, one steady-state TCPPeer.Send
+# through a destination's write role onto a loopback socket, one session
+# critical section, client and arbiter together, and one simulated critical section (allocations
 # and bytes, over 10 000 CS) and the summary of that run. Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:

@@ -21,6 +21,11 @@ import (
 // an arbiter goroutine beyond it; the lease machinery handles the rest.
 const writeTimeout = 10 * time.Second
 
+// connBufSize sizes a session stream's write and read buffers. Lock
+// requests, replies and keepalives are tens of bytes; a larger frame, such
+// as a grant listing many held locks, passes the buffer straight through.
+const connBufSize = 512
+
 // sessionConn is one negotiated duplex session stream. Reads are owned by a
 // single reader goroutine; sends are serialized by wmu so arbiter reply
 // goroutines and keepalive echoes can share the stream.
@@ -56,12 +61,12 @@ func serverHandshake(c net.Conn, timeout time.Duration) (*sessionConn, error) {
 }
 
 func newSessionConn(c net.Conn) *sessionConn {
-	bw := bufio.NewWriter(c)
+	bw := bufio.NewWriterSize(c, connBufSize)
 	return &sessionConn{
 		c:   c,
 		bw:  bw,
 		enc: wire.Binary().NewEncoder(bw),
-		dec: wire.Binary().NewDecoder(c),
+		dec: wire.Binary().NewDecoder(bufio.NewReaderSize(c, connBufSize)),
 	}
 }
 

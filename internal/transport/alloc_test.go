@@ -126,6 +126,68 @@ func TestAllocsReliableFlush(t *testing.T) {
 	}
 }
 
+// TestAllocsTCPSend: a steady-state TCPPeer.Send costs nothing — the
+// reliable sublayer, the destination's write role taken on the caller's
+// goroutine, one encode into the reused batch buffer and one non-blocking
+// write onto a loopback socket.
+func TestAllocsTCPSend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if wire.Accept(conn, wire.MagicPeer, 5*time.Second) != nil {
+			return
+		}
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	src, err := NewTCPPeerConfig(TCPConfig{
+		Self:       0,
+		Factory:    func(string) (mutex.Site, error) { return benchSite{id: 0}, nil },
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[mutex.SiteID]string{1: ln.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		src.Close()
+		<-done
+	}()
+	env := mutex.Envelope{From: 0, To: 1, Msg: heartbeatMsg{From: 0}}
+	send := func() {
+		if err := src.Send(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first sends dial on a goroutine of their own; wait until it has
+	// handed the connection over and exited.
+	for i := 0; i < 200; i++ {
+		send()
+	}
+	o, err := src.outboundFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitWriteRole(t, o)
+	if got := testing.AllocsPerRun(1000, send); got != 0 {
+		t.Errorf("steady-state TCP Send: %.0f allocs, want 0", got)
+	}
+}
+
 // TestAllocsWireToDeliver: a §3.1 message costs nothing between one site's
 // step and the next one's — binary encode, a loopback TCP socket, binary
 // decode, core's Deliver. All seven kinds cross: an arbiter's grant, queue,

@@ -1,14 +1,15 @@
 package transport
 
-// White-box benchmark of the per-destination TCP writer: a flood of
+// White-box benchmark of a destination's TCP write path: a flood of
 // transport-level envelopes from one peer to a sink peer over real loopback,
-// measuring the allocation cost of the enqueue → encode → flush path. The
-// queue double-buffering, bufio.Writer recycling, and the encoder's pooled
-// scratch exist for this number; run with -benchmem to see it.
+// measuring the cost of the enqueue → encode → write path as the sender's
+// goroutine runs it when it takes the write role. The queue double-buffering,
+// the reused encoded-batch buffer, the write callback bound once per
+// destination and the encoder's pooled scratch exist for this number; run
+// with -benchmem to see it.
 
 import (
 	"testing"
-	"time"
 
 	"dqmx/internal/mutex"
 )
@@ -60,15 +61,10 @@ func BenchmarkTCPWriter(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Wait for the writer to drain so encode/flush costs land inside the
-	// measured window rather than leaking into the next benchmark.
-	for {
-		o.mu.Lock()
-		queued := len(o.queue)
-		o.mu.Unlock()
-		if queued == 0 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	// Wait for the write role to be released, not for the queue to empty:
+	// the holder takes the whole queue as its batch before it writes, so an
+	// empty queue says nothing about the writes still in flight. This keeps
+	// encode and write costs inside the measured window rather than leaking
+	// into the next benchmark.
+	waitWriteRole(b, o)
 }

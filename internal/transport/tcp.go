@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"dqmx/internal/clock"
 	"dqmx/internal/mutex"
@@ -48,23 +49,24 @@ type TCPConfig struct {
 // TCPPeer hosts one site of a cluster spread across processes or machines
 // and multiplexes any number of named locks over it. Envelopes travel as
 // wire-v1 frames (internal/wire), behind a per-connection handshake, over one
-// outbound TCP connection per destination; a
-// dedicated writer goroutine per destination preserves the protocol's
-// per-channel FIFO requirement and coalesces envelopes queued by different
-// resources and different destinations' interleavings into one buffered
-// write, so adding locks does not multiply syscalls. Message types register
+// outbound TCP connection per destination. Each destination has one write
+// role, held by at most one goroutine at a time — usually the sender's own,
+// which writes without blocking; see outbound. That single holder preserves
+// the protocol's per-channel FIFO requirement, and it coalesces whatever
+// different resources queued meanwhile into one write, so adding locks does
+// not multiply syscalls. Message types register
 // themselves with internal/wire when their protocol package is imported —
 // there is no separate registration step.
 type TCPPeer struct {
 	self     mutex.SiteID
 	manager  *resource.Manager
 	node     *Node     // default-resource instance, kept for the legacy Node API
-	rel      *reliable // the reliable-delivery sublayer over the raw writers
+	rel      *reliable // the reliable-delivery sublayer over the raw outbounds
 	listener net.Listener
 	peers    map[mutex.SiteID]string
 	metrics  *obs.Metrics // nil unless metrics collection was requested
 	wire     WireConfig   // byte-layer configuration
-	clock    clock.Clock  // the reliable layer's, the writers' and the detector's
+	clock    clock.Clock  // the reliable layer's, the outbounds' and the detector's
 
 	// stage is the membership stage stamped onto every outbound envelope
 	// (see internal/membership). It starts at the epoch-0 stable stage and
@@ -159,7 +161,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		combined = obs.Tee(cfg.Metrics.Observe, cfg.Observer)
 	}
 	// The reliability sublayer sits between the node loops and the raw
-	// per-destination writers: its receive side is fed by the read loops and
+	// per-destination outbounds: its receive side is fed by the read loops and
 	// hands exactly-once, per-stream-FIFO envelopes to dispatch.
 	p.rel = newReliable(p.dispatch, combined, p.clock)
 	p.manager = resource.NewManager(resource.Config{
@@ -243,20 +245,20 @@ func (p *TCPPeer) Addr() string { return p.listener.Addr().String() }
 
 // Send implements Sender: the envelope passes through the reliability
 // sublayer (sequencing, retransmission) and is queued on the destination's
-// outbound writer. An error means the destination is unknown or the peer is
+// outbound. An error means the destination is unknown or the peer is
 // shut down.
 func (p *TCPPeer) Send(env mutex.Envelope) error {
 	return p.rel.Send(env)
 }
 
 // SendBatch implements BatchSender: each destination's envelopes are queued
-// in one operation and leave in one buffered write.
+// in one operation and leave in one write.
 func (p *TCPPeer) SendBatch(envs []mutex.Envelope) error {
 	return p.rel.SendBatch(envs)
 }
 
 // tcpWire is the raw sender under the reliability sublayer: already-stamped
-// envelopes go straight to the per-destination writers.
+// envelopes go straight to the per-destination outbounds.
 type tcpWire struct {
 	peer *TCPPeer
 }
@@ -267,14 +269,14 @@ func (w tcpWire) Send(env mutex.Envelope) error {
 	if err != nil {
 		return err
 	}
-	o.enqueue([]mutex.Envelope{env})
+	o.enqueueFor([]mutex.Envelope{env}, env.To)
 	return nil
 }
 
 // SendBatch implements BatchSender with cross-resource, cross-position
 // coalescing: ALL of a destination's envelopes in the batch — not just
 // consecutive runs — are queued under one lock acquisition and leave in one
-// buffered write, so a multi-resource batch that interleaves destinations
+// write, so a multi-resource batch that interleaves destinations
 // still costs one enqueue per destination. Per-destination FIFO order is
 // preserved (the scan keeps each destination's relative order intact).
 func (w tcpWire) SendBatch(envs []mutex.Envelope) error {
@@ -312,7 +314,7 @@ func forEachDestination(envs []mutex.Envelope, fn func(dest mutex.SiteID)) {
 	}
 }
 
-// outboundFor returns the destination's writer, starting it on first use.
+// outboundFor returns the destination's write side, building it on first use.
 func (p *TCPPeer) outboundFor(id mutex.SiteID) (*outbound, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -328,49 +330,61 @@ func (p *TCPPeer) outboundFor(id mutex.SiteID) (*outbound, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown peer %d", id)
 	}
-	o := &outbound{
-		peer:   p,
-		id:     id,
-		addr:   addr,
-		notify: make(chan struct{}, 1),
-	}
+	o := &outbound{peer: p, id: id, addr: addr}
+	o.writeRawFn = o.writeRaw
 	p.outs[id] = o
-	p.wg.Add(1)
-	go o.run()
 	return o, nil
 }
 
 // outbound is one destination's write side: an unbounded FIFO of envelopes
-// drained by a dedicated writer goroutine over one persistent connection.
+// over one persistent connection, and a write role that at most one
+// goroutine holds at a time. Whoever queues onto a destination nobody is
+// writing to takes the role and drains the queue itself, each batch with a
+// non-blocking socket write. A batch that cannot leave at once — no
+// connection yet, a reconnect, a full socket buffer, a link delay — passes
+// with the role to a goroutine that may block, which drains the queue and
+// exits. The single role holder keeps the destination's frames in FIFO
+// order; no goroutine stays resident per destination.
 type outbound struct {
 	peer *TCPPeer
 	id   mutex.SiteID
 	addr string
 
-	mu     sync.Mutex
-	queue  []mutex.Envelope
-	spare  []mutex.Envelope // drained batch recycled as the next queue backing
-	notify chan struct{}
-
-	// conn is guarded by mu so Close can abort a blocked write from outside
-	// the writer goroutine; bw and enc are owned by the writer alone.
+	mu      sync.Mutex
+	queue   []mutex.Envelope
+	spare   []mutex.Envelope // drained batch recycled as the next queue backing
+	writing bool             // the write role is held
+	retired bool             // shut: the last role holder closes the connection
+	// conn and raw, its handle for non-blocking writes, are set only by the
+	// role holder, which reads them freely; they change under mu so that
+	// shut can abort a blocked write from outside the holder.
 	conn net.Conn
-	bw   *bufio.Writer
-	enc  *wire.Encoder
+	raw  syscall.RawConn
+
+	// Owned by the write-role holder.
+	enc        *wire.Encoder
+	buf        frameBuf              // the batch in hand, encoded back-to-back
+	sent       int                   // bytes of buf already written
+	werr       error                 // writeRaw's error other than EAGAIN
+	writeRawFn func(fd uintptr) bool // writeRaw's method value, bound once
 }
 
-func (o *outbound) enqueue(envs []mutex.Envelope) {
-	o.mu.Lock()
-	o.queue = append(o.queue, envs...)
-	o.mu.Unlock()
-	select {
-	case o.notify <- struct{}{}:
-	default:
-	}
+// frameBuf is the writer the encoder appends a batch's frames to: a batch
+// is laid out whole, then handed to the socket in one write.
+type frameBuf struct{ b []byte }
+
+func (f *frameBuf) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
 }
+
+// maxKeptFrames caps the encoded-batch buffer kept between batches, so a
+// backlog flushed once after a stall does not stay pinned.
+const maxKeptFrames = 64 << 10
 
 // enqueueFor queues every envelope of the batch addressed to dest — the
-// whole selection under one lock acquisition, one wakeup.
+// whole selection under one lock acquisition — and, when nobody holds the
+// write role, takes it and drains the queue on this goroutine.
 func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
 	o.mu.Lock()
 	for _, env := range envs {
@@ -378,83 +392,190 @@ func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
 			o.queue = append(o.queue, env)
 		}
 	}
+	idle := !o.writing
+	o.writing = true
 	o.mu.Unlock()
-	select {
-	case o.notify <- struct{}{}:
-	default:
+	if idle {
+		o.drain()
 	}
 }
 
-// run drains the queue: everything queued since the last drain — across all
-// resources — is encoded back-to-back and flushed in one write. The queue and
-// the previous drain's batch double-buffer: while one slice is being written,
-// enqueue appends into the other, and each write-out hands its backing array
-// back as the next queue. Steady-state traffic therefore allocates no queue
-// space at all once both buffers have grown to the high-water batch size.
-func (o *outbound) run() {
-	defer o.peer.wg.Done()
-	defer o.closeConn()
+// drain runs the write role on the goroutine that took it: everything
+// queued — across all resources — is encoded back-to-back and written in
+// one non-blocking write, batch after batch, until the queue is empty. The
+// first batch that cannot leave whole goes, with the role, to a goroutine
+// that may block.
+func (o *outbound) drain() {
+	var batch []mutex.Envelope
 	for {
-		select {
-		case <-o.notify:
-		case <-o.peer.stopC:
+		if batch = o.next(batch); batch == nil {
 			return
 		}
-		for {
-			o.mu.Lock()
-			batch := o.queue
-			if len(batch) == 0 {
-				// Nothing to swap out: keep both buffers. Swapping here
-				// would drop the empty one and cost a new queue per flush.
-				o.mu.Unlock()
-				break
-			}
-			o.queue = o.spare
-			o.spare = nil
-			o.mu.Unlock()
-			o.write(batch)
-			// Drop the envelope contents (a payload behind Msg is a heap
-			// object) before recycling, so the spare buffer pins none.
-			for i := range batch {
-				batch[i] = mutex.Envelope{}
-			}
-			o.mu.Lock()
-			o.spare = batch[:0]
-			o.mu.Unlock()
+		if o.raw == nil || o.peer.wire.LinkDelay > 0 {
+			o.handOff(batch, -1)
+			return
+		}
+		o.sent, o.werr = 0, nil
+		err := o.encode(batch)
+		if err == nil {
+			err = o.raw.Write(o.writeRawFn)
+		}
+		if err != nil || o.werr != nil {
+			o.closeConn()
+			o.handOff(batch, -1) // reconnect and re-encode
+			return
+		}
+		if o.sent < len(o.buf.b) {
+			o.handOff(batch, o.sent) // the socket buffer is full
+			return
 		}
 	}
 }
 
-// write delivers one batch, reconnecting once mid-batch on a broken pipe.
-// A batch that cannot be delivered within the reconnect budget is dropped:
-// the reliability sublayer retransmits sequenced traffic, and a peer gone
-// for good is the failure protocol's to report.
-func (o *outbound) write(batch []mutex.Envelope) {
-	o.peer.mu.Lock()
-	drop := o.peer.dropOut
-	o.peer.mu.Unlock()
-	if d := o.peer.wire.LinkDelay; d > 0 && !clock.Sleep(o.peer.clock, d, o.peer.stopC) {
+// writeRaw writes the rest of buf on the socket for RawConn.Write. It
+// reports done even on EAGAIN, so the caller never parks on the poller:
+// what is left is the blocking path's to write.
+func (o *outbound) writeRaw(fd uintptr) bool {
+	for o.sent < len(o.buf.b) {
+		n, err := writeFD(fd, o.buf.b[o.sent:])
+		if n > 0 {
+			o.sent += n
+		}
+		switch {
+		case err == syscall.EINTR:
+		case err == syscall.EAGAIN:
+			return true
+		case err != nil:
+			o.werr = err
+			return true
+		case n == 0:
+			return true
+		}
+	}
+	return true
+}
+
+// next recycles the batch just written as the queue's spare backing and
+// takes the queue as the next batch. The queue and the batch double-buffer:
+// while one is being written, enqueueFor appends into the other, so
+// steady-state traffic allocates no queue space once both have grown to the
+// high-water batch size. On an empty queue it releases the write role and
+// returns nil.
+func (o *outbound) next(done []mutex.Envelope) []mutex.Envelope {
+	// Drop the envelope contents (a payload behind Msg is a heap object)
+	// before recycling, so the spare buffer pins none.
+	clear(done)
+	if cap(o.buf.b) > maxKeptFrames {
+		o.buf.b = nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if done != nil {
+		o.spare = done[:0]
+	}
+	batch := o.queue
+	if len(batch) == 0 {
+		// Nothing to swap out: keep both buffers. Swapping here would drop
+		// the empty one and cost a new queue per write.
+		o.releaseLocked()
+		return nil
+	}
+	o.queue = o.spare
+	o.spare = nil
+	return batch
+}
+
+// releaseLocked gives up the write role. A retired outbound's last holder
+// closes the connection and returns the encoder's scratch on its way out.
+func (o *outbound) releaseLocked() {
+	o.writing = false
+	if o.retired {
+		o.dropConnLocked()
+	}
+}
+
+// handOff passes the write role, with the batch in hand, to a goroutine
+// that may block. sent is how much of the batch, encoded in buf for the
+// live connection, is already written; -1 means none is encoded yet. The
+// goroutine joins the peer's wait group under p.mu, where Close also closes
+// stopC before it waits, so the Add cannot race the Wait; a closed peer
+// drops what is queued instead.
+func (o *outbound) handOff(batch []mutex.Envelope, sent int) {
+	p := o.peer
+	p.mu.Lock()
+	select {
+	case <-p.stopC:
+		p.mu.Unlock()
+		clear(batch)
+		o.mu.Lock()
+		clear(o.queue)
+		o.queue = o.queue[:0]
+		o.releaseLocked()
+		o.mu.Unlock()
+		return
+	default:
+	}
+	p.wg.Add(1)
+	p.mu.Unlock()
+	go o.finish(batch, sent)
+}
+
+// finish holds the write role where blocking is allowed: it delivers the
+// batch it was handed, then drains the queue with blocking writes, and exits
+// once the queue is empty.
+func (o *outbound) finish(batch []mutex.Envelope, sent int) {
+	defer o.peer.wg.Done()
+	for batch != nil {
+		o.write(batch, sent)
+		batch = o.next(batch)
+		sent = -1
+	}
+}
+
+// write delivers one batch with blocking writes: first the rest of an
+// already encoded batch (sent ≥ 0), else after the link delay; then, on a
+// broken pipe, up to twice over a fresh connection, re-encoding the whole
+// batch. A batch that cannot be delivered within the reconnect budget is
+// dropped: the reliability sublayer retransmits sequenced traffic, and a
+// peer gone for good is the failure protocol's to report.
+func (o *outbound) write(batch []mutex.Envelope, sent int) {
+	if sent >= 0 {
+		if _, err := o.conn.Write(o.buf.b[sent:]); err == nil {
+			return
+		}
+		o.closeConn()
+	} else if d := o.peer.wire.LinkDelay; d > 0 && !clock.Sleep(o.peer.clock, d, o.peer.stopC) {
 		return
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if !o.ensureConn() {
 			return
 		}
-		ok := true
-		for _, env := range batch {
-			if drop != nil && drop(env) {
-				continue // test hook: simulate wire loss at the writer
+		if o.encode(batch) == nil {
+			if _, err := o.conn.Write(o.buf.b); err == nil {
+				return
 			}
-			if err := o.enc.Encode(env); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok && o.bw.Flush() == nil {
-			return
 		}
 		o.closeConn()
 	}
+}
+
+// encode lays the batch's frames into buf, minus those the test drop hook
+// discards.
+func (o *outbound) encode(batch []mutex.Envelope) error {
+	o.peer.mu.Lock()
+	drop := o.peer.dropOut
+	o.peer.mu.Unlock()
+	o.buf.b = o.buf.b[:0]
+	for _, env := range batch {
+		if drop != nil && drop(env) {
+			continue // test hook: simulate wire loss at the writer
+		}
+		if err := o.enc.Encode(env); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ensureConn dials the destination with bounded exponential backoff and runs
@@ -466,32 +587,28 @@ func (o *outbound) ensureConn() bool {
 		return false
 	default:
 	}
-	o.mu.Lock()
-	connected := o.conn != nil
-	o.mu.Unlock()
-	if connected {
+	if o.conn != nil {
 		return true
 	}
 	delay := reconnectBase
 	for attempt := 1; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", o.addr, dialTimeout)
 		if err == nil {
-			if o.bw == nil {
-				o.bw = bufio.NewWriter(conn)
-			} else {
-				o.bw.Reset(conn) // recycle the write buffer across reconnects
+			var raw syscall.RawConn
+			raw, err = conn.(*net.TCPConn).SyscallConn()
+			if err == nil {
+				err = wire.Offer(conn, wire.MagicPeer, dialTimeout)
 			}
-			// Encoders carry per-stream state (the interning table), so
-			// each connection gets a fresh one.
-			if wire.Offer(conn, wire.MagicPeer, dialTimeout) == nil {
+			if err == nil {
+				// Encoders carry per-stream state (the interning table), so
+				// each connection gets a fresh one.
+				o.enc = wire.Binary().NewEncoder(&o.buf)
 				o.mu.Lock()
-				o.conn = conn
+				o.conn, o.raw = conn, raw
 				o.mu.Unlock()
-				o.enc = wire.Binary().NewEncoder(o.bw)
 				return true
 			}
 			_ = conn.Close()
-			o.bw.Reset(nil)
 		}
 		if attempt == reconnectAttempts || !clock.Sleep(o.peer.clock, delay, o.peer.stopC) {
 			return false
@@ -502,32 +619,35 @@ func (o *outbound) ensureConn() bool {
 
 func (o *outbound) closeConn() {
 	o.mu.Lock()
-	conn := o.conn
-	o.conn = nil
+	o.dropConnLocked()
 	o.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
+}
+
+// dropConnLocked closes the connection; the encoder dies with its stream
+// and its pooled scratch goes back. Only the role holder, or anyone while
+// the role is free, may call it.
+func (o *outbound) dropConnLocked() {
+	if o.conn != nil {
+		_ = o.conn.Close()
 	}
-	// The encoder dies with its stream (its pooled scratch goes back); the
-	// bufio.Writer survives and is Reset onto the next connection.
+	o.conn, o.raw = nil, nil
 	if o.enc != nil {
 		_ = o.enc.Close()
 		o.enc = nil
 	}
-	if o.bw != nil {
-		o.bw.Reset(nil)
-	}
 }
 
-// abort closes the live connection from outside the writer goroutine,
-// unblocking a write stalled on a dead peer during shutdown. The writer's
-// own error path then clears its encoder state.
-func (o *outbound) abort() {
+// shut retires the outbound. With the role free it closes the connection at
+// once; otherwise it aborts the holder's write on it, and the holder
+// finishes the teardown when it lets the role go.
+func (o *outbound) shut() {
 	o.mu.Lock()
-	conn := o.conn
-	o.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
+	defer o.mu.Unlock()
+	o.retired = true
+	if !o.writing {
+		o.dropConnLocked()
+	} else if o.conn != nil {
+		_ = o.conn.Close()
 	}
 }
 
@@ -546,6 +666,11 @@ func (p *TCPPeer) acceptLoop() {
 	}
 }
 
+// readBufSize sizes each inbound connection's read buffer. Frames average
+// about 14 bytes, so 512 holds dozens of them; a larger frame is read past
+// the buffer, straight into the decoder's scratch.
+const readBufSize = 512
+
 // readLoop answers the connection's handshake, then decodes frames until
 // the stream dies. Hardening against hostile bytes lives in the wire package.
 func (p *TCPPeer) readLoop(conn net.Conn) {
@@ -559,7 +684,7 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 	if wire.Accept(conn, wire.MagicPeer, dialTimeout) != nil {
 		return
 	}
-	dec := wire.Binary().NewDecoder(conn)
+	dec := wire.Binary().NewDecoder(bufio.NewReaderSize(conn, readBufSize))
 	defer dec.Close()
 	for {
 		env, err := dec.Decode()
@@ -652,9 +777,13 @@ func (p *TCPPeer) setHeartbeatSink(d *Detector) {
 }
 
 // Close shuts the peer down: every resource's node loop, the listener, the
-// outbound writers, and every connection.
+// outbound connections, and every inbound one.
 func (p *TCPPeer) Close() {
+	// Closed under p.mu: a write role handed to a goroutine joins wg under
+	// the same lock, so no Add can follow the Wait below.
+	p.mu.Lock()
 	p.stopOnce.Do(func() { close(p.stopC) })
+	p.mu.Unlock()
 	p.manager.Close()
 	p.rel.Close()
 	_ = p.listener.Close()
@@ -667,10 +796,11 @@ func (p *TCPPeer) Close() {
 		_ = conn.Close()
 	}
 	p.mu.Unlock()
-	// Abort live connections so writers stalled mid-write observe an error
-	// and then stopC; their deferred closeConn finishes the teardown.
+	// shut closes each outbound's connection now, or aborts the write of
+	// the goroutine holding its role, which finishes the teardown as it lets
+	// the role go.
 	for _, o := range outs {
-		o.abort()
+		o.shut()
 	}
 	p.wg.Wait()
 }

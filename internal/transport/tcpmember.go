@@ -121,7 +121,7 @@ func (p *TCPPeer) RemovePeer(id mutex.SiteID) {
 	sink := p.hbSink
 	p.mu.Unlock()
 	if o != nil {
-		o.abort() // its writer idles until Close; the conn dies now
+		o.shut() // the conn dies now, or as soon as a write in flight lets go
 	}
 	p.rel.PeerFailed(id)
 	if sink != nil {
