@@ -75,11 +75,14 @@ race:
 # Seeded adversarial gate: the short conformance sweep, the lossy-liveness
 # sweep (drop-only schedules must complete every round — the reliable
 # delivery sublayer heals the loss), the checker on a plain cluster (no
-# chaos plan, so no sublayer), and fuzz smokes of the TCP frame
-# decoders plus the codec's struct-identity round trip. Replay a failing schedule with
+# chaos plan, so no sublayer), connection churn on a live TCP grid (a
+# seeded goroutine keeps closing inbound connections under a saturated
+# lock: every acquire completes, the CS never holds two), and fuzz smokes
+# of the TCP frame decoders plus the codec's struct-identity round trip.
+# Replay a failing schedule with
 #   DQMX_CHAOS_SEED=<seed> $(GO) test -race -run TestChaosConformance ./internal/chaos/sweep
 chaos:
-	$(GO) test -race -short -run 'TestChaosConformance|TestLossyLiveness|TestSessionConformance|TestPlainConformance' ./internal/chaos/sweep
+	$(GO) test -race -short -run 'TestChaosConformance|TestLossyLiveness|TestSessionConformance|TestPlainConformance|TestTCPConnectionChurn' ./internal/chaos/sweep ./internal/transport
 	$(GO) test -run FuzzEnvelopeDecode -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run FuzzAckFrameDecode -fuzz FuzzAckFrameDecode -fuzztime 10s ./internal/transport
 	$(GO) test -run FuzzCodecDifferential -fuzz FuzzCodecDifferential -fuzztime 10s ./internal/core
@@ -105,11 +108,12 @@ modelcheck-soak: modelcheck
 # reliable-sublayer flush pass, a protocol message's whole way from encoder
 # through a loopback socket into Deliver, one steady-state TCPPeer.Send
 # through a destination's write role onto a loopback socket, one session
-# critical section, client and arbiter together, and one simulated critical section (allocations
-# and bytes, over 10 000 CS) and the summary of that run. Each is pinned at the figure it reached; a
+# critical section, client and arbiter together, one simulated critical section (allocations
+# and bytes, over 10 000 CS) and the summary of that run, and a first
+# Lock(name) at a 9-site TCP peer. Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session ./internal/sim
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session ./internal/sim .
 
 # The repository benchmark (benchmark/README.md): six workloads, the judged
 # end-to-end metrics and the per-layer ledger, about 3 minutes on 2 cores.

@@ -473,23 +473,25 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 	// Only the §3 machine's messages have a wire codec. A peer running any
 	// other protocol could encode none of its frames, and the reliable
 	// sublayer would retransmit them forever.
-	if _, ok := alg.(core.Algorithm); !ok {
+	machine, ok := alg.(core.Algorithm)
+	if !ok {
 		return nil, nil, fmt.Errorf("dqmx: protocol %q is sim-only: it has no wire codec and runs under Simulate and NewClusterWith, not over TCP", opts.Protocol)
 	}
 	if err := opts.Wire.Codec.validate(); err != nil {
+		return nil, nil, err
+	}
+	// The coterie is made and validated once; every resource gets a fresh,
+	// independent run of the protocol over it, of which this peer builds only
+	// its own site's machine.
+	assign, err := machine.Assign(n)
+	if err != nil {
 		return nil, nil, err
 	}
 	col := opts.collector()
 	peer, err := transport.NewTCPPeerConfig(transport.TCPConfig{
 		Self: id,
 		Factory: func(string) (mutex.Site, error) {
-			// Every resource gets a fresh, independent run of the protocol:
-			// same coterie, new state machines.
-			sites, err := alg.NewSites(n)
-			if err != nil {
-				return nil, err
-			}
-			return sites[id], nil
+			return machine.NewSite(id, assign), nil
 		},
 		ListenAddr: listenAddr,
 		Peers:      peers,

@@ -70,15 +70,11 @@ func (a Algorithm) construction() coterie.Construction {
 
 // NewSites implements mutex.Algorithm.
 func (a Algorithm) NewSites(n int) ([]mutex.Site, error) {
-	cons := a.construction()
-	assign, err := cons.Assign(n)
+	assign, err := a.Assign(n)
 	if err != nil {
-		return nil, fmt.Errorf("core: assign quorums: %w", err)
+		return nil, err
 	}
-	if err := assign.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid coterie: %w", err)
-	}
-	recoveryCons := cons
+	recoveryCons := a.construction()
 	if a.DisableRecovery {
 		recoveryCons = nil
 	}
@@ -89,4 +85,33 @@ func (a Algorithm) NewSites(n int) ([]mutex.Site, error) {
 		sites[i] = site
 	}
 	return sites, nil
+}
+
+// Assign makes and validates the coterie of n sites: the part of NewSites
+// that all sites share. A host that runs one site of many builds its
+// machine with NewSite over it, once per protocol instance, instead of
+// building every site's.
+func (a Algorithm) Assign(n int) (*coterie.Assignment, error) {
+	assign, err := a.construction().Assign(n)
+	if err != nil {
+		return nil, fmt.Errorf("core: assign quorums: %w", err)
+	}
+	if err := assign.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid coterie: %w", err)
+	}
+	return assign, nil
+}
+
+// NewSite builds site id's machine alone over an assignment from Assign. It
+// must equal NewSites(assign.N)[id] — the same quorum, hand-off and recovery
+// construction — which stays the reference it is tested against
+// (TestNewSiteAloneMatchesNewSites).
+func (a Algorithm) NewSite(id mutex.SiteID, assign *coterie.Assignment) *Site {
+	cons := a.construction()
+	if a.DisableRecovery {
+		cons = nil
+	}
+	site := newSite(id, assign.N, assign.Quorum(id), cons)
+	site.handoff = a.Handoff
+	return site
 }

@@ -2,11 +2,10 @@ package transport
 
 // White-box benchmark of a destination's TCP write path: a flood of
 // transport-level envelopes from one peer to a sink peer over real loopback,
-// measuring the cost of the enqueue → encode → write path as the sender's
-// goroutine runs it when it takes the write role. The queue double-buffering,
-// the reused encoded-batch buffer, the write callback bound once per
-// destination and the encoder's pooled scratch exist for this number; run
-// with -benchmem to see it.
+// measuring the cost of the encode-on-enqueue → write path as the sender's
+// goroutine runs it when it takes the write role. The double-buffered byte
+// queue, the write callback bound once per destination and the encoder's
+// pooled scratch exist for this number; run with -benchmem to see it.
 
 import (
 	"testing"

@@ -2,6 +2,19 @@ package transport
 
 import "syscall"
 
-// writeFD reports a full socket buffer without writing: on Windows every
-// batch takes the blocking path, on the goroutine the write role passes to.
-func writeFD(uintptr, []byte) (int, error) { return 0, syscall.EAGAIN }
+// writeInline is false on Windows: writeFD blocks there, so every batch is
+// written by the goroutine the write role passes to.
+const writeInline = false
+
+// writeFD is one blocking send: with no overlapped structure the socket is
+// used as a non-overlapped one, and the call returns once all of b is sent
+// or the connection fails.
+func writeFD(fd uintptr, b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	var n uint32
+	buf := syscall.WSABuf{Len: uint32(len(b)), Buf: &b[0]}
+	err := syscall.WSASend(syscall.Handle(fd), &buf, 1, &n, 0, nil, nil)
+	return int(n), err
+}

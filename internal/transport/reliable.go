@@ -28,6 +28,11 @@ package transport
 // 3(K−1)..6(K−1) bound. The layer reports its own health through the
 // transport-level events EventRetransmit, EventDupDrop, and EventAckSend.
 //
+// It is also the one recovery owner of a TCP link: a writer whose connection
+// broke discards it with every frame encoded for it and calls Requeue, and
+// the next flush pass re-sends the destination's unacked envelopes over a
+// fresh one. Unsequenced frames lost with a connection stay lost.
+//
 // Composition with the §6 failure path: PeerFailed tears down every stream
 // that touches the declared-dead site and drops its pending retransmissions,
 // so a crash stops the layer from babbling at a corpse and a later regrant
@@ -118,8 +123,7 @@ type reliable struct {
 	// Scratch of flush, which only the loop goroutine runs: what one pass
 	// collects under mu and sends after releasing it. Emptied after use, so
 	// a quiet layer pins no message.
-	resend []mutex.Envelope
-	acks   []mutex.Envelope
+	batch  []mutex.Envelope
 	events []obs.Event
 
 	stopOnce sync.Once
@@ -194,6 +198,21 @@ func (r *reliable) Drained(id mutex.SiteID) bool {
 		}
 	}
 	return true
+}
+
+// Requeue makes every envelope still unacknowledged at the site due now: the
+// connection that carried them broke, taking whatever its socket held.
+func (r *reliable) Requeue(to mutex.SiteID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.clock.Now()
+	for id, ss := range r.out {
+		if id.to == to {
+			for i := range ss.unacked {
+				ss.unacked[i].due = now
+			}
+		}
+	}
 }
 
 // ReviveSite clears the dead mark of a site ID so it can be reused by a
@@ -412,12 +431,13 @@ func (r *reliable) loop() {
 	}
 }
 
-// flush collects due retransmissions and standalone acks under the lock,
-// then puts them on the wire outside it (the raw sender may deliver inline).
-// Events are built only for a sink that will receive them.
+// flush collects due retransmissions and standalone acks under the lock
+// into one batch, then puts it on the wire outside it (the raw sender may
+// deliver inline), so each destination gets one enqueue per pass. Events are
+// built only for a sink that will receive them.
 func (r *reliable) flush() {
 	now := r.clock.Now()
-	resend, acks, events := r.resend[:0], r.acks[:0], r.events[:0]
+	batch, events := r.batch[:0], r.events[:0]
 	r.mu.Lock()
 	sink := r.sink
 	for id, ss := range r.out {
@@ -435,7 +455,7 @@ func (r *reliable) flush() {
 				e.Ack = rs.delivered
 				rs.ackDue = false
 			}
-			resend = append(resend, e)
+			batch = append(batch, e)
 			if sink != nil {
 				events = append(events, obs.Event{
 					Type: obs.EventRetransmit, Site: e.From, Peer: e.To,
@@ -449,7 +469,7 @@ func (r *reliable) flush() {
 			continue
 		}
 		rs.ackDue = false
-		acks = append(acks, mutex.Envelope{From: id.to, To: id.from, Ack: rs.delivered})
+		batch = append(batch, mutex.Envelope{From: id.to, To: id.from, Ack: rs.delivered})
 		if sink != nil {
 			events = append(events, obs.Event{
 				Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: obs.Now(),
@@ -460,14 +480,10 @@ func (r *reliable) flush() {
 	for _, e := range events {
 		sink(e)
 	}
-	for _, e := range resend {
-		_ = r.raw.Send(e)
+	if len(batch) > 0 {
+		_ = r.raw.SendBatch(batch)
 	}
-	for _, e := range acks {
-		_ = r.raw.Send(e)
-	}
-	clear(resend)
-	clear(acks)
+	clear(batch)
 	clear(events)
-	r.resend, r.acks, r.events = resend, acks, events
+	r.batch, r.events = batch, events
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"maps"
 	"net"
 	"slices"
@@ -49,14 +50,16 @@ type TCPConfig struct {
 // TCPPeer hosts one site of a cluster spread across processes or machines
 // and multiplexes any number of named locks over it. Envelopes travel as
 // wire-v1 frames (internal/wire), behind a per-connection handshake, over one
-// outbound TCP connection per destination. Each destination has one write
-// role, held by at most one goroutine at a time — usually the sender's own,
-// which writes without blocking; see outbound. That single holder preserves
-// the protocol's per-channel FIFO requirement, and it coalesces whatever
-// different resources queued meanwhile into one write, so adding locks does
-// not multiply syscalls. Message types register
-// themselves with internal/wire when their protocol package is imported —
-// there is no separate registration step.
+// outbound TCP connection per destination. Each destination has one byte
+// queue, encoded into as envelopes are sent, and one write role, held by at
+// most one goroutine at a time — usually the sender's own, which writes
+// without blocking; see outbound. Queue order is wire order, which preserves
+// the protocol's per-channel FIFO requirement, and one write carries
+// whatever different resources queued meanwhile, so adding locks does not
+// multiply syscalls. A broken connection is recovered by the reliable
+// sublayer alone (reliable.Requeue). Message types register themselves with
+// internal/wire when their protocol package is imported — there is no
+// separate registration step.
 type TCPPeer struct {
 	self     mutex.SiteID
 	manager  *resource.Manager
@@ -83,10 +86,11 @@ type TCPPeer struct {
 	mu        sync.Mutex
 	outs      map[mutex.SiteID]*outbound
 	inbound   map[net.Conn]bool
-	hbSink    *Detector                     // set by StartDetector; receives heartbeat traffic
-	dropOut   func(env mutex.Envelope) bool // test hook: writer-side deterministic frame drops
-	staleTold map[mutex.SiteID]uint64       // highest stage each peer was told it lags behind
-	dead      map[mutex.SiteID]bool         // peers declared dead (injectFailure), until AddPeer revives one
+	hbSink    *Detector               // set by StartDetector; receives heartbeat traffic
+	staleTold map[mutex.SiteID]uint64 // highest stage each peer was told it lags behind
+	dead      map[mutex.SiteID]bool   // peers declared dead (injectFailure), until AddPeer revives one
+
+	dropOut atomic.Pointer[func(env mutex.Envelope) bool] // test hook: deterministic frame drops at enqueue
 
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -336,41 +340,51 @@ func (p *TCPPeer) outboundFor(id mutex.SiteID) (*outbound, error) {
 	return o, nil
 }
 
-// outbound is one destination's write side: an unbounded FIFO of envelopes
-// over one persistent connection, and a write role that at most one
-// goroutine holds at a time. Whoever queues onto a destination nobody is
-// writing to takes the role and drains the queue itself, each batch with a
-// non-blocking socket write. A batch that cannot leave at once — no
-// connection yet, a reconnect, a full socket buffer, a link delay — passes
-// with the role to a goroutine that may block, which drains the queue and
-// exits. The single role holder keeps the destination's frames in FIFO
-// order; no goroutine stays resident per destination.
+// outbound is one destination's write side: one persistent connection, the
+// frames encoded for it and not yet written, and a write role that at most
+// one goroutine holds at a time.
+//
+// enqueueFor encodes each batch under mu onto the back of queue, with the
+// encoder of the connection the bytes are for. The role holder swaps queue
+// with out, its other buffer, and writes out in one write loop. Whoever
+// queues onto a destination nobody is writing to takes the role and writes
+// on its own goroutine without blocking; frames that cannot leave at once —
+// no connection yet, a link delay, a full socket buffer — pass with the role
+// to a goroutine that may block, which writes until the queue is empty and
+// exits. The single holder keeps the destination's frames in FIFO order; no
+// goroutine stays resident per destination.
+//
+// Recovery after a broken connection belongs to the reliable sublayer. A
+// write error discards the connection, its encoder and every frame encoded
+// for it, and asks the sublayer to re-send the destination's unacked
+// envelopes at once; a dial that exhausts its budget drops its frames and
+// leaves them to the retransmission timer. Unsequenced frames (acks,
+// heartbeats, config answers) are best-effort across a break.
 type outbound struct {
 	peer *TCPPeer
 	id   mutex.SiteID
 	addr string
 
 	mu      sync.Mutex
-	queue   []mutex.Envelope
-	spare   []mutex.Envelope // drained batch recycled as the next queue backing
-	writing bool             // the write role is held
-	retired bool             // shut: the last role holder closes the connection
-	// conn and raw, its handle for non-blocking writes, are set only by the
-	// role holder, which reads them freely; they change under mu so that
-	// shut can abort a blocked write from outside the holder.
+	queue   frameBuf      // frames encoded by enc, not yet taken by the role holder
+	enc     *wire.Encoder // the connection's, or the next one's; nil until the first enqueue after a break
+	writing bool          // the write role is held
+	retired bool          // shut: nothing more is queued; the last role holder closes the connection
+	// conn and raw, its handle for writes, are set only by the role holder,
+	// which reads them freely; they change under mu so that shut can abort a
+	// parked write from outside the holder.
 	conn net.Conn
 	raw  syscall.RawConn
 
 	// Owned by the write-role holder.
-	enc        *wire.Encoder
-	buf        frameBuf              // the batch in hand, encoded back-to-back
-	sent       int                   // bytes of buf already written
+	out        []byte                // the frames in hand: queue's other buffer
+	sent       int                   // bytes of out already written
+	park       bool                  // the holder may wait for the socket to drain
 	werr       error                 // writeRaw's error other than EAGAIN
 	writeRawFn func(fd uintptr) bool // writeRaw's method value, bound once
 }
 
-// frameBuf is the writer the encoder appends a batch's frames to: a batch
-// is laid out whole, then handed to the socket in one write.
+// frameBuf is the writer an encoder appends frames to.
 type frameBuf struct{ b []byte }
 
 func (f *frameBuf) Write(p []byte) (int, error) {
@@ -378,115 +392,116 @@ func (f *frameBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// maxKeptFrames caps the encoded-batch buffer kept between batches, so a
-// backlog flushed once after a stall does not stay pinned.
+// maxKeptFrames caps the buffer kept between batches, so a backlog flushed
+// once after a stall does not stay pinned.
 const maxKeptFrames = 64 << 10
 
-// enqueueFor queues every envelope of the batch addressed to dest — the
-// whole selection under one lock acquisition — and, when nobody holds the
-// write role, takes it and drains the queue on this goroutine.
+// enqueueFor encodes every envelope of the batch addressed to dest onto the
+// queue — the whole selection under one lock acquisition — and, when nobody
+// holds the write role, takes it and writes on this goroutine. An envelope
+// that cannot be encoded, or that the test drop hook picks, adds nothing to
+// the queue; the sublayer re-sends a sequenced one.
 func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
+	drop := o.peer.dropOut.Load()
 	o.mu.Lock()
-	for _, env := range envs {
-		if env.To == dest {
-			o.queue = append(o.queue, env)
+	if o.retired {
+		o.mu.Unlock()
+		return
+	}
+	if o.enc == nil {
+		// Encoders carry per-stream state (the interning table), so each
+		// connection's frames come from a fresh one.
+		o.enc = wire.Binary().NewEncoder(&o.queue)
+	}
+	for i := range envs {
+		if envs[i].To == dest && (drop == nil || !(*drop)(envs[i])) {
+			_ = o.enc.Encode(envs[i])
 		}
 	}
 	idle := !o.writing
 	o.writing = true
 	o.mu.Unlock()
 	if idle {
-		o.drain()
+		o.run(false)
 	}
 }
 
-// drain runs the write role on the goroutine that took it: everything
-// queued — across all resources — is encoded back-to-back and written in
-// one non-blocking write, batch after batch, until the queue is empty. The
-// first batch that cannot leave whole goes, with the role, to a goroutine
-// that may block.
-func (o *outbound) drain() {
-	var batch []mutex.Envelope
-	for {
-		if batch = o.next(batch); batch == nil {
+// run holds the write role: it writes the frames in hand, then the queue
+// taken whole, batch after batch, until the queue is empty and it lets the
+// role go. park says whether this goroutine may block; the sender's may not,
+// and passes the role, with the frames in hand, to one that may.
+func (o *outbound) run(park bool) {
+	for o.next() {
+		if !park && (o.raw == nil || o.peer.wire.LinkDelay > 0 || !writeInline) {
+			o.handOff()
 			return
 		}
-		if o.raw == nil || o.peer.wire.LinkDelay > 0 {
-			o.handOff(batch, -1)
-			return
+		if park && !o.connect() {
+			o.discard() // the timer re-sends what was sequenced
+			continue
 		}
-		o.sent, o.werr = 0, nil
-		err := o.encode(batch)
-		if err == nil {
-			err = o.raw.Write(o.writeRawFn)
+		o.park, o.werr = park, nil
+		if err := o.raw.Write(o.writeRawFn); err != nil || o.werr != nil {
+			o.discard()
+			o.peer.rel.Requeue(o.id)
+			continue
 		}
-		if err != nil || o.werr != nil {
-			o.closeConn()
-			o.handOff(batch, -1) // reconnect and re-encode
-			return
-		}
-		if o.sent < len(o.buf.b) {
-			o.handOff(batch, o.sent) // the socket buffer is full
+		if o.sent < len(o.out) {
+			o.handOff() // the socket buffer is full
 			return
 		}
 	}
 }
 
-// writeRaw writes the rest of buf on the socket for RawConn.Write. It
-// reports done even on EAGAIN, so the caller never parks on the poller:
-// what is left is the blocking path's to write.
+// writeRaw writes the rest of out on the socket for RawConn.Write. At
+// EAGAIN it reports done on the sender's goroutine, which must not park; on
+// one that may, it reports not done, and RawConn.Write waits for the socket
+// to become writable and calls it again.
 func (o *outbound) writeRaw(fd uintptr) bool {
-	for o.sent < len(o.buf.b) {
-		n, err := writeFD(fd, o.buf.b[o.sent:])
+	for o.sent < len(o.out) {
+		n, err := writeFD(fd, o.out[o.sent:])
 		if n > 0 {
 			o.sent += n
 		}
 		switch {
 		case err == syscall.EINTR:
 		case err == syscall.EAGAIN:
-			return true
+			return !o.park
 		case err != nil:
 			o.werr = err
 			return true
 		case n == 0:
+			o.werr = io.ErrShortWrite
 			return true
 		}
 	}
 	return true
 }
 
-// next recycles the batch just written as the queue's spare backing and
-// takes the queue as the next batch. The queue and the batch double-buffer:
-// while one is being written, enqueueFor appends into the other, so
-// steady-state traffic allocates no queue space once both have grown to the
-// high-water batch size. On an empty queue it releases the write role and
-// returns nil.
-func (o *outbound) next(done []mutex.Envelope) []mutex.Envelope {
-	// Drop the envelope contents (a payload behind Msg is a heap object)
-	// before recycling, so the spare buffer pins none.
-	clear(done)
-	if cap(o.buf.b) > maxKeptFrames {
-		o.buf.b = nil
+// next makes sure the role holder has frames in hand: the rest of those it
+// holds, else the queue, swapped in whole. The two buffers alternate, so
+// steady-state traffic allocates nothing once both have grown to the
+// high-water batch. On an empty queue it lets the role go and returns false.
+func (o *outbound) next() bool {
+	if o.sent < len(o.out) {
+		return true
+	}
+	if cap(o.out) > maxKeptFrames {
+		o.out = nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if done != nil {
-		o.spare = done[:0]
-	}
-	batch := o.queue
-	if len(batch) == 0 {
-		// Nothing to swap out: keep both buffers. Swapping here would drop
-		// the empty one and cost a new queue per write.
+	if len(o.queue.b) == 0 {
 		o.releaseLocked()
-		return nil
+		return false
 	}
-	o.queue = o.spare
-	o.spare = nil
-	return batch
+	o.out, o.queue.b = o.queue.b, o.out[:0]
+	o.sent = 0
+	return true
 }
 
 // releaseLocked gives up the write role. A retired outbound's last holder
-// closes the connection and returns the encoder's scratch on its way out.
+// closes the connection on its way out.
 func (o *outbound) releaseLocked() {
 	o.writing = false
 	if o.retired {
@@ -494,22 +509,19 @@ func (o *outbound) releaseLocked() {
 	}
 }
 
-// handOff passes the write role, with the batch in hand, to a goroutine
-// that may block. sent is how much of the batch, encoded in buf for the
-// live connection, is already written; -1 means none is encoded yet. The
-// goroutine joins the peer's wait group under p.mu, where Close also closes
-// stopC before it waits, so the Add cannot race the Wait; a closed peer
-// drops what is queued instead.
-func (o *outbound) handOff(batch []mutex.Envelope, sent int) {
+// handOff passes the write role, with the frames in hand, to a goroutine
+// that may block. The goroutine joins the peer's wait group under p.mu,
+// where Close also closes stopC before it waits, so the Add cannot race the
+// Wait; a closed peer drops the frames instead.
+func (o *outbound) handOff() {
 	p := o.peer
 	p.mu.Lock()
 	select {
 	case <-p.stopC:
 		p.mu.Unlock()
-		clear(batch)
+		o.out, o.sent = o.out[:0], 0
 		o.mu.Lock()
-		clear(o.queue)
-		o.queue = o.queue[:0]
+		o.dropConnLocked()
 		o.releaseLocked()
 		o.mu.Unlock()
 		return
@@ -517,65 +529,29 @@ func (o *outbound) handOff(batch []mutex.Envelope, sent int) {
 	}
 	p.wg.Add(1)
 	p.mu.Unlock()
-	go o.finish(batch, sent)
+	go func() {
+		defer p.wg.Done()
+		o.run(true)
+	}()
 }
 
-// finish holds the write role where blocking is allowed: it delivers the
-// batch it was handed, then drains the queue with blocking writes, and exits
-// once the queue is empty.
-func (o *outbound) finish(batch []mutex.Envelope, sent int) {
-	defer o.peer.wg.Done()
-	for batch != nil {
-		o.write(batch, sent)
-		batch = o.next(batch)
-		sent = -1
+// connect readies the frames in hand for the wire where blocking is
+// allowed: it holds them for the link delay, then dials when there is no
+// connection.
+func (o *outbound) connect() bool {
+	if d := o.peer.wire.LinkDelay; d > 0 {
+		clock.Sleep(o.peer.clock, d, o.peer.stopC)
 	}
+	return o.ensureConn()
 }
 
-// write delivers one batch with blocking writes: first the rest of an
-// already encoded batch (sent ≥ 0), else after the link delay; then, on a
-// broken pipe, up to twice over a fresh connection, re-encoding the whole
-// batch. A batch that cannot be delivered within the reconnect budget is
-// dropped: the reliability sublayer retransmits sequenced traffic, and a
-// peer gone for good is the failure protocol's to report.
-func (o *outbound) write(batch []mutex.Envelope, sent int) {
-	if sent >= 0 {
-		if _, err := o.conn.Write(o.buf.b[sent:]); err == nil {
-			return
-		}
-		o.closeConn()
-	} else if d := o.peer.wire.LinkDelay; d > 0 && !clock.Sleep(o.peer.clock, d, o.peer.stopC) {
-		return
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		if !o.ensureConn() {
-			return
-		}
-		if o.encode(batch) == nil {
-			if _, err := o.conn.Write(o.buf.b); err == nil {
-				return
-			}
-		}
-		o.closeConn()
-	}
-}
-
-// encode lays the batch's frames into buf, minus those the test drop hook
-// discards.
-func (o *outbound) encode(batch []mutex.Envelope) error {
-	o.peer.mu.Lock()
-	drop := o.peer.dropOut
-	o.peer.mu.Unlock()
-	o.buf.b = o.buf.b[:0]
-	for _, env := range batch {
-		if drop != nil && drop(env) {
-			continue // test hook: simulate wire loss at the writer
-		}
-		if err := o.enc.Encode(env); err != nil {
-			return err
-		}
-	}
-	return nil
+// discard drops the connection, its encoder and every frame encoded for it:
+// those in hand and those queued behind them.
+func (o *outbound) discard() {
+	o.out, o.sent = o.out[:0], 0
+	o.mu.Lock()
+	o.dropConnLocked()
+	o.mu.Unlock()
 }
 
 // ensureConn dials the destination with bounded exponential backoff and runs
@@ -600,9 +576,6 @@ func (o *outbound) ensureConn() bool {
 				err = wire.Offer(conn, wire.MagicPeer, dialTimeout)
 			}
 			if err == nil {
-				// Encoders carry per-stream state (the interning table), so
-				// each connection gets a fresh one.
-				o.enc = wire.Binary().NewEncoder(&o.buf)
 				o.mu.Lock()
 				o.conn, o.raw = conn, raw
 				o.mu.Unlock()
@@ -617,15 +590,9 @@ func (o *outbound) ensureConn() bool {
 	}
 }
 
-func (o *outbound) closeConn() {
-	o.mu.Lock()
-	o.dropConnLocked()
-	o.mu.Unlock()
-}
-
-// dropConnLocked closes the connection; the encoder dies with its stream
-// and its pooled scratch goes back. Only the role holder, or anyone while
-// the role is free, may call it.
+// dropConnLocked closes the connection; the encoder and the frames it
+// queued die with the stream, and its pooled scratch goes back. Only the
+// role holder, or anyone while the role is free, may call it.
 func (o *outbound) dropConnLocked() {
 	if o.conn != nil {
 		_ = o.conn.Close()
@@ -635,6 +602,7 @@ func (o *outbound) dropConnLocked() {
 		_ = o.enc.Close()
 		o.enc = nil
 	}
+	o.queue.b = o.queue.b[:0]
 }
 
 // shut retires the outbound. With the role free it closes the connection at
@@ -735,14 +703,12 @@ func (p *TCPPeer) dispatch(env mutex.Envelope) error {
 	return p.manager.Inject(env)
 }
 
-// setDropHook installs a writer-side frame filter (return true to drop the
-// frame before it reaches the wire). Test-only: it simulates deterministic
+// setDropHook installs a frame filter at enqueue (return true to drop the
+// frame before it is encoded for the wire). Test-only: it simulates deterministic
 // message loss so the reliability sublayer's recovery is assertable over
 // real connections.
 func (p *TCPPeer) setDropHook(drop func(env mutex.Envelope) bool) {
-	p.mu.Lock()
-	p.dropOut = drop
-	p.mu.Unlock()
+	p.dropOut.Store(&drop)
 }
 
 // injectFailure announces a crashed site to every instantiated resource, so

@@ -1,16 +1,20 @@
 package transport
 
 // Tests of the TCP write path: a destination that stops reading never blocks
-// its sender or its neighbours, and a settled peer keeps no goroutine per
-// destination.
+// its sender or its neighbours, a broken connection's frames come back over
+// the next one at once, locks stay exclusive and live while connections keep
+// breaking, and a settled peer keeps no goroutine per destination.
 
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,7 +82,7 @@ func waitWriteRole(tb testing.TB, o *outbound) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		o.mu.Lock()
-		busy := o.writing || len(o.queue) > 0
+		busy := o.writing || len(o.queue.b) > 0
 		o.mu.Unlock()
 		if !busy {
 			return
@@ -324,6 +328,150 @@ func TestConcurrentSendersKeepOrder(t *testing.T) {
 	wg.Wait()
 }
 
+// TestTCPBrokenConnectionResendsAtOnce: a destination accepts a connection,
+// reads nothing and closes it once k sequenced frames were written to it, so
+// they die unread in its socket. The sender finds the break on its next
+// write, and the redialled connection must carry sequence numbers 1..k+m —
+// the lost k with the m sent after the break — each delivered once and in
+// order after dedup. The manual clock never passes 0.75·rtxBase, the
+// earliest a timed retransmission is due: the lost frames come back because
+// the connection broke, not because their timer fired.
+func TestTCPBrokenConnectionResendsAtOnce(t *testing.T) {
+	const k, m = 6, 6
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the first connection and the redialled one, and one more: a
+	// connection nobody takes is closed rather than blocking the acceptor.
+	conns := make(chan net.Conn, 3)
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if wire.Accept(conn, wire.MagicPeer, 5*time.Second) != nil {
+				_ = conn.Close()
+				continue
+			}
+			select {
+			case conns <- conn:
+			default:
+				_ = conn.Close()
+			}
+		}
+	}()
+	defer func() {
+		_ = ln.Close()
+		<-accepted
+		close(conns)
+		for conn := range conns {
+			_ = conn.Close()
+		}
+	}()
+	clk := newManualClock()
+	src, err := NewTCPPeerConfig(TCPConfig{
+		Self:       0,
+		Factory:    func(string) (mutex.Site, error) { return benchSite{id: 0}, nil },
+		ListenAddr: "127.0.0.1:0",
+		Peers:      map[mutex.SiteID]string{1: ln.Addr().String()},
+		clock:      clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	clk.awaitReaders(1) // the sublayer's flush loop
+	o, err := src.outboundFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		t.Helper()
+		if err := src.Send(mutex.Envelope{From: 0, To: 1, Body: mutex.Body{Kind: mutex.BodyYield}}); err != nil {
+			t.Fatal(err)
+		}
+		waitWriteRole(t, o) // written, or found the break
+	}
+	for i := 0; i < k; i++ {
+		send()
+	}
+	first := receive(t, conns)
+	_ = first.Close() // unread bytes: the close resets the connection
+	for i := 0; i < m; i++ {
+		send()
+	}
+
+	second := receive(t, conns)
+	// Room for every copy the redialled connection can carry: each frame
+	// once, plus a re-sent copy of each.
+	got := make(chan uint64, 2*(k+m))
+	stop := make(chan struct{})
+	defer close(stop)
+	defer second.Close()
+	go func() {
+		dec := wire.Binary().NewDecoder(second)
+		defer dec.Close()
+		for {
+			env, err := dec.Decode()
+			if err != nil {
+				close(got)
+				return
+			}
+			select {
+			case got <- env.Seq:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	var delivered uint64
+	held := map[uint64]bool{}
+	var dups int
+	for step := time.Duration(0); delivered < k+m; step += relTick {
+		if step+relTick > rtxBase*3/4 {
+			t.Fatalf("the redialled connection delivered 1..%d of 1..%d before the clock reached 0.75·rtxBase", delivered, k+m)
+		}
+		clk.Advance(relTick)
+		for wait := time.After(200 * time.Millisecond); delivered < k+m; {
+			var seq uint64
+			var ok bool
+			select {
+			case seq, ok = <-got:
+			case <-wait:
+			}
+			if !ok {
+				break
+			}
+			if seq <= delivered || held[seq] {
+				dups++
+				continue
+			}
+			held[seq] = true
+			for held[delivered+1] {
+				delete(held, delivered+1)
+				delivered++
+			}
+		}
+	}
+	t.Logf("1..%d delivered over the redialled connection, %d duplicates dropped", delivered, dups)
+}
+
+// receive takes the next connection the fake destination accepted.
+func receive(t *testing.T, conns <-chan net.Conn) net.Conn {
+	t.Helper()
+	select {
+	case conn := <-conns:
+		return conn
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sender never (re)dialled")
+		return nil
+	}
+}
+
 // TestTCPGoroutinesPerPeer pins what a settled TCP peer runs: its accept
 // loop, one read loop per inbound connection, the reliable sublayer's loop
 // and one node loop per resource in use — and nothing per destination. A
@@ -398,4 +546,119 @@ func TestTCPGoroutinesPerPeer(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestTCPConnectionChurn runs a 5-site grid over TCP in which every site
+// saturates one lock for about 2 s, while a seeded goroutine closes a random
+// inbound connection every few milliseconds. Frames die unread in the closed
+// sockets and senders keep redialling; every Acquire must still complete
+// within its deadline, and the critical section must never hold two sites.
+func TestTCPConnectionChurn(t *testing.T) {
+	const (
+		n        = 5
+		run      = 2 * time.Second
+		deadline = 10 * time.Second
+		seed     = 35
+	)
+	sites, err := core.Algorithm{}.NewSites(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := make([]*TCPPeer, n)
+	for i := range peers {
+		site := sites[i]
+		p, err := NewTCPPeerConfig(TCPConfig{
+			Self: site.ID(),
+			Factory: func(name string) (mutex.Site, error) {
+				if name != resource.Default {
+					return nil, fmt.Errorf("named lock %q", name)
+				}
+				return site, nil
+			},
+			ListenAddr: "127.0.0.1:0",
+			N:          n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		peers[i] = p
+	}
+	for i, p := range peers {
+		for j, q := range peers {
+			if i != j {
+				p.AddPeer(mutex.SiteID(j), q.Addr())
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var closed int
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		rng := rand.New(rand.NewPCG(seed, seed))
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Duration(1+rng.IntN(5)) * time.Millisecond):
+			}
+			p := peers[rng.IntN(n)]
+			p.mu.Lock()
+			conns := make([]net.Conn, 0, len(p.inbound))
+			for conn := range p.inbound {
+				conns = append(conns, conn)
+			}
+			p.mu.Unlock()
+			if len(conns) == 0 {
+				continue
+			}
+			slices.SortFunc(conns, func(a, b net.Conn) int {
+				return strings.Compare(a.RemoteAddr().String(), b.RemoteAddr().String())
+			})
+			_ = conns[rng.IntN(len(conns))].Close()
+			closed++
+		}
+	}()
+
+	var inCS atomic.Int32
+	var entries atomic.Int64
+	errs := make(chan error, n)
+	end := time.Now().Add(run)
+	for i, p := range peers {
+		go func() {
+			for time.Now().Before(end) {
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				err := p.Node().Acquire(ctx)
+				cancel()
+				if err != nil {
+					errs <- fmt.Errorf("site %d: acquire: %w", i, err)
+					return
+				}
+				if c := inCS.Add(1); c != 1 {
+					errs <- fmt.Errorf("site %d entered the critical section with %d inside", i, c)
+					return
+				}
+				entries.Add(1)
+				inCS.Add(-1)
+				if err := p.Node().Release(); err != nil {
+					errs <- fmt.Errorf("site %d: release: %w", i, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range peers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	<-churned
+	if closed == 0 {
+		t.Fatal("no connection was closed: the test exercised nothing")
+	}
+	t.Logf("%d critical sections while %d inbound connections were closed", entries.Load(), closed)
 }
