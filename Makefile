@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck wirecheck clockcheck avoidcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck clockcheck avoidcheck hostcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -12,8 +12,10 @@ GO ?= go
 # reproduced number moved without evaluation.txt; fmtcheck fails on any file
 # gofmt would rewrite; wirecheck on a wire codec outside the live stack;
 # clockcheck on a live-runtime timer or time reading outside internal/clock;
-# avoidcheck on a §6 avoiding rule applied outside the membership plan.
-check: fmtcheck wirecheck clockcheck avoidcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
+# avoidcheck on a §6 avoiding rule applied outside the membership plan;
+# hostcheck on a lock instance told of a crash or a membership stage
+# outside the transport's per-site host.
+check: fmtcheck wirecheck clockcheck avoidcheck hostcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -46,6 +48,16 @@ clockcheck:
 avoidcheck:
 	@! git grep -n --untracked -E '(QuorumAvoiding|JointAvoiding)\(' -- '*.go' ':!*_test.go' \
 		':!internal/coterie/' ':!internal/membership/' ':!internal/core/' ':!cmd/quorumgen/'
+
+# One host per site: the in-process cluster and the TCP peer both build a
+# lock instance, record a crash and record a membership stage through
+# internal/transport's host, so each of those rules is written once. It
+# fails, naming the lines, on a failureEnvelope( or SetMembership( call in
+# non-test internal/transport Go outside host.go and node.go (whose
+# Node.Reconfigure runs the swap on the node's loop).
+hostcheck:
+	@! git grep -n --untracked -E '(failureEnvelope|SetMembership)\(' -- 'internal/transport/*.go' ':!*_test.go' \
+		':!internal/transport/host.go' ':!internal/transport/node.go'
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a

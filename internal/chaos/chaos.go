@@ -115,13 +115,6 @@ func (p Plan) Quiet() bool {
 		len(p.Partitions) == 0 && len(p.Crashes) == 0
 }
 
-// Lossless reports whether every sent message's wire copy is delivered
-// without the reliability sublayer's help. Crashes are allowed: the §6
-// recovery protocol is expected to restore progress for the survivors.
-func (p Plan) Lossless() bool {
-	return p.Drop == 0 && len(p.Partitions) == 0
-}
-
 // LivenessExpected reports whether the protocol stack must stay live under
 // the plan: every fault it injects — drop, duplication, reordering, delay —
 // is healed by the transport's reliable-delivery sublayer. Only crashes and

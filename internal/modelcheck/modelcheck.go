@@ -218,9 +218,6 @@ type State struct {
 // N returns the number of sites.
 func (st *State) N() int { return len(st.sites) }
 
-// Holder returns the current CS holder, -1 when the CS is free.
-func (st *State) Holder() mutex.SiteID { return st.inCS }
-
 // SiteAt returns site i's state machine (read-only for invariants).
 func (st *State) SiteAt(i mutex.SiteID) Site { return st.sites[i] }
 

@@ -470,7 +470,10 @@ func TestBadPreambleRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := transport.NewTCPPeer(sites[0], "127.0.0.1:0", nil)
+	peer, err := transport.NewTCPPeerConfig(transport.TCPConfig{
+		Factory:    func(string) (mutex.Site, error) { return sites[0], nil },
+		ListenAddr: "127.0.0.1:0",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,6 @@ func (n *Network) CutLink(a, b mutex.SiteID) {
 	n.cutLinks[n.channel(b, a)] = true
 }
 
-// LinkCut reports whether the a→b channel is severed.
-func (n *Network) LinkCut(a, b mutex.SiteID) bool { return n.cutLinks[n.channel(a, b)] }
-
 // Down reports whether a site has crashed.
 func (n *Network) Down(s mutex.SiteID) bool { return n.down[s] }
 

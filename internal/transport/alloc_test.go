@@ -53,7 +53,7 @@ func TestAllocsMailboxCycle(t *testing.T) {
 // envelopes; the reply channels, envelope queues, per-request maps and the
 // sender's per-destination regrouping all reuse their memory.
 func TestAllocsUncontendedAcquireRelease(t *testing.T) {
-	c, err := NewCluster(core.Algorithm{}, 9)
+	c, err := NewClusterConfig(ClusterConfig{Algorithm: core.Algorithm{}, N: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 
 	// A live peer's listener: every stranger is hung up on without a byte in
 	// answer, and its read loop ends with the connection.
-	peer, err := NewTCPPeer(benchSite{id: 0}, "127.0.0.1:0", nil)
+	peer, err := NewTCPPeerConfig(TCPConfig{Factory: defaultOnly(benchSite{id: 0}), ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestReleaseNotHeld(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReleaseNotHeld(t *testing.T) {
 }
 
 func TestReleaseClosed(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestReleaseClosed(t *testing.T) {
 }
 
 func TestTryAcquire(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTryAcquire(t *testing.T) {
 // TestTryAcquireClosed covers both shutdown orders: close before and after
 // the try is issued.
 func TestTryAcquireClosed(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTryAcquireClosed(t *testing.T) {
 // before the grant arrived. Under -race with goroutine accounting this now
 // winds down cleanly; the observable contract is simply that Close returns.
 func TestAcquireCancelThenCloseDoesNotLeak(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestClusterObserved(t *testing.T) {
 	m := obs.NewMetrics()
 	var events []obs.Event
 	evC := make(chan obs.Event, 1024)
-	cluster, err := transport.NewClusterObserved(core.Algorithm{}, 4, m, func(e obs.Event) { evC <- e })
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 4, Metrics: m, Observer: func(e obs.Event) { evC <- e }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestClusterObserved(t *testing.T) {
 
 // TestSnapshotDisabled checks the disabled path stays disabled.
 func TestSnapshotDisabled(t *testing.T) {
-	cluster, err := transport.NewCluster(core.Algorithm{}, 2)
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

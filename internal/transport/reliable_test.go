@@ -504,7 +504,7 @@ func TestTCPReliableUnderDrops(t *testing.T) {
 	addrs := make(map[mutex.SiteID]string, n)
 	peers := make([]*TCPPeer, n)
 	for i := 0; i < n; i++ {
-		p, err := NewTCPPeer(sites[i], "127.0.0.1:0", nil)
+		p, err := NewTCPPeerConfig(TCPConfig{Self: sites[i].ID(), Factory: defaultOnly(sites[i]), ListenAddr: "127.0.0.1:0", Peers: nil})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +525,7 @@ func TestTCPReliableUnderDrops(t *testing.T) {
 				book[j] = a
 			}
 		}
-		p, err := NewTCPPeer(sites[i], addrs[mutex.SiteID(i)], book)
+		p, err := NewTCPPeerConfig(TCPConfig{Self: sites[i].ID(), Factory: defaultOnly(sites[i]), ListenAddr: addrs[mutex.SiteID(i)], Peers: book})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,22 +8,19 @@ import (
 	"dqmx/internal/resource"
 )
 
-// resourceSender stamps the owning resource's name — and, when the hosting
-// transport tracks cluster membership, the current membership stage — onto
-// every envelope a per-resource node sends. State machines never see either
-// field; this wrapper is what scopes their traffic to one lock and one
-// configuration epoch.
+// resourceSender stamps the owning resource's name and the host's current
+// membership stage onto every envelope a per-resource node sends. State
+// machines never see either field; this wrapper is what scopes their
+// traffic to one lock and one configuration epoch.
 type resourceSender struct {
 	name  string
 	under BatchSender
-	stage *atomic.Uint64 // nil when the transport has no membership state
+	stage *atomic.Uint64
 }
 
 func (s resourceSender) stamp(env *mutex.Envelope) {
 	env.Resource = s.name
-	if s.stage != nil {
-		env.Epoch = s.stage.Load()
-	}
+	env.Epoch = s.stage.Load()
 }
 
 // Send implements Sender.
@@ -55,9 +52,8 @@ func resourceSink(name string, sink obs.Sink) obs.Sink {
 
 // newResourceNode builds the per-resource protocol node: the site machine
 // wrapped with a resource- and stage-stamping sender and a resource-stamping
-// sink. It is the Config.New used by both the in-process cluster and the
-// TCP peer. stage may be nil (no membership tracking), and so may delivered
-// (see NewNodeObserved).
+// sink. host.build is its one caller; delivered may be nil (see
+// NewNodeObserved).
 func newResourceNode(name string, site mutex.Site, under BatchSender, sink obs.Sink, stage *atomic.Uint64, delivered func(env mutex.Envelope)) *Node {
 	return NewNodeObserved(site, resourceSender{name: name, under: under, stage: stage}, resourceSink(name, sink), delivered)
 }
