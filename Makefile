@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck wirecheck clockcheck avoidcheck hostcheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark bench bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -14,8 +14,9 @@ GO ?= go
 # clockcheck on a live-runtime timer or time reading outside internal/clock;
 # avoidcheck on a §6 avoiding rule applied outside the membership plan;
 # hostcheck on a lock instance told of a crash or a membership stage
-# outside the transport's per-site host.
-check: fmtcheck wirecheck clockcheck avoidcheck hostcheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
+# outside the transport's per-site host; ordercheck on a timestamp order
+# rule stated outside the conformance ledger.
+check: fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -58,6 +59,15 @@ avoidcheck:
 hostcheck:
 	@! git grep -n --untracked -E '(failureEnvelope|SetMembership)\(' -- 'internal/transport/*.go' ':!*_test.go' \
 		':!internal/transport/host.go' ':!internal/transport/node.go'
+
+# One conformance ledger: the chaos checker and the model checker assert the
+# paper's claims through internal/chaos's Ledger (ledger.go), so each rule
+# is written once. The order rule's timestamp comparison marks a copy: it
+# fails, naming the lines, on a .Less( call in non-test chaos or modelcheck
+# Go outside ledger.go.
+ordercheck:
+	@! git grep -n --untracked -E '\.Less\(' -- 'internal/chaos/*.go' 'internal/modelcheck/*.go' ':!*_test.go' \
+		':!internal/chaos/ledger.go'
 
 # Exported-API gate: cmd/apisnap re-derives the root package's surface and
 # diffs it against the checked-in baseline. An intentional API change is a

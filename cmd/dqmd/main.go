@@ -82,10 +82,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dqmx"
+	"dqmx/internal/obs"
 )
 
 func main() {
@@ -136,12 +136,12 @@ func run() error {
 	}
 
 	opts := dqmx.Options{Quorum: dqmx.Quorum(*quorum)}
-	var ring *ringLog
+	var ring *obs.Ring
 	if *httpAddr != "" {
 		// The HTTP endpoints need the aggregator and a recent-event log.
 		opts.Observe.Metrics = true
-		ring = newRingLog(256)
-		opts.Observe.Observer = ring.observe
+		ring = obs.NewRing(256)
+		opts.Observe.Observer = ring.Observe
 	}
 	if err := opts.Validate(); err != nil {
 		return err
@@ -257,44 +257,11 @@ func quorumNames() string {
 	return strings.Join(names, ", ")
 }
 
-// ringLog retains the most recent protocol events for /debug.
-type ringLog struct {
-	mu   sync.Mutex
-	buf  []dqmx.TraceEvent
-	next int
-	full bool
-}
-
-func newRingLog(n int) *ringLog {
-	return &ringLog{buf: make([]dqmx.TraceEvent, n)}
-}
-
-func (r *ringLog) observe(e dqmx.TraceEvent) {
-	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
-	}
-	r.mu.Unlock()
-}
-
-func (r *ringLog) events() []dqmx.TraceEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]dqmx.TraceEvent(nil), r.buf[:r.next]...)
-	}
-	out := make([]dqmx.TraceEvent, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
 // stageInfo decodes a membership stage into its epoch and phase (stable
 // stages are even, joint stages odd — see internal/membership).
 func stageInfo(stage uint64) (epoch uint64, joint bool) { return stage / 2, stage%2 == 1 }
 
-func serveHTTP(addr string, id, n int, quorum string, peer *dqmx.TCPPeer, ring *ringLog, srv *dqmx.Server) error {
+func serveHTTP(addr string, id, n int, quorum string, peer *dqmx.TCPPeer, ring *obs.Ring, srv *dqmx.Server) error {
 	snapshot := func() dqmx.MetricsSnapshot {
 		s, _ := peer.Snapshot()
 		return s
@@ -368,7 +335,7 @@ func serveHTTP(addr string, id, n int, quorum string, peer *dqmx.TCPPeer, ring *
 				st.Active, st.Opened, st.Attaches, st.Expired, st.Closed, st.Reclaimed)
 		}
 		fmt.Fprintf(w, "\nrecent events (oldest first):\n")
-		for _, e := range ring.events() {
+		for _, e := range ring.Events() {
 			fmt.Fprintln(w, e)
 		}
 	})

@@ -47,7 +47,6 @@ import (
 	"dqmx/internal/sim"
 	"dqmx/internal/transport"
 	"dqmx/internal/wire"
-	"dqmx/internal/workload"
 )
 
 // SiteID identifies a site (0..N-1).
@@ -540,32 +539,11 @@ func Simulate(n int, opts Options, load LoadShape, perSite int, seed int64) (Sim
 	if opts.Faults.Chaos != nil {
 		return SimulationResult{}, errors.New("dqmx: chaos injection applies to live clusters; use SimulateWithCrashes for simulated faults")
 	}
-	alg, err := opts.algorithm()
-	if err != nil {
-		return SimulationResult{}, err
-	}
 	kind := harness.Heavy
 	if load == LightLoad {
 		kind = harness.Light
 	}
-	res, err := harness.Run(harness.Spec{
-		N: n, Algorithm: alg, Load: kind, PerSite: perSite, Seed: seed,
-		Observer: opts.Observe.Observer,
-	})
-	if err != nil {
-		return SimulationResult{}, err
-	}
-	return SimulationResult{
-		Algorithm:      res.Algorithm,
-		N:              res.N,
-		Completed:      res.Completed,
-		MessagesPerCS:  res.MessagesPerCS,
-		ByKind:         res.ByKind,
-		SyncDelayT:     res.SyncDelay,
-		ResponseT:      res.ResponseTime,
-		WaitingT:       res.WaitingTime,
-		ThroughputPerT: res.Throughput,
-	}, nil
+	return simulate(opts, harness.Spec{N: n, Load: kind, PerSite: perSite, Seed: seed})
 }
 
 // CrashEvent schedules a site crash during a simulation, in units of the
@@ -583,27 +561,24 @@ func SimulateWithCrashes(n int, opts Options, perSite int, crashes []CrashEvent,
 	if opts.Faults.Chaos != nil {
 		return SimulationResult{}, errors.New("dqmx: chaos injection applies to live clusters; use the crashes argument for simulated faults")
 	}
+	spec := harness.Spec{N: n, Load: harness.Heavy, PerSite: perSite, Seed: seed}
+	for _, ce := range crashes {
+		spec.Crashes = append(spec.Crashes, harness.Crash{At: sim.Time(ce.AtT * float64(harness.DefaultDelay)), Site: ce.Site})
+	}
+	return simulate(opts, spec)
+}
+
+// simulate runs spec over the options' algorithm and observer.
+func simulate(opts Options, spec harness.Spec) (SimulationResult, error) {
 	alg, err := opts.algorithm()
 	if err != nil {
 		return SimulationResult{}, err
 	}
-	const meanDelay = sim.Time(1000)
-	cluster, err := sim.NewCluster(sim.Config{
-		N: n, Algorithm: alg, Delay: sim.ConstantDelay{D: meanDelay}, Seed: seed, CSTime: 10,
-		Observer: opts.Observe.Observer,
-	})
+	spec.Algorithm, spec.Observer = alg, opts.Observe.Observer
+	res, err := harness.Run(spec)
 	if err != nil {
 		return SimulationResult{}, err
 	}
-	workloadSaturated(cluster, perSite)
-	for _, ce := range crashes {
-		cluster.CrashAt(sim.Time(ce.AtT*float64(meanDelay)), ce.Site)
-	}
-	cluster.Run(0)
-	if err := cluster.Err(); err != nil {
-		return SimulationResult{}, err
-	}
-	res := cluster.Summarize()
 	return SimulationResult{
 		Algorithm:      res.Algorithm,
 		N:              res.N,
@@ -632,10 +607,4 @@ func QuorumOf(q Quorum, n int, id SiteID) ([]SiteID, error) {
 	out := make([]SiteID, len(quorum))
 	copy(out, quorum)
 	return out, nil
-}
-
-// workloadSaturated applies the heavy-load closed loop (kept here to avoid
-// exporting the sim hook types through the facade).
-func workloadSaturated(c *sim.Cluster, perSite int) {
-	workload.Saturated(c, perSite)
 }

@@ -1,18 +1,8 @@
 // The conformance checker: a live obs.Sink that asserts the paper's claims
-// while the chaos fabric runs. Three invariants are checked:
-//
-//  1. Safety — at most one site holds the critical section per resource at
-//     all times (EventEnter while another holder is inside is a violation).
-//  2. Timestamp order — among conflicting requests, a request whose full
-//     request wave was delivered before a later request was even issued
-//     must be served first when its timestamp is smaller. This is the
-//     strongest order claim that actually holds for Maekawa-family
-//     protocols: a request still in flight can legitimately be overtaken
-//     (the arbiter's inquire only revokes grants before CS entry), so the
-//     checker tracks each request's wave through the transport's delivery
-//     hook and only asserts the pairs the protocol guarantees.
-//  3. Message bound — a fault-free run's per-resource message count per CS
-//     entry stays within the paper's 3(K-1)..6(K-1) envelope.
+// while the chaos fabric runs. It keeps one Ledger per resource, which
+// states the rules — safety, protocol, timestamp order over settled request
+// waves, and the message bound — and feeds it the event stream and the
+// transport's delivery hook, through which it tracks each request's wave.
 //
 // A liveness watchdog flags acquires that have been pending longer than a
 // patience threshold, attaching a per-site protocol state dump. With the
@@ -24,6 +14,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -31,24 +22,9 @@ import (
 	"time"
 
 	"dqmx/internal/clock"
-	"dqmx/internal/coterie"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
-	"dqmx/internal/timestamp"
 )
-
-// Violation is one detected conformance breach.
-type Violation struct {
-	// Kind is "safety", "order", "bound", "protocol", or "transport".
-	Kind     string
-	Resource string
-	Site     mutex.SiteID
-	Detail   string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("[%s] resource %q site %d: %s", v.Kind, v.Resource, v.Site, v.Detail)
-}
 
 // Stall is one request pending longer than the watchdog's patience.
 type Stall struct {
@@ -57,53 +33,22 @@ type Stall struct {
 	Age      time.Duration
 }
 
-// reqState tracks one outstanding request of one site.
-type reqState struct {
-	ts    timestamp.Timestamp
-	hasTS bool
-	// reqSeq is the checker-linearized instant the request was issued.
-	reqSeq uint64
-	// outstanding counts request-wave messages sent but not yet delivered.
-	outstanding int
-	// settleSeq is the instant the wave fully settled (every request
-	// message delivered); 0 while messages are still in flight. A quorum
-	// rebuild re-sends requests, which un-settles the wave until the new
-	// messages land — exactly the window in which overtaking is legal.
-	settleSeq uint64
-	// withdrawn is set when the still-waiting request sends a release — a
-	// withdrawal (§6 recovery or a membership swap pulling the request from
-	// departing arbiters). A withdrawn arbiter may grant anyone, so the
-	// order guarantee is void for this wave from then on.
-	withdrawn bool
-	since     time.Time
-}
-
-// resState is the checker's view of one resource.
-type resState struct {
-	holder  mutex.SiteID
-	held    bool
-	pending map[mutex.SiteID]*reqState
-	sends   uint64
-	exits   uint64
-	faults  uint64 // failure notifications observed on this resource
-}
-
 // Checker consumes the obs event stream of a live cluster and records
 // conformance violations. Wire Observe as the cluster's Observer and
 // Delivered as the fabric's delivery hook. All methods are safe for
 // concurrent use; a single mutex linearizes event observation against
-// delivery notifications, which is what makes invariant 2 sound.
+// delivery notifications, which is what makes the order rule sound.
 type Checker struct {
-	clock     clock.Clock // request ages, the watchdog's polls
-	mu        sync.Mutex
-	seq       uint64
-	resources map[string]*resState
-	failed    map[mutex.SiteID]bool
-	vs        []Violation
+	clock   clock.Clock // request ages, the watchdog's polls
+	mu      sync.Mutex
+	ledgers map[string]*Ledger
+	issued  map[Stall]time.Time // by resource and site, Age unset
+	failed  map[mutex.SiteID]bool
+	vs      []Violation
 
 	// Reliability-sublayer health, fed by the transport-level events. These
-	// never touch the per-resource send counts, so CheckBounds keeps
-	// asserting the paper's envelope on the protocol messages alone.
+	// never reach the ledgers, so the bound keeps asserting the paper's
+	// envelope on the protocol messages alone.
 	retransmits   uint64
 	dupSuppressed uint64
 	acksSent      uint64
@@ -112,28 +57,27 @@ type Checker struct {
 // NewChecker returns an empty conformance checker.
 func NewChecker() *Checker {
 	return &Checker{
-		clock:     clock.Real,
-		resources: make(map[string]*resState),
-		failed:    make(map[mutex.SiteID]bool),
+		clock:   clock.Real,
+		ledgers: make(map[string]*Ledger),
+		issued:  make(map[Stall]time.Time),
+		failed:  make(map[mutex.SiteID]bool),
 	}
 }
 
-func (c *Checker) state(resource string) *resState {
-	rs := c.resources[resource]
-	if rs == nil {
-		rs = &resState{pending: make(map[mutex.SiteID]*reqState)}
-		c.resources[resource] = rs
+func (c *Checker) ledger(resource string) *Ledger {
+	l := c.ledgers[resource]
+	if l == nil {
+		l = new(Ledger)
+		c.ledgers[resource] = l
 	}
-	return rs
+	return l
 }
 
-func (c *Checker) violate(kind, resource string, site mutex.SiteID, format string, args ...any) {
-	c.vs = append(c.vs, Violation{
-		Kind:     kind,
-		Resource: resource,
-		Site:     site,
-		Detail:   fmt.Sprintf(format, args...),
-	})
+func (c *Checker) record(resource string, vs []Violation) {
+	for _, v := range vs {
+		v.Resource = resource
+		c.vs = append(c.vs, v)
+	}
 }
 
 // Observe is the obs.Sink half of the checker.
@@ -151,72 +95,23 @@ func (c *Checker) Observe(e obs.Event) {
 		c.acksSent++
 		return
 	}
-	rs := c.state(e.Resource)
+	l := c.ledger(e.Resource)
 	switch e.Type {
 	case obs.EventRequest:
-		c.seq++
-		req := &reqState{reqSeq: c.seq, since: c.clock.Now()}
-		if e.ReqTS != (timestamp.Timestamp{}) && !e.ReqTS.IsMax() {
-			req.ts, req.hasTS = e.ReqTS, true
-		}
-		rs.pending[e.Site] = req
+		l.Request(e.Site, e.ReqTS)
+		c.issued[Stall{Resource: e.Resource, Site: e.Site}] = c.clock.Now()
 	case obs.EventSend:
-		rs.sends++
-		if e.Kind == mutex.KindRequest {
-			if req := rs.pending[e.Site]; req != nil {
-				req.outstanding++
-				req.settleSeq = 0
-			}
-		}
-		// A release sent while the site is still waiting is a withdrawal:
-		// the freed arbiter may now grant a later request, so this wave can
-		// be overtaken legally for good.
+		l.Sent(e.Site, e.Kind, true)
 		if e.Kind == mutex.KindRelease {
-			if req := rs.pending[e.Site]; req != nil {
-				req.withdrawn = true
-				req.settleSeq = 0
-			}
+			l.Withdrew(e.Site)
 		}
 	case obs.EventEnter:
-		if rs.held {
-			c.violate("safety", e.Resource, e.Site,
-				"entered CS while site %d still holds it", rs.holder)
-		}
-		cur := rs.pending[e.Site]
-		if cur != nil && cur.hasTS {
-			for other, req := range rs.pending {
-				if other == e.Site || !req.hasTS || c.failed[other] {
-					continue
-				}
-				// The guaranteed pairs: req's wave settled before cur was
-				// even issued, and req carries the smaller timestamp — every
-				// shared arbiter queued req first, so cur cannot pass it.
-				if req.ts.Less(cur.ts) && req.settleSeq != 0 && req.settleSeq < cur.reqSeq {
-					c.violate("order", e.Resource, e.Site,
-						"entered CS with ts %v while settled earlier request of site %d (ts %v) is still waiting",
-						cur.ts, other, req.ts)
-				}
-			}
-		}
-		rs.held, rs.holder = true, e.Site
-		delete(rs.pending, e.Site)
+		c.record(e.Resource, l.Enter(e.Site, c.failed))
 	case obs.EventExit:
-		if !rs.held || rs.holder != e.Site {
-			c.violate("protocol", e.Resource, e.Site, "exited CS without holding it")
-		}
-		rs.held = false
-		rs.exits++
+		c.record(e.Resource, l.Exit(e.Site))
 	case obs.EventFailure:
-		rs.faults++
 		c.failed[e.Peer] = true
-		delete(rs.pending, e.Peer)
-		// A site that crashed inside the CS never exits; the §6 arbiter
-		// purge regrants its slot, which must not read as a double entry.
-		// Arbiters observe the failure before purging, so this clears the
-		// hold ahead of any regrant-driven entry.
-		if rs.held && rs.holder == e.Peer {
-			rs.held = false
-		}
+		l.Fail(e.Peer)
 	}
 }
 
@@ -236,20 +131,8 @@ func (c *Checker) Delivered(env mutex.Envelope) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs := c.resources[env.Resource]
-	if rs == nil {
-		return
-	}
-	req := rs.pending[env.From]
-	if req == nil {
-		return
-	}
-	if req.outstanding > 0 {
-		req.outstanding--
-	}
-	if req.outstanding == 0 && req.settleSeq == 0 && !req.withdrawn {
-		c.seq++
-		req.settleSeq = c.seq
+	if l := c.ledgers[env.Resource]; l != nil {
+		l.Delivered(env.From)
 	}
 }
 
@@ -277,61 +160,31 @@ func (c *Checker) Stalled(patience time.Duration) []Stall {
 	defer c.mu.Unlock()
 	now := c.clock.Now()
 	var out []Stall
-	for _, name := range slices.Sorted(maps.Keys(c.resources)) {
-		pending := c.resources[name].pending
-		for _, site := range slices.Sorted(maps.Keys(pending)) {
-			if c.failed[site] {
-				continue
-			}
-			if age := now.Sub(pending[site].since); age >= patience {
-				out = append(out, Stall{Resource: name, Site: site, Age: age})
-			}
+	for _, s := range slices.SortedFunc(maps.Keys(c.issued), func(a, b Stall) int {
+		return cmp.Or(cmp.Compare(a.Resource, b.Resource), cmp.Compare(a.Site, b.Site))
+	}) {
+		if c.failed[s.Site] || !c.ledgers[s.Resource].Waiting(s.Site) {
+			continue
+		}
+		if age := now.Sub(c.issued[s]); age >= patience {
+			s.Age = age
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// CheckBounds asserts invariant 3 for every resource that completed at
-// least one critical section and saw no failure notifications: the average
-// messages per CS entry must land in [lo, hi] (the paper's 3(K-1)..6(K-1)
-// for the coterie in use). Call it only after the workload has quiesced on
-// a fault-free schedule; any breach is recorded as a "bound" violation, in
-// resource order.
+// CheckBounds checks the bound rule for every resource, in resource order:
+// on one that completed at least one critical section and saw no failure
+// notification, the average messages per CS entry must land in [lo, hi]
+// (the paper's 3(K-1)..6(K-1) for the coterie in use). Call it only after
+// the workload has quiesced on a fault-free schedule.
 func (c *Checker) CheckBounds(lo, hi float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, name := range slices.Sorted(maps.Keys(c.resources)) {
-		rs := c.resources[name]
-		if rs.exits == 0 || rs.faults > 0 {
-			continue
-		}
-		perCS := float64(rs.sends) / float64(rs.exits)
-		if perCS < lo || perCS > hi {
-			c.violate("bound", name, 0,
-				"%.2f messages per CS over %d entries, outside [%.0f, %.0f]",
-				perCS, rs.exits, lo, hi)
-		}
+	for _, name := range slices.Sorted(maps.Keys(c.ledgers)) {
+		c.record(name, c.ledgers[name].Bound(lo, hi))
 	}
-}
-
-// MessageBounds derives the paper's per-CS message envelope
-// [3(Kmin-1), 6(Kmax-1)] from a coterie assignment, where Kmin and Kmax are
-// the smallest and largest quorum sizes (constructions like the tree quorum
-// hand different sites different K).
-func MessageBounds(a *coterie.Assignment) (lo, hi float64) {
-	minK, maxK := 0, 0
-	for _, q := range a.Quorums {
-		if k := len(q); minK == 0 || k < minK {
-			minK = k
-		}
-		if k := len(q); k > maxK {
-			maxK = k
-		}
-	}
-	if minK < 1 {
-		return 0, 0
-	}
-	return 3 * float64(minK-1), 6 * float64(maxK-1)
 }
 
 // Watchdog polls a checker for stalled acquires on its own goroutine and

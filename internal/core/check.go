@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"dqmx/internal/mutex"
 	"dqmx/internal/wire"
 )
 
@@ -18,7 +17,7 @@ import (
 // never edited (the construction, the membership closure, the quorums, which
 // the machine replaces whole) except the slices below, which it edits in
 // place. The send buffer is scratch, not state; the copy starts without it.
-func (s *Site) CloneForCheck() mutex.Site {
+func (s *Site) CloneForCheck() *Site {
 	c := *s
 	c.failedSites = s.failedSites.clone()
 	c.replied = s.replied.clone()

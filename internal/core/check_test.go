@@ -213,7 +213,7 @@ func (w *walk) step(rng *rand.Rand, crash, member bool) bool {
 func (w *walk) checkClone(t *testing.T, h Handoff, seed int64, step int, s *Site) {
 	t.Helper()
 	before, dump := s.AppendCanonical(nil), s.DebugString()
-	c := s.CloneForCheck().(*Site)
+	c := s.CloneForCheck()
 	if !bytes.Equal(c.AppendCanonical(nil), before) {
 		t.Fatalf("handoff %d seed %d step %d: clone of site %d encodes differently", h, seed, step, s.id)
 	}

@@ -78,7 +78,7 @@ func TestOutputLifetime(t *testing.T) {
 	// into the clone's.
 	last := s.Request()
 	lastWant := fmt.Sprint(last.Send)
-	c := s.CloneForCheck().(*Site)
+	c := s.CloneForCheck()
 	cOut := c.Deliver(last.Send[0])
 	cWant := fmt.Sprint(cOut.Send)
 	if got := fmt.Sprint(last.Send); got != lastWant {

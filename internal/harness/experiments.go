@@ -429,36 +429,23 @@ type CrashRecoveryRow struct {
 // CrashRecovery runs a saturated tree-quorum workload, crashes sites
 // mid-run, and reports progress and overhead (E8).
 func CrashRecovery(n, perSite, crashes int, seed int64) (CrashRecoveryRow, error) {
-	c, err := sim.NewCluster(sim.Config{
-		N:         n,
-		Algorithm: core.Algorithm{Construction: coterie.Tree{}},
-		Delay:     sim.ConstantDelay{D: DefaultDelay},
-		Seed:      seed,
-		CSTime:    DefaultCSTime,
-	})
+	spec := Spec{N: n, Algorithm: core.Algorithm{Construction: coterie.Tree{}}, Load: Heavy, PerSite: perSite, Seed: seed}
+	for i := 0; i < crashes; i++ {
+		// Crash leaf-side sites so tree substitution paths always survive.
+		spec.Crashes = append(spec.Crashes, Crash{At: sim.Time(2000 * (i + 1)), Site: mutex.SiteID(n - 1 - i)})
+	}
+	res, err := Run(spec)
 	if err != nil {
 		return CrashRecoveryRow{}, err
 	}
-	workload.Saturated(c, perSite)
-	for i := 0; i < crashes; i++ {
-		// Crash leaf-side sites so tree substitution paths always survive.
-		c.CrashAt(sim.Time(2000*(i+1)), mutex.SiteID(n-1-i))
-	}
-	c.Run(0)
-	if err := c.Err(); err != nil {
-		return CrashRecoveryRow{}, err
-	}
-	row := CrashRecoveryRow{
+	return CrashRecoveryRow{
 		N: n, Crashes: crashes,
-		Completed:   c.Completed(),
+		Completed:   res.Completed,
 		Expected:    n * perSite,
-		FailureMsgs: c.Net.CountByKind()[mutex.KindFailure],
-		TotalMsgs:   c.Net.Total(),
-	}
-	if row.Completed > 0 {
-		row.MsgsPerCS = float64(row.TotalMsgs) / float64(row.Completed)
-	}
-	return row, nil
+		FailureMsgs: res.ByKind[mutex.KindFailure],
+		TotalMsgs:   res.TotalMessages,
+		MsgsPerCS:   res.MessagesPerCS,
+	}, nil
 }
 
 // RenderCrashRecovery writes the E8 table.

@@ -58,6 +58,15 @@ type Spec struct {
 	// Observer, when non-nil, receives every protocol event of the run
 	// (see internal/obs).
 	Observer obs.Sink
+	// Crashes are the sites stopped during the run; survivors learn of each
+	// after the simulator's failure-detection delay and run §6 recovery.
+	Crashes []Crash
+}
+
+// Crash stops Site at virtual time At.
+type Crash struct {
+	At   sim.Time
+	Site mutex.SiteID
 }
 
 // Run executes one simulation and returns its metrics. Any safety or
@@ -87,6 +96,9 @@ func Run(spec Spec) (sim.Result, error) {
 		workload.ClosedPoisson(c, spec.ThinkTime, spec.PerSite, spec.Seed+1)
 	default:
 		return sim.Result{}, fmt.Errorf("harness: unknown load kind %d", spec.Load)
+	}
+	for _, cr := range spec.Crashes {
+		c.CrashAt(cr.At, cr.Site)
 	}
 	c.Run(0)
 	if err := c.Err(); err != nil {

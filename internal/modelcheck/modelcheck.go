@@ -24,9 +24,11 @@
 // explorer's own bookkeeping in a fixed binary layout, and every in-flight
 // message as the v1 codec's payload bytes (wire.AppendPayload). The search
 // covers the full state space up to that equivalence rather than a tree of
-// runs. Invariants are pluggable (see Invariant) and mirror the chaos
-// checker's conformance rules; a violation carries the exact choice sequence
-// that reached it, replayable with Replay, plus a per-site state dump.
+// runs. Invariants are pluggable (see Invariant); the standard ones read the
+// verdicts of the chaos package's Ledger, which states the conformance rules
+// for both checkers and is part of every state. A violation carries the
+// exact choice sequence that reached it, replayable with Replay, plus a
+// per-site state dump.
 //
 // This is the repository's second verification pillar next to the chaos
 // sweep: chaos samples deep schedules on big topologies under a lossy
@@ -39,28 +41,13 @@ import (
 	"fmt"
 	"slices"
 
+	"dqmx/internal/chaos"
+	"dqmx/internal/core"
 	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
 	"dqmx/internal/timestamp"
 	"dqmx/internal/wire"
 )
-
-// Site is the contract a protocol state machine must satisfy to be model
-// checked: the usual mutex driver surface plus the cloning, canonicalization,
-// and diagnostic seams (core.Site implements all of them).
-type Site interface {
-	mutex.Site
-	mutex.TimestampedSite
-	// CloneForCheck copies the machine, sharing nothing mutable, so the
-	// explorer can branch.
-	CloneForCheck() mutex.Site
-	// AppendCanonical appends an encoding of every behaviour-relevant field;
-	// states with equal bytes must react identically to identical future
-	// inputs.
-	AppendCanonical(b []byte) []byte
-	// DebugString renders the state for counterexample dumps.
-	DebugString() string
-}
 
 // Bound is the per-CS average message envelope asserted on fault-free
 // terminal states, the paper's 3(K−1)..6(K−1) (chaos.MessageBounds derives
@@ -71,9 +58,9 @@ type Bound struct {
 
 // Config describes one exhaustive run.
 type Config struct {
-	// Algorithm builds the N site machines; every site must implement the
-	// package's Site interface.
-	Algorithm mutex.Algorithm
+	// Algorithm builds the N site machines (the zero value is the
+	// delay-optimal protocol over grid quorums).
+	Algorithm core.Algorithm
 	// N is the number of sites.
 	N int
 	// PerSite is how many CS executions each requester issues (default 1).
@@ -178,48 +165,39 @@ func detectorFrom(victim mutex.SiteID) mutex.SiteID { return -2 - victim }
 // State is one node of the explored state space. Invariants read it through
 // the accessor methods; all mutation happens inside the explorer.
 type State struct {
-	sites       []Site
+	sites       []*core.Site
 	chans       [][]mutex.Envelope // indexed by slot
-	inCS        mutex.SiteID       // -1 when the CS is free
 	reqs        []int              // CS executions each site still has to issue
 	crashed     []bool
 	crashesLeft int
-	sends       uint64 // network protocol messages sent (excludes failure notifications)
-	exits       uint64 // completed CS executions
 
-	// settled[j*n+i] records that site j's request wave was fully delivered
-	// ("settled") before site i issued its current request — the premise of
-	// the chaos checker's timestamp-order rule. Maintained by the explorer,
-	// consulted by the order invariant, part of the canonical state.
-	settled []bool
+	// ledger is the run's conformance record (chaos.Ledger): the CS holder,
+	// the message and exit counts, and each request wave with its
+	// settled-before facts. The explorer reports a withdrawal (a release
+	// sent while still waiting) only in handover runs, where a membership
+	// swap pulls a request from departing arbiters: elsewhere withdrawals
+	// only happen on §6 recovery, where the order invariant is waived anyway.
+	ledger chaos.Ledger
 
 	// Handover bookkeeping (nil without Config.Handover): h is the shared
 	// immutable plan, member[i] is site i's progress through it — 0 on the
-	// old req_set, 1 joint, 2 final. withdrawn[i] marks site i's current
-	// request wave as withdrawn (a release sent while still waiting — a
-	// membership swap pulling the request from departing arbiters): the
-	// freed arbiter may grant anyone, so the wave never counts as settled
-	// again; the flag clears when the site issues its next request. It
-	// mirrors the chaos checker's withdrawn flag and is only tracked in
-	// handover runs — elsewhere withdrawals only happen on §6 recovery,
-	// where the order invariant is exempt anyway.
-	h         *membership.Handover
-	member    []uint8
-	withdrawn []bool
+	// old req_set, 1 joint, 2 final.
+	h      *membership.Handover
+	member []uint8
 
 	// Transition transients (not part of the canonical state): the site that
-	// entered the CS during the last applied action, and the pair of holders
-	// of a double entry. Violations abort the run, so they never need to
+	// entered the CS during the last applied action, and the ledger's
+	// verdicts on it. Violations abort the run, so they never need to
 	// survive deduplication.
 	entered mutex.SiteID
-	dup     *[2]mutex.SiteID
+	found   []chaos.Violation
 }
 
 // N returns the number of sites.
 func (st *State) N() int { return len(st.sites) }
 
 // SiteAt returns site i's state machine (read-only for invariants).
-func (st *State) SiteAt(i mutex.SiteID) Site { return st.sites[i] }
+func (st *State) SiteAt(i mutex.SiteID) *core.Site { return st.sites[i] }
 
 // Crashed reports whether site i has crashed.
 func (st *State) Crashed(i mutex.SiteID) bool { return st.crashed[i] }
@@ -237,27 +215,9 @@ func (st *State) Faulty() bool {
 // Remaining returns site i's outstanding CS budget.
 func (st *State) Remaining(i mutex.SiteID) int { return st.reqs[i] }
 
-// Sends returns the network protocol messages sent so far along this run
-// (self-addressed envelopes and failure notifications excluded, matching the
-// paper's accounting).
-func (st *State) Sends() uint64 { return st.sends }
-
-// Exits returns the CS executions completed so far along this run.
-func (st *State) Exits() uint64 { return st.exits }
-
 // Entered returns the site that acquired the CS during the transition that
 // produced this state, -1 when none did.
 func (st *State) Entered() mutex.SiteID { return st.entered }
-
-// DoubleEntry returns both holders when the last transition produced a
-// second simultaneous CS entry, or nil.
-func (st *State) DoubleEntry() *[2]mutex.SiteID { return st.dup }
-
-// SettledBefore reports whether site j's request wave had settled before
-// site i issued its current request.
-func (st *State) SettledBefore(j, i mutex.SiteID) bool {
-	return st.settled[int(j)*len(st.sites)+int(i)]
-}
 
 // explorer carries the per-run configuration shared by all states.
 type explorer struct {
@@ -269,9 +229,6 @@ type explorer struct {
 }
 
 func newExplorer(cfg Config) (*explorer, error) {
-	if cfg.Algorithm == nil {
-		return nil, errors.New("modelcheck: Config.Algorithm is required")
-	}
 	if cfg.N < 1 {
 		return nil, errors.New("modelcheck: Config.N must be positive")
 	}
@@ -321,51 +278,42 @@ func idSet(n int, ids []mutex.SiteID) []bool {
 
 // initial builds the start state: all sites idle, all channels empty.
 func (ex *explorer) initial() (*State, error) {
-	raw, err := ex.cfg.Algorithm.NewSites(ex.cfg.N)
+	n := ex.cfg.N
+	assign, err := ex.cfg.Algorithm.Assign(n)
 	if err != nil {
 		return nil, err
 	}
 	st := &State{
-		sites:   make([]Site, len(raw)),
-		chans:   make([][]mutex.Envelope, 2*len(raw)*len(raw)),
-		inCS:    -1,
-		reqs:    make([]int, len(raw)),
-		crashed: make([]bool, len(raw)),
-		settled: make([]bool, len(raw)*len(raw)),
-		entered: -1,
+		sites:       make([]*core.Site, n),
+		chans:       make([][]mutex.Envelope, 2*n*n),
+		reqs:        make([]int, n),
+		crashed:     make([]bool, n),
+		crashesLeft: ex.cfg.Crashes,
+		ledger:      chaos.NewLedger(n),
+		entered:     -1,
 	}
-	st.crashesLeft = ex.cfg.Crashes
-	for i, s := range raw {
-		ms, ok := s.(Site)
-		if !ok {
-			return nil, fmt.Errorf("modelcheck: site %d (%T) does not implement the model-checking seams", i, s)
-		}
-		st.sites[i] = ms
+	for i := range st.sites {
+		st.sites[i] = ex.cfg.Algorithm.NewSite(mutex.SiteID(i), assign)
 		if ex.requester[i] {
 			st.reqs[i] = ex.cfg.PerSite
 		}
 	}
 	if h := ex.cfg.Handover; h != nil {
 		st.h = h
-		st.member = make([]uint8, len(raw))
-		st.withdrawn = make([]bool, len(raw))
-		for i := range st.sites {
+		st.member = make([]uint8, n)
+		for i, s := range st.sites {
 			id := mutex.SiteID(i)
-			rec, ok := st.sites[i].(mutex.Reconfigurable)
-			if !ok {
-				return nil, fmt.Errorf("modelcheck: site %d (%T) is not reconfigurable", i, st.sites[i])
-			}
 			if i < h.Old.N() {
 				// An original member starts on its pure old-epoch req_set, at
 				// the joint size its machine was built with (the size is part
 				// of the canonical state).
 				m := h.Old.Member(id)
 				m.N = h.JointN()
-				st.route(id, rec.SetMembership(m))
+				st.route(id, s.SetMembership(m))
 			} else {
 				// A joiner is born joint: the live grow() wires it before the
 				// joint sweep, so it never runs a pure old- or new-epoch quorum.
-				st.route(id, rec.SetMembership(h.JointMember(id)))
+				st.route(id, s.SetMembership(h.JointMember(id)))
 				st.member[i] = 1
 			}
 		}
@@ -385,13 +333,12 @@ func (st *State) clone() *State {
 	c.chans = slices.Clone(st.chans)
 	c.reqs = slices.Clone(st.reqs)
 	c.crashed = slices.Clone(st.crashed)
-	c.settled = slices.Clone(st.settled)
+	c.ledger = st.ledger.Clone()
 	c.member = slices.Clone(st.member)
-	c.withdrawn = slices.Clone(st.withdrawn)
-	c.entered, c.dup = -1, nil
+	c.entered, c.found = -1, nil
 	for i, s := range st.sites {
 		if !st.crashed[i] {
-			c.sites[i] = s.CloneForCheck().(Site)
+			c.sites[i] = s.CloneForCheck()
 		}
 	}
 	for k, q := range st.chans {
@@ -402,10 +349,11 @@ func (st *State) clone() *State {
 
 // route applies a state-machine output: self-addressed envelopes are
 // delivered synchronously (as every driver does), remote ones join their
-// FIFO channel unless the receiver has crashed.
+// FIFO channel unless the receiver has crashed. The ledger hears of every
+// envelope; only those that join a channel travel.
 func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 	if out.Entered {
-		st.noteEntered(origin)
+		st.enter(origin)
 	}
 	// An Output is valid only until the next call on its site, and the
 	// self-delivery below re-enters that site: queue a copy.
@@ -413,24 +361,15 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 	for len(pending) > 0 {
 		env := pending[0]
 		pending = pending[1:]
-		if env.From >= 0 && env.Kind() == mutex.KindRequest {
-			// A (re)opened request wave: the sender's settled-before facts
-			// lapse, mirroring the chaos checker resetting its settle point.
-			st.clearSettledRow(env.From)
+		if st.h != nil && env.Kind() == mutex.KindRelease {
+			st.ledger.Withdrew(env.From)
 		}
-		if st.withdrawn != nil && env.From >= 0 && env.Kind() == mutex.KindRelease && st.sites[env.From].Pending() {
-			// A release sent while still waiting is a withdrawal: the freed
-			// arbiter may grant anyone, so the sender's order guarantee is
-			// void for this wave. Sticky (not just a row clear) because a swap
-			// onto a subset of the current req_set re-sends nothing, so the
-			// wave would otherwise read as settled again at the next request.
-			st.withdrawn[env.From] = true
-			st.clearSettledRow(env.From)
-		}
+		travels := env.To != env.From && !st.crashed[env.To] && env.Kind() != mutex.KindFailure
+		st.ledger.Sent(env.From, env.Kind(), travels)
 		if env.To == env.From {
 			next := st.sites[env.To].Deliver(env)
 			if next.Entered {
-				st.noteEntered(env.To)
+				st.enter(env.To)
 			}
 			pending = append(pending, next.Send...)
 			continue
@@ -440,63 +379,18 @@ func (st *State) route(origin mutex.SiteID, out mutex.Output) {
 		}
 		k := st.slot(env.From, env.To)
 		st.chans[k] = append(st.chans[k], env)
-		if env.Kind() != mutex.KindFailure {
-			st.sends++
-		}
 	}
 }
 
-func (st *State) noteEntered(i mutex.SiteID) {
-	if st.inCS != -1 && st.inCS != i {
-		prev := st.inCS
-		st.dup = &[2]mutex.SiteID{prev, i}
-	}
-	st.inCS = i
+func (st *State) enter(i mutex.SiteID) {
 	st.entered = i
-	st.clearSettledRow(i)
-	st.clearSettledCol(i)
-}
-
-func (st *State) clearSettledRow(j mutex.SiteID) {
-	n := len(st.sites)
-	for i := 0; i < n; i++ {
-		st.settled[int(j)*n+i] = false
-	}
-}
-
-func (st *State) clearSettledCol(i mutex.SiteID) {
-	n := len(st.sites)
-	for j := 0; j < n; j++ {
-		st.settled[j*n+int(i)] = false
-	}
-}
-
-// waveSettled reports whether site j's current request wave has been fully
-// delivered: j is waiting, the wave was not withdrawn from any arbiter, and
-// no request envelope from j is in flight.
-func (st *State) waveSettled(j mutex.SiteID) bool {
-	if !st.sites[j].Pending() {
-		return false
-	}
-	if st.withdrawn != nil && st.withdrawn[j] {
-		return false
-	}
-	from := st.slot(j, 0)
-	for _, q := range st.chans[from : from+len(st.sites)] {
-		for _, env := range q {
-			if env.Kind() == mutex.KindRequest {
-				return false
-			}
-		}
-	}
-	return true
+	st.found = append(st.found, st.ledger.Enter(i, nil)...)
 }
 
 // apply executes one action in place and returns a short description of what
 // was delivered (for replay logs).
 func (st *State) apply(a Action) (string, error) {
-	st.entered = -1
-	st.dup = nil
+	st.entered, st.found = -1, nil
 	switch a.Kind {
 	case ActDeliver:
 		k := st.slot(a.From, a.To)
@@ -512,6 +406,9 @@ func (st *State) apply(a Action) (string, error) {
 			st.chans[st.slot(fm.Failed, env.To)] = nil
 		}
 		st.route(env.To, st.sites[env.To].Deliver(env))
+		if env.Kind() == mutex.KindRequest {
+			st.ledger.Delivered(env.From)
+		}
 		return env.PayloadString(), nil
 	case ActDrop:
 		k := st.slot(a.From, a.To)
@@ -531,31 +428,17 @@ func (st *State) apply(a Action) (string, error) {
 			return "", fmt.Errorf("modelcheck: %v: no request budget", a)
 		}
 		st.reqs[i]--
-		if st.withdrawn != nil {
-			st.withdrawn[i] = false // a fresh wave starts unwithdrawn
-		}
-		st.clearSettledRow(i)
-		st.clearSettledCol(i)
-		st.route(i, st.sites[i].Request())
-		// Every waiting site whose wave had already settled when this
-		// request was born is now "settled before issued" relative to it.
-		n := len(st.sites)
-		for j := 0; j < n; j++ {
-			if mutex.SiteID(j) == i || st.crashed[j] {
-				continue
-			}
-			if st.waveSettled(mutex.SiteID(j)) {
-				st.settled[j*n+int(i)] = true
-			}
-		}
+		out := st.sites[i].Request()
+		ts, _ := st.sites[i].RequestTimestamp()
+		st.ledger.Request(i, ts)
+		st.route(i, out)
 		return "", nil
 	case ActExit:
 		i := a.Site
-		if st.inCS != i {
+		if st.ledger.Holder() != i {
 			return "", fmt.Errorf("modelcheck: %v: site not in CS", a)
 		}
-		st.inCS = -1
-		st.exits++
+		st.found = append(st.found, st.ledger.Exit(i)...)
 		st.route(i, st.sites[i].Exit())
 		return "", nil
 	case ActCrash:
@@ -565,13 +448,16 @@ func (st *State) apply(a Action) (string, error) {
 		}
 		st.crashed[v] = true
 		st.crashesLeft--
-		if st.inCS == v {
-			st.inCS = -1 // died inside the CS; §6 must re-grant
-		}
-		st.clearSettledRow(v)
-		st.clearSettledCol(v)
+		st.ledger.Fail(v) // a hold ends with the victim; §6 must re-grant
 		for k := int(v); k < len(st.chans); k += len(st.sites) {
-			st.chans[k] = nil // in-flight messages to the victim are lost
+			// In-flight messages to the victim are lost; a lost request no
+			// longer holds its sender's wave open.
+			for _, env := range st.chans[k] {
+				if env.Kind() == mutex.KindRequest {
+					st.ledger.Delivered(env.From)
+				}
+			}
+			st.chans[k] = nil
 		}
 		// Each survivor's local detector announces the crash independently:
 		// one notification per survivor on its own channel.
@@ -591,7 +477,7 @@ func (st *State) apply(a Action) (string, error) {
 			return "", fmt.Errorf("modelcheck: %v: not applicable", a)
 		}
 		st.member[i] = 1
-		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.JointMember(i)))
+		st.route(i, st.sites[i].SetMembership(st.h.JointMember(i)))
 		return "", nil
 	case ActApplyFinal:
 		i := a.Site
@@ -599,7 +485,7 @@ func (st *State) apply(a Action) (string, error) {
 			return "", fmt.Errorf("modelcheck: %v: not applicable", a)
 		}
 		st.member[i] = 2
-		st.route(i, st.sites[i].(mutex.Reconfigurable).SetMembership(st.h.New.Member(i)))
+		st.route(i, st.sites[i].SetMembership(st.h.New.Member(i)))
 		return "", nil
 	default:
 		return "", fmt.Errorf("modelcheck: unknown action %v", a)
@@ -611,8 +497,8 @@ func (st *State) apply(a Action) (string, error) {
 // crashes remain — crashing a quiescent system explores nothing the deadlock
 // and bound invariants should excuse.
 func (ex *explorer) enabled(st *State) (core, crash []Action) {
-	if st.inCS != -1 {
-		core = append(core, Action{Kind: ActExit, Site: st.inCS})
+	if h := st.ledger.Holder(); h != -1 {
+		core = append(core, Action{Kind: ActExit, Site: h})
 	}
 	for i, s := range st.sites {
 		if !st.crashed[i] && st.reqs[i] > 0 && !s.Pending() && !s.InCS() {
@@ -642,7 +528,7 @@ func (ex *explorer) enabled(st *State) (core, crash []Action) {
 			if st.crashed[i] {
 				continue
 			}
-			if st.member[i] == 0 || !st.sites[i].(mutex.Reconfigurable).MembershipSettled() {
+			if st.member[i] == 0 || !st.sites[i].MembershipSettled() {
 				barrier = false
 				break
 			}
@@ -683,28 +569,18 @@ func (st *State) workRemains() bool {
 	return false
 }
 
-// appendKey appends the state's deduplication key to b: a fixed binary
-// layout of the explorer's bookkeeping, each live site's AppendCanonical,
-// and every non-empty channel as its slot and its messages' v1 payload
-// bytes. All states of one run share N and the configuration, so the
-// per-site lists need no length.
+// appendKey appends the state's deduplication key to b: the ledger's
+// AppendCanonical, a fixed binary layout of the explorer's bookkeeping, each
+// live site's AppendCanonical, and every non-empty channel as its slot and
+// its messages' v1 payload bytes. All states of one run share N and the
+// configuration, so the per-site lists need no length.
 func (st *State) appendKey(b []byte, counters bool) []byte {
-	b = wire.AppendSite(b, st.inCS)
+	b = st.ledger.AppendCanonical(b, counters)
 	for _, r := range st.reqs {
 		b = wire.AppendUint(b, uint64(r))
 	}
 	b = wire.AppendUint(b, uint64(st.crashesLeft))
-	if counters {
-		b = wire.AppendUint(b, st.sends)
-		b = wire.AppendUint(b, st.exits)
-	}
-	for i := range st.member {
-		b = append(b, st.member[i])
-		b = wire.AppendBool(b, st.withdrawn[i])
-	}
-	for _, s := range st.settled {
-		b = wire.AppendBool(b, s)
-	}
+	b = append(b, st.member...)
 	for i, s := range st.sites {
 		if st.crashed[i] {
 			b = append(b, 0)

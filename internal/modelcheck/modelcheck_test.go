@@ -59,9 +59,7 @@ func checked(t testing.TB, cons coterie.Construction, n int) modelcheck.Config {
 // viaArbiter is cfg over Maekawa's machine: the same sites with step C's
 // forwarding off (core.ViaArbiter).
 func viaArbiter(cfg modelcheck.Config) modelcheck.Config {
-	alg := cfg.Algorithm.(core.Algorithm)
-	alg.Handoff = core.ViaArbiter
-	cfg.Algorithm = alg
+	cfg.Algorithm.Handoff = core.ViaArbiter
 	return cfg
 }
 

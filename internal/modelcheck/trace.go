@@ -90,13 +90,13 @@ func (v *Violation) String() string {
 	return b.String()
 }
 
-// dumpState renders the whole system state: holder, per-site budgets and
-// machine dumps, and every in-flight message.
+// dumpState renders the whole system state: the ledger, per-site budgets
+// and machine dumps, and every in-flight message.
 func dumpState(st *State) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  holder=%d crashesLeft=%d sends=%d exits=%d\n", st.inCS, st.crashesLeft, st.sends, st.exits)
+	fmt.Fprintf(&b, "  crashesLeft=%d %v\n", st.crashesLeft, &st.ledger)
 	if st.member != nil {
-		fmt.Fprintf(&b, "  handover: member=%v withdrawn=%v\n", st.member, st.withdrawn)
+		fmt.Fprintf(&b, "  handover: member=%v\n", st.member)
 	}
 	for i, s := range st.sites {
 		mark := " "
