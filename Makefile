@@ -176,12 +176,15 @@ bench-smoke:
 bench-sim:
 	$(GO) test -bench=. -benchmem ./...
 
+# Regenerate evaluation.txt, the paper's simulated evaluation as text tables
+# (cmd/benchtab; a new table is one entry in internal/harness's Evaluation).
 tables:
-	$(GO) run ./cmd/benchtab
+	$(GO) run ./cmd/benchtab > evaluation.txt.new
+	mv evaluation.txt.new evaluation.txt
 
 # The simulator is deterministic, so every cell of the evaluation is a
-# constant: a protocol change that moves one regenerates evaluation.txt
-# (`go run ./cmd/benchtab > evaluation.txt`) in the same commit.
+# constant: a protocol change that moves one runs `make tables` and commits
+# the regenerated evaluation.txt in the same commit.
 tablescheck:
 	$(GO) run ./cmd/benchtab | diff - evaluation.txt
 

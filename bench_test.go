@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation: one benchmark per
-// experiment in DESIGN.md's index (E1–E10). Each reports the paper's
+// experiment in DESIGN.md's index (E1–E13 and E3b). Each reports the paper's
 // quantities as custom benchmark metrics — msgs/CS, sync delay in units of
 // T, throughput per T — so `go test -bench=. -benchmem` reproduces every
 // table and series. cmd/benchtab prints the same data as formatted tables.

@@ -1,6 +1,6 @@
-// Command benchtab regenerates every table and series of the paper's
-// evaluation (experiments E1–E10 in DESIGN.md) and prints them as text
-// tables.
+// Command benchtab regenerates every table of the paper's evaluation (the
+// experiments in DESIGN.md, listed in internal/harness's Evaluation) and
+// prints them as text tables; `make tables` writes them to evaluation.txt.
 //
 // Usage:
 //
@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"dqmx/internal/harness"
-	"dqmx/internal/sim"
 )
 
 func main() {
@@ -29,171 +28,30 @@ func run() error {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		n      = flag.Int("n", 25, "system size for the per-size tables")
 		trials = flag.Int("trials", 20000, "Monte Carlo trials for availability")
-		only   = flag.String("only", "", "comma-separated experiment ids (e1..e10); empty = all")
+		only   = flag.String("only", "", "comma-separated experiment ids ("+
+			strings.Join(harness.EvaluationIDs(), ", ")+"); empty = all")
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
+	sel, err := harness.SelectEvaluation(*only)
+	if err != nil {
+		return err
 	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-	out := os.Stdout
-
-	if sel("e1") {
-		rows, err := harness.Table1(*n, *seed)
+	all := harness.Evaluation()
+	last := all[len(all)-1].ID
+	p := harness.Params{Seed: *seed, N: *n, Trials: *trials}
+	for _, e := range sel {
+		tab, err := e.Table(p)
 		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		if err := tab.Render(os.Stdout); err != nil {
 			return err
 		}
-		if err := harness.RenderTable1(rows, *n, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e2") {
-		rows, err := harness.LightLoad([]int{9, 16, 25, 49, 81}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderLightLoad(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e3") {
-		rows, err := harness.HeavyLoad([]int{9, 16, 25, 49}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderHeavyLoad(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e3b") || sel("e3") {
-		hist, err := harness.HeavyLoadCases(*n, 10, *seed, nil)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderCaseHistogram(hist, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e4") {
-		rows, err := harness.SyncDelay([]int{9, 16, 25, 49}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderSyncDelay(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e5") {
-		rows, err := harness.Throughput(*n, []sim.Time{10, 100, 500, 1000}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderThroughput(rows, *n, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e6") {
-		rows, err := harness.QuorumSizes([]int{9, 25, 81, 255, 729})
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderQuorumSizes(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e7") {
-		rows := harness.Availability(31, []float64{0.50, 0.70, 0.80, 0.90, 0.95, 0.99}, *trials, *seed)
-		if err := harness.RenderAvailability(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e8") {
-		var rows []harness.CrashRecoveryRow
-		for _, crashes := range []int{0, 1, 2, 3} {
-			row, err := harness.CrashRecovery(15, 4, crashes, *seed)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-		}
-		if err := harness.RenderCrashRecovery(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e9") {
-		rows, err := harness.LoadSweep(16, []sim.Time{100, 500, 1000, 5000, 10000, 50000, 100000}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderLoadSweep(rows, 16, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e10") {
-		rows, err := harness.QuorumIndependence(13, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderQuorumIndependence(rows, 13, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e11") {
-		var rows []harness.LinkFailureRow
-		for _, cuts := range []int{0, 1, 2, 3} {
-			row, err := harness.LinkFailures(15, 4, cuts, *seed)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-		}
-		if err := harness.RenderLinkFailures(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e12") {
-		rows, err := harness.DelaySensitivity(*n, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderDelaySensitivity(rows, *n, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("e13") {
-		rows, err := harness.Scalability([]int{9, 25, 49, 81, 121, 169}, *seed)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderScalability(rows, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-	}
-	if sel("multiseed") {
-		rows, err := harness.RunMany(*n, 8, 10)
-		if err != nil {
-			return err
-		}
-		if err := harness.RenderMultiSeed(rows, *n, 10, out); err != nil {
-			return err
+		// Tables are set apart by a blank line; evaluation.txt ends at the
+		// last table's last row.
+		if e.ID != last {
+			fmt.Println()
 		}
 	}
 	return nil

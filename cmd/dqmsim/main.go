@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"dqmx/internal/harness"
-	"dqmx/internal/metrics"
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
 	"dqmx/internal/sim"
@@ -121,7 +120,7 @@ func run() error {
 	fmt.Printf("waiting time     %.2f T\n", res.WaitingTime)
 	fmt.Printf("throughput       %.3f CS per T\n\n", res.Throughput)
 
-	tab := metrics.NewTable("message kind", "count")
+	tab := harness.NewTable("message kind", "count")
 	for _, kind := range mutex.Kinds() {
 		if c := res.ByKind[kind]; c > 0 {
 			tab.AddRow(kind, c)

@@ -24,7 +24,6 @@ import (
 	"dqmx/internal/coterie"
 	"dqmx/internal/harness"
 	"dqmx/internal/membership"
-	"dqmx/internal/metrics"
 	"dqmx/internal/timestamp"
 )
 
@@ -77,7 +76,7 @@ func run() error {
 	}
 
 	if len(down) > 0 {
-		tab := metrics.NewTable("site", "quorum (avoiding failures)", "size")
+		tab := harness.NewTable("site", "quorum (avoiding failures)", "size")
 		for i := 0; i < *n; i++ {
 			if down[timestamp.SiteID(i)] {
 				tab.AddRow(i, "(failed)", "-")
@@ -104,7 +103,7 @@ func run() error {
 		fmt.Printf("# intersection property: OK; avg K = %.2f, max K = %d\n",
 			assign.AvgQuorumSize(), assign.MaxQuorumSize())
 	}
-	tab := metrics.NewTable("site", "quorum", "size")
+	tab := harness.NewTable("site", "quorum", "size")
 	for i := 0; i < *n; i++ {
 		q := assign.Quorum(timestamp.SiteID(i))
 		tab.AddRow(i, q.String(), len(q))
@@ -145,7 +144,7 @@ func planPair(cons coterie.Construction, n int, toQ string, toN int, epoch uint6
 		cons.Name(), n, epoch, newCons.Name(), toN, epoch+1, h.JointN())
 
 	if len(down) > 0 {
-		tab := metrics.NewTable("site", "joint req_set (avoiding failures)", "size")
+		tab := harness.NewTable("site", "joint req_set (avoiding failures)", "size")
 		for i := 0; i < h.JointN(); i++ {
 			if down[timestamp.SiteID(i)] {
 				tab.AddRow(i, "(failed)", "-")
@@ -161,7 +160,7 @@ func planPair(cons coterie.Construction, n int, toQ string, toN int, epoch uint6
 		return tab.Render(os.Stdout)
 	}
 
-	tab := metrics.NewTable("site", "old quorum", "new quorum", "joint req_set", "joint size")
+	tab := harness.NewTable("site", "old quorum", "new quorum", "joint req_set", "joint size")
 	for i := 0; i < h.JointN(); i++ {
 		id := timestamp.SiteID(i)
 		oldQ, newQ := "-", "-"

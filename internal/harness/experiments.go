@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
-	"dqmx/internal/metrics"
 	"dqmx/internal/mutex"
 	"dqmx/internal/sim"
 	"dqmx/internal/workload"
@@ -49,18 +47,6 @@ func Table1(n int, seed int64) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// RenderTable1 writes Table 1 as text.
-func RenderTable1(rows []Table1Row, n int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Table 1: message complexity and synchronization delay (N=%d)\n", n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("algorithm", "theory msgs", "theory delay", "light msgs/CS", "heavy msgs/CS", "sync delay (T)")
-	for _, r := range rows {
-		tab.AddRow(r.Algorithm, r.TheoryMsgs, r.TheoryDelay, r.LightMsgs, r.HeavyMsgs, r.SyncDelayT)
-	}
-	return tab.Render(w)
-}
-
 // --- E2: §5.1 light load -----------------------------------------------------
 
 // LightLoadRow checks the 3(K−1) messages and 2T+E response of one system
@@ -98,18 +84,6 @@ func LightLoad(ns []int, seed int64) ([]LightLoadRow, error) {
 	return rows, nil
 }
 
-// RenderLightLoad writes the §5.1 table.
-func RenderLightLoad(rows []LightLoadRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E2 (§5.1): light load — messages/CS and response time"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("N", "K", "msgs/CS", "paper 3(K-1)", "response (T)", "paper 2T+E")
-	for _, r := range rows {
-		tab.AddRow(r.N, r.K, r.MsgsPerCS, r.ExpectedMsgs, r.ResponseT, r.ExpectedResp)
-	}
-	return tab.Render(w)
-}
-
 // --- E3: §5.2 heavy-load message bounds --------------------------------------
 
 // HeavyLoadRow checks the [5(K−1), 6(K−1)] band at one system size.
@@ -144,22 +118,6 @@ func HeavyLoad(ns []int, seed int64) ([]HeavyLoadRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderHeavyLoad writes the §5.2 table.
-func RenderHeavyLoad(rows []HeavyLoadRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E3 (§5.2): heavy load — messages/CS against the 5(K-1)..6(K-1) band"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("N", "K", "msgs/CS", "5(K-1)", "6(K-1)",
-		"request", "reply", "transfer", "fail", "inquire", "yield", "release")
-	for _, r := range rows {
-		tab.AddRow(r.N, r.K, r.MsgsPerCS, r.Low, r.High,
-			r.ByKind[mutex.KindRequest], r.ByKind[mutex.KindReply], r.ByKind[mutex.KindTransfer],
-			r.ByKind[mutex.KindFail], r.ByKind[mutex.KindInquire], r.ByKind[mutex.KindYield],
-			r.ByKind[mutex.KindRelease])
-	}
-	return tab.Render(w)
 }
 
 // CaseHistogram aggregates the §5.2 case classification of every arrival at
@@ -202,27 +160,6 @@ func HeavyLoadCases(n, perSite int, seed int64, delay sim.Delay) (CaseHistogram,
 	return hist, nil
 }
 
-// RenderCaseHistogram writes the §5.2 case frequencies.
-func RenderCaseHistogram(h CaseHistogram, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "E3b (§5.2): case frequencies at locked arbiters (N=%d)\n", h.N); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("case", "description", "count", "share")
-	desc := [6]string{
-		"", "queue empty, loses to lock", "wins lock and head (inquire path)",
-		"loses to head", "displaces winning head", "beats head, loses to lock",
-	}
-	total := h.Cases.Total()
-	for i := 1; i <= 5; i++ {
-		share := 0.0
-		if total > 0 {
-			share = float64(h.Cases.Case[i]) / float64(total) * 100
-		}
-		tab.AddRow(i, desc[i], h.Cases.Case[i], fmt.Sprintf("%.1f%%", share))
-	}
-	return tab.Render(w)
-}
-
 // --- E4: sync delay T vs 2T ---------------------------------------------------
 
 // SyncDelayRow compares the handover delay of the proposed algorithm and
@@ -238,33 +175,37 @@ type SyncDelayRow struct {
 func SyncDelay(ns []int, seed int64) ([]SyncDelayRow, error) {
 	rows := make([]SyncDelayRow, 0, len(ns))
 	for _, n := range ns {
-		ours, err := Run(Spec{N: n, Algorithm: core.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed})
+		ours, mk, err := versusMaekawa(Spec{N: n, Load: Heavy, PerSite: 10, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		row := SyncDelayRow{N: n, Proposed: ours.SyncDelay, Maekawa: mk.SyncDelay}
-		if row.Proposed > 0 {
-			row.Ratio = row.Maekawa / row.Proposed
-		}
-		rows = append(rows, row)
+		rows = append(rows, SyncDelayRow{
+			N: n, Proposed: ours.SyncDelay, Maekawa: mk.SyncDelay,
+			Ratio: ratio(mk.SyncDelay, ours.SyncDelay),
+		})
 	}
 	return rows, nil
 }
 
-// RenderSyncDelay writes the E4 table.
-func RenderSyncDelay(rows []SyncDelayRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E4 (§5.2): synchronization delay under heavy load (units of T)"); err != nil {
-		return err
+// versusMaekawa runs spec twice: under the delay-optimal protocol and under
+// Maekawa's, which is the same machine with the hand-off routed through the
+// arbiter. Spec's Algorithm is ignored.
+func versusMaekawa(spec Spec) (ours, mk sim.Result, err error) {
+	spec.Algorithm = core.Algorithm{}
+	if ours, err = Run(spec); err != nil {
+		return ours, mk, err
 	}
-	tab := metrics.NewTable("N", "delay-optimal", "maekawa", "maekawa/proposed")
-	for _, r := range rows {
-		tab.AddRow(r.N, r.Proposed, r.Maekawa, r.Ratio)
+	spec.Algorithm = core.Algorithm{Handoff: core.ViaArbiter}
+	mk, err = Run(spec)
+	return ours, mk, err
+}
+
+// ratio returns a/b, or 0 when b is not positive.
+func ratio(a, b float64) float64 {
+	if b > 0 {
+		return a / b
 	}
-	return tab.Render(w)
+	return 0
 }
 
 // --- E5: throughput and waiting time -----------------------------------------
@@ -286,44 +227,21 @@ type ThroughputRow struct {
 func Throughput(n int, csTimes []sim.Time, seed int64) ([]ThroughputRow, error) {
 	rows := make([]ThroughputRow, 0, len(csTimes))
 	for _, e := range csTimes {
-		ours, err := Run(Spec{N: n, Algorithm: core.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed, CSTime: e})
+		ours, mk, err := versusMaekawa(Spec{N: n, Load: Heavy, PerSite: 10, Seed: seed, CSTime: e})
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed, CSTime: e})
-		if err != nil {
-			return nil, err
-		}
-		row := ThroughputRow{
+		rows = append(rows, ThroughputRow{
 			CSTime:        e,
 			ProposedTput:  ours.Throughput,
 			MaekawaTput:   mk.Throughput,
+			TputRatio:     ratio(ours.Throughput, mk.Throughput),
 			ProposedWaitT: ours.WaitingTime,
 			MaekawaWaitT:  mk.WaitingTime,
-		}
-		if mk.Throughput > 0 {
-			row.TputRatio = ours.Throughput / mk.Throughput
-		}
-		if mk.WaitingTime > 0 {
-			row.WaitRatio = ours.WaitingTime / mk.WaitingTime
-		}
-		rows = append(rows, row)
+			WaitRatio:     ratio(ours.WaitingTime, mk.WaitingTime),
+		})
 	}
 	return rows, nil
-}
-
-// RenderThroughput writes the E5 table.
-func RenderThroughput(rows []ThroughputRow, n int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "E5 (§5.2): heavy-load throughput and waiting time (N=%d)\n", n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("E (CS time)", "proposed CS/T", "maekawa CS/T", "tput ratio",
-		"proposed wait (T)", "maekawa wait (T)", "wait ratio")
-	for _, r := range rows {
-		tab.AddRow(int64(r.CSTime), r.ProposedTput, r.MaekawaTput, r.TputRatio,
-			r.ProposedWaitT, r.MaekawaWaitT, r.WaitRatio)
-	}
-	return tab.Render(w)
 }
 
 // --- E6: quorum sizes (§6, §5.3) -----------------------------------------------
@@ -363,18 +281,6 @@ func QuorumSizes(ns []int) ([]QuorumSizeRow, error) {
 	return rows, nil
 }
 
-// RenderQuorumSizes writes the E6 table.
-func RenderQuorumSizes(rows []QuorumSizeRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E6 (§6/§5.3): quorum size K by construction"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("construction", "N", "avg K", "max K", "sqrt(N)", "log2(N)")
-	for _, r := range rows {
-		tab.AddRow(r.Construction, r.N, r.Avg, r.Max, r.SqrtN, r.Log2N)
-	}
-	return tab.Render(w)
-}
-
 // --- E7: availability (§6 resiliency) ------------------------------------------
 
 // AvailabilityRow records quorum availability of one construction at one
@@ -399,18 +305,6 @@ func Availability(n int, ps []float64, trials int, seed int64) []AvailabilityRow
 		}
 	}
 	return rows
-}
-
-// RenderAvailability writes the E7 table.
-func RenderAvailability(rows []AvailabilityRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E7 (§6): quorum availability vs per-site up-probability p"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("construction", "N", "p", "availability")
-	for _, r := range rows {
-		tab.AddRow(r.Construction, r.N, fmt.Sprintf("%.2f", r.P), fmt.Sprintf("%.4f", r.Availability))
-	}
-	return tab.Render(w)
 }
 
 // --- E8: crash recovery ---------------------------------------------------------
@@ -446,18 +340,6 @@ func CrashRecovery(n, perSite, crashes int, seed int64) (CrashRecoveryRow, error
 		TotalMsgs:   res.TotalMessages,
 		MsgsPerCS:   res.MessagesPerCS,
 	}, nil
-}
-
-// RenderCrashRecovery writes the E8 table.
-func RenderCrashRecovery(rows []CrashRecoveryRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E8 (§6): crash recovery with tree quorums"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("N", "crashes", "completed", "issued target", "failure msgs", "msgs/CS")
-	for _, r := range rows {
-		tab.AddRow(r.N, r.Crashes, r.Completed, r.Expected, r.FailureMsgs, r.MsgsPerCS)
-	}
-	return tab.Render(w)
 }
 
 // --- E13: scalability ------------------------------------------------------------
@@ -504,18 +386,6 @@ func Scalability(ns []int, seed int64) ([]ScalabilityRow, error) {
 	return rows, nil
 }
 
-// RenderScalability writes the E13 table.
-func RenderScalability(rows []ScalabilityRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E13: scalability of the delay-optimal protocol (heavy load)"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("coterie", "N", "avg K", "msgs/CS", "sync delay (T)", "wait p99 (T)")
-	for _, r := range rows {
-		tab.AddRow(r.Construction, r.N, r.K, r.MsgsPerCS, r.SyncDelay, r.WaitP99)
-	}
-	return tab.Render(w)
-}
-
 // --- E12: delay-distribution sensitivity ----------------------------------------
 
 // DelaySensitivityRow compares handover delays under one delay distribution.
@@ -540,33 +410,16 @@ func DelaySensitivity(n int, seed int64) ([]DelaySensitivityRow, error) {
 	}
 	rows := make([]DelaySensitivityRow, 0, len(dists))
 	for _, d := range dists {
-		ours, err := Run(Spec{N: n, Algorithm: core.Algorithm{}, Load: Heavy, PerSite: 10, Seed: seed, Delay: d.delay})
+		ours, mk, err := versusMaekawa(Spec{N: n, Load: Heavy, PerSite: 10, Seed: seed, Delay: d.delay})
 		if err != nil {
 			return nil, err
 		}
-		mk, err := Run(Spec{N: n, Algorithm: core.Algorithm{Handoff: core.ViaArbiter}, Load: Heavy, PerSite: 10, Seed: seed, Delay: d.delay})
-		if err != nil {
-			return nil, err
-		}
-		row := DelaySensitivityRow{Distribution: d.name, Proposed: ours.SyncDelay, Maekawa: mk.SyncDelay}
-		if row.Proposed > 0 {
-			row.Ratio = row.Maekawa / row.Proposed
-		}
-		rows = append(rows, row)
+		rows = append(rows, DelaySensitivityRow{
+			Distribution: d.name, Proposed: ours.SyncDelay, Maekawa: mk.SyncDelay,
+			Ratio: ratio(mk.SyncDelay, ours.SyncDelay),
+		})
 	}
 	return rows, nil
-}
-
-// RenderDelaySensitivity writes the E12 table.
-func RenderDelaySensitivity(rows []DelaySensitivityRow, n int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "E12: sync delay under different delay distributions (N=%d, units of mean T)\n", n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("distribution", "delay-optimal", "maekawa", "ratio")
-	for _, r := range rows {
-		tab.AddRow(r.Distribution, r.Proposed, r.Maekawa, r.Ratio)
-	}
-	return tab.Render(w)
 }
 
 // --- E11: communication link failures ------------------------------------------
@@ -585,44 +438,21 @@ type LinkFailureRow struct {
 // around the unreachable peer (E11 — the paper's "resiliency to site and
 // communication link failures").
 func LinkFailures(n, perSite, cuts int, seed int64) (LinkFailureRow, error) {
-	c, err := sim.NewCluster(sim.Config{
-		N:         n,
-		Algorithm: core.Algorithm{Construction: coterie.Tree{}},
-		Delay:     sim.ConstantDelay{D: DefaultDelay},
-		Seed:      seed,
-		CSTime:    DefaultCSTime,
-	})
+	spec := Spec{N: n, Algorithm: core.Algorithm{Construction: coterie.Tree{}}, Load: Heavy, PerSite: perSite, Seed: seed}
+	for i := 0; i < cuts; i++ {
+		// Sever links between distinct leaf-side sites and inner nodes.
+		spec.Cuts = append(spec.Cuts, LinkCut{At: sim.Time(1500 * (i + 1)), A: mutex.SiteID(n - 1 - i), B: mutex.SiteID(1 + i%2)})
+	}
+	res, err := Run(spec)
 	if err != nil {
 		return LinkFailureRow{}, err
 	}
-	workload.Saturated(c, perSite)
-	// Sever links between distinct leaf-side sites and inner nodes.
-	for i := 0; i < cuts; i++ {
-		a := mutex.SiteID(n - 1 - i)
-		b := mutex.SiteID(1 + i%2)
-		c.CutLinkAt(sim.Time(1500*(i+1)), a, b)
-	}
-	c.Run(0)
-	if err := c.Err(); err != nil {
-		return LinkFailureRow{}, err
-	}
-	row := LinkFailureRow{N: n, Cuts: cuts, Completed: c.Completed(), Expected: n * perSite}
-	if row.Completed > 0 {
-		row.MsgsPerCS = float64(c.Net.Total()) / float64(row.Completed)
-	}
-	return row, nil
-}
-
-// RenderLinkFailures writes the E11 table.
-func RenderLinkFailures(rows []LinkFailureRow, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "E11 (§6): communication link failures with tree quorums"); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("N", "links cut", "completed", "target", "msgs/CS")
-	for _, r := range rows {
-		tab.AddRow(r.N, r.Cuts, r.Completed, r.Expected, r.MsgsPerCS)
-	}
-	return tab.Render(w)
+	return LinkFailureRow{
+		N: n, Cuts: cuts,
+		Completed: res.Completed,
+		Expected:  n * perSite,
+		MsgsPerCS: res.MessagesPerCS,
+	}, nil
 }
 
 // --- E9: load sweep --------------------------------------------------------------
@@ -656,18 +486,6 @@ func LoadSweep(n int, thinks []sim.Time, seed int64) ([]LoadSweepRow, error) {
 	return rows, nil
 }
 
-// RenderLoadSweep writes the E9 series.
-func RenderLoadSweep(rows []LoadSweepRow, n int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "E9 (§5): load sweep via mean think time (N=%d)\n", n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("think time", "msgs/CS", "sync delay (T)", "waiting (T)", "response (T)")
-	for _, r := range rows {
-		tab.AddRow(int64(r.ThinkTime), r.MsgsPerCS, r.SyncDelay, r.WaitingT, r.ResponseT)
-	}
-	return tab.Render(w)
-}
-
 // --- E10: quorum independence ------------------------------------------------------
 
 // IndependenceRow records the protocol's behaviour over one coterie.
@@ -699,16 +517,4 @@ func QuorumIndependence(n int, seed int64) ([]IndependenceRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderQuorumIndependence writes the E10 table.
-func RenderQuorumIndependence(rows []IndependenceRow, n int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "E10 (§3): delay-optimal protocol across coteries (N=%d)\n", n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("construction", "avg K", "msgs/CS", "sync delay (T)")
-	for _, r := range rows {
-		tab.AddRow(r.Construction, r.K, r.MsgsPerCS, r.SyncDelay)
-	}
-	return tab.Render(w)
 }

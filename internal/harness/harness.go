@@ -1,8 +1,8 @@
-// Package harness runs the paper's experiments (E1–E10 in DESIGN.md) on the
-// discrete-event simulator and renders the same tables and series the paper
-// reports. Every public experiment function returns typed rows so both the
-// benchmarks (bench_test.go) and the CLI (cmd/benchtab) can regenerate the
-// evaluation.
+// Package harness runs the paper's experiments (E1–E13 and M1 in DESIGN.md)
+// on the discrete-event simulator. Every public experiment function returns
+// typed rows, which the tests and the benchmarks (bench_test.go) assert on;
+// Evaluation lists the tables of evaluation.txt in order, each rendering
+// one runner's rows, and cmd/benchtab prints them.
 package harness
 
 import (
@@ -61,12 +61,21 @@ type Spec struct {
 	// Crashes are the sites stopped during the run; survivors learn of each
 	// after the simulator's failure-detection delay and run §6 recovery.
 	Crashes []Crash
+	// Cuts are the links severed during the run; after the detection delay
+	// each endpoint suspects the other and reroutes its quorum around it.
+	Cuts []LinkCut
 }
 
 // Crash stops Site at virtual time At.
 type Crash struct {
 	At   sim.Time
 	Site mutex.SiteID
+}
+
+// LinkCut severs the link between A and B at virtual time At.
+type LinkCut struct {
+	At   sim.Time
+	A, B mutex.SiteID
 }
 
 // Run executes one simulation and returns its metrics. Any safety or
@@ -99,6 +108,9 @@ func Run(spec Spec) (sim.Result, error) {
 	}
 	for _, cr := range spec.Crashes {
 		c.CrashAt(cr.At, cr.Site)
+	}
+	for _, l := range spec.Cuts {
+		c.CutLinkAt(l.At, l.A, l.B)
 	}
 	c.Run(0)
 	if err := c.Err(); err != nil {

@@ -258,77 +258,23 @@ func TestQuorumIndependenceAllConstructions(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	var b strings.Builder
-	t1, err := Table1(9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderTable1(t1, 9, &b); err != nil {
-		t.Fatal(err)
-	}
-	ll, err := LightLoad([]int{9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderLightLoad(ll, &b); err != nil {
-		t.Fatal(err)
-	}
-	hl, err := HeavyLoad([]int{9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderHeavyLoad(hl, &b); err != nil {
-		t.Fatal(err)
-	}
-	sd, err := SyncDelay([]int{9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderSyncDelay(sd, &b); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := Throughput(9, []sim.Time{10}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderThroughput(tp, 9, &b); err != nil {
-		t.Fatal(err)
-	}
-	qs, err := QuorumSizes([]int{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderQuorumSizes(qs, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderAvailability(Availability(9, []float64{0.9}, 100, 1), &b); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := CrashRecovery(15, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderCrashRecovery([]CrashRecoveryRow{cr}, &b); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := LoadSweep(9, []sim.Time{1000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderLoadSweep(ls, 9, &b); err != nil {
-		t.Fatal(err)
-	}
-	qi, err := QuorumIndependence(9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RenderQuorumIndependence(qi, 9, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Table 1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered output missing %q", want)
+	p := Params{Seed: 1, N: 9, Trials: 100}
+	for _, e := range Evaluation() {
+		tab, err := e.Table(p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		var b strings.Builder
+		if err := tab.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+		// Title, header, rule and at least one row.
+		lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+		if tab.Title == "" || lines[0] != tab.Title {
+			t.Errorf("%s: table has no title:\n%s", e.ID, b.String())
+		}
+		if len(lines) < 4 {
+			t.Errorf("%s: table has no rows:\n%s", e.ID, b.String())
 		}
 	}
 }

@@ -2,10 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 
-	"dqmx/internal/metrics"
 	"dqmx/internal/sim"
 )
 
@@ -19,14 +17,24 @@ type Aggregate struct {
 	Runs int
 }
 
+// aggregate computes the mean, the sample standard deviation and the 95%
+// confidence half-width of xs. A single run has no spread: its Std and CI95
+// are 0. The mean is a running mean, not sum/n: evaluation.txt was made with
+// it, and one multi-seed cell is a tie at three decimals (suzuki-kasami's
+// msgs/CS, exactly 24.5375) that the running mean prints as 24.537 and
+// sum/n as 24.538.
 func aggregate(xs []float64) Aggregate {
-	var s metrics.Summary
-	for _, x := range xs {
-		s.Add(x)
+	a := Aggregate{Runs: len(xs)}
+	for i, x := range xs {
+		a.Mean += (x - a.Mean) / float64(i+1)
 	}
-	a := Aggregate{Mean: s.Mean(), Std: s.Std(), Runs: s.N()}
-	if s.N() > 1 {
-		a.CI95 = 1.96 * s.Std() / math.Sqrt(float64(s.N()))
+	if len(xs) > 1 {
+		var ss float64
+		for _, x := range xs {
+			ss += (x - a.Mean) * (x - a.Mean)
+		}
+		a.Std = math.Sqrt(ss / float64(len(xs)-1))
+		a.CI95 = 1.96 * a.Std / math.Sqrt(float64(len(xs)))
 	}
 	return a
 }
@@ -73,16 +81,4 @@ func RunMany(n, perSite, seeds int) ([]MultiSeedRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// RenderMultiSeed writes the cross-seed table.
-func RenderMultiSeed(rows []MultiSeedRow, n, seeds int, w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "Table 1 (multi-seed): mean ± 95%% CI over %d seeds (N=%d, heavy load)\n", seeds, n); err != nil {
-		return err
-	}
-	tab := metrics.NewTable("algorithm", "msgs/CS", "sync delay (T)", "throughput (CS/T)")
-	for _, r := range rows {
-		tab.AddRow(r.Algorithm, r.MsgsPerCS.String(), r.SyncDelayT.String(), r.Throughput.String())
-	}
-	return tab.Render(w)
 }
