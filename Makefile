@@ -131,7 +131,8 @@ modelcheck-soak: modelcheck
 # through a loopback socket into Deliver, one steady-state TCPPeer.Send
 # through a destination's write role onto a loopback socket, one session
 # critical section, client and arbiter together, one simulated critical section (allocations
-# and bytes, over 10 000 CS) and the summary of that run, and a first
+# and bytes, over 10 000 CS) and the summary of that run, the simulator's
+# 24-byte CS record and Records()' one copy of it per CS, and a first
 # Lock(name) at a 9-site TCP peer. Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:

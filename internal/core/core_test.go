@@ -118,7 +118,7 @@ func TestLightLoadResponseTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range c.Records() {
-		if got, want := r.Exited-r.Requested, 2*meanDelay+200; got != want {
+		if got, want := r.Entered+c.CSTime()-r.Requested, 2*meanDelay+200; got != want {
 			t.Fatalf("response time = %d, want %d (2T+E)", got, want)
 		}
 	}

@@ -40,7 +40,7 @@ func TestAllAlgorithmsNonOverlappingSchedules(t *testing.T) {
 					t.Fatalf("seed %d: %d records, want %d", seed, len(recs), n*perSite)
 				}
 				for i := 1; i < len(recs); i++ {
-					if recs[i].Entered < recs[i-1].Exited {
+					if recs[i].Entered < recs[i-1].Entered+c.CSTime() {
 						t.Fatalf("seed %d: CS overlap: %+v then %+v", seed, recs[i-1], recs[i])
 					}
 				}

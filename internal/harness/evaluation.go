@@ -36,7 +36,7 @@ func Evaluation() []Experiment {
 	return []Experiment{
 		{ID: "e1", Table: func(p Params) (*Table, error) {
 			rows, err := Table1(p.N, p.Seed)
-			return tabulate(rows, err, fmt.Sprintf("Table 1: message complexity and synchronization delay (N=%d)", p.N),
+			return tabulate(rows, err, fmt.Sprintf("Table 1: message complexity and synchronization delay (N=%d, constant delay T)", p.N),
 				[]string{"algorithm", "theory msgs", "theory delay", "light msgs/CS", "heavy msgs/CS", "sync delay (T)"},
 				func(r Table1Row) []any {
 					return []any{r.Algorithm, r.TheoryMsgs, r.TheoryDelay, r.LightMsgs, r.HeavyMsgs, r.SyncDelayT}
@@ -160,7 +160,7 @@ func Evaluation() []Experiment {
 			const seeds = 10
 			rows, err := RunMany(p.N, 8, seeds)
 			return tabulate(rows, err,
-				fmt.Sprintf("Table 1 (multi-seed): mean ± 95%% CI over %d seeds (N=%d, heavy load)", seeds, p.N),
+				fmt.Sprintf("Table 1 (multi-seed): mean ± 95%% CI over %d seeds (N=%d, heavy load, exponential delays, mean T)", seeds, p.N),
 				[]string{"algorithm", "msgs/CS", "sync delay (T)", "throughput (CS/T)"},
 				func(r MultiSeedRow) []any {
 					return []any{r.Algorithm, r.MsgsPerCS.String(), r.SyncDelayT.String(), r.Throughput.String()}

@@ -73,7 +73,7 @@ func TestLightLoadResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range c.Records() {
-		if got, want := r.Exited-r.Requested, 2*meanDelay+100; got != want {
+		if got, want := r.Entered+c.CSTime()-r.Requested, 2*meanDelay+100; got != want {
 			t.Fatalf("response = %d, want %d", got, want)
 		}
 	}

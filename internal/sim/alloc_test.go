@@ -5,6 +5,7 @@ package sim_test
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
@@ -19,7 +20,7 @@ import (
 // per-site and per-channel state is in slices, and the kernel's event heap
 // and envelope slab have reached their high-water size, so the chunks are
 // about 3 B per CS and 0.0002 allocations. A closure per CS would cost one
-// allocation each; a 32-byte record per CS, 32 B. It then pins Summarize on
+// allocation each; a 24-byte record per CS, 24 B. It then pins Summarize on
 // the 12 000 completed CS below 1 B each: the percentiles keep about one
 // value in a hundred, where a sorted copy would cost 8 B per CS.
 // Not under -race: the detector allocates on its own account.
@@ -63,5 +64,46 @@ func TestAllocsSimCS(t *testing.T) {
 	t.Logf("Summarize: %.2f B per completed CS over %d", summary, c.Completed())
 	if summary >= 1 {
 		t.Errorf("Summarize allocated %.2f B per completed CS, budget below 1", summary)
+	}
+}
+
+// TestAllocsSimRecords pins the size of a CS record, {Site, Requested,
+// Entered} with the exit derived from Entered and CSTime, at 24 bytes, and
+// what Records() costs: one slice of one record per completed CS, 24 B each.
+// The run completes 9 216 CS, so the slice is a whole number of pages and no
+// rounding hides a byte. Not under -race: the detector allocates on its own
+// account.
+func TestAllocsSimRecords(t *testing.T) {
+	if got := unsafe.Sizeof(sim.CSRecord{}); got != 24 {
+		t.Errorf("a CSRecord is %d bytes, want 24", got)
+	}
+	c, err := sim.NewCluster(sim.Config{
+		N: 9, Algorithm: core.Algorithm{Construction: coterie.Grid{}},
+		Delay: sim.ConstantDelay{D: 1000}, Seed: 1, CSTime: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.Saturated(c, 1024)
+	c.Run(0)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Completed()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs := c.Records()
+	runtime.ReadMemStats(&after)
+	if len(recs) != n {
+		t.Fatalf("%d records for %d completed CS", len(recs), n)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("Records(): %d allocations, %.2f B per completed CS over %d", allocs, bytes, n)
+	if allocs != 1 {
+		t.Errorf("Records() made %d allocations, want 1", allocs)
+	}
+	if bytes > 24 {
+		t.Errorf("Records() allocated %.2f B per completed CS, want at most 24", bytes)
 	}
 }

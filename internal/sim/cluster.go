@@ -35,12 +35,12 @@ type Config struct {
 }
 
 // CSRecord captures the lifecycle of one completed critical-section
-// execution.
+// execution. Its exit is not stored: a site leaves the CS exactly CSTime
+// after it entered, at Entered + Cluster.CSTime().
 type CSRecord struct {
 	Site      mutex.SiteID
 	Requested Time
 	Entered   Time
-	Exited    Time
 }
 
 // ErrSafetyViolation is wrapped by Cluster.Err when two sites ever held the
@@ -80,7 +80,7 @@ type Cluster struct {
 	exits      []func() // per site: its exit callback, bound once
 	// log holds one entry per CS entry, in entry order, as three uvarints:
 	// the site, Entered minus the previous entry's Entered (kernel time never
-	// goes backwards) and Entered minus Requested. Exited is not stored: a
+	// goes backwards) and Entered minus Requested. The exit is not stored: a
 	// site's exit runs exactly CSTime after its entry. The chunks are
 	// logChunk bytes; a new one starts when fewer than entryMax are left.
 	log         [][]byte
@@ -352,7 +352,7 @@ func (c *Cluster) completedRecords() iter.Seq[CSRecord] {
 				if c.current[s] == i {
 					continue
 				}
-				r := CSRecord{Site: s, Requested: entered - Time(wait), Entered: entered, Exited: entered + c.cfg.CSTime}
+				r := CSRecord{Site: s, Requested: entered - Time(wait), Entered: entered}
 				if !yield(r) {
 					return
 				}
@@ -419,18 +419,19 @@ func (c *Cluster) Summarize() Result {
 		res.MessagesPerCS = float64(res.TotalMessages) / float64(c.completed)
 	}
 	t := float64(c.Net.MeanDelay())
+	cs := c.cfg.CSTime
 	var (
 		syncSum, respSum, waitSum float64
 		syncN, n                  int
 		first, prev               CSRecord // the first and the previous completed record
 	)
 	for r := range c.completedRecords() {
-		respSum += float64(r.Exited - r.Requested)
+		respSum += float64(r.Entered + cs - r.Requested)
 		waitSum += float64(r.Entered - r.Requested)
 		if n == 0 {
 			first = r
-		} else if r.Requested <= prev.Exited && r.Entered >= prev.Exited {
-			syncSum += float64(r.Entered - prev.Exited)
+		} else if prevExit := prev.Entered + cs; r.Requested <= prevExit && r.Entered >= prevExit {
+			syncSum += float64(r.Entered - prevExit)
 			syncN++
 		}
 		prev = r
@@ -448,9 +449,9 @@ func (c *Cluster) Summarize() Result {
 				}
 			}
 		}, n)
-		res.ResponseP99 = float64(wait99+c.cfg.CSTime) / t
+		res.ResponseP99 = float64(wait99+cs) / t
 		res.WaitingP99 = float64(wait99) / t
-		span := float64(prev.Exited - first.Requested)
+		span := float64(prev.Entered + cs - first.Requested)
 		if span > 0 {
 			res.Throughput = float64(c.completed) / span * t
 		}

@@ -11,6 +11,7 @@ import (
 
 	"dqmx/internal/core"
 	"dqmx/internal/coterie"
+	"dqmx/internal/mutex"
 	"dqmx/internal/sim"
 	"dqmx/internal/workload"
 )
@@ -24,6 +25,7 @@ import (
 var goldenRuns = []struct {
 	name  string
 	build func() (*sim.Cluster, error)
+	cut   int // CS entries a crash cuts short
 	want  string
 }{
 	{
@@ -54,6 +56,7 @@ var goldenRuns = []struct {
 			}
 			return c, err
 		},
+		cut:  1,
 		want: "delay-optimal(ae-tree) n=15 completed=1312 total=32273 fail=6927 failure=25 release=6908 reply=7281 request=7016 transfer=4111 yield=5 msgs/cs=24.598323170731707 sync=1.5083066361556063 resp=16.194912347560976 resp99=72.48 wait=16.184912347560974 wait99=72.47 tput=0.6581356501848499 samples=1311 records=1312/bb9f6e6b68c7c094",
 	},
 	{
@@ -99,6 +102,7 @@ var goldenRuns = []struct {
 			}
 			return c, err
 		},
+		cut:  1,
 		want: "delay-optimal(ae-tree) n=15 completed=283 total=4437 fail=880 failure=13 release=884 reply=1032 request=921 transfer=705 yield=2 msgs/cs=15.678445229681978 sync=1.54422166730067 resp=21.617086825936482 resp99=63.4615337557625 wait=21.28375349260315 wait99=63.12820042242917 tput=0.5309365790209002 samples=282 records=283/02b3a55796b626a8",
 	},
 }
@@ -120,6 +124,50 @@ func TestGoldenResults(t *testing.T) {
 		}
 		if got := fingerprint(c); got != run.want {
 			t.Errorf("%s:\n got  %s\n want %s", run.name, got, run.want)
+		}
+	}
+}
+
+// TestExitIsEnteredPlusCSTime checks what a CSRecord relies on to leave its
+// exit out: in every golden run, the i-th OnExit is the i-th record's site
+// leaving the CS at that record's Entered + CSTime, and there are as many
+// records as exits. A CS cut short by a crash never exits, so a record for
+// it would break the count or shift every later pair; the two crash runs
+// each cut one.
+func TestExitIsEnteredPlusCSTime(t *testing.T) {
+	type exit struct {
+		site mutex.SiteID
+		at   sim.Time
+	}
+	for _, run := range goldenRuns {
+		c, err := run.build()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		var exits []exit
+		next := c.OnExit
+		c.OnExit = func(c *sim.Cluster, s mutex.SiteID) {
+			exits = append(exits, exit{s, c.Kernel.Now()})
+			if next != nil {
+				next(c, s)
+			}
+		}
+		c.Run(0)
+		if err := c.Err(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		recs := c.Records()
+		if len(recs) != len(exits) {
+			t.Fatalf("%s: %d records for %d exits", run.name, len(recs), len(exits))
+		}
+		for i, r := range recs {
+			if e := exits[i]; e.site != r.Site || e.at != r.Entered+c.CSTime() {
+				t.Fatalf("%s: exit %d is site %d at %d, record %+v exits at %d",
+					run.name, i, e.site, e.at, r, r.Entered+c.CSTime())
+			}
+		}
+		if cut := sim.CutEntries(c); cut != run.cut {
+			t.Errorf("%s: %d CS cut short by a crash, want %d", run.name, cut, run.cut)
 		}
 	}
 }
@@ -159,7 +207,7 @@ func fingerprint(c *sim.Cluster) string {
 		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(rec.Site))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Requested))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Entered))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Exited))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Entered+c.CSTime()))
 		h.Write(buf)
 	}
 	fmt.Fprintf(&b, " records=%d/%016x", len(recs), h.Sum64())

@@ -58,7 +58,8 @@ const (
 	// ackGrace is how long a receiver waits for reverse traffic to piggyback
 	// an ack before flushing a standalone ack frame.
 	ackGrace = 2 * time.Millisecond
-	// relTick is the period of the combined retransmit/ack-flush loop.
+	// relTick is the period of the combined retransmit/ack-flush loop while
+	// it has work (see reliable.timer).
 	relTick = 2 * time.Millisecond
 )
 
@@ -120,6 +121,14 @@ type reliable struct {
 	dead map[mutex.SiteID]bool
 	rng  uint64 // jitter state, guarded by mu
 
+	// timer paces the flush loop. Each pass re-arms it, unless the pass
+	// left nothing unacknowledged and no ack owed: then it sets parked
+	// instead, and the next sequenced send or owed ack re-arms it under mu
+	// (wakeLocked), so an idle endpoint never wakes. Close clears parked for
+	// good.
+	timer  clock.Timer
+	parked bool // guarded by mu
+
 	// Scratch of flush, which only the loop goroutine runs: what one pass
 	// collects under mu and sends after releasing it. Emptied after use, so
 	// a quiet layer pins no message.
@@ -144,6 +153,7 @@ func newReliable(deliver func(env mutex.Envelope) error, sink obs.Sink, clk cloc
 		in:      make(map[streamID]*recvStream),
 		dead:    make(map[mutex.SiteID]bool),
 		rng:     uint64(clk.Now().UnixNano()) | 1,
+		timer:   clk.NewTimer(relTick),
 		stopC:   make(chan struct{}),
 		doneC:   make(chan struct{}),
 	}
@@ -290,6 +300,7 @@ func (r *reliable) prepare(env *mutex.Envelope) bool {
 		env: *env,
 		due: r.clock.Now().Add(r.backoffLocked(0)),
 	})
+	r.wakeLocked()
 	return true
 }
 
@@ -379,6 +390,17 @@ func (r *reliable) noteAckLocked(rs *recvStream) {
 	if !rs.ackDue {
 		rs.ackDue = true
 		rs.ackAt = r.clock.Now().Add(ackGrace)
+		r.wakeLocked()
+	}
+}
+
+// wakeLocked re-arms a parked flush loop: the layer has just gone from idle
+// to owing a retransmission check or an ack. It never blocks; the caller
+// holds r.mu.
+func (r *reliable) wakeLocked() {
+	if r.parked {
+		r.parked = false
+		r.timer.Reset(relTick)
 	}
 }
 
@@ -414,18 +436,20 @@ func (r *reliable) backoffLocked(attempt uint) time.Duration {
 	return time.Duration(float64(d) * (0.75 + 0.5*r.randLocked()))
 }
 
-// loop retransmits overdue envelopes and flushes idle acks every relTick,
-// re-arming before each pass as a ticker would.
+// loop retransmits overdue envelopes and flushes idle acks every relTick
+// while the layer is busy (flush re-arms the timer) and sleeps while it is
+// idle.
 func (r *reliable) loop() {
 	defer close(r.doneC)
-	t := r.clock.NewTimer(relTick)
-	defer t.Stop()
 	for {
 		select {
-		case <-t.C():
-			t.Reset(relTick)
+		case <-r.timer.C():
 			r.flush()
 		case <-r.stopC:
+			r.mu.Lock()
+			r.parked = false // never re-armed after Close
+			r.timer.Stop()
+			r.mu.Unlock()
 			return
 		}
 	}
@@ -434,13 +458,17 @@ func (r *reliable) loop() {
 // flush collects due retransmissions and standalone acks under the lock
 // into one batch, then puts it on the wire outside it (the raw sender may
 // deliver inline), so each destination gets one enqueue per pass. Events are
-// built only for a sink that will receive them.
+// built only for a sink that will receive them. The pass re-arms the loop's
+// timer while anything is left to retransmit or acknowledge, and parks the
+// loop otherwise.
 func (r *reliable) flush() {
 	now := r.clock.Now()
 	batch, events := r.batch[:0], r.events[:0]
+	busy := false
 	r.mu.Lock()
 	sink := r.sink
 	for id, ss := range r.out {
+		busy = busy || len(ss.unacked) > 0
 		for i := range ss.unacked {
 			p := &ss.unacked[i]
 			if now.Before(p.due) {
@@ -465,7 +493,11 @@ func (r *reliable) flush() {
 		}
 	}
 	for id, rs := range r.in {
-		if !rs.ackDue || now.Before(rs.ackAt) {
+		if !rs.ackDue {
+			continue
+		}
+		if now.Before(rs.ackAt) {
+			busy = true
 			continue
 		}
 		rs.ackDue = false
@@ -475,6 +507,11 @@ func (r *reliable) flush() {
 				Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: obs.Now(),
 			})
 		}
+	}
+	if busy {
+		r.timer.Reset(relTick)
+	} else {
+		r.parked = true
 	}
 	r.mu.Unlock()
 	for _, e := range events {

@@ -34,7 +34,7 @@ func TestSequentialIssuesTotalRequests(t *testing.T) {
 	// every record is fully sequential in time.
 	recs := c.Records()
 	for i := 1; i < len(recs); i++ {
-		if recs[i].Requested < recs[i-1].Exited {
+		if recs[i].Requested < recs[i-1].Entered+c.CSTime() {
 			t.Fatalf("sequential workload overlapped: %+v then %+v", recs[i-1], recs[i])
 		}
 	}
