@@ -13,9 +13,9 @@ GO ?= go
 # gofmt would rewrite; wirecheck on a wire codec outside the live stack;
 # clockcheck on a live-runtime timer or time reading outside internal/clock;
 # avoidcheck on a §6 avoiding rule applied outside the membership plan;
-# hostcheck on a lock instance told of a crash or a membership stage
-# outside the transport's per-site host; ordercheck on a timestamp order
-# rule stated outside the conformance ledger.
+# hostcheck on a lock instance built, or told of a crash or a membership
+# stage, outside the transport's per-site host; ordercheck on a timestamp
+# order rule stated outside the conformance ledger.
 check: fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet build apicheck tablescheck race chaos modelcheck allocs bench-smoke
 
 fmtcheck:
@@ -55,10 +55,13 @@ avoidcheck:
 # internal/transport's host, so each of those rules is written once. It
 # fails, naming the lines, on a failureEnvelope( or SetMembership( call in
 # non-test internal/transport Go outside host.go and node.go (whose
-# Node.Reconfigure runs the swap on the node's loop).
+# Node.Reconfigure runs the swap on the node's loop), and on a newNode( call
+# there outside host.go (node.go only declares it).
 hostcheck:
 	@! git grep -n --untracked -E '(failureEnvelope|SetMembership)\(' -- 'internal/transport/*.go' ':!*_test.go' \
 		':!internal/transport/host.go' ':!internal/transport/node.go'
+	@! git grep -n --untracked -E '\bnewNode\(' -- 'internal/transport/*.go' ':!*_test.go' \
+		':!internal/transport/host.go' | grep -v -E 'func newNode\('
 
 # One conformance ledger: the chaos checker and the model checker assert the
 # paper's claims through internal/chaos's Ledger (ledger.go), so each rule
@@ -133,7 +136,8 @@ modelcheck-soak: modelcheck
 # critical section, client and arbiter together, one simulated critical section (allocations
 # and bytes, over 10 000 CS) and the summary of that run, the simulator's
 # 24-byte CS record and Records()' one copy of it per CS, and a first
-# Lock(name) at a 9-site TCP peer. Each is pinned at the figure it reached; a
+# Lock(name) at a 9-site TCP peer and at site 0 of a 9-site in-process
+# cluster. Each is pinned at the figure it reached; a
 # regression is a red test here before it is a line in the benchmark's ledger.
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/wire ./internal/core ./internal/transport ./internal/session ./internal/sim .

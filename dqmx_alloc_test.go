@@ -37,3 +37,35 @@ func TestAllocsFirstLockTCP(t *testing.T) {
 		t.Errorf("first Lock(name) at a 9-site TCP peer: %.0f allocs, want at most %d", got, budget)
 	}
 }
+
+// TestAllocsFirstLockInproc: a lock first used at site 0 of an in-process
+// 9-site grid builds the lock's machines for all nine sites — the cluster
+// shares one coterie assignment per lock between its hosts — and site 0's
+// instance: its node loop, the table's entry and the handle. The other
+// sites' instances are built when the lock's first messages reach them.
+// It reads 66–67; the nine machines are most of it.
+func TestAllocsFirstLockInproc(t *testing.T) {
+	const budget = 70
+	c, err := dqmx.NewClusterWith(9, dqmx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprintf("lock-%d", i)
+	}
+	next := 0
+	first := func() {
+		if _, err := c.LockOn(0, names[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	first()
+	got := testing.AllocsPerRun(200, first)
+	t.Logf("%.0f allocs per first LockOn(0, name) (N=9 grid)", got)
+	if got > budget {
+		t.Errorf("first LockOn(0, name) in a 9-site in-process cluster: %.0f allocs, want at most %d", got, budget)
+	}
+}

@@ -151,10 +151,8 @@ type resourceAgg struct {
 	failures   uint64
 	recoveries uint64
 
-	requested map[mutex.SiteID]int64
-	entered   map[mutex.SiteID]int64
-	lastExit  int64
-	haveExit  bool
+	*pairing
+	entered map[mutex.SiteID]int64
 
 	syncDelay Histogram
 	response  Histogram
@@ -163,9 +161,9 @@ type resourceAgg struct {
 
 func newResourceAgg() *resourceAgg {
 	return &resourceAgg{
-		byKind:    make(map[string]uint64),
-		requested: make(map[mutex.SiteID]int64),
-		entered:   make(map[mutex.SiteID]int64),
+		byKind:  make(map[string]uint64),
+		pairing: newPairing(),
+		entered: make(map[mutex.SiteID]int64),
 	}
 }
 
@@ -226,9 +224,10 @@ func (m *Metrics) Observe(e Event) {
 	case EventEnter:
 		a.entries++
 		a.entered[e.Site] = e.Time
-		if req, ok := a.requested[e.Site]; ok && a.haveExit &&
-			req <= a.lastExit && e.Time >= a.lastExit {
-			a.syncDelay.Add(e.Time - a.lastExit)
+		if req, ok := a.requested[e.Site]; ok {
+			if d, ok := a.handoff(req, e.Time); ok {
+				a.syncDelay.Add(d)
+			}
 		}
 	case EventExit:
 		a.exits++
@@ -240,8 +239,7 @@ func (m *Metrics) Observe(e Event) {
 			delete(a.requested, e.Site)
 			delete(a.entered, e.Site)
 		}
-		a.lastExit = e.Time
-		a.haveExit = true
+		a.exit(e.Time)
 	case EventFailure:
 		a.failures++
 	case EventRecovery:

@@ -22,21 +22,44 @@ import (
 type DelayTracker struct {
 	mu        sync.Mutex
 	recording bool
-	res       map[string]*trackerRes
+	res       map[string]*pairing
 	handoff   Histogram
 	waiting   Histogram
 }
 
-// trackerRes is the per-resource pairing state; guarded by the tracker's mu.
-type trackerRes struct {
+// pairing is one resource's handover state, the same for Metrics and
+// DelayTracker: each waiting site's request instant and the last exit.
+type pairing struct {
 	requested map[mutex.SiteID]int64
 	lastExit  int64
 	haveExit  bool
 }
 
+func newPairing() *pairing {
+	return &pairing{requested: make(map[mutex.SiteID]int64)}
+}
+
+// handoff pairs an entry at t by a site that requested at req with the last
+// exit. It reports the exit→entry delay and whether the entry was a
+// handover: the site was already waiting when the previous holder exited
+// (requested ≤ last exit ≤ entry, the paper's heavy-load
+// synchronization-delay definition).
+func (p *pairing) handoff(req, t int64) (int64, bool) {
+	if p.haveExit && req <= p.lastExit && t >= p.lastExit {
+		return t - p.lastExit, true
+	}
+	return 0, false
+}
+
+// exit records an exit at t.
+func (p *pairing) exit(t int64) {
+	p.lastExit = t
+	p.haveExit = true
+}
+
 // NewDelayTracker returns a tracker with recording off.
 func NewDelayTracker() *DelayTracker {
-	return &DelayTracker{res: make(map[string]*trackerRes)}
+	return &DelayTracker{res: make(map[string]*pairing)}
 }
 
 // StartRecording opens the measurement window: subsequent entries sample.
@@ -64,7 +87,7 @@ func (t *DelayTracker) Observe(e Event) {
 	defer t.mu.Unlock()
 	r, ok := t.res[e.Resource]
 	if !ok {
-		r = &trackerRes{requested: make(map[mutex.SiteID]int64)}
+		r = newPairing()
 		t.res[e.Resource] = r
 	}
 	switch e.Type {
@@ -77,15 +100,11 @@ func (t *DelayTracker) Observe(e Event) {
 			return
 		}
 		t.waiting.Add(e.Time - req)
-		// A handoff sample needs a handover: the entering site requested
-		// before the previous holder exited (the paper's heavy-load
-		// synchronization-delay definition).
-		if r.haveExit && req <= r.lastExit && e.Time >= r.lastExit {
-			t.handoff.Add(e.Time - r.lastExit)
+		if d, ok := r.handoff(req, e.Time); ok {
+			t.handoff.Add(d)
 		}
 	case EventExit:
-		r.lastExit = e.Time
-		r.haveExit = true
+		r.exit(e.Time)
 	}
 }
 

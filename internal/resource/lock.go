@@ -1,9 +1,35 @@
+// Package resource is the application's side of a named lock: the Lock
+// handle and the Policy that bounds lock names. A Lock drives one site's
+// Endpoint of its lock — a protocol instance in a peer deployment, a
+// leased session's forwarding stub in a client — through Acquire,
+// TryAcquire and Release, queueing local callers on the handle so that the
+// protocol sees one request per name per site.
+//
+// The package keeps no table of locks. Whoever hosts the endpoints (the
+// transport's per-site host, the session client) keeps one canonical
+// handle per name, builds it with NewLock and checks a new name with
+// Policy.Check once, when it first sees it.
 package resource
 
 import (
 	"context"
 	"errors"
+	"fmt"
 )
+
+// Default is the reserved name of the default resource: the single lock that
+// legacy single-mutex deployments (and the pre-resource wire format) use.
+// It is addressable through the transport's Node shim, never as a named
+// Lock.
+const Default = ""
+
+// DefaultMaxNameLength bounds resource names when Policy.MaxNameLength is
+// unset. Names travel in every wire envelope, so they are kept short.
+const DefaultMaxNameLength = 128
+
+// ErrClosed is returned for a lock name first asked for after its host
+// closed.
+var ErrClosed = errors.New("resource: lock manager is closed")
 
 // ErrLockLost reports that a previously granted lock was invalidated out
 // from under its holder — the defining hazard of leased sessions: the
@@ -13,8 +39,55 @@ import (
 // handle's admission token is freed so the name stays usable.
 var ErrLockLost = errors.New("resource: lock lost (session expired or failed over)")
 
+// Policy bounds and validates resource names. Validation runs exactly once
+// per name — when its host first sees it — never on the per-acquire hot
+// path, because handles are cached by name.
+type Policy struct {
+	// MaxNameLength is the maximum name length in bytes
+	// (DefaultMaxNameLength when zero or negative).
+	MaxNameLength int
+	// Validate, when non-nil, is an additional application check run after
+	// the built-in rules. Returning an error rejects the name.
+	Validate func(name string) error
+}
+
+// Check applies the policy to a lock name. The empty name is rejected: it
+// is the reserved default resource.
+func (p Policy) Check(name string) error {
+	if name == Default {
+		return errors.New("resource: empty lock name (the empty name is the reserved default resource)")
+	}
+	max := p.MaxNameLength
+	if max <= 0 {
+		max = DefaultMaxNameLength
+	}
+	if len(name) > max {
+		return fmt.Errorf("resource: lock name of %d bytes exceeds the %d-byte limit", len(name), max)
+	}
+	if p.Validate != nil {
+		if err := p.Validate(name); err != nil {
+			return fmt.Errorf("resource: invalid lock name %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// Endpoint is one site's end of a named lock: what a Lock handle drives.
+// internal/transport.Node implements it over the protocol, the session
+// client over its arbiter.
+type Endpoint interface {
+	// Acquire blocks until the endpoint holds its critical section, the
+	// context is cancelled, or the endpoint closes.
+	Acquire(ctx context.Context) error
+	// TryAcquire attempts to enter within the context's lifetime; running
+	// out of time is (false, nil), not an error.
+	TryAcquire(ctx context.Context) (bool, error)
+	// Release exits the critical section.
+	Release() error
+}
+
 // Lock is the handle for one named distributed lock. Handles are canonical —
-// Manager.Lock returns the same *Lock for the same name — so every local
+// a host hands out the same *Lock for the same name — so every local
 // user of a name shares one handle, and local contention queues on the
 // handle instead of surfacing the protocol's one-request-per-site busy
 // error. Remote contention is arbitrated by the resource's own instance of
@@ -25,15 +98,17 @@ var ErrLockLost = errors.New("resource: lock lost (session expired or failed ove
 // even when the guarded function panics.
 type Lock struct {
 	name string
-	inst Instance
+	end  Endpoint
 	// sem is the local admission token: one in-flight protocol request per
 	// name per site. Holding the token does not mean holding the lock — it
 	// means this goroutine is the one talking to the protocol for this name.
 	sem chan struct{}
 }
 
-func newLock(name string, inst Instance) *Lock {
-	return &Lock{name: name, inst: inst, sem: make(chan struct{}, 1)}
+// NewLock returns the handle driving end under name. Its caller keeps it as
+// the name's canonical handle.
+func NewLock(name string, end Endpoint) *Lock {
+	return &Lock{name: name, end: end, sem: make(chan struct{}, 1)}
 }
 
 // Name returns the lock's resource name.
@@ -50,7 +125,7 @@ func (l *Lock) Acquire(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if err := l.inst.Acquire(ctx); err != nil {
+	if err := l.end.Acquire(ctx); err != nil {
 		<-l.sem
 		return err
 	}
@@ -67,7 +142,7 @@ func (l *Lock) TryAcquire(ctx context.Context) (bool, error) {
 	case <-ctx.Done():
 		return false, nil
 	}
-	ok, err := l.inst.TryAcquire(ctx)
+	ok, err := l.end.TryAcquire(ctx)
 	if !ok {
 		<-l.sem
 	}
@@ -80,7 +155,7 @@ func (l *Lock) TryAcquire(ctx context.Context) (bool, error) {
 // left to hold), so callers can retry Acquire on the same handle after
 // inspecting the error.
 func (l *Lock) Release() error {
-	err := l.inst.Release()
+	err := l.end.Release()
 	if err != nil && !errors.Is(err, ErrLockLost) {
 		return err
 	}

@@ -9,189 +9,48 @@ import (
 	"testing"
 	"time"
 
-	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 )
 
-// fakeInstance is a local mutex standing in for a protocol instance.
-type fakeInstance struct {
-	mu       sync.Mutex
-	held     bool
-	acquires atomic.Int64
-	releases atomic.Int64
-	injected atomic.Int64
-	closed   atomic.Bool
+// The handle over a local mutex standing in for a lock's endpoint. The
+// tables that hand handles out are tested where they live: the transport's
+// host and the session client.
+
+// fakeEndpoint is a local mutex standing in for a protocol instance.
+type fakeEndpoint struct {
+	mu   sync.Mutex
+	held bool
 }
 
-func (f *fakeInstance) Acquire(ctx context.Context) error {
-	if f.closed.Load() {
-		return errors.New("closed")
-	}
+func (f *fakeEndpoint) Acquire(ctx context.Context) error {
 	f.mu.Lock()
 	f.held = true
-	f.acquires.Add(1)
 	return nil
 }
 
-func (f *fakeInstance) TryAcquire(ctx context.Context) (bool, error) {
+func (f *fakeEndpoint) TryAcquire(ctx context.Context) (bool, error) {
 	if err := f.Acquire(ctx); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-func (f *fakeInstance) Release() error {
+func (f *fakeEndpoint) Release() error {
 	if !f.held {
 		return errors.New("not held")
 	}
 	f.held = false
-	f.releases.Add(1)
 	f.mu.Unlock()
 	return nil
 }
 
-func (f *fakeInstance) Inject(env mutex.Envelope)         { f.injected.Add(1) }
-func (f *fakeInstance) InjectBatch(envs []mutex.Envelope) { f.injected.Add(int64(len(envs))) }
-func (f *fakeInstance) Close()                            { f.closed.Store(true) }
-
-// newTestManager returns a manager over fake instances plus the creation
-// log (name → instance), guarded by its own mutex.
-func newTestManager(policy resource.Policy) (*resource.Manager, *sync.Map, *atomic.Int64) {
-	var created sync.Map
-	var builds atomic.Int64
-	m := resource.NewManager(resource.Config{
-		Policy: policy,
-		New: func(name string) (resource.Instance, error) {
-			builds.Add(1)
-			inst := &fakeInstance{}
-			created.Store(name, inst)
-			return inst, nil
-		},
-	})
-	return m, &created, &builds
-}
-
-func TestLockHandlesAreCanonical(t *testing.T) {
-	m, _, builds := newTestManager(resource.Policy{})
-	defer m.Close()
-	a1, err := m.Lock("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := m.Lock("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 {
-		t.Error("two Lock calls for one name returned distinct handles")
-	}
-	if a1.Name() != "a" {
-		t.Errorf("Name() = %q", a1.Name())
-	}
-	b, err := m.Lock("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b == a1 {
-		t.Error("distinct names share a handle")
-	}
-	if got := builds.Load(); got != 2 {
-		t.Errorf("factory ran %d times, want 2 (one per name)", got)
-	}
-}
-
-func TestLockRejectsEmptyName(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	if _, err := m.Lock(""); err == nil {
-		t.Fatal("empty name accepted: the default resource must stay reserved")
-	}
-}
-
-func TestPolicyValidationRunsOncePerName(t *testing.T) {
-	var checks atomic.Int64
-	m, _, _ := newTestManager(resource.Policy{
-		MaxNameLength: 8,
-		Validate: func(name string) error {
-			checks.Add(1)
-			if name == "verboten" {
-				return errors.New("no")
-			}
-			return nil
-		},
-	})
-	defer m.Close()
-
-	for i := 0; i < 5; i++ {
-		if _, err := m.Lock("ok"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := checks.Load(); got != 1 {
-		t.Errorf("validation hook ran %d times for one name, want 1", got)
-	}
-	if _, err := m.Lock("verboten"); err == nil {
-		t.Error("validation hook was ignored")
-	}
-	if _, err := m.Lock("way-too-long-name"); err == nil {
-		t.Error("oversized name accepted")
-	}
-	// Oversized names are rejected by the built-in rule before the hook.
-	if got := checks.Load(); got != 2 {
-		t.Errorf("hook ran %d times, want 2", got)
-	}
-}
-
-func TestInjectRoutesAndInstantiatesLazily(t *testing.T) {
-	m, created, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	if err := m.Inject(mutex.Envelope{Resource: "remote-opened", From: 1, To: 0, Msg: mutex.FailureMsg{}}); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := created.Load("remote-opened")
-	if !ok {
-		t.Fatal("inbound envelope did not instantiate its resource")
-	}
-	if got := v.(*fakeInstance).injected.Load(); got != 1 {
-		t.Errorf("instance saw %d envelopes, want 1", got)
-	}
-
-	// A batch splits into per-resource runs.
-	batch := []mutex.Envelope{
-		{Resource: "x", To: 0, Msg: mutex.FailureMsg{}},
-		{Resource: "x", To: 0, Msg: mutex.FailureMsg{}},
-		{Resource: "y", To: 0, Msg: mutex.FailureMsg{}},
-	}
-	if err := m.InjectBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	x, _ := created.Load("x")
-	y, _ := created.Load("y")
-	if x.(*fakeInstance).injected.Load() != 2 || y.(*fakeInstance).injected.Load() != 1 {
-		t.Errorf("batch routing: x=%d y=%d, want 2/1",
-			x.(*fakeInstance).injected.Load(), y.(*fakeInstance).injected.Load())
-	}
-}
-
-func TestInjectRejectsInvalidResource(t *testing.T) {
-	m, _, builds := newTestManager(resource.Policy{MaxNameLength: 4})
-	defer m.Close()
-	err := m.Inject(mutex.Envelope{Resource: "too-long-for-policy", To: 0, Msg: mutex.FailureMsg{}})
-	if err == nil {
-		t.Fatal("oversized inbound resource accepted")
-	}
-	if builds.Load() != 0 {
-		t.Error("invalid resource still instantiated")
-	}
+// newLock is a handle named name over a fresh fake endpoint.
+func newLock(name string) *resource.Lock {
+	return resource.NewLock(name, &fakeEndpoint{})
 }
 
 func TestLocalContentionQueuesOnHandle(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	l, err := m.Lock("shared")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLock("shared")
 	const goroutines = 8
 	const perG = 50
 	var inCS atomic.Int32
@@ -225,12 +84,7 @@ func TestLocalContentionQueuesOnHandle(t *testing.T) {
 }
 
 func TestDoReleasesOnPanic(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	l, err := m.Lock("guarded")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLock("guarded")
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -252,12 +106,7 @@ func TestDoReleasesOnPanic(t *testing.T) {
 }
 
 func TestDoReturnsFnError(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	l, err := m.Lock("errs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLock("errs")
 	want := errors.New("application failure")
 	if got := l.Do(context.Background(), func(context.Context) error { return want }); !errors.Is(got, want) {
 		t.Errorf("Do = %v, want %v", got, want)
@@ -265,12 +114,7 @@ func TestDoReturnsFnError(t *testing.T) {
 }
 
 func TestTryAcquireTimeoutIsNotAnError(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	l, err := m.Lock("busy")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLock("busy")
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -289,84 +133,5 @@ func TestTryAcquireTimeoutIsNotAnError(t *testing.T) {
 	}
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestManagerClose(t *testing.T) {
-	m, created, _ := newTestManager(resource.Policy{})
-	if _, err := m.Lock("a"); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	v, _ := created.Load("a")
-	if !v.(*fakeInstance).closed.Load() {
-		t.Error("Close did not close the instance")
-	}
-	if _, err := m.Lock("b"); !errors.Is(err, resource.ErrClosed) {
-		t.Errorf("Lock after Close = %v, want ErrClosed", err)
-	}
-	if err := m.Inject(mutex.Envelope{Resource: "c", Msg: mutex.FailureMsg{}}); !errors.Is(err, resource.ErrClosed) {
-		t.Errorf("Inject after Close = %v, want ErrClosed", err)
-	}
-	m.Close() // idempotent
-}
-
-func TestEachAndResources(t *testing.T) {
-	m, _, _ := newTestManager(resource.Policy{})
-	defer m.Close()
-	for _, name := range []string{"b", "a", "c"} {
-		if _, err := m.Lock(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Resources()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("Resources() = %v", got)
-	}
-	if m.Len() != 3 {
-		t.Errorf("Len() = %d", m.Len())
-	}
-	seen := 0
-	m.Each(func(string, resource.Instance) { seen++ })
-	if seen != 3 {
-		t.Errorf("Each visited %d, want 3", seen)
-	}
-}
-
-// TestConcurrentLockCreation hammers handle creation for overlapping names
-// from many goroutines; with -race this exercises the sharded map.
-func TestConcurrentLockCreation(t *testing.T) {
-	m, _, builds := newTestManager(resource.Policy{})
-	defer m.Close()
-	const goroutines = 16
-	const names = 32
-	var wg sync.WaitGroup
-	handles := make([][]*resource.Lock, goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
-		handles[g] = make([]*resource.Lock, names)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < names; i++ {
-				l, err := m.Lock(fmt.Sprintf("lock-%d", i))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				handles[g][i] = l
-			}
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < names; i++ {
-		for g := 1; g < goroutines; g++ {
-			if handles[g][i] != handles[0][i] {
-				t.Fatalf("non-canonical handle for lock-%d", i)
-			}
-		}
-	}
-	if got := builds.Load(); got != names {
-		t.Errorf("factory ran %d times, want %d", got, names)
 	}
 }

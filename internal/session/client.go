@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dqmx/internal/clock"
-	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 	"dqmx/internal/transport"
 )
@@ -101,7 +100,6 @@ type call struct {
 // resource.ErrLockLost (the handle itself stays usable for re-acquisition).
 type Client struct {
 	cfg   ClientConfig
-	mgr   *resource.Manager
 	clock clock.Clock // lease bounds, keepalives, fail-over and backoff waits
 
 	mu sync.Mutex
@@ -133,8 +131,8 @@ type Client struct {
 	pending    map[uint64]*call
 	freeCalls  []*call // idle calls; at most the high-water number in flight
 	nextReq    uint64
-	instances  map[string]*clientInstance
-	err        error // terminal: ErrSessionLost or ErrClientClosed
+	instances  map[string]*clientInstance // one per lock name, with its canonical handle
+	err        error                      // terminal: ErrSessionLost or ErrClientClosed
 	closed     bool
 
 	stopC chan struct{}
@@ -164,16 +162,6 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 		instances:   make(map[string]*clientInstance),
 		stopC:       make(chan struct{}),
 	}
-	c.mgr = resource.NewManager(resource.Config{
-		Policy: cfg.Policy,
-		New: func(name string) (resource.Instance, error) {
-			inst := &clientInstance{c: c, name: name}
-			c.mu.Lock()
-			c.instances[name] = inst
-			c.mu.Unlock()
-			return inst, nil
-		},
-	})
 	c.wg.Add(1)
 	go c.run()
 	// Wait for the first attach (or terminal failure) before returning.
@@ -239,9 +227,31 @@ func (c *Client) Err() error {
 }
 
 // Lock returns the canonical handle for the named lock; operations on it
-// are served by the session's arbiter.
+// are served by the session's arbiter. The policy checks a name once, the
+// first time it is asked for; a name first asked for after Close fails
+// with resource.ErrClosed.
 func (c *Client) Lock(name string) (*resource.Lock, error) {
-	return c.mgr.Lock(name)
+	c.mu.Lock()
+	inst := c.instances[name]
+	c.mu.Unlock()
+	if inst != nil {
+		return inst.lock, nil
+	}
+	if err := c.cfg.Policy.Check(name); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if inst := c.instances[name]; inst != nil {
+		return inst.lock, nil
+	}
+	if c.closed {
+		return nil, resource.ErrClosed
+	}
+	inst = &clientInstance{c: c, name: name}
+	inst.lock = resource.NewLock(name, inst)
+	c.instances[name] = inst
+	return inst.lock, nil
 }
 
 // Close ends the session in an orderly way: the arbiter releases every held
@@ -283,7 +293,6 @@ func (c *Client) close(sendBye bool) {
 		conn.kill()
 	}
 	c.wg.Wait()
-	c.mgr.Close()
 }
 
 // abortPendingLocked wakes every in-flight call with a retry signal; the
@@ -690,13 +699,14 @@ func (c *Client) retireCallLocked(reqID uint64, cl *call) {
 	c.freeCalls = append(c.freeCalls, cl)
 }
 
-// clientInstance adapts one named lock to the resource.Instance interface:
-// Acquire/Release forward to the arbiter; the local resource.Lock handle
-// provides the same local-queueing semantics as a peer deployment. held and
+// clientInstance is one named lock's resource.Endpoint at the client:
+// Acquire/Release forward to the arbiter; its resource.Lock handle provides
+// the same local-queueing semantics as a peer deployment. held and
 // heldEpoch are guarded by the client's mutex.
 type clientInstance struct {
 	c    *Client
 	name string
+	lock *resource.Lock // the name's canonical handle, driving this instance
 
 	held      bool
 	heldEpoch uint64
@@ -742,7 +752,7 @@ func (ci *clientInstance) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire maps running out of time to (false, nil) per the Instance
+// TryAcquire maps running out of time to (false, nil) per the Endpoint
 // contract.
 func (ci *clientInstance) TryAcquire(ctx context.Context) (bool, error) {
 	err := ci.Acquire(ctx)
@@ -810,11 +820,3 @@ func (ci *clientInstance) Release() error {
 		return nil
 	}
 }
-
-// Inject and InjectBatch are no-ops: clients are not protocol sites and
-// receive no peer envelopes.
-func (ci *clientInstance) Inject(env mutex.Envelope)         {}
-func (ci *clientInstance) InjectBatch(envs []mutex.Envelope) {}
-
-// Close is a no-op; the client's connection manager owns all resources.
-func (ci *clientInstance) Close() {}

@@ -119,6 +119,60 @@ func TestSessionAcquireRelease(t *testing.T) {
 	}
 }
 
+// TestClientLockTable: a client keeps one handle per lock name, checks a
+// name against its policy once, the first time it is asked for, rejects the
+// reserved empty name, and opens no new name once closed.
+func TestClientLockTable(t *testing.T) {
+	addrs, _ := startArbiters(t, 3, []int{0}, time.Second, nil, nil)
+	var checks atomic.Int64
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, ClientConfig{Addrs: addrs, Lease: time.Second, Policy: resource.Policy{
+		MaxNameLength: 8,
+		Validate: func(name string) error {
+			checks.Add(1)
+			if name == "verboten" {
+				return errors.New("no")
+			}
+			return nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a1, err := c.Lock("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if a, err := c.Lock("a"); err != nil || a != a1 {
+			t.Fatalf("Lock(%q) again = %p, %v; want the first handle %p", "a", a, err, a1)
+		}
+	}
+	if b, err := c.Lock("b"); err != nil || b == a1 {
+		t.Fatalf("Lock(%q) = %p, %v; want a handle of its own", "b", b, err)
+	}
+	if got := checks.Load(); got != 2 {
+		t.Errorf("validation hook ran %d times for two names, want 2", got)
+	}
+	if _, err := c.Lock("verboten"); err == nil {
+		t.Error("validation hook was ignored")
+	}
+	if _, err := c.Lock("way-too-long-name"); err == nil {
+		t.Error("oversized name accepted")
+	}
+	if _, err := c.Lock(resource.Default); err == nil {
+		t.Error("empty name accepted: the default resource must stay reserved")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lock("c"); !errors.Is(err, resource.ErrClosed) {
+		t.Errorf("Lock of a new name after Close = %v, want ErrClosed", err)
+	}
+}
+
 func TestSessionMutualExclusion(t *testing.T) {
 	addrs, _ := startArbiters(t, 3, []int{0, 1}, 2*time.Second, nil, nil)
 	const (

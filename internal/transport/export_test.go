@@ -20,3 +20,13 @@ func defaultOnly(site mutex.Site) func(string) (mutex.Site, error) {
 		return site, nil
 	}
 }
+
+// Instance is name's instance at a host, built on first use, for tests
+// that drive one lock's machine directly.
+func (m *mgr) Instance(name string) (resource.Endpoint, error) {
+	e, err := m.get(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.node, nil
+}

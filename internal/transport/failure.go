@@ -64,7 +64,7 @@ func (c *Cluster) killSite(id mutex.SiteID, detectAfter time.Duration, stopC <-c
 		r.PeerFailed(id)
 	}
 	// Its closed mailboxes drop what survivors send during the detection window.
-	victim.mgr.Close()
+	victim.close()
 	if detectAfter > 0 && !clock.Sleep(c.clock, detectAfter, stopC) {
 		return
 	}

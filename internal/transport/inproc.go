@@ -16,7 +16,7 @@ import (
 	"dqmx/internal/resource"
 )
 
-// inprocSender routes envelopes between the managers of the same process,
+// inprocSender routes envelopes between the hosts of the same process,
 // delivering each destination's share of a batch under one mailbox lock.
 type inprocSender struct {
 	cluster *Cluster
@@ -28,7 +28,7 @@ func (s inprocSender) Send(env mutex.Envelope) error {
 	if h == nil {
 		return fmt.Errorf("transport: no node for site %d", env.To)
 	}
-	return h.mgr.Inject(env)
+	return h.inject(env)
 }
 
 // SendBatch implements BatchSender with cross-destination coalescing: the
@@ -55,7 +55,7 @@ func (s inprocSender) SendBatch(envs []mutex.Envelope) error {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("transport: no node for site %d", dest)
 			}
-		} else if err := h.mgr.InjectBatch(envs[start:end]); err != nil && firstErr == nil {
+		} else if err := h.injectBatch(envs[start:end]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		start = end
@@ -235,7 +235,7 @@ func assignmentOf(sites []mutex.Site) *coterie.Assignment {
 }
 
 // siteFor hands out site id's machine for a resource, building the
-// resource's full site set on first use so all managers share one coherent
+// resource's full site set on first use so all hosts share one coherent
 // coterie assignment per resource. Sets are built at the live site count
 // and extended when the cluster has grown past them; the host moves each
 // handed-out machine onto the membership it recorded.
@@ -297,7 +297,7 @@ func (c *Cluster) Lock(id mutex.SiteID, name string) (*resource.Lock, error) {
 	if h == nil {
 		return nil, fmt.Errorf("transport: site %d out of range 0..%d", id, c.N()-1)
 	}
-	return h.mgr.Lock(name)
+	return h.lock(name)
 }
 
 // Resources lists every resource name instantiated anywhere in the cluster,
@@ -306,7 +306,7 @@ func (c *Cluster) Resources() []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, h := range c.roster() {
-		for _, name := range h.mgr.Resources() {
+		for _, name := range h.resources() {
 			if !seen[name] {
 				seen[name] = true
 				out = append(out, name)
@@ -395,7 +395,7 @@ func (c *Cluster) Close() {
 		c.chaosStop = nil
 	}
 	for _, h := range c.roster() {
-		h.mgr.Close()
+		h.close()
 	}
 	if c.rel != nil {
 		c.rel.Close()

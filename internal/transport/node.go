@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
@@ -104,11 +105,15 @@ func (m *mailbox) close() {
 // so a pooled channel is always empty and unreferenced.
 var respPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-// Node hosts one site state machine on a dedicated goroutine and exposes a
-// blocking Acquire/Release interface to application code.
+// Node hosts one site's machine for one lock on a dedicated goroutine and
+// exposes a blocking Acquire/Release interface to application code. It
+// stamps its lock's name onto everything it sends and observes, and the
+// membership stage onto what it sends: the state machine sees neither.
 type Node struct {
+	name   string // the lock's resource name
 	site   mutex.Site
 	sender BatchSender
+	stage  *atomic.Uint64 // the host's membership stage
 	inbox  *mailbox
 	sink   obs.Sink // nil when observability is disabled
 	// delivered, when non-nil, is called on the loop goroutine after the
@@ -117,7 +122,6 @@ type Node struct {
 
 	acquireC chan chan error
 	releaseC chan chan error
-	dumpC    chan chan string
 	ctrlC    chan func() // membership control, run on the loop goroutine
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -132,21 +136,23 @@ type Node struct {
 	queue []mutex.Envelope
 }
 
-// NewNodeObserved starts the node's event loop with the given event sink.
-// sender carries envelopes addressed to other sites, each step's together;
-// envelopes addressed to this site short-circuit internally. A nil sink
-// costs exactly one nil check per potential event. delivered, which may be
-// nil, observes each inbound envelope once the site has processed it.
-func NewNodeObserved(site mutex.Site, sender BatchSender, sink obs.Sink, delivered func(env mutex.Envelope)) *Node {
+// newNode starts the event loop of lock name's machine at one site; the
+// site's host is its one caller. sender carries envelopes addressed to other
+// sites, each step's together, stamped with name and the stage read from
+// stage; envelopes addressed to this site short-circuit internally. A nil
+// sink costs exactly one nil check per potential event. delivered, which may
+// be nil, observes each inbound envelope once the site has processed it.
+func newNode(name string, site mutex.Site, sender BatchSender, sink obs.Sink, stage *atomic.Uint64, delivered func(env mutex.Envelope)) *Node {
 	n := &Node{
+		name:      name,
 		site:      site,
 		sender:    sender,
+		stage:     stage,
 		inbox:     newMailbox(),
 		sink:      sink,
 		delivered: delivered,
 		acquireC:  make(chan chan error),
 		releaseC:  make(chan chan error),
-		dumpC:     make(chan chan string),
 		ctrlC:     make(chan func()),
 		stopC:     make(chan struct{}),
 		doneC:     make(chan struct{}),
@@ -246,13 +252,11 @@ func (n *Node) Release() error {
 // goroutine — the only place the state machine may be touched — so it is
 // safe to call concurrently with protocol traffic.
 func (n *Node) Dump() string {
-	resp := make(chan string, 1)
-	select {
-	case n.dumpC <- resp:
-		return <-resp
-	case <-n.doneC:
+	var s string
+	if err := n.onLoop(func() { s = siteDebug(n.site) }); err != nil {
 		return fmt.Sprintf("site %d: node closed", n.site.ID())
 	}
+	return s
 }
 
 // Close stops the node's event loop and waits for it to exit. Envelopes
@@ -267,7 +271,7 @@ func (n *Node) Close() {
 
 // observe emits one lifecycle event; callers must have checked n.sink.
 func (n *Node) observe(t obs.EventType, peer mutex.SiteID, kind string) {
-	n.sink(obs.Event{Type: t, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
+	n.sink(obs.Event{Type: t, Resource: n.name, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
 }
 
 func (n *Node) run() {
@@ -297,7 +301,7 @@ func (n *Node) run() {
 			// precedes every EventSend of the request wave.
 			out := n.site.Request()
 			if n.sink != nil {
-				e := obs.Event{Type: obs.EventRequest, Site: n.site.ID(), Peer: n.site.ID(), Time: obs.Now()}
+				e := obs.Event{Type: obs.EventRequest, Resource: n.name, Site: n.site.ID(), Peer: n.site.ID(), Time: obs.Now()}
 				if ts, ok := n.site.(mutex.TimestampedSite); ok {
 					if reqTS, pending := ts.RequestTimestamp(); pending {
 						e.ReqTS = reqTS
@@ -316,8 +320,6 @@ func (n *Node) run() {
 			}
 			n.apply(n.site.Exit())
 			resp <- nil
-		case resp := <-n.dumpC:
-			resp <- siteDebug(n.site)
 		case fn := <-n.ctrlC:
 			fn()
 		case <-n.stopC:
@@ -429,8 +431,9 @@ func (n *Node) apply(out mutex.Output) {
 	entered := out.Entered
 	// The Output is valid only until the next call on the site, and a
 	// self-addressed envelope re-enters it: work on a node-owned copy. The
-	// remote envelopes are compacted to the front of the same buffer (the
-	// write index never passes the read index).
+	// remote envelopes are stamped with the lock and the stage and compacted
+	// to the front of the same buffer (the write index never passes the
+	// read index).
 	q := append(n.queue[:0], out.Send...)
 	w := 0
 	for i := 0; i < len(q); i++ {
@@ -444,6 +447,7 @@ func (n *Node) apply(out mutex.Output) {
 		if n.sink != nil {
 			n.observe(obs.EventSend, env.To, env.Kind())
 		}
+		env.Resource, env.Epoch = n.name, n.stage.Load()
 		q[w] = env
 		w++
 	}

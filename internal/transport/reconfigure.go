@@ -103,7 +103,7 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 	// installed req_set, so no critical section is still held under a
 	// pre-handover quorum.
 	settled := func() bool {
-		return c.everyNode(0, h.JointN(), func(_ string, n *Node) bool { return n.MembershipSettled() })
+		return c.everyNode(0, h.JointN(), (*Node).MembershipSettled)
 	}
 	if err := c.await(ctx, settled); err != nil {
 		return err
@@ -203,10 +203,12 @@ func (c *Cluster) sites(from, to int) []*host {
 
 // everyNode walks the instantiated nodes of sites from..to-1 and reports
 // whether ok held for each; it stops at the first node failing it.
-func (c *Cluster) everyNode(from, to int, ok func(name string, n *Node) bool) bool {
+func (c *Cluster) everyNode(from, to int, ok func(n *Node) bool) bool {
 	for _, h := range c.sites(from, to) {
-		if !h.every(ok) {
-			return false
+		for _, n := range h.nodes() {
+			if !ok(n) {
+				return false
+			}
 		}
 	}
 	return true
@@ -214,13 +216,13 @@ func (c *Cluster) everyNode(from, to int, ok func(name string, n *Node) bool) bo
 
 // retire drains and shuts down sites from..to-1: new acquires at them fail
 // immediately, in-flight work completes (the §3.1 release path hands their
-// locks to the next waiters), then the roster shrinks, their managers close,
+// locks to the next waiters), then the roster shrinks, their hosts close,
 // and any reliability streams they had are severed. Survivors already excluded
 // them from every req_set during the final sweep.
 func (c *Cluster) retire(ctx context.Context, from, to int) error {
-	c.everyNode(from, to, func(_ string, n *Node) bool { n.BeginRetire(); return true })
+	c.everyNode(from, to, func(n *Node) bool { n.BeginRetire(); return true })
 	err := c.await(ctx, func() bool {
-		if !c.everyNode(from, to, func(_ string, n *Node) bool { return n.Quiesced() }) {
+		if !c.everyNode(from, to, (*Node).Quiesced) {
 			return false
 		}
 		// Quiesced covers the protocol machines, not the wire. A mailbox is
@@ -242,7 +244,7 @@ func (c *Cluster) retire(ctx context.Context, from, to int) error {
 	next := slices.Clone(c.sites(0, from))
 	c.hosts.Store(&next)
 	for _, h := range leaving {
-		h.mgr.Close()
+		h.close()
 		if c.rel != nil {
 			c.rel.PeerFailed(h.self)
 		}

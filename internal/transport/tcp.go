@@ -158,11 +158,11 @@ func (p *TCPPeer) SnapshotResource(name string) (snap obs.Snapshot, ok bool) {
 // Lock returns this peer's canonical handle for the named lock,
 // instantiating the resource's protocol instance on first use.
 func (p *TCPPeer) Lock(name string) (*resource.Lock, error) {
-	return p.host.mgr.Lock(name)
+	return p.host.lock(name)
 }
 
 // Resources lists every resource instantiated at this peer, sorted.
-func (p *TCPPeer) Resources() []string { return p.host.mgr.Resources() }
+func (p *TCPPeer) Resources() []string { return p.host.resources() }
 
 // Node returns the default resource's hosted node — the legacy single-mutex
 // interface for Acquire/Release.
@@ -624,7 +624,7 @@ func (p *TCPPeer) dispatch(env mutex.Envelope) error {
 	} else if env.Epoch > cur {
 		p.noteRemoteStage(env.Epoch)
 	}
-	return p.host.mgr.Inject(env)
+	return p.host.inject(env)
 }
 
 // setDropHook installs a frame filter at enqueue (return true to drop the
@@ -660,7 +660,7 @@ func (p *TCPPeer) Close() {
 	p.mu.Lock()
 	p.stopOnce.Do(func() { close(p.stopC) })
 	p.mu.Unlock()
-	p.host.mgr.Close()
+	p.host.close()
 	p.rel.Close()
 	_ = p.listener.Close()
 	p.mu.Lock()
