@@ -35,7 +35,6 @@ package dqmx
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dqmx/internal/chaos"
 	"dqmx/internal/core"
@@ -234,17 +233,12 @@ func (c Codec) validate() error {
 // WireConfig consolidates the byte-layer knobs of a TCP deployment. It
 // applies to NewTCPNode and Serve only — in-process clusters have no wire,
 // and simulations model delay through their own delay distribution. The
-// zero value means "no link delay". Dialing and reconnecting follow a fixed
+// zero value is the default wire. Dialing and reconnecting follow a fixed
 // policy: 5s per attempt, six attempts per batch, backoff 25ms doubling to
 // 500ms.
 type WireConfig struct {
 	// Codec selects nothing (see Codec): leave it empty or set BinaryCodec.
 	Codec Codec
-	// LinkDelay, when positive, holds every outbound batch for that long
-	// before it reaches the wire — a deterministic per-hop latency for
-	// benchmarking on loopback, where real network delay is too small to
-	// separate a T handover from a 2T one.
-	LinkDelay time.Duration
 }
 
 // ObserveConfig groups the observability knobs, following the WireConfig
@@ -292,9 +286,8 @@ type Options struct {
 	// clusters. The zero value applies the defaults (non-empty names up to
 	// 128 bytes).
 	Resources ResourcePolicy
-	// Wire consolidates the byte-layer knobs of a TCP deployment: synthetic
-	// link delay (NewTCPNode and Serve only; in-process clusters model delay
-	// through Chaos, simulations through their delay distribution).
+	// Wire consolidates the byte-layer knobs of a TCP deployment: the wire
+	// codec (NewTCPNode and Serve only; in-process clusters have no wire).
 	Wire WireConfig
 }
 
@@ -353,9 +346,6 @@ func NewCluster(n int) (*Cluster, error) {
 
 // NewClusterWith starts an in-process cluster with explicit options.
 func NewClusterWith(n int, opts Options) (*Cluster, error) {
-	if opts.Wire.LinkDelay != 0 {
-		return nil, errors.New("dqmx: Wire.LinkDelay applies to TCP peers only; use Chaos delay on in-process clusters")
-	}
 	if opts.Wire != (WireConfig{}) {
 		return nil, errors.New("dqmx: Wire applies to TCP peers only; in-process clusters have no wire")
 	}
@@ -498,7 +488,6 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 		Metrics:    col,
 		Observer:   opts.Observe.Observer,
 		Policy:     opts.Resources,
-		Wire:       transport.WireConfig{LinkDelay: opts.Wire.LinkDelay},
 	})
 	if err != nil {
 		return nil, nil, err

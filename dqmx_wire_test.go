@@ -1,8 +1,8 @@
 package dqmx_test
 
 // Public-surface tests for the wire: which protocols may use it, the
-// WireConfig knobs — what is left of codec selection, the in-process
-// rejection of TCP-only options — and the link delay reaching the transport.
+// WireConfig knobs — what is left of codec selection — and the in-process
+// rejection of TCP-only options.
 
 import (
 	"context"
@@ -95,8 +95,7 @@ func freeAddr(t *testing.T) string {
 
 func TestInprocRejectsWireOptions(t *testing.T) {
 	cases := map[string]dqmx.Options{
-		"Wire.LinkDelay": {Wire: dqmx.WireConfig{LinkDelay: time.Millisecond}},
-		"Wire.Codec":     {Wire: dqmx.WireConfig{Codec: dqmx.BinaryCodec}},
+		"Wire.Codec": {Wire: dqmx.WireConfig{Codec: dqmx.BinaryCodec}},
 	}
 	for name, opts := range cases {
 		if _, err := dqmx.NewClusterWith(3, opts); err == nil {
@@ -178,29 +177,5 @@ func TestTCPNodesPinnedCodec(t *testing.T) {
 			peers := newTCPCluster(t, []dqmx.Options{opts, opts, opts})
 			runTCPRounds(t, peers, 2)
 		})
-	}
-}
-
-// TestTCPNodesDeprecatedLinkDelay: Wire.LinkDelay reaches the transport. (The
-// test keeps the name it had when it pinned the Options.LinkDelay shim, which
-// is gone; what it checks — the delay arrives — is not.) A 20ms hop delay on
-// a 3-site majority cluster puts a hard floor under the acquire latency that
-// loopback cannot dodge.
-func TestTCPNodesDeprecatedLinkDelay(t *testing.T) {
-	const hop = 20 * time.Millisecond
-	opts := dqmx.Options{Wire: dqmx.WireConfig{LinkDelay: hop}}
-	peers := newTCPCluster(t, []dqmx.Options{opts, opts, opts})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	start := time.Now()
-	if err := peers[0].Node().Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	peers[0].Node().Release()
-	// One request/reply exchange with a quorum costs at least two delayed
-	// hops; anything faster means the delay was dropped on the way down.
-	if elapsed < 2*hop {
-		t.Errorf("acquire took %v, want >= %v (Wire.LinkDelay not applied)", elapsed, 2*hop)
 	}
 }

@@ -72,7 +72,11 @@ func runConformance(t *testing.T, tc conformanceCase, schedules int) {
 				cfg.AcquireTimeout = 5 * time.Second
 				cfg.Patience = 3 * time.Second
 			}
-			res, err := Run(cfg)
+			var (
+				res Result
+				err error
+			)
+			inBubble(func() { res, err = Run(cfg) })
 			if err != nil {
 				t.Fatalf("seed %d: %v\nplan: %s\n%s", seed, err, plan, replayHint(seed))
 			}

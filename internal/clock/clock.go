@@ -5,7 +5,7 @@
 // substitute a manual one, and a virtual clock on the simulator's kernel can
 // replace it without touching the runtime. Left on the host clock, as that
 // virtual clock's remaining work: socket deadlines (the kernel enforces
-// them), context.WithTimeout, internal/loadgen, cmd/ and examples/.
+// them), context.WithTimeout, cmd/ and examples/.
 package clock
 
 import "time"

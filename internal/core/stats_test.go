@@ -156,7 +156,8 @@ func TestLiteralTransfer(t *testing.T) {
 // machine stays safe and live, sends no transfer messages at all, and pays
 // the release → reply round trip on every handover, so its synchronization
 // delay must be clearly worse than the delay-optimal configuration's. This
-// is the simulated sanity check behind the live A/B in internal/loadgen.
+// is the simulated sanity check behind the live runtime's E14
+// (TestLiveSyncDelayInT in the root package).
 func TestViaArbiter(t *testing.T) {
 	delay := sim.ConstantDelay{D: 1000}
 	with := runHandoff(t, core.Transfer, delay)

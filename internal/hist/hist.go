@@ -11,8 +11,8 @@
 // and be folded together after a measurement window.
 //
 // The package is stdlib-only and has no dependencies inside the repository,
-// so both the observability layer (internal/obs) and the load-generation
-// lab (internal/loadgen) build on it without import cycles.
+// so the observability layer (internal/obs) builds on it without import
+// cycles.
 package hist
 
 import (
@@ -31,7 +31,7 @@ const nBuckets = (1 << subBits) + (63-subBits)*(1<<subBits)
 // Histogram accumulates non-negative int64 samples. The zero value is an
 // empty histogram ready for use. It is not safe for concurrent use; callers
 // either guard it with their own lock (internal/obs) or keep one per
-// goroutine and Merge afterwards (internal/loadgen).
+// goroutine and Merge afterwards.
 type Histogram struct {
 	count    uint64
 	sum      float64

@@ -10,8 +10,7 @@ import (
 
 // Histogram is the repository's log-linear latency histogram
 // (internal/hist): constant-size, allocation-free on Add, mergeable, with
-// ≤ 6.25% quantile error. The alias keeps the observability layer's delay
-// tracking and the load-generation lab (internal/loadgen) on one type.
+// ≤ 6.25% quantile error.
 type Histogram = hist.Histogram
 
 // DelayStats reports one delay distribution in the driver's time unit
@@ -151,8 +150,12 @@ type resourceAgg struct {
 	failures   uint64
 	recoveries uint64
 
-	*pairing
-	entered map[mutex.SiteID]int64
+	// requested and entered hold each waiting site's request and entry
+	// instants; lastExit is the last exit, once haveExit.
+	requested map[mutex.SiteID]int64
+	entered   map[mutex.SiteID]int64
+	lastExit  int64
+	haveExit  bool
 
 	syncDelay Histogram
 	response  Histogram
@@ -161,9 +164,9 @@ type resourceAgg struct {
 
 func newResourceAgg() *resourceAgg {
 	return &resourceAgg{
-		byKind:  make(map[string]uint64),
-		pairing: newPairing(),
-		entered: make(map[mutex.SiteID]int64),
+		byKind:    make(map[string]uint64),
+		requested: make(map[mutex.SiteID]int64),
+		entered:   make(map[mutex.SiteID]int64),
 	}
 }
 
@@ -224,10 +227,10 @@ func (m *Metrics) Observe(e Event) {
 	case EventEnter:
 		a.entries++
 		a.entered[e.Site] = e.Time
-		if req, ok := a.requested[e.Site]; ok {
-			if d, ok := a.handoff(req, e.Time); ok {
-				a.syncDelay.Add(d)
-			}
+		// A handover: the site was already waiting when the previous
+		// holder exited (requested ≤ last exit ≤ entry).
+		if req, ok := a.requested[e.Site]; ok && a.haveExit && req <= a.lastExit && e.Time >= a.lastExit {
+			a.syncDelay.Add(e.Time - a.lastExit)
 		}
 	case EventExit:
 		a.exits++
@@ -239,7 +242,7 @@ func (m *Metrics) Observe(e Event) {
 			delete(a.requested, e.Site)
 			delete(a.entered, e.Site)
 		}
-		a.exit(e.Time)
+		a.lastExit, a.haveExit = e.Time, true
 	case EventFailure:
 		a.failures++
 	case EventRecovery:

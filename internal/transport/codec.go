@@ -13,15 +13,3 @@ const (
 	reconnectBase     = 25 * time.Millisecond
 	reconnectMax      = 500 * time.Millisecond
 )
-
-// WireConfig gathers the knobs of the byte layer. The zero value means "no
-// delay".
-type WireConfig struct {
-	// LinkDelay, when positive, holds every outbound batch for that long
-	// before it reaches the wire — a deterministic per-hop latency for
-	// benchmarking on loopback, where the real network delay is too small
-	// and too noisy to separate a T handover from a 2T one. It delays
-	// whole batches, not bytes: queueing ahead of the sleep still
-	// coalesces, so it models link latency, not bandwidth.
-	LinkDelay time.Duration
-}

@@ -39,8 +39,6 @@ type TCPConfig struct {
 	Observer obs.Sink
 	// Policy bounds named-lock resource names.
 	Policy resource.Policy
-	// Wire configures the byte layer: link delay.
-	Wire WireConfig
 	// clock times the peer and its parts (nil: clock.Real). Test-only.
 	clock clock.Clock
 }
@@ -65,7 +63,6 @@ type TCPPeer struct {
 	listener net.Listener
 	peers    map[mutex.SiteID]string
 	metrics  *obs.Metrics // nil unless metrics collection was requested
-	wire     WireConfig   // byte-layer configuration
 	clock    clock.Clock  // the reliable layer's, the outbounds' and the detector's
 
 	// stage is the membership stage stamped onto every outbound envelope
@@ -101,7 +98,6 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		listener: ln,
 		peers:    make(map[mutex.SiteID]string, len(cfg.Peers)),
 		metrics:  cfg.Metrics,
-		wire:     cfg.Wire,
 		clock:    cfg.clock,
 		outs:     make(map[mutex.SiteID]*outbound),
 		inbound:  make(map[net.Conn]bool),
@@ -273,7 +269,7 @@ func (p *TCPPeer) outboundFor(id mutex.SiteID) (*outbound, error) {
 // with out, its other buffer, and writes out in one write loop. Whoever
 // queues onto a destination nobody is writing to takes the role and writes
 // on its own goroutine without blocking; frames that cannot leave at once —
-// no connection yet, a link delay, a full socket buffer — pass with the role
+// no connection yet, a full socket buffer — pass with the role
 // to a goroutine that may block, which writes until the queue is empty and
 // exits. The single holder keeps the destination's frames in FIFO order; no
 // goroutine stays resident per destination.
@@ -356,11 +352,11 @@ func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
 // and passes the role, with the frames in hand, to one that may.
 func (o *outbound) run(park bool) {
 	for o.next() {
-		if !park && (o.raw == nil || o.peer.wire.LinkDelay > 0 || !writeInline) {
+		if !park && (o.raw == nil || !writeInline) {
 			o.handOff()
 			return
 		}
-		if park && !o.connect() {
+		if park && !o.ensureConn() {
 			o.discard() // the timer re-sends what was sequenced
 			continue
 		}
@@ -457,16 +453,6 @@ func (o *outbound) handOff() {
 		defer p.wg.Done()
 		o.run(true)
 	}()
-}
-
-// connect readies the frames in hand for the wire where blocking is
-// allowed: it holds them for the link delay, then dials when there is no
-// connection.
-func (o *outbound) connect() bool {
-	if d := o.peer.wire.LinkDelay; d > 0 {
-		clock.Sleep(o.peer.clock, d, o.peer.stopC)
-	}
-	return o.ensureConn()
 }
 
 // discard drops the connection, its encoder and every frame encoded for it:
