@@ -59,8 +59,8 @@ const (
 	// (duplicate) envelope. Transport-level.
 	EventDupDrop
 	// EventAckSend marks a standalone cumulative acknowledgement leaving a
-	// site after an idle flush (piggybacked acks are not reported).
-	// Transport-level.
+	// site after an idle flush, or a gap report (piggybacked acks are not
+	// reported). Transport-level.
 	EventAckSend
 	// EventSessionOpen marks an arbiter granting a new client session lease
 	// (Site is the arbiter). Service-level: session events never count

@@ -99,12 +99,6 @@ func (m *mailbox) close() {
 	m.mu.Unlock()
 }
 
-// respPool recycles the one-shot reply channels of Acquire and Release. The
-// loop sends exactly one reply per channel it is handed, and a channel goes
-// back only after that reply was received (or before the loop ever saw it),
-// so a pooled channel is always empty and unreferenced.
-var respPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
 // Node hosts one site's machine for one lock on a dedicated goroutine and
 // exposes a blocking Acquire/Release interface to application code. It
 // stamps its lock's name onto everything it sends and observes, and the
@@ -122,6 +116,13 @@ type Node struct {
 
 	acquireC chan chan error
 	releaseC chan chan error
+	// respPool recycles the one-shot reply channels of Acquire and Release.
+	// The loop sends exactly one reply per channel it is handed, and a
+	// channel goes back only after that reply was received (or before the
+	// loop ever saw it), so a pooled channel is always empty and
+	// unreferenced. Each node keeps its own, so a channel never outlives the
+	// cluster it was made for (a testing/synctest bubble's included).
+	respPool sync.Pool
 	ctrlC    chan func() // membership control, run on the loop goroutine
 	stopOnce sync.Once
 	stopC    chan struct{}
@@ -157,6 +158,7 @@ func newNode(name string, site mutex.Site, sender BatchSender, sink obs.Sink, st
 		stopC:     make(chan struct{}),
 		doneC:     make(chan struct{}),
 	}
+	n.respPool.New = func() any { return make(chan error, 1) }
 	go n.run()
 	return n
 }
@@ -176,19 +178,19 @@ func (n *Node) InjectBatch(envs []mutex.Envelope) { n.inbox.putAll(envs) }
 // request was issued, the eventually acquired critical section is released
 // automatically.
 func (n *Node) Acquire(ctx context.Context) error {
-	resp := respPool.Get().(chan error)
+	resp := n.respPool.Get().(chan error)
 	select {
 	case n.acquireC <- resp:
 	case <-ctx.Done():
-		respPool.Put(resp)
+		n.respPool.Put(resp)
 		return ctx.Err()
 	case <-n.doneC:
-		respPool.Put(resp)
+		n.respPool.Put(resp)
 		return ErrClosed
 	}
 	select {
 	case err := <-resp:
-		respPool.Put(resp)
+		n.respPool.Put(resp)
 		return err
 	case <-ctx.Done():
 		// The protocol has no cancel message: wait out the grant in the
@@ -198,7 +200,7 @@ func (n *Node) Acquire(ctx context.Context) error {
 		go func() {
 			select {
 			case err := <-resp:
-				respPool.Put(resp)
+				n.respPool.Put(resp)
 				if err == nil {
 					_ = n.Release()
 				}
@@ -235,14 +237,14 @@ func (n *Node) TryAcquire(ctx context.Context) (bool, error) {
 // does not currently hold the CS (no matching successful Acquire), and
 // ErrClosed after shutdown.
 func (n *Node) Release() error {
-	resp := respPool.Get().(chan error)
+	resp := n.respPool.Get().(chan error)
 	select {
 	case n.releaseC <- resp:
 		err := <-resp
-		respPool.Put(resp)
+		n.respPool.Put(resp)
 		return err
 	case <-n.doneC:
-		respPool.Put(resp)
+		n.respPool.Put(resp)
 		return ErrClosed
 	}
 }

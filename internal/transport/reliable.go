@@ -13,7 +13,11 @@ package transport
 // backoff plus jitter. The receive side deduplicates by sequence number and
 // holds out-of-order arrivals in a reorder buffer, so the state machines in
 // internal/core continue to observe exactly-once, per-stream-FIFO delivery
-// even when the wire drops, duplicates, or reorders.
+// even when the wire drops, duplicates, or reorders. A gap that stays open
+// for nackGrace is reported back (a gap report: Seq is the missing sequence
+// number, no payload), and the sender re-sends that envelope on its next
+// flush pass instead of waiting out the backoff: a stream that keeps moving
+// heals a loss in tens of milliseconds, not hundreds.
 //
 // Acknowledgements are cumulative and piggybacked on every outgoing envelope
 // of the reverse direction; a receiver with nothing to say flushes a
@@ -61,6 +65,11 @@ const (
 	// relTick is the period of the combined retransmit/ack-flush loop while
 	// it has work (see reliable.timer).
 	relTick = 2 * time.Millisecond
+	// nackGrace is how long a gap in a receive stream stays open before the
+	// receiver reports it, and again between reports while it stays open.
+	// It is many times the reordering a live wire shows, so an arrival that
+	// is merely late, not lost, fills the gap first.
+	nackGrace = 25 * time.Millisecond
 )
 
 // transportMessage marks payloads owned by the transport itself (heartbeat
@@ -91,12 +100,14 @@ type sendStream struct {
 }
 
 // recvStream is the receive half: the cumulative delivery horizon, the
-// reorder buffer for arrivals beyond it, and the pending-ack state.
+// reorder buffer for arrivals beyond it, the pending-ack state, and when the
+// gap at delivered+1 is next reported (while the buffer is non-empty).
 type recvStream struct {
 	delivered uint64
 	buffer    map[uint64]mutex.Envelope
 	ackDue    bool
 	ackAt     time.Time
+	nackAt    time.Time
 }
 
 // reliable is the delivery layer for one endpoint (a chaos cluster shares a
@@ -225,6 +236,22 @@ func (r *reliable) Requeue(to mutex.SiteID) {
 	}
 }
 
+// resendLocked makes one unacknowledged envelope due now: the peer reported
+// it missing behind later arrivals. A report for an envelope already acked
+// is stale and ignored.
+func (r *reliable) resendLocked(id streamID, seq uint64) {
+	ss := r.out[id]
+	if ss == nil {
+		return
+	}
+	for i := range ss.unacked {
+		if ss.unacked[i].env.Seq == seq {
+			ss.unacked[i].due = r.clock.Now()
+			return
+		}
+	}
+}
+
 // ReviveSite clears the dead mark of a site ID so it can be reused by a
 // later configuration (a grow after a shrink, or a crash-replace restart).
 // Streams were already torn down at death, so the revived site starts from
@@ -304,10 +331,10 @@ func (r *reliable) prepare(env *mutex.Envelope) bool {
 	return true
 }
 
-// Receive ingests one envelope off the wire: it applies the piggybacked ack,
-// passes transport-level frames straight up, and runs sequenced traffic
-// through the dedup/reorder machinery so exactly the next in-order suffix is
-// delivered.
+// Receive ingests one envelope off the wire: it applies the piggybacked ack
+// and any gap report, passes transport-level frames straight up, and runs
+// sequenced traffic through the dedup/reorder machinery so exactly the next
+// in-order suffix is delivered.
 func (r *reliable) Receive(env mutex.Envelope) error {
 	r.mu.Lock()
 	if r.dead[env.From] || r.dead[env.To] {
@@ -317,11 +344,16 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 	if env.Ack > 0 {
 		r.ackLocked(streamID{from: env.To, to: env.From}, env.Ack)
 	}
+	if !env.HasPayload() {
+		// A standalone ack frame, fully consumed above, or a gap report.
+		if env.Seq > 0 {
+			r.resendLocked(streamID{from: env.To, to: env.From}, env.Seq)
+		}
+		r.mu.Unlock()
+		return nil
+	}
 	if env.Seq == 0 {
 		r.mu.Unlock()
-		if !env.HasPayload() {
-			return nil // standalone ack frame: fully consumed above
-		}
 		return r.deliver(env) // heartbeat and friends: best-effort, unordered
 	}
 	id := streamID{from: env.From, to: env.To}
@@ -339,7 +371,11 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 		return nil
 	}
 	if env.Seq != rs.delivered+1 {
-		// A gap: park the envelope until retransmission fills it.
+		// A gap: park the envelope until retransmission fills it. A gap
+		// opening now is reported if it is still open after nackGrace.
+		if len(rs.buffer) == 0 {
+			rs.nackAt = r.clock.Now().Add(nackGrace)
+		}
 		if _, dup := rs.buffer[env.Seq]; dup {
 			r.emitLocked(obs.Event{Type: obs.EventDupDrop, Site: env.To, Peer: env.From, Time: obs.Now()})
 		} else {
@@ -365,6 +401,10 @@ func (r *reliable) Receive(env mutex.Envelope) error {
 		}
 		delete(rs.buffer, rs.delivered+1)
 		env = next
+	}
+	if len(rs.buffer) > 0 {
+		// The old gap filled, but a later one remains: its grace starts now.
+		rs.nackAt = r.clock.Now().Add(nackGrace)
 	}
 	r.mu.Unlock()
 	return firstErr
@@ -455,12 +495,12 @@ func (r *reliable) loop() {
 	}
 }
 
-// flush collects due retransmissions and standalone acks under the lock
-// into one batch, then puts it on the wire outside it (the raw sender may
-// deliver inline), so each destination gets one enqueue per pass. Events are
-// built only for a sink that will receive them. The pass re-arms the loop's
-// timer while anything is left to retransmit or acknowledge, and parks the
-// loop otherwise.
+// flush collects due retransmissions, gap reports and standalone acks under
+// the lock into one batch, then puts it on the wire outside it (the raw
+// sender may deliver inline), so each destination gets one enqueue per pass.
+// Events are built only for a sink that will receive them. The pass re-arms
+// the loop's timer while anything is left to retransmit, report or
+// acknowledge, and parks the loop otherwise.
 func (r *reliable) flush() {
 	now := r.clock.Now()
 	batch, events := r.batch[:0], r.events[:0]
@@ -493,6 +533,21 @@ func (r *reliable) flush() {
 		}
 	}
 	for id, rs := range r.in {
+		if len(rs.buffer) > 0 {
+			busy = true
+			if !now.Before(rs.nackAt) {
+				// The gap outlived its grace: report it, with the ack.
+				rs.nackAt = now.Add(nackGrace)
+				rs.ackDue = false
+				batch = append(batch, mutex.Envelope{From: id.to, To: id.from, Ack: rs.delivered, Seq: rs.delivered + 1})
+				if sink != nil {
+					events = append(events, obs.Event{
+						Type: obs.EventAckSend, Site: id.to, Peer: id.from, Time: obs.Now(),
+					})
+				}
+				continue
+			}
+		}
 		if !rs.ackDue {
 			continue
 		}

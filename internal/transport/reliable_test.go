@@ -390,6 +390,70 @@ func TestReliableAckGraceExact(t *testing.T) {
 	}
 }
 
+// TestReliableGapReportExact: a loss with later traffic behind it heals on
+// the gap report, not on the backoff. The receiver reports the missing
+// envelope on the first flush pass at least nackGrace after the gap opened,
+// never before, and once only; the sender re-sends it on its next pass, long
+// before the first retransmission would be due.
+func TestReliableGapReportExact(t *testing.T) {
+	r, w, col, clk := startReliableManual(t, nil)
+	start := clk.Now()
+	var reports, copies []time.Duration // wire times of gap reports and of seq 1's copies
+	w.mu.Lock()
+	w.drop = func(n int, env mutex.Envelope) bool {
+		switch {
+		case !env.HasPayload() && env.Seq > 0:
+			reports = append(reports, clk.Since(start))
+		case env.Seq == 1:
+			copies = append(copies, clk.Since(start))
+			return len(copies) == 1 // the first send is lost
+		}
+		return false
+	}
+	w.mu.Unlock()
+	seen := func() (int, int) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(reports), len(copies)
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Send(mutex.Envelope{From: 0, To: 9, Msg: relTestMsg{N: i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(nackGrace - time.Nanosecond)
+	if nr, nc := seen(); nr != 0 || nc != 1 {
+		t.Fatalf("before nackGrace: %d gap reports and %d copies of seq 1, want 0 and 1", nr, nc)
+	}
+	clk.Advance(relTick + time.Nanosecond)
+	if nr, _ := seen(); nr != 1 {
+		t.Fatalf("%d gap reports by nackGrace + relTick, want 1", nr)
+	}
+	clk.Advance(relTick)
+	if _, nc := seen(); nc != 2 {
+		t.Fatalf("%d copies of seq 1 one pass after the gap report, want 2", nc)
+	}
+	clk.Advance(2 * nackGrace)
+	if nr, nc := seen(); nr != 1 || nc != 2 {
+		t.Fatalf("after the gap filled: %d gap reports and %d copies of seq 1, want 1 and 2", nr, nc)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if d := reports[0]; d < nackGrace || d > nackGrace+relTick {
+		t.Errorf("gap report left %v after the gap opened, want [%v, %v]", d, nackGrace, nackGrace+relTick)
+	}
+	if d := copies[1] - reports[0]; d > relTick {
+		t.Errorf("seq 1 re-sent %v after the gap report, want within one pass (%v)", d, relTick)
+	}
+	if copies[1] >= rtxBase*3/4 {
+		t.Errorf("seq 1 re-sent at %v, not before its backoff (>= %v)", copies[1], rtxBase*3/4)
+	}
+	got := col.snapshot()
+	if len(got) != 2 || got[0].Msg.(relTestMsg).N != 0 || got[1].Msg.(relTestMsg).N != 1 {
+		t.Errorf("delivered %v, want payloads 0 then 1", got)
+	}
+}
+
 // TestTransportTrafficExcludedFromCounts is the obs-accounting contract: a
 // quiet lossless run reports byte-identical protocol message tallies whether
 // the reliability layer is on (a cluster over a fault-free chaos plan) or

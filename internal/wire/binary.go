@@ -22,7 +22,7 @@ import (
 //	  uvarint  Seq
 //	  uvarint  Ack
 //	  uvarint  Epoch (membership stage; 0 until a reconfiguration)
-//	  byte     message tag (0 = no payload: a standalone ack frame)
+//	  byte     message tag (0 = no payload: a standalone ack frame, or a gap report when Seq > 0)
 //	  ...      the registered message encoding for that tag (the same bytes
 //	           whether the message sat in Envelope.Body or Envelope.Msg)
 //
