@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark vt bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
+.PHONY: check fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet crosscheck build test race chaos soak fuzz modelcheck modelcheck-soak allocs benchmark vt bench-smoke bench-sim tables tablescheck fmt apicheck apibase loc
 
 # The standard gate: what CI and pre-commit should run. race already runs
 # the full seeded conformance sweep (internal/chaos/sweep) under -race;
@@ -17,8 +17,9 @@ GO ?= go
 # avoidcheck on a §6 avoiding rule applied outside the membership plan;
 # hostcheck on a lock instance built, or told of a crash or a membership
 # stage, outside the transport's per-site host; ordercheck on a timestamp
-# order rule stated outside the conformance ledger.
-check: fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet build apicheck tablescheck race chaos modelcheck allocs vt bench-smoke
+# order rule stated outside the conformance ledger; crosscheck on code that
+# does not compile for Windows.
+check: fmtcheck wirecheck clockcheck avoidcheck hostcheck ordercheck vet crosscheck build apicheck tablescheck race chaos modelcheck allocs vt bench-smoke
 
 fmtcheck:
 	test -z "$$(gofmt -l .)"
@@ -86,6 +87,12 @@ apibase:
 
 vet:
 	$(GO) vet ./...
+
+# The Windows build: vet every package for windows/amd64, so the
+# platform-split files (internal/transport's rawwrite_windows.go) compile.
+# benchmark/ reads Unix rusage and is left out.
+crosscheck:
+	GOOS=windows GOARCH=amd64 $(GO) vet $$($(GO) list ./... | grep -v '^dqmx/benchmark$$')
 
 build:
 	$(GO) build ./...

@@ -65,10 +65,6 @@ type TCPPeer = transport.TCPPeer
 // prefer Do for acquire/run/release.
 type Lock = resource.Lock
 
-// ResourcePolicy bounds and validates named-lock resource names. Validation
-// runs once per name (handles are cached), never per acquire.
-type ResourcePolicy = resource.Policy
-
 // Acquire/Release error conditions, re-exported for errors.Is checks at the
 // public surface.
 var (
@@ -282,10 +278,6 @@ type Options struct {
 	// Faults groups the fault-machinery knobs: chaos injection and the §6
 	// recovery/transfer toggles.
 	Faults FaultConfig
-	// Resources bounds and validates named-lock resource names on live
-	// clusters. The zero value applies the defaults (non-empty names up to
-	// 128 bytes).
-	Resources ResourcePolicy
 	// Wire consolidates the byte-layer knobs of a TCP deployment: the wire
 	// codec (NewTCPNode and Serve only; in-process clusters have no wire).
 	Wire WireConfig
@@ -358,7 +350,6 @@ func NewClusterWith(n int, opts Options) (*Cluster, error) {
 		N:            n,
 		Metrics:      opts.collector(),
 		Observer:     opts.Observe.Observer,
-		Policy:       opts.Resources,
 		Chaos:        opts.Faults.Chaos,
 		Construction: cons,
 	})
@@ -487,7 +478,6 @@ func newTCPPeer(n int, id SiteID, listenAddr string, peers map[SiteID]string, op
 		N:          n,
 		Metrics:    col,
 		Observer:   opts.Observe.Observer,
-		Policy:     opts.Resources,
 	})
 	if err != nil {
 		return nil, nil, err

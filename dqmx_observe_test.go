@@ -5,11 +5,30 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dqmx"
 )
+
+// awaitQuiet waits until every message the cluster has sent has been
+// delivered, counted by a CountDeliveries hook. The count is read before
+// the snapshot: a delivery is counted only after the sends it caused, so
+// equal readings in this order leave nothing in flight.
+func awaitQuiet(t *testing.T, cluster *dqmx.Cluster, delivered *atomic.Uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		got := delivered.Load()
+		snap, _ := cluster.Snapshot()
+		if got == snap.Messages {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster not quiet: %d messages sent, %d delivered", snap.Messages, got)
+		}
+	}
+}
 
 // TestLiveMetricsMatchSimulation drives a real in-process 9-site cluster and
 // checks that its live metrics agree with the discrete-event simulator for
@@ -36,9 +55,14 @@ func TestLiveMetricsMatchSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
+	delivered := dqmx.CountDeliveries(cluster)
 
 	// Phase 1: uncontended round-robin, mirroring the simulator's light load.
+	// Release returns before its release messages arrive, and a release still
+	// queued at an arbiter turns the next request into a transfer, so each
+	// request waits until the cluster is quiet.
 	for k := 0; k < total; k++ {
+		awaitQuiet(t, cluster, delivered)
 		node := cluster.Node(dqmx.SiteID(k % n))
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		err := node.Acquire(ctx)

@@ -224,9 +224,6 @@ func NewFabric(plan Plan, deliver DeliverFunc, clk clock.Clock) *Fabric {
 	return f
 }
 
-// Plan returns the fabric's schedule.
-func (f *Fabric) Plan() Plan { return f.plan }
-
 // MarkCrashed silences a site: subsequent messages from or to it are
 // dropped. The transport's crash scheduler calls it alongside KillSite.
 func (f *Fabric) MarkCrashed(id mutex.SiteID) {

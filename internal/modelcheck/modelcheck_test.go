@@ -3,6 +3,7 @@ package modelcheck_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dqmx/internal/chaos"
@@ -258,6 +259,28 @@ func TestCounterexampleReplay(t *testing.T) {
 	}
 	if len(log) != len(v.Trace) {
 		t.Fatalf("replay log has %d steps for a %d-choice trace", len(log), len(v.Trace))
+	}
+}
+
+// TestReplayRejectsDisabledAction: Replay refuses a step the explorer would
+// not offer in the state it meets. Site 0 applying the final req_set right
+// after its own joint apply skips the settle barrier (sites 1–3 are not
+// joint yet), so the trace is not a run of the configuration.
+func TestReplayRejectsDisabledAction(t *testing.T) {
+	cfg := handoverConfig(t, 3, 4, []mutex.SiteID{0})
+	trace := []modelcheck.Action{
+		{Kind: modelcheck.ActApplyJoint, Site: 0},
+		{Kind: modelcheck.ActApplyFinal, Site: 0},
+	}
+	v, log, err := modelcheck.Replay(cfg, trace)
+	if err == nil {
+		t.Fatalf("replay of a barrier-skipping trace succeeded (violation %v, log %q)", v, log)
+	}
+	if !strings.Contains(err.Error(), "step 2") {
+		t.Errorf("replay error = %v, want it to name step 2", err)
+	}
+	if len(log) != 1 {
+		t.Errorf("replay logged %d steps, want 1 (the enabled joint apply)", len(log))
 	}
 }
 

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dqmx/internal/mutex"
@@ -117,8 +118,10 @@ func dumpState(st *State) string {
 // Replay re-executes a recorded choice sequence against a fresh initial
 // state, running the same invariants, and returns the violation it
 // reproduces (nil when the trace runs clean), a per-step log, and an error
-// when the trace does not fit the configuration. Terminal invariants are
-// checked when the final state is quiescent.
+// when the trace does not fit the configuration: a step the explorer would
+// not offer in the state it meets (a final apply before the settle barrier,
+// a request from a site with none left) is refused, not applied. Terminal
+// invariants are checked when the final state is quiescent.
 func Replay(cfg Config, trace []Action) (*Violation, []string, error) {
 	ex, err := newExplorer(cfg)
 	if err != nil {
@@ -130,6 +133,9 @@ func Replay(cfg Config, trace []Action) (*Violation, []string, error) {
 	}
 	log := make([]string, 0, len(trace))
 	for i, a := range trace {
+		if core, crash := ex.enabled(st); !slices.Contains(core, a) && !slices.Contains(crash, a) {
+			return nil, log, fmt.Errorf("step %d: %v is not enabled", i+1, a)
+		}
 		pre := st.clone()
 		detail, err := st.apply(a)
 		if err != nil {

@@ -1,5 +1,5 @@
 // Package resource is the application's side of a named lock: the Lock
-// handle and the Policy that bounds lock names. A Lock drives one site's
+// handle and the rule that bounds lock names. A Lock drives one site's
 // Endpoint of its lock — a protocol instance in a peer deployment, a
 // leased session's forwarding stub in a client — through Acquire,
 // TryAcquire and Release, queueing local callers on the handle so that the
@@ -8,7 +8,7 @@
 // The package keeps no table of locks. Whoever hosts the endpoints (the
 // transport's per-site host, the session client) keeps one canonical
 // handle per name, builds it with NewLock and checks a new name with
-// Policy.Check once, when it first sees it.
+// CheckName once, when it first sees it.
 package resource
 
 import (
@@ -23,9 +23,9 @@ import (
 // Lock.
 const Default = ""
 
-// DefaultMaxNameLength bounds resource names when Policy.MaxNameLength is
-// unset. Names travel in every wire envelope, so they are kept short.
-const DefaultMaxNameLength = 128
+// MaxNameLength bounds resource names, in bytes. Names travel in every wire
+// envelope, so they are kept short.
+const MaxNameLength = 128
 
 // ErrClosed is returned for a lock name first asked for after its host
 // closed.
@@ -39,35 +39,15 @@ var ErrClosed = errors.New("resource: lock manager is closed")
 // handle's admission token is freed so the name stays usable.
 var ErrLockLost = errors.New("resource: lock lost (session expired or failed over)")
 
-// Policy bounds and validates resource names. Validation runs exactly once
-// per name — when its host first sees it — never on the per-acquire hot
-// path, because handles are cached by name.
-type Policy struct {
-	// MaxNameLength is the maximum name length in bytes
-	// (DefaultMaxNameLength when zero or negative).
-	MaxNameLength int
-	// Validate, when non-nil, is an additional application check run after
-	// the built-in rules. Returning an error rejects the name.
-	Validate func(name string) error
-}
-
-// Check applies the policy to a lock name. The empty name is rejected: it
-// is the reserved default resource.
-func (p Policy) Check(name string) error {
+// CheckName is the rule every lock name meets: non-empty (the empty name is
+// the reserved default resource) and at most MaxNameLength bytes. A host
+// runs it once per name, when it first sees it, never per acquire.
+func CheckName(name string) error {
 	if name == Default {
 		return errors.New("resource: empty lock name (the empty name is the reserved default resource)")
 	}
-	max := p.MaxNameLength
-	if max <= 0 {
-		max = DefaultMaxNameLength
-	}
-	if len(name) > max {
-		return fmt.Errorf("resource: lock name of %d bytes exceeds the %d-byte limit", len(name), max)
-	}
-	if p.Validate != nil {
-		if err := p.Validate(name); err != nil {
-			return fmt.Errorf("resource: invalid lock name %q: %w", name, err)
-		}
+	if len(name) > MaxNameLength {
+		return fmt.Errorf("resource: lock name of %d bytes exceeds the %d-byte limit", len(name), MaxNameLength)
 	}
 	return nil
 }

@@ -34,8 +34,8 @@ const (
 	// DefaultClientLease is the lease TTL requested when the config names
 	// none.
 	DefaultClientLease = 2 * time.Second
-	// DefaultDialTimeout bounds one dial + handshake attempt.
-	DefaultDialTimeout = 2 * time.Second
+	// DialTimeout bounds one dial + handshake attempt.
+	DialTimeout = 2 * time.Second
 )
 
 // ClientConfig configures Dial.
@@ -48,14 +48,10 @@ type ClientConfig struct {
 	Lease time.Duration
 	// Keepalive is the renewal period (granted TTL / 3 when zero).
 	Keepalive time.Duration
-	// DialTimeout bounds one dial + handshake attempt.
-	DialTimeout time.Duration
 	// FailoverWindow is how long the client keeps retrying arbiters after
 	// losing its connection before declaring the session lost
 	// (3 × granted TTL when zero).
 	FailoverWindow time.Duration
-	// Policy bounds lock names client-side, mirroring the arbiter's.
-	Policy resource.Policy
 	// SafetyMargin arms the lease-safety watchdog: while any lock is held
 	// and the conservative lease deadline (see LeaseDeadline) is closer
 	// than this margin, OnLeaseWarning fires. Work holding a lock that
@@ -149,9 +145,6 @@ func Dial(ctx context.Context, cfg ClientConfig) (*Client, error) {
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultClientLease
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
 	c := &Client{
 		cfg:         cfg,
 		clock:       clock.Real,
@@ -227,7 +220,7 @@ func (c *Client) Err() error {
 }
 
 // Lock returns the canonical handle for the named lock; operations on it
-// are served by the session's arbiter. The policy checks a name once, the
+// are served by the session's arbiter. CheckName checks a name once, the
 // first time it is asked for; a name first asked for after Close fails
 // with resource.ErrClosed.
 func (c *Client) Lock(name string) (*resource.Lock, error) {
@@ -237,7 +230,7 @@ func (c *Client) Lock(name string) (*resource.Lock, error) {
 	if inst != nil {
 		return inst.lock, nil
 	}
-	if err := c.cfg.Policy.Check(name); err != nil {
+	if err := resource.CheckName(name); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -378,11 +371,11 @@ func (c *Client) dialOne(addr string) (sc *sessionConn, grant grantMsg, helloSen
 	c.mu.Lock()
 	id := c.sessionID
 	c.mu.Unlock()
-	nc, err := net.DialTimeout("tcp", addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, grantMsg{}, time.Time{}, err
 	}
-	sc, err = clientHandshake(nc, c.cfg.DialTimeout)
+	sc, err = clientHandshake(nc, DialTimeout)
 	if err != nil {
 		nc.Close()
 		return nil, grantMsg{}, time.Time{}, err
@@ -393,7 +386,7 @@ func (c *Client) dialOne(addr string) (sc *sessionConn, grant grantMsg, helloSen
 		sc.close()
 		return nil, grantMsg{}, time.Time{}, err
 	}
-	sc.c.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
+	sc.c.SetReadDeadline(time.Now().Add(DialTimeout))
 	env, err := sc.recv()
 	if err != nil {
 		sc.close()

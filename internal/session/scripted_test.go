@@ -14,6 +14,14 @@ import (
 // one only produces by racing.
 func rawSession(t *testing.T, addr string) *sessionConn {
 	t.Helper()
+	sc, _ := rawHello(t, addr, 2000)
+	return sc
+}
+
+// rawHello dials an arbiter, completes the handshake by hand and sends a
+// hello asking for a ttlMillis lease, returning the stream and its grant.
+func rawHello(t *testing.T, addr string, ttlMillis uint64) (*sessionConn, grantMsg) {
+	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -24,17 +32,38 @@ func rawSession(t *testing.T, addr string) *sessionConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(sc.close)
-	if err := sc.send(envelope("", helloMsg{TTLMillis: 2000})); err != nil {
+	if err := sc.send(envelope("", helloMsg{TTLMillis: ttlMillis})); err != nil {
 		t.Fatal(err)
 	}
 	env, err := sc.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, ok := env.Msg.(grantMsg); !ok || g.Err != "" {
+	g, ok := env.Msg.(grantMsg)
+	if !ok || g.Err != "" {
 		t.Fatalf("hello answered with %+v", env.Msg)
 	}
-	return sc
+	return sc, g
+}
+
+// TestLeaseCap: a requested lease is capped at the longer of LeaseCap and
+// the arbiter's own Lease. With the default Lease a 60s request is granted
+// 30s; with a 45s Lease it is granted 45s; a request under the cap stands.
+func TestLeaseCap(t *testing.T) {
+	for _, tc := range []struct {
+		lease time.Duration
+		ask   uint64
+		want  uint64
+	}{
+		{0, 60000, 30000},
+		{45 * time.Second, 60000, 45000},
+		{0, 10000, 10000},
+	} {
+		addrs, _ := startArbiters(t, 3, []int{0}, tc.lease, nil, nil)
+		if _, g := rawHello(t, addrs[0], tc.ask); g.TTLMillis != tc.want {
+			t.Errorf("Lease %v, hello asking %d ms: granted %d ms, want %d", tc.lease, tc.ask, g.TTLMillis, tc.want)
+		}
+	}
 }
 
 // TestCancelCrossingGrant: a client that gives an acquire up sends a cancel

@@ -35,10 +35,11 @@ const (
 	// DefaultLease is the lease TTL granted when neither the server config
 	// nor the client's hello names one.
 	DefaultLease = 2 * time.Second
-	// DefaultMaxLease caps client-requested lease TTLs.
-	DefaultMaxLease = 30 * time.Second
-	// DefaultHandshakeTimeout bounds the preamble + hello exchange.
-	DefaultHandshakeTimeout = 5 * time.Second
+	// LeaseCap caps client-requested lease TTLs, or the server's Lease
+	// when that is longer.
+	LeaseCap = 30 * time.Second
+	// HandshakeWindow bounds the preamble + hello exchange.
+	HandshakeWindow = 5 * time.Second
 	// DefaultMaxPending is the per-session cap on in-flight acquires.
 	DefaultMaxPending = 128
 	// DefaultMaxSessions is the per-arbiter cap on concurrent sessions.
@@ -65,15 +66,12 @@ type ServerConfig struct {
 	// Listener accepts client connections (required). The server owns it
 	// and closes it on Close.
 	Listener net.Listener
-	// Lease is the default lease TTL (DefaultLease when zero); MaxLease
-	// caps client-requested TTLs (DefaultMaxLease when zero). A session is
-	// expired within its own TTL, default or client-requested, plus a
-	// quarter of it (at least 5ms): the expiry scanner ticks from the
-	// shortest TTL in force.
-	Lease    time.Duration
-	MaxLease time.Duration
-	// HandshakeTimeout bounds the preamble + hello exchange.
-	HandshakeTimeout time.Duration
+	// Lease is the default lease TTL (DefaultLease when zero). A client may
+	// ask for another; its request is capped at the longer of LeaseCap and
+	// Lease. A session is expired within its own TTL, default or
+	// client-requested, plus a quarter of it (at least 5ms): the expiry
+	// scanner ticks from the shortest TTL in force.
+	Lease time.Duration
 	// MaxPending caps concurrently in-flight acquires per session.
 	MaxPending int
 	// MaxSessions caps concurrent sessions at this arbiter
@@ -221,15 +219,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Lease <= 0 {
 		cfg.Lease = DefaultLease
-	}
-	if cfg.MaxLease <= 0 {
-		cfg.MaxLease = DefaultMaxLease
-	}
-	if cfg.MaxLease < cfg.Lease {
-		cfg.MaxLease = cfg.Lease
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = DefaultMaxPending
@@ -386,13 +375,13 @@ func (srv *Server) teardown(s *serverSession, expired bool, reason string) {
 // or reattached), and runs its read loop.
 func (srv *Server) handleConn(c net.Conn) {
 	defer srv.wg.Done()
-	sc, err := serverHandshake(c, srv.cfg.HandshakeTimeout)
+	sc, err := serverHandshake(c, HandshakeWindow)
 	if err != nil {
 		c.Close()
 		return
 	}
 	// The hello must arrive within the handshake window too.
-	sc.c.SetReadDeadline(time.Now().Add(srv.cfg.HandshakeTimeout))
+	sc.c.SetReadDeadline(time.Now().Add(HandshakeWindow))
 	env, err := sc.recv()
 	if err != nil {
 		sc.close()
@@ -427,9 +416,7 @@ func (srv *Server) attach(sc *sessionConn, hello helloMsg) (*serverSession, gran
 	ttl := srv.cfg.Lease
 	if hello.TTLMillis > 0 {
 		ttl = time.Duration(hello.TTLMillis) * time.Millisecond
-		if ttl > srv.cfg.MaxLease {
-			ttl = srv.cfg.MaxLease
-		}
+		ttl = min(ttl, max(LeaseCap, srv.cfg.Lease))
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()

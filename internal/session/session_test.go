@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,24 +120,14 @@ func TestSessionAcquireRelease(t *testing.T) {
 	}
 }
 
-// TestClientLockTable: a client keeps one handle per lock name, checks a
-// name against its policy once, the first time it is asked for, rejects the
-// reserved empty name, and opens no new name once closed.
+// TestClientLockTable: a client keeps one handle per lock name, admits a
+// name of resource.MaxNameLength bytes and refuses one a byte longer,
+// rejects the reserved empty name, and opens no new name once closed.
 func TestClientLockTable(t *testing.T) {
 	addrs, _ := startArbiters(t, 3, []int{0}, time.Second, nil, nil)
-	var checks atomic.Int64
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	c, err := Dial(ctx, ClientConfig{Addrs: addrs, Lease: time.Second, Policy: resource.Policy{
-		MaxNameLength: 8,
-		Validate: func(name string) error {
-			checks.Add(1)
-			if name == "verboten" {
-				return errors.New("no")
-			}
-			return nil
-		},
-	}})
+	c, err := Dial(ctx, ClientConfig{Addrs: addrs, Lease: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +144,12 @@ func TestClientLockTable(t *testing.T) {
 	if b, err := c.Lock("b"); err != nil || b == a1 {
 		t.Fatalf("Lock(%q) = %p, %v; want a handle of its own", "b", b, err)
 	}
-	if got := checks.Load(); got != 2 {
-		t.Errorf("validation hook ran %d times for two names, want 2", got)
+	longest := strings.Repeat("n", resource.MaxNameLength)
+	if _, err := c.Lock(longest); err != nil {
+		t.Errorf("%d-byte name refused: %v", len(longest), err)
 	}
-	if _, err := c.Lock("verboten"); err == nil {
-		t.Error("validation hook was ignored")
-	}
-	if _, err := c.Lock("way-too-long-name"); err == nil {
-		t.Error("oversized name accepted")
+	if _, err := c.Lock(longest + "n"); err == nil {
+		t.Errorf("%d-byte name accepted", len(longest)+1)
 	}
 	if _, err := c.Lock(resource.Default); err == nil {
 		t.Error("empty name accepted: the default resource must stay reserved")

@@ -120,7 +120,7 @@ func TestHostLateLockAfterStageAndFailure(t *testing.T) {
 			}
 			tc.h.dead.add(f)
 			tc.h.announce(f)
-			inst, err := tc.h.mgr.Instance("late")
+			inst, err := tc.h.Instance("late")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestKillSiteDuringGrow(t *testing.T) {
 
 	h := c.host(joining)
 	awaitQuorum(t, h.node, want, fmt.Sprintf("joining site %d's default instance after failure(%d)", joining, victim))
-	inst, err := h.mgr.Instance("late")
+	inst, err := h.Instance("late")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func defaultOnly(site mutex.Site) func(string) (mutex.Site, error) {
 
 // Instance is name's instance at a host, built on first use, for tests
 // that drive one lock's machine directly.
-func (m *mgr) Instance(name string) (resource.Endpoint, error) {
-	e, err := m.get(name)
+func (h *host) Instance(name string) (resource.Endpoint, error) {
+	e, err := h.get(name)
 	if err != nil {
 		return nil, err
 	}

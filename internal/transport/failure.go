@@ -144,15 +144,6 @@ func (d *Detector) track(id mutex.SiteID) {
 	d.mu.Unlock()
 }
 
-// forget stops monitoring a retired peer entirely: no probes, no pending
-// timeout, no death declaration for a site nobody's req_set contains.
-func (d *Detector) forget(id mutex.SiteID) {
-	d.mu.Lock()
-	delete(d.lastSeen, id)
-	delete(d.declared, id)
-	d.mu.Unlock()
-}
-
 // Dead returns the peers this detector has declared failed, ascending.
 func (d *Detector) Dead() []mutex.SiteID {
 	d.mu.Lock()
@@ -174,7 +165,7 @@ func (d *Detector) run() {
 			// Probe only peers not yet declared dead: heartbeating a corpse
 			// just churns the outbound reconnect backoff forever. The
 			// address book is snapshotted under its own lock — membership
-			// changes (AddPeer/RemovePeer) race with this loop.
+			// changes (AddPeer) race with this loop.
 			known := d.peer.peerList()
 			d.mu.Lock()
 			targets := slices.DeleteFunc(known, func(id mutex.SiteID) bool { return d.declared[id] })

@@ -15,9 +15,10 @@ import (
 )
 
 // host is one site's lock table, the same for both live runtimes: a TCPPeer
-// holds one, an in-process Cluster one per site. It is the only code that
-// builds a lock instance and the only code that tells a site's instances of
-// a crash or a membership stage, so the two rules a lock first used late
+// holds one, an in-process Cluster one per site. It maps a name to the
+// name's instance and canonical handle, it is the only code that builds a
+// lock instance, and it is the only code that tells a site's instances of a
+// crash or a membership stage, so the two rules a lock first used late
 // depends on are stated here once:
 //
 //   - every instance runs the membership recorded at its site, and
@@ -25,13 +26,11 @@ import (
 //     there (§6), in ascending order.
 //
 // Its callers record before they sweep (dead.add before announce, adopt
-// before install), and build runs under the table's build lock, which each
-// sweep's walk (nodes) takes too. So an instance built while a sweep runs
+// before install), and build runs under the build lock, which each sweep's
+// walk (nodes) takes too. So an instance built while a sweep runs
 // either reads the record at birth or is already in the table when the
 // sweep walks it: none misses both.
 type host struct {
-	mgr // the site's lock table; its methods are the host's
-
 	self      mutex.SiteID
 	factory   func(name string) (mutex.Site, error)
 	sender    BatchSender
@@ -41,21 +40,15 @@ type host struct {
 	delivered func(env mutex.Envelope)
 	node      *Node // the default resource's instance, set by open
 
-	mu     sync.Mutex
-	member *mutex.Membership // the membership in force here; nil: the factory's own quorum
-}
-
-// mgr is a site's table of lock instances: name → the instance and its
-// canonical handle. Every live workload runs one lock or a few, looked up
-// on every inbound envelope and built once each, so reads take no lock and
-// builds take one mutex.
-type mgr struct {
-	policy resource.Policy
-	create func(name string) (*Node, error) // the host's build
-
+	// Every live workload runs one lock or a few, looked up on every
+	// inbound envelope and built once each, so reads of entries take no
+	// lock and builds take buildMu.
 	entries sync.Map   // name → *entry
 	buildMu sync.Mutex // held while an instance is built, and by nodes' snapshot
 	closed  bool       // guarded by buildMu
+
+	mu     sync.Mutex
+	member *mutex.Membership // the membership in force here; nil: the factory's own quorum
 }
 
 // entry is one lock's instance at a site and the handle driving it.
@@ -65,31 +58,31 @@ type entry struct {
 }
 
 // get returns name's entry, building its instance and handle on first use.
-// The policy is checked only on a miss, so a name is checked once; the
-// default resource is the host's own and skips it.
-func (m *mgr) get(name string) (*entry, error) {
-	if e, ok := m.entries.Load(name); ok {
+// The name is checked only on a miss, so once; the default resource is the
+// host's own and skips the check.
+func (h *host) get(name string) (*entry, error) {
+	if e, ok := h.entries.Load(name); ok {
 		return e.(*entry), nil
 	}
 	if name != resource.Default {
-		if err := m.policy.Check(name); err != nil {
+		if err := resource.CheckName(name); err != nil {
 			return nil, err
 		}
 	}
-	m.buildMu.Lock()
-	defer m.buildMu.Unlock()
-	if e, ok := m.entries.Load(name); ok {
+	h.buildMu.Lock()
+	defer h.buildMu.Unlock()
+	if e, ok := h.entries.Load(name); ok {
 		return e.(*entry), nil
 	}
-	if m.closed {
+	if h.closed {
 		return nil, resource.ErrClosed
 	}
-	node, err := m.create(name)
+	node, err := h.build(name)
 	if err != nil {
 		return nil, err
 	}
 	e := &entry{node: node, lock: resource.NewLock(name, node)}
-	m.entries.Store(name, e)
+	h.entries.Store(name, e)
 	return e, nil
 }
 
@@ -98,11 +91,11 @@ func (m *mgr) get(name string) (*entry, error) {
 // local contention for a name queues on the handle instead of surfacing as
 // the protocol's busy error. The empty name is rejected: the default
 // resource belongs to the legacy single-mutex API.
-func (m *mgr) lock(name string) (*resource.Lock, error) {
+func (h *host) lock(name string) (*resource.Lock, error) {
 	if name == resource.Default {
-		return nil, m.policy.Check(name)
+		return nil, resource.CheckName(name)
 	}
-	e, err := m.get(name)
+	e, err := h.get(name)
 	if err != nil {
 		return nil, err
 	}
@@ -110,24 +103,24 @@ func (m *mgr) lock(name string) (*resource.Lock, error) {
 }
 
 // inject routes one inbound envelope to the instance its Resource names.
-func (m *mgr) inject(env mutex.Envelope) error {
-	return m.injectBatch([]mutex.Envelope{env})
+func (h *host) inject(env mutex.Envelope) error {
+	return h.injectBatch([]mutex.Envelope{env})
 }
 
 // injectBatch routes inbound envelopes to the instances their Resource
 // names, building one on first use (a remote site may open a lock this site
 // has never touched). It hands each consecutive same-resource run over at
 // once, so an instance takes its mailbox lock once per run, in order. An
-// envelope whose resource fails the policy is dropped; it returns the first
+// envelope whose resource fails CheckName is dropped; it returns the first
 // such error, having routed the rest.
-func (m *mgr) injectBatch(envs []mutex.Envelope) error {
+func (h *host) injectBatch(envs []mutex.Envelope) error {
 	var firstErr error
 	for start := 0; start < len(envs); {
 		end := start + 1
 		for end < len(envs) && envs[end].Resource == envs[start].Resource {
 			end++
 		}
-		if e, err := m.get(envs[start].Resource); err != nil {
+		if e, err := h.get(envs[start].Resource); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -140,21 +133,21 @@ func (m *mgr) injectBatch(envs []mutex.Envelope) error {
 }
 
 // nodes is a snapshot of the instances, taken under the build lock.
-func (m *mgr) nodes() []*Node {
+func (h *host) nodes() []*Node {
 	var nodes []*Node
-	m.buildMu.Lock()
-	m.entries.Range(func(_, e any) bool {
+	h.buildMu.Lock()
+	h.entries.Range(func(_, e any) bool {
 		nodes = append(nodes, e.(*entry).node)
 		return true
 	})
-	m.buildMu.Unlock()
+	h.buildMu.Unlock()
 	return nodes
 }
 
 // resources lists every instantiated resource name, sorted.
-func (m *mgr) resources() []string {
+func (h *host) resources() []string {
 	var names []string
-	for _, n := range m.nodes() {
+	for _, n := range h.nodes() {
 		names = append(names, n.name)
 	}
 	slices.Sort(names)
@@ -163,13 +156,13 @@ func (m *mgr) resources() []string {
 
 // close shuts every instance down and fails the names first asked for later
 // with resource.ErrClosed. It is idempotent.
-func (m *mgr) close() {
-	m.buildMu.Lock()
-	closed := m.closed
-	m.closed = true
-	m.buildMu.Unlock()
+func (h *host) close() {
+	h.buildMu.Lock()
+	closed := h.closed
+	h.closed = true
+	h.buildMu.Unlock()
 	if !closed {
-		for _, n := range m.nodes() {
+		for _, n := range h.nodes() {
 			n.Close()
 		}
 	}
@@ -212,10 +205,9 @@ func (d *deadSet) sorted() []mutex.SiteID {
 // stage read from stage, and report to sink; they are born told of every
 // site in dead. delivered, which may be nil, observes each envelope they
 // process (see newNode). open must be called before the host is used.
-func newHost(self mutex.SiteID, policy resource.Policy, factory func(name string) (mutex.Site, error),
+func newHost(self mutex.SiteID, factory func(name string) (mutex.Site, error),
 	sender BatchSender, sink obs.Sink, stage *atomic.Uint64, dead *deadSet, delivered func(env mutex.Envelope)) *host {
-	h := &host{
-		mgr:       mgr{policy: policy},
+	return &host{
 		self:      self,
 		factory:   factory,
 		sender:    sender,
@@ -224,8 +216,6 @@ func newHost(self mutex.SiteID, policy resource.Policy, factory func(name string
 		dead:      dead,
 		delivered: delivered,
 	}
-	h.create = h.build
-	return h
 }
 
 // open builds the default resource's instance, which validates the factory
@@ -240,9 +230,10 @@ func (h *host) open() error {
 	return nil
 }
 
-// build is the table's create: the factory's machine, moved onto the
-// recorded membership, started as a node, then told of every recorded
-// crash. The machine is fresh, so the membership swap sends nothing.
+// build makes name's instance, under the build lock: the factory's
+// machine, moved onto the recorded membership, started as a node, then told
+// of every recorded crash. The machine is fresh, so the membership swap
+// sends nothing.
 func (h *host) build(name string) (*Node, error) {
 	site, err := h.factory(name)
 	if err != nil {

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"dqmx/internal/resource"
 )
 
-// The lock table a host keeps: canonical handles, the name policy checked
+// The lock table a host keeps: canonical handles, the name rule checked
 // once per name, lazy builds on inbound traffic, routing, walks and Close.
 // The instances are inert machines (benchSite), one per name.
 
@@ -32,7 +33,7 @@ type testHost struct {
 	delivered map[string]int
 }
 
-func newTestHost(t *testing.T, policy resource.Policy) *testHost {
+func newTestHost(t *testing.T) *testHost {
 	t.Helper()
 	th := &testHost{delivered: make(map[string]int)}
 	factory := func(string) (mutex.Site, error) {
@@ -40,7 +41,7 @@ func newTestHost(t *testing.T, policy resource.Policy) *testHost {
 		return benchSite{}, nil
 	}
 	var stage atomic.Uint64
-	th.host = newHost(0, policy, factory, nopSender{}, nil, &stage, newDeadSet(), func(env mutex.Envelope) {
+	th.host = newHost(0, factory, nopSender{}, nil, &stage, newDeadSet(), func(env mutex.Envelope) {
 		th.mu.Lock()
 		th.delivered[env.Resource]++
 		th.mu.Unlock()
@@ -72,7 +73,7 @@ func (th *testHost) awaitDelivered(t *testing.T, want map[string]int) {
 }
 
 func TestLockHandlesAreCanonical(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	a1, err := h.lock("a")
 	if err != nil {
 		t.Fatal(err)
@@ -100,46 +101,36 @@ func TestLockHandlesAreCanonical(t *testing.T) {
 }
 
 func TestLockRejectsEmptyName(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	if _, err := h.lock(resource.Default); err == nil {
 		t.Fatal("empty name accepted: the default resource must stay reserved")
 	}
 }
 
+// TestPolicyValidationRunsOncePerName: the host admits a name of
+// resource.MaxNameLength bytes, once — later calls reuse its instance — and
+// refuses one a byte longer.
 func TestPolicyValidationRunsOncePerName(t *testing.T) {
-	var checks atomic.Int64
-	h := newTestHost(t, resource.Policy{
-		MaxNameLength: 8,
-		Validate: func(name string) error {
-			checks.Add(1)
-			if name == "verboten" {
-				return errors.New("no")
-			}
-			return nil
-		},
-	})
+	h := newTestHost(t)
+	longest := strings.Repeat("n", resource.MaxNameLength)
 	for i := 0; i < 5; i++ {
-		if _, err := h.lock("ok"); err != nil {
-			t.Fatal(err)
+		if _, err := h.lock(longest); err != nil {
+			t.Fatalf("%d-byte name refused: %v", len(longest), err)
 		}
 	}
-	if got := checks.Load(); got != 1 {
-		t.Errorf("validation hook ran %d times for one name, want 1", got)
+	if got := h.builds.Load(); got != 1 {
+		t.Errorf("factory ran %d times for one name, want 1", got)
 	}
-	if _, err := h.lock("verboten"); err == nil {
-		t.Error("validation hook was ignored")
+	if _, err := h.lock(longest + "n"); err == nil {
+		t.Errorf("%d-byte name accepted", len(longest)+1)
 	}
-	if _, err := h.lock("way-too-long-name"); err == nil {
-		t.Error("oversized name accepted")
-	}
-	// Oversized names are rejected by the built-in rule before the hook.
-	if got := checks.Load(); got != 2 {
-		t.Errorf("hook ran %d times, want 2", got)
+	if got := h.builds.Load(); got != 1 {
+		t.Errorf("factory ran %d times, want 1: the oversized name was built", got)
 	}
 }
 
 func TestInjectRoutesAndInstantiatesLazily(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	if err := h.inject(mutex.Envelope{Resource: "remote-opened", From: 1, To: 0, Msg: mutex.FailureMsg{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +152,9 @@ func TestInjectRoutesAndInstantiatesLazily(t *testing.T) {
 }
 
 func TestInjectRejectsInvalidResource(t *testing.T) {
-	h := newTestHost(t, resource.Policy{MaxNameLength: 4})
-	err := h.inject(mutex.Envelope{Resource: "too-long-for-policy", To: 0, Msg: mutex.FailureMsg{}})
+	h := newTestHost(t)
+	tooLong := strings.Repeat("n", resource.MaxNameLength+1)
+	err := h.inject(mutex.Envelope{Resource: tooLong, To: 0, Msg: mutex.FailureMsg{}})
 	if err == nil {
 		t.Fatal("oversized inbound resource accepted")
 	}
@@ -172,7 +164,7 @@ func TestInjectRejectsInvalidResource(t *testing.T) {
 }
 
 func TestManagerClose(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	if _, err := h.lock("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +188,7 @@ func TestManagerClose(t *testing.T) {
 }
 
 func TestEachAndResources(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	for _, name := range []string{"b", "a", "c"} {
 		if _, err := h.lock(name); err != nil {
 			t.Fatal(err)
@@ -214,7 +206,7 @@ func TestEachAndResources(t *testing.T) {
 // from many goroutines; with -race this exercises the lock-free read path
 // against builds.
 func TestConcurrentLockCreation(t *testing.T) {
-	h := newTestHost(t, resource.Policy{})
+	h := newTestHost(t)
 	const goroutines = 16
 	const names = 32
 	var wg sync.WaitGroup

@@ -74,8 +74,6 @@ type ClusterConfig struct {
 	Metrics *obs.Metrics
 	// Observer, when non-nil, receives the raw event stream.
 	Observer obs.Sink
-	// Policy bounds named-lock resource names.
-	Policy resource.Policy
 	// Chaos, when non-nil, interposes a seeded fault-injecting fabric
 	// between every node and the in-process mailboxes: message drop,
 	// duplication, reordering, bounded delay, and partitions per the plan,
@@ -132,7 +130,6 @@ type Cluster struct {
 	chaosWG   sync.WaitGroup
 
 	reconfMu sync.Mutex // serializes Reconfigure end to end
-	policy   resource.Policy
 
 	mu       sync.Mutex
 	siteSets map[string][]mutex.Site // per-resource machines, built once per resource
@@ -150,7 +147,6 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 		clock:    cfg.clock,
 		dead:     newDeadSet(),
 		siteSets: make(map[string][]mutex.Site),
-		policy:   cfg.Policy,
 	}
 	if c.clock == nil {
 		c.clock = clock.Real
@@ -217,7 +213,7 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 // delivery stack, stage, dead set and delivery hook.
 func (c *Cluster) newHost(id mutex.SiteID) *host {
 	factory := func(name string) (mutex.Site, error) { return c.siteFor(name, id) }
-	return newHost(id, c.policy, factory, c.sender, c.sink, &c.stage, c.dead, c.delivered)
+	return newHost(id, factory, c.sender, c.sink, &c.stage, c.dead, c.delivered)
 }
 
 // assignmentOf reads the coterie assignment off a freshly built site set,
@@ -337,10 +333,6 @@ func (c *Cluster) Epoch() membership.Epoch { return c.Stage().Epoch() }
 
 // Stage returns the cluster's current membership stage.
 func (c *Cluster) Stage() membership.Stage { return membership.Stage(c.stage.Load()) }
-
-// Chaos returns the cluster's fault-injecting fabric, or nil when the
-// cluster was built without a chaos plan.
-func (c *Cluster) Chaos() *chaos.Fabric { return c.fabric }
 
 // SetDeliveryHook installs an observer of envelope deliveries — the
 // conformance checker's view of the wire. The hook fires on the receiving

@@ -37,8 +37,6 @@ type TCPConfig struct {
 	Metrics *obs.Metrics
 	// Observer, when non-nil, receives the raw event stream.
 	Observer obs.Sink
-	// Policy bounds named-lock resource names.
-	Policy resource.Policy
 	// clock times the peer and its parts (nil: clock.Real). Test-only.
 	clock clock.Clock
 }
@@ -122,7 +120,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 	// per-destination outbounds: its receive side is fed by the read loops and
 	// hands exactly-once, per-stream-FIFO envelopes to dispatch.
 	p.rel = newReliable(p.dispatch, combined, p.clock)
-	p.host = newHost(cfg.Self, cfg.Policy, cfg.Factory, p, combined, &p.stage, newDeadSet(), nil)
+	p.host = newHost(cfg.Self, cfg.Factory, p, combined, &p.stage, newDeadSet(), nil)
 	if err := p.host.open(); err != nil {
 		_ = ln.Close()
 		return nil, err

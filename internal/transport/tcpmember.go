@@ -97,28 +97,8 @@ func (p *TCPPeer) AddPeer(id mutex.SiteID, addr string) {
 	}
 }
 
-// RemovePeer drops a departed site: its address, its outbound stream state,
-// and its failure-detector entry (a retired site must not be declared
-// crashed — nobody's req_set contains it anymore, so there is nothing to
-// recover). Call it after the final stable stage is applied everywhere.
-func (p *TCPPeer) RemovePeer(id mutex.SiteID) {
-	p.mu.Lock()
-	delete(p.peers, id)
-	o := p.outs[id]
-	delete(p.outs, id)
-	sink := p.hbSink
-	p.mu.Unlock()
-	if o != nil {
-		o.shut() // the conn dies now, or as soon as a write in flight lets go
-	}
-	p.rel.PeerFailed(id)
-	if sink != nil {
-		sink.forget(id)
-	}
-}
-
 // peerList snapshots the known peer IDs, ascending, under the address-book
-// lock (the detector iterates peers concurrently with AddPeer/RemovePeer).
+// lock (the detector iterates peers concurrently with AddPeer).
 func (p *TCPPeer) peerList() []mutex.SiteID {
 	p.mu.Lock()
 	defer p.mu.Unlock()

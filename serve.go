@@ -80,12 +80,12 @@ type ServeConfig struct {
 	// so cross-dialing fails loudly rather than desynchronizing.
 	ClientListen string
 	// Lease is the default session lease TTL (session tier default 2s when
-	// zero); MaxLease caps client-requested TTLs (default 30s). The lease
-	// is the bounded reclaim window: a crashed client's locks re-enter the
-	// protocol within its session's lease — Lease, or the TTL the client
-	// asked for — plus a quarter of it and one release handoff.
-	Lease    time.Duration
-	MaxLease time.Duration
+	// zero). A client may ask for another TTL, capped at the longer of 30s
+	// and Lease. The lease is the bounded reclaim window: a crashed
+	// client's locks re-enter the protocol within its session's lease —
+	// Lease, or the TTL the client asked for — plus a quarter of it and one
+	// release handoff.
+	Lease time.Duration
 	// MaxSessions caps concurrent client sessions at this arbiter (default
 	// 1024); MaxPending caps in-flight acquires per session (default 128).
 	// Work past either cap is refused with ErrOverloaded — clients back off
@@ -94,15 +94,14 @@ type ServeConfig struct {
 	MaxSessions int
 	MaxPending  int
 	// Detect is the arbiter-to-arbiter failure-detection probe period.
-	// Arbiters heartbeat each other and a peer silent past DetectTimeout
-	// (default 4 × Detect) is announced to the §6 recovery protocol, which
+	// Arbiters heartbeat each other and a peer silent for 4 × Detect is
+	// announced to the §6 recovery protocol, which
 	// rebuilds quorums around the crash and re-grants any lock the dead
 	// arbiter held — the arbiter-side counterpart of the client-side lease.
 	// Zero means the default (500ms); negative disables detection. Detection
 	// is also disabled by Options.Faults.DisableRecovery, since announcing
 	// failures nobody will recover from only strands requesters earlier.
-	Detect        time.Duration
-	DetectTimeout time.Duration
+	Detect time.Duration
 	// Options configures the arbiter's protocol, quorum, wire, and
 	// observability exactly as for NewTCPNode.
 	Options Options
@@ -110,6 +109,10 @@ type ServeConfig struct {
 
 // DefaultDetect is the default arbiter failure-detection probe period.
 const DefaultDetect = 500 * time.Millisecond
+
+// detectSilence is how many probe periods of silence declare an arbiter
+// dead.
+const detectSilence = 4
 
 // Server is one arbiter of a lock-service coterie: a TCPPeer running the
 // quorum protocol against its peers, plus a session server leasing locks to
@@ -141,7 +144,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		Locks:       peer,
 		Listener:    ln,
 		Lease:       cfg.Lease,
-		MaxLease:    cfg.MaxLease,
 		MaxSessions: cfg.MaxSessions,
 		MaxPending:  cfg.MaxPending,
 		Sink:        sessionSink(col, cfg.Options.Observe.Observer),
@@ -157,11 +159,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		if interval == 0 {
 			interval = DefaultDetect
 		}
-		timeout := cfg.DetectTimeout
-		if timeout <= 0 {
-			timeout = 4 * interval
-		}
-		srv.det = peer.StartDetector(interval, timeout)
+		srv.det = peer.StartDetector(interval, detectSilence*interval)
 	}
 	return srv, nil
 }
@@ -239,14 +237,10 @@ type DialConfig struct {
 	Lease time.Duration
 	// Keepalive is the lease renewal period (granted TTL / 3 when zero).
 	Keepalive time.Duration
-	// DialTimeout bounds one dial + handshake attempt (default 2s).
-	DialTimeout time.Duration
 	// FailoverWindow is how long the client keeps retrying arbiters after
 	// losing its connection before declaring the session lost with
 	// ErrSessionLost (3 × granted TTL when zero).
 	FailoverWindow time.Duration
-	// Resources bounds lock names client-side, mirroring the arbiters'.
-	Resources ResourcePolicy
 	// SafetyMargin arms the lease-safety watchdog: while the session holds
 	// any lock and its conservative lease deadline (Session.LeaseDeadline)
 	// is closer than this margin, OnLeaseWarning fires — the signal that
@@ -273,9 +267,7 @@ func Dial(ctx context.Context, addrs []string, cfg DialConfig) (*Session, error)
 		Addrs:          addrs,
 		Lease:          cfg.Lease,
 		Keepalive:      cfg.Keepalive,
-		DialTimeout:    cfg.DialTimeout,
 		FailoverWindow: cfg.FailoverWindow,
-		Policy:         cfg.Resources,
 		SafetyMargin:   cfg.SafetyMargin,
 		OnLeaseWarning: cfg.OnLeaseWarning,
 	})
