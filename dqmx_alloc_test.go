@@ -10,8 +10,8 @@ import (
 )
 
 // TestAllocsFirstLockTCP: a lock first used at a TCP peer of a 9-site grid
-// costs its own protocol instance — this site's machine, its node loop and
-// the manager's entry — and nothing per other site: the coterie is assigned
+// costs its own protocol instance — this site's machine, its node and the
+// manager's entry — and nothing per other site: the coterie is assigned
 // and validated once per peer, not once per lock, and no other site's
 // machine is built. Building all nine machines per lock reads about 66.
 func TestAllocsFirstLockTCP(t *testing.T) {
@@ -41,11 +41,12 @@ func TestAllocsFirstLockTCP(t *testing.T) {
 // TestAllocsFirstLockInproc: a lock first used at site 0 of an in-process
 // 9-site grid builds the lock's machines for all nine sites — the cluster
 // shares one coterie assignment per lock between its hosts — and site 0's
-// instance: its node loop, the table's entry and the handle. The other
-// sites' instances are built when the lock's first messages reach them.
-// It reads 66–67; the nine machines are most of it.
+// instance: its node, the table's entry and the handle; an instance starts
+// no goroutine of its own. The other sites' instances are built when the
+// lock's first messages reach them. It reads 58; the nine machines are most
+// of it.
 func TestAllocsFirstLockInproc(t *testing.T) {
-	const budget = 70
+	const budget = 60
 	c, err := dqmx.NewClusterWith(9, dqmx.Options{})
 	if err != nil {
 		t.Fatal(err)

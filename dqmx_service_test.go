@@ -400,3 +400,51 @@ func TestServeObserverOneClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionExpiredContextIssuesNoRequest: a client call whose context is
+// already done is answered at the client — TryAcquire with (false, nil) —
+// and never reaches the arbiter, which therefore issues no request for it.
+// After 200 such calls one real Acquire+Release is the arbiter's only
+// request on the lock.
+func TestSessionExpiredContextIssuesNoRequest(t *testing.T) {
+	var requests atomic.Int64
+	srv, err := dqmx.Serve(dqmx.ServeConfig{
+		N: 1, PeerListen: "127.0.0.1:0", ClientListen: "127.0.0.1:0", Detect: -1,
+		Options: dqmx.Options{Observe: dqmx.ObserveConfig{Observer: func(e dqmx.TraceEvent) {
+			if e.Type == dqmx.EventRequest && e.Resource == "x" {
+				requests.Add(1)
+			}
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sess, err := dqmx.Dial(ctx, []string{srv.ClientAddr()}, dqmx.DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	lock, err := sess.Lock("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	for i := range 200 {
+		if ok, err := lock.TryAcquire(done); ok || err != nil {
+			t.Fatalf("call %d: TryAcquire with a cancelled context = (%v, %v), want (false, nil)", i, ok, err)
+		}
+	}
+	if err := lock.Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := lock.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("arbiter issued %d requests, want 1: the cancelled calls issued %d", got, got-1)
+	}
+}

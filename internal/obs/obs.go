@@ -1,6 +1,6 @@
 // Package obs is the protocol observability layer: a structured event
 // stream fed by every driver (the discrete-event simulator, the in-process
-// node loop, and the TCP peer) plus an aggregator that folds the stream into
+// site loop, and the TCP peer) plus an aggregator that folds the stream into
 // the paper's metrics — per-kind message counters, synchronization delay,
 // response time, and waiting time.
 //

@@ -97,9 +97,13 @@ func (l *Lock) Name() string { return l.name }
 // Acquire blocks until this site holds the named lock, the context is
 // cancelled, or the cluster shuts down. Concurrent Acquires on the same name
 // at the same site queue locally; sites compete through the quorum protocol.
-// As with Node.Acquire, cancelling after the request was issued hands the
-// eventually granted lock straight back.
+// As with Node.Acquire, a context already done issues no request, and
+// cancelling after the request was issued hands the eventually granted
+// lock straight back.
 func (l *Lock) Acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case l.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -115,8 +119,12 @@ func (l *Lock) Acquire(ctx context.Context) error {
 // TryAcquire attempts to take the lock within the context's lifetime and
 // reports whether it succeeded. Running out of time — locally queued or
 // waiting on the quorum — is (false, nil), not an error; errors are reserved
-// for real failures such as a closed cluster.
+// for real failures such as a closed cluster. An already-expired context
+// makes it a local probe: (false, nil), and no request is issued.
 func (l *Lock) TryAcquire(ctx context.Context) (bool, error) {
+	if ctx.Err() != nil {
+		return false, nil
+	}
 	select {
 	case l.sem <- struct{}{}:
 	case <-ctx.Done():

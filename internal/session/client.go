@@ -614,10 +614,14 @@ func (c *Client) checkLeaseMargin() {
 
 // issue sends one lock request and waits for its reply. retry=true means
 // the connection turned over before a reply arrived and the caller should
-// re-evaluate and reissue; the request was not necessarily processed.
+// re-evaluate and reissue; the request was not necessarily processed. A
+// context already done sends nothing.
 func (c *Client) issue(ctx context.Context, name string, op byte) (rep lockRepMsg, epoch uint64, retry bool, err error) {
 	// Wait until attached (or a terminal state).
 	for {
+		if err := ctx.Err(); err != nil {
+			return lockRepMsg{}, 0, false, err
+		}
 		c.mu.Lock()
 		if c.err != nil {
 			err := c.err

@@ -16,26 +16,26 @@ import (
 	"dqmx/internal/wire"
 )
 
-// Allocation budgets for the node loop and what sits below it, pinned at the
+// Allocation budgets for the site loop and what sits below it, pinned at the
 // figures this layer reached when its buffers became reusable (ISSUE 14) and
 // the protocol messages moved into their envelopes (ISSUE 15).
 // testing.AllocsPerRun counts every goroutine's allocations, which is the
-// point: one Acquire is the work of a whole quorum of node loops. Not under
+// point: one Acquire is the work of a whole quorum of site loops. Not under
 // -race: the detector allocates on its own account.
 
 // TestAllocsMailboxCycle: a put/drain cycle reuses the two slices the
-// mailbox and its reader double-buffer between them.
+// site's mailbox and its loop double-buffer between them.
 func TestAllocsMailboxCycle(t *testing.T) {
-	m := newMailbox()
+	m := &mailbox{notify: make(chan struct{}, 1)}
 	var msg mutex.Message = mutex.FailureMsg{Failed: 1}
-	env := mutex.Envelope{From: 1, To: 2, Msg: msg}
-	var batch []mutex.Envelope
+	it := item{env: mutex.Envelope{From: 1, To: 2, Msg: msg}}
+	var batch []item
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			m.put(env)
+			m.put(it)
 		}
 		<-m.notify
-		batch = m.drain(batch)
+		batch, _ = m.drain(batch)
 		if len(batch) != 8 {
 			t.Fatalf("drained %d envelopes, want 8", len(batch))
 		}
@@ -49,7 +49,7 @@ func TestAllocsMailboxCycle(t *testing.T) {
 
 // TestAllocsUncontendedAcquireRelease: one uncontended Acquire+Release of a
 // named lock on the 9-site in-process grid — 12 protocol messages through
-// five node loops and their mailboxes. The messages travel inside their
+// five site loops and their mailboxes. The messages travel inside their
 // envelopes; the reply channels, envelope queues, per-request maps and the
 // sender's per-destination regrouping all reuse their memory.
 func TestAllocsUncontendedAcquireRelease(t *testing.T) {

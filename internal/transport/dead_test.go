@@ -234,7 +234,7 @@ func TestKilledSiteInboxStaysEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	dead := c.Node(victim)
+	dead := c.host(victim)
 	killed := make(chan struct{})
 	go func() {
 		c.KillSite(victim, 200*time.Millisecond)

@@ -134,16 +134,6 @@ func (d *Detector) observe(from mutex.SiteID) {
 	d.mu.Unlock()
 }
 
-// track starts monitoring a (newly joined or restarted) peer with a fresh
-// grace period; a previous death declaration is forgiven so a rolling
-// restart can rejoin without waiting out the old silence.
-func (d *Detector) track(id mutex.SiteID) {
-	d.mu.Lock()
-	d.lastSeen[id] = d.peer.clock.Now()
-	delete(d.declared, id)
-	d.mu.Unlock()
-}
-
 // Dead returns the peers this detector has declared failed, ascending.
 func (d *Detector) Dead() []mutex.SiteID {
 	d.mu.Lock()
@@ -163,9 +153,7 @@ func (d *Detector) run() {
 		case <-timer.C():
 			timer.Reset(d.jittered())
 			// Probe only peers not yet declared dead: heartbeating a corpse
-			// just churns the outbound reconnect backoff forever. The
-			// address book is snapshotted under its own lock — membership
-			// changes (AddPeer) race with this loop.
+			// just churns the outbound reconnect backoff forever.
 			known := d.peer.peerList()
 			d.mu.Lock()
 			targets := slices.DeleteFunc(known, func(id mutex.SiteID) bool { return d.declared[id] })

@@ -30,6 +30,12 @@ import (
 // walk (nodes) takes too. So an instance built while a sweep runs
 // either reads the record at birth or is already in the table when the
 // sweep walks it: none misses both.
+//
+// It is also the site's one sequential process: one loop goroutine (run)
+// steps the site's inputs on their instances in arrival order. The queue is
+// filled on the caller's goroutine and never blocks, so no step runs on a
+// deliverer's goroutine (the reliable layer hands envelopes up under its
+// own lock, which a step's send takes again).
 type host struct {
 	self      mutex.SiteID
 	factory   func(name string) (mutex.Site, error)
@@ -40,6 +46,16 @@ type host struct {
 	delivered func(env mutex.Envelope)
 	node      *Node // the default resource's instance, set by open
 
+	inbox mailbox       // the site's inputs, in arrival order
+	batch []item        // loop-owned: the items being stepped
+	doneC chan struct{} // closed when the loop has exited
+	// respPool recycles the one-shot reply channels of Acquire and Release.
+	// A channel goes back only once its one reply was read (or before the
+	// loop saw it), so a pooled channel is empty and unreferenced. Each host
+	// keeps its own, so a channel never outlives its deployment (a
+	// testing/synctest bubble's included).
+	respPool sync.Pool
+
 	// Every live workload runs one lock or a few, looked up on every
 	// inbound envelope and built once each, so reads of entries take no
 	// lock and builds take buildMu.
@@ -49,6 +65,109 @@ type host struct {
 
 	mu     sync.Mutex
 	member *mutex.Membership // the membership in force here; nil: the factory's own quorum
+}
+
+// op is what a queued item asks of its instance.
+type op uint8
+
+const (
+	opDeliver op = iota // step the machine through env
+	opAcquire           // issue a request; its entry answers resp
+	opRelease           // exit the critical section, answering resp
+	opAbandon           // the Acquire answered on resp stopped waiting
+	opControl           // run fn, answering resp
+)
+
+// item is one input of a site: an envelope or a call, for one instance.
+type item struct {
+	node *Node
+	op   op
+	env  mutex.Envelope // opDeliver
+	resp chan error     // every op but opDeliver
+	fn   func()         // opControl
+}
+
+// mailbox is an unbounded FIFO of a site's items: the reliable,
+// order-preserving "network buffer" in front of its loop. Unboundedness
+// mirrors the system model (reliable channels, no backpressure) and
+// prevents distributed deadlock between loops sending to each other. A
+// closed mailbox drops what it is handed instead of keeping it.
+type mailbox struct {
+	mu     sync.Mutex
+	items  []item
+	closed bool
+	notify chan struct{} // one pending wake-up at most
+}
+
+// put queues one item; false means the mailbox is closed and dropped it.
+func (m *mailbox) put(it item) bool {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return false
+	}
+	m.items = append(m.items, it)
+	m.mu.Unlock()
+	m.wake()
+	return true
+}
+
+// putEnvs queues envelopes for node, in order, under one lock.
+func (m *mailbox) putEnvs(node *Node, envs []mutex.Envelope) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	for _, env := range envs {
+		m.items = append(m.items, item{node: node, env: env})
+	}
+	m.mu.Unlock()
+	m.wake()
+}
+
+func (m *mailbox) wake() {
+	select {
+	case m.notify <- struct{}{}:
+	default:
+	}
+}
+
+// drain hands the queued items to the caller and takes the caller's
+// previous batch back as the next queue's backing array, so the two slices
+// double-buffer and steady-state traffic grows neither. open is false once
+// the mailbox is closed.
+func (m *mailbox) drain(prev []item) (items []item, open bool) {
+	clear(prev) // a recycled batch must not pin the messages it carried
+	m.mu.Lock()
+	items, open = m.items, !m.closed
+	m.items = prev[:0]
+	m.mu.Unlock()
+	return items, open
+}
+
+// close discards the queue, makes every later put a no-op and wakes the
+// reader to see it.
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed, m.items = true, nil
+	m.mu.Unlock()
+	m.wake()
+}
+
+// run is the site's loop: it steps every queued item, in order, until the
+// mailbox closes.
+func (h *host) run() {
+	defer close(h.doneC)
+	for range h.inbox.notify {
+		var open bool
+		if h.batch, open = h.inbox.drain(h.batch); !open {
+			return
+		}
+		for i := range h.batch {
+			h.batch[i].node.step(&h.batch[i])
+		}
+	}
 }
 
 // entry is one lock's instance at a site and the handle driving it.
@@ -107,12 +226,13 @@ func (h *host) inject(env mutex.Envelope) error {
 	return h.injectBatch([]mutex.Envelope{env})
 }
 
-// injectBatch routes inbound envelopes to the instances their Resource
+// injectBatch queues inbound envelopes for the instances their Resource
 // names, building one on first use (a remote site may open a lock this site
-// has never touched). It hands each consecutive same-resource run over at
-// once, so an instance takes its mailbox lock once per run, in order. An
-// envelope whose resource fails CheckName is dropped; it returns the first
-// such error, having routed the rest.
+// has never touched). The instance is resolved on the caller's goroutine,
+// so a new one's failure notices are queued ahead of its first envelope. It
+// queues each consecutive same-resource run under one mailbox lock, in
+// order. An envelope whose resource fails CheckName is dropped; it returns
+// the first such error, having routed the rest.
 func (h *host) injectBatch(envs []mutex.Envelope) error {
 	var firstErr error
 	for start := 0; start < len(envs); {
@@ -125,7 +245,7 @@ func (h *host) injectBatch(envs []mutex.Envelope) error {
 				firstErr = err
 			}
 		} else {
-			e.node.InjectBatch(envs[start:end])
+			h.inbox.putEnvs(e.node, envs[start:end])
 		}
 		start = end
 	}
@@ -154,18 +274,15 @@ func (h *host) resources() []string {
 	return names
 }
 
-// close shuts every instance down and fails the names first asked for later
-// with resource.ErrClosed. It is idempotent.
+// close stops the site's loop and waits for it to exit, and fails the names
+// first asked for later with resource.ErrClosed. Inputs still queued, and
+// any that arrive later, are dropped. It is idempotent.
 func (h *host) close() {
 	h.buildMu.Lock()
-	closed := h.closed
 	h.closed = true
 	h.buildMu.Unlock()
-	if !closed {
-		for _, n := range h.nodes() {
-			n.Close()
-		}
-	}
+	h.inbox.close()
+	<-h.doneC
 }
 
 // deadSet is the sites recorded crashed, until revived: one per Cluster,
@@ -203,11 +320,13 @@ func (d *deadSet) sorted() []mutex.SiteID {
 // newHost builds site self's host over a factory of site machines. Its
 // instances send through sender, stamped with the resource name and the
 // stage read from stage, and report to sink; they are born told of every
-// site in dead. delivered, which may be nil, observes each envelope they
-// process (see newNode). open must be called before the host is used.
+// site in dead. delivered, which may be nil, is called on the loop after an
+// instance has stepped through each inbound envelope. newHost starts the
+// site's loop; open must be called before the host is used, and close stops
+// the loop.
 func newHost(self mutex.SiteID, factory func(name string) (mutex.Site, error),
 	sender BatchSender, sink obs.Sink, stage *atomic.Uint64, dead *deadSet, delivered func(env mutex.Envelope)) *host {
-	return &host{
+	h := &host{
 		self:      self,
 		factory:   factory,
 		sender:    sender,
@@ -215,7 +334,12 @@ func newHost(self mutex.SiteID, factory func(name string) (mutex.Site, error),
 		stage:     stage,
 		dead:      dead,
 		delivered: delivered,
+		inbox:     mailbox{notify: make(chan struct{}, 1)},
+		doneC:     make(chan struct{}),
 	}
+	h.respPool.New = func() any { return make(chan error, 1) }
+	go h.run()
+	return h
 }
 
 // open builds the default resource's instance, which validates the factory
@@ -231,7 +355,7 @@ func (h *host) open() error {
 }
 
 // build makes name's instance, under the build lock: the factory's
-// machine, moved onto the recorded membership, started as a node, then told
+// machine, moved onto the recorded membership, wrapped as a node, then told
 // of every recorded crash. The machine is fresh, so the membership swap
 // sends nothing.
 func (h *host) build(name string) (*Node, error) {
@@ -249,9 +373,9 @@ func (h *host) build(name string) (*Node, error) {
 		}
 		rc.SetMembership(*member)
 	}
-	node := newNode(name, site, h.sender, h.sink, h.stage, h.delivered)
+	node := newNode(name, site, h)
 	for _, f := range h.dead.sorted() {
-		node.Inject(failureEnvelope(name, h.self, f))
+		h.inbox.put(item{node: node, env: failureEnvelope(name, h.self, f)})
 	}
 	return node, nil
 }
@@ -267,7 +391,7 @@ func failureEnvelope(name string, self, failed mutex.SiteID) mutex.Envelope {
 // host's dead set, for the instances built from here on.
 func (h *host) announce(f mutex.SiteID) {
 	for _, n := range h.nodes() {
-		n.Inject(failureEnvelope(n.name, h.self, f))
+		h.inbox.put(item{node: n, env: failureEnvelope(n.name, h.self, f)})
 	}
 }
 
@@ -279,8 +403,8 @@ func (h *host) adopt(m mutex.Membership) {
 }
 
 // install moves every instance onto m through Node.Reconfigure; the caller
-// has adopted m first. Instances that closed meanwhile (a crash, a racing
-// shutdown) are skipped: a stopped machine holds no quorum. It returns the
+// has adopted m first. Instances whose site closed meanwhile (a crash, a
+// racing shutdown) are skipped: a stopped machine holds no quorum. It returns the
 // first other error, having tried every instance.
 func (h *host) install(m mutex.Membership) error {
 	var firstErr error
@@ -293,7 +417,7 @@ func (h *host) install(m mutex.Membership) error {
 }
 
 // dump appends one line of protocol state per instance; each line is
-// rendered on the owning node's loop, so it is safe under live traffic.
+// rendered on the site's loop, so it is safe under live traffic.
 func (h *host) dump(b *strings.Builder) {
 	for _, n := range h.nodes() {
 		name := n.name

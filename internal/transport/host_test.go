@@ -168,15 +168,11 @@ func TestManagerClose(t *testing.T) {
 	if _, err := h.lock("a"); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := h.Instance("a")
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.close()
 	select {
-	case <-inst.(*Node).doneC:
+	case <-h.doneC:
 	default:
-		t.Error("close did not stop the instance")
+		t.Error("close did not stop the site's loop")
 	}
 	if _, err := h.lock("b"); !errors.Is(err, resource.ErrClosed) {
 		t.Errorf("lock after close = %v, want ErrClosed", err)

@@ -95,8 +95,8 @@ type ClusterConfig struct {
 // Cluster hosts every site of an algorithm in one process, one host per
 // site, and multiplexes any number of named locks over them: each resource
 // name lazily gets its own full protocol instance (N fresh site machines
-// over the same coterie), each site machine on its own goroutine, wired by
-// in-memory FIFO mailboxes. The legacy single-mutex interface —
+// over the same coterie). Each site's host steps all its machines on the
+// site's one loop goroutine, fed by one in-memory FIFO mailbox. The legacy single-mutex interface —
 // Node(id).Acquire/Release — is the default resource's instance; named
 // locks are reached through Lock.
 type Cluster struct {
@@ -336,9 +336,9 @@ func (c *Cluster) Stage() membership.Stage { return membership.Stage(c.stage.Loa
 
 // SetDeliveryHook installs an observer of envelope deliveries — the
 // conformance checker's view of the wire. The hook fires on the receiving
-// node's loop goroutine once the site has processed the envelope, so an
-// envelope counts as delivered only after it has changed the site's state;
-// an envelope still queued in the node's inbox has not been delivered. Each
+// site's loop once the site has processed the envelope, so an envelope
+// counts as delivered only after it has changed the site's state; an
+// envelope still queued in the site's mailbox has not been delivered. Each
 // envelope is seen once: a mailbox delivers what it is handed exactly once,
 // and over the chaos fabric the reliability layer keeps retransmitted and
 // duplicated copies from reaching a node.
@@ -355,7 +355,7 @@ func (c *Cluster) delivered(env mutex.Envelope) {
 
 // DumpState renders the protocol state of every instantiated resource node
 // in the cluster, one line per (site, resource). Each line is produced on
-// the owning node's loop goroutine, so the dump is safe under live traffic.
+// the owning site's loop, so the dump is safe under live traffic.
 func (c *Cluster) DumpState() string {
 	var b strings.Builder
 	for _, h := range c.roster() {

@@ -1,5 +1,6 @@
 // Package transport runs the mutual exclusion state machines outside the
-// simulator: one goroutine per site, with in-process channel wiring for
+// simulator: one loop goroutine per site, which steps every lock's machine
+// at that site in the order its inputs arrived, with in-process wiring for
 // single-binary deployments and a framed TCP transport for real clusters.
 // The protocol code is identical to what the simulator drives — only the
 // message plumbing differs.
@@ -9,8 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dqmx/internal/mutex"
 	"dqmx/internal/obs"
@@ -48,167 +47,67 @@ type BatchSender interface {
 	SendBatch(envs []mutex.Envelope) error
 }
 
-// mailbox is an unbounded FIFO of envelopes: the reliable, order-preserving
-// "network buffer" in front of each node. Unboundedness mirrors the system
-// model (reliable channels, no backpressure) and prevents distributed
-// deadlock between node loops sending to each other. A stopped node's
-// mailbox is closed: it drops what it is handed instead of keeping it.
-type mailbox struct {
-	mu     sync.Mutex
-	items  []mutex.Envelope
-	closed bool
-	notify chan struct{}
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{notify: make(chan struct{}, 1)}
-}
-
-func (m *mailbox) put(env mutex.Envelope) { m.putAll([]mutex.Envelope{env}) }
-
-func (m *mailbox) putAll(envs []mutex.Envelope) {
-	m.mu.Lock()
-	if m.closed || len(envs) == 0 {
-		m.mu.Unlock()
-		return
-	}
-	m.items = append(m.items, envs...)
-	m.mu.Unlock()
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
-
-// drain hands the queued envelopes to the caller and takes the caller's
-// previous batch back as the next queue's backing array, so the two slices
-// double-buffer and steady-state traffic grows neither.
-func (m *mailbox) drain(prev []mutex.Envelope) []mutex.Envelope {
-	clear(prev) // a recycled batch must not pin the messages it carried
-	m.mu.Lock()
-	items := m.items
-	m.items = prev[:0]
-	m.mu.Unlock()
-	return items
-}
-
-// close discards the queue and makes every later put a no-op.
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed, m.items = true, nil
-	m.mu.Unlock()
-}
-
-// Node hosts one site's machine for one lock on a dedicated goroutine and
-// exposes a blocking Acquire/Release interface to application code. It
+// Node is one lock's instance at one site: the site's machine for that
+// lock, its pending Acquire and its step buffer. It exposes a blocking
+// Acquire/Release interface to application code and runs every step on its
+// site's loop (see host), in the order its inputs reached the site. It
 // stamps its lock's name onto everything it sends and observes, and the
 // membership stage onto what it sends: the state machine sees neither.
 type Node struct {
-	name   string // the lock's resource name
-	site   mutex.Site
-	sender BatchSender
-	stage  *atomic.Uint64 // the host's membership stage
-	inbox  *mailbox
-	sink   obs.Sink // nil when observability is disabled
-	// delivered, when non-nil, is called on the loop goroutine after the
-	// site has stepped through each inbound envelope.
-	delivered func(env mutex.Envelope)
+	name string // the lock's resource name
+	site mutex.Site
+	host *host // the site's loop, sender, sink, stage and delivery hook
 
-	acquireC chan chan error
-	releaseC chan chan error
-	// respPool recycles the one-shot reply channels of Acquire and Release.
-	// The loop sends exactly one reply per channel it is handed, and a
-	// channel goes back only after that reply was received (or before the
-	// loop ever saw it), so a pooled channel is always empty and
-	// unreferenced. Each node keeps its own, so a channel never outlives the
-	// cluster it was made for (a testing/synctest bubble's included).
-	respPool sync.Pool
-	ctrlC    chan func() // membership control, run on the loop goroutine
-	stopOnce sync.Once
-	stopC    chan struct{}
-	doneC    chan struct{}
+	waiter    chan error // pending Acquire's reply channel, loop-owned
+	abandoned bool       // loop-owned: the pending request's Acquire gave up; exit on entry
+	retiring  bool       // loop-owned: departing the cluster, no new acquires
 
-	waiter   chan error // pending Acquire responder, loop-owned
-	retiring bool       // loop-owned: departing the cluster, no new acquires
-
-	// Loop-owned buffers, reused from step to step: the inbox batch being
-	// processed and apply's work queue.
-	batch []mutex.Envelope
-	queue []mutex.Envelope
+	queue []mutex.Envelope // loop-owned: apply's work queue, reused from step to step
 }
 
-// newNode starts the event loop of lock name's machine at one site; the
-// site's host is its one caller. sender carries envelopes addressed to other
-// sites, each step's together, stamped with name and the stage read from
-// stage; envelopes addressed to this site short-circuit internally. A nil
-// sink costs exactly one nil check per potential event. delivered, which may
-// be nil, observes each inbound envelope once the site has processed it.
-func newNode(name string, site mutex.Site, sender BatchSender, sink obs.Sink, stage *atomic.Uint64, delivered func(env mutex.Envelope)) *Node {
-	n := &Node{
-		name:      name,
-		site:      site,
-		sender:    sender,
-		stage:     stage,
-		inbox:     newMailbox(),
-		sink:      sink,
-		delivered: delivered,
-		acquireC:  make(chan chan error),
-		releaseC:  make(chan chan error),
-		ctrlC:     make(chan func()),
-		stopC:     make(chan struct{}),
-		doneC:     make(chan struct{}),
-	}
-	n.respPool.New = func() any { return make(chan error, 1) }
-	go n.run()
-	return n
+// newNode makes lock name's instance at the site h hosts; h is its one
+// caller. The instance sends through h's sender, each step's envelopes
+// together, stamped with name and h's stage; envelopes addressed to this
+// site short-circuit internally.
+func newNode(name string, site mutex.Site, h *host) *Node {
+	return &Node{name: name, site: site, host: h}
 }
 
 // ID returns the hosted site's identifier.
 func (n *Node) ID() mutex.SiteID { return n.site.ID() }
 
-// Inject delivers an incoming envelope (called by transports).
-func (n *Node) Inject(env mutex.Envelope) { n.inbox.put(env) }
-
-// InjectBatch delivers several incoming envelopes in order under one mailbox
-// lock (called by batching transports).
-func (n *Node) InjectBatch(envs []mutex.Envelope) { n.inbox.putAll(envs) }
-
 // Acquire blocks until the site holds the critical section, the context is
-// cancelled, or the node closes. If the context is cancelled after the
-// request was issued, the eventually acquired critical section is released
-// automatically.
+// cancelled, or the node closes. A context already done issues no request.
+// If the context is cancelled after the request was issued, the eventually
+// acquired critical section is released automatically.
 func (n *Node) Acquire(ctx context.Context) error {
-	resp := n.respPool.Get().(chan error)
-	select {
-	case n.acquireC <- resp:
-	case <-ctx.Done():
-		n.respPool.Put(resp)
-		return ctx.Err()
-	case <-n.doneC:
-		n.respPool.Put(resp)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return n.call(ctx, item{op: opAcquire})
+}
+
+// call queues it with a pooled reply channel and waits for the loop's
+// answer, the site closing or ctx ending. It returns ErrClosed when the
+// site shut down before (or while) it could run.
+func (n *Node) call(ctx context.Context, it item) error {
+	h := n.host
+	it.node, it.resp = n, h.respPool.Get().(chan error)
+	if !h.inbox.put(it) {
+		h.respPool.Put(it.resp)
 		return ErrClosed
 	}
 	select {
-	case err := <-resp:
-		n.respPool.Put(resp)
+	case err := <-it.resp:
+		h.respPool.Put(it.resp)
 		return err
 	case <-ctx.Done():
-		// The protocol has no cancel message: wait out the grant in the
-		// background and hand it straight back. The node may close before
-		// the grant ever arrives, so also watch doneC or this goroutine
-		// leaks.
-		go func() {
-			select {
-			case err := <-resp:
-				n.respPool.Put(resp)
-				if err == nil {
-					_ = n.Release()
-				}
-			case <-n.doneC:
-			}
-		}()
+		// Only an acquire waits on a context. The protocol has no cancel
+		// message: the loop hands the grant straight back when it lands
+		// (see abandon), and takes resp over.
+		h.inbox.put(item{node: n, op: opAbandon, resp: it.resp})
 		return ctx.Err()
-	case <-n.doneC:
+	case <-h.doneC:
 		return ErrClosed
 	}
 }
@@ -219,9 +118,9 @@ func (n *Node) Acquire(ctx context.Context) error {
 // returns (false, nil) and the abandoned request is wound down exactly as in
 // Acquire — when the quorum's grant eventually lands it is handed straight
 // back. Callers bound the wait with a context deadline; an already-expired
-// context makes TryAcquire a pure local-state probe. Errors are reserved for
-// real failures: ErrBusy when an acquire is already held or in flight, and
-// ErrClosed after shutdown.
+// context makes TryAcquire a pure local probe that issues no request.
+// Errors are reserved for real failures: ErrBusy when an acquire is already
+// held or in flight, and ErrClosed after shutdown.
 func (n *Node) TryAcquire(ctx context.Context) (bool, error) {
 	switch err := n.Acquire(ctx); {
 	case err == nil:
@@ -236,23 +135,12 @@ func (n *Node) TryAcquire(ctx context.Context) (bool, error) {
 // Release exits the critical section. It returns ErrNotHeld when the site
 // does not currently hold the CS (no matching successful Acquire), and
 // ErrClosed after shutdown.
-func (n *Node) Release() error {
-	resp := n.respPool.Get().(chan error)
-	select {
-	case n.releaseC <- resp:
-		err := <-resp
-		n.respPool.Put(resp)
-		return err
-	case <-n.doneC:
-		n.respPool.Put(resp)
-		return ErrClosed
-	}
-}
+func (n *Node) Release() error { return n.call(context.Background(), item{op: opRelease}) }
 
 // Dump renders the site's protocol state for diagnostics (liveness
-// watchdogs, operator tooling). The render runs on the node's own loop
-// goroutine — the only place the state machine may be touched — so it is
-// safe to call concurrently with protocol traffic.
+// watchdogs, operator tooling). The render runs on the site's loop — the
+// only place the state machine may be touched — so it is safe to call
+// concurrently with protocol traffic.
 func (n *Node) Dump() string {
 	var s string
 	if err := n.onLoop(func() { s = siteDebug(n.site) }); err != nil {
@@ -261,78 +149,88 @@ func (n *Node) Dump() string {
 	return s
 }
 
-// Close stops the node's event loop and waits for it to exit. Envelopes
-// still queued, and any that arrive later, are dropped.
-func (n *Node) Close() {
-	n.stopOnce.Do(func() {
-		n.inbox.close()
-		close(n.stopC)
-	})
-	<-n.doneC
-}
-
-// observe emits one lifecycle event; callers must have checked n.sink.
+// observe emits one lifecycle event; callers must have checked n.host.sink.
 func (n *Node) observe(t obs.EventType, peer mutex.SiteID, kind string) {
-	n.sink(obs.Event{Type: t, Resource: n.name, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
+	n.host.sink(obs.Event{Type: t, Resource: n.name, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
 }
 
-func (n *Node) run() {
-	defer close(n.doneC)
-	for {
-		select {
-		case <-n.inbox.notify:
-			n.batch = n.inbox.drain(n.batch)
-			for _, env := range n.batch {
-				n.deliver(env)
-				if n.delivered != nil {
-					n.delivered(env)
-				}
-			}
-		case resp := <-n.acquireC:
-			if n.retiring {
-				resp <- ErrClosed
-				continue
-			}
-			if n.waiter != nil || n.site.InCS() || n.site.Pending() {
-				resp <- ErrBusy
-				continue
-			}
-			n.waiter = resp
-			// Request() first, observe second: the event can then carry the
-			// request's logical timestamp. apply follows, so the event still
-			// precedes every EventSend of the request wave.
-			out := n.site.Request()
-			if n.sink != nil {
-				e := obs.Event{Type: obs.EventRequest, Resource: n.name, Site: n.site.ID(), Peer: n.site.ID(), Time: obs.Now()}
-				if ts, ok := n.site.(mutex.TimestampedSite); ok {
-					if reqTS, pending := ts.RequestTimestamp(); pending {
-						e.ReqTS = reqTS
-					}
-				}
-				n.sink(e)
-			}
-			n.apply(out)
-		case resp := <-n.releaseC:
-			if !n.site.InCS() {
-				resp <- ErrNotHeld
-				continue
-			}
-			if n.sink != nil {
-				n.observe(obs.EventExit, n.site.ID(), "")
-			}
-			n.apply(n.site.Exit())
-			resp <- nil
-		case fn := <-n.ctrlC:
-			fn()
-		case <-n.stopC:
-			return
+// step runs one of the node's queued inputs on the site's loop.
+func (n *Node) step(it *item) {
+	switch it.op {
+	case opDeliver:
+		n.deliver(it.env)
+		if d := n.host.delivered; d != nil {
+			d(it.env)
 		}
+	case opAcquire:
+		n.acquire(it.resp)
+	case opRelease:
+		it.resp <- n.exit()
+	case opAbandon:
+		n.abandon(it.resp)
+	case opControl:
+		it.fn()
+		it.resp <- nil
 	}
+}
+
+// acquire issues a request whose entry answers resp, or answers at once why
+// it cannot.
+func (n *Node) acquire(resp chan error) {
+	if n.retiring {
+		resp <- ErrClosed
+		return
+	}
+	if n.waiter != nil || n.site.InCS() || n.site.Pending() {
+		resp <- ErrBusy
+		return
+	}
+	n.waiter = resp
+	// Request() first, observe second: the event can then carry the
+	// request's logical timestamp. apply follows, so the event still
+	// precedes every EventSend of the request wave.
+	out := n.site.Request()
+	if n.host.sink != nil {
+		e := obs.Event{Type: obs.EventRequest, Resource: n.name, Site: n.site.ID(), Peer: n.site.ID(), Time: obs.Now()}
+		if ts, ok := n.site.(mutex.TimestampedSite); ok {
+			if reqTS, pending := ts.RequestTimestamp(); pending {
+				e.ReqTS = reqTS
+			}
+		}
+		n.host.sink(e)
+	}
+	n.apply(out)
+}
+
+// exit leaves the critical section, or reports ErrNotHeld.
+func (n *Node) exit() error {
+	if !n.site.InCS() {
+		return ErrNotHeld
+	}
+	if n.host.sink != nil {
+		n.observe(obs.EventExit, n.site.ID(), "")
+	}
+	n.apply(n.site.Exit())
+	return nil
+}
+
+// abandon winds down the Acquire that handed over resp and stopped waiting;
+// its acquire item ran earlier, since one goroutine queued both. A request
+// still pending stays in flight and its critical section is exited the
+// moment it enters; a grant already sent is handed straight back. resp is
+// empty and unreferenced afterwards, so it returns to the pool.
+func (n *Node) abandon(resp chan error) {
+	if n.waiter == resp {
+		n.waiter, n.abandoned = nil, true
+	} else if err := <-resp; err == nil {
+		_ = n.exit()
+	}
+	n.host.respPool.Put(resp)
 }
 
 // deliver steps the site through one inbound envelope.
 func (n *Node) deliver(env mutex.Envelope) {
-	if n.sink != nil {
+	if n.host.sink != nil {
 		if f, ok := env.Msg.(mutex.FailureMsg); ok {
 			n.observe(obs.EventFailure, f.Failed, "")
 			n.apply(n.site.Deliver(env))
@@ -343,32 +241,16 @@ func (n *Node) deliver(env mutex.Envelope) {
 	n.apply(n.site.Deliver(env))
 }
 
-// onLoop runs fn on the node's loop goroutine and waits for it to finish.
-// It returns ErrClosed when the node shut down before (or while) fn could
-// run — the loop exiting between enqueue and execution included.
+// onLoop runs fn on the site's loop and waits for it to finish, or returns
+// ErrClosed.
 func (n *Node) onLoop(fn func()) error {
-	done := make(chan struct{})
-	wrapped := func() {
-		fn()
-		close(done)
-	}
-	select {
-	case n.ctrlC <- wrapped:
-	case <-n.doneC:
-		return ErrClosed
-	}
-	select {
-	case <-done:
-		return nil
-	case <-n.doneC:
-		return ErrClosed
-	}
+	return n.call(context.Background(), item{op: opControl, fn: fn})
 }
 
 // Reconfigure installs a new membership on the hosted site (see
 // mutex.Reconfigurable). The reconcile — withdrawals to departing arbiters,
 // requests to joining ones — runs as an ordinary state-machine step on the
-// node's loop; a pending Acquire that completes because the new quorum is
+// site's loop; a pending Acquire that completes because the new quorum is
 // already fully granted is woken exactly as any other entry.
 func (n *Node) Reconfigure(m mutex.Membership) error {
 	rc, ok := n.site.(mutex.Reconfigurable)
@@ -446,10 +328,10 @@ func (n *Node) apply(out mutex.Output) {
 			entered = entered || next.Entered
 			continue
 		}
-		if n.sink != nil {
+		if n.host.sink != nil {
 			n.observe(obs.EventSend, env.To, env.Kind())
 		}
-		env.Resource, env.Epoch = n.name, n.stage.Load()
+		env.Resource, env.Epoch = n.name, n.host.stage.Load()
 		q[w] = env
 		w++
 	}
@@ -458,16 +340,20 @@ func (n *Node) apply(out mutex.Output) {
 	// Reliable-channel model: transports retry internally; an error here
 	// means the peer is gone, which the failure protocol handles.
 	if len(remote) > 0 {
-		_ = n.sender.SendBatch(remote)
+		_ = n.host.sender.SendBatch(remote)
 	}
 	clear(q) // an idle node must not pin its last step's messages
 	if entered {
-		if n.sink != nil {
+		if n.host.sink != nil {
 			n.observe(obs.EventEnter, n.site.ID(), "")
 		}
-		if n.waiter != nil {
+		switch {
+		case n.waiter != nil:
 			n.waiter <- nil
 			n.waiter = nil
+		case n.abandoned:
+			n.abandoned = false
+			_ = n.exit()
 		}
 	}
 }

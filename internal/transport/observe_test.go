@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,9 +125,8 @@ func TestTryAcquireClosed(t *testing.T) {
 }
 
 // TestAcquireCancelThenCloseDoesNotLeak exercises the context-cancel path
-// whose background grant-waiter used to block forever when the node closed
-// before the grant arrived. Under -race with goroutine accounting this now
-// winds down cleanly; the observable contract is simply that Close returns.
+// with the node closing before the abandoned request's grant arrives; the
+// observable contract is simply that Close returns.
 func TestAcquireCancelThenCloseDoesNotLeak(t *testing.T) {
 	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 2})
 	if err != nil {
@@ -141,8 +141,8 @@ func TestAcquireCancelThenCloseDoesNotLeak(t *testing.T) {
 	if err := cluster.Node(1).Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("acquire = %v, want deadline exceeded", err)
 	}
-	// Close with the grant still pending: the background waiter must select
-	// doneC instead of blocking on the never-delivered response.
+	// Close with the abandoned request still pending: its grant never
+	// arrives, and Close must not wait for it.
 	done := make(chan struct{})
 	go func() {
 		cluster.Close()
@@ -223,5 +223,45 @@ func TestSnapshotDisabled(t *testing.T) {
 	defer cluster.Close()
 	if _, ok := cluster.Snapshot(); ok {
 		t.Error("unobserved cluster claims to have metrics")
+	}
+}
+
+// TestExpiredContextIssuesNoRequest: on an idle 9-site cluster, calls whose
+// context is already done return at once — Lock.TryAcquire with (false,
+// nil), Lock.Acquire and Node.Acquire with the context's error — and no
+// site issues a request for any of them.
+func TestExpiredContextIssuesNoRequest(t *testing.T) {
+	var requests atomic.Int64
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: 9,
+		Observer: func(e obs.Event) {
+			if e.Type == obs.EventRequest {
+				requests.Add(1)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := range 200 {
+		id := mutex.SiteID(i % cluster.N())
+		l, err := cluster.Lock(id, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := l.TryAcquire(ctx); ok || err != nil {
+			t.Fatalf("call %d: Lock.TryAcquire = (%v, %v), want (false, nil)", i, ok, err)
+		}
+		if err := l.Acquire(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: Lock.Acquire = %v, want context.Canceled", i, err)
+		}
+		if err := cluster.Node(id).Acquire(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: Node.Acquire = %v, want context.Canceled", i, err)
+		}
+	}
+	cluster.DumpState() // runs on every site's loop, after anything queued above
+	if got := requests.Load(); got != 0 {
+		t.Fatalf("%d requests issued for calls with a cancelled context, want 0", got)
 	}
 }

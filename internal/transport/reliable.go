@@ -2,7 +2,7 @@ package transport
 
 // The reliable-delivery sublayer: the piece of the stack that discharges the
 // paper's reliable-FIFO-channel assumption on a lossy wire. It sits between
-// the node loops and a wire that can lose — the TCP writers, or the chaos
+// the site loops and a wire that can lose — the TCP writers, or the chaos
 // fabric of an in-process cluster built with a plan. A plain in-process
 // cluster has none: its mailboxes are reliable FIFO by construction.
 //

@@ -497,11 +497,10 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 		return snap, cluster
 	}
 
-	// The rounds are sequential but not perfectly so: a node loop picks
-	// between its inbox and the next Acquire at random, so a request can
-	// overtake the previous holder's release at the requester's own arbiter
-	// half and draw a fail and a transfer. Such a run is legitimate but not
-	// comparable message for message; it is repeated.
+	// The rounds are sequential, but only each site's own inputs are
+	// ordered: should a request still overtake the previous holder's
+	// release at an arbiter, it draws a fail and a transfer. Such a run is
+	// legitimate but not comparable message for message; it is repeated.
 	uncontended := run
 	run = func(layered bool) (obs.Snapshot, *Cluster) {
 		for attempt := 0; attempt < 20; attempt++ {

@@ -116,7 +116,7 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 	if cfg.Metrics != nil {
 		combined = obs.Tee(cfg.Metrics.Observe, cfg.Observer)
 	}
-	// The reliability sublayer sits between the node loops and the raw
+	// The reliability sublayer sits between the site's loop and the raw
 	// per-destination outbounds: its receive side is fed by the read loops and
 	// hands exactly-once, per-stream-FIFO envelopes to dispatch.
 	p.rel = newReliable(p.dispatch, combined, p.clock)
@@ -636,7 +636,7 @@ func (p *TCPPeer) setHeartbeatSink(d *Detector) {
 	p.mu.Unlock()
 }
 
-// Close shuts the peer down: every resource's node loop, the listener, the
+// Close shuts the peer down: the site's loop, the listener, the
 // outbound connections, and every inbound one.
 func (p *TCPPeer) Close() {
 	// Closed under p.mu: a write role handed to a goroutine joins wg under

@@ -81,24 +81,8 @@ func (p *TCPPeer) MembershipHint() (stage uint64, behind bool) {
 	return hint, hint > p.stage.Load()
 }
 
-// AddPeer adds (or re-addresses) a site in this peer's address book, so a
-// joining arbiter is dialable before the joint stage that includes it is
-// applied. A running failure detector starts probing it; a site previously
-// declared dead is given a fresh grace period (rolling restart), and
-// instances created from here on are no longer told it is dead.
-func (p *TCPPeer) AddPeer(id mutex.SiteID, addr string) {
-	p.mu.Lock()
-	p.peers[id] = addr
-	sink := p.hbSink
-	p.mu.Unlock()
-	p.host.dead.revive(id)
-	if sink != nil {
-		sink.track(id)
-	}
-}
-
 // peerList snapshots the known peer IDs, ascending, under the address-book
-// lock (the detector iterates peers concurrently with AddPeer).
+// lock.
 func (p *TCPPeer) peerList() []mutex.SiteID {
 	p.mu.Lock()
 	defer p.mu.Unlock()

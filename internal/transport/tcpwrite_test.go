@@ -8,6 +8,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"net"
 	"runtime"
@@ -472,63 +473,79 @@ func receive(t *testing.T, conns <-chan net.Conn) net.Conn {
 	}
 }
 
-// TestTCPGoroutinesPerPeer pins what a settled TCP peer runs: its accept
-// loop, one read loop per inbound connection, the reliable sublayer's loop
-// and one node loop per resource in use — and nothing per destination. A
-// 9-site grid runs one acquire round per site and settles.
-func TestTCPGoroutinesPerPeer(t *testing.T) {
-	const n = 9
-	base := runtime.NumGoroutine()
-	sites, err := core.Algorithm{}.NewSites(n)
-	if err != nil {
-		t.Fatal(err)
+// startGrid starts n loopback TCP peers of a grid cluster, each serving
+// any lock name, with full address books: their ports are reserved with
+// throwaway listeners first. The peers close when the test ends.
+func startGrid(t *testing.T, n int) []*TCPPeer {
+	t.Helper()
+	addrs := make(map[mutex.SiteID]string, n)
+	for i := range n {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[mutex.SiteID(i)] = ln.Addr().String()
+		ln.Close()
 	}
 	peers := make([]*TCPPeer, n)
 	for i := range peers {
-		site := sites[i]
+		id := mutex.SiteID(i)
+		book := maps.Clone(addrs)
+		delete(book, id)
 		p, err := NewTCPPeerConfig(TCPConfig{
-			Self: site.ID(),
-			Factory: func(name string) (mutex.Site, error) {
-				if name != resource.Default {
-					return nil, fmt.Errorf("named lock %q", name)
+			Self: id,
+			Factory: func(string) (mutex.Site, error) {
+				sites, err := core.Algorithm{}.NewSites(n)
+				if err != nil {
+					return nil, err
 				}
-				return site, nil
+				return sites[id], nil
 			},
-			ListenAddr: "127.0.0.1:0",
-			N:          n,
+			ListenAddr: addrs[id],
+			Peers:      book,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
+		t.Cleanup(p.Close)
 		peers[i] = p
 	}
+	return peers
+}
+
+// TestTCPGoroutinesPerPeer pins what a settled TCP peer runs: its accept
+// loop, one read loop per inbound connection, the reliable sublayer's loop
+// and one loop for the site, however many locks it hosts — and nothing per
+// destination or per lock. A 9-site grid runs one acquire round per site on
+// the default resource and on a named lock, and settles.
+func TestTCPGoroutinesPerPeer(t *testing.T) {
+	const n = 9
+	base := runtime.NumGoroutine()
+	peers := startGrid(t, n)
 	for i, p := range peers {
-		for j, q := range peers {
-			if i != j {
-				p.AddPeer(mutex.SiteID(j), q.Addr())
-			}
-		}
-	}
-	for i, p := range peers {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err := p.Node().Acquire(ctx)
-		cancel()
+		named, err := p.Lock("second")
 		if err != nil {
-			t.Fatalf("site %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if err := p.Node().Release(); err != nil {
-			t.Fatalf("site %d: %v", i, err)
+		for _, l := range []resource.Endpoint{p.Node(), named} {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err := l.Acquire(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("site %d: %v", i, err)
+			}
+			if err := l.Release(); err != nil {
+				t.Fatalf("site %d: %v", i, err)
+			}
 		}
 	}
 
 	budget := func() (total, outs int) {
 		for _, p := range peers {
 			p.mu.Lock()
-			total += 1 + len(p.inbound) + 1 // accept loop, read loops, reliable loop
+			total += 1 + len(p.inbound) + 1 + 1 // accept loop, read loops, reliable loop, site loop
 			outs += len(p.outs)
 			p.mu.Unlock()
-			total += len(p.Resources()) // node loops
 		}
 		return total, outs
 	}
@@ -542,7 +559,7 @@ func TestTCPGoroutinesPerPeer(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines above the baseline after settling, want at most %d "+
-				"(no goroutine per destination; %d destinations in use)", got, want, outs)
+				"(no goroutine per destination or per lock; %d destinations in use)", got, want, outs)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -560,37 +577,7 @@ func TestTCPConnectionChurn(t *testing.T) {
 		deadline = 10 * time.Second
 		seed     = 35
 	)
-	sites, err := core.Algorithm{}.NewSites(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := make([]*TCPPeer, n)
-	for i := range peers {
-		site := sites[i]
-		p, err := NewTCPPeerConfig(TCPConfig{
-			Self: site.ID(),
-			Factory: func(name string) (mutex.Site, error) {
-				if name != resource.Default {
-					return nil, fmt.Errorf("named lock %q", name)
-				}
-				return site, nil
-			},
-			ListenAddr: "127.0.0.1:0",
-			N:          n,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		peers[i] = p
-	}
-	for i, p := range peers {
-		for j, q := range peers {
-			if i != j {
-				p.AddPeer(mutex.SiteID(j), q.Addr())
-			}
-		}
-	}
+	peers := startGrid(t, n)
 
 	stop := make(chan struct{})
 	var closed int

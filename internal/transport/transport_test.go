@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,6 +134,44 @@ func TestNodeCloseUnblocks(t *testing.T) {
 	cluster.Close()
 	if err := node.Acquire(context.Background()); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("acquire on closed node = %v, want ErrClosed", err)
+	}
+}
+
+// TestOneLoopPerSite: a site runs one loop for all its locks, and an
+// Acquire starts no goroutine. 50 named locks on a 9-site in-process
+// cluster, each acquired and released once, leave at most 9 goroutines
+// running over the baseline (a loop per lock instance was 259).
+func TestOneLoopPerSite(t *testing.T) {
+	const n = 9
+	base := runtime.NumGoroutine()
+	cluster, err := transport.NewClusterConfig(transport.ClusterConfig{Algorithm: core.Algorithm{}, N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for k := range 50 {
+		l, err := cluster.Lock(mutex.SiteID(k%n), fmt.Sprintf("lock-%d", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := runtime.NumGoroutine() - base
+		if got <= n {
+			t.Logf("%d goroutines over the baseline for %d sites and %d resources", got, n, len(cluster.Resources()))
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines over the baseline, want at most %d (one loop per site)", got, n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
