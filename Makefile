@@ -57,16 +57,16 @@ avoidcheck:
 # lock instance, record a crash and record a membership stage through
 # internal/transport's host, so each of those rules is written once. It
 # fails, naming the lines, on a failureEnvelope( or SetMembership( call in
-# non-test internal/transport Go outside host.go and node.go (whose
-# Node.Reconfigure runs the swap on the site's loop), and on a newNode( call
-# there outside host.go (node.go only declares it). A site is one sequential
-# process: the host's one loop steps all its lock instances in arrival
-# order, and an abandoned Acquire is wound down on that loop too. So it also
-# fails on a go statement in node.go: a goroutine per instance or per call
-# would bring back the unordered inputs and the goroutine count per lock.
+# non-test internal/transport Go outside host.go (whose install moves every
+# instance onto a stage in one step of the site's loop), and on a newNode(
+# call there outside host.go (node.go only declares it). A site is one
+# sequential process: the host's one loop steps all its lock instances in
+# arrival order, and an abandoned Acquire is wound down on that loop too. So
+# it also fails on a go statement in node.go: a goroutine per instance or per
+# call would bring back the unordered inputs and the goroutine count per lock.
 hostcheck:
 	@! git grep -n --untracked -E '(failureEnvelope|SetMembership)\(' -- 'internal/transport/*.go' ':!*_test.go' \
-		':!internal/transport/host.go' ':!internal/transport/node.go'
+		':!internal/transport/host.go'
 	@! git grep -n --untracked -E '\bnewNode\(' -- 'internal/transport/*.go' ':!*_test.go' \
 		':!internal/transport/host.go' | grep -v -E 'func newNode\('
 	@! git grep -n --untracked -E '^[[:space:]]*go[[:space:]]' -- 'internal/transport/node.go'

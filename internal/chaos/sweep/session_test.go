@@ -65,9 +65,9 @@ func startSessionHarness(t *testing.T, n int, sites []int, lease time.Duration, 
 		}
 		srv, err := session.NewServer(session.ServerConfig{
 			Site: mutex.SiteID(site),
-			Locks: session.LockerFunc(func(name string) (*resource.Lock, error) {
+			Locks: func(name string) (*resource.Lock, error) {
 				return h.cluster.Lock(mutex.SiteID(site), name)
-			}),
+			},
 			Listener: ln,
 			Lease:    lease,
 		})

@@ -10,45 +10,30 @@ import (
 // Invariant is one pluggable property of the explored state space. Step is
 // called once per explored transition with the unmutated pre-state, the
 // chosen action, and the resulting post-state; Terminal is called once per
-// quiescent state (no deliver, request, or exit choice enabled). The first
-// non-nil error stops the search and becomes the Violation.
-type Invariant interface {
-	Name() string
-	Step(pre *State, act Action, post *State) error
-	Terminal(st *State) error
+// quiescent state (no deliver, request, or exit choice enabled). Either may
+// be nil. The first non-nil error stops the search and becomes the
+// Violation.
+type Invariant struct {
+	Name     string
+	Step     func(pre *State, act Action, post *State) error
+	Terminal func(st *State) error
 }
 
-// StepFunc checks one transition; TerminalFunc checks one quiescent state.
-type (
-	StepFunc     func(pre *State, act Action, post *State) error
-	TerminalFunc func(st *State) error
-)
-
-// NewInvariant builds an invariant from plain functions; either may be nil.
-func NewInvariant(name string, step StepFunc, terminal TerminalFunc) Invariant {
-	return funcInvariant{name: name, step: step, terminal: terminal}
-}
-
-type funcInvariant struct {
-	name     string
-	step     StepFunc
-	terminal TerminalFunc
-}
-
-func (f funcInvariant) Name() string { return f.name }
-
-func (f funcInvariant) Step(pre *State, act Action, post *State) error {
-	if f.step == nil {
+// step checks one transition; an invariant without a Step passes it.
+func (inv Invariant) step(pre *State, act Action, post *State) error {
+	if inv.Step == nil {
 		return nil
 	}
-	return f.step(pre, act, post)
+	return inv.Step(pre, act, post)
 }
 
-func (f funcInvariant) Terminal(st *State) error {
-	if f.terminal == nil {
+// terminal checks one quiescent state; an invariant without a Terminal
+// passes it.
+func (inv Invariant) terminal(st *State) error {
+	if inv.Terminal == nil {
 		return nil
 	}
-	return f.terminal(st)
+	return inv.Terminal(st)
 }
 
 // Defaults returns the standard invariant set: mutual exclusion, settled-wave
@@ -62,9 +47,9 @@ func Defaults() []Invariant {
 // SafetyInvariant asserts mutual exclusion (the ledger's safety rule): no
 // transition may produce a second simultaneous CS holder.
 func SafetyInvariant() Invariant {
-	return NewInvariant("safety", func(pre *State, act Action, post *State) error {
+	return Invariant{Name: "safety", Step: func(pre *State, act Action, post *State) error {
 		return post.verdict("safety")
-	}, nil)
+	}}
 }
 
 // OrderInvariant asserts the ledger's timestamp-order rule: when a site
@@ -75,12 +60,12 @@ func SafetyInvariant() Invariant {
 // is then best-effort. (The live chaos checker keeps asserting it on crash
 // schedules, skipping only the requests of the sites it saw fail.)
 func OrderInvariant() Invariant {
-	return NewInvariant("order", func(pre *State, act Action, post *State) error {
+	return Invariant{Name: "order", Step: func(pre *State, act Action, post *State) error {
 		if pre.Faulty() {
 			return nil
 		}
 		return post.verdict("order")
-	}, nil)
+	}}
 }
 
 // verdict returns the ledger's first breach of the given kind on the
@@ -98,7 +83,7 @@ func (st *State) verdict(kind string) error {
 // live site has issued and completed its whole CS budget. A crashed site's
 // unfinished work is excused.
 func DeadlockInvariant() Invariant {
-	return NewInvariant("deadlock", nil, func(st *State) error {
+	return Invariant{Name: "deadlock", Terminal: func(st *State) error {
 		for i := 0; i < st.N(); i++ {
 			si := mutex.SiteID(i)
 			if st.Crashed(si) {
@@ -109,7 +94,7 @@ func DeadlockInvariant() Invariant {
 			}
 		}
 		return nil
-	})
+	}}
 }
 
 // BoundInvariant asserts the ledger's bound rule on fault-free terminal
@@ -117,10 +102,10 @@ func DeadlockInvariant() Invariant {
 // land in [Lo, Hi] — 3(K−1)..6(K−1) for the coterie in use
 // (chaos.MessageBounds). Crashed runs are exempt.
 func BoundInvariant(b Bound) Invariant {
-	return NewInvariant("bound", nil, func(st *State) error {
+	return Invariant{Name: "bound", Terminal: func(st *State) error {
 		if vs := st.ledger.Bound(b.Lo, b.Hi); len(vs) > 0 {
 			return errors.New(vs[0].Detail)
 		}
 		return nil
-	})
+	}}
 }

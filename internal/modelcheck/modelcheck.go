@@ -677,9 +677,9 @@ func Run(cfg Config) (Result, error) {
 		if len(coreActs) == 0 {
 			res.Terminals++
 			for _, inv := range ex.invariants {
-				if err := inv.Terminal(cur.st); err != nil {
+				if err := inv.terminal(cur.st); err != nil {
 					res.States = len(visited)
-					res.Violation = newViolation(inv.Name(), err, cur.trace(), cur.st)
+					res.Violation = newViolation(inv.Name, err, cur.trace(), cur.st)
 					return res, nil
 				}
 			}
@@ -695,10 +695,10 @@ func Run(cfg Config) (Result, error) {
 				return res, err
 			}
 			for _, inv := range ex.invariants {
-				if ierr := inv.Step(cur.st, a, next); ierr != nil {
+				if ierr := inv.step(cur.st, a, next); ierr != nil {
 					child := &node{st: next, parent: cur, act: a, depth: cur.depth + 1}
 					res.States = len(visited)
-					res.Violation = newViolation(inv.Name(), ierr, child.trace(), next)
+					res.Violation = newViolation(inv.Name, ierr, child.trace(), next)
 					return res, nil
 				}
 			}

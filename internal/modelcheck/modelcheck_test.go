@@ -213,13 +213,13 @@ func TestExhaustiveHandoverShrink(t *testing.T) {
 // the request, deliver the reply — and Replay must reproduce exactly the same
 // violation from the recorded choices.
 func TestCounterexampleReplay(t *testing.T) {
-	broken := modelcheck.NewInvariant("no-entry",
-		func(pre *modelcheck.State, act modelcheck.Action, post *modelcheck.State) error {
+	broken := modelcheck.Invariant{Name: "no-entry",
+		Step: func(pre *modelcheck.State, act modelcheck.Action, post *modelcheck.State) error {
 			if s := post.Entered(); s != -1 {
 				return fmt.Errorf("site %d entered the CS", s)
 			}
 			return nil
-		}, nil)
+		}}
 	cfg := modelcheck.Config{
 		Algorithm:  core.Algorithm{Construction: coterie.Majority{}},
 		N:          3,

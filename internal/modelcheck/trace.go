@@ -150,15 +150,15 @@ func Replay(cfg Config, trace []Action) (*Violation, []string, error) {
 		}
 		log = append(log, line)
 		for _, inv := range ex.invariants {
-			if ierr := inv.Step(pre, a, st); ierr != nil {
-				return newViolation(inv.Name(), ierr, trace[:i+1], st), log, nil
+			if ierr := inv.step(pre, a, st); ierr != nil {
+				return newViolation(inv.Name, ierr, trace[:i+1], st), log, nil
 			}
 		}
 	}
 	if coreActs, _ := ex.enabled(st); len(coreActs) == 0 {
 		for _, inv := range ex.invariants {
-			if ierr := inv.Terminal(st); ierr != nil {
-				return newViolation(inv.Name(), ierr, trace, st), log, nil
+			if ierr := inv.terminal(st); ierr != nil {
+				return newViolation(inv.Name, ierr, trace, st), log, nil
 			}
 		}
 	}

@@ -31,9 +31,9 @@ func startArbiter(t *testing.T, cfg ServerConfig) (addr string, srv *Server) {
 		t.Fatal(err)
 	}
 	cfg.Site = mutex.SiteID(0)
-	cfg.Locks = LockerFunc(func(name string) (*resource.Lock, error) {
+	cfg.Locks = func(name string) (*resource.Lock, error) {
 		return cluster.Lock(mutex.SiteID(0), name)
-	})
+	}
 	cfg.Listener = ln
 	srv, err = NewServer(cfg)
 	if err != nil {

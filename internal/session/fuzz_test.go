@@ -83,9 +83,9 @@ func FuzzSessionFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	srv, err := NewServer(ServerConfig{
-		Locks: LockerFunc(func(name string) (*resource.Lock, error) {
+		Locks: func(name string) (*resource.Lock, error) {
 			return cluster.Lock(0, name)
-		}),
+		},
 		Listener: ln,
 		// Short leases so the sessions the fuzzed connections open are
 		// reclaimed promptly instead of accumulating across the run.

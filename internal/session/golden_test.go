@@ -145,8 +145,8 @@ func TestPeerLinkDropsSessionFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Deliver(barrier)
-	want := ref.(*core.Site).DebugString()
-	if before := peer.Node().Dump(); before == want {
+	want := "[(default)] " + ref.(*core.Site).DebugString() + "\n"
+	if before := peer.DumpState(); before == want {
 		t.Fatal("the barrier request does not change the site's state")
 	}
 
@@ -173,7 +173,7 @@ func TestPeerLinkDropsSessionFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return peer.Node().Dump() == want })
+	waitFor(t, func() bool { return peer.DumpState() == want })
 
 	// Still serving: the link is up and another lock goes through.
 	l, err := peer.Lock("after")

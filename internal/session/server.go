@@ -15,21 +15,6 @@ import (
 	"dqmx/internal/resource"
 )
 
-// Locker is the arbiter-side lock surface the session server drives: any
-// source of canonical *resource.Lock handles. In production it is a
-// transport.TCPPeer; tests compose the server over one site of an
-// in-process cluster, which is what lets the lease⇄§6 composition run
-// under the chaos fabric.
-type Locker interface {
-	Lock(name string) (*resource.Lock, error)
-}
-
-// LockerFunc adapts a function to the Locker interface.
-type LockerFunc func(name string) (*resource.Lock, error)
-
-// Lock implements Locker.
-func (f LockerFunc) Lock(name string) (*resource.Lock, error) { return f(name) }
-
 // Server defaults.
 const (
 	// DefaultLease is the lease TTL granted when neither the server config
@@ -61,8 +46,11 @@ const errNotHeldText = "lock not held by this session"
 type ServerConfig struct {
 	// Site identifies the arbiter in observability events.
 	Site mutex.SiteID
-	// Locks supplies the arbiter's lock handles (required).
-	Locks Locker
+	// Locks supplies the arbiter's canonical lock handles by name
+	// (required). In production it is a transport.TCPPeer's Lock; tests
+	// compose the server over one site of an in-process cluster, which is
+	// what lets the lease⇄§6 composition run under the chaos fabric.
+	Locks func(name string) (*resource.Lock, error)
 	// Listener accepts client connections (required). The server owns it
 	// and closes it on Close.
 	Listener net.Listener
@@ -646,7 +634,7 @@ func (srv *Server) acquireWorker(s *serverSession, slot *pendingOp) {
 // list for the next acquire, or, once aborted or with its session gone,
 // spent. It reports whether the slot was parked.
 func (srv *Server) runAcquire(s *serverSession, slot *pendingOp, job acquireJob) (parked bool) {
-	h, err := srv.cfg.Locks.Lock(job.name)
+	h, err := srv.cfg.Locks(job.name)
 	if err == nil {
 		err = h.Acquire(slot)
 	}

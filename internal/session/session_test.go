@@ -42,9 +42,9 @@ func startArbiters(t *testing.T, n int, sites []int, lease time.Duration, plan *
 		}
 		srv, err := NewServer(ServerConfig{
 			Site: mutex.SiteID(site),
-			Locks: LockerFunc(func(name string) (*resource.Lock, error) {
+			Locks: func(name string) (*resource.Lock, error) {
 				return cluster.Lock(mutex.SiteID(site), name)
-			}),
+			},
 			Listener: ln,
 			Lease:    lease,
 			Sink:     sink,

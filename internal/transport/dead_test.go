@@ -54,7 +54,7 @@ func awaitQuorum(t *testing.T, node *Node, want []mutex.SiteID, what string) {
 	t.Helper()
 	var got []mutex.SiteID
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := node.onLoop(func() { got = node.site.(*core.Site).Quorum() }); err != nil {
+		if err := node.host.onLoop(func() { got = node.site.(*core.Site).Quorum() }); err != nil {
 			t.Fatal(err)
 		}
 		if slices.Equal(got, want) {

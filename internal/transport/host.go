@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -35,7 +35,11 @@ import (
 // steps the site's inputs on their instances in arrival order. The queue is
 // filled on the caller's goroutine and never blocks, so no step runs on a
 // deliverer's goroutine (the reliable layer hands envelopes up under its
-// own lock, which a step's send takes again).
+// own lock, which a step's send takes again). The calls that act on the
+// whole site — install, settled, retire, quiesced and dump — each queue one
+// control item, which walks every instance on the loop. A departing site
+// (retire) refuses every Acquire, on whichever instance, built before or
+// after it began to leave.
 type host struct {
 	self      mutex.SiteID
 	factory   func(name string) (mutex.Site, error)
@@ -46,9 +50,11 @@ type host struct {
 	delivered func(env mutex.Envelope)
 	node      *Node // the default resource's instance, set by open
 
-	inbox mailbox       // the site's inputs, in arrival order
-	batch []item        // loop-owned: the items being stepped
-	doneC chan struct{} // closed when the loop has exited
+	inbox    mailbox          // the site's inputs, in arrival order
+	batch    []item           // loop-owned: the items being stepped
+	queue    []mutex.Envelope // loop-owned: Node.apply's work queue, reused from step to step
+	retiring bool             // loop-owned: departing the cluster, no new acquires
+	doneC    chan struct{}    // closed when the loop has exited
 	// respPool recycles the one-shot reply channels of Acquire and Release.
 	// A channel goes back only once its one reply was read (or before the
 	// loop saw it), so a pooled channel is empty and unreferenced. Each host
@@ -67,7 +73,7 @@ type host struct {
 	member *mutex.Membership // the membership in force here; nil: the factory's own quorum
 }
 
-// op is what a queued item asks of its instance.
+// op is what a queued item asks of its instance, or of the site.
 type op uint8
 
 const (
@@ -75,10 +81,11 @@ const (
 	opAcquire           // issue a request; its entry answers resp
 	opRelease           // exit the critical section, answering resp
 	opAbandon           // the Acquire answered on resp stopped waiting
-	opControl           // run fn, answering resp
+	opControl           // run fn on the site, answering resp
 )
 
-// item is one input of a site: an envelope or a call, for one instance.
+// item is one input of a site: an envelope or a call for one instance, or a
+// control call for the whole site (node is nil).
 type item struct {
 	node *Node
 	op   op
@@ -165,9 +172,64 @@ func (h *host) run() {
 			return
 		}
 		for i := range h.batch {
-			h.batch[i].node.step(&h.batch[i])
+			h.step(&h.batch[i])
 		}
 	}
+}
+
+// step runs one queued item on the site's loop.
+func (h *host) step(it *item) {
+	n := it.node
+	switch it.op {
+	case opDeliver:
+		n.deliver(it.env)
+		if h.delivered != nil {
+			h.delivered(it.env)
+		}
+	case opAcquire:
+		if h.retiring {
+			it.resp <- ErrClosed
+			return
+		}
+		n.acquire(it.resp)
+	case opRelease:
+		it.resp <- n.exit()
+	case opAbandon:
+		n.abandon(it.resp)
+	case opControl:
+		it.fn()
+		it.resp <- nil
+	}
+}
+
+// call queues it with a pooled reply channel and waits for the loop's
+// answer, the site closing or ctx ending. It returns ErrClosed when the
+// site shut down before (or while) it could run.
+func (h *host) call(ctx context.Context, it item) error {
+	it.resp = h.respPool.Get().(chan error)
+	if !h.inbox.put(it) {
+		h.respPool.Put(it.resp)
+		return ErrClosed
+	}
+	select {
+	case err := <-it.resp:
+		h.respPool.Put(it.resp)
+		return err
+	case <-ctx.Done():
+		// Only an acquire waits on a context. The protocol has no cancel
+		// message: the loop hands the grant straight back when it lands
+		// (see Node.abandon), and takes resp over.
+		h.inbox.put(item{node: it.node, op: opAbandon, resp: it.resp})
+		return ctx.Err()
+	case <-h.doneC:
+		return ErrClosed
+	}
+}
+
+// onLoop runs fn on the site's loop as one control item and waits for it to
+// finish, or returns ErrClosed.
+func (h *host) onLoop(fn func()) error {
+	return h.call(context.Background(), item{op: opControl, fn: fn})
 }
 
 // entry is one lock's instance at a site and the handle driving it.
@@ -402,28 +464,93 @@ func (h *host) adopt(m mutex.Membership) {
 	h.mu.Unlock()
 }
 
-// install moves every instance onto m through Node.Reconfigure; the caller
-// has adopted m first. Instances whose site closed meanwhile (a crash, a
-// racing shutdown) are skipped: a stopped machine holds no quorum. It returns the
-// first other error, having tried every instance.
+// install moves every instance onto m, in one step of the site's loop; the
+// caller has adopted m first. The reconcile of each instance — withdrawals
+// to departing arbiters, requests to joining ones — is an ordinary step of
+// its machine, and a pending Acquire that completes because the new quorum
+// is already fully granted is woken as any other entry. A closed site is
+// skipped: a stopped machine holds no quorum. It returns the first error,
+// having moved every instance it can.
 func (h *host) install(m mutex.Membership) error {
 	var firstErr error
-	for _, n := range h.nodes() {
-		if err := n.Reconfigure(m); err != nil && !errors.Is(err, ErrClosed) && firstErr == nil {
-			firstErr = fmt.Errorf("transport: reconfigure site %d resource %q: %w", h.self, n.name, err)
+	_ = h.onLoop(func() {
+		for _, n := range h.nodes() {
+			rc, ok := n.site.(mutex.Reconfigurable)
+			if !ok {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("transport: reconfigure site %d resource %q: %w", h.self, n.name, ErrNotReconfigurable)
+				}
+				continue
+			}
+			n.apply(rc.SetMembership(m))
 		}
-	}
+	})
 	return firstErr
 }
 
-// dump appends one line of protocol state per instance; each line is
-// rendered on the site's loop, so it is safe under live traffic.
+// settled reports whether every instance's effective req_set is the most
+// recently installed one (false while a swap waits behind a held critical
+// section). An instance whose machine does not reconfigure counts as
+// settled.
+func (h *host) settled() bool {
+	return h.every(func(n *Node) bool {
+		rc, ok := n.site.(mutex.Reconfigurable)
+		return !ok || rc.MembershipSettled()
+	})
+}
+
+// retire marks the site as departing: from the next step on, every Acquire
+// at it fails with ErrClosed, on an instance built before or after, while
+// work in flight continues undisturbed. The reconfiguration drain uses it so
+// a leaving site finishes what it holds without taking on new work.
+func (h *host) retire() {
+	_ = h.onLoop(func() { h.retiring = true })
+}
+
+// quiesced reports whether no instance holds the critical section, has a
+// request in flight or an Acquire waiting — the drain condition for closing
+// a departing site.
+func (h *host) quiesced() bool {
+	return h.every(func(n *Node) bool {
+		return !n.site.InCS() && !n.site.Pending() && n.waiter == nil
+	})
+}
+
+// every reports whether ok holds for every instance, all read in one step
+// of the site's loop. A closed site reports true: a stopped machine holds no
+// quorum and no critical section.
+func (h *host) every(ok func(n *Node) bool) bool {
+	all := true
+	_ = h.onLoop(func() {
+		for _, n := range h.nodes() {
+			if !ok(n) {
+				all = false
+				return
+			}
+		}
+	})
+	return all
+}
+
+// dump appends one line of protocol state per instance, all rendered in one
+// step of the site's loop, so it is safe under live traffic.
 func (h *host) dump(b *strings.Builder) {
-	for _, n := range h.nodes() {
+	nodes := h.nodes()
+	lines := make([]string, len(nodes))
+	if h.onLoop(func() {
+		for i, n := range nodes {
+			lines[i] = siteDebug(n.site)
+		}
+	}) != nil {
+		for i := range lines {
+			lines[i] = fmt.Sprintf("site %d: node closed", h.self)
+		}
+	}
+	for i, n := range nodes {
 		name := n.name
 		if name == resource.Default {
 			name = "(default)"
 		}
-		fmt.Fprintf(b, "[%s] %s\n", name, n.Dump())
+		fmt.Fprintf(b, "[%s] %s\n", name, lines[i])
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"dqmx/internal/core"
+	"dqmx/internal/coterie"
+	"dqmx/internal/membership"
 	"dqmx/internal/mutex"
 	"dqmx/internal/resource"
 )
@@ -232,5 +236,129 @@ func TestConcurrentLockCreation(t *testing.T) {
 	}
 	if got := h.builds.Load(); got != names {
 		t.Errorf("factory ran %d times, want %d", got, names)
+	}
+}
+
+// TestRetiringSiteRefusesNewLocks: a departing site takes no new work on
+// any lock — neither on the default resource's instance nor on a lock first
+// opened after the site began to leave, which a mark on each existing
+// instance would never reach. The other sites keep serving the new lock.
+func TestRetiringSiteRefusesNewLocks(t *testing.T) {
+	c, err := NewClusterConfig(ClusterConfig{
+		Algorithm:    core.Algorithm{Construction: coterie.Majority{}},
+		N:            7,
+		Construction: coterie.Majority{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const leaving = mutex.SiteID(6)
+	c.host(leaving).retire()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Node(leaving).Acquire(ctx); !errors.Is(err, ErrClosed) {
+		t.Errorf("default resource at the departing site: Acquire = %v, want ErrClosed", err)
+	}
+	fresh, err := c.Lock(leaving, "fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Acquire(ctx); !errors.Is(err, ErrClosed) {
+		t.Errorf("never-used lock at the departing site: Acquire = %v, want ErrClosed", err)
+	}
+	if !c.host(leaving).quiesced() {
+		t.Error("the refused acquires left work in flight at the departing site")
+	}
+	survivor, err := c.Lock(0, "fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := survivor.Acquire(ctx); err != nil {
+		t.Fatalf("site 0 on the same lock: %v", err)
+	}
+	if err := survivor.Release(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSiteCallsQueueOneItem: installing a membership, the settle barrier,
+// retiring, the drain check and a dump each cost one item on the site's
+// loop, however many locks the site hosts. The loop is parked while a call
+// runs; the test steps what the call queues itself and counts it.
+func TestSiteCallsQueueOneItem(t *testing.T) {
+	c, err := NewClusterConfig(ClusterConfig{
+		Algorithm:    core.Algorithm{Construction: coterie.Majority{}},
+		N:            3,
+		Construction: coterie.Majority{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := c.host(0)
+	for i := range 20 {
+		if _, err := c.Lock(0, fmt.Sprintf("lock-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage, err := membership.NewConfig(1, coterie.Majority{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := stage.Member(0)
+	h.adopt(m)
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"install", func() {
+			if err := h.install(m); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"settled", func() { h.settled() }},
+		{"quiesced", func() { h.quiesced() }},
+		{"dump", func() { h.dump(new(strings.Builder)) }},
+		{"retire", h.retire},
+	} {
+		if got := itemsQueuedBy(h, tc.call); got != 1 {
+			t.Errorf("%s over %d instances queued %d loop items, want 1", tc.name, len(h.nodes()), got)
+		}
+	}
+}
+
+// itemsQueuedBy runs call while h's loop is parked in a control item, steps
+// every item the call queues on this goroutine (the parked loop touches
+// nothing meanwhile) and returns how many there were.
+func itemsQueuedBy(h *host, call func()) int {
+	parked, resume := make(chan struct{}), make(chan struct{})
+	go h.onLoop(func() {
+		close(parked)
+		<-resume
+	})
+	<-parked
+	defer close(resume)
+	done := make(chan struct{})
+	go func() {
+		call()
+		close(done)
+	}()
+	count := 0
+	for {
+		h.inbox.mu.Lock()
+		queued := h.inbox.items
+		h.inbox.items = nil
+		h.inbox.mu.Unlock()
+		for i := range queued {
+			count++
+			h.step(&queued[i])
+		}
+		select {
+		case <-done:
+			return count
+		case <-time.After(time.Millisecond):
+		}
 	}
 }

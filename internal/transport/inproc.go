@@ -31,36 +31,16 @@ func (s inprocSender) Send(env mutex.Envelope) error {
 	return h.inject(env)
 }
 
-// SendBatch implements BatchSender with cross-destination coalescing: the
-// batch is regrouped in place, stably, so that ALL of a destination's
-// envelopes — not just consecutive runs — are injected as one batch under
-// one mailbox lock, in their order.
+// SendBatch implements BatchSender: each destination's envelopes are
+// injected as one batch, under one mailbox lock, in their order.
 func (s inprocSender) SendBatch(envs []mutex.Envelope) error {
-	var firstErr error
-	for start := 0; start < len(envs); {
-		dest := envs[start].To
-		end := start + 1
-		for k := end; k < len(envs); k++ {
-			if envs[k].To != dest {
-				continue
-			}
-			if k != end {
-				env := envs[k]
-				copy(envs[end+1:k+1], envs[end:k])
-				envs[end] = env
-			}
-			end++
+	return byDestination(envs, func(dest mutex.SiteID, run []mutex.Envelope) error {
+		h := s.cluster.host(dest)
+		if h == nil {
+			return fmt.Errorf("transport: no node for site %d", dest)
 		}
-		if h := s.cluster.host(dest); h == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("transport: no node for site %d", dest)
-			}
-		} else if err := h.injectBatch(envs[start:end]); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		start = end
-	}
-	return firstErr
+		return h.injectBatch(run)
+	})
 }
 
 // ClusterConfig configures an in-process cluster.
@@ -96,7 +76,9 @@ type ClusterConfig struct {
 // site, and multiplexes any number of named locks over them: each resource
 // name lazily gets its own full protocol instance (N fresh site machines
 // over the same coterie). Each site's host steps all its machines on the
-// site's one loop goroutine, fed by one in-memory FIFO mailbox. The legacy single-mutex interface —
+// site's one loop goroutine, fed by one in-memory FIFO mailbox; what
+// Reconfigure and DumpState ask of a site is one item on that loop, however
+// many locks the site hosts. The legacy single-mutex interface —
 // Node(id).Acquire/Release — is the default resource's instance; named
 // locks are reached through Lock.
 type Cluster struct {
@@ -354,8 +336,8 @@ func (c *Cluster) delivered(env mutex.Envelope) {
 }
 
 // DumpState renders the protocol state of every instantiated resource node
-// in the cluster, one line per (site, resource). Each line is produced on
-// the owning site's loop, so the dump is safe under live traffic.
+// in the cluster, one line per (site, resource). Each site's lines are
+// produced in one step of its loop, so the dump is safe under live traffic.
 func (c *Cluster) DumpState() string {
 	var b strings.Builder
 	for _, h := range c.roster() {

@@ -2,8 +2,12 @@
 // simulator: one loop goroutine per site, which steps every lock's machine
 // at that site in the order its inputs arrived, with in-process wiring for
 // single-binary deployments and a framed TCP transport for real clusters.
-// The protocol code is identical to what the simulator drives — only the
-// message plumbing differs.
+// A site's lock instances (Node) take Acquire, Release and envelopes; what
+// acts on the whole site — installing a membership, the settle barrier,
+// retiring, the drain check, a state dump — is one item on the site's loop
+// that walks every instance there, however many locks the site hosts. The
+// protocol code is identical to what the simulator drives — only the message
+// plumbing differs.
 package transport
 
 import (
@@ -24,8 +28,8 @@ var (
 	// ErrNotHeld is returned by Release when the site does not hold the
 	// critical section — a release without a matching successful acquire.
 	ErrNotHeld = errors.New("transport: release without a held critical section")
-	// ErrNotReconfigurable is returned by Reconfigure when the hosted
-	// algorithm does not implement mutex.Reconfigurable.
+	// ErrNotReconfigurable is returned when a membership is installed on a
+	// site whose algorithm does not implement mutex.Reconfigurable.
 	ErrNotReconfigurable = errors.New("transport: algorithm does not support membership reconfiguration")
 )
 
@@ -47,12 +51,44 @@ type BatchSender interface {
 	SendBatch(envs []mutex.Envelope) error
 }
 
+// byDestination regroups a batch in place, stably, so that each
+// destination's envelopes — not just consecutive ones — form one run, in
+// their order and in the order destinations first appear, and hands each
+// run to send. Batches are small (a quorum times one step's fan-out), so
+// the quadratic regroup stays cheaper than a map. It returns the first
+// error send returned, having handed over every run.
+func byDestination(envs []mutex.Envelope, send func(dest mutex.SiteID, run []mutex.Envelope) error) error {
+	var firstErr error
+	for start := 0; start < len(envs); {
+		dest := envs[start].To
+		end := start + 1
+		for k := end; k < len(envs); k++ {
+			if envs[k].To != dest {
+				continue
+			}
+			if k != end {
+				env := envs[k]
+				copy(envs[end+1:k+1], envs[end:k])
+				envs[end] = env
+			}
+			end++
+		}
+		if err := send(dest, envs[start:end]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		start = end
+	}
+	return firstErr
+}
+
 // Node is one lock's instance at one site: the site's machine for that
-// lock, its pending Acquire and its step buffer. It exposes a blocking
-// Acquire/Release interface to application code and runs every step on its
-// site's loop (see host), in the order its inputs reached the site. It
-// stamps its lock's name onto everything it sends and observes, and the
-// membership stage onto what it sends: the state machine sees neither.
+// lock and its pending Acquire. It exposes a blocking Acquire/Release
+// interface to application code and runs every step on its site's loop (see
+// host), in the order its inputs reached the site. It stamps its lock's name
+// onto everything it sends and observes, and the membership stage onto what
+// it sends: the state machine sees neither. Whatever concerns the whole site
+// — its membership, its departure, its drain, its dump — belongs to the
+// host.
 type Node struct {
 	name string // the lock's resource name
 	site mutex.Site
@@ -60,9 +96,6 @@ type Node struct {
 
 	waiter    chan error // pending Acquire's reply channel, loop-owned
 	abandoned bool       // loop-owned: the pending request's Acquire gave up; exit on entry
-	retiring  bool       // loop-owned: departing the cluster, no new acquires
-
-	queue []mutex.Envelope // loop-owned: apply's work queue, reused from step to step
 }
 
 // newNode makes lock name's instance at the site h hosts; h is its one
@@ -79,37 +112,13 @@ func (n *Node) ID() mutex.SiteID { return n.site.ID() }
 // Acquire blocks until the site holds the critical section, the context is
 // cancelled, or the node closes. A context already done issues no request.
 // If the context is cancelled after the request was issued, the eventually
-// acquired critical section is released automatically.
+// acquired critical section is released automatically. A departing site
+// refuses every Acquire with ErrClosed.
 func (n *Node) Acquire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return n.call(ctx, item{op: opAcquire})
-}
-
-// call queues it with a pooled reply channel and waits for the loop's
-// answer, the site closing or ctx ending. It returns ErrClosed when the
-// site shut down before (or while) it could run.
-func (n *Node) call(ctx context.Context, it item) error {
-	h := n.host
-	it.node, it.resp = n, h.respPool.Get().(chan error)
-	if !h.inbox.put(it) {
-		h.respPool.Put(it.resp)
-		return ErrClosed
-	}
-	select {
-	case err := <-it.resp:
-		h.respPool.Put(it.resp)
-		return err
-	case <-ctx.Done():
-		// Only an acquire waits on a context. The protocol has no cancel
-		// message: the loop hands the grant straight back when it lands
-		// (see abandon), and takes resp over.
-		h.inbox.put(item{node: n, op: opAbandon, resp: it.resp})
-		return ctx.Err()
-	case <-h.doneC:
-		return ErrClosed
-	}
+	return n.host.call(ctx, item{node: n, op: opAcquire})
 }
 
 // TryAcquire attempts to enter the critical section within the context's
@@ -135,18 +144,8 @@ func (n *Node) TryAcquire(ctx context.Context) (bool, error) {
 // Release exits the critical section. It returns ErrNotHeld when the site
 // does not currently hold the CS (no matching successful Acquire), and
 // ErrClosed after shutdown.
-func (n *Node) Release() error { return n.call(context.Background(), item{op: opRelease}) }
-
-// Dump renders the site's protocol state for diagnostics (liveness
-// watchdogs, operator tooling). The render runs on the site's loop — the
-// only place the state machine may be touched — so it is safe to call
-// concurrently with protocol traffic.
-func (n *Node) Dump() string {
-	var s string
-	if err := n.onLoop(func() { s = siteDebug(n.site) }); err != nil {
-		return fmt.Sprintf("site %d: node closed", n.site.ID())
-	}
-	return s
+func (n *Node) Release() error {
+	return n.host.call(context.Background(), item{node: n, op: opRelease})
 }
 
 // observe emits one lifecycle event; callers must have checked n.host.sink.
@@ -154,33 +153,9 @@ func (n *Node) observe(t obs.EventType, peer mutex.SiteID, kind string) {
 	n.host.sink(obs.Event{Type: t, Resource: n.name, Site: n.site.ID(), Peer: peer, Kind: kind, Time: obs.Now()})
 }
 
-// step runs one of the node's queued inputs on the site's loop.
-func (n *Node) step(it *item) {
-	switch it.op {
-	case opDeliver:
-		n.deliver(it.env)
-		if d := n.host.delivered; d != nil {
-			d(it.env)
-		}
-	case opAcquire:
-		n.acquire(it.resp)
-	case opRelease:
-		it.resp <- n.exit()
-	case opAbandon:
-		n.abandon(it.resp)
-	case opControl:
-		it.fn()
-		it.resp <- nil
-	}
-}
-
 // acquire issues a request whose entry answers resp, or answers at once why
 // it cannot.
 func (n *Node) acquire(resp chan error) {
-	if n.retiring {
-		resp <- ErrClosed
-		return
-	}
 	if n.waiter != nil || n.site.InCS() || n.site.Pending() {
 		resp <- ErrBusy
 		return
@@ -241,64 +216,6 @@ func (n *Node) deliver(env mutex.Envelope) {
 	n.apply(n.site.Deliver(env))
 }
 
-// onLoop runs fn on the site's loop and waits for it to finish, or returns
-// ErrClosed.
-func (n *Node) onLoop(fn func()) error {
-	return n.call(context.Background(), item{op: opControl, fn: fn})
-}
-
-// Reconfigure installs a new membership on the hosted site (see
-// mutex.Reconfigurable). The reconcile — withdrawals to departing arbiters,
-// requests to joining ones — runs as an ordinary state-machine step on the
-// site's loop; a pending Acquire that completes because the new quorum is
-// already fully granted is woken exactly as any other entry.
-func (n *Node) Reconfigure(m mutex.Membership) error {
-	rc, ok := n.site.(mutex.Reconfigurable)
-	if !ok {
-		return ErrNotReconfigurable
-	}
-	return n.onLoop(func() {
-		n.apply(rc.SetMembership(m))
-	})
-}
-
-// MembershipSettled reports whether the hosted site's effective req_set is
-// the most recently installed one (false while the swap waits behind a held
-// critical section). Closed nodes report settled: a stopped machine can no
-// longer hold a stale quorum. Non-reconfigurable sites are always settled.
-func (n *Node) MembershipSettled() bool {
-	rc, ok := n.site.(mutex.Reconfigurable)
-	if !ok {
-		return true
-	}
-	settled := true
-	if err := n.onLoop(func() { settled = rc.MembershipSettled() }); err != nil {
-		return true
-	}
-	return settled
-}
-
-// BeginRetire marks the node as departing: every subsequent Acquire fails
-// with ErrClosed while in-flight work continues undisturbed. Used by the
-// reconfiguration drain so a leaving site can finish what it holds without
-// taking on new work.
-func (n *Node) BeginRetire() {
-	_ = n.onLoop(func() { n.retiring = true })
-}
-
-// Quiesced reports whether the node has no critical section held, no
-// request in flight, and no waiting acquirer — the drain condition for
-// retiring a departing site. A closed node is quiesced.
-func (n *Node) Quiesced() bool {
-	quiet := true
-	if err := n.onLoop(func() {
-		quiet = !n.site.InCS() && !n.site.Pending() && n.waiter == nil
-	}); err != nil {
-		return true
-	}
-	return quiet
-}
-
 // siteDebug renders one site's protocol state, preferring the rich dump of
 // sites that expose one over the generic lifecycle summary.
 func siteDebug(s mutex.Site) string {
@@ -314,11 +231,13 @@ func siteDebug(s mutex.Site) string {
 func (n *Node) apply(out mutex.Output) {
 	entered := out.Entered
 	// The Output is valid only until the next call on the site, and a
-	// self-addressed envelope re-enters it: work on a node-owned copy. The
-	// remote envelopes are stamped with the lock and the stage and compacted
-	// to the front of the same buffer (the write index never passes the
-	// read index).
-	q := append(n.queue[:0], out.Send...)
+	// self-addressed envelope re-enters it: work on a copy in the host's
+	// step buffer, which the site's instances share (they step one at a
+	// time). The remote envelopes are stamped with the lock and the stage
+	// and compacted to the front of the same buffer (the write index never
+	// passes the read index).
+	h := n.host
+	q := append(h.queue[:0], out.Send...)
 	w := 0
 	for i := 0; i < len(q); i++ {
 		env := q[i]
@@ -328,23 +247,23 @@ func (n *Node) apply(out mutex.Output) {
 			entered = entered || next.Entered
 			continue
 		}
-		if n.host.sink != nil {
+		if h.sink != nil {
 			n.observe(obs.EventSend, env.To, env.Kind())
 		}
-		env.Resource, env.Epoch = n.name, n.host.stage.Load()
+		env.Resource, env.Epoch = n.name, h.stage.Load()
 		q[w] = env
 		w++
 	}
-	n.queue = q
+	h.queue = q
 	remote := q[:w]
 	// Reliable-channel model: transports retry internally; an error here
 	// means the peer is gone, which the failure protocol handles.
 	if len(remote) > 0 {
-		_ = n.host.sender.SendBatch(remote)
+		_ = h.sender.SendBatch(remote)
 	}
-	clear(q) // an idle node must not pin its last step's messages
+	clear(q) // an idle site must not pin its last step's messages
 	if entered {
-		if n.host.sink != nil {
+		if h.sink != nil {
 			n.observe(obs.EventEnter, n.site.ID(), "")
 		}
 		switch {

@@ -101,9 +101,9 @@ func (c *Cluster) Reconfigure(ctx context.Context, cons coterie.Construction, n 
 
 	// Phase 2: settle barrier: every instance runs on its most recently
 	// installed req_set, so no critical section is still held under a
-	// pre-handover quorum.
+	// pre-handover quorum. Each poll asks each site once.
 	settled := func() bool {
-		return c.everyNode(0, h.JointN(), (*Node).MembershipSettled)
+		return c.everySite(0, h.JointN(), (*host).settled)
 	}
 	if err := c.await(ctx, settled); err != nil {
 		return err
@@ -171,7 +171,8 @@ func (c *Cluster) adopt(count int, member func(mutex.SiteID) mutex.Membership) {
 }
 
 // installHosts moves the instances of sites 0..count-1 onto the membership
-// adopt recorded for them (host.install), checking ctx between sites.
+// adopt recorded for them (host.install, one loop item per site), checking
+// ctx between sites.
 func (c *Cluster) installHosts(ctx context.Context, count int, member func(mutex.SiteID) mutex.Membership) error {
 	for _, h := range c.sites(0, count) {
 		if err := h.install(member(h.self)); err != nil {
@@ -201,14 +202,12 @@ func (c *Cluster) sites(from, to int) []*host {
 	return hosts[min(from, len(hosts)):min(to, len(hosts))]
 }
 
-// everyNode walks the instantiated nodes of sites from..to-1 and reports
-// whether ok held for each; it stops at the first node failing it.
-func (c *Cluster) everyNode(from, to int, ok func(n *Node) bool) bool {
+// everySite reports whether ok held at each of sites from..to-1; it stops
+// at the first site failing it.
+func (c *Cluster) everySite(from, to int, ok func(h *host) bool) bool {
 	for _, h := range c.sites(from, to) {
-		for _, n := range h.nodes() {
-			if !ok(n) {
-				return false
-			}
+		if !ok(h) {
+			return false
 		}
 	}
 	return true
@@ -220,16 +219,19 @@ func (c *Cluster) everyNode(from, to int, ok func(n *Node) bool) bool {
 // and any reliability streams they had are severed. Survivors already excluded
 // them from every req_set during the final sweep.
 func (c *Cluster) retire(ctx context.Context, from, to int) error {
-	c.everyNode(from, to, func(n *Node) bool { n.BeginRetire(); return true })
+	for _, h := range c.sites(from, to) {
+		h.retire()
+	}
 	err := c.await(ctx, func() bool {
-		if !c.everyNode(from, to, (*Node).Quiesced) {
+		if !c.everySite(from, to, (*host).quiesced) {
 			return false
 		}
-		// Quiesced covers the protocol machines, not the wire. A mailbox is
-		// filled on the sender's goroutine, so on a plain cluster that is
-		// enough; over the chaos fabric a departing site's final release or
-		// transfer may still be unacknowledged in the sublayer, and severing
-		// its streams would strand the lock it hands over. Wait for a drain.
+		// host.quiesced covers the protocol machines, not the wire. A
+		// mailbox is filled on the sender's goroutine, so on a plain cluster
+		// that is enough; over the chaos fabric a departing site's final
+		// release or transfer may still be unacknowledged in the sublayer,
+		// and severing its streams would strand the lock it hands over. Wait
+		// for a drain.
 		for i := from; i < to && c.rel != nil; i++ {
 			if !c.rel.Drained(mutex.SiteID(i)) {
 				return false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -162,6 +163,16 @@ func (p *TCPPeer) Resources() []string { return p.host.resources() }
 // interface for Acquire/Release.
 func (p *TCPPeer) Node() *Node { return p.host.node }
 
+// DumpState renders the protocol state of every resource instantiated at
+// this peer, one line per resource, as Cluster.DumpState does per site. The
+// lines are rendered in one step of the site's loop, so the dump is safe
+// under live traffic.
+func (p *TCPPeer) DumpState() string {
+	var b strings.Builder
+	p.host.dump(&b)
+	return b.String()
+}
+
 // Addr returns the peer's actual listen address (useful with ":0").
 func (p *TCPPeer) Addr() string { return p.listener.Addr().String() }
 
@@ -191,49 +202,22 @@ func (w tcpWire) Send(env mutex.Envelope) error {
 	if err != nil {
 		return err
 	}
-	o.enqueueFor([]mutex.Envelope{env}, env.To)
+	o.enqueue([]mutex.Envelope{env})
 	return nil
 }
 
-// SendBatch implements BatchSender with cross-resource, cross-position
-// coalescing: ALL of a destination's envelopes in the batch — not just
-// consecutive runs — are queued under one lock acquisition and leave in one
-// write, so a multi-resource batch that interleaves destinations
-// still costs one enqueue per destination. Per-destination FIFO order is
-// preserved (the scan keeps each destination's relative order intact).
+// SendBatch implements BatchSender: each destination's envelopes, from
+// whichever resources, are queued under one lock acquisition and leave in
+// one write, in their order.
 func (w tcpWire) SendBatch(envs []mutex.Envelope) error {
-	var firstErr error
-	forEachDestination(envs, func(dest mutex.SiteID) {
+	return byDestination(envs, func(dest mutex.SiteID, run []mutex.Envelope) error {
 		o, err := w.peer.outboundFor(dest)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
+			return err
 		}
-		o.enqueueFor(envs, dest)
+		o.enqueue(run)
+		return nil
 	})
-	return firstErr
-}
-
-// forEachDestination calls fn once per distinct destination in envs, in
-// first-appearance order, without allocating. Batches are small (bounded by
-// the quorum size times the node's per-step fan-out), so the quadratic
-// first-occurrence scan stays cheaper than building a map.
-func forEachDestination(envs []mutex.Envelope, fn func(dest mutex.SiteID)) {
-	for i := range envs {
-		dest := envs[i].To
-		seen := false
-		for j := 0; j < i; j++ {
-			if envs[j].To == dest {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			fn(dest)
-		}
-	}
 }
 
 // outboundFor returns the destination's write side, building it on first use.
@@ -262,7 +246,7 @@ func (p *TCPPeer) outboundFor(id mutex.SiteID) (*outbound, error) {
 // frames encoded for it and not yet written, and a write role that at most
 // one goroutine holds at a time.
 //
-// enqueueFor encodes each batch under mu onto the back of queue, with the
+// enqueue encodes each batch under mu onto the back of queue, with the
 // encoder of the connection the bytes are for. The role holder swaps queue
 // with out, its other buffer, and writes out in one write loop. Whoever
 // queues onto a destination nobody is writing to takes the role and writes
@@ -314,12 +298,12 @@ func (f *frameBuf) Write(p []byte) (int, error) {
 // once after a stall does not stay pinned.
 const maxKeptFrames = 64 << 10
 
-// enqueueFor encodes every envelope of the batch addressed to dest onto the
-// queue — the whole selection under one lock acquisition — and, when nobody
-// holds the write role, takes it and writes on this goroutine. An envelope
-// that cannot be encoded, or that the test drop hook picks, adds nothing to
-// the queue; the sublayer re-sends a sequenced one.
-func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
+// enqueue encodes a run of envelopes for this destination onto the queue —
+// the whole run under one lock acquisition — and, when nobody holds the
+// write role, takes it and writes on this goroutine. An envelope that cannot
+// be encoded, or that the test drop hook picks, adds nothing to the queue;
+// the sublayer re-sends a sequenced one.
+func (o *outbound) enqueue(envs []mutex.Envelope) {
 	drop := o.peer.dropOut.Load()
 	o.mu.Lock()
 	if o.retired {
@@ -332,7 +316,7 @@ func (o *outbound) enqueueFor(envs []mutex.Envelope, dest mutex.SiteID) {
 		o.enc = wire.Binary().NewEncoder(&o.queue)
 	}
 	for i := range envs {
-		if envs[i].To == dest && (drop == nil || !(*drop)(envs[i])) {
+		if drop == nil || !(*drop)(envs[i]) {
 			_ = o.enc.Encode(envs[i])
 		}
 	}

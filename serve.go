@@ -141,7 +141,7 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	}
 	sess, err := session.NewServer(session.ServerConfig{
 		Site:        cfg.ID,
-		Locks:       peer,
+		Locks:       peer.Lock,
 		Listener:    ln,
 		Lease:       cfg.Lease,
 		MaxSessions: cfg.MaxSessions,
