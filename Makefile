@@ -130,11 +130,12 @@ chaos:
 # Exhaustive small-N model checking: every schedule of delivery, request,
 # exit, crash, and crash-loss over the protocol state machine, with the
 # conformance invariants asserted on every transition (internal/modelcheck).
-# It runs every pinned space; modelcheck-soak adds two larger configurations
-# through cmd/dqmcheck, which explores single configurations with custom
-# budgets.
+# It runs every pinned space and replays the counterexample corpus
+# (internal/modelcheck/testdata/cex), which pins each known defect's verdict;
+# modelcheck-soak adds two larger configurations through cmd/dqmcheck, which
+# explores single configurations with custom budgets.
 modelcheck:
-	$(GO) test -run TestExhaustive -count=1 -timeout 10m ./internal/modelcheck
+	$(GO) test -run 'TestExhaustive|TestCounterexampleCorpus' -count=1 -timeout 10m ./internal/modelcheck
 
 modelcheck-soak: modelcheck
 	$(GO) run ./cmd/dqmcheck -n 4 -quorum majority -requesters 0,1,2 -bound=false -max-states 5e6
