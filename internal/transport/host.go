@@ -314,7 +314,8 @@ func (h *host) injectBatch(envs []mutex.Envelope) error {
 	return firstErr
 }
 
-// nodes is a snapshot of the instances, taken under the build lock.
+// nodes is a snapshot of the instances sorted by name, taken under the build
+// lock, so every walk and dump of a site's locks runs in one order.
 func (h *host) nodes() []*Node {
 	var nodes []*Node
 	h.buildMu.Lock()
@@ -323,6 +324,7 @@ func (h *host) nodes() []*Node {
 		return true
 	})
 	h.buildMu.Unlock()
+	slices.SortFunc(nodes, func(a, b *Node) int { return strings.Compare(a.name, b.name) })
 	return nodes
 }
 
@@ -332,7 +334,6 @@ func (h *host) resources() []string {
 	for _, n := range h.nodes() {
 		names = append(names, n.name)
 	}
-	slices.Sort(names)
 	return names
 }
 

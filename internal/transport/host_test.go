@@ -202,6 +202,32 @@ func TestEachAndResources(t *testing.T) {
 	}
 }
 
+// TestDumpListsLocksByName: a site's dump lists its locks in name order, so
+// two dumps of one state read the same whatever order the lock table holds
+// them in.
+func TestDumpListsLocksByName(t *testing.T) {
+	c, err := NewClusterConfig(ClusterConfig{Algorithm: core.Algorithm{}, N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, name := range []string{"m", "c", "q", "a", "x", "f", "k", "b", "z", "h", "t", "e"} {
+		if _, err := c.Lock(0, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(c.DumpState(), "\n") {
+		if name, _, ok := strings.Cut(strings.TrimPrefix(line, "["), "] site 0:"); ok && strings.HasPrefix(line, "[") {
+			names = append(names, name)
+		}
+	}
+	want := []string{"(default)", "a", "b", "c", "e", "f", "h", "k", "m", "q", "t", "x", "z"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("site 0 dumps its locks as %q, want %q", names, want)
+	}
+}
+
 // TestConcurrentLockCreation hammers handle creation for overlapping names
 // from many goroutines; with -race this exercises the lock-free read path
 // against builds.
