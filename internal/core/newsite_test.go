@@ -17,7 +17,7 @@ import (
 // leaves out (hand-off, recovery construction), for every quorum
 // construction, hand-off and recovery setting, and every site.
 func TestNewSiteAloneMatchesNewSites(t *testing.T) {
-	handoffs := []core.Handoff{core.Transfer, core.LiteralTransfer, core.StandaloneTransfer, core.ViaArbiter}
+	handoffs := []core.Handoff{core.Transfer, core.ViaArbiter}
 	for _, name := range harness.QuorumNames() {
 		cons, err := harness.NewConstruction(name)
 		if err != nil {

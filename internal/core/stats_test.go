@@ -82,23 +82,6 @@ func TestPreemptionPathsExercised(t *testing.T) {
 	if totals["inquire"] != 0 {
 		t.Errorf("%d standalone inquire messages; they should all be piggybacked", totals["inquire"])
 	}
-
-	// With piggybacking disabled they must appear as their own envelopes.
-	c, err := sim.NewCluster(sim.Config{
-		N: 13, Algorithm: core.Algorithm{Handoff: core.StandaloneTransfer},
-		Delay: sim.ExponentialDelay{MeanD: 1000}, Seed: 3, CSTime: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload.Saturated(c, 5)
-	c.Run(0)
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Net.CountByKind()["inquire"] == 0 {
-		t.Error("no standalone inquires even with piggybacking disabled")
-	}
 }
 
 // TestLightLoadHasNoCases: uncontended runs never hit a locked arbiter.
@@ -137,19 +120,6 @@ func runHandoff(t *testing.T, h core.Handoff, delay sim.Delay) sim.Result {
 		t.Fatalf("handoff=%d: %v", h, err)
 	}
 	return c.Summarize()
-}
-
-// TestLiteralTransfer: the paper-literal A.5 (drop racing transfers) must
-// stay safe and live; it just pays more 2T fallbacks, so its sync delay is no
-// better than the parking variant's.
-func TestLiteralTransfer(t *testing.T) {
-	delay := sim.ExponentialDelay{MeanD: 1000}
-	parked := runHandoff(t, core.Transfer, delay)
-	literal := runHandoff(t, core.LiteralTransfer, delay)
-	if literal.SyncDelay+0.05 < parked.SyncDelay {
-		t.Errorf("literal handling (%v T) should not beat parking (%v T)",
-			literal.SyncDelay, parked.SyncDelay)
-	}
 }
 
 // TestViaArbiter: with step C's forwarding off — Maekawa's algorithm — the
@@ -215,17 +185,5 @@ func pinViaArbiter(t *testing.T) {
 		if got := fmt.Sprintf("%.3f", res.SyncDelay); pin.delay != "" && got != pin.delay {
 			t.Errorf("%+v: sync delay %s T, want %s", pin.spec, got, pin.delay)
 		}
-	}
-}
-
-// TestStandaloneTransfer: without piggybacking the protocol stays safe and
-// live but spends strictly more messages per CS execution.
-func TestStandaloneTransfer(t *testing.T) {
-	delay := sim.ExponentialDelay{MeanD: 1000}
-	with := runHandoff(t, core.Transfer, delay)
-	without := runHandoff(t, core.StandaloneTransfer, delay)
-	if without.MessagesPerCS <= with.MessagesPerCS {
-		t.Errorf("no-piggyback msgs/CS (%v) should exceed piggybacked (%v)",
-			without.MessagesPerCS, with.MessagesPerCS)
 	}
 }
