@@ -50,7 +50,7 @@ func BenchmarkRequesterFullHandshake(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newSite(0, 25, quorum, nil)
 		s.Request()
-		my := s.reqTS
+		my := s.req.reqTS
 		for _, j := range quorum {
 			s.Deliver(carry(j, 0, replyMsg{Arbiter: j, ReqTS: my}))
 		}

@@ -63,8 +63,8 @@ func TestRobustnessAgainstArbitraryMessages(t *testing.T) {
 			out := s.Deliver(carry(randSite(), 4, msg))
 			if out.Entered {
 				// A fabricated entry would be a safety bug.
-				for _, q := range s.quorum {
-					if !s.replied.has(q) {
+				for _, q := range s.req.quorum {
+					if !s.req.replied.has(q) {
 						return false
 					}
 				}
@@ -72,8 +72,8 @@ func TestRobustnessAgainstArbitraryMessages(t *testing.T) {
 				s.Request()
 			}
 			// The arbiter queue must stay strictly ordered and duplicate-free.
-			for k := 1; k < s.queue.Len(); k++ {
-				if !s.queue.items[k-1].Less(s.queue.items[k]) {
+			for k := 1; k < s.arb.queue.Len(); k++ {
+				if !s.arb.queue.items[k-1].Less(s.arb.queue.items[k]) {
 					return false
 				}
 			}

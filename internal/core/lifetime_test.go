@@ -36,7 +36,7 @@ func TestOutputLifetime(t *testing.T) {
 	// ours (fail + transfer), then exit forwarding to the competitor.
 	for round := uint64(1); round <= 2; round++ {
 		req := step(s.Request())
-		my := s.reqTS
+		my := s.req.reqTS
 		self := step(s.Deliver(req.Send[0])) // request to self → reply to self
 		selfReply := self.Send[0]
 		step(s.Deliver(selfReply))

@@ -111,8 +111,8 @@ func TestArbiterGrantsWhenUnlocked(t *testing.T) {
 	if len(replies) != 1 || replies[0].To != 2 {
 		t.Fatalf("replies = %v", replies)
 	}
-	if s.lock != ts(5, 2) {
-		t.Errorf("lock = %v", s.lock)
+	if s.arb.lock != ts(5, 2) {
+		t.Errorf("lock = %v", s.arb.lock)
 	}
 	r, ok := payload(replies[0]).(replyMsg)
 	if !ok || r.Arbiter != 1 || r.ReqTS != ts(5, 2) {
@@ -154,7 +154,7 @@ func TestArbiterInquiresForHigherPriorityHead(t *testing.T) {
 	if len(tr) != 1 || !payload(tr[0]).(transferMsg).Inquire {
 		t.Fatalf("want inquire piggybacked on transfer, got %v", tr)
 	}
-	if !s.inquired {
+	if !s.arb.inquired {
 		t.Error("inquired flag not set")
 	}
 }
@@ -202,7 +202,7 @@ func TestRequesterEntersWhenAllReplied(t *testing.T) {
 	if len(sent(out, mutex.KindRequest)) != 2 {
 		t.Fatalf("requests = %v", out.Send)
 	}
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	out = deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: myTS})
 	if out.Entered {
 		t.Fatal("entered with one of two replies")
@@ -229,12 +229,12 @@ func TestRequesterIgnoresStaleReply(t *testing.T) {
 func TestInquireBeforeReplyIsParked(t *testing.T) {
 	s := mkSite(1, 2, 3)
 	s.Request()
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	out := deliver(s, 2, inquireMsg{Arbiter: 2, HolderTS: myTS})
 	if len(out.Send) != 0 {
 		t.Fatalf("inquire before reply answered immediately: %v", out.Send)
 	}
-	if !s.inqDeferred.has(2) {
+	if !s.req.inqDeferred.has(2) {
 		t.Fatal("inquire not parked")
 	}
 	// A fail arrives, then the reply: A.6 must re-evaluate and yield.
@@ -244,7 +244,7 @@ func TestInquireBeforeReplyIsParked(t *testing.T) {
 	if len(y) != 1 || y[0].To != 2 {
 		t.Fatalf("parked inquire did not yield after fail+reply: %v", out.Send)
 	}
-	if s.replied.has(2) {
+	if s.req.replied.has(2) {
 		t.Error("replied[2] still set after yield")
 	}
 }
@@ -252,7 +252,7 @@ func TestInquireBeforeReplyIsParked(t *testing.T) {
 func TestFailTriggersYieldOfHeldPermission(t *testing.T) {
 	s := mkSite(1, 2, 3)
 	s.Request()
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: myTS})
 	deliver(s, 2, inquireMsg{Arbiter: 2, HolderTS: myTS}) // parked: not failed yet
 	out := deliver(s, 3, failMsg{Arbiter: 3, ReqTS: myTS})
@@ -265,7 +265,7 @@ func TestFailTriggersYieldOfHeldPermission(t *testing.T) {
 func TestInquireInCSIsIgnored(t *testing.T) {
 	s := mkSite(1, 2)
 	s.Request()
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: myTS})
 	if !s.InCS() {
 		t.Fatal("setup: not in CS")
@@ -279,21 +279,21 @@ func TestInquireInCSIsIgnored(t *testing.T) {
 func TestTransferParkedUntilProxiedReplyArrives(t *testing.T) {
 	s := mkSite(1, 2, 3)
 	s.Request()
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	// Transfer from arbiter 2 outruns the proxied reply.
 	deliver(s, 2, transferMsg{Transfer: transferInfo{Arbiter: 2, TargetTS: ts(9, 5)}, HolderTS: myTS})
-	if len(s.tranStack) != 0 {
+	if len(s.req.tranStack) != 0 {
 		t.Fatal("transfer accepted before reply")
 	}
-	if len(s.pendTransfers) != 1 || s.pendTransfers[0].Arbiter != 2 {
+	if len(s.req.pendTransfers) != 1 || s.req.pendTransfers[0].Arbiter != 2 {
 		t.Fatal("transfer not parked")
 	}
 	// The proxied reply lands (From is the proxy, Arbiter is 2).
 	deliver(s, 4, replyMsg{Arbiter: 2, ReqTS: myTS})
-	if len(s.tranStack) != 1 || s.tranStack[0].TargetTS != ts(9, 5) {
-		t.Fatalf("parked transfer not replayed: %v", s.tranStack)
+	if len(s.req.tranStack) != 1 || s.req.tranStack[0].TargetTS != ts(9, 5) {
+		t.Fatalf("parked transfer not replayed: %v", s.req.tranStack)
 	}
-	if len(s.pendTransfers) != 0 {
+	if len(s.req.pendTransfers) != 0 {
 		t.Fatal("parking buffer not drained")
 	}
 }
@@ -302,7 +302,7 @@ func TestTransferForOldSessionDropped(t *testing.T) {
 	s := mkSite(1, 2)
 	s.Request()
 	deliver(s, 2, transferMsg{Transfer: transferInfo{Arbiter: 2, TargetTS: ts(9, 5)}, HolderTS: ts(42, 1)})
-	if len(s.tranStack) != 0 || len(s.pendTransfers) != 0 {
+	if len(s.req.tranStack) != 0 || len(s.req.pendTransfers) != 0 {
 		t.Fatal("stale transfer retained")
 	}
 }
@@ -321,8 +321,8 @@ func TestYieldRegrantsHighestAndPiggybacksTransfer(t *testing.T) {
 	if r.Transfer == nil || r.Transfer.TargetTS != ts(5, 2) {
 		t.Fatalf("reply should piggyback transfer for next head (the yielder), got %+v", r.Transfer)
 	}
-	if s.lock != ts(4, 3) {
-		t.Errorf("lock = %v", s.lock)
+	if s.arb.lock != ts(4, 3) {
+		t.Errorf("lock = %v", s.arb.lock)
 	}
 }
 
@@ -330,7 +330,7 @@ func TestStaleYieldIgnored(t *testing.T) {
 	s := mkSite(1)
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	out := deliver(s, 3, yieldMsg{ReqTS: ts(4, 3)}) // not the holder
-	if len(out.Send) != 0 || s.lock != ts(5, 2) {
+	if len(out.Send) != 0 || s.arb.lock != ts(5, 2) {
 		t.Fatal("stale yield disturbed the lock")
 	}
 }
@@ -338,7 +338,7 @@ func TestStaleYieldIgnored(t *testing.T) {
 func TestExitForwardsNewestTransferPerArbiter(t *testing.T) {
 	s := mkSite(1, 2, 3)
 	s.Request()
-	myTS := s.reqTS
+	myTS := s.req.reqTS
 	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: myTS})
 	deliver(s, 3, replyMsg{Arbiter: 3, ReqTS: myTS})
 	// Two transfers from arbiter 2 — only the newest counts; one from 3.
@@ -390,10 +390,10 @@ func TestReleaseWithForwardMovesLock(t *testing.T) {
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	deliver(s, 3, requestMsg{TS: ts(6, 3)})
 	out := deliver(s, 2, releaseMsg{ReqTS: ts(5, 2), Fwd: 3, FwdTS: ts(6, 3)})
-	if s.lock != ts(6, 3) {
-		t.Fatalf("lock = %v, want (6,3)", s.lock)
+	if s.arb.lock != ts(6, 3) {
+		t.Fatalf("lock = %v, want (6,3)", s.arb.lock)
 	}
-	if s.queue.Contains(ts(6, 3)) {
+	if s.arb.queue.Contains(ts(6, 3)) {
 		t.Fatal("forwarded request still queued")
 	}
 	if len(out.Send) != 0 {
@@ -426,8 +426,8 @@ func TestReleaseFallbackGrantsDirectly(t *testing.T) {
 	if len(replies) != 1 || replies[0].To != 3 {
 		t.Fatalf("fallback grant = %v", replies)
 	}
-	if s.lock != ts(6, 3) {
-		t.Errorf("lock = %v", s.lock)
+	if s.arb.lock != ts(6, 3) {
+		t.Errorf("lock = %v", s.arb.lock)
 	}
 }
 
@@ -440,16 +440,16 @@ func TestEarlyReleaseBufferedAndDrained(t *testing.T) {
 	if len(out.Send) != 0 {
 		t.Fatalf("early release acted immediately: %v", out.Send)
 	}
-	if s.queue.Contains(ts(6, 3)) != true {
+	if s.arb.queue.Contains(ts(6, 3)) != true {
 		t.Fatal("early release must not dequeue")
 	}
 	// Now the forwarding release from site 2 catches up: lock moves to
 	// (6,3), drains the buffered release, and the lock frees.
 	deliver(s, 2, releaseMsg{ReqTS: ts(5, 2), Fwd: 3, FwdTS: ts(6, 3)})
-	if !s.lock.IsMax() {
-		t.Fatalf("lock = %v, want unlocked after drained early release", s.lock)
+	if !s.arb.lock.IsMax() {
+		t.Fatalf("lock = %v, want unlocked after drained early release", s.arb.lock)
 	}
-	if len(s.earlyReleases) != 0 {
+	if len(s.arb.earlyReleases) != 0 {
 		t.Fatal("early release buffer not drained")
 	}
 }
@@ -459,10 +459,10 @@ func TestWithdrawalRemovesQueuedRequest(t *testing.T) {
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	deliver(s, 3, requestMsg{TS: ts(6, 3)})
 	out := deliver(s, 3, releaseMsg{ReqTS: ts(6, 3), Withdraw: true})
-	if s.queue.Contains(ts(6, 3)) {
+	if s.arb.queue.Contains(ts(6, 3)) {
 		t.Fatal("withdrawal did not dequeue")
 	}
-	if len(s.earlyReleases) != 0 {
+	if len(s.arb.earlyReleases) != 0 {
 		t.Fatal("withdrawal buffered as early release")
 	}
 	_ = out
@@ -487,11 +487,11 @@ func TestForwardingReleaseAfterWithdrawalReturnsPermission(t *testing.T) {
 	// The holder's forwarding release still names (6,3): the transfer was
 	// issued before the withdrawal. The lock must NOT re-point at (6,3).
 	out := deliver(s, 2, releaseMsg{ReqTS: ts(5, 2), Fwd: 3, FwdTS: ts(6, 3)})
-	if s.lock == ts(6, 3) {
+	if s.arb.lock == ts(6, 3) {
 		t.Fatal("lock re-pointed at a withdrawn request")
 	}
-	if s.lock != ts(7, 4) {
-		t.Fatalf("lock = %v, want the next waiter (7,4)", s.lock)
+	if s.arb.lock != ts(7, 4) {
+		t.Fatalf("lock = %v, want the next waiter (7,4)", s.arb.lock)
 	}
 	replies := sent(out, mutex.KindReply)
 	if len(replies) != 1 || replies[0].To != 4 {
@@ -505,8 +505,8 @@ func TestForwardingReleaseAfterWithdrawalReturnsPermission(t *testing.T) {
 	deliver(s2, 3, requestMsg{TS: ts(6, 3)})
 	deliver(s2, 3, releaseMsg{ReqTS: ts(6, 3), Withdraw: true})
 	deliver(s2, 2, releaseMsg{ReqTS: ts(5, 2), Fwd: 3, FwdTS: ts(6, 3)})
-	if !s2.lock.IsMax() {
-		t.Fatalf("lock = %v, want unlocked", s2.lock)
+	if !s2.arb.lock.IsMax() {
+		t.Fatalf("lock = %v, want unlocked", s2.arb.lock)
 	}
 }
 
@@ -514,7 +514,7 @@ func TestRequestFromAnnouncedFailedSiteDropped(t *testing.T) {
 	s := mkSite(1, 2)
 	announce(s, 5)
 	out := deliver(s, 5, requestMsg{TS: ts(3, 5)})
-	if len(out.Send) != 0 || !s.lock.IsMax() {
+	if len(out.Send) != 0 || !s.arb.lock.IsMax() {
 		t.Fatal("request from failed site processed")
 	}
 }
@@ -528,8 +528,8 @@ func TestSiteFailedRegrantsHeldLock(t *testing.T) {
 	if len(replies) != 1 || replies[0].To != 3 {
 		t.Fatalf("regrant after holder crash = %v", replies)
 	}
-	if s.lock != ts(6, 3) {
-		t.Errorf("lock = %v", s.lock)
+	if s.arb.lock != ts(6, 3) {
+		t.Errorf("lock = %v", s.arb.lock)
 	}
 }
 
@@ -539,7 +539,7 @@ func TestSiteFailedPurgesQueueHead(t *testing.T) {
 	deliver(s, 3, requestMsg{TS: ts(6, 3)})
 	deliver(s, 4, requestMsg{TS: ts(7, 4)})
 	out := announce(s, 3) // queued head dies
-	if s.queue.Contains(ts(6, 3)) {
+	if s.arb.queue.Contains(ts(6, 3)) {
 		t.Fatal("failed site's request still queued")
 	}
 	// The holder must learn the new head.
@@ -579,15 +579,15 @@ func TestRequestWhileBusyIsNoOp(t *testing.T) {
 
 func mkViaArbiter(id mutex.SiteID, quorum ...mutex.SiteID) *Site {
 	s := mkSite(id, quorum...)
-	s.handoff = ViaArbiter
+	s.arb.handoff = ViaArbiter
 	return s
 }
 
 func TestViaArbiterUnlockedArbiterGrants(t *testing.T) {
 	s := mkViaArbiter(1)
 	out := deliver(s, 2, requestMsg{TS: ts(5, 2)})
-	if len(sent(out, mutex.KindReply)) != 1 || s.lock != ts(5, 2) {
-		t.Fatalf("grant failed: %v, lock=%v", out.Send, s.lock)
+	if len(sent(out, mutex.KindReply)) != 1 || s.arb.lock != ts(5, 2) {
+		t.Fatalf("grant failed: %v, lock=%v", out.Send, s.arb.lock)
 	}
 }
 
@@ -618,8 +618,8 @@ func TestViaArbiterReleaseGrantsViaArbiter(t *testing.T) {
 	if r := payload(replies[0]).(replyMsg); r.Transfer != nil {
 		t.Errorf("regrant carries a transfer: %+v", r.Transfer)
 	}
-	if s.lock != ts(6, 3) {
-		t.Errorf("lock = %v", s.lock)
+	if s.arb.lock != ts(6, 3) {
+		t.Errorf("lock = %v", s.arb.lock)
 	}
 }
 
@@ -627,7 +627,7 @@ func TestViaArbiterStaleReleaseIgnored(t *testing.T) {
 	s := mkViaArbiter(1)
 	deliver(s, 2, requestMsg{TS: ts(5, 2)})
 	out := deliver(s, 3, releaseMsg{ReqTS: ts(9, 3), Fwd: timestamp.None})
-	if len(out.Send) != 0 || s.lock != ts(5, 2) {
+	if len(out.Send) != 0 || s.arb.lock != ts(5, 2) {
 		t.Fatal("stale release disturbed the lock")
 	}
 }
@@ -641,15 +641,15 @@ func TestViaArbiterYieldRequeuesAndRegrants(t *testing.T) {
 	if len(out.Send) != 1 || len(replies) != 1 || replies[0].To != 3 {
 		t.Fatalf("yield regrant = %v", out.Send)
 	}
-	if s.queue.Empty() || s.queue.Head() != ts(5, 2) {
-		t.Errorf("yielder not requeued: %v", s.queue.items)
+	if s.arb.queue.Empty() || s.arb.queue.Head() != ts(5, 2) {
+		t.Errorf("yielder not requeued: %v", s.arb.queue.items)
 	}
 }
 
 func TestViaArbiterInquireDeferredUntilFail(t *testing.T) {
 	s := mkViaArbiter(1, 2, 3)
 	s.Request()
-	my := s.reqTS
+	my := s.req.reqTS
 	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: my})
 	out := deliver(s, 2, inquireMsg{Arbiter: 2, HolderTS: my})
 	if len(out.Send) != 0 {
@@ -659,7 +659,7 @@ func TestViaArbiterInquireDeferredUntilFail(t *testing.T) {
 	if len(sent(out, mutex.KindYield)) != 1 {
 		t.Fatalf("fail did not trigger the parked yield: %v", out.Send)
 	}
-	if s.replied.has(2) {
+	if s.req.replied.has(2) {
 		t.Error("replied[2] survived the yield")
 	}
 }
@@ -667,7 +667,7 @@ func TestViaArbiterInquireDeferredUntilFail(t *testing.T) {
 func TestViaArbiterEntryAfterAllReplies(t *testing.T) {
 	s := mkViaArbiter(1, 2, 3)
 	s.Request()
-	my := s.reqTS
+	my := s.req.reqTS
 	deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: my})
 	out := deliver(s, 3, replyMsg{Arbiter: 3, ReqTS: my})
 	if !out.Entered || !s.InCS() {
@@ -710,8 +710,8 @@ func TestInCSSwapAvoidsKnownCrash(t *testing.T) {
 		if !s0.InCS() {
 			t.Fatalf("crashFirst=%v: site 0 did not enter: %s", crashFirst, s0.DebugString())
 		}
-		if s0.quorum.Contains(4) {
-			t.Fatalf("site 0 starts on %v; the test needs a held quorum without site 4", s0.quorum)
+		if s0.req.quorum.Contains(4) {
+			t.Fatalf("site 0 starts on %v; the test needs a held quorum without site 4", s0.req.quorum)
 		}
 		w.crashed[4] = true
 		swap := []mutex.SiteID{0, 3, 4}
@@ -724,8 +724,8 @@ func TestInCSSwapAvoidsKnownCrash(t *testing.T) {
 		}
 		w.route(s0.Exit())
 		settle()
-		if s0.quorum.Contains(4) {
-			t.Fatalf("crashFirst=%v: after Exit site 0's quorum %v names crashed site 4", crashFirst, s0.quorum)
+		if s0.req.quorum.Contains(4) {
+			t.Fatalf("crashFirst=%v: after Exit site 0's quorum %v names crashed site 4", crashFirst, s0.req.quorum)
 		}
 		w.route(s0.Request())
 		settle()

@@ -27,20 +27,20 @@ func (c CaseStats) Total() uint64 {
 
 // classify records the §5.2 case of a locked-arbiter arrival. oldHead is
 // timestamp.Max when the queue was empty.
-func (s *Site) classify(ts, oldHead timestamp.Timestamp) {
+func (a *arbiter) classify(ts, oldHead timestamp.Timestamp) {
 	switch {
-	case oldHead.IsMax() && !ts.Less(s.lock):
-		s.cases.Case[1]++
-	case ts.Less(s.lock) && (oldHead.IsMax() || ts.Less(oldHead)):
-		s.cases.Case[2]++
+	case oldHead.IsMax() && !ts.Less(a.lock):
+		a.cases.Case[1]++
+	case ts.Less(a.lock) && (oldHead.IsMax() || ts.Less(oldHead)):
+		a.cases.Case[2]++
 	case !oldHead.IsMax() && oldHead.Less(ts):
-		s.cases.Case[3]++
-	case !oldHead.IsMax() && ts.Less(oldHead) && oldHead.Less(s.lock):
-		s.cases.Case[4]++
+		a.cases.Case[3]++
+	case !oldHead.IsMax() && ts.Less(oldHead) && oldHead.Less(a.lock):
+		a.cases.Case[4]++
 	default:
-		s.cases.Case[5]++
+		a.cases.Case[5]++
 	}
 }
 
 // Cases returns the arbiter's §5.2 case counters.
-func (s *Site) Cases() CaseStats { return s.cases }
+func (s *Site) Cases() CaseStats { return s.arb.cases }
