@@ -132,14 +132,16 @@ chaos:
 # conformance invariants asserted on every transition (internal/modelcheck).
 # It runs every pinned space and replays the counterexample corpus
 # (internal/modelcheck/testdata/cex), which pins each known defect's verdict;
-# modelcheck-soak adds two larger configurations through cmd/dqmcheck, which
-# explores single configurations with custom budgets.
+# modelcheck-soak adds three larger configurations through cmd/dqmcheck, which
+# explores single configurations with custom budgets; the majority-5 row is
+# ROADMAP 20(vi)'s space, which a refresh re-issuing an in-flight grant broke.
 modelcheck:
 	$(GO) test -run 'TestExhaustive|TestCounterexampleCorpus' -count=1 -timeout 10m ./internal/modelcheck
 
 modelcheck-soak: modelcheck
 	$(GO) run ./cmd/dqmcheck -n 4 -quorum majority -requesters 0,1,2 -bound=false -max-states 5e6
 	$(GO) run ./cmd/dqmcheck -n 5 -quorum tree -requesters 0,4 -crashes 1 -bound=false -max-states 5e6
+	$(GO) run ./cmd/dqmcheck -n 5 -quorum majority -requesters 2,4 -crashes 1 -crash-sites 3 -bound=false -max-states 5e6
 
 # Allocation budgets of the hot paths (testing.AllocsPerRun, so without the
 # race detector, whose own allocations would count): one binary frame decode

@@ -17,10 +17,12 @@ import (
 // TestCounterexampleCorpus replays every trace under testdata/cex and checks
 // the verdict recorded beside it. A file is '#' comments, one config line in
 // dqmcheck's header form (crash-sites and handoff added, bound left out), the
-// trace one Action.String per line, and the verdict: "clean", or the
-// invariant, the step it fired at and its message. A fix that turns a
-// violation clean edits the verdict, so each known defect's status is pinned
-// in tier-1.
+// trace one Action.String per line, and the verdict: "clean", the
+// invariant, the step it fired at and its message, or "not enabled at step
+// k: <action>" when a fix keeps the trace from being a run at all (the
+// message it delivers is never sent). A fix that turns a violation clean or
+// disabled edits the verdict, so each known defect's status is pinned in
+// tier-1.
 func TestCounterexampleCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "cex", "*.txt"))
 	if err != nil {
@@ -33,11 +35,13 @@ func TestCounterexampleCorpus(t *testing.T) {
 		t.Run(strings.TrimSuffix(filepath.Base(file), ".txt"), func(t *testing.T) {
 			cfg, trace, want := parseCex(t, file)
 			v, log, err := modelcheck.Replay(cfg, trace)
-			if err != nil {
-				t.Fatalf("replay: %v\n%s", err, strings.Join(log, "\n"))
-			}
 			got := "clean"
-			if v != nil {
+			switch {
+			case err != nil && strings.HasSuffix(err.Error(), "is not enabled"):
+				got = fmt.Sprintf("not enabled at step %d: %v", len(log)+1, trace[len(log)])
+			case err != nil:
+				t.Fatalf("replay: %v\n%s", err, strings.Join(log, "\n"))
+			case v != nil:
 				got = fmt.Sprintf("%s at step %d: %s", v.Invariant, len(v.Trace), v.Msg)
 			}
 			if got != want {
