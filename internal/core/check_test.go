@@ -168,15 +168,8 @@ type walk struct {
 }
 
 func (w *walk) route(out mutex.Output) {
-	pending := slices.Clone(out.Send)
-	for len(pending) > 0 {
-		env := pending[0]
-		pending = pending[1:]
-		switch {
-		case w.crashed[env.To]:
-		case env.To == env.From:
-			pending = append(pending, w.sites[env.To].Deliver(env).Send...)
-		default:
+	for _, env := range out.Send {
+		if !w.crashed[env.To] {
 			k := [2]mutex.SiteID{env.From, env.To}
 			w.chans[k] = append(w.chans[k], env)
 		}

@@ -10,13 +10,15 @@ import (
 
 // TestOutputLifetime pins the contract on mutex.Output from the site's side:
 // a Send slice is valid until the next call on the same site, so a driver
-// keeps copies — and the copies must stay intact however the site is stepped
-// afterwards. The test interleaves Request, Deliver and Exit on one site,
-// holding both the raw Outputs and driver-side copies, and checks three
-// things: every copy still reads as its Output did when it was returned;
-// the raw Outputs do not (the buffer really is reused, so a driver that
-// skipped the copy would be caught here, not in production); and a clone
-// shares no buffer with the site it was copied from.
+// that keeps envelopes copies them — and the copies must stay intact however
+// the site is stepped afterwards. The test interleaves Request, Deliver and
+// Exit on one site that is in its own quorum (its grant to itself, its
+// transfer to itself and its own release never leave the step), holding both
+// the raw Outputs and driver-side copies, and checks three things: every
+// copy still reads as its Output did when it was returned; the raw Outputs
+// do not (the buffer really is reused, so a driver that skipped the copy
+// would be caught here, not in production); and a clone shares no buffer
+// with the site it was copied from.
 func TestOutputLifetime(t *testing.T) {
 	s := mkSite(0, 0, 1, 2) // in its own quorum, as grid sites are
 	var (
@@ -31,33 +33,21 @@ func TestOutputLifetime(t *testing.T) {
 		return out
 	}
 
-	// Two full rounds: request, the site's own request and grant delivered
-	// back to it, grants from 1 and 2, a competing request queued behind
-	// ours (fail + transfer), then exit forwarding to the competitor.
+	// Two full rounds: request (granted at once by the site's own arbiter),
+	// grants from 1 and 2, a competing request queued behind ours (fail to
+	// it, and a transfer to the holder, us), then exit forwarding to the
+	// competitor.
 	for round := uint64(1); round <= 2; round++ {
-		req := step(s.Request())
+		step(s.Request())
 		my := s.req.reqTS
-		self := step(s.Deliver(req.Send[0])) // request to self → reply to self
-		selfReply := self.Send[0]
-		step(s.Deliver(selfReply))
 		step(deliver(s, 1, replyMsg{Arbiter: 1, ReqTS: my}))
 		step(deliver(s, 2, replyMsg{Arbiter: 2, ReqTS: my}))
 		if !s.InCS() {
 			t.Fatalf("round %d: not in CS after three grants", round)
 		}
 		rival := ts(my.Seq+1, 1)
-		tr := step(deliver(s, 1, requestMsg{TS: rival})) // arbiter half: fail + transfer to the holder (us)
-		for _, env := range slices.Clone(tr.Send) {
-			if env.To == s.id {
-				step(s.Deliver(env))
-			}
-		}
-		exit := step(s.Exit())
-		for _, env := range slices.Clone(exit.Send) {
-			if env.To == s.id {
-				step(s.Deliver(env)) // our own release: the lock moves to the rival
-			}
-		}
+		step(deliver(s, 1, requestMsg{TS: rival}))
+		step(s.Exit())                                         // our own release moves the lock to the rival
 		step(deliver(s, 1, releaseMsg{ReqTS: rival, Fwd: -1})) // rival done; arbiter free again
 	}
 
@@ -79,12 +69,15 @@ func TestOutputLifetime(t *testing.T) {
 	last := s.Request()
 	lastWant := fmt.Sprint(last.Send)
 	c := s.CloneForCheck()
-	cOut := c.Deliver(last.Send[0])
+	cOut := c.Deliver(carry(1, 0, requestMsg{TS: ts(last.Send[0].Body.TS.Seq+1, 1)}))
 	cWant := fmt.Sprint(cOut.Send)
+	if len(cOut.Send) == 0 {
+		t.Fatal("the clone sent nothing for a competing request; the check below would be vacuous")
+	}
 	if got := fmt.Sprint(last.Send); got != lastWant {
 		t.Errorf("stepping a clone rewrote the original's Output\n got %s\nwant %s", got, lastWant)
 	}
-	s.Deliver(last.Send[0])
+	s.Deliver(carry(2, 0, requestMsg{TS: ts(last.Send[0].Body.TS.Seq+1, 2)}))
 	if got := fmt.Sprint(cOut.Send); got != cWant {
 		t.Errorf("stepping the original rewrote the clone's Output\n got %s\nwant %s", got, cWant)
 	}

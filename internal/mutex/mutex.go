@@ -33,9 +33,10 @@ type Message interface {
 	Kind() string
 }
 
-// Envelope is one message in flight between two sites. A self-addressed
-// envelope (From == To) is delivered immediately by drivers and is not
-// counted as a network message, matching the paper's K−1 counting.
+// Envelope is one message in flight between two sites. A site never
+// addresses one to itself: what it would tell itself it does within the
+// step, so drivers move and count only messages between distinct sites,
+// matching the paper's K−1 counting.
 //
 // Resource scopes the envelope to one named lock when many independent
 // protocol instances share a site set (internal/resource). State machines
@@ -77,10 +78,9 @@ type Envelope struct {
 //
 // Lifetime: Send is valid only until the next call on the Site that returned
 // it. A site may build every step's Send in one buffer it keeps, so a driver
-// that keeps envelopes across another call on that site — the self-delivery
-// loops of the live node and the model checker re-enter the site while
-// envelopes of the previous step are still queued — copies them into memory
-// it owns first. Entered and the Envelope values themselves are plain copies.
+// that keeps envelopes across another call on that site copies them into
+// memory it owns first; until then it may stamp them in place. Entered and
+// the Envelope values themselves are plain copies.
 type Output struct {
 	// Send lists messages to transmit, in order.
 	Send []Envelope

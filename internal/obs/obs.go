@@ -37,9 +37,8 @@ type EventType uint8
 const (
 	// EventRequest marks a site issuing a critical-section request.
 	EventRequest EventType = iota + 1
-	// EventSend marks one protocol message leaving a site for a remote
-	// site. Self-addressed deliveries are local bookkeeping and are not
-	// reported, matching the paper's K−1 message counting.
+	// EventSend marks one protocol message leaving a site for another
+	// site (a site never addresses one to itself, mutex.Envelope).
 	EventSend
 	// EventEnter marks a site entering the critical section.
 	EventEnter

@@ -244,7 +244,8 @@ func (c *Cluster) deliver(env mutex.Envelope) {
 
 // CrashAt schedules site f to crash at time t. After the configured
 // detection delay the lowest-numbered surviving site announces failure(f) to
-// every surviving site (counted as network messages, as in §6's multicast).
+// every other surviving site (counted as network messages, as in §6's
+// multicast) and to itself (local, uncounted).
 func (c *Cluster) CrashAt(t Time, f mutex.SiteID) {
 	c.Kernel.At(t, func() {
 		if c.crashed[f] {
@@ -295,9 +296,13 @@ func (c *Cluster) announceFailure(f mutex.SiteID) {
 	if detector == timestamp.None {
 		return
 	}
+	// The detector's own notice is local: it lands at the detection instant
+	// and is not a network message.
+	notice := mutex.FailureMsg{Failed: f}
+	c.Kernel.DeliverAt(c.Kernel.Now(), mutex.Envelope{From: detector, To: detector, Msg: notice}, c.deliver)
 	for i, down := range c.crashed {
-		if !down {
-			c.Net.Send(mutex.Envelope{From: detector, To: mutex.SiteID(i), Msg: mutex.FailureMsg{Failed: f}})
+		if to := mutex.SiteID(i); !down && to != detector {
+			c.Net.Send(mutex.Envelope{From: detector, To: to, Msg: notice})
 		}
 	}
 }

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"dqmx/internal/mutex"
+	"dqmx/internal/obs"
 )
 
 // greedySite enters the CS the moment it is asked — with more than one site
@@ -170,5 +172,34 @@ func TestClusterCrashedSiteCannotRequest(t *testing.T) {
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
+	}
+}
+
+// TestDetectorNoticeIsLocal: the lowest surviving site detects a crash and
+// multicasts failure(f). Its own notice is local work: it lands at the
+// detection instant and is not counted, while every other survivor's travels
+// one network delay and counts once.
+func TestDetectorNoticeIsLocal(t *testing.T) {
+	landed := map[mutex.SiteID]Time{}
+	c, err := NewCluster(Config{
+		N: 4, Algorithm: stuckAlg{}, CSTime: 5,
+		Delay: ConstantDelay{D: 100}, DetectDelay: 500,
+		Observer: func(e obs.Event) {
+			if e.Type == obs.EventFailure {
+				landed[e.Site] = Time(e.Time)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CrashAt(1000, 0)
+	c.Run(0)
+	want := map[mutex.SiteID]Time{1: 1500, 2: 1600, 3: 1600}
+	if !maps.Equal(landed, want) {
+		t.Errorf("failure notices landed %v, want %v", landed, want)
+	}
+	if got := c.Net.CountByKind()[mutex.KindFailure]; got != 2 || c.Net.Total() != 2 {
+		t.Errorf("counted %d failure notices of %d messages, want 2 of 2", got, c.Net.Total())
 	}
 }

@@ -41,23 +41,6 @@ func TestNetworkFIFOPerChannel(t *testing.T) {
 	}
 }
 
-func TestNetworkSelfDeliveryUncounted(t *testing.T) {
-	var k Kernel
-	delivered := 0
-	net := NewNetwork(&k, 4, ConstantDelay{D: 500}, 1, func(e mutex.Envelope) { delivered++ })
-	net.Send(mutex.Envelope{From: 3, To: 3, Msg: fakeMsg{"request", 0}})
-	k.Run(0)
-	if delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", delivered)
-	}
-	if net.Total() != 0 {
-		t.Fatalf("self message counted: Total = %d", net.Total())
-	}
-	if k.Now() != 0 {
-		t.Fatalf("self delivery should be immediate, Now = %d", k.Now())
-	}
-}
-
 func TestNetworkCountsByKind(t *testing.T) {
 	var k Kernel
 	net := NewNetwork(&k, 4, ConstantDelay{D: 10}, 1, func(mutex.Envelope) {})

@@ -50,11 +50,10 @@ type host struct {
 	delivered func(env mutex.Envelope)
 	node      *Node // the default resource's instance, set by open
 
-	inbox    mailbox          // the site's inputs, in arrival order
-	batch    []item           // loop-owned: the items being stepped
-	queue    []mutex.Envelope // loop-owned: Node.apply's work queue, reused from step to step
-	retiring bool             // loop-owned: departing the cluster, no new acquires
-	doneC    chan struct{}    // closed when the loop has exited
+	inbox    mailbox       // the site's inputs, in arrival order
+	batch    []item        // loop-owned: the items being stepped
+	retiring bool          // loop-owned: departing the cluster, no new acquires
+	doneC    chan struct{} // closed when the loop has exited
 	// respPool recycles the one-shot reply channels of Acquire and Release.
 	// A channel goes back only once its one reply was read (or before the
 	// loop saw it), so a pooled channel is empty and unreferenced. Each host

@@ -225,44 +225,24 @@ func siteDebug(s mutex.Site) string {
 	return fmt.Sprintf("site %d: inCS=%v pending=%v", s.ID(), s.InCS(), s.Pending())
 }
 
-// apply executes one state-machine step's effects: self-addressed envelopes
-// run inline (they are local bookkeeping, not network messages), remote ones
-// go to the sender as one batch, and a CS entry wakes the pending Acquire.
+// apply executes one state-machine step's effects: the envelopes, stamped
+// in place with the lock and the stage, go to the sender as one batch, and a
+// CS entry wakes the pending Acquire. A site addresses none to itself.
 func (n *Node) apply(out mutex.Output) {
-	entered := out.Entered
-	// The Output is valid only until the next call on the site, and a
-	// self-addressed envelope re-enters it: work on a copy in the host's
-	// step buffer, which the site's instances share (they step one at a
-	// time). The remote envelopes are stamped with the lock and the stage
-	// and compacted to the front of the same buffer (the write index never
-	// passes the read index).
 	h := n.host
-	q := append(h.queue[:0], out.Send...)
-	w := 0
-	for i := 0; i < len(q); i++ {
-		env := q[i]
-		if env.To == n.site.ID() {
-			next := n.site.Deliver(env)
-			q = append(q, next.Send...)
-			entered = entered || next.Entered
-			continue
-		}
+	for i := range out.Send {
+		env := &out.Send[i]
 		if h.sink != nil {
 			n.observe(obs.EventSend, env.To, env.Kind())
 		}
 		env.Resource, env.Epoch = n.name, h.stage.Load()
-		q[w] = env
-		w++
 	}
-	h.queue = q
-	remote := q[:w]
 	// Reliable-channel model: transports retry internally; an error here
 	// means the peer is gone, which the failure protocol handles.
-	if len(remote) > 0 {
-		_ = h.sender.SendBatch(remote)
+	if len(out.Send) > 0 {
+		_ = h.sender.SendBatch(out.Send)
 	}
-	clear(q) // an idle site must not pin its last step's messages
-	if entered {
+	if out.Entered {
 		if h.sink != nil {
 			n.observe(obs.EventEnter, n.site.ID(), "")
 		}
