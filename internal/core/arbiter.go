@@ -111,12 +111,13 @@ func (a *arbiter) onRequest(m requestMsg, st *step) {
 	if a.lock == m.TS {
 		// Crash refresh (§6): the requester still lacks our grant. Re-issue
 		// it only when the grant is provably lost: one forwarded by a proxy
-		// the refresh declares dead died in the severed channel. A direct or
-		// self-proxied grant is still in flight on the reliable
-		// arbiter→requester channel, and a grant in a live proxy's custody
-		// may still arrive; re-issuing either would let a yield straddle the
-		// two copies and double-grant the permission (the majority-5 traces
-		// of modelcheck's counterexample corpus). The refresh then waits for
+		// the refresh declares dead died in the severed channel. A direct
+		// grant, or one this arbiter's own site forwarded as a holder, is
+		// still in flight on the reliable channel from this site to the
+		// requester, and a grant in a live proxy's custody may still
+		// arrive; re-issuing either would let a yield straddle the two
+		// copies and double-grant the permission (the majority-5 traces of
+		// modelcheck's counterexample corpus). The refresh then waits for
 		// the grant, or for the proxy's failure notification.
 		if m.claimsDead(a.lockVia) {
 			st.send(m.TS.Site, replyMsg{Arbiter: st.id, ReqTS: m.TS}.body())
@@ -290,10 +291,13 @@ func (a *arbiter) releaseLock(st *step) {
 // the proxy via, draining any buffered early release for it (handoff chains
 // can run several CS executions ahead of the arbiter's view). Otherwise it
 // re-arms the handoff toward the new holder — a higher-priority request may
-// have arrived while the forwarding release was in flight. With reissue set
-// the proxied reply is known lost: a direct replacement grant is sent, before
-// ensureHandoff so channel FIFO orders it ahead of any inquire for this lock
-// generation (a yield prompted by that inquire then covers the grant).
+// have arrived while the forwarding release was in flight. The arbiter sends
+// the grant itself when its own site is the new holder (the holder forwards
+// no reply there, so the arbiter's view and its site's permission change in
+// one step) and when reissue marks the proxied reply as lost. Either way it
+// goes before ensureHandoff, so channel FIFO orders it ahead of any inquire
+// for this lock generation (a yield prompted by that inquire then covers the
+// grant).
 func (a *arbiter) setLock(ts timestamp.Timestamp, via mutex.SiteID, reissue bool, st *step) {
 	a.lock = ts
 	a.resetLockGen()
@@ -302,7 +306,7 @@ func (a *arbiter) setLock(ts timestamp.Timestamp, via mutex.SiteID, reissue bool
 		a.applyRelease(rel, st)
 		return
 	}
-	if reissue {
+	if reissue || ts.Site == st.id {
 		st.send(ts.Site, replyMsg{Arbiter: st.id, ReqTS: ts}.body())
 	}
 	a.ensureHandoff(st)

@@ -67,9 +67,9 @@ type transferInfo struct {
 }
 
 // replyMsg grants the permission of Arbiter to the request ReqTS. It is sent
-// by the arbiter itself or forwarded by an exiting lock holder acting as the
-// arbiter's proxy — that indirection is what cuts the synchronization delay
-// from 2T to T.
+// by the arbiter itself or, to any site but the arbiter's own, forwarded by an
+// exiting lock holder acting as the arbiter's proxy — that indirection is
+// what cuts the synchronization delay from 2T to T.
 type replyMsg struct {
 	// Arbiter is the site whose permission this reply carries.
 	Arbiter mutex.SiteID
@@ -101,7 +101,9 @@ func (m replyMsg) String() string { return m.body().String() }
 // releaseMsg tells an arbiter that the sender exited the CS. If Fwd is not
 // timestamp.None the sender forwarded the arbiter's permission to FwdTS's
 // requester on the arbiter's behalf; the arbiter re-points its lock rather
-// than granting anew. A releaseMsg whose ReqTS is still queued (not locked)
+// than granting anew. When Fwd is the arbiter's own site the sender forwards
+// nothing, and this release is the permission's one carrier: the arbiter
+// grants its site in the step that re-points the lock. A releaseMsg whose ReqTS is still queued (not locked)
 // acts as a withdrawal, which the §6 recovery protocol uses when a site
 // abandons a quorum member after a failure.
 type releaseMsg struct {

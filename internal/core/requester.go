@@ -69,7 +69,9 @@ func (r *requester) request(st *step) {
 
 // exit performs step C: forward each arbiter's permission to the newest
 // transfer target from that arbiter, then notify every quorum member with a
-// release carrying the forwarding decision.
+// release carrying the forwarding decision. A permission whose target is its
+// arbiter's own site is not forwarded: the release(fwd) to that arbiter is
+// the one message it needs, and the arbiter grants its own site itself.
 func (r *requester) exit(st *step) {
 	if r.state != stateInCS {
 		return
@@ -81,7 +83,9 @@ func (r *requester) exit(st *step) {
 			continue // older transfer from the same arbiter is void
 		}
 		served.add(e.Arbiter)
-		st.send(e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS}.body())
+		if e.TargetTS.Site != e.Arbiter {
+			st.send(e.TargetTS.Site, replyMsg{Arbiter: e.Arbiter, ReqTS: e.TargetTS}.body())
+		}
 	}
 	for _, j := range r.quorum {
 		rel := releaseMsg{ReqTS: r.reqTS, Fwd: timestamp.None}

@@ -595,10 +595,10 @@ func (st *State) appendKey(b []byte, counters bool) []byte {
 // keyBody clears the fields of an in-flight message that the explorer's
 // state identity has always left out, as mutex.Body.String does: a reply's
 // piggybacked transfer, a release's withdraw mark, and the holder stamp of an
-// inquire or a transfer. Keying them too would add 792 states to
-// handover-4to3's 40 132 (withdraw marks) and 6 to majority-3+crash's
-// 55 908 (transfer stamps), each of which differs from a state this key
-// visits only in such a field.
+// inquire or a transfer. Keying the withdraw marks too would add 748 states
+// to handover-4to3's 37 014, each of which differs from a state this key
+// visits only in such a field; keying the holder stamps adds none to any
+// pinned space.
 func keyBody(b *mutex.Body) {
 	switch b.Kind {
 	case mutex.BodyReply:

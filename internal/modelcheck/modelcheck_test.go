@@ -72,12 +72,12 @@ func viaArbiter(cfg modelcheck.Config) modelcheck.Config {
 func TestExhaustiveSmall(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.MaxStates = 500_000
-	run(t, "majority-3", cfg, 2929)
+	run(t, "majority-3", cfg, 2209)
 	run(t, "majority-3 via-arbiter", viaArbiter(cfg), 752)
 
 	cfg = checked(t, coterie.Grid{}, 3)
 	cfg.MaxStates = 2_000_000
-	run(t, "grid-3", cfg, 7826)
+	run(t, "grid-3", cfg, 6468)
 	run(t, "grid-3 via-arbiter", viaArbiter(cfg), 1995)
 }
 
@@ -92,8 +92,26 @@ func TestExhaustiveCrashRecovery(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.Crashes = 1
 	cfg.MaxStates = 5_000_000
-	run(t, "majority-3+crash", cfg, 55908)
+	run(t, "majority-3+crash", cfg, 43928)
 	run(t, "majority-3+crash via-arbiter", viaArbiter(cfg), 20762)
+}
+
+// TestExhaustiveTreeCrash is the tree-3 space with one crash, where site 0
+// arbitrates every quorum. It once broke safety in 16 steps (the corpus file
+// tree3-transfer-to-own-arbiter): a holder forwarded arbiter 0's permission
+// to site 0's own request and crashed before its release(fwd) landed, and
+// arbiter 0 regranted the permission its site was using. A permission bound
+// for its arbiter's own site now travels only in that release, and the
+// arbiter grants its site in the step that re-points the lock. The space is
+// the one dqmcheck explores with -bound=false, as the corpus file records
+// it.
+func TestExhaustiveTreeCrash(t *testing.T) {
+	cfg := checked(t, coterie.Tree{}, 3)
+	cfg.Bound = nil
+	cfg.Crashes = 1
+	cfg.MaxStates = 1_000_000
+	run(t, "tree-3+crash", cfg, 15857)
+	run(t, "tree-3+crash via-arbiter", viaArbiter(cfg), 6478)
 }
 
 // TestExhaustiveFour covers the fault-free N=4 majority configuration
@@ -106,13 +124,13 @@ func TestExhaustiveFour(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 4)
 	cfg.Requesters = []mutex.SiteID{0, 1}
 	cfg.MaxStates = 500_000
-	run(t, "majority-4(2 requesters)", cfg, 1336)
+	run(t, "majority-4(2 requesters)", cfg, 1134)
 
 	cfg = checked(t, coterie.Majority{}, 4)
 	cfg.Requesters = []mutex.SiteID{0, 1, 2}
 	cfg.Bound = nil
 	cfg.MaxStates = 1_000_000
-	run(t, "majority-4(3 requesters)", cfg, 159399)
+	run(t, "majority-4(3 requesters)", cfg, 125404)
 }
 
 // TestExhaustiveFive covers N=5 fault-free on the tree coterie (the paper's
@@ -122,12 +140,12 @@ func TestExhaustiveFive(t *testing.T) {
 	cfg := checked(t, coterie.Tree{}, 5)
 	cfg.Requesters = []mutex.SiteID{0, 2, 4}
 	cfg.MaxStates = 500_000
-	run(t, "tree-5(3 requesters)", cfg, 33967)
+	run(t, "tree-5(3 requesters)", cfg, 28806)
 
 	cfg = checked(t, coterie.Majority{}, 5)
 	cfg.Requesters = []mutex.SiteID{0, 3}
 	cfg.MaxStates = 500_000
-	run(t, "majority-5(2 requesters)", cfg, 540)
+	run(t, "majority-5(2 requesters)", cfg, 506)
 }
 
 // TestExhaustiveTwoRounds lets sites run two CS executions issued at
@@ -138,13 +156,13 @@ func TestExhaustiveTwoRounds(t *testing.T) {
 	cfg.PerSite = 2
 	cfg.Bound = nil // counters inflate the two-round space ~4x
 	cfg.MaxStates = 1_000_000
-	run(t, "majority-3×2", cfg, 264819)
+	run(t, "majority-3×2", cfg, 168918)
 
 	cfg = checked(t, coterie.Grid{}, 3)
 	cfg.PerSite = 2
 	cfg.Requesters = []mutex.SiteID{0, 2}
 	cfg.MaxStates = 1_000_000
-	run(t, "grid-3×2(2 requesters)", cfg, 8061)
+	run(t, "grid-3×2(2 requesters)", cfg, 5744)
 }
 
 // handoverConfig builds the exhaustive membership-switch configuration: a
@@ -192,7 +210,7 @@ func TestExhaustiveHandover(t *testing.T) {
 	// The joiner plus one original member contend across the switch.
 	cfg := handoverConfig(t, 3, 4, []mutex.SiteID{0, 3})
 	cfg.MaxStates = 2_000_000
-	run(t, "handover-3to4(2 requesters)", cfg, 29646)
+	run(t, "handover-3to4(2 requesters)", cfg, 27439)
 }
 
 // TestExhaustiveHandoverShrink covers the other direction: majority-4 down
@@ -204,7 +222,7 @@ func TestExhaustiveHandoverShrink(t *testing.T) {
 	// The departing site and one survivor contend across the switch.
 	cfg := handoverConfig(t, 4, 3, []mutex.SiteID{0, 3})
 	cfg.MaxStates = 2_000_000
-	run(t, "handover-4to3(2 requesters)", cfg, 40132)
+	run(t, "handover-4to3(2 requesters)", cfg, 37014)
 }
 
 // TestCounterexampleReplay verifies the counterexample machinery end to end
@@ -302,9 +320,9 @@ func TestStateBudget(t *testing.T) {
 func TestDFSMatchesBFS(t *testing.T) {
 	cfg := checked(t, coterie.Majority{}, 3)
 	cfg.MaxStates = 500_000
-	bfs := run(t, "bfs", cfg, 2929)
+	bfs := run(t, "bfs", cfg, 2209)
 	cfg.DFS = true
-	dfs := run(t, "dfs", cfg, 2929)
+	dfs := run(t, "dfs", cfg, 2209)
 	if bfs.States != dfs.States || bfs.Terminals != dfs.Terminals {
 		t.Fatalf("bfs explored %d/%d, dfs %d/%d", bfs.States, bfs.Terminals, dfs.States, dfs.Terminals)
 	}
