@@ -63,13 +63,16 @@ avoidcheck:
 # sequential process: the host's one loop steps all its lock instances in
 # arrival order, and an abandoned Acquire is wound down on that loop too. So
 # it also fails on a go statement in node.go: a goroutine per instance or per
-# call would bring back the unordered inputs and the goroutine count per lock.
+# call would bring back the unordered inputs and the goroutine count per lock;
+# and on a go statement or a sync.Mutex in reliable.go: the site's loop owns
+# its reliable layer, which takes no lock and runs nothing of its own.
 hostcheck:
 	@! git grep -n --untracked -E '(failureEnvelope|SetMembership)\(' -- 'internal/transport/*.go' ':!*_test.go' \
 		':!internal/transport/host.go'
 	@! git grep -n --untracked -E '\bnewNode\(' -- 'internal/transport/*.go' ':!*_test.go' \
 		':!internal/transport/host.go' | grep -v -E 'func newNode\('
 	@! git grep -n --untracked -E '^[[:space:]]*go[[:space:]]' -- 'internal/transport/node.go'
+	@! git grep -n --untracked -E '^[[:space:]]*go[[:space:]]|sync\.Mutex' -- 'internal/transport/reliable.go'
 
 # One conformance ledger: the chaos checker and the model checker assert the
 # paper's claims through internal/chaos's Ledger (ledger.go), so each rule

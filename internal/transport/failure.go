@@ -58,13 +58,13 @@ func (c *Cluster) killSite(id mutex.SiteID, detectAfter time.Duration, stopC <-c
 	if f := c.fabric; f != nil {
 		f.MarkCrashed(id)
 	}
-	if r := c.rel; r != nil {
-		// §6 composition: tear down the crashed site's streams so pending
-		// retransmissions at the corpse stop immediately.
-		r.PeerFailed(id)
-	}
 	// Its closed mailboxes drop what survivors send during the detection window.
 	victim.close()
+	// §6 composition: each survivor's reliable layer tears down the crashed
+	// site's streams at once, on its loop; a site joining later, at announce.
+	for _, h := range c.roster() {
+		h.peerFailed(id)
+	}
 	if detectAfter > 0 && !clock.Sleep(c.clock, detectAfter, stopC) {
 		return
 	}
@@ -127,7 +127,7 @@ func (d *Detector) Stop() {
 	<-d.doneC
 }
 
-// observe records a heartbeat (called from the peer's read loops).
+// observe records a heartbeat (called from the peer's site loop).
 func (d *Detector) observe(from mutex.SiteID) {
 	d.mu.Lock()
 	d.lastSeen[from] = d.peer.clock.Now()
@@ -159,7 +159,8 @@ func (d *Detector) run() {
 			targets := slices.DeleteFunc(known, func(id mutex.SiteID) bool { return d.declared[id] })
 			d.mu.Unlock()
 			for _, id := range targets {
-				// Best effort: an unreachable peer shows up as silence.
+				// Best effort: an unreachable peer shows up as silence. The
+				// probe leaves from the site's loop (Send).
 				_ = d.peer.Send(mutex.Envelope{From: self, To: id, Msg: heartbeatMsg{From: self}})
 			}
 			now := d.peer.clock.Now()

@@ -45,7 +45,7 @@ func newTestHost(t *testing.T) *testHost {
 		return benchSite{}, nil
 	}
 	var stage atomic.Uint64
-	th.host = newHost(0, factory, nopSender{}, nil, &stage, newDeadSet(), func(env mutex.Envelope) {
+	th.host = newHost(0, factory, nopSender{}, nil, nil, nil, &stage, newDeadSet(), func(env mutex.Envelope) {
 		th.mu.Lock()
 		th.delivered[env.Resource]++
 		th.mu.Unlock()
@@ -138,10 +138,10 @@ func TestInjectRoutesAndInstantiatesLazily(t *testing.T) {
 	if err := h.inject(mutex.Envelope{Resource: "remote-opened", From: 1, To: 0, Msg: mutex.FailureMsg{}}); err != nil {
 		t.Fatal(err)
 	}
+	h.awaitDelivered(t, map[string]int{"remote-opened": 1})
 	if got := h.resources(); fmt.Sprint(got) != fmt.Sprint([]string{"", "remote-opened"}) {
 		t.Fatalf("resources after an inbound envelope = %q, want the default and %q", got, "remote-opened")
 	}
-	h.awaitDelivered(t, map[string]int{"remote-opened": 1})
 
 	// A batch splits into per-resource runs.
 	batch := []mutex.Envelope{
@@ -155,15 +155,24 @@ func TestInjectRoutesAndInstantiatesLazily(t *testing.T) {
 	h.awaitDelivered(t, map[string]int{"remote-opened": 1, "x": 2, "y": 1})
 }
 
+// TestInjectRejectsInvalidResource: the site's loop drops a frame for a
+// name that fails CheckName, building nothing, and steps the frames behind
+// it.
 func TestInjectRejectsInvalidResource(t *testing.T) {
 	h := newTestHost(t)
 	tooLong := strings.Repeat("n", resource.MaxNameLength+1)
-	err := h.inject(mutex.Envelope{Resource: tooLong, To: 0, Msg: mutex.FailureMsg{}})
-	if err == nil {
-		t.Fatal("oversized inbound resource accepted")
+	if err := h.injectBatch([]mutex.Envelope{
+		{Resource: tooLong, To: 0, Msg: mutex.FailureMsg{}},
+		{Resource: "valid", To: 0, Msg: mutex.FailureMsg{}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if h.builds.Load() != 0 {
-		t.Error("invalid resource still instantiated")
+	h.awaitDelivered(t, map[string]int{"valid": 1})
+	if got := h.resources(); fmt.Sprint(got) != fmt.Sprint([]string{"", "valid"}) {
+		t.Errorf("resources = %q: the oversized inbound resource was instantiated", got)
+	}
+	if got := h.builds.Load(); got != 1 {
+		t.Errorf("factory ran %d times, want 1 (the valid name only)", got)
 	}
 }
 

@@ -22,7 +22,7 @@ type inprocSender struct {
 	cluster *Cluster
 }
 
-// Send implements Sender.
+// Send implements Sender; the chaos fabric delivers through it too.
 func (s inprocSender) Send(env mutex.Envelope) error {
 	h := s.cluster.host(env.To)
 	if h == nil {
@@ -92,7 +92,7 @@ type Cluster struct {
 	// or retire. Slot i hosts site i; a retired high slot is dropped by
 	// publishing a shorter roster.
 	hosts  atomic.Pointer[[]*host]
-	sender BatchSender // the delivery stack handed to every new node
+	sender BatchSender // the wire handed to every new host: the mailboxes, or the chaos fabric
 
 	// stage is the cluster's current membership stage (membership.Stage),
 	// stamped onto every outgoing envelope by the per-resource senders.
@@ -105,8 +105,7 @@ type Cluster struct {
 	// instance either reads the crash at birth or is swept by it.
 	joinMu sync.Mutex
 
-	rel       *reliable                                // the reliable-delivery sublayer over the fabric; nil without one
-	fabric    *chaos.Fabric                            // nil unless chaos injection was requested
+	fabric    *chaos.Fabric                            // nil unless chaos injection was requested; each host's reliable layer sits above it
 	hook      atomic.Pointer[func(env mutex.Envelope)] // SetDeliveryHook's observer
 	chaosStop chan struct{}
 	chaosWG   sync.WaitGroup
@@ -152,17 +151,15 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 	}
 	// The delivery stack: inprocSender injects into the mailboxes, reliable
 	// FIFO channels by construction (unbounded, filled on the sender's
-	// goroutine). A chaos plan's fabric can lose, so the reliable sublayer
-	// goes above it: node → sublayer → fabric → sublayer.Receive → mailbox.
-	var sender BatchSender = inprocSender{cluster: c}
+	// goroutine). A chaos plan's fabric can lose, so each site's host runs
+	// a reliable layer above it: node → layer → fabric → mailbox → the
+	// destination's layer → node, the last three on the destination's loop.
+	c.sender = inprocSender{cluster: c}
 	if cfg.Chaos != nil {
-		c.rel = newReliable(sender.Send, c.sink, c.clock)
-		c.fabric = chaos.NewFabric(*cfg.Chaos, c.rel.Receive, c.clock)
+		c.fabric = chaos.NewFabric(*cfg.Chaos, c.sender.Send, c.clock)
 		c.chaosStop = make(chan struct{})
-		c.rel.start(c.fabric)
-		sender = c.rel
+		c.sender = c.fabric
 	}
-	c.sender = sender
 	hosts := make([]*host, cfg.N)
 	for i := range hosts {
 		hosts[i] = c.newHost(mutex.SiteID(i))
@@ -191,11 +188,16 @@ func NewClusterConfig(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// newHost builds site id's host over the cluster's shared site sets,
-// delivery stack, stage, dead set and delivery hook.
+// newHost builds site id's host over the cluster's shared site sets, wire,
+// stage, dead set and delivery hook; over the chaos fabric the host runs its
+// own reliable layer.
 func (c *Cluster) newHost(id mutex.SiteID) *host {
 	factory := func(name string) (mutex.Site, error) { return c.siteFor(name, id) }
-	return newHost(id, factory, c.sender, c.sink, &c.stage, c.dead, c.delivered)
+	var clk clock.Clock
+	if c.fabric != nil {
+		clk = c.clock
+	}
+	return newHost(id, factory, c.sender, clk, nil, c.sink, &c.stage, c.dead, c.delivered)
 }
 
 // assignmentOf reads the coterie assignment off a freshly built site set,
@@ -359,9 +361,9 @@ func (c *Cluster) host(id mutex.SiteID) *host {
 }
 
 // Close stops every instance of every resource and waits for their loops to
-// exit, then tears down the reliability and chaos layers. The order matters:
-// the reliability loop may still hand retransmissions to the fabric, so it
-// stops before the fabric does.
+// exit, then tears down the chaos fabric. The order matters: a loop's
+// reliable layer may still hand retransmissions to the fabric, so the loops
+// stop before the fabric does.
 func (c *Cluster) Close() {
 	if c.chaosStop != nil {
 		close(c.chaosStop)
@@ -370,9 +372,6 @@ func (c *Cluster) Close() {
 	}
 	for _, h := range c.roster() {
 		h.close()
-	}
-	if c.rel != nil {
-		c.rel.Close()
 	}
 	if c.fabric != nil {
 		c.fabric.Close()

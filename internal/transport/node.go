@@ -94,8 +94,9 @@ type Node struct {
 	site mutex.Site
 	host *host // the site's loop, sender, sink, stage and delivery hook
 
-	waiter    chan error // pending Acquire's reply channel, loop-owned
-	abandoned bool       // loop-owned: the pending request's Acquire gave up; exit on entry
+	waiter    chan error     // pending Acquire's reply channel, loop-owned
+	abandoned bool           // loop-owned: the pending request's Acquire gave up; exit on entry
+	born      []mutex.SiteID // crashes recorded at build, told before the first input (host.ready)
 }
 
 // newNode makes lock name's instance at the site h hosts; h is its one

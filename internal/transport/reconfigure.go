@@ -137,11 +137,14 @@ func (c *Cluster) grow(to int, member func(mutex.SiteID) mutex.Membership) error
 	hosts := c.roster()
 	// An ID may have belonged to a site retired (or crashed) under an earlier
 	// configuration; the joining site starts fresh streams and is no longer
-	// announced dead to instances created from here on.
+	// announced dead to instances created from here on; survivors' reliable
+	// layers forget the mark on their loops, ahead of its first frame.
 	for i := len(hosts); i < to; i++ {
 		id := mutex.SiteID(i)
-		if c.rel != nil {
-			c.rel.ReviveSite(id)
+		for _, h := range hosts {
+			if h.rel != nil {
+				h.post(func() { h.rel.ReviveSite(id) })
+			}
 		}
 		c.dead.revive(id)
 	}
@@ -229,15 +232,10 @@ func (c *Cluster) retire(ctx context.Context, from, to int) error {
 		// host.quiesced covers the protocol machines, not the wire. A
 		// mailbox is filled on the sender's goroutine, so on a plain cluster
 		// that is enough; over the chaos fabric a departing site's final
-		// release or transfer may still be unacknowledged in the sublayer,
-		// and severing its streams would strand the lock it hands over. Wait
-		// for a drain.
-		for i := from; i < to && c.rel != nil; i++ {
-			if !c.rel.Drained(mutex.SiteID(i)) {
-				return false
-			}
-		}
-		return true
+		// release or transfer may still be unacknowledged in its reliable
+		// layer, and severing its streams would strand the lock it hands
+		// over. Wait for a drain.
+		return c.everySite(from, to, (*host).drained)
 	})
 	if err != nil {
 		return err
@@ -247,8 +245,8 @@ func (c *Cluster) retire(ctx context.Context, from, to int) error {
 	c.hosts.Store(&next)
 	for _, h := range leaving {
 		h.close()
-		if c.rel != nil {
-			c.rel.PeerFailed(h.self)
+		for _, s := range next {
+			s.peerFailed(h.self)
 		}
 	}
 	return nil

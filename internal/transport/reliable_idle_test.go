@@ -11,12 +11,12 @@ import (
 // and no ack owed runs no flush pass, however long it stays idle. Whatever
 // makes it busy wakes it: a send whose first copy is lost is re-sent within
 // the first backoff, and a send that lands is acknowledged within
-// ackGrace + relTick, after which the loop sleeps again. A pass is a fired
-// timer, counted as the loop's reads of the timer's channel (it reads once
-// per pass, back at its select).
+// ackGrace + relTick, after which the flush timer parks again. A pass is a
+// fired timer, counted as the site loop's reads of the timer's channel (it
+// reads once per pass, back at its select; nothing else is queued on it).
 func TestReliableIdleLoopSleeps(t *testing.T) {
 	r, w, col, clk := startReliableManual(t, nil)
-	var timer *manualTimer // the layer's one timer: its flush loop's
+	var timer *manualTimer // the loop's one timer: the layer's flush timer
 	clk.mu.Lock()
 	for tm := range clk.timers {
 		timer = tm
@@ -27,15 +27,7 @@ func TestReliableIdleLoopSleeps(t *testing.T) {
 		defer clk.mu.Unlock()
 		return timer.reads
 	}
-	unacked := func() int {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		n := 0
-		for _, ss := range r.out {
-			n += len(ss.unacked)
-		}
-		return n
-	}
+	unacked := func() int { return r.unacked(streamID{}) }
 	idleSecond := func(when string) {
 		t.Helper()
 		before := passes()

@@ -1,8 +1,9 @@
 package transport
 
-// White-box tests of the reliable-delivery sublayer: a scripted lossy wire
-// loops the layer's raw sends back into its own receive side, so drop,
-// duplication, and reordering recovery are assertable without a network.
+// White-box tests of the reliable-delivery sublayer: a site loop owns the
+// layer, and a scripted lossy wire loops the layer's raw sends back into its
+// own receive side on that loop, so drop, duplication, and reordering
+// recovery are assertable without a network.
 // The file also pins the two accounting contracts the layer must keep:
 // transport traffic is invisible to obs message tallies, and a TCP pair
 // survives deterministic writer-side frame loss.
@@ -11,6 +12,7 @@ import (
 	"context"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +34,8 @@ func (relTestMsg) Kind() string { return "test" }
 
 // scriptedWire loops sends back into the layer's receive side, consulting a
 // per-transmission script (n counts every frame the wire carries, acks and
-// retransmissions included).
+// retransmissions included). The layer sends on its loop, so the loopback
+// runs there too.
 type scriptedWire struct {
 	rel *reliable
 
@@ -54,11 +57,9 @@ func (w *scriptedWire) Send(env mutex.Envelope) error {
 	if drop {
 		return nil
 	}
-	if err := w.rel.Receive(env); err != nil {
-		return err
-	}
+	w.rel.Receive(env)
 	if dup {
-		return w.rel.Receive(env)
+		w.rel.Receive(env)
 	}
 	return nil
 }
@@ -77,11 +78,10 @@ type collector struct {
 	got []mutex.Envelope
 }
 
-func (c *collector) deliver(env mutex.Envelope) error {
+func (c *collector) deliver(env mutex.Envelope) {
 	c.mu.Lock()
 	c.got = append(c.got, env)
 	c.mu.Unlock()
-	return nil
 }
 
 func (c *collector) snapshot() []mutex.Envelope {
@@ -90,16 +90,22 @@ func (c *collector) snapshot() []mutex.Envelope {
 	return append([]mutex.Envelope(nil), c.got...)
 }
 
-// startReliable wires a reliable layer on the host clock to a scripted wire
-// and returns both.
-func startReliable(t *testing.T, sink obs.Sink) (*reliable, *scriptedWire, *collector) {
+// relLoop is a site loop that owns a reliable layer and no lock instance:
+// what the layer delivers goes to a collector.
+type relLoop struct {
+	h *host
+}
+
+// startReliable wires a site loop's reliable layer on the host clock to a
+// scripted wire and returns both.
+func startReliable(t *testing.T, sink obs.Sink) (relLoop, *scriptedWire, *collector) {
 	t.Helper()
 	return startReliableOn(t, clock.Real, sink)
 }
 
 // startReliableManual is startReliable on a manual clock, returned once the
-// layer's flush loop waits on it.
-func startReliableManual(t *testing.T, sink obs.Sink) (*reliable, *scriptedWire, *collector, *manualClock) {
+// loop waits on its flush timer.
+func startReliableManual(t *testing.T, sink obs.Sink) (relLoop, *scriptedWire, *collector, *manualClock) {
 	t.Helper()
 	clk := newManualClock()
 	r, w, col := startReliableOn(t, clk, sink)
@@ -107,13 +113,54 @@ func startReliableManual(t *testing.T, sink obs.Sink) (*reliable, *scriptedWire,
 	return r, w, col, clk
 }
 
-func startReliableOn(t *testing.T, clk clock.Clock, sink obs.Sink) (*reliable, *scriptedWire, *collector) {
+func startReliableOn(t *testing.T, clk clock.Clock, sink obs.Sink) (relLoop, *scriptedWire, *collector) {
 	col := &collector{}
-	r := newReliable(col.deliver, sink, clk)
-	w := &scriptedWire{rel: r}
-	r.start(w)
-	t.Cleanup(r.Close)
+	w := &scriptedWire{}
+	r := startRelLoop(t, w, clk, col.deliver, sink)
+	w.rel = r.h.rel
 	return r, w, col
+}
+
+// startRelLoop starts a site loop whose reliable layer sends over wire.
+func startRelLoop(t *testing.T, wire BatchSender, clk clock.Clock, deliver func(mutex.Envelope), sink obs.Sink) relLoop {
+	var stage atomic.Uint64
+	h := newHost(0, nil, wire, clk, deliver, sink, &stage, newDeadSet(), nil)
+	t.Cleanup(h.close)
+	return relLoop{h: h}
+}
+
+// on runs fn on the loop, with its layer, and waits for it.
+func (r relLoop) on(fn func(rel *reliable)) {
+	if err := r.h.onLoop(func() { fn(r.h.rel) }); err != nil {
+		panic(err)
+	}
+}
+
+// Send sends env through the layer, as one step of the loop.
+func (r relLoop) Send(env mutex.Envelope) error {
+	var err error
+	r.on(func(rel *reliable) { err = rel.Send(env) })
+	return err
+}
+
+// Receive hands the layer env as if it came off the wire, as one step of
+// the loop.
+func (r relLoop) Receive(env mutex.Envelope) {
+	r.on(func(rel *reliable) { rel.Receive(env) })
+}
+
+// unacked counts the envelopes still waiting for an ack on stream id, or on
+// every stream when id is the zero streamID.
+func (r relLoop) unacked(id streamID) int {
+	n := 0
+	r.on(func(rel *reliable) {
+		for sid, ss := range rel.out {
+			if id == (streamID{}) || sid == id {
+				n += len(ss.unacked)
+			}
+		}
+	})
+	return n
 }
 
 // waitFor polls until cond holds or the deadline passes.
@@ -166,10 +213,7 @@ func TestReliableHealsDrops(t *testing.T) {
 	}
 	// The sender must settle: every retransmission eventually acked.
 	waitFor(t, 30*time.Second, func() bool {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		ss := r.out[streamID{from: 0, to: 1}]
-		return ss != nil && len(ss.unacked) == 0
+		return r.unacked(streamID{from: 0, to: 1}) == 0
 	}, "retransmission queue to drain")
 }
 
@@ -211,16 +255,15 @@ func TestReliableDedup(t *testing.T) {
 // restore per-stream FIFO before delivery.
 func TestReliableReorder(t *testing.T) {
 	col := &collector{}
-	r := newReliable(col.deliver, nil, clock.Real)
 	// A reordering wire: hold every even-indexed protocol frame and release
-	// it after the following frame, swapping pairs on the wire.
+	// it after the following frame, swapping pairs on the wire. It runs on
+	// the loop, which sends.
+	var rel *reliable
 	var held *mutex.Envelope
-	var wireMu sync.Mutex
 	w := senderFunc(func(env mutex.Envelope) error {
-		wireMu.Lock()
-		defer wireMu.Unlock()
 		if env.Seq == 0 {
-			return r.Receive(env)
+			rel.Receive(env)
+			return nil
 		}
 		if held == nil {
 			e := env
@@ -229,13 +272,12 @@ func TestReliableReorder(t *testing.T) {
 		}
 		first, second := env, *held
 		held = nil
-		if err := r.Receive(first); err != nil {
-			return err
-		}
-		return r.Receive(second)
+		rel.Receive(first)
+		rel.Receive(second)
+		return nil
 	})
-	r.start(w)
-	defer r.Close()
+	r := startRelLoop(t, w, clock.Real, col.deliver, nil)
+	r.on(func(l *reliable) { rel = l })
 
 	const total = 10
 	for i := 0; i < total; i++ {
@@ -290,10 +332,11 @@ func TestReliablePeerFailedStopsRetransmission(t *testing.T) {
 		t.Fatal("no retransmission by 1.25·rtxBase + relTick")
 	}
 
-	r.PeerFailed(9)
-	r.mu.Lock()
-	_, haveOut := r.out[streamID{from: 0, to: 9}]
-	r.mu.Unlock()
+	var haveOut bool
+	r.on(func(rel *reliable) {
+		rel.PeerFailed(9)
+		_, haveOut = rel.out[streamID{from: 0, to: 9}]
+	})
 	if haveOut {
 		t.Fatal("send stream to the dead peer survived PeerFailed")
 	}
@@ -373,9 +416,7 @@ func TestReliableAckGraceExact(t *testing.T) {
 	for i, offset := range []time.Duration{0, relTick / 4, relTick / 2, relTick * 3 / 4} {
 		clk.Advance(offset)
 		received = clk.Now()
-		if err := r.Receive(mutex.Envelope{From: 9, To: 0, Seq: uint64(i + 1), Msg: relTestMsg{N: i}}); err != nil {
-			t.Fatal(err)
-		}
+		r.Receive(mutex.Envelope{From: 9, To: 0, Seq: uint64(i + 1), Msg: relTestMsg{N: i}})
 		clk.Advance(ackGrace - time.Nanosecond)
 		if got := ackCount(); got != i {
 			t.Fatalf("delivery %d: an ack left before ackGrace (%d acks)", i, got-i)
@@ -514,11 +555,11 @@ func TestTransportTrafficExcludedFromCounts(t *testing.T) {
 	}
 
 	withRel, relCluster := run(true)
-	if relCluster.rel == nil {
+	if relCluster.host(0).rel == nil {
 		t.Fatal("chaos cluster built without the reliability layer")
 	}
 	without, rawCluster := run(false)
-	if rawCluster.rel != nil {
+	if rawCluster.host(0).rel != nil {
 		t.Fatal("plain cluster built the reliability layer anyway")
 	}
 

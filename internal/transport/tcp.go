@@ -52,13 +52,13 @@ type TCPConfig struct {
 // the protocol's per-channel FIFO requirement, and one write carries
 // whatever different resources queued meanwhile, so adding locks does not
 // multiply syscalls. A broken connection is recovered by the reliable
-// sublayer alone (reliable.Requeue). Message types register themselves with
+// sublayer alone (reliable.Requeue), which the site's loop owns: read loops
+// queue what they decode for it. Message types register themselves with
 // internal/wire when their protocol package is imported — there is no
 // separate registration step.
 type TCPPeer struct {
 	self     mutex.SiteID
-	host     *host     // the site's lock instances
-	rel      *reliable // the reliable-delivery sublayer over the raw outbounds
+	host     *host // the site's lock instances and its loop, which owns the reliable layer over the outbounds
 	listener net.Listener
 	peers    map[mutex.SiteID]string
 	metrics  *obs.Metrics // nil unless metrics collection was requested
@@ -73,11 +73,12 @@ type TCPPeer struct {
 	stageHint atomic.Uint64
 	memberN   atomic.Int64
 
-	mu        sync.Mutex
-	outs      map[mutex.SiteID]*outbound
-	inbound   map[net.Conn]bool
-	hbSink    *Detector               // set by StartDetector; receives heartbeat traffic
-	staleTold map[mutex.SiteID]uint64 // highest stage each peer was told it lags behind
+	mu      sync.Mutex
+	outs    map[mutex.SiteID]*outbound
+	inbound map[net.Conn]bool
+	hbSink  *Detector // set by StartDetector; receives heartbeat traffic
+
+	staleTold map[mutex.SiteID]uint64 // loop-owned: highest stage each peer was told it lags behind
 
 	dropOut atomic.Pointer[func(env mutex.Envelope) bool] // test hook: deterministic frame drops at enqueue
 
@@ -93,14 +94,15 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.ListenAddr, err)
 	}
 	p := &TCPPeer{
-		self:     cfg.Self,
-		listener: ln,
-		peers:    make(map[mutex.SiteID]string, len(cfg.Peers)),
-		metrics:  cfg.Metrics,
-		clock:    cfg.clock,
-		outs:     make(map[mutex.SiteID]*outbound),
-		inbound:  make(map[net.Conn]bool),
-		stopC:    make(chan struct{}),
+		self:      cfg.Self,
+		listener:  ln,
+		peers:     make(map[mutex.SiteID]string, len(cfg.Peers)),
+		metrics:   cfg.Metrics,
+		clock:     cfg.clock,
+		outs:      make(map[mutex.SiteID]*outbound),
+		inbound:   make(map[net.Conn]bool),
+		staleTold: make(map[mutex.SiteID]uint64),
+		stopC:     make(chan struct{}),
 	}
 	if p.clock == nil {
 		p.clock = clock.Real
@@ -117,16 +119,14 @@ func NewTCPPeerConfig(cfg TCPConfig) (*TCPPeer, error) {
 	if cfg.Metrics != nil {
 		combined = obs.Tee(cfg.Metrics.Observe, cfg.Observer)
 	}
-	// The reliability sublayer sits between the site's loop and the raw
-	// per-destination outbounds: its receive side is fed by the read loops and
-	// hands exactly-once, per-stream-FIFO envelopes to dispatch.
-	p.rel = newReliable(p.dispatch, combined, p.clock)
-	p.host = newHost(cfg.Self, cfg.Factory, p, combined, &p.stage, newDeadSet(), nil)
+	// The site's loop runs the reliability sublayer over the raw outbounds:
+	// it is fed the frames the read loops queue and hands exactly-once,
+	// per-stream-FIFO envelopes to dispatch.
+	p.host = newHost(cfg.Self, cfg.Factory, tcpWire{peer: p}, p.clock, p.dispatch, combined, &p.stage, newDeadSet(), nil)
 	if err := p.host.open(); err != nil {
 		_ = ln.Close()
 		return nil, err
 	}
-	p.rel.start(tcpWire{peer: p})
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -176,18 +176,11 @@ func (p *TCPPeer) DumpState() string {
 // Addr returns the peer's actual listen address (useful with ":0").
 func (p *TCPPeer) Addr() string { return p.listener.Addr().String() }
 
-// Send implements Sender: the envelope passes through the reliability
-// sublayer (sequencing, retransmission) and is queued on the destination's
-// outbound. An error means the destination is unknown or the peer is
-// shut down.
+// Send implements Sender: the envelope is queued on the site's loop, which
+// passes it through the reliability sublayer (sequencing, retransmission)
+// onto the destination's outbound. An error means the peer is shut down.
 func (p *TCPPeer) Send(env mutex.Envelope) error {
-	return p.rel.Send(env)
-}
-
-// SendBatch implements BatchSender: each destination's envelopes are queued
-// in one operation and leave in one write.
-func (p *TCPPeer) SendBatch(envs []mutex.Envelope) error {
-	return p.rel.SendBatch(envs)
+	return p.host.send(env)
 }
 
 // tcpWire is the raw sender under the reliability sublayer: already-stamped
@@ -345,7 +338,8 @@ func (o *outbound) run(park bool) {
 		o.park, o.werr = park, nil
 		if err := o.raw.Write(o.writeRawFn); err != nil || o.werr != nil {
 			o.discard()
-			o.peer.rel.Requeue(o.id)
+			h := o.peer.host
+			h.post(func() { h.rel.Requeue(o.id) }) // on the loop, which owns the layer
 			continue
 		}
 		if o.sent < len(o.out) {
@@ -551,18 +545,20 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// Everything funnels through the reliability sublayer: it consumes
-		// acks, suppresses duplicates, reorders sequenced traffic, and hands
-		// exactly-once deliveries to dispatch.
-		_ = p.rel.Receive(env)
+		// Everything funnels through the reliability sublayer on the site's
+		// loop: it consumes acks, suppresses duplicates, reorders sequenced
+		// traffic, and hands exactly-once deliveries to dispatch.
+		if p.host.inject(env) != nil {
+			return
+		}
 	}
 }
 
 // dispatch consumes one exactly-once, in-order envelope from the reliability
-// sublayer: heartbeats feed the failure detector, ack-only frames are
-// already fully consumed, stage announcements fold into the membership hint,
-// and protocol traffic routes to the resource's instance (instantiated
-// lazily; an envelope for a name this peer cannot build is dropped).
+// sublayer, on the site's loop: heartbeats feed the failure detector,
+// stage announcements fold into the membership hint, and protocol traffic
+// steps the resource's instance (instantiated lazily; an envelope for a
+// name this peer cannot build is dropped).
 //
 // Frames stamped with a stale membership stage are still delivered — during
 // a joint handover phase both stages legitimately coexist, and the protocol
@@ -570,7 +566,7 @@ func (p *TCPPeer) readLoop(conn net.Conn) {
 // joint req_sets preserve) — but the sender is answered with the current
 // configuration so a process that slept through a reconfiguration learns it
 // is behind.
-func (p *TCPPeer) dispatch(env mutex.Envelope) error {
+func (p *TCPPeer) dispatch(env mutex.Envelope) {
 	if hb, ok := env.Msg.(heartbeatMsg); ok {
 		p.mu.Lock()
 		sink := p.hbSink
@@ -578,21 +574,18 @@ func (p *TCPPeer) dispatch(env mutex.Envelope) error {
 		if sink != nil {
 			sink.observe(hb.From)
 		}
-		return nil
+		return
 	}
 	if cm, ok := env.Msg.(configMsg); ok {
 		p.noteRemoteStage(cm.Stage)
-		return nil
-	}
-	if !env.HasPayload() {
-		return nil
+		return
 	}
 	if cur := p.stage.Load(); env.Epoch < cur {
 		p.answerStale(env.From, cur)
 	} else if env.Epoch > cur {
 		p.noteRemoteStage(env.Epoch)
 	}
-	return p.host.inject(env)
+	p.host.route(env)
 }
 
 // setDropHook installs a frame filter at enqueue (return true to drop the
@@ -605,10 +598,9 @@ func (p *TCPPeer) setDropHook(drop func(env mutex.Envelope) bool) {
 
 // injectFailure announces a crashed site to every instantiated resource, so
 // each lock's §6 recovery rebuilds its quorums, and records it for instances
-// created later. The reliability sublayer resets its streams first:
-// retransmission at the dead peer stops.
+// created later. The reliability sublayer resets its streams first
+// (host.announce): retransmission at the dead peer stops.
 func (p *TCPPeer) injectFailure(failed mutex.SiteID) {
-	p.rel.PeerFailed(failed)
 	p.host.dead.add(failed)
 	p.host.announce(failed)
 }
@@ -629,7 +621,6 @@ func (p *TCPPeer) Close() {
 	p.stopOnce.Do(func() { close(p.stopC) })
 	p.mu.Unlock()
 	p.host.close()
-	p.rel.Close()
 	_ = p.listener.Close()
 	p.mu.Lock()
 	outs := make([]*outbound, 0, len(p.outs))

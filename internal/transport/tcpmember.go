@@ -101,26 +101,17 @@ func (p *TCPPeer) noteRemoteStage(stage uint64) {
 
 // answerStale tells a peer running an older stage what the current one is —
 // once per (peer, stage), so a chatty stale site does not flood the wire.
-// It runs on the dispatch path, which the reliability sublayer calls with
-// its stream lock held, so the answer must leave on a fresh goroutine — a
-// synchronous Send would re-enter that lock and deadlock the peer.
+// It runs on the site's loop (dispatch), which owns the reliability
+// sublayer, so the answer leaves at once.
 func (p *TCPPeer) answerStale(to mutex.SiteID, stage uint64) {
-	p.mu.Lock()
-	if p.staleTold == nil {
-		p.staleTold = make(map[mutex.SiteID]uint64)
-	}
-	told := p.staleTold[to]
-	if told >= stage {
-		p.mu.Unlock()
+	if p.staleTold[to] >= stage {
 		return
 	}
 	p.staleTold[to] = stage
-	p.mu.Unlock()
-	env := mutex.Envelope{
+	_ = p.host.sender.Send(mutex.Envelope{
 		From:  p.self,
 		To:    to,
 		Epoch: stage,
 		Msg:   configMsg{From: p.self, Stage: stage, N: uint64(p.memberN.Load())},
-	}
-	go func() { _ = p.rel.Send(env) }()
+	})
 }
